@@ -12,11 +12,8 @@ and the near-boundary shrinking-well scaling studies.
 from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
                      NearSingularError, UnconvergedError, ValidationError)
 from .model import (CenterPath, CoefficientProfile, Potential, ProblemSpec,
-                    Profile, ScaledPotentialFamily, h_factor, realize_scaled,
-                    validate)
-from .green_kernels import (GreenKernel, halfline_kernel, halfline_limit_kernel,
-                            halfspace_green, halfspace_image_kernel,
-                            radial_kernel)
+                    Profile, ScaledPotentialFamily, h_factor, validate)
+from .green_kernels import green_kernel, halfspace_green, halfspace_image_kernel
 from .birman_schwinger import (Classification, KernelMatrix, NO_BOUND_STATES,
                                NoBoundStates, SpectralReport, assemble,
                                assemble_points, beta_critical, classify_limit,
@@ -36,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CenterPath", "Classification", "CoefficientProfile", "DiscreteOperator",
-    "FkwSolution", "GreenKernel", "IndeterminateError", "KernelLimitError",
+    "FkwSolution", "IndeterminateError", "KernelLimitError",
     "KernelMatrix", "MethodDisagreement", "NO_BOUND_STATES", "NearSingularError",
     "NoBoundStates", "Potential", "ProblemSpec", "Profile", "ScaledPotentialFamily",
     "ScalingStudy", "SpectralReport", "UnconvergedError", "ValidationError",
@@ -44,8 +41,8 @@ __all__ = [
     "beta_critical_fkw", "build_operator", "classify_limit", "clr_audit",
     "count_negative", "crosscheck_birman_schwinger", "default_lambda_grid",
     "dichotomy_suite", "eigenvalue_residual", "fkw_norm_limit", "gamma1",
-    "ground_state", "h_factor", "halfline_kernel", "halfline_limit_kernel",
-    "halfspace_green", "halfspace_image_kernel", "halfspace_norm_study",
-    "minorant_eigenvalue", "mu_curve", "principal_eigenvalue", "radial_kernel",
-    "realize_scaled", "scaling_study_1d", "solve_fkw", "solve_v", "validate",
+    "green_kernel", "ground_state", "h_factor", "halfspace_green",
+    "halfspace_image_kernel", "halfspace_norm_study", "minorant_eigenvalue",
+    "mu_curve", "principal_eigenvalue", "scaling_study_1d", "solve_fkw",
+    "solve_v", "validate",
 ]

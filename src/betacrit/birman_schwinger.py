@@ -16,8 +16,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
                      UnconvergedError, ValidationError)
-from .green_kernels import halfline_kernel, halfline_limit_kernel, radial_kernel
-from .model import SPHERE_AREA, Potential, ProblemSpec, validate
+from .green_kernels import solution_pair
+from .model import Potential, ProblemSpec, validate
 
 DEFAULT_M = 400
 DEFAULT_PANEL_ORDER = 8
@@ -88,28 +88,18 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
     diags = validate(problem, potential)
     if diags:
         raise ValidationError("; ".join(diags))
-    if problem.geometry not in ("half_line", "exterior_ball"):
-        raise ValidationError("assemble() covers half-line and exterior-ball problems; "
-                              "use assemble_points() for half-space grids")
+    a, b, c, k = solution_pair(problem, lam)
     lo, hi = potential.support
-    lo = max(lo, problem.inner_radius)
-    nodes, w = gauss_panels(lo, hi, m, panel_order)
-    d = problem.dimension
-    if problem.geometry == "half_line":
-        vol = w
-        if lam == 0:
-            g = halfline_limit_kernel(problem.boundary_condition,
-                                      nodes[:, None], nodes[None, :])
-        else:
-            g = halfline_kernel(problem.boundary_condition, lam,
-                                nodes[:, None], nodes[None, :])
-    else:
-        vol = w * SPHERE_AREA[d] * nodes ** (d - 1)
-        g = radial_kernel(problem, lam, nodes[:, None], nodes[None, :])
-    sv = np.sqrt(potential(nodes))
-    half_weight = np.sqrt(vol) * sv
-    entries = half_weight[:, None] * g * half_weight[None, :]
-    entries = 0.5 * (entries + entries.T)  # symmetrize away roundoff
+    nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m, panel_order)
+    vol = w * problem.measure(nodes)
+    # G = a(min) b(max) exp(-k |x - xi|) / C: the nodes ascend, so the upper
+    # triangle of the outer product holds a(x_i) b(x_j) with x_i <= x_j;
+    # mirroring it makes the matrix exactly symmetric
+    half_weight = np.sqrt(vol) * np.sqrt(potential(nodes))
+    entries = np.triu(np.outer(half_weight * a(nodes) / c, half_weight * b(nodes)))
+    entries += np.triu(entries, 1).T
+    if k:
+        entries *= np.exp(-k * np.abs(nodes[:, None] - nodes[None, :]))
     meta = {"m": nodes.size, "panel_order": panel_order,
             "geometry": problem.geometry, "sector": problem.sector,
             "bc": problem.boundary_condition,
@@ -199,26 +189,13 @@ def _subspace_fallback(a: np.ndarray, tol: float, dim: int = 4, sweeps: int = 40
     return theta, res
 
 
-def principal_eigenvalue(matrix, tol: float = DEFAULT_EIG_TOL) -> float:
-    """Largest eigenvalue of a symmetric kernel matrix.
+def principal_eigenvalue(matrix, tol: float = DEFAULT_EIG_TOL):
+    """(largest eigenvalue, achieved residual) of a symmetric kernel matrix.
 
     Power iteration from the all-ones vector, with a small deterministic
-    subspace iteration as the fallback for (near-)degenerate tops.
+    subspace iteration as the fallback for (near-)degenerate tops.  The
+    residual lands in reports.
     """
-    a = matrix.entries if isinstance(matrix, KernelMatrix) else np.asarray(matrix, dtype=float)
-    theta, res, iters = _power_iteration(a, tol)
-    if iters >= 0:
-        return theta
-    theta, res = _subspace_fallback(a, tol)
-    if res <= tol * max(abs(theta), 1e-300):
-        return theta
-    raise UnconvergedError(
-        f"principal eigenvalue iteration stalled (residual {res:.3e})",
-        details={"residual": res, "value": theta})
-
-
-def principal_eigenvalue_residual(matrix, tol: float = DEFAULT_EIG_TOL):
-    """(eigenvalue, achieved residual) - the residual lands in reports."""
     a = matrix.entries if isinstance(matrix, KernelMatrix) else np.asarray(matrix, dtype=float)
     theta, res, iters = _power_iteration(a, tol)
     if iters < 0:
@@ -308,7 +285,7 @@ def mu_curve(problem: ProblemSpec, potential: Potential, lambda_grid=None,
     rows = []
     for lam in lams:
         mat = assemble(problem, potential, float(lam), m=m, panel_order=panel_order)
-        mu, res = principal_eigenvalue_residual(mat, tol)
+        mu, res = principal_eigenvalue(mat, tol)
         rows.append((float(lam), mu, mat.size, res))
     mus = np.array([r[1] for r in rows])
     scale = float(np.max(np.abs(mus))) if mus.size else 1.0
@@ -410,7 +387,7 @@ def beta_critical(problem: ProblemSpec, potential: Potential,
         for l in sectors:
             mat = assemble(problem.with_sector(l), potential, 0.0, m=m,
                            panel_order=panel_order)
-            mu_by_sector[l] = principal_eigenvalue(mat, tol)
+            mu_by_sector[l], _ = principal_eigenvalue(mat, tol)
         mu_star = max(mu_by_sector.values())
         if mu_star <= 0:
             return NO_BOUND_STATES, mu_by_sector

@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -145,13 +144,6 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _parallel(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _classification_dict(cls):
     return cls.to_json_dict() if cls is not None else None
 
@@ -160,14 +152,16 @@ def _classification_dict(cls):
 # subcommands
 
 
-def _run_mu_curve(cfg, problem, potential, num, out, threads):
+def _run_mu_curve(cfg, problem, potential, num):
     grid = _lambda_grid(cfg, num)
     report = bs.mu_curve(problem, potential, lambda_grid=grid, m=num["m"],
                          panel_order=num["panel_order"], tol=num["eig_tol"])
     cls = bs.classify_limit(report)
     payload = report.to_json_dict()
     payload["classification"] = _classification_dict(cls)
-    if cls.verdict == "bounded":
+    if cls.verdict == "bounded" and cls.mu_star <= 0:
+        payload["beta_cr_verdict"] = "no-bound-states"  # V == 0: mu0 vanishes
+    elif cls.verdict == "bounded":
         payload["beta_cr"] = 1.0 / cls.mu_star
     elif cls.verdict == "divergent":
         payload["beta_cr"] = 0.0
@@ -177,7 +171,7 @@ def _run_mu_curve(cfg, problem, potential, num, out, threads):
     return payload, ("lambda", "mu0", "m", "residual"), list(report.csv_rows())
 
 
-def _run_beta_cr(cfg, problem, potential, num, out, threads):
+def _run_beta_cr(cfg, problem, potential, num):
     method = cfg.get("study", {}).get("method", "auto")
     grid = _lambda_grid(cfg, num)
     value = bs.beta_critical(problem, potential, method=method, m=num["m"],
@@ -196,7 +190,7 @@ def _run_beta_cr(cfg, problem, potential, num, out, threads):
     return payload, ("beta_cr", "verdict", "method"), rows
 
 
-def _run_direct(cfg, problem, potential, num, out, threads):
+def _run_direct(cfg, problem, potential, num):
     study = cfg.get("study", {})
     beta_grid = study.get("beta_grid", [1.0])
     refine = study.get("refine", True)
@@ -216,7 +210,7 @@ def _run_direct(cfg, problem, potential, num, out, threads):
                     problem, potential, float(beta), gs[0], r_max=num["r_max"])
         return row
 
-    rows = _parallel(one, list(beta_grid), threads)
+    rows = [one(beta) for beta in beta_grid]
     bc = ds.beta_critical_direct(problem, potential, tol=num["bisect_tol"],
                                  h=num["mesh_h"], r_max=num["r_max"])
     payload = {"rows": rows,
@@ -225,7 +219,7 @@ def _run_direct(cfg, problem, potential, num, out, threads):
     return payload, ("beta", "lambda0", "count", "mesh", "r_max", "residual"), rows
 
 
-def _run_crosscheck(cfg, problem, potential, num, out, threads):
+def _run_crosscheck(cfg, problem, potential, num):
     beta_grid = cfg.get("study", {}).get("beta_grid", [1.0, 2.0, 4.0])
     rows = ds.crosscheck_birman_schwinger(problem, potential, beta_grid,
                                           m=num["m"])
@@ -234,17 +228,15 @@ def _run_crosscheck(cfg, problem, potential, num, out, threads):
     return payload, ("beta", "lambda0", "mu0", "residual"), rows
 
 
-def _run_fkw(cfg, problem, potential, num, out, threads):
+def _run_fkw(cfg, problem, potential, num):
     study = cfg.get("study", {})
     beta = study.get("beta", 0.0)
     grid = _lambda_grid(cfg, num)
     sector_max = num["sector_max"]
 
-    def gamma_row(lam):
-        return {"lambda": float(lam),
-                "gamma1": fkw.gamma1(problem, beta, potential, float(lam))}
-
-    g_rows = _parallel(gamma_row, [l for l in grid], threads)
+    g_rows = [{"lambda": float(lam),
+               "gamma1": fkw.gamma1(problem, beta, potential, float(lam))}
+              for lam in grid]
     limit = fkw.fkw_norm_limit(problem, potential, lambda_grid=grid,
                                m=num["m"], sector_max=sector_max)
     value = fkw.beta_critical_fkw(problem, potential, m=num["m"],
@@ -269,7 +261,7 @@ def _require_family(potential):
     return potential
 
 
-def _run_scaling(cfg, problem, potential, num, out, threads):
+def _run_scaling(cfg, problem, potential, num):
     family = _require_family(potential)
     n_grid = cfg.get("study", {}).get("n_grid", [4, 8, 16, 32])
     study = ex.scaling_study_1d(family, n_grid, m=num["m"])
@@ -279,7 +271,7 @@ def _run_scaling(cfg, problem, potential, num, out, threads):
     return payload, cols, rows
 
 
-def _run_halfspace(cfg, problem, potential, num, out, threads):
+def _run_halfspace(cfg, problem, potential, num):
     family = _require_family(potential)
     study_cfg = cfg.get("study", {})
     sign = study_cfg.get("sign", "minus")
@@ -295,7 +287,7 @@ def _run_halfspace(cfg, problem, potential, num, out, threads):
     return payload, cols, rows
 
 
-def _run_clr(cfg, problem, potential, num, out, threads):
+def _run_clr(cfg, problem, potential, num):
     study_cfg = cfg.get("study", {})
     beta_grid = study_cfg.get("beta_grid", [2.0, 5.0, 20.0, 80.0])
     constant = study_cfg.get("constant", ex.DEFAULT_CLR_CONSTANT)
@@ -308,7 +300,7 @@ def _run_clr(cfg, problem, potential, num, out, threads):
     return payload, cols, rows
 
 
-def _run_dichotomy(cfg, problem, potential, num, out, threads):
+def _run_dichotomy(cfg, problem, potential, num):
     study = ex.dichotomy_suite(m=num["m"],
                                decades=tuple(num["lambda_decades"]))
     payload = study.to_json_dict()
@@ -336,7 +328,11 @@ RUNNERS = {
 
 def run(subcommand: str, config_path: str, out_dir: str = ".",
         threads: int = 1, verbose: bool = False) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand; returns the process exit code.
+
+    ``threads`` is accepted for compatibility and has no effect: every
+    subcommand runs serially.
+    """
     try:
         cfg = load_config(config_path)
         problem = build_problem(cfg)
@@ -346,8 +342,7 @@ def run(subcommand: str, config_path: str, out_dir: str = ".",
         _diagnostic("config-error", exc)
         return 1
     try:
-        payload, columns, rows = RUNNERS[subcommand](cfg, problem, potential,
-                                                     num, out_dir, threads)
+        payload, columns, rows = RUNNERS[subcommand](cfg, problem, potential, num)
         jsonschema.validate(payload, load_schema("report"))
         out_cfg = cfg.get("output", {})
         json_name = out_cfg.get("json", f"{subcommand}.json")
@@ -385,7 +380,8 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="JSON configuration path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; runs are serial")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, args.out, args.threads, args.verbose)

@@ -49,7 +49,6 @@ class DiscreteOperator:
     off: np.ndarray
     mass: np.ndarray
     beta: float
-    lambda_dependence: bool = True  # the outer closure varies with the energy
     meta: dict = field(default_factory=dict)
 
 
@@ -112,7 +111,7 @@ def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
         raise ValidationError(f"unsupported sector boundary condition {bc!r}")
     meta = {"h": h, "r_max": float(r[-1]), "sector": l, "bc": bc,
             "closure_lambda": closure_lambda}
-    return DiscreteOperator(mesh, diag, off, mass, beta, True, meta)
+    return DiscreteOperator(mesh, diag, off, mass, beta, meta)
 
 
 def _sturm_count(diag: np.ndarray, off: np.ndarray, shift: np.ndarray | float = 0.0) -> int:
@@ -360,7 +359,7 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
                                   "crosscheck needs couplings above threshold")
         lam0, _ = gs
         mat = bs.assemble(problem, potential, lam0, m=m)
-        mu0 = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
+        mu0, _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
         rows.append({"beta": float(beta), "lambda0": lam0, "mu0": mu0,
                      "residual": abs(beta * mu0 - 1.0)})
     return rows

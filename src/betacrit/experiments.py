@@ -18,8 +18,7 @@ from numpy.polynomial.legendre import leggauss
 from . import birman_schwinger as bs
 from . import direct_spectrum as ds
 from .errors import ValidationError
-from .model import (Potential, ProblemSpec, Profile, ScaledPotentialFamily,
-                    realize_scaled)
+from .model import Potential, ProblemSpec, Profile, ScaledPotentialFamily
 
 C3 = 1.0 / (4.0 * math.pi)
 DEFAULT_CLR_CONSTANT = 0.1156  # d=3 counting-bound constant, configurable
@@ -208,7 +207,7 @@ def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
     mat = bs.assemble_points(pts, w, np.ones(pts.shape[0]),
                              np.zeros_like(g), g, rho * alpha * C3, cells, 0.0,
                              {"rho": rho, "alpha": alpha})
-    return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
+    return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
 
 
 def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
@@ -232,7 +231,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
         except ValidationError as exc:
             notices.append(f"n={n:g} skipped: {exc}")
             continue
-        norm = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
+        norm, _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
         row = {"n": float(n), "center": center, "norm": norm,
                "nodes": mat.meta["nodes"]}
         if d == 2:
@@ -279,7 +278,7 @@ def scaling_study_1d(family: ScaledPotentialFamily, n_grid,
             notices.append(f"n={n:g} inadmissible: support leaks outside the domain "
                            f"(margin {family.margin(n):.3e})")
             continue
-        pot = realize_scaled(family, n)
+        pot = family.realize(n)
         beta_kernel = bs.beta_critical(problem, pot, method="limit-kernel", m=m)
         row = {"n": float(n), "beta_cr_kernel": beta_kernel, "m": m}
         if with_direct:

@@ -22,8 +22,8 @@ from scipy.linalg import solve_banded
 
 from . import birman_schwinger as bs
 from .direct_spectrum import _segment_points, build_operator, dtn_coefficient
-from .errors import (KernelLimitError, MethodDisagreement, NearSingularError,
-                     ValidationError)
+from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
+                     NearSingularError, ValidationError)
 from .model import Potential, ProblemSpec, validate
 
 DEFAULT_SECTOR_MAX = 3
@@ -295,12 +295,12 @@ def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
     if limit["verdict"] == "divergent":
         return 0.0
     if limit["verdict"] == "indeterminate":
-        raise ValidationError("sector classification indeterminate; refine the grid")
+        raise IndeterminateError("sector classification indeterminate; refine the grid")
     mu_by_sector = {}
     top = 1 if problem.dimension == 1 else sector_max
     for l in range(0, top + 1):
         mat = bs.assemble(problem.with_sector(l), potential, 0.0, m=m)
-        mu_by_sector[l] = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
+        mu_by_sector[l], _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
     value = 1.0 / max(mu_by_sector.values())
     if crosscheck:
         from .direct_spectrum import beta_critical_direct

@@ -5,303 +5,184 @@ lambda < 0.  Exterior-ball kernels are returned per unit sphere measure
 (divided by |S^{d-1}|), so that matrix assembly against the full volume
 element reproduces the sector operator exactly.
 
-Modified Bessel functions are evaluated through their exponentially scaled
-variants, so kernels stay finite for any k*r that matters here.
+On the half-line and in every exterior-ball sector the kernel is
+G(r, rho) = u_reg(min) u_dec(max) / C, where u_reg meets the boundary
+condition and u_dec decays at infinity.  ``solution_pair`` is the only place
+that knows these solutions.  It returns them exponentially scaled,
+u_reg = a(r) e^{kr} and u_dec = b(r) e^{-kr} with k = sqrt(-lambda), so
+kernels stay finite for any k*r.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import ive, kve
 
 from .errors import KernelLimitError
-from .model import SPHERE_AREA, ProblemSpec, ValidationError
+from .model import ProblemSpec, ValidationError
 
 
-def halfline_kernel(bc: str, lam: float, x, xi):
-    """Half-line kernel of -u'' - lambda with Dirichlet/Neumann condition at 0.
+def solution_pair(problem: ProblemSpec, lam: float):
+    """(a, b, C, k) with G(r, rho) = a(min) b(max) exp(-k |r - rho|) / C.
 
-    (exp(-k|x-xi|) -/+ exp(-k(x+xi))) / (2k) with k = sqrt(-lambda); written
-    through expm1 so the lambda -> 0- regime is cancellation-free.
+    ``a`` and ``b`` are callables, and G is the kernel against
+    ``problem.measure`` in the problem's sector.  lam = 0 gives the pointwise
+    zero-energy limit and raises ``KernelLimitError`` where that diverges: the
+    Neumann condition when the zero-energy decaying solution is constant.
     """
-    if bc not in ("dirichlet", "neumann"):
-        raise ValidationError(f"unsupported half-line boundary condition {bc!r}")
-    if lam >= 0:
-        raise ValidationError("half-line kernel needs lambda < 0; use the limit kernel at 0")
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
+    if problem.geometry not in ("half_line", "exterior_ball"):
+        raise ValidationError("sector Green functions cover the half-line and the "
+                              "exterior ball; half-space studies assemble image "
+                              "kernels on point clouds")
+    if lam > 0:
+        raise ValidationError("Green functions need lambda <= 0")
+    d = 1 if problem.geometry == "half_line" else problem.dimension
+    l = problem.sector
+    bc = problem.effective_bc()
     k = math.sqrt(-lam)
-    diff = np.abs(x - xi)
-    rmin = np.minimum(x, xi)
-    base = np.exp(-k * diff)
-    if bc == "dirichlet":
-        # exp(-k|x-xi|) - exp(-k(x+xi)) = exp(-k|x-xi|) * (1 - exp(-2k min))
-        return base * (-np.expm1(-2.0 * k * rmin)) / (2.0 * k)
-    return base * (1.0 + np.exp(-2.0 * k * rmin)) / (2.0 * k)
+    # for d + l <= 2 the zero-energy decaying solution is constant
+    if k == 0 and bc == "neumann" and d + l <= 2:
+        raise KernelLimitError(f"limit kernel divergent for the Neumann condition "
+                               f"on the {problem.geometry} (d={d}, sector {l})")
+
+    def free(r, derivatives=False):
+        """Free solutions g(r) e^{kr} (growing) and f(r) e^{-kr} (decaying) as
+        (g, f); with ``derivatives`` also their r-derivatives, scaled alike."""
+        r = np.asarray(r, dtype=float)
+        if d == 1:
+            # sinh(kr)/k and e^{-kr}; r and 1 at zero energy
+            if k == 0:
+                g, dg = r, np.ones_like(r)
+            else:
+                g = -np.expm1(-2.0 * k * r) / (2.0 * k)
+                dg = 0.5 * (1.0 + np.exp(-2.0 * k * r))
+            f, df = np.ones_like(r), np.full_like(r, -k)
+        elif k == 0:
+            q = l + d - 2
+            if q == 0:
+                g, dg, f, df = np.log(r), 1.0 / r, np.ones_like(r), np.zeros_like(r)
+            else:
+                g, dg = r ** l, l * r ** (l - 1.0)
+                f, df = r ** (-q), -q * r ** (-q - 1.0)
+        else:
+            # r^{1-d/2} I_nu(kr) and r^{1-d/2} K_nu(kr) through the scaled Bessels
+            nu = l + 0.5 * d - 1.0
+            z = k * r
+            amp = r ** (1.0 - 0.5 * d)
+            i_nu, k_nu = ive(nu, z), kve(nu, z)
+            g, f = amp * i_nu, amp * k_nu
+            if derivatives:
+                s = (1.0 - 0.5 * d) / r
+                dg = s * g + amp * k * (ive(nu + 1.0, z) + (nu / z) * i_nu)
+                df = s * f + amp * k * (-kve(nu + 1.0, z) + (nu / z) * k_nu)
+        return (g, f, dg, df) if derivatives else (g, f)
+
+    if problem.coefficient is not None:
+        return _variable_a_pair(problem, d, lam, free)
+    r0 = problem.inner_radius
+    g0, f0, dg0, df0 = free(r0, derivatives=True)
+    # u_reg = growing - ratio * e^{2k r0} * decaying meets the boundary condition
+    ratio = g0 / f0 if bc == "dirichlet" else dg0 / df0
+
+    def a(r):
+        g, f = free(r)
+        return g - ratio * f * np.exp(-2.0 * k * (np.asarray(r, dtype=float) - r0))
+
+    def b(r):
+        return free(r)[1]
+
+    c = float(problem.measure(r0) * (f0 * dg0 - df0 * g0))
+    return a, b, c, k
 
 
-def halfline_limit_kernel(bc: str, x, xi):
-    """Zero-energy limit of the half-line kernel: min(x, xi) (Dirichlet only)."""
-    if bc != "dirichlet":
-        raise KernelLimitError("limit kernel divergent for the Neumann half-line")
-    return np.minimum(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
-
-
-def _bessel_order(d: int, l: int) -> float:
-    return l + 0.5 * d - 1.0
-
-
-def _bc_ratio(bc: str, d: int, nu: float, k: float, r0: float) -> tuple[float, float]:
-    """Coefficient of the K-solution in the regular solution, split as
-    (mantissa, exponent) with c_B = mantissa * exp(exponent)."""
-    z0 = k * r0
-    if bc == "dirichlet":
-        return ive(nu, z0) / kve(nu, z0), 2.0 * z0
-    # radial derivative of r^{1-d/2} C_nu(kr) at r0
-    amp = (1.0 - 0.5 * d) / r0
-    i_num = amp * ive(nu, z0) + k * (ive(nu + 1.0, z0) + (nu / z0) * ive(nu, z0))
-    k_den = amp * kve(nu, z0) + k * (-kve(nu + 1.0, z0) + (nu / z0) * kve(nu, z0))
-    return i_num / k_den, 2.0 * z0
-
-
-def _radial_kernel_bessel(d, l, bc, lam, r0, rmin, rmax):
-    """a == 1 sector kernel for lambda < 0 via scaled modified Bessels."""
-    k = math.sqrt(-lam)
-    nu = _bessel_order(d, l)
-    zmin, zmax, z0 = k * rmin, k * rmax, k * r0
-    ratio, ratio_exp = _bc_ratio(bc, d, nu, k, r0)
-    amp = (rmin * rmax) ** (1.0 - 0.5 * d)
-    direct = ive(nu, zmin) * kve(nu, zmax) * np.exp(zmin - zmax)
-    image = ratio * kve(nu, zmin) * kve(nu, zmax) * np.exp(ratio_exp - zmin - zmax)
-    return amp * (direct - image)
-
-
-def _radial_limit_kernel(d, l, bc, r0, rmin, rmax):
-    """Pointwise lambda -> 0- limit of the sector kernel (a == 1)."""
-    q = l + d - 2
-    if d == 1:
-        if bc == "neumann":
-            raise KernelLimitError("limit kernel divergent for the d=1 Neumann sector")
-        return rmin - r0
-    if d == 2 and l == 0:
-        if bc == "neumann":
-            raise KernelLimitError("limit kernel divergent for the d=2 Neumann sector 0")
-        return np.log(rmin / r0)
-    if bc == "dirichlet":
-        u_reg = rmin ** l - r0 ** (2 * l + d - 2) * rmin ** (-q)
-    else:
-        u_reg = rmin ** l + (l / q) * r0 ** (2 * l + d - 2) * rmin ** (-q)
-    return u_reg * rmax ** (-q) / (l + q)
-
-
-def _sl_rhs(problem: ProblemSpec, l: int, lam: float):
+def _sl_rhs(problem: ProblemSpec, d: int, lam: float):
     """Right-hand side of the first-order system for (u, p u') in the sector."""
-    d = problem.dimension
+    l = problem.sector
     cent = l * (l + d - 2)
 
     def rhs(r, y):
         a = float(problem.coefficient_at(r))
         p = a * r ** (d - 1)
-        q = a * cent * r ** (d - 3) - lam * r ** (d - 1)
+        q = (a * cent * r ** (d - 3) if cent else 0.0) - lam * r ** (d - 1)
         return [y[1] / p, q * y[0]]
 
     return rhs
 
 
-def _exterior_solution_pair(d, l, bc, lam, r0):
-    """(u_reg, u_dec, C) callables for a == 1; C normalizes G = u_reg u_dec / C."""
-    if lam < 0:
-        k = math.sqrt(-lam)
-        nu = _bessel_order(d, l)
-        ratio, ratio_exp = _bc_ratio(bc, d, nu, k, r0)
+def _variable_a_pair(problem: ProblemSpec, d: int, lam: float, free):
+    """``solution_pair`` for a variable coefficient: the sector ODE inside
+    [r0, r_flat], the free solutions beyond.
 
-        def u_dec(r, _k=k, _nu=nu, _d=d):
-            z = _k * np.asarray(r, dtype=float)
-            return np.asarray(r, dtype=float) ** (1.0 - 0.5 * _d) * kve(_nu, z) * np.exp(-z)
-
-        def u_reg(r, _k=k, _nu=nu, _d=d, _ratio=ratio, _rexp=ratio_exp):
-            r = np.asarray(r, dtype=float)
-            z = _k * r
-            amp = r ** (1.0 - 0.5 * _d)
-            return amp * (ive(_nu, z) * np.exp(z) - _ratio * kve(_nu, z) * np.exp(_rexp - z))
-
-        return u_reg, u_dec, 1.0
-    # zero-energy limit
-    q = l + d - 2
-    if d == 1:
-        if bc == "neumann":
-            raise KernelLimitError("limit kernel divergent for the d=1 Neumann sector")
-        return (lambda r: np.asarray(r, dtype=float) - r0,
-                lambda r: np.ones_like(np.asarray(r, dtype=float)), 1.0)
-    if d == 2 and l == 0:
-        if bc == "neumann":
-            raise KernelLimitError("limit kernel divergent for the d=2 Neumann sector 0")
-        return (lambda r: np.log(np.asarray(r, dtype=float) / r0),
-                lambda r: np.ones_like(np.asarray(r, dtype=float)), 1.0)
-    if bc == "dirichlet":
-        coef = -r0 ** (2 * l + d - 2)
-    else:
-        coef = (l / q) * r0 ** (2 * l + d - 2)
-    return (lambda r, c=coef: np.asarray(r, dtype=float) ** l + c * np.asarray(r, dtype=float) ** (-q),
-            lambda r: np.asarray(r, dtype=float) ** (-q), float(l + q))
-
-
-def _variable_a_pair(problem: ProblemSpec, l: int, bc: str, lam: float):
-    """Solution pair for a variable coefficient: ODE inside [r0, r_flat],
-    the a == 1 closed forms beyond."""
-    d = problem.dimension
+    The ODE runs unscaled, so k (r_flat - r0) must stay well below 700.
+    """
     r0 = problem.inner_radius
     rf = problem.flat_radius()
-    if lam < 0:
-        k = math.sqrt(-lam)
-        nu = _bessel_order(d, l)
-
-        def w_dec(r):
-            z = k * np.asarray(r, dtype=float)
-            return np.asarray(r, dtype=float) ** (1.0 - 0.5 * d) * kve(nu, z) * np.exp(-z)
-
-        def w_dec_prime(r):
-            r = np.asarray(r, dtype=float)
-            z = k * r
-            amp = r ** (1.0 - 0.5 * d)
-            dk = -kve(nu + 1.0, z) + (nu / z) * kve(nu, z)
-            return ((1.0 - 0.5 * d) / r) * amp * kve(nu, z) * np.exp(-z) + amp * k * dk * np.exp(-z)
-    else:
-        q = l + d - 2
-        if d == 1 or (d == 2 and l == 0):
-            if bc == "neumann":
-                raise KernelLimitError("limit kernel divergent")
-            w_dec = lambda r: np.ones_like(np.asarray(r, dtype=float))
-            w_dec_prime = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-        else:
-            if bc == "neumann" and q <= 0:
-                raise KernelLimitError("limit kernel divergent")
-            w_dec = lambda r: np.asarray(r, dtype=float) ** (-q)
-            w_dec_prime = lambda r: -q * np.asarray(r, dtype=float) ** (-q - 1)
-
-    rhs = _sl_rhs(problem, l, lam)
+    k = math.sqrt(-lam)
     p_rf = float(problem.coefficient_at(rf)) * rf ** (d - 1)
+    g, f, dg, df = (float(v) for v in free(rf, derivatives=True))
 
     # decaying solution: integrate inward from the flattening radius
-    y_dec0 = [float(w_dec(rf)), p_rf * float(w_dec_prime(rf))]
-    sol_dec = solve_ivp(rhs, (rf, r0), y_dec0, dense_output=True,
-                        rtol=1e-11, atol=1e-14, method="RK45")
+    sol_dec = solve_ivp(_sl_rhs(problem, d, lam), (rf, r0), [f, p_rf * df],
+                        dense_output=True, rtol=1e-11, atol=1e-14, method="RK45")
     if not sol_dec.success:
         raise RuntimeError("decaying-solution integration failed: " + sol_dec.message)
 
     # regular solution: integrate outward from the obstacle
-    y_reg0 = [0.0, 1.0] if bc == "dirichlet" else [1.0, 0.0]
-    sol_reg = solve_ivp(rhs, (r0, rf), y_reg0, dense_output=True,
-                        rtol=1e-11, atol=1e-14, method="RK45")
+    y_reg0 = [0.0, 1.0] if problem.effective_bc() == "dirichlet" else [1.0, 0.0]
+    sol_reg = solve_ivp(_sl_rhs(problem, d, lam), (r0, rf), y_reg0,
+                        dense_output=True, rtol=1e-11, atol=1e-14, method="RK45")
     if not sol_reg.success:
         raise RuntimeError("regular-solution integration failed: " + sol_reg.message)
 
-    # continue the regular solution past r_flat with the a == 1 fundamental pair
-    u_rf, pu_rf = sol_reg.y[:, -1]
-    du_rf = pu_rf / p_rf
-    if lam < 0:
-        k = math.sqrt(-lam)
-        nu = _bessel_order(d, l)
+    # a = u_reg e^{-k(r - r0)} and b = u_dec e^{kr}; past r_flat
+    # a = alpha g + beta f e^{-2k(r - rf)} continues the regular solution
+    scale = math.exp(-k * (rf - r0))
+    y_rf, dy_rf = sol_reg.y[0, -1] * scale, sol_reg.y[1, -1] / p_rf * scale
+    wr = g * df - dg * f
+    alpha = (y_rf * df - dy_rf * f) / wr
+    beta = (dy_rf * g - y_rf * dg) / wr
 
-        def bessel_i(r):
-            z = k * np.asarray(r, dtype=float)
-            return np.asarray(r, dtype=float) ** (1.0 - 0.5 * d) * ive(nu, z) * np.exp(z)
-
-        def bessel_i_prime(r):
-            r = np.asarray(r, dtype=float)
-            z = k * r
-            amp = r ** (1.0 - 0.5 * d)
-            di = ive(nu + 1.0, z) + (nu / z) * ive(nu, z)
-            return ((1.0 - 0.5 * d) / r) * amp * ive(nu, z) * np.exp(z) + amp * k * di * np.exp(z)
-
-        w_grow, w_grow_prime = bessel_i, bessel_i_prime
-    else:
-        if d == 2 and l == 0:
-            w_grow = lambda r: np.log(np.asarray(r, dtype=float))
-            w_grow_prime = lambda r: 1.0 / np.asarray(r, dtype=float)
-        elif d == 1:
-            w_grow = lambda r: np.asarray(r, dtype=float)
-            w_grow_prime = lambda r: np.ones_like(np.asarray(r, dtype=float))
-        else:
-            w_grow = lambda r: np.asarray(r, dtype=float) ** l
-            w_grow_prime = lambda r: l * np.asarray(r, dtype=float) ** (l - 1)
-
-    wr = float(w_grow(rf) * w_dec_prime(rf) - w_grow_prime(rf) * w_dec(rf))
-    coef_grow = (u_rf * float(w_dec_prime(rf)) - du_rf * float(w_dec(rf))) / wr
-    coef_dec = (du_rf * float(w_grow(rf)) - u_rf * float(w_grow_prime(rf))) / wr
-
-    def u_reg(r):
+    def a(r):
         r = np.asarray(r, dtype=float)
         out = np.empty_like(r)
         inner = r <= rf
         if inner.any():
-            out[inner] = sol_reg.sol(r[inner])[0]
+            out[inner] = sol_reg.sol(r[inner])[0] * np.exp(-k * (r[inner] - r0))
         if (~inner).any():
             ro = r[~inner]
-            out[~inner] = coef_grow * w_grow(ro) + coef_dec * w_dec(ro)
+            g_o, f_o = free(ro)
+            out[~inner] = alpha * g_o + beta * f_o * np.exp(-2.0 * k * (ro - rf))
         return out
 
-    def u_dec(r):
+    def b(r):
         r = np.asarray(r, dtype=float)
         out = np.empty_like(r)
         inner = r < rf
         if inner.any():
-            out[inner] = sol_dec.sol(r[inner])[0]
+            out[inner] = sol_dec.sol(r[inner])[0] * np.exp(k * (r[inner] - rf))
         if (~inner).any():
-            out[~inner] = w_dec(r[~inner])
+            out[~inner] = free(r[~inner])[1]
         return out
 
-    # p (u_dec u_reg' - u_dec' u_reg) is constant; evaluate at r_flat
-    c_norm = p_rf * (float(w_dec(rf)) * du_rf - float(w_dec_prime(rf)) * u_rf)
-    return u_reg, u_dec, c_norm
+    # p (u_dec u_reg' - u_dec' u_reg) is constant; the coefficient is 1 at r_flat
+    c = float(problem.measure(rf) * (f * dy_rf - df * y_rf))
+    return a, b, c, k
 
 
-def radial_solution_pair(problem: ProblemSpec, lam: float, sector: int | None = None):
-    """(u_reg, u_dec, C) with G_l(r, rho) = u_reg(min) u_dec(max) / C.
+def green_kernel(problem: ProblemSpec, lam: float, x, xi):
+    """Pointwise kernel of (H0 - lambda)^{-1} on the half-line or in the
+    problem's exterior-ball sector, per unit sphere measure.
 
-    The kernel here is the sector kernel against the measure r^{d-1} dr,
-    without the sphere-area normalization applied by ``radial_kernel``.
+    lam = 0 gives the zero-energy limit kernel where it exists.
     """
-    if problem.geometry != "exterior_ball":
-        raise ValidationError("radial kernels require the exterior ball geometry")
-    if lam > 0:
-        raise ValidationError("radial kernel needs lambda <= 0")
-    l = problem.sector if sector is None else sector
-    bc = problem.effective_bc(l)
-    if problem.coefficient is None:
-        return _exterior_solution_pair(problem.dimension, l, bc, lam, problem.inner_radius)
-    return _variable_a_pair(problem, l, bc, lam)
-
-
-def radial_kernel(problem: ProblemSpec, lam: float, r, rho):
-    """Sector Green function of the exterior ball, per unit sphere measure.
-
-    For lambda = 0 the pointwise limit kernel is returned where it exists
-    (Dirichlet for all d; Neumann only when the sector decays at infinity).
-    """
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    rmin = np.minimum(r, rho)
-    rmax = np.maximum(r, rho)
-    area = SPHERE_AREA[problem.dimension]
-    l = problem.sector
-    bc = problem.effective_bc()
-    if problem.coefficient is None:
-        if lam < 0:
-            g = _radial_kernel_bessel(problem.dimension, l, bc, lam,
-                                      problem.inner_radius, rmin, rmax)
-        elif lam == 0:
-            g = _radial_limit_kernel(problem.dimension, l, bc,
-                                     problem.inner_radius, rmin, rmax)
-        else:
-            raise ValidationError("radial kernel needs lambda <= 0")
-        return g / area
-    u_reg, u_dec, c_norm = radial_solution_pair(problem, lam)
-    return u_reg(rmin) * u_dec(rmax) / c_norm / area
+    a, b, c, k = solution_pair(problem, lam)
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    lo, hi = np.minimum(x, xi), np.maximum(x, xi)
+    return a(lo) * b(hi) * np.exp(-k * (hi - lo)) / c
 
 
 _FUNDAMENTAL_C3 = 1.0 / (4.0 * math.pi)
@@ -375,26 +256,3 @@ def halfspace_image_kernel(d: int, sign: str, n: float, center: float, y, sigma,
         else:
             vals = np.log(image / direct) / (2.0 * math.pi * math.log(n))
     return vals * weight
-
-
-@dataclass(frozen=True)
-class GreenKernel:
-    """Pointwise-evaluable kernel of (H0 - lambda)^{-1} for a problem."""
-
-    problem: ProblemSpec
-    lam: float
-
-    def __post_init__(self):
-        if self.lam > 0:
-            raise ValidationError("kernels are defined for lambda <= 0")
-
-    def evaluate(self, x, xi):
-        if self.problem.geometry == "half_line":
-            if self.lam == 0:
-                return halfline_limit_kernel(self.problem.boundary_condition, x, xi)
-            return halfline_kernel(self.problem.boundary_condition, self.lam, x, xi)
-        if self.problem.geometry == "exterior_ball":
-            return radial_kernel(self.problem, self.lam, x, xi)
-        raise ValidationError("use the rescaled image kernels for half-space studies")
-
-    __call__ = evaluate

@@ -169,6 +169,14 @@ class ProblemSpec:
             return np.ones_like(np.asarray(r, dtype=float))
         return self.coefficient(r)
 
+    def measure(self, r):
+        """Volume element of the radial coordinate: 1 on the half-line,
+        |S^{d-1}| r^{d-1} outside the ball."""
+        r = np.asarray(r, dtype=float)
+        if self.geometry == "exterior_ball":
+            return SPHERE_AREA[self.dimension] * r ** (self.dimension - 1)
+        return np.ones_like(r)
+
     def flat_radius(self) -> float:
         """Radius beyond which a(r) = 1."""
         if self.coefficient is None:
@@ -380,11 +388,6 @@ class ScaledPotentialFamily:
         # half-space realization: ball support about the center on the x1-axis
         xs = base.xs / n
         return Potential(Profile(xs, h * base.ys), center=c)
-
-
-def realize_scaled(family: ScaledPotentialFamily, n: float) -> Potential:
-    """Concrete potential of the shrinking family at scale n."""
-    return family.realize(n)
 
 
 def validate(problem: ProblemSpec, potential: Potential) -> list[str]:

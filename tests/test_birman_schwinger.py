@@ -5,8 +5,8 @@ import pytest
 
 from betacrit import birman_schwinger as bs
 from betacrit.errors import KernelLimitError, ValidationError
-from betacrit.green_kernels import halfline_kernel
-from betacrit.model import Potential, ProblemSpec, Profile
+from betacrit.green_kernels import green_kernel
+from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
 
 import oracles as oc
 
@@ -18,26 +18,31 @@ BETA_CR_WELL = oc.square_well_beta_cr(1.0, 2.0)  # k tan k = 1 threshold
 
 class TestPrincipalEigenvalue:
     def test_scalar(self):
-        assert bs.principal_eigenvalue(np.array([[3.7]]), 1e-12) == pytest.approx(3.7)
+        assert bs.principal_eigenvalue(np.array([[3.7]]), 1e-12)[0] == pytest.approx(3.7)
 
     def test_closed_form_two_by_two(self):
         assert bs.principal_eigenvalue(np.array([[2.0, 1.0], [1.0, 2.0]]),
-                                       1e-12) == pytest.approx(3.0)
+                                       1e-12)[0] == pytest.approx(3.0)
 
     def test_zero_matrix(self):
-        assert bs.principal_eigenvalue(np.zeros((5, 5)), 1e-12) == 0.0
+        assert bs.principal_eigenvalue(np.zeros((5, 5)), 1e-12)[0] == 0.0
 
     def test_degenerate_top_handled_by_fallback(self):
         # the all-ones start vector is orthogonal to both top eigenvectors
         a = np.diag([2.0, -2.0, 0.5])
-        val = bs.principal_eigenvalue(a, 1e-10)
+        val = bs.principal_eigenvalue(a, 1e-10)[0]
         assert val == pytest.approx(2.0, rel=1e-8)
+
+    def test_residual_meets_the_tolerance(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        val, res = bs.principal_eigenvalue(a, 1e-12)
+        assert res <= 1e-12 * val
 
     def test_agrees_with_dense_solver(self):
         rng = np.random.default_rng(7)
         b = rng.standard_normal((40, 40))
         a = b + b.T
-        assert bs.principal_eigenvalue(a, 1e-11) == pytest.approx(
+        assert bs.principal_eigenvalue(a, 1e-11)[0] == pytest.approx(
             float(np.linalg.eigvalsh(a)[-1]), rel=1e-9)
 
 
@@ -57,7 +62,7 @@ class TestAssemble:
 
     def test_square_well_limit_eigenvalue(self):
         mat = bs.assemble(HALF_LINE_D, WELL, 0.0, m=200)
-        mu = bs.principal_eigenvalue(mat, 1e-10)
+        mu = bs.principal_eigenvalue(mat, 1e-10)[0]
         assert mu == pytest.approx(1.0 / BETA_CR_WELL, rel=1e-3)
 
     def test_entries_nonnegative_and_symmetric(self):
@@ -103,7 +108,7 @@ class TestMuCurve:
         # Rayleigh quotient of the constant function bounds mu0 from below
         lam = -1e-4
         mat = bs.assemble(HALF_LINE_N, WELL, lam, m=200)
-        mu = bs.principal_eigenvalue(mat, 1e-10)
+        mu = bs.principal_eigenvalue(mat, 1e-10)[0]
         v = np.sqrt(mat.weights)
         mean = float(v @ mat.entries @ v) / float(v @ v)
         assert mu >= mean > 0.5 / math.sqrt(-lam)
@@ -125,7 +130,7 @@ class TestMuCurve:
         rep = bs.mu_curve(prob, pot, lambda_grid=[-1e-3, -1e-5, -1e-7], m=200)
         mus = rep.mus()
         assert abs(mus[-1] - mus[-2]) / mus[-2] < 0.01
-        limit = bs.principal_eigenvalue(bs.assemble(prob, pot, 0.0, m=200), 1e-10)
+        limit = bs.principal_eigenvalue(bs.assemble(prob, pot, 0.0, m=200), 1e-10)[0]
         assert mus[-1] == pytest.approx(limit, rel=1e-3)
 
     def test_grid_must_be_negative(self):
@@ -212,6 +217,47 @@ class TestBetaCritical:
         assert values[-1] == pytest.approx(BETA_CR_WELL, rel=1e-3)
 
 
+def _separable_cases():
+    a = CoefficientProfile(Profile(np.array([1.0, 1.5, 2.0]),
+                                   np.array([2.0, 1.4, 1.0])), 2.0)
+    yield "half-line dirichlet", HALF_LINE_D
+    yield "half-line neumann", HALF_LINE_N
+    for d, l, bc in ((1, 0, "dirichlet"), (1, 1, "neumann"), (2, 0, "dirichlet"),
+                     (2, 2, "neumann"), (3, 0, "neumann"), (3, 1, "dirichlet")):
+        yield f"d={d} sector {l} {bc}", ProblemSpec(d, "exterior_ball", bc, sector=l)
+    yield "variable a, d=3", ProblemSpec(3, "exterior_ball", "dirichlet", coefficient=a)
+    yield "variable a, d=2", ProblemSpec(2, "exterior_ball", "neumann", coefficient=a)
+    for d, l in ((2, 0), (2, 1), (3, 0), (3, 2)):
+        yield f"fkw d={d} sector {l}", ProblemSpec(d, "exterior_ball", "fkw", sector=l)
+
+
+class TestSeparableAssembly:
+    @pytest.mark.parametrize("name,prob", list(_separable_cases()))
+    def test_entries_match_the_pointwise_kernel(self, name, prob):
+        pot = Potential(Profile.tent(1.5, 2.5), 1.7)
+        for lam in (0.0, -1e-3, -0.5, -4.0):
+            try:
+                mat = bs.assemble(prob, pot, lam, m=40)
+            except KernelLimitError:
+                assert lam == 0.0
+                continue
+            g = green_kernel(prob, lam, mat.nodes[:, None], mat.nodes[None, :])
+            hw = np.sqrt(mat.weights * pot(mat.nodes))
+            np.testing.assert_allclose(mat.entries, hw[:, None] * g * hw[None, :],
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("prob", [HALF_LINE_D, HALF_LINE_N,
+                                      ProblemSpec(2, "exterior_ball", "dirichlet"),
+                                      ProblemSpec(3, "exterior_ball", "neumann", sector=2)])
+    def test_large_k_r_stays_finite(self, prob):
+        # k r reaches 2500: the scaled pair keeps every entry representable
+        mat = bs.assemble(prob, Potential(Profile.indicator(1.5, 2.5)), -1e6, m=80)
+        assert np.all(np.isfinite(mat.entries))
+        assert np.all(mat.entries >= 0.0)
+        assert np.array_equal(mat.entries, mat.entries.T)
+        assert np.all(np.diag(mat.entries) > 0.0)
+
+
 class TestEigenpairCorrespondence:
     def test_reconstructed_eigenfunction_weak_residual_shrinks(self):
         # (mu, w) of the kernel matrix reconstructs u with H_{1/mu} u = lam u;
@@ -225,7 +271,7 @@ class TestEigenpairCorrespondence:
             mu, w = evals[-1], evecs[:, -1]
             beta = 1.0 / mu
             x = np.linspace(0.0, 12.0, 48001)
-            g = halfline_kernel("dirichlet", lam, x[:, None], mat.nodes[None, :])
+            g = green_kernel(HALF_LINE_D, lam, x[:, None], mat.nodes[None, :])
             sqv = np.sqrt(POT(mat.nodes))
             u = g @ (np.sqrt(mat.weights) * sqv * w)
             worst = 0.0

@@ -52,6 +52,19 @@ class TestConfigHandling:
     def test_missing_file(self, tmp_path):
         assert cli.run("beta-cr", str(tmp_path / "nope.json"), str(tmp_path)) == 1
 
+    def test_mu_curve_zero_potential_has_no_bound_states(self, tmp_path):
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "dirichlet"},
+               "potential": {"kind": "zero", "support": [1.0, 2.0]},
+               "numerics": {"m": 32}}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("mu-curve", str(path), str(tmp_path)) == 0
+        with open(tmp_path / "mu-curve.json") as fh:
+            payload = json.load(fh)
+        assert payload["beta_cr"] is None
+        assert payload["beta_cr_verdict"] == "no-bound-states"
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = {"problem": {"geometry": "half_line", "dimension": 1,
                            "boundary_condition": "neumann"},

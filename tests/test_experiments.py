@@ -7,7 +7,7 @@ from betacrit import birman_schwinger as bs
 from betacrit import experiments as ex
 from betacrit.errors import ValidationError
 from betacrit.model import (CenterPath, Potential, ProblemSpec, Profile,
-                            ScaledPotentialFamily, realize_scaled)
+                            ScaledPotentialFamily)
 from betacrit.green_kernels import halfspace_green
 
 import oracles as oc
@@ -128,9 +128,9 @@ class TestHalfspaceStudies:
         center = fam.center(n)
         mat = ex.halfspace_kernel_matrix(3, "minus", n, center,
                                          fam.base_profile, m=600)
-        mu_rescaled = bs.principal_eigenvalue(mat, 1e-10)
+        mu_rescaled = bs.principal_eigenvalue(mat, 1e-10)[0]
 
-        pot = realize_scaled(fam, n)
+        pot = fam.realize(n)
         cpt = max(5, int(round((600 / 1.4) ** (1.0 / 3.0))))
         pts, w = ex.ball_grid(cpt, cpt, int(math.ceil(1.4 * cpt)),
                               radius=1.0 / n,
@@ -152,7 +152,7 @@ class TestHalfspaceStudies:
         density = pot.evaluate_point(pts)
         mat_phys = bs.assemble_points(pts, w, density, regular, sing,
                                       1.0 / (4.0 * math.pi), cells, 0.0, {})
-        mu_physical = bs.principal_eigenvalue(mat_phys, 1e-10)
+        mu_physical = bs.principal_eigenvalue(mat_phys, 1e-10)[0]
         assert mu_physical == pytest.approx(mu_rescaled, rel=1e-9)
 
     def test_dimension_mismatch_rejected(self):

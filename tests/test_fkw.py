@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from betacrit import birman_schwinger as bs
 from betacrit import direct_spectrum as ds
 from betacrit import fkw
-from betacrit.errors import NearSingularError, ValidationError
+from betacrit.errors import IndeterminateError, NearSingularError, ValidationError
 from betacrit.model import Potential, ProblemSpec, Profile
 
 BALL3 = ProblemSpec(3, "exterior_ball", "fkw", radius=1.0)
@@ -183,3 +183,9 @@ class TestBetaCriticalFkw:
     def test_zero_potential_sentinel(self):
         out = fkw.beta_critical_fkw(BALL3, Potential(Profile.indicator(1.5, 2.5), 0.0))
         assert isinstance(out, bs.NoBoundStates)
+
+    def test_indeterminate_sector_verdict_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(fkw, "fkw_norm_limit", lambda *args, **kwargs: {
+            "verdict": "indeterminate", "mu_star": None, "sectors": {}})
+        with pytest.raises(IndeterminateError):
+            fkw.beta_critical_fkw(BALL3, POT)

@@ -6,7 +6,7 @@ import pytest
 from betacrit.model import (BALL_VOLUME, CenterPath, CoefficientProfile,
                             Potential, ProblemSpec, Profile,
                             ScaledPotentialFamily, ValidationError, h_factor,
-                            realize_scaled, validate)
+                            validate)
 
 
 def indicator_family(d, c=1.0, delta=1.0):
@@ -37,7 +37,7 @@ class TestHeightScaling:
 
 class TestRealizeScaled:
     def test_indicator_well_touching_the_boundary(self):
-        pot = realize_scaled(indicator_family(1), 4.0)
+        pot = indicator_family(1).realize(4.0)
         lo, hi = pot.support
         assert lo == pytest.approx(0.0, abs=1e-14)
         assert hi == pytest.approx(0.5, rel=1e-14)
@@ -47,26 +47,26 @@ class TestRealizeScaled:
 
     def test_amplitude_factor_d3(self):
         fam = indicator_family(3)
-        pot = realize_scaled(fam, 2.0)
+        pot = fam.realize(2.0)
         assert pot.max_value() == pytest.approx(4.0)
 
     def test_identity_scaling(self):
         fam = ScaledPotentialFamily(Profile.indicator(0.0, 1.0),
                                     CenterPath(2.0, 0.0), 1)
-        pot = realize_scaled(fam, 1.0)
+        pot = fam.realize(1.0)
         assert pot.support == pytest.approx((1.0, 3.0))
         assert pot(np.array([1.5, 2.0, 2.9])) == pytest.approx([1.0, 1.0, 1.0])
 
     def test_leaking_support_is_rejected(self):
         fam = indicator_family(1, c=0.5, delta=1.0)  # x(n) = 0.5/n < 1/n
         with pytest.raises(ValidationError):
-            realize_scaled(fam, 8.0)
+            fam.realize(8.0)
 
     def test_support_measure_matches_scaling(self):
         for d in (1, 2, 3):
             fam = indicator_family(d, c=2.0, delta=0.0)
             for n in (2.0, 5.0):
-                pot = realize_scaled(fam, n)
+                pot = fam.realize(n)
                 expected = BALL_VOLUME[d] / n ** d
                 assert pot.support_measure(d) == pytest.approx(expected, rel=1e-12)
 
@@ -94,7 +94,7 @@ class TestValidate:
 
     def test_touching_support_is_inside_the_closure(self):
         prob = ProblemSpec(1, "half_line", "dirichlet")
-        pot = realize_scaled(indicator_family(1), 16.0)  # support [0, 1/8]
+        pot = indicator_family(1).realize(16.0)  # support [0, 1/8]
         assert validate(prob, pot) == []
 
 
