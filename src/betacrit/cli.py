@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from importlib import resources
 
 import numpy as np
@@ -137,11 +138,21 @@ def write_json(path: str, payload: dict):
 
 
 def _atomic_write(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    # a unique sibling, so concurrent runs into one directory cannot collide
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # the mode open() would give
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _classification_dict(cls):
@@ -240,7 +251,7 @@ def _run_fkw(cfg, problem, potential, num):
     limit = fkw.fkw_norm_limit(problem, potential, lambda_grid=grid,
                                m=num["m"], sector_max=sector_max)
     value = fkw.beta_critical_fkw(problem, potential, m=num["m"],
-                                  sector_max=sector_max)
+                                  sector_max=sector_max, limit=limit)
     sector_mu = {}
     for l, cls in limit["sectors"].items():
         sector_mu[str(l)] = _classification_dict(cls)

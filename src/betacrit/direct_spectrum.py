@@ -14,30 +14,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import kve
 
 from . import birman_schwinger as bs
 from .errors import UnconvergedError, ValidationError
 from .model import Potential, ProblemSpec, validate
+from .sector_ode import SectorODE
 
 DEFAULT_H = 1e-3
 DEFAULT_R_MAX = 30.0
-
-
-def dtn_coefficient(d: int, l: int, lam: float, r: float) -> float:
-    """Logarithmic derivative u'/u at radius r of the decaying free solution.
-
-    At lambda = 0 the bounded solution takes over; its exponent is
-    -(l+d-2) when that is negative and 0 otherwise (constant tail).
-    """
-    if lam == 0:
-        return -max(l + d - 2, 0) / r
-    k = math.sqrt(-lam)
-    nu = l + 0.5 * d - 1.0
-    z = k * r
-    return l / r - k * kve(nu + 1.0, z) / kve(nu, z)
 
 
 @dataclass(frozen=True)
@@ -52,21 +37,6 @@ class DiscreteOperator:
     meta: dict = field(default_factory=dict)
 
 
-def _sector_arrays(problem: ProblemSpec, potential: Potential, beta: float,
-                   r: np.ndarray, l: int):
-    d = problem.dimension
-    a = problem.coefficient_at(r)
-    cent = l * (l + d - 2)
-    if cent == 0:
-        q_cent = np.zeros_like(r)
-    else:
-        q_cent = a * cent * r ** float(d - 3)
-    weight = r ** float(d - 1)
-    h = float(r[1] - r[0]) if r.size > 1 else 1.0
-    q = q_cent - beta * potential.cell_average(r, h) * weight
-    return a, q, weight
-
-
 def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
                    h: float = DEFAULT_H, r_max: float = DEFAULT_R_MAX,
                    sector: int | None = None, closure_lambda: float = 0.0) -> DiscreteOperator:
@@ -75,26 +45,25 @@ def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
     ``closure_lambda`` selects the energy of the outer boundary relation;
     0 gives the threshold-exact closure used for counting.
     """
-    d = problem.dimension
-    l = problem.sector if sector is None else sector
-    bc = problem.effective_bc(l)
+    ode = SectorODE(problem, sector=sector)
+    l, bc = ode.sector, ode.bc
     r_in = problem.inner_radius
-    lo, hi = potential.support
+    hi = potential.support[1]
     if r_max < hi + 1.0:
         r_max = hi + 5.0
     n = max(8, int(round((r_max - r_in) / h)))
     r = r_in + h * np.arange(n + 1)
-    a, q, weight = _sector_arrays(problem, potential, beta, r, l)
-    r_half = r[:-1] + 0.5 * h
-    p_half = problem.coefficient_at(r_half) * r_half ** float(d - 1)
-    kappa = dtn_coefficient(d, l, closure_lambda, r[-1])
-    p_out = float(problem.coefficient_at(r[-1])) * r[-1] ** float(d - 1)
+    _, q, weight = ode.coefficients(r)
+    # V enters cell-averaged, over the cells as the mesh realizes them
+    q = q - beta * potential.cell_average(r, float(r[1] - r[0])) * weight
+    p_half = ode.coefficients(r[:-1] + 0.5 * h)[0]
+    _, flux_out = ode.decay_state(closure_lambda, r[-1])
 
     # quadratic-form assembly over all nodes r_0..r_N
     diag_full = np.empty(n + 1)
     diag_full[1:-1] = (p_half[:-1] + p_half[1:]) / h + q[1:-1] * h
     diag_full[0] = p_half[0] / h + q[0] * 0.5 * h
-    diag_full[-1] = p_half[-1] / h + q[-1] * 0.5 * h - p_out * kappa
+    diag_full[-1] = p_half[-1] / h + q[-1] * 0.5 * h - flux_out
     off_full = -p_half / h
     mass_full = weight * h
     mass_full[0] *= 0.5
@@ -115,18 +84,22 @@ def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
 
 
 def _sturm_count(diag: np.ndarray, off: np.ndarray, shift: np.ndarray | float = 0.0) -> int:
-    """Number of eigenvalues below the shift for a symmetric tridiagonal."""
+    """Number of eigenvalues below the shift for a symmetric tridiagonal.
+
+    A zero pivot stands for -tiny, so it counts as negative (as in LAPACK's
+    bisection).
+    """
     d = (diag - shift).tolist()
     e = off.tolist()
     count = 0
     t = d[0]
-    if t < 0:
+    if t <= 0:
         count += 1
     tiny = 1e-300
     for i in range(1, len(d)):
         denom = t if abs(t) > tiny else math.copysign(tiny, t if t != 0 else -1.0)
         t = d[i] - e[i - 1] * e[i - 1] / denom
-        if t < 0:
+        if t <= 0:
             count += 1
     return count
 
@@ -187,66 +160,19 @@ def count_negative(problem: ProblemSpec, potential: Potential, beta: float,
     return base
 
 
-def _segment_points(problem, potential, r_in, r_max):
-    cuts = {r_in, r_max}
-    lo, hi = potential.support
-    for c in (lo, hi):
-        if r_in < c < r_max:
-            cuts.add(float(c))
-    rf = problem.flat_radius()
-    if r_in < rf < r_max:
-        cuts.add(float(rf))
-    return sorted(cuts)
-
-
-def _prufer_phase(problem: ProblemSpec, potential: Potential, beta: float,
-                  lam: float, r_max: float, sector: int, rtol: float = 1e-10) -> float:
-    """Phase of (u, p u') at r_max for the regular solution of the sector."""
-    d = problem.dimension
-    l = sector
-    bc = problem.effective_bc(l)
-    r_in = problem.inner_radius
-    cent = l * (l + d - 2)
-
-    def rhs(r, y):
-        a = float(problem.coefficient_at(r))
-        p = a * r ** (d - 1)
-        w = r ** (d - 1)
-        q = (a * cent * r ** (d - 3) if cent else 0.0) - beta * float(potential(r)) * w
-        s, c = math.sin(y[0]), math.cos(y[0])
-        return [c * c / p + (lam * w - q) * s * s]
-
-    theta = 0.0 if bc == "dirichlet" else 0.5 * math.pi
-    if problem.geometry == "half_line" and bc == "dirichlet" and r_in == 0.0:
-        # p(0) = 1 in d = 1; nothing singular at the origin
-        pass
-    segments = _segment_points(problem, potential, r_in, r_max)
-    lo_sup, hi_sup = potential.support
-    width = max(hi_sup - lo_sup, 1e-6)
-    for a0, b0 in zip(segments[:-1], segments[1:]):
-        inside_support = a0 >= lo_sup - 1e-15 and b0 <= hi_sup + 1e-15
-        max_step = min(b0 - a0, width / 8) if inside_support else b0 - a0
-        sol = solve_ivp(rhs, (a0, b0), [theta], rtol=rtol, atol=1e-13,
-                        max_step=max_step, method="RK45")
-        if not sol.success:
-            raise RuntimeError("phase integration failed: " + sol.message)
-        theta = float(sol.y[0, -1])
-    return theta
-
-
-def _target_phase(problem: ProblemSpec, lam: float, r_max: float, sector: int) -> float:
-    d = problem.dimension
-    kappa = dtn_coefficient(d, sector, lam, r_max)
-    p_out = float(problem.coefficient_at(r_max)) * r_max ** (d - 1)
-    return math.atan2(1.0, p_out * kappa)
-
-
 def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
                    lam: float, r_max: float = DEFAULT_R_MAX,
                    sector: int = 0) -> float:
-    """theta(r_max) - theta_target; zero exactly at sector eigenvalues."""
-    return (_prufer_phase(problem, potential, beta, lam, r_max, sector)
-            - _target_phase(problem, lam, r_max, sector))
+    """theta(r_max) - theta_target; zero exactly at sector eigenvalues.
+
+    theta is the Pruefer angle of (u, p u') along the regular solution, the
+    target that of the decaying free solution at r_max.
+    """
+    ode = SectorODE(problem, potential, beta, sector)
+    _, theta, _ = ode.integrate(lam, [math.atan2(*ode.regular_state())],
+                                problem.inner_radius, r_max, prufer=True,
+                                rtol=1e-10, atol=1e-13)
+    return float(theta[0]) - math.atan2(*ode.decay_state(lam, r_max))
 
 
 def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
@@ -291,53 +217,25 @@ def _eigenfunction(problem, potential, beta, lam, r_max, sector, n_mesh=4000):
     edge; past the well the decaying branch is integrated inward from the
     truncation radius (the stable direction) and the two are glued by value.
     """
-    d = problem.dimension
-    l = sector
-    bc = problem.effective_bc(l)
+    ode = SectorODE(problem, potential, beta, sector)
     r_in = problem.inner_radius
-    cent = l * (l + d - 2)
+    glue = min(max(potential.support[1], problem.flat_radius()), r_max - 1.0)
 
-    def rhs(r, y):
-        a = float(problem.coefficient_at(r))
-        p = a * r ** (d - 1)
-        w = r ** (d - 1)
-        q = (a * cent * r ** (d - 3) if cent else 0.0) - beta * float(potential(r)) * w
-        return [y[1] / p, (q - lam * w) * y[0]]
+    def branch(y, start):
+        pieces, _, _ = ode.integrate(
+            lam, y, start, glue, rtol=1e-10, atol=1e-13,
+            t_eval=lambda a0, b0: np.linspace(
+                a0, b0, max(8, int(n_mesh * abs(b0 - a0) / (r_max - r_in)))))
+        return (np.concatenate([seg.sol.t for seg in pieces]),
+                np.concatenate([seg.sol.y[0] for seg in pieces]))
 
-    lo_sup, hi_sup = potential.support
-    width = max(hi_sup - lo_sup, 1e-6)
-    glue = min(max(hi_sup, problem.flat_radius()), r_max - 1.0)
-
-    def integrate(span_points, y, direction_tag):
-        mesh_parts, u_parts = [], []
-        for a0, b0 in zip(span_points[:-1], span_points[1:]):
-            t_eval = np.linspace(a0, b0, max(8, int(n_mesh * abs(b0 - a0)
-                                                    / (r_max - r_in))))
-            inside = (min(a0, b0) >= lo_sup - 1e-15
-                      and max(a0, b0) <= hi_sup + 1e-15)
-            max_step = min(abs(b0 - a0), width / 8) if inside else abs(b0 - a0)
-            sol = solve_ivp(rhs, (a0, b0), y, t_eval=t_eval, rtol=1e-10,
-                            atol=1e-13, max_step=max_step)
-            if not sol.success:
-                raise RuntimeError(f"{direction_tag} profile integration failed: "
-                                   + sol.message)
-            mesh_parts.append(sol.t)
-            u_parts.append(sol.y[0])
-            y = [sol.y[0, -1], sol.y[1, -1]]
-        return np.concatenate(mesh_parts), np.concatenate(u_parts)
-
-    y0 = [0.0, 1.0] if bc == "dirichlet" else [1.0, 0.0]
-    out_points = [p for p in _segment_points(problem, potential, r_in, glue)]
-    mesh_out, u_out = integrate(out_points, y0, "outward")
-
-    kappa = dtn_coefficient(d, l, lam, r_max)
-    p_out = float(problem.coefficient_at(r_max)) * r_max ** (d - 1)
-    mesh_in, u_in = integrate([r_max, glue], [1.0, p_out * kappa], "inward")
+    mesh_out, u_out = branch(ode.regular_state(), r_in)
+    mesh_in, u_in = branch(ode.decay_state(lam, r_max), r_max)
     mesh_in, u_in = mesh_in[::-1], u_in[::-1]
     scale = u_out[-1] / u_in[0] if u_in[0] != 0 else 1.0
     mesh = np.concatenate([mesh_out, mesh_in[1:]])
     u = np.concatenate([u_out, scale * u_in[1:]])
-    norm = math.sqrt(np.trapezoid(u ** 2 * mesh ** (d - 1), mesh))
+    norm = math.sqrt(np.trapezoid(u ** 2 * mesh ** (problem.dimension - 1), mesh))
     return mesh, u / norm
 
 
@@ -406,50 +304,25 @@ def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,
     each smooth segment.  Returns the max residual relative to the profile
     scale.
     """
-    d = problem.dimension
-    l = sector
-    bc = problem.effective_bc(l)
-    r_in = problem.inner_radius
-    cent = l * (l + d - 2)
-    lo_sup, hi_sup = potential.support
+    ode = SectorODE(problem, potential, beta, sector)
     if r_max is None:
-        r_max = max(DEFAULT_R_MAX, hi_sup + 10.0)
-
-    def rhs(r, y):
-        a = float(problem.coefficient_at(r))
-        p = a * r ** (d - 1)
-        w = r ** (d - 1)
-        q = (a * cent * r ** (d - 3) if cent else 0.0) - beta * float(potential(r)) * w
-        return [y[1] / p, (q - lam * w) * y[0]]
-
-    y = [0.0, 1.0] if bc == "dirichlet" else [1.0, 0.0]
-    segments = _segment_points(problem, potential, r_in, r_max)
+        r_max = max(DEFAULT_R_MAX, potential.support[1] + 10.0)
+    pieces, _, _ = ode.integrate(
+        lam, ode.regular_state(), problem.inner_radius, r_max,
+        rtol=1e-12, atol=1e-14,
+        t_eval=lambda a0, b0: np.linspace(
+            a0, b0, max(9, int(round((b0 - a0) / h_res)) + 1)))
+    scale_u = max(float(np.max(np.abs(seg.sol.y[0]))) for seg in pieces)
+    scale_v = max(float(np.max(np.abs(seg.sol.y[1]))) for seg in pieces)
+    denom = max(scale_v, (abs(lam) + beta * potential.max_value() + 1.0) * scale_u)
     worst = 0.0
-    scale_u = 0.0
-    scale_v = 0.0
-    pieces = []
-    for a0, b0 in zip(segments[:-1], segments[1:]):
-        n_pts = max(9, int(round((b0 - a0) / h_res)) + 1)
-        t_eval = np.linspace(a0, b0, n_pts)
-        sol = solve_ivp(rhs, (a0, b0), y, t_eval=t_eval, rtol=1e-12, atol=1e-14,
-                        max_step=(b0 - a0) / 8)
-        if not sol.success:
-            raise RuntimeError("residual integration failed: " + sol.message)
-        pieces.append((sol.t, sol.y[0], sol.y[1]))
-        scale_u = max(scale_u, float(np.max(np.abs(sol.y[0]))))
-        scale_v = max(scale_v, float(np.max(np.abs(sol.y[1]))))
-        y = [sol.y[0, -1], sol.y[1, -1]]
-    for r, uu, vv in pieces:
+    for seg in pieces:
+        r, (uu, vv) = seg.sol.t, seg.sol.y
         if r.size < 9:
             continue
         hh = r[1] - r[0]
         dv = (vv[:-4] - 8 * vv[1:-3] + 8 * vv[3:-1] - vv[4:]) / (12 * hh)
-        rr = r[2:-2]
-        a = problem.coefficient_at(rr)
-        w = rr ** float(d - 1)
-        q = (a * cent * rr ** float(d - 3) if cent else np.zeros_like(rr)) \
-            - beta * potential(rr) * w
+        _, q, w = ode.coefficients(r[2:-2])
         res = dv - (q - lam * w) * uu[2:-2]
-        denom = max(scale_v, (abs(lam) + beta * potential.max_value() + 1.0) * scale_u)
         worst = max(worst, float(np.max(np.abs(res))) / denom)
     return worst

@@ -17,14 +17,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from . import birman_schwinger as bs
-from .direct_spectrum import _segment_points, build_operator, dtn_coefficient
+from .direct_spectrum import build_operator
 from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
                      NearSingularError, ValidationError)
 from .model import Potential, ProblemSpec, validate
+from .sector_ode import SectorODE
 
 DEFAULT_SECTOR_MAX = 3
 
@@ -81,16 +81,6 @@ class FkwSolution:
                 "metadata": dict(self.meta)}
 
 
-def _decay_init(problem: ProblemSpec, lam: float, r: float, l: int = 0):
-    """(u, p u') of the decaying free solution at the truncation radius."""
-    d = problem.dimension
-    if lam == 0 and l + d - 2 <= 0:
-        raise KernelLimitError("no decaying zero-energy solution in this sector")
-    kappa = dtn_coefficient(d, l, lam, r)
-    p = float(problem.coefficient_at(r)) * r ** (d - 1)
-    return 1.0, p * kappa
-
-
 def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
             r_max: float = 40.0, rtol: float = 1e-11):
     """Decaying radial solution with unit trace on the obstacle sphere.
@@ -105,9 +95,10 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
         raise ValidationError("; ".join(diags))
     if lam > 0:
         raise ValidationError("the exterior solve needs lambda <= 0")
-    d = problem.dimension
+    if lam == 0 and problem.dimension <= 2:
+        raise KernelLimitError("no decaying zero-energy solution in this sector")
     r0 = problem.inner_radius
-    lo, hi = potential.support
+    hi = potential.support[1]
     r_floor = max(hi + 1.0, problem.flat_radius() + 1.0, r0 + 1.0)
     if lam < 0:
         # the decaying branch grows inward like e^{k(r_max - r)}: cap the
@@ -116,50 +107,34 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
         r_max = max(r_floor, min(r_max, r_floor + 40.0 / max(k, 1.0)))
     else:
         r_max = max(r_max, r_floor)
-
-    def rhs(r, y):
-        a = float(problem.coefficient_at(r))
-        p = a * r ** (d - 1)
-        w = r ** (d - 1)
-        q = -beta * float(potential(r)) * w
-        return [y[1] / p, (q - lam * w) * y[0]]
-
-    y = list(_decay_init(problem, lam, r_max))
-    segments = _segment_points(problem, potential, r0, r_max)[::-1]
-    width = max(hi - lo, 1e-6)
-    rescale = 1.0
-    pieces = []
-    umax = 0.0
-    for b0, a0 in zip(segments[:-1], segments[1:]):
-        inside = a0 >= lo - 1e-15 and b0 <= hi + 1e-15
-        max_step = min(b0 - a0, width / 8) if inside else b0 - a0
-        sol = solve_ivp(rhs, (b0, a0), y, dense_output=True, rtol=rtol,
-                        atol=1e-12, max_step=max_step)
-        if not sol.success:
-            raise RuntimeError("exterior solve failed: " + sol.message)
-        pieces.append((a0, b0, sol.sol, rescale))
-        umax = max(umax, abs(rescale) * float(np.max(np.abs(sol.y[0]))))
-        # keep the state O(1); only the ratio to the trace matters
-        mag = max(abs(sol.y[0, -1]), abs(sol.y[1, -1]), 1e-300)
-        rescale *= mag
-        y = [sol.y[0, -1] / mag, sol.y[1, -1] / mag]
-    u_at_r0 = y[0] * rescale
+    ode = SectorODE(problem, potential, beta, sector=0)
+    # only the ratio to the trace matters, so each segment restarts at O(1)
+    pieces, y, scale = ode.integrate(lam, ode.decay_state(lam, r_max), r_max, r0,
+                                     rescale=True, dense_output=True, rtol=rtol,
+                                     atol=1e-12)
+    u_at_r0 = y[0] * scale
+    umax = max(abs(seg.scale) * float(np.max(np.abs(seg.sol.y[0])))
+               for seg in pieces)
     if abs(u_at_r0) < 1e-6 * umax:
         raise NearSingularError("energy sits at a Dirichlet eigenvalue; "
                                 "the unit-trace solution degenerates")
     mesh = np.linspace(r0, r_max, 1201)
-    return RadialSolution(pieces, u_at_r0, mesh)
+    return RadialSolution([(seg.end, seg.start, seg.sol.sol, seg.scale)
+                           for seg in pieces], u_at_r0, mesh)
+
+
+def _boundary_flux(problem: ProblemSpec, v: RadialSolution) -> float:
+    """Mean boundary flux -v'(r0) of the unit-trace solution."""
+    r0 = problem.inner_radius
+    return -float(v.derivative(r0)) / SectorODE(problem).coefficients(r0)[0]
 
 
 def gamma1(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
            r_max: float = 40.0) -> float:
     """Mean boundary flux of the unit-trace solution, oriented to be positive
     for energies below the potential well."""
-    v = solve_v(problem, beta, potential, lam, r_max=r_max)
-    r0 = problem.inner_radius
-    p0 = float(problem.coefficient_at(r0)) * r0 ** (problem.dimension - 1)
-    v_prime = float(v.derivative(r0)) / p0
-    return -v_prime
+    return _boundary_flux(problem, solve_v(problem, beta, potential, lam,
+                                           r_max=r_max))
 
 
 def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential,
@@ -209,7 +184,8 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
         raise ValidationError("source problems are solved below the continuous spectrum")
     lo, hi = potential.support
     r_max = max(r_max, hi + 10.0)
-    g1 = gamma1(problem, beta, potential, lam, r_max=r_max)
+    v = solve_v(problem, beta, potential, lam, r_max=r_max)
+    g1 = _boundary_flux(problem, v)
     sector_profiles = {}
     alpha = 0.0
     gamma = 0.0
@@ -223,7 +199,6 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
                 "zero-mean-flux constant is degenerate (gamma1 ~ 0): "
                 "the energy is too close to an eigenvalue of the nonlocal problem")
         alpha = -gamma / g1
-        v = solve_v(problem, beta, potential, lam, r_max=r_max)
         u0 = alpha * v(mesh0) + w0
         mesh0 = np.concatenate([[problem.inner_radius], mesh0])
         u0 = np.concatenate([[alpha], u0])
@@ -278,12 +253,14 @@ def fkw_norm_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,
 
 def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
                       m: int = bs.DEFAULT_M, sector_max: int = DEFAULT_SECTOR_MAX,
-                      crosscheck: bool = True, agree_tol: float = 1e-2):
+                      crosscheck: bool = True, agree_tol: float = 1e-2,
+                      limit: dict | None = None):
     """Coupling threshold for the nonlocal condition (uniform measure).
 
     1/mu* over the sector family when the norms stay bounded, 0 when they
     diverge; cross-checked against the direct eigenvalue sweep with the
-    matching per-sector conditions.
+    matching per-sector conditions.  ``limit`` is a ``fkw_norm_limit``
+    result to reuse; without it the limit is taken on the default grid.
     """
     _require_fkw(problem)
     diags = validate(problem, potential)
@@ -291,7 +268,8 @@ def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
         raise ValidationError("; ".join(diags))
     if potential.is_zero():
         return bs.NO_BOUND_STATES
-    limit = fkw_norm_limit(problem, potential, m=m, sector_max=sector_max)
+    if limit is None:
+        limit = fkw_norm_limit(problem, potential, m=m, sector_max=sector_max)
     if limit["verdict"] == "divergent":
         return 0.0
     if limit["verdict"] == "indeterminate":

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import ive, kve
 
 from .errors import KernelLimitError
 from .model import ProblemSpec, ValidationError
+from .sector_ode import SectorODE
 
 
 def solution_pair(problem: ProblemSpec, lam: float):
@@ -39,7 +39,7 @@ def solution_pair(problem: ProblemSpec, lam: float):
                               "kernels on point clouds")
     if lam > 0:
         raise ValidationError("Green functions need lambda <= 0")
-    d = 1 if problem.geometry == "half_line" else problem.dimension
+    d = problem.dimension
     l = problem.sector
     bc = problem.effective_bc()
     k = math.sqrt(-lam)
@@ -80,8 +80,8 @@ def solution_pair(problem: ProblemSpec, lam: float):
                 df = s * f + amp * k * (-kve(nu + 1.0, z) + (nu / z) * k_nu)
         return (g, f, dg, df) if derivatives else (g, f)
 
-    if problem.coefficient is not None:
-        return _variable_a_pair(problem, d, lam, free)
+    if problem.flat_radius() > problem.inner_radius:  # a(r) != 1 somewhere
+        return _variable_a_pair(problem, lam, free)
     r0 = problem.inner_radius
     g0, f0, dg0, df0 = free(r0, derivatives=True)
     # u_reg = growing - ratio * e^{2k r0} * decaying meets the boundary condition
@@ -98,21 +98,7 @@ def solution_pair(problem: ProblemSpec, lam: float):
     return a, b, c, k
 
 
-def _sl_rhs(problem: ProblemSpec, d: int, lam: float):
-    """Right-hand side of the first-order system for (u, p u') in the sector."""
-    l = problem.sector
-    cent = l * (l + d - 2)
-
-    def rhs(r, y):
-        a = float(problem.coefficient_at(r))
-        p = a * r ** (d - 1)
-        q = (a * cent * r ** (d - 3) if cent else 0.0) - lam * r ** (d - 1)
-        return [y[1] / p, q * y[0]]
-
-    return rhs
-
-
-def _variable_a_pair(problem: ProblemSpec, d: int, lam: float, free):
+def _variable_a_pair(problem: ProblemSpec, lam: float, free):
     """``solution_pair`` for a variable coefficient: the sector ODE inside
     [r0, r_flat], the free solutions beyond.
 
@@ -121,26 +107,20 @@ def _variable_a_pair(problem: ProblemSpec, d: int, lam: float, free):
     r0 = problem.inner_radius
     rf = problem.flat_radius()
     k = math.sqrt(-lam)
-    p_rf = float(problem.coefficient_at(rf)) * rf ** (d - 1)
+    ode = SectorODE(problem)
+    p_rf = ode.coefficients(rf)[0]
     g, f, dg, df = (float(v) for v in free(rf, derivatives=True))
 
-    # decaying solution: integrate inward from the flattening radius
-    sol_dec = solve_ivp(_sl_rhs(problem, d, lam), (rf, r0), [f, p_rf * df],
-                        dense_output=True, rtol=1e-11, atol=1e-14, method="RK45")
-    if not sol_dec.success:
-        raise RuntimeError("decaying-solution integration failed: " + sol_dec.message)
-
-    # regular solution: integrate outward from the obstacle
-    y_reg0 = [0.0, 1.0] if problem.effective_bc() == "dirichlet" else [1.0, 0.0]
-    sol_reg = solve_ivp(_sl_rhs(problem, d, lam), (r0, rf), y_reg0,
-                        dense_output=True, rtol=1e-11, atol=1e-14, method="RK45")
-    if not sol_reg.success:
-        raise RuntimeError("regular-solution integration failed: " + sol_reg.message)
+    # decaying solution inward from the flattening radius, regular outward
+    (dec,), _, _ = ode.integrate(lam, [f, p_rf * df], rf, r0, dense_output=True,
+                                 rtol=1e-11, atol=1e-14)
+    (reg,), y_reg, _ = ode.integrate(lam, ode.regular_state(), r0, rf,
+                                     dense_output=True, rtol=1e-11, atol=1e-14)
 
     # a = u_reg e^{-k(r - r0)} and b = u_dec e^{kr}; past r_flat
     # a = alpha g + beta f e^{-2k(r - rf)} continues the regular solution
     scale = math.exp(-k * (rf - r0))
-    y_rf, dy_rf = sol_reg.y[0, -1] * scale, sol_reg.y[1, -1] / p_rf * scale
+    y_rf, dy_rf = y_reg[0] * scale, y_reg[1] / p_rf * scale
     wr = g * df - dg * f
     alpha = (y_rf * df - dy_rf * f) / wr
     beta = (dy_rf * g - y_rf * dg) / wr
@@ -150,7 +130,7 @@ def _variable_a_pair(problem: ProblemSpec, d: int, lam: float, free):
         out = np.empty_like(r)
         inner = r <= rf
         if inner.any():
-            out[inner] = sol_reg.sol(r[inner])[0] * np.exp(-k * (r[inner] - r0))
+            out[inner] = reg.sol.sol(r[inner])[0] * np.exp(-k * (r[inner] - r0))
         if (~inner).any():
             ro = r[~inner]
             g_o, f_o = free(ro)
@@ -162,7 +142,7 @@ def _variable_a_pair(problem: ProblemSpec, d: int, lam: float, free):
         out = np.empty_like(r)
         inner = r < rf
         if inner.any():
-            out[inner] = sol_dec.sol(r[inner])[0] * np.exp(k * (r[inner] - rf))
+            out[inner] = dec.sol.sol(r[inner])[0] * np.exp(k * (r[inner] - rf))
         if (~inner).any():
             out[~inner] = free(r[~inner])[1]
         return out

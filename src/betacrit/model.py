@@ -149,6 +149,8 @@ class ProblemSpec:
             raise ValidationError(f"unknown geometry {self.geometry!r}")
         if self.boundary_condition not in BOUNDARY_CONDITIONS:
             raise ValidationError(f"unknown boundary condition {self.boundary_condition!r}")
+        if self.geometry == "half_line" and self.dimension != 1:
+            raise ValidationError("the half-line is one-dimensional (dimension 1)")
         if self.geometry == "exterior_ball" and not self.radius > 0:
             raise ValidationError("exterior ball needs a positive obstacle radius")
         if self.boundary_condition == "fkw" and self.geometry != "exterior_ball":
@@ -163,11 +165,6 @@ class ProblemSpec:
     @property
     def inner_radius(self) -> float:
         return self.radius if self.geometry == "exterior_ball" else 0.0
-
-    def coefficient_at(self, r):
-        if self.coefficient is None:
-            return np.ones_like(np.asarray(r, dtype=float))
-        return self.coefficient(r)
 
     def measure(self, r):
         """Volume element of the radial coordinate: 1 on the half-line,

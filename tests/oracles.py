@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 from scipy.special import spherical_jn, spherical_yn, jv, yv
 
@@ -123,6 +123,61 @@ def bvp_green_radial(d: int, l: int, bc: str, lam: float, r0: float, xi: float,
     g = np.zeros(n)
     g[sl_lo: n - 1] = g_in
     return np.interp(r_eval, r, g)
+
+
+def _fd_sector(d: int, l: int, r0: float, length: float, h: float, well,
+               beta: float, coefficient=None):
+    """Interior nodes and (p at the half nodes, q, w) of the sector equation
+    -(a r^{d-1} u')' + a l(l+d-2) r^{d-3} u - beta V r^{d-1} u = lam r^{d-1} u
+    on (r0, r0 + length), V the unit indicator of ``well`` averaged over
+    each cell, so the jumps cost O(h^2)."""
+    n = int(round(length / h))
+    r = r0 + h * np.arange(1, n)
+    r_half = r0 + h * (np.arange(n) + 0.5)
+    a = (lambda x: np.ones_like(x)) if coefficient is None else coefficient
+    lo, hi = well
+    frac = np.clip((np.minimum(r + 0.5 * h, hi) - np.maximum(r - 0.5 * h, lo)) / h,
+                   0.0, 1.0)
+    w = r ** (d - 1.0)
+    q = a(r) * l * (l + d - 2) * r ** (d - 3.0) - beta * frac * w
+    return r, a(r_half) * r_half ** (d - 1.0), q, w
+
+
+def fd_ground_energy(d: int, l: int, r0: float, well, beta: float,
+                     coefficient=None, length: float = 24.0,
+                     h: float = 2e-3) -> float:
+    """Lowest Dirichlet-Dirichlet eigenvalue of the sector equation by a
+    symmetrized tridiagonal eigensolve, Richardson-extrapolated from h and
+    h/2."""
+    def energy(step):
+        r, p, q, w = _fd_sector(d, l, r0, length, step, well, beta, coefficient)
+        diag = ((p[:-1] + p[1:]) / step ** 2 + q) / w
+        off = -p[1:-1] / step ** 2 / np.sqrt(w[:-1] * w[1:])
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, 0))[0]
+    return (4.0 * energy(0.5 * h) - energy(h)) / 3.0
+
+
+def fd_unit_trace(d: int, r0: float, well, beta: float, lam: float,
+                  coefficient=None, length: float = 30.0, h: float = 1e-3):
+    """Radially symmetric solution with u(r0) = 1 decaying to 0 at
+    r0 + length: nodes, values and -u'(r0), Richardson-extrapolated in h."""
+    def solve(step):
+        r, p, q, w = _fd_sector(d, 0, r0, length, step, well, beta, coefficient)
+        ab = np.zeros((3, r.size))
+        ab[0, 1:] = -p[1:-1] / step ** 2
+        ab[1, :] = (p[:-1] + p[1:]) / step ** 2 + q - lam * w
+        ab[2, :-1] = -p[1:-1] / step ** 2
+        rhs = np.zeros(r.size)
+        rhs[0] = p[0] / step ** 2  # the boundary value u(r0) = 1
+        u = solve_banded((1, 1), ab, rhs)
+        flux = -(-3.0 + 4.0 * u[0] - u[1]) / (2.0 * step)
+        return r, u, flux
+
+    r, u, flux = solve(h)
+    r_fine, u_fine, flux_fine = solve(0.5 * h)
+    u_fine = u_fine[1::2]  # the coarse nodes
+    return r, (4.0 * u_fine - u) / 3.0, (4.0 * flux_fine - flux) / 3.0
 
 
 def _radial_zero_energy_pair(d: int, l: int):

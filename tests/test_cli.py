@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
-from betacrit import cli
+from betacrit import birman_schwinger as bs
+from betacrit import cli, fkw
 
 import oracles as oc
 
@@ -76,6 +80,68 @@ class TestConfigHandling:
         diag = json.loads(capsys.readouterr().err.strip())
         assert diag["error"] == "numerical-failure"
 
+    def test_failed_integration_exit_code(self, tmp_path):
+        # the unscaled coefficient ODE overflows at k (r_flat - r0) = 1000
+        cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
+                           "boundary_condition": "dirichlet", "radius": 1.0,
+                           "coefficient": {"samples": [[1.0, 2.0], [2.0, 1.0]],
+                                           "flat_radius": 2.0}},
+               "potential": {"kind": "indicator", "support": [1.5, 2.5]},
+               "numerics": {"m": 32},
+               "study": {"lambda_grid": [-1e6]}}
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(cfg))
+        # a subprocess, so that stray solver warnings would show on stderr
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "betacrit.cli", "mu-curve",
+                               "--config", str(path), "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "numerical-failure"
+        assert diag["type"] == "UnconvergedError"
+        assert {"segment", "solver"} <= set(diag["details"])
+
+    @pytest.mark.parametrize("subcommand", ["direct", "crosscheck", "beta-cr"])
+    def test_half_line_must_be_one_dimensional(self, tmp_path, capsys, subcommand):
+        cfg = {"problem": {"geometry": "half_line", "dimension": 3,
+                           "boundary_condition": "dirichlet"},
+               "potential": {"kind": "indicator", "support": [1.0, 2.0]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run(subcommand, str(path), str(tmp_path)) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config-error"
+
+
+class TestReportWriting:
+    def test_squatted_temp_name_does_not_break_the_run(self, tmp_path):
+        (tmp_path / "beta_cr_square_well.json.tmp").mkdir()
+        code, cfg = run_config(tmp_path, "beta_cr_square_well.json", "beta-cr")
+        assert code == 0
+        assert read_json(tmp_path, cfg)["beta_cr"] > 0
+        leftovers = {p.name for p in tmp_path.iterdir()} - {
+            "beta_cr_square_well.json.tmp", "cfg.json", *cfg["output"].values()}
+        assert not leftovers
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError):
+            cli.write_json(str(tmp_path / "report.json"), {"a": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_mode_follows_the_umask(self, tmp_path):
+        cli.write_json(str(tmp_path / "report.json"), {"a": 1})
+        umask = os.umask(0)
+        os.umask(umask)
+        assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
 
 class TestSubcommands:
     def test_beta_cr_square_well(self, tmp_path):
@@ -116,6 +182,22 @@ class TestSubcommands:
             code, cfg = run_config(tmp_path, name, sub)
             assert code == 0
             jsonschema.validate(read_json(tmp_path, cfg), schema)
+
+    def test_fkw_takes_the_norm_limit_once_on_the_config_grid(self, tmp_path,
+                                                             monkeypatch):
+        grids = []
+        norm_limit = fkw.fkw_norm_limit
+
+        def counted(*args, **kwargs):
+            grids.append(kwargs.get("lambda_grid"))
+            return norm_limit(*args, **kwargs)
+
+        monkeypatch.setattr(fkw, "fkw_norm_limit", counted)
+        code, cfg = run_config(tmp_path, "fkw_ball_d3.json", "fkw")
+        assert code == 0
+        assert len(grids) == 1
+        decades = tuple(cfg["numerics"]["lambda_decades"])
+        assert np.array_equal(grids[0], bs.default_lambda_grid(decades))
 
     def test_scaling_csv_columns(self, tmp_path):
         code, cfg = run_config(tmp_path, "scaling_1d.json", "scaling",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from betacrit import birman_schwinger as bs
 from betacrit import direct_spectrum as ds
@@ -104,6 +106,26 @@ class TestGroundState:
         assert lam_stiff > lam_flat
 
 
+    def test_d3_sector1_matches_fd_eigenvalue(self):
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        lam0, _ = ds.ground_state(prob, pot, 8.0, sector=1, tol=1e-9)
+        ref = oc.fd_ground_energy(3, 1, 1.0, (1.5, 2.5), 8.0)
+        assert lam0 == pytest.approx(ref, rel=1e-6)
+        assert ds.eigenvalue_residual(prob, pot, 8.0, lam0, sector=1) < 1e-6
+
+    def test_d3_variable_coefficient_matches_fd_eigenvalue(self):
+        a = CoefficientProfile(Profile(np.array([1.0, 2.0, 3.0]),
+                                       np.array([2.0, 1.5, 1.0])), 3.0)
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0,
+                           coefficient=a)
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        lam0, _ = ds.ground_state(prob, pot, 5.0, tol=1e-9)
+        ref = oc.fd_ground_energy(3, 0, 1.0, (1.5, 2.5), 5.0, coefficient=a)
+        assert lam0 == pytest.approx(ref, rel=1e-6)
+        assert ds.eigenvalue_residual(prob, pot, 5.0, lam0) < 1e-6
+
+
 class TestCrosscheck:
     def test_identity_residual_small(self):
         rows = ds.crosscheck_birman_schwinger(HALF_LINE_D, WELL, [1.0, 2.0, 4.0])
@@ -194,3 +216,22 @@ class TestDiscreteOperator:
         for beta in (1.3, 3.5, 8.0):
             count = ds.count_negative(prob, pot, beta, refine=False)
             assert count <= 0.1156 * beta ** 1.5 * moment
+
+
+@st.composite
+def _tridiagonals(draw):
+    n = draw(st.integers(1, 12))
+    entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    return np.array(diag), np.array(off)
+
+
+class TestSturmCount:
+    @settings(max_examples=300, deadline=None)
+    @given(_tridiagonals())
+    def test_matches_eigvalsh(self, tri):
+        diag, off = tri
+        eig = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assume(np.min(np.abs(eig)) > 1e-9)  # no eigenvalue at the shift itself
+        assert ds._sturm_count(diag, off) == int(np.sum(eig < 0))

@@ -8,7 +8,9 @@ from betacrit import birman_schwinger as bs
 from betacrit import direct_spectrum as ds
 from betacrit import fkw
 from betacrit.errors import IndeterminateError, NearSingularError, ValidationError
-from betacrit.model import Potential, ProblemSpec, Profile
+from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
+
+import oracles as oc
 
 BALL3 = ProblemSpec(3, "exterior_ball", "fkw", radius=1.0)
 BALL2 = ProblemSpec(2, "exterior_ball", "fkw", radius=1.0)
@@ -56,6 +58,18 @@ class TestExteriorSolution:
             fkw.solve_v(BALL3, beta, POT, lam_d)
 
 
+    @pytest.mark.parametrize("beta,lam", [(1.0, -1.0), (0.0, -2.0)])
+    def test_variable_coefficient_matches_fd_solve(self, beta, lam):
+        a = CoefficientProfile(Profile(np.array([1.0, 2.0, 3.0]),
+                                       np.array([2.0, 1.5, 1.0])), 3.0)
+        ball = ProblemSpec(3, "exterior_ball", "fkw", radius=1.0, coefficient=a)
+        r, u, flux = oc.fd_unit_trace(3, 1.0, (1.5, 2.5), beta, lam, coefficient=a)
+        near = r < 8.0
+        v = fkw.solve_v(ball, beta, POT, lam)
+        assert v(r[near]) == pytest.approx(u[near], abs=1e-7)
+        assert fkw.gamma1(ball, beta, POT, lam) == pytest.approx(flux, rel=1e-6)
+
+
 class TestGamma1:
     def test_classical_limit_value(self):
         assert fkw.gamma1(BALL3, 0.0, POT, 0.0) == pytest.approx(1.0, abs=1e-4)
@@ -77,6 +91,21 @@ class TestSolveFkw:
         sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {})
         assert sol.alpha == 0.0
         assert all(np.all(v == 0.0) for _, v in sol.sector_profiles.values())
+
+    def test_unit_trace_solution_is_solved_once(self, monkeypatch):
+        calls = []
+        solve_v = fkw.solve_v
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_v(*args, **kwargs)
+
+        monkeypatch.setattr(fkw, "solve_v", counted)
+        f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: f0})
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert sol.gamma1 == fkw.gamma1(BALL3, 0.5, POT, -1.0, r_max=40.0)
 
     def test_boundary_pair_holds(self):
         f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
@@ -183,6 +212,12 @@ class TestBetaCriticalFkw:
     def test_zero_potential_sentinel(self):
         out = fkw.beta_critical_fkw(BALL3, Potential(Profile.indicator(1.5, 2.5), 0.0))
         assert isinstance(out, bs.NoBoundStates)
+
+    def test_given_limit_is_not_recomputed(self, monkeypatch):
+        limit = fkw.fkw_norm_limit(BALL2, POT, m=120, sector_max=1)
+        monkeypatch.setattr(fkw, "fkw_norm_limit", None)  # any call would fail
+        assert fkw.beta_critical_fkw(BALL2, POT, m=120, sector_max=1,
+                                     limit=limit) == 0.0
 
     def test_indeterminate_sector_verdict_is_a_numerical_failure(self, monkeypatch):
         monkeypatch.setattr(fkw, "fkw_norm_limit", lambda *args, **kwargs: {

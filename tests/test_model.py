@@ -133,6 +133,11 @@ class TestProblemSpec:
         with pytest.raises(ValidationError):
             ProblemSpec(1, "half_line", "dirichlet", sector=1)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_half_line_is_one_dimensional(self, d):
+        with pytest.raises(ValidationError):
+            ProblemSpec(d, "half_line", "dirichlet")
+
     def test_fkw_sector_conditions(self):
         prob = ProblemSpec(3, "exterior_ball", "fkw", radius=1.0)
         assert prob.effective_bc(0) == "neumann"

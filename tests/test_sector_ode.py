@@ -1,0 +1,78 @@
+import math
+
+import numpy as np
+import pytest
+
+from betacrit.errors import UnconvergedError
+from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
+from betacrit.sector_ode import SectorODE
+
+BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
+POT = Potential(Profile.indicator(1.5, 2.5), 2.0)
+A = CoefficientProfile(Profile(np.array([1.0, 2.0]), np.array([2.0, 1.0])), 2.0)
+
+
+class TestCoefficients:
+    def test_values_match_the_sector_equation(self):
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
+        ode = SectorODE(prob, POT, beta=0.5, sector=2)
+        r = np.array([1.25, 2.0, 3.0])
+        a = np.array([1.75, 1.0, 1.0])
+        v = np.array([0.0, 2.0, 0.0])
+        p, q, w = ode.coefficients(r)
+        assert w == pytest.approx(r ** 2, rel=1e-15)
+        assert p == pytest.approx(a * r ** 2, rel=1e-15)
+        assert q == pytest.approx(a * 6.0 - 0.5 * v * r ** 2, rel=1e-15)
+
+    def test_scalars_and_arrays_agree(self):
+        ode = SectorODE(BALL3.with_sector(1), POT, beta=3.0)
+        r = np.linspace(1.0, 4.0, 13)
+        p, q, w = ode.coefficients(r)
+        for i, ri in enumerate(r):
+            assert ode.coefficients(float(ri)) == pytest.approx((p[i], q[i], w[i]),
+                                                                rel=1e-15)
+
+
+class TestClosureAndSegments:
+    def test_decay_state_is_the_free_decaying_solution(self):
+        # d = 3, l = 0: u = e^{-kr}/r, so p u'/u = -r^2 (k + 1/r); 1/r at k = 0
+        k, r = 0.7, 5.0
+        u, flux = SectorODE(BALL3).decay_state(-k * k, r)
+        assert flux / u == pytest.approx(-r * r * (k + 1.0 / r), rel=1e-12)
+        assert SectorODE(BALL3).decay_state(0.0, r) == (1.0, -r)
+
+    def test_constant_tail_at_zero_energy(self):
+        ode = SectorODE(ProblemSpec(2, "exterior_ball", "neumann", radius=1.0))
+        assert ode.decay_state(0.0, 4.0) == (1.0, 0.0)
+
+    def test_cuts_at_support_edges_and_flat_radius(self):
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
+        assert SectorODE(prob, POT).segment_points(1.0, 10.0) == [1.0, 1.5, 2.0, 2.5, 10.0]
+        assert SectorODE(prob).segment_points(1.0, 10.0) == [1.0, 2.0, 10.0]
+
+    def test_integrates_backwards_through_the_pieces(self):
+        # free d = 3 sector 0: the decaying solution e^{-kr}/r, integrated inward
+        k = 1.0
+        ode = SectorODE(BALL3, POT, beta=0.0)
+        pieces, y, scale = ode.integrate(-k * k, ode.decay_state(-1.0, 6.0), 6.0, 1.0,
+                                         rtol=1e-11, atol=1e-14)
+        assert [(s.start, s.end) for s in pieces] == [(6.0, 2.5), (2.5, 1.5), (1.5, 1.0)]
+        assert scale == 1.0
+        assert y[0] == pytest.approx(math.exp(5.0 * k) * 6.0, rel=1e-8)
+
+    def test_rescaled_state_keeps_the_ratio(self):
+        ode = SectorODE(BALL3, POT, beta=0.0)
+        plain = ode.integrate(-1.0, ode.decay_state(-1.0, 6.0), 6.0, 1.0, rtol=1e-11,
+                              atol=1e-14)
+        scaled = ode.integrate(-1.0, ode.decay_state(-1.0, 6.0), 6.0, 1.0, rtol=1e-11,
+                               atol=1e-14, rescale=True)
+        assert max(abs(scaled[1])) == pytest.approx(1.0)
+        assert scaled[1] * scaled[2] == pytest.approx(plain[1], rel=1e-8)
+
+    def test_failed_solve_is_unconverged(self):
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
+        ode = SectorODE(prob)
+        with pytest.raises(UnconvergedError) as err:
+            ode.integrate(-1e6, ode.regular_state(), 1.0, 2.0, rtol=1e-11, atol=1e-14)
+        assert err.value.details["segment"] == [1.0, 2.0]
+        assert err.value.details["solver"]
