@@ -13,7 +13,7 @@ from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
                      NearSingularError, UnconvergedError, ValidationError)
 from .model import (CenterPath, CoefficientProfile, Potential, ProblemSpec,
                     Profile, ScaledPotentialFamily, h_factor, validate)
-from .green_kernels import green_kernel, halfspace_green, halfspace_image_kernel
+from .green_kernels import green_kernel
 from .birman_schwinger import (Classification, KernelMatrix, NO_BOUND_STATES,
                                NoBoundStates, SpectralReport, assemble,
                                assemble_points, beta_critical, classify_limit,
@@ -41,8 +41,7 @@ __all__ = [
     "beta_critical_fkw", "build_operator", "classify_limit", "clr_audit",
     "count_negative", "crosscheck_birman_schwinger", "default_lambda_grid",
     "dichotomy_suite", "eigenvalue_residual", "fkw_norm_limit", "gamma1",
-    "green_kernel", "ground_state", "h_factor", "halfspace_green",
-    "halfspace_image_kernel", "halfspace_norm_study", "minorant_eigenvalue",
-    "mu_curve", "principal_eigenvalue", "scaling_study_1d", "solve_fkw",
-    "solve_v", "validate",
+    "green_kernel", "ground_state", "h_factor", "halfspace_norm_study",
+    "minorant_eigenvalue", "mu_curve", "principal_eigenvalue",
+    "scaling_study_1d", "solve_fkw", "solve_v", "validate",
 ]

@@ -109,11 +109,10 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
 
 
 def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray,
-                    regular_matrix: np.ndarray, singular_matrix: np.ndarray | None = None,
-                    singular_coefficient: float = 0.0,
-                    singular_cell_integrals: np.ndarray | None = None,
-                    lam: float = 0.0, meta: dict | None = None) -> KernelMatrix:
-    """Nystrom matrix on an explicit point cloud, with optional subtraction.
+                    regular_matrix: np.ndarray, singular_matrix: np.ndarray,
+                    singular_coefficient: float,
+                    singular_cell_integrals: np.ndarray, meta: dict) -> KernelMatrix:
+    """Zero-energy Nystrom matrix on an explicit point cloud, with subtraction.
 
     The operator kernel is density-weighted:
         K(y, s) = sqrt(density(y)) [c_s * g(y,s) + reg(y,s)] sqrt(density(s))
@@ -125,21 +124,17 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
     v = weights * density
     sq = np.sqrt(v)
     entries = sq[:, None] * regular_matrix * sq[None, :]
-    if singular_matrix is not None:
-        g = np.array(singular_matrix, dtype=float)
-        np.fill_diagonal(g, 0.0)
-        entries = entries + singular_coefficient * (sq[:, None] * g * sq[None, :])
-        if singular_cell_integrals is None:
-            raise ValidationError("singular part needs its cell integrals for the diagonal")
-        row = g @ weights  # sum_{j != i} w_j g_ij
-        diag_fix = singular_coefficient * density * (singular_cell_integrals - row)
-        entries[np.diag_indices_from(entries)] = (
-            np.diag(regular_matrix) * v + diag_fix)
+    g = np.array(singular_matrix, dtype=float)
+    np.fill_diagonal(g, 0.0)
+    entries = entries + singular_coefficient * (sq[:, None] * g * sq[None, :])
+    row = g @ weights  # sum_{j != i} w_j g_ij
+    diag_fix = singular_coefficient * density * (singular_cell_integrals - row)
+    entries[np.diag_indices_from(entries)] = np.diag(regular_matrix) * v + diag_fix
     entries = 0.5 * (entries + entries.T)
-    meta = dict(meta or {})
+    meta = dict(meta)
     meta.setdefault("diagonal_rule",
                     "mean-value subtraction with exact cell integrals")
-    return KernelMatrix(np.asarray(points, dtype=float), v, entries, lam, meta)
+    return KernelMatrix(np.asarray(points, dtype=float), v, entries, 0.0, meta)
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 20000):
@@ -383,15 +378,12 @@ def beta_critical(problem: ProblemSpec, potential: Potential,
         sectors = list(range(0, sector_max + 1))
 
     def _limit_kernel_value():
-        mu_by_sector = {}
+        mu_star = -math.inf
         for l in sectors:
             mat = assemble(problem.with_sector(l), potential, 0.0, m=m,
                            panel_order=panel_order)
-            mu_by_sector[l], _ = principal_eigenvalue(mat, tol)
-        mu_star = max(mu_by_sector.values())
-        if mu_star <= 0:
-            return NO_BOUND_STATES, mu_by_sector
-        return 1.0 / mu_star, mu_by_sector
+            mu_star = max(mu_star, principal_eigenvalue(mat, tol)[0])
+        return NO_BOUND_STATES if mu_star <= 0 else 1.0 / mu_star
 
     def _extrapolation_value():
         best = None
@@ -401,35 +393,31 @@ def beta_critical(problem: ProblemSpec, potential: Potential,
                               panel_order=panel_order, tol=tol)
             cls = classify_limit(report)
             if cls.verdict == "divergent":
-                return 0.0, cls
+                return 0.0
             if cls.verdict == "indeterminate":
                 raise IndeterminateError(
                     f"growth per decade {cls.growth_per_decade:.3%} is between the "
                     "bounded and divergent thresholds")
             if best is None or cls.mu_star > best.mu_star:
                 best = cls
-        return 1.0 / best.mu_star, best
+        return 1.0 / best.mu_star
 
     if method == "limit-kernel":
-        value, _ = _limit_kernel_value()
-        return value
+        return _limit_kernel_value()
     if method == "extrapolation":
-        value, _ = _extrapolation_value()
-        return value
+        return _extrapolation_value()
     if method == "auto":
         try:
-            value, _ = _limit_kernel_value()
-            return value
+            return _limit_kernel_value()
         except KernelLimitError:
-            value, _ = _extrapolation_value()
-            return value
+            return _extrapolation_value()
 
     # both: cross-validate
     try:
-        lk, _ = _limit_kernel_value()
+        lk = _limit_kernel_value()
     except KernelLimitError:
         lk = None
-    ex, _ = _extrapolation_value()
+    ex = _extrapolation_value()
     if lk is None:
         return ex
     if isinstance(lk, NoBoundStates) or isinstance(ex, NoBoundStates):

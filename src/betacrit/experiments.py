@@ -88,17 +88,26 @@ def _ray_length_ball(y: np.ndarray, omega: np.ndarray, radius: float,
     return -b + np.sqrt(np.maximum(disc, 0.0))
 
 
+def _ray_lengths(y: np.ndarray, omega: np.ndarray, radius: float,
+                 x1_min: float, center=None) -> np.ndarray:
+    """Distance from interior points y along directions omega to the boundary
+    of ball(radius) cut at s1 > x1_min."""
+    # a call of its own, so the sphere's temporaries are freed before the cut
+    t = _ray_length_ball(y, omega, radius, center)
+    if np.isfinite(x1_min):
+        with np.errstate(divide="ignore"):
+            t_line = (x1_min - y[:, 0:1]) / omega[:, 0][None, :]
+        t_line = np.where(omega[:, 0][None, :] < 0, t_line, np.inf)
+        t = np.minimum(t, np.maximum(t_line, 0.0))
+    return t
+
+
 def log_cell_integrals(points: np.ndarray, radius: float = 1.0,
                        x1_min: float = -np.inf, n_theta: int = 256) -> np.ndarray:
     """Exact integrals of ln(1/|y - s|) over disk(radius) cut at s1 > x1_min."""
     theta = 2.0 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
     omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    t = _ray_length_ball(points, omega, radius)
-    if np.isfinite(x1_min):
-        with np.errstate(divide="ignore"):
-            t_line = (x1_min - points[:, 0:1]) / omega[:, 0][None, :]
-        t_line = np.where(omega[:, 0][None, :] < 0, t_line, np.inf)
-        t = np.minimum(t, np.maximum(t_line, 0.0))
+    t = _ray_lengths(points, omega, radius, x1_min)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = 0.25 * t ** 2 * (1.0 - 2.0 * np.log(t))
     f = np.where(t > 0, f, 0.0)
@@ -116,12 +125,7 @@ def newton_cell_integrals(points: np.ndarray, radius: float = 1.0,
                       np.outer(sin_t, np.cos(phi)).ravel(),
                       np.outer(sin_t, np.sin(phi)).ravel()], axis=1)
     wdir = np.repeat(wmu, n_phi) * (2.0 * math.pi / n_phi)
-    t = _ray_length_ball(points, omega, radius, center=center)
-    if np.isfinite(x1_min):
-        with np.errstate(divide="ignore"):
-            t_line = (x1_min - points[:, 0:1]) / omega[:, 0][None, :]
-        t_line = np.where(omega[:, 0][None, :] < 0, t_line, np.inf)
-        t = np.minimum(t, np.maximum(t_line, 0.0))
+    t = _ray_lengths(points, omega, radius, x1_min, center=center)
     return 0.5 * (t ** 2) @ wdir
 
 
@@ -129,21 +133,47 @@ def newton_cell_integrals(points: np.ndarray, radius: float = 1.0,
 # near-boundary kernel studies
 
 
-def _pair_distances(pts: np.ndarray, shift: float):
+def _distances(pts: np.ndarray, shift: float | None = None):
+    """(direct, image) distance matrices of a point cloud.
+
+    The image of s is its mirror across x1 = 0 moved by ``shift`` along e1;
+    without a shift only the direct distances are formed (image is None).
+    """
     diff = pts[:, None, :] - pts[None, :, :]
     direct = np.sqrt(np.sum(diff ** 2, axis=-1))
+    if shift is None:
+        return direct, None
     star = pts.copy()
     star[:, 0] = -star[:, 0]
     diff_im = pts[:, None, :] - star[None, :, :]
     diff_im[..., 0] += shift
-    image = np.sqrt(np.sum(diff_im ** 2, axis=-1))
-    return direct, image
+    return direct, np.sqrt(np.sum(diff_im ** 2, axis=-1))
+
+
+def _ball_cloud(m: int, radius: float = 1.0, center=None):
+    """Ball product rule with about m nodes (c x c x 1.4c)."""
+    c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
+    return ball_grid(c, c, int(math.ceil(1.4 * c)), radius=radius, center=center)
+
+
+def _require_kernel(d: int, sign: str):
+    if d not in (2, 3):
+        raise ValidationError("rescaled kernels are implemented for d = 2, 3")
+    if sign not in ("minus", "plus"):
+        raise ValidationError(f"sign must be 'minus' or 'plus', got {sign!r}")
 
 
 def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
                             profile: Profile | None = None,
                             m: int = 700) -> bs.KernelMatrix:
-    """Discretized rescaled kernel operator for one value of n."""
+    """Discretized rescaled kernel operator for one value of n.
+
+    Points live in the rescaled frame (original = center*e1 + point/n): the
+    half-space is x1 > -n*center, and the image of s picks up the shift
+    2*n*center along e1.  ``profile`` is the radial profile of the well
+    shape W (default: indicator of the unit ball).
+    """
+    _require_kernel(d, sign)
     if d == 2 and sign == "plus":
         raise ValidationError("the d=2 rescaled kernel exists for the minus case only")
     if d == 2 and n <= 1.0:
@@ -153,14 +183,12 @@ def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
         n_r = max(6, int(round(math.sqrt(m / 2.0))))
         pts, w = disk_grid(n_r, 2 * n_r)
     else:
-        c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
-        pts, w = ball_grid(c, c, int(math.ceil(1.4 * c)))
+        pts, w = _ball_cloud(m)
     keep = pts[:, 0] > cut + 1e-12
     pts, w = pts[keep], w[keep]
     density = (np.linalg.norm(pts, axis=1) <= 1.0).astype(float) \
         if profile is None else profile(np.linalg.norm(pts, axis=1))
-    shift = 2.0 * n * center
-    direct, image = _pair_distances(pts, shift)
+    direct, image = _distances(pts, 2.0 * n * center)
     if d == 2:
         c_s = 1.0 / (2.0 * math.pi * math.log(n))
         with np.errstate(divide="ignore"):
@@ -175,7 +203,7 @@ def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
         regular = sgn * C3 / image
         cells = newton_cell_integrals(pts, 1.0, cut)
     meta = {"d": d, "sign": sign, "n": n, "center": center, "nodes": pts.shape[0]}
-    return bs.assemble_points(pts, w, density, regular, g, c_s, cells, 0.0, meta)
+    return bs.assemble_points(pts, w, density, regular, g, c_s, cells, meta)
 
 
 def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
@@ -193,19 +221,17 @@ def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
     rho = 1.0 - (2.0 * ball_radius) / (2.0 * (c1 - ball_radius) + shift)
     if rho <= 0:
         return 0.0
-    c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
-    pts, w = ball_grid(c, c, int(math.ceil(1.4 * c)), radius=ball_radius,
-                       center=ball_center)
+    pts, w = _ball_cloud(m, radius=ball_radius, center=ball_center)
     if profile is None:
         alpha = 1.0
     else:
         alpha = float(np.min(profile(np.linalg.norm(pts, axis=1))))
-    diff = pts[:, None, :] - pts[None, :, :]
+    direct, _ = _distances(pts)
     with np.errstate(divide="ignore"):
-        g = 1.0 / np.sqrt(np.sum(diff ** 2, axis=-1))
+        g = 1.0 / direct
     cells = newton_cell_integrals(pts, ball_radius, center=ball_center)
     mat = bs.assemble_points(pts, w, np.ones(pts.shape[0]),
-                             np.zeros_like(g), g, rho * alpha * C3, cells, 0.0,
+                             np.zeros_like(g), g, rho * alpha * C3, cells,
                              {"rho": rho, "alpha": alpha})
     return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
 
@@ -220,6 +246,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     """
     if family.dimension != d:
         raise ValidationError("family dimension does not match the study dimension")
+    _require_kernel(d, sign)
     rows = []
     notices = []
     w_mass = _profile_mass(family.base_profile, d)

@@ -274,12 +274,8 @@ def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
         return 0.0
     if limit["verdict"] == "indeterminate":
         raise IndeterminateError("sector classification indeterminate; refine the grid")
-    mu_by_sector = {}
-    top = 1 if problem.dimension == 1 else sector_max
-    for l in range(0, top + 1):
-        mat = bs.assemble(problem.with_sector(l), potential, 0.0, m=m)
-        mu_by_sector[l], _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
-    value = 1.0 / max(mu_by_sector.values())
+    value = bs.beta_critical(problem, potential, method="limit-kernel", m=m,
+                             sector_max=1 if problem.dimension == 1 else sector_max)
     if crosscheck:
         from .direct_spectrum import beta_critical_direct
         direct = beta_critical_direct(problem, potential, tol=1e-6)

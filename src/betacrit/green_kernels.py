@@ -163,76 +163,3 @@ def green_kernel(problem: ProblemSpec, lam: float, x, xi):
     xi = np.asarray(xi, dtype=float)
     lo, hi = np.minimum(x, xi), np.maximum(x, xi)
     return a(lo) * b(hi) * np.exp(-k * (hi - lo)) / c
-
-
-_FUNDAMENTAL_C3 = 1.0 / (4.0 * math.pi)
-
-
-def halfspace_green(d: int, bc: str, x, xi):
-    """Zero-energy half-space Green function by reflection (physical points).
-
-    d=3: (1/4pi) (1/|x-xi| -/+ 1/|x-xi*|); d=2 Dirichlet:
-    (1/2pi) ln(|x-xi*|/|x-xi|); the domain is x1 > 0.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    xi_star = xi.copy()
-    xi_star[..., 0] = -xi_star[..., 0]
-    direct = np.linalg.norm(x - xi, axis=-1)
-    image = np.linalg.norm(x - xi_star, axis=-1)
-    if d == 3:
-        sgn = -1.0 if bc == "dirichlet" else 1.0
-        return _FUNDAMENTAL_C3 * (1.0 / direct + sgn / image)
-    if d == 2:
-        if bc != "dirichlet":
-            raise ValidationError("d=2 half-space kernel is supported for the Dirichlet condition")
-        return np.log(image / direct) / (2.0 * math.pi)
-    raise ValidationError("half-space kernels are implemented for d = 2, 3")
-
-
-def halfspace_image_kernel(d: int, sign: str, n: float, center: float, y, sigma,
-                           profile=None):
-    """Rescaled near-boundary kernel of the shrinking-well family.
-
-    Points live in the rescaled frame (original = center*e1 + point/n); the
-    reflected argument picks up the shift 2*n*center along e1.  ``profile``
-    is the radial profile of the well shape W (default: indicator of the unit
-    ball).  Values vanish for points outside the rescaled half-space.
-    """
-    if sign not in ("minus", "plus"):
-        raise ValidationError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    if d == 2 and sign == "plus":
-        raise ValidationError("the d=2 rescaled kernel is defined for the minus (Dirichlet) case")
-    if d not in (2, 3):
-        raise ValidationError("rescaled kernels are implemented for d = 2, 3")
-    if d == 2 and n <= 1.0:
-        raise ValidationError("d=2 rescaled kernel needs n > 1 (log factor)")
-    c = center if np.ndim(center) == 0 else float(np.asarray(center).reshape(-1)[0])
-    if c <= 0:
-        raise ValidationError("center must have a positive distance from the boundary")
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    shift = 2.0 * n * c
-    sigma_star = sigma.copy()
-    sigma_star[..., 0] = -sigma_star[..., 0]
-    arg = y - sigma_star
-    arg[..., 0] = arg[..., 0] + shift
-    direct = np.linalg.norm(y - sigma, axis=-1)
-    image = np.linalg.norm(arg, axis=-1)
-
-    if profile is None:
-        wy = (np.linalg.norm(y, axis=-1) <= 1.0).astype(float)
-        ws = (np.linalg.norm(sigma, axis=-1) <= 1.0).astype(float)
-    else:
-        wy = profile(np.linalg.norm(y, axis=-1))
-        ws = profile(np.linalg.norm(sigma, axis=-1))
-    inside = (y[..., 0] > -n * c) & (sigma[..., 0] > -n * c)
-    weight = np.sqrt(wy) * np.sqrt(ws) * inside
-
-    with np.errstate(divide="ignore"):
-        if d == 3:
-            sgn = -1.0 if sign == "minus" else 1.0
-            vals = _FUNDAMENTAL_C3 * (1.0 / direct + sgn / image)
-        else:
-            vals = np.log(image / direct) / (2.0 * math.pi * math.log(n))
-    return vals * weight

@@ -19,9 +19,6 @@ BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "fkw")
 # surface measure of the unit sphere S^{d-1}; |S^0| = 2 (two points)
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
-# volume of the unit ball
-BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-
 
 class ValidationError(ValueError):
     """Raised when a problem/potential combination violates an invariant."""
@@ -254,23 +251,6 @@ class Potential:
 
     def max_value(self) -> float:
         return self.amplitude * self.profile.max_value()
-
-    def support_measure(self, dimension: int) -> float:
-        """Lebesgue measure of {V > 0} (exact for sampled profiles)."""
-        if self.is_zero():
-            return 0.0
-        xs, ys = self.profile.xs, self.profile.ys
-        if self.center is not None:
-            return BALL_VOLUME[dimension] * self.profile.hi ** dimension
-        total = 0.0
-        for i in range(xs.size - 1):
-            if ys[i] > 0 or ys[i + 1] > 0:
-                a, b = xs[i], xs[i + 1]
-                if dimension == 1:
-                    total += b - a
-                else:
-                    total += SPHERE_AREA[dimension] * (b ** dimension - a ** dimension) / dimension
-        return total
 
     def integral_power(self, p: float, dimension: int, n: int = 4001) -> float:
         """integral of V^p over the d-dimensional domain (radial supports)."""

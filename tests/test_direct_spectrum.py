@@ -235,3 +235,30 @@ class TestSturmCount:
         eig = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         assume(np.min(np.abs(eig)) > 1e-9)  # no eigenvalue at the shift itself
         assert ds._sturm_count(diag, off) == int(np.sum(eig < 0))
+
+
+SCALING_PROBLEMS = (HALF_LINE_D,
+                    ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0),
+                    ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0))
+
+
+class TestCouplingScaling:
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(SCALING_PROBLEMS),
+           st.sampled_from(("indicator", "tent", "bump")),
+           st.floats(0.0, 1.0), st.floats(0.3, 1.5), st.floats(0.2, 5.0))
+    def test_threshold_scales_inversely_with_the_amplitude(self, prob, shape,
+                                                           offset, width, c):
+        # beta_cr(c V) = beta_cr(V) / c on both routes
+        lo = prob.inner_radius + offset
+        profile = getattr(Profile, shape)(lo, lo + width)
+        well, scaled = Potential(profile), Potential(profile, c)
+        kernel = bs.beta_critical(prob, well, method="limit-kernel", m=120)
+        kernel_c = bs.beta_critical(prob, scaled, method="limit-kernel", m=120)
+        assert kernel_c == pytest.approx(kernel / c, rel=1e-13)
+        tol = 1e-7
+        direct = ds.beta_critical_direct(prob, well, tol=tol, h=4e-3)
+        direct_c = ds.beta_critical_direct(prob, scaled, tol=tol, h=4e-3)
+        # each bisection stops within tol * max(1, beta) of the mesh threshold
+        bound = tol * (max(1.0, direct_c) + max(1.0, direct) / c)
+        assert abs(direct_c - direct / c) <= bound

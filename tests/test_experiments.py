@@ -8,7 +8,6 @@ from betacrit import experiments as ex
 from betacrit.errors import ValidationError
 from betacrit.model import (CenterPath, Potential, ProblemSpec, Profile,
                             ScaledPotentialFamily)
-from betacrit.green_kernels import halfspace_green
 
 import oracles as oc
 
@@ -131,10 +130,7 @@ class TestHalfspaceStudies:
         mu_rescaled = bs.principal_eigenvalue(mat, 1e-10)[0]
 
         pot = fam.realize(n)
-        cpt = max(5, int(round((600 / 1.4) ** (1.0 / 3.0))))
-        pts, w = ex.ball_grid(cpt, cpt, int(math.ceil(1.4 * cpt)),
-                              radius=1.0 / n,
-                              center=(center, 0.0, 0.0))
+        pts, w = ex._ball_cloud(600, radius=1.0 / n, center=(center, 0.0, 0.0))
         # direct part is the singular piece, the reflected charge is smooth
         diff = pts[:, None, :] - pts[None, :, :]
         with np.errstate(divide="ignore"):
@@ -145,19 +141,103 @@ class TestHalfspaceStudies:
                                axis=-1))
         regular = -1.0 / (4.0 * math.pi) / image
         # off the diagonal the pieces recombine to the reflection kernel
-        check = halfspace_green(3, "dirichlet", pts[0], pts[1]).item()
+        check = oc.reflection_kernel(3, "minus", pts[0], pts[1])
         assert check == pytest.approx(sing[0, 1] / (4 * math.pi)
                                       + regular[0, 1], rel=1e-12)
         cells = ex.newton_cell_integrals(pts, 1.0 / n, center=(center, 0.0, 0.0))
         density = pot.evaluate_point(pts)
         mat_phys = bs.assemble_points(pts, w, density, regular, sing,
-                                      1.0 / (4.0 * math.pi), cells, 0.0, {})
+                                      1.0 / (4.0 * math.pi), cells, {})
         mu_physical = bs.principal_eigenvalue(mat_phys, 1e-10)[0]
         assert mu_physical == pytest.approx(mu_rescaled, rel=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             ex.halfspace_norm_study(2, "minus", unit_family(3), [10], m=200)
+
+
+def kernel_values(mat):
+    """Kernel K(y_i, s_j) behind the matrix, entries / sqrt(v_i v_j); only the
+    off-diagonal values are kernel values, the diagonal holds the subtraction."""
+    sq = np.sqrt(mat.weights)
+    return mat.entries / (sq[:, None] * sq[None, :])
+
+
+class TestHalfSpace:
+    """The rescaled image kernel, read off the assembled matrix."""
+
+    def test_image_term_vanishes_far_from_boundary(self):
+        mat = ex.halfspace_kernel_matrix(3, "minus", 5.0, 1e6, m=200)
+        direct = np.linalg.norm(mat.nodes[:, None] - mat.nodes[None, :], axis=-1)
+        off = ~np.eye(mat.size, dtype=bool)
+        far = kernel_values(mat)[off]
+        assert far == pytest.approx(1.0 / direct[off] / (4 * math.pi), rel=1e-5)
+
+    def test_d2_values_vanish_as_n_grows(self):
+        # bounded n*x(n): the log prefactor sends values to zero like 1/ln n
+        mats = [ex.halfspace_kernel_matrix(2, "minus", n, 1.0 / n, m=200)
+                for n in (10.0, 1e3, 1e6)]
+        assert all(np.array_equal(m.nodes, mats[0].nodes) for m in mats)
+        off = ~np.eye(mats[0].size, dtype=bool)
+        vals = [kernel_values(m)[off] for m in mats]
+        assert np.all(vals[0] > vals[1]) and np.all(vals[1] > vals[2])
+        assert np.all(vals[2] > 0)
+        assert vals[2] == pytest.approx(vals[0] * math.log(10.0) / math.log(1e6),
+                                        rel=0.25)
+
+    def test_d3_reflection_arithmetic(self):
+        # image argument carries the reflected source plus the 2 n x(n) shift
+        n, c = 10.0, 1.0
+        mat = ex.halfspace_kernel_matrix(3, "minus", n, c, m=200)
+        vals = kernel_values(mat)
+        e1 = np.array([1.0, 0.0, 0.0])
+        for i, j in [(0, 1), (3, 50), (17, 120), (60, 174), (150, 7)]:
+            y, s = mat.nodes[i], mat.nodes[j]
+            image = np.array([y[0] + s[0] + 2.0 * n * c, y[1] - s[1], y[2] - s[2]])
+            expected = (1.0 / np.linalg.norm(y - s)
+                        - 1.0 / np.linalg.norm(image)) / (4.0 * math.pi)
+            assert vals[i, j] == pytest.approx(expected, rel=1e-13)
+            # independent image-charge evaluation in physical coordinates
+            phys = oc.reflection_kernel(3, "minus", c * e1 + y / n, c * e1 + s / n)
+            assert vals[i, j] == pytest.approx(phys / n, rel=1e-12)
+
+    def test_support_enforced(self):
+        # the boundary x1 = -n*x(n) cuts the unit ball; a well of radius 0.5
+        # leaves zero density on the rest of it
+        profile = Profile.indicator(0.0, 0.5)
+        mat = ex.halfspace_kernel_matrix(3, "minus", 10.0, 0.05, profile, m=300)
+        whole = ex.halfspace_kernel_matrix(3, "minus", 10.0, 1.0, profile, m=300)
+        assert mat.size < whole.size
+        assert np.all(mat.nodes[:, 0] > -0.5)
+        outside = np.linalg.norm(mat.nodes, axis=1) > 0.5
+        assert outside.any() and not outside.all()
+        assert np.all(mat.weights[outside] == 0.0)
+        assert np.all(mat.entries[outside] == 0.0)
+        assert np.all(mat.entries[:, outside] == 0.0)
+
+    def test_d2_plus_sign_unsupported(self):
+        with pytest.raises(ValidationError):
+            ex.halfspace_kernel_matrix(2, "plus", 10.0, 0.1, m=100)
+
+    def test_d2_needs_n_above_one(self):
+        with pytest.raises(ValidationError):
+            ex.halfspace_kernel_matrix(2, "minus", 1.0, 0.1, m=100)
+
+    def test_sign_and_dimension_are_validated(self):
+        with pytest.raises(ValidationError):
+            ex.halfspace_kernel_matrix(3, "Minus", 10.0, 1.0, m=100)
+        with pytest.raises(ValidationError):
+            ex.halfspace_kernel_matrix(1, "minus", 10.0, 1.0, m=100)
+        with pytest.raises(ValidationError):
+            ex.halfspace_norm_study(3, "Minus", unit_family(3), [2, 8], m=100)
+
+    @pytest.mark.parametrize("d, sign", [(3, "minus"), (3, "plus"), (2, "minus")])
+    def test_physical_green_function_symmetry(self, d, sign):
+        # a boundary that cuts the cloud brings image and direct points close
+        mat = ex.halfspace_kernel_matrix(d, sign, 10.0, 0.05, m=300)
+        assert np.array_equal(mat.entries, mat.entries.T)
+        off = ~np.eye(mat.size, dtype=bool)
+        assert np.all(mat.entries[off] >= 0.0)
 
 
 class TestCountingAudit:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from betacrit.errors import KernelLimitError, ValidationError
-from betacrit.green_kernels import (green_kernel, halfspace_green,
-                                    halfspace_image_kernel)
+from betacrit.green_kernels import green_kernel
 from betacrit.model import (CoefficientProfile, ProblemSpec, Profile,
                             SPHERE_AREA)
 
@@ -188,57 +187,3 @@ class TestKernelProperties:
         r1, r2 = residual(1e-3), residual(5e-4)
         assert r2 < 0.5 * r1  # second-order stencil on an exact solution
 
-
-class TestHalfSpace:
-    def test_image_term_vanishes_far_from_boundary(self):
-        y = np.array([0.2, 0.1, -0.3])
-        s = np.array([-0.4, 0.2, 0.1])
-        far = halfspace_image_kernel(3, "minus", 5.0, 1e6, y, s).item()
-        direct_only = 1.0 / np.linalg.norm(y - s) / (4 * math.pi)
-        assert far == pytest.approx(direct_only, rel=1e-5)
-
-    def test_d2_values_vanish_as_n_grows(self):
-        # bounded n*x(n): the log prefactor sends values to zero like 1/ln n
-        y = np.array([0.3, 0.1])
-        s = np.array([-0.2, -0.4])
-        vals = [halfspace_image_kernel(2, "minus", n, 1.0 / n, y, s).item()
-                for n in (10.0, 1e3, 1e6)]
-        assert vals[0] > vals[1] > vals[2] > 0
-        assert vals[2] == pytest.approx(vals[0] * math.log(10.0) / math.log(1e6),
-                                        rel=0.25)
-
-    def test_d3_reflection_arithmetic(self):
-        # image argument carries the reflected source plus the 2 n x(n) shift
-        wide = Profile.indicator(0.0, 3.0)
-        y = np.array([1.0, 0.0, 0.0])
-        s = np.array([2.0, 0.0, 0.0])
-        val = halfspace_image_kernel(3, "minus", 10.0, 1.0, y, s,
-                                     profile=wide).item()
-        expected = (1.0 - 1.0 / 23.0) / (4.0 * math.pi)
-        assert val == pytest.approx(expected, rel=1e-13)
-        # independent image-charge evaluation in physical coordinates
-        n = 10.0
-        center = np.array([1.0, 0.0, 0.0])
-        phys = oc.reflection_kernel(3, "minus", center + y / n, center + s / n)
-        assert val == pytest.approx(phys / n, rel=1e-12)
-
-    def test_support_enforced(self):
-        y = np.array([1.0, 0.0, 0.0])
-        s = np.array([2.0, 0.0, 0.0])  # outside the unit ball
-        assert halfspace_image_kernel(3, "minus", 10.0, 1.0, y, s) == 0.0
-
-    def test_d2_plus_sign_unsupported(self):
-        with pytest.raises(ValidationError):
-            halfspace_image_kernel(2, "plus", 10.0, 0.1,
-                                   np.array([0.1, 0.0]), np.array([0.2, 0.0]))
-
-    def test_d2_needs_n_above_one(self):
-        with pytest.raises(ValidationError):
-            halfspace_image_kernel(2, "minus", 1.0, 0.1,
-                                   np.array([0.1, 0.0]), np.array([0.2, 0.0]))
-
-    def test_physical_green_function_symmetry(self):
-        x = RNG.uniform(0.1, 2.0, (10, 3))
-        xi = RNG.uniform(0.1, 2.0, (10, 3))
-        assert halfspace_green(3, "dirichlet", x, xi) == pytest.approx(
-            halfspace_green(3, "dirichlet", xi, x))

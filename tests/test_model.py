@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from betacrit.model import (BALL_VOLUME, CenterPath, CoefficientProfile,
-                            Potential, ProblemSpec, Profile,
-                            ScaledPotentialFamily, ValidationError, h_factor,
-                            validate)
+import betacrit
+from betacrit.model import (CenterPath, CoefficientProfile, Potential,
+                            ProblemSpec, Profile, ScaledPotentialFamily,
+                            ValidationError, h_factor, validate)
 
 
 def indicator_family(d, c=1.0, delta=1.0):
@@ -63,12 +63,17 @@ class TestRealizeScaled:
             fam.realize(8.0)
 
     def test_support_measure_matches_scaling(self):
+        # V_n lives on a ball of radius 1/n (an interval of length 2/n for
+        # d = 1), so the measure of its support scales like n^-d
         for d in (1, 2, 3):
             fam = indicator_family(d, c=2.0, delta=0.0)
             for n in (2.0, 5.0):
                 pot = fam.realize(n)
-                expected = BALL_VOLUME[d] / n ** d
-                assert pot.support_measure(d) == pytest.approx(expected, rel=1e-12)
+                if d == 1:  # an even well about the center
+                    lo, hi = pot.support
+                    assert hi - lo == pytest.approx(2.0 / n, rel=1e-12)
+                else:
+                    assert pot.profile.hi == pytest.approx(1.0 / n, rel=1e-12)
 
 
 class TestValidate:
@@ -160,3 +165,8 @@ class TestAdmissibility:
         assert not fam.admissible(2.0)
         assert fam.admissible(4.0)
         assert fam.admissible(16.0)
+
+
+def test_every_exported_name_resolves():
+    for name in betacrit.__all__:
+        assert getattr(betacrit, name, None) is not None, name
