@@ -14,10 +14,10 @@ from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
 from .model import (CenterPath, CoefficientProfile, Potential, ProblemSpec,
                     Profile, ScaledPotentialFamily, h_factor, validate)
 from .green_kernels import green_kernel
-from .birman_schwinger import (Classification, KernelMatrix, NO_BOUND_STATES,
-                               NoBoundStates, SpectralReport, assemble,
-                               assemble_points, beta_critical, classify_limit,
-                               default_lambda_grid, mu_curve,
+from .birman_schwinger import (Classification, KernelMatrix, SpectralReport,
+                               assemble, assemble_points, beta_critical,
+                               beta_from_verdict, classify_limit,
+                               default_lambda_grid, mu_curve, norm_limit,
                                principal_eigenvalue)
 from .direct_spectrum import (DiscreteOperator, beta_critical_direct,
                               build_operator, count_negative,
@@ -33,15 +33,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CenterPath", "Classification", "CoefficientProfile", "DiscreteOperator",
-    "FkwSolution", "IndeterminateError", "KernelLimitError",
-    "KernelMatrix", "MethodDisagreement", "NO_BOUND_STATES", "NearSingularError",
-    "NoBoundStates", "Potential", "ProblemSpec", "Profile", "ScaledPotentialFamily",
-    "ScalingStudy", "SpectralReport", "UnconvergedError", "ValidationError",
-    "assemble", "assemble_points", "beta_critical", "beta_critical_direct",
-    "beta_critical_fkw", "build_operator", "classify_limit", "clr_audit",
+    "FkwSolution", "IndeterminateError", "KernelLimitError", "KernelMatrix",
+    "MethodDisagreement", "NearSingularError", "Potential", "ProblemSpec",
+    "Profile", "ScaledPotentialFamily", "ScalingStudy", "SpectralReport",
+    "UnconvergedError", "ValidationError", "assemble", "assemble_points",
+    "beta_critical", "beta_critical_direct", "beta_critical_fkw",
+    "beta_from_verdict", "build_operator", "classify_limit", "clr_audit",
     "count_negative", "crosscheck_birman_schwinger", "default_lambda_grid",
     "dichotomy_suite", "eigenvalue_residual", "fkw_norm_limit", "gamma1",
     "green_kernel", "ground_state", "h_factor", "halfspace_norm_study",
-    "minorant_eigenvalue", "mu_curve", "principal_eigenvalue",
+    "minorant_eigenvalue", "mu_curve", "norm_limit", "principal_eigenvalue",
     "scaling_study_1d", "solve_fkw", "solve_v", "validate",
 ]

@@ -25,23 +25,6 @@ DEFAULT_EIG_TOL = 1e-8
 DEFAULT_DECADES = (2, 7)
 
 
-class NoBoundStates:
-    """Sentinel: the potential vanishes, so no coupling creates bound states."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoBoundStates"
-
-
-NO_BOUND_STATES = NoBoundStates()
-
-
 def default_lambda_grid(decades=DEFAULT_DECADES) -> np.ndarray:
     """Energies -10^{-j} for j in the decade range, sorted toward 0-."""
     j0, j1 = decades
@@ -214,25 +197,12 @@ class Classification:
     log_divergence: bool = False
     growth_per_decade: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "mu_star": self.mu_star,
-            "mu_last": self.mu_last,
-            "extrapolation_gap": self.extrapolation_gap,
-            "rate_exponent": self.rate_exponent,
-            "log_divergence": self.log_divergence,
-            "growth_per_decade": self.growth_per_decade,
-        }
-
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """mu0(lambda) samples plus their threshold interpretation."""
+    """mu0(lambda) samples along an energy grid."""
 
     samples: tuple  # rows (lambda, mu0, m, residual)
-    classification: Classification | None = None
-    beta_cr: object = None  # float, 0.0, or NO_BOUND_STATES
     metadata: dict = field(default_factory=dict)
 
     def lambdas(self) -> np.ndarray:
@@ -242,21 +212,7 @@ class SpectralReport:
         return np.array([s[1] for s in self.samples])
 
     def to_json_dict(self) -> dict:
-        beta = self.beta_cr
-        if isinstance(beta, NoBoundStates):
-            beta_out, verdict = None, "no-bound-states"
-        else:
-            beta_out, verdict = beta, None
-        out = {
-            "samples": [{"lambda": s[0], "mu0": s[1], "m": s[2], "residual": s[3]}
-                        for s in self.samples],
-            "classification": self.classification.to_json_dict() if self.classification else None,
-            "beta_cr": beta_out,
-            "metadata": dict(self.metadata),
-        }
-        if verdict:
-            out["beta_cr_verdict"] = verdict
-        return out
+        return {"samples": list(self.csv_rows()), "metadata": dict(self.metadata)}
 
     def csv_rows(self):
         for s in self.samples:
@@ -288,7 +244,7 @@ def mu_curve(problem: ProblemSpec, potential: Potential, lambda_grid=None,
     meta = {"m": m, "panel_order": panel_order, "monotone": monotone,
             "sector": problem.sector, "bc": problem.boundary_condition,
             "normalization": "(H0-lambda)G=delta; G>=0 for lambda<0"}
-    return SpectralReport(tuple(rows), None, None, meta)
+    return SpectralReport(tuple(rows), meta)
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray):
@@ -356,6 +312,43 @@ def classify_limit(samples, bounded_tol: float = 0.02,
                           growth_per_decade=float(growth))
 
 
+def norm_limit(problem: ProblemSpec, potential: Potential, sectors,
+               lambda_grid=None, m: int = DEFAULT_M,
+               panel_order: int = DEFAULT_PANEL_ORDER,
+               tol: float = DEFAULT_EIG_TOL) -> dict:
+    """Classify mu0 as lambda -> 0- in every sector and combine the verdicts.
+
+    The norm diverges as soon as one sector's does; otherwise one
+    indeterminate sector makes the whole verdict indeterminate; otherwise it
+    is bounded with mu* the largest sector limit.
+    """
+    per_sector = {l: classify_limit(mu_curve(problem.with_sector(l), potential,
+                                             lambda_grid=lambda_grid, m=m,
+                                             panel_order=panel_order, tol=tol))
+                  for l in sectors}
+    verdicts = {cls.verdict for cls in per_sector.values()}
+    verdict = next((v for v in ("divergent", "indeterminate") if v in verdicts),
+                   "bounded")
+    mu_star = (max(cls.mu_star for cls in per_sector.values())
+               if verdict == "bounded" else None)
+    return {"verdict": verdict, "mu_star": mu_star, "sectors": per_sector}
+
+
+def beta_from_verdict(verdict: str, mu_star: float | None):
+    """The coupling threshold a norm verdict implies.
+
+    1/mu* when the norm stays bounded, None when mu* <= 0 (no coupling
+    creates a bound state), 0.0 when it diverges; an indeterminate verdict
+    raises ``IndeterminateError``.
+    """
+    if verdict == "divergent":
+        return 0.0
+    if verdict == "indeterminate":
+        raise IndeterminateError("the lambda -> 0- growth of mu0 is between the "
+                                 "bounded and divergent thresholds; refine the grid")
+    return None if mu_star <= 0 else 1.0 / mu_star
+
+
 def beta_critical(problem: ProblemSpec, potential: Potential,
                   method: str = "auto", m: int = DEFAULT_M,
                   tol: float = DEFAULT_EIG_TOL, lambda_grid=None,
@@ -365,63 +358,42 @@ def beta_critical(problem: ProblemSpec, potential: Potential,
 
     method 'limit-kernel' evaluates the zero-energy kernel directly;
     'extrapolation' classifies the mu0(lambda) tail; 'auto' prefers the limit
-    kernel and falls back; 'both' runs the two and cross-checks.
-    Returns 0.0 for divergent limits and NO_BOUND_STATES for V == 0.
+    kernel and falls back; 'both' runs the two and cross-checks.  Sectors
+    0..sector_max are swept when ``sector_max`` is given.  Returns 0.0 for
+    divergent limits and None when there are no bound states (V == 0).
     """
     if method not in ("auto", "limit-kernel", "extrapolation", "both"):
         raise ValidationError(f"unknown method {method!r}")
     if potential.is_zero():
-        return NO_BOUND_STATES
-
-    sectors = [problem.sector]
-    if sector_max is not None:
-        sectors = list(range(0, sector_max + 1))
+        return None
+    sectors = [problem.sector] if sector_max is None else range(sector_max + 1)
 
     def _limit_kernel_value():
-        mu_star = -math.inf
-        for l in sectors:
-            mat = assemble(problem.with_sector(l), potential, 0.0, m=m,
-                           panel_order=panel_order)
-            mu_star = max(mu_star, principal_eigenvalue(mat, tol)[0])
-        return NO_BOUND_STATES if mu_star <= 0 else 1.0 / mu_star
+        mats = (assemble(problem.with_sector(l), potential, 0.0, m=m,
+                         panel_order=panel_order) for l in sectors)
+        return beta_from_verdict("bounded", max(principal_eigenvalue(mat, tol)[0]
+                                                for mat in mats))
 
     def _extrapolation_value():
-        best = None
-        for l in sectors:
-            report = mu_curve(problem.with_sector(l), potential,
-                              lambda_grid=lambda_grid, m=m,
-                              panel_order=panel_order, tol=tol)
-            cls = classify_limit(report)
-            if cls.verdict == "divergent":
-                return 0.0
-            if cls.verdict == "indeterminate":
-                raise IndeterminateError(
-                    f"growth per decade {cls.growth_per_decade:.3%} is between the "
-                    "bounded and divergent thresholds")
-            if best is None or cls.mu_star > best.mu_star:
-                best = cls
-        return 1.0 / best.mu_star
+        limit = norm_limit(problem, potential, sectors, lambda_grid, m,
+                           panel_order, tol)
+        return beta_from_verdict(limit["verdict"], limit["mu_star"])
 
     if method == "limit-kernel":
         return _limit_kernel_value()
     if method == "extrapolation":
         return _extrapolation_value()
-    if method == "auto":
-        try:
-            return _limit_kernel_value()
-        except KernelLimitError:
-            return _extrapolation_value()
-
-    # both: cross-validate
     try:
         lk = _limit_kernel_value()
     except KernelLimitError:
-        lk = None
+        return _extrapolation_value()
+    if method == "auto":
+        return lk
+
+    # both: cross-validate
     ex = _extrapolation_value()
-    if lk is None:
-        return ex
-    if isinstance(lk, NoBoundStates) or isinstance(ex, NoBoundStates):
-        return lk if isinstance(lk, NoBoundStates) else ex
+    if lk is None or ex is None:
+        return None
     scale = max(abs(lk), abs(ex), 1e-300)
     if ex == 0.0 and lk > 0.0:
         raise MethodDisagreement(

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -32,14 +33,14 @@ from .model import (CenterPath, CoefficientProfile, Potential, ProblemSpec,
                     Profile, ScaledPotentialFamily)
 
 DEFAULTS = {
-    "m": 400,                 # kernel quadrature nodes
-    "panel_order": 8,         # Gauss-Legendre points per panel
-    "lambda_decades": [2, 7],  # energy grid -10^{-j}
-    "mesh_h": 1e-3,           # finite-difference mesh
-    "r_max": 30.0,            # truncation radius
-    "eig_tol": 1e-8,          # eigenvalue relative tolerance
-    "bisect_tol": 1e-6,       # threshold bisection tolerance
-    "sector_max": 3,          # highest angular sector swept where relevant
+    "m": bs.DEFAULT_M,                           # kernel quadrature nodes
+    "panel_order": bs.DEFAULT_PANEL_ORDER,       # Gauss-Legendre points per panel
+    "lambda_decades": list(bs.DEFAULT_DECADES),  # energy grid -10^{-j}
+    "mesh_h": ds.DEFAULT_H,                      # finite-difference mesh
+    "r_max": ds.DEFAULT_R_MAX,                   # truncation radius
+    "eig_tol": bs.DEFAULT_EIG_TOL,               # eigenvalue relative tolerance
+    "bisect_tol": ds.DEFAULT_BISECT_TOL,         # threshold bisection tolerance
+    "sector_max": fkw.DEFAULT_SECTOR_MAX,        # highest angular sector swept
 }
 
 SUBCOMMANDS = ("mu-curve", "beta-cr", "direct", "crosscheck", "fkw",
@@ -155,10 +156,6 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _classification_dict(cls):
-    return cls.to_json_dict() if cls is not None else None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -168,14 +165,12 @@ def _run_mu_curve(cfg, problem, potential, num):
     report = bs.mu_curve(problem, potential, lambda_grid=grid, m=num["m"],
                          panel_order=num["panel_order"], tol=num["eig_tol"])
     cls = bs.classify_limit(report)
-    payload = report.to_json_dict()
-    payload["classification"] = _classification_dict(cls)
-    if cls.verdict == "bounded" and cls.mu_star <= 0:
-        payload["beta_cr_verdict"] = "no-bound-states"  # V == 0: mu0 vanishes
-    elif cls.verdict == "bounded":
-        payload["beta_cr"] = 1.0 / cls.mu_star
-    elif cls.verdict == "divergent":
-        payload["beta_cr"] = 0.0
+    payload = {**report.to_json_dict(), "classification": asdict(cls),
+               "beta_cr": None}
+    if cls.verdict != "indeterminate":  # an indeterminate tail leaves beta_cr null
+        payload["beta_cr"] = bs.beta_from_verdict(cls.verdict, cls.mu_star)
+        if payload["beta_cr"] is None:
+            payload["beta_cr_verdict"] = "no-bound-states"  # V == 0: mu0 vanishes
     if not report.metadata.get("monotone", True):
         raise UnconvergedError("mu0 samples not monotone: discretization failure",
                                details=payload)
@@ -188,7 +183,7 @@ def _run_beta_cr(cfg, problem, potential, num):
     value = bs.beta_critical(problem, potential, method=method, m=num["m"],
                              tol=num["eig_tol"], lambda_grid=grid,
                              panel_order=num["panel_order"])
-    if isinstance(value, bs.NoBoundStates):
+    if value is None:
         beta_payload = {"beta_cr": None, "verdict": "no-bound-states"}
     else:
         beta_payload = {"beta_cr": value, "verdict": "bounded" if value > 0 else "divergent"}
@@ -225,7 +220,7 @@ def _run_direct(cfg, problem, potential, num):
     bc = ds.beta_critical_direct(problem, potential, tol=num["bisect_tol"],
                                  h=num["mesh_h"], r_max=num["r_max"])
     payload = {"rows": rows,
-               "beta_cr_direct": None if isinstance(bc, bs.NoBoundStates) else bc,
+               "beta_cr_direct": bc,
                "metadata": {"mesh_h": num["mesh_h"], "r_max": num["r_max"]}}
     return payload, ("beta", "lambda0", "count", "mesh", "r_max", "residual"), rows
 
@@ -252,18 +247,15 @@ def _run_fkw(cfg, problem, potential, num):
                                m=num["m"], sector_max=sector_max)
     value = fkw.beta_critical_fkw(problem, potential, m=num["m"],
                                   sector_max=sector_max, limit=limit)
-    sector_mu = {}
-    for l, cls in limit["sectors"].items():
-        sector_mu[str(l)] = _classification_dict(cls)
     payload = {"gamma1": g_rows,
                "norm_limit": {"verdict": limit["verdict"],
                               "mu_star": limit["mu_star"],
-                              "sectors": sector_mu},
-               "beta_cr": None if isinstance(value, bs.NoBoundStates) else value,
+                              "sectors": {str(l): asdict(cls)
+                                          for l, cls in limit["sectors"].items()}},
+               "beta_cr": value,
                "metadata": {"beta": beta, "sector_max": sector_max, "m": num["m"],
                             "flux_orientation": "toward the obstacle"}}
-    csv_rows = [{"lambda": r["lambda"], "gamma1": r["gamma1"]} for r in g_rows]
-    return payload, ("lambda", "gamma1"), csv_rows
+    return payload, ("lambda", "gamma1"), g_rows
 
 
 def _require_family(potential):
@@ -312,8 +304,9 @@ def _run_clr(cfg, problem, potential, num):
 
 
 def _run_dichotomy(cfg, problem, potential, num):
-    study = ex.dichotomy_suite(m=num["m"],
-                               decades=tuple(num["lambda_decades"]))
+    # the suite's own default grid, unless the config sets one
+    decades = cfg.get("numerics", {}).get("lambda_decades", ex.DICHOTOMY_DECADES)
+    study = ex.dichotomy_suite(m=num["m"], decades=tuple(decades))
     payload = study.to_json_dict()
     if study.meta["indeterminate"]:
         raise IndeterminateError(

@@ -23,6 +23,7 @@ from .sector_ode import SectorODE
 
 DEFAULT_H = 1e-3
 DEFAULT_R_MAX = 30.0
+DEFAULT_BISECT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -264,14 +265,17 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
 
 
 def beta_critical_direct(problem: ProblemSpec, potential: Potential,
-                         tol: float = 1e-6, h: float = DEFAULT_H,
+                         tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H,
                          r_max: float = DEFAULT_R_MAX):
-    """Coupling threshold by bisection of the negative-eigenvalue count."""
+    """Coupling threshold by bisection of the negative-eigenvalue count.
+
+    None when no coupling up to 2^60 creates a bound state (as for V == 0).
+    """
     diags = validate(problem, potential)
     if diags:
         raise ValidationError("; ".join(diags))
     if potential.is_zero():
-        return bs.NO_BOUND_STATES
+        return None
     lo_sup, hi_sup = potential.support
     r_max = max(r_max, hi_sup + 10.0)
 
@@ -284,7 +288,7 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential,
         lo, hi = hi, 2.0 * hi
         doublings += 1
         if doublings > 60:
-            return bs.NO_BOUND_STATES
+            return None
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if has_state(mid):

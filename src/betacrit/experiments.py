@@ -22,6 +22,9 @@ from .model import Potential, ProblemSpec, Profile, ScaledPotentialFamily
 
 C3 = 1.0 / (4.0 * math.pi)
 DEFAULT_CLR_CONSTANT = 0.1156  # d=3 counting-bound constant, configurable
+# one decade past the kernel default: the planar Dirichlet tail creeps up
+# like 1/ln(1/|lambda|) and needs it to read as bounded
+DICHOTOMY_DECADES = (2, 8)
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,8 @@ def _require_kernel(d: int, sign: str):
         raise ValidationError("rescaled kernels are implemented for d = 2, 3")
     if sign not in ("minus", "plus"):
         raise ValidationError(f"sign must be 'minus' or 'plus', got {sign!r}")
+    if d == 2 and sign == "plus":
+        raise ValidationError("the d=2 rescaled kernel exists for the minus case only")
 
 
 def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
@@ -174,8 +179,6 @@ def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
     shape W (default: indicator of the unit ball).
     """
     _require_kernel(d, sign)
-    if d == 2 and sign == "plus":
-        raise ValidationError("the d=2 rescaled kernel exists for the minus case only")
     if d == 2 and n <= 1.0:
         raise ValidationError("d=2 scaling needs n > 1")
     cut = -n * center
@@ -369,7 +372,8 @@ def default_dichotomy_potentials(dimension: int) -> list[tuple[str, Potential]]:
 
 
 def dichotomy_suite(potentials_1d=None, potentials_2d=None,
-                    m: int = 300, decades=(2, 8), radius: float = 1.0) -> ScalingStudy:
+                    m: int = 300, decades=DICHOTOMY_DECADES,
+                    radius: float = 1.0) -> ScalingStudy:
     """Bounded/divergent verdicts over (dimension, condition, potential).
 
     Low-dimensional exterior problems split by the boundary condition:

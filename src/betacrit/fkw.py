@@ -20,9 +20,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import birman_schwinger as bs
-from .direct_spectrum import build_operator
-from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
-                     NearSingularError, ValidationError)
+from .direct_spectrum import beta_critical_direct, build_operator
+from .errors import (KernelLimitError, MethodDisagreement, NearSingularError,
+                     ValidationError)
 from .model import Potential, ProblemSpec, validate
 from .sector_ode import SectorODE
 
@@ -35,17 +35,20 @@ def _require_fkw(problem: ProblemSpec):
                               "with the constant-trace/zero-flux condition")
 
 
+def _top_sector(problem: ProblemSpec, sector_max: int) -> int:
+    """Highest sector swept: the line has only the even and odd sectors."""
+    return 1 if problem.dimension == 1 else sector_max
+
+
 class RadialSolution:
     """Radial profile backed by the integrator's dense output.
 
     Calling it evaluates the profile; ``derivative`` evaluates p u'.
     """
 
-    def __init__(self, pieces, scale: float, mesh: np.ndarray):
+    def __init__(self, pieces, scale: float):
         self._pieces = pieces  # (lo, hi, dense, rescale)
         self._scale = scale
-        self.mesh = mesh
-        self.values = self(mesh)
 
     def _eval(self, r, component):
         r = np.asarray(r, dtype=float)
@@ -118,9 +121,8 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
     if abs(u_at_r0) < 1e-6 * umax:
         raise NearSingularError("energy sits at a Dirichlet eigenvalue; "
                                 "the unit-trace solution degenerates")
-    mesh = np.linspace(r0, r_max, 1201)
     return RadialSolution([(seg.end, seg.start, seg.sol.sol, seg.scale)
-                           for seg in pieces], u_at_r0, mesh)
+                           for seg in pieces], u_at_r0)
 
 
 def _boundary_flux(problem: ProblemSpec, v: RadialSolution) -> float:
@@ -226,29 +228,14 @@ def fkw_norm_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,
     """Classify the sandwiched-resolvent norm per sector as lambda -> 0-.
 
     Sector 0 carries the Neumann-type reduction of the nonlocal condition,
-    higher sectors are Dirichlet.  The overall verdict is divergent as soon
-    as any sector diverges.
+    higher sectors are Dirichlet; ``bs.norm_limit`` combines the verdicts.
     """
     _require_fkw(problem)
     if lambda_grid is None:
         lambda_grid = bs.default_lambda_grid((2, 8))
-    per_sector = {}
-    overall = "bounded"
-    mu_star = 0.0
-    top = 1 if problem.dimension == 1 else sector_max
-    for l in range(0, top + 1):
-        rep = bs.mu_curve(problem.with_sector(l), potential,
-                          lambda_grid=lambda_grid, m=m, tol=tol)
-        cls = bs.classify_limit(rep)
-        per_sector[l] = cls
-        if cls.verdict == "divergent":
-            overall = "divergent"
-        elif cls.verdict == "indeterminate" and overall != "divergent":
-            overall = "indeterminate"
-        elif cls.verdict == "bounded":
-            mu_star = max(mu_star, cls.mu_star)
-    return {"verdict": overall, "mu_star": mu_star if overall == "bounded" else None,
-            "sectors": per_sector}
+    return bs.norm_limit(problem, potential,
+                         range(_top_sector(problem, sector_max) + 1),
+                         lambda_grid, m, tol=tol)
 
 
 def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
@@ -258,26 +245,25 @@ def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
     """Coupling threshold for the nonlocal condition (uniform measure).
 
     1/mu* over the sector family when the norms stay bounded, 0 when they
-    diverge; cross-checked against the direct eigenvalue sweep with the
-    matching per-sector conditions.  ``limit`` is a ``fkw_norm_limit``
-    result to reuse; without it the limit is taken on the default grid.
+    diverge, None without bound states; cross-checked against the direct
+    eigenvalue sweep with the matching per-sector conditions.  ``limit`` is
+    a ``fkw_norm_limit`` result to reuse; without it the limit is taken on
+    the default grid.
     """
     _require_fkw(problem)
     diags = validate(problem, potential)
     if diags:
         raise ValidationError("; ".join(diags))
     if potential.is_zero():
-        return bs.NO_BOUND_STATES
+        return None
     if limit is None:
         limit = fkw_norm_limit(problem, potential, m=m, sector_max=sector_max)
-    if limit["verdict"] == "divergent":
-        return 0.0
-    if limit["verdict"] == "indeterminate":
-        raise IndeterminateError("sector classification indeterminate; refine the grid")
+    beta = bs.beta_from_verdict(limit["verdict"], limit["mu_star"])
+    if not beta:  # a divergent norm (0.0) or no bound state (None)
+        return beta
     value = bs.beta_critical(problem, potential, method="limit-kernel", m=m,
-                             sector_max=1 if problem.dimension == 1 else sector_max)
+                             sector_max=_top_sector(problem, sector_max))
     if crosscheck:
-        from .direct_spectrum import beta_critical_direct
         direct = beta_critical_direct(problem, potential, tol=1e-6)
         if isinstance(direct, float) and abs(direct - value) > agree_tol * max(value, direct):
             raise MethodDisagreement(

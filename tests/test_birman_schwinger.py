@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betacrit import birman_schwinger as bs
 from betacrit.errors import KernelLimitError, ValidationError
@@ -88,6 +90,41 @@ class TestAssemble:
         prob = ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0)
         with pytest.raises(ValidationError):
             bs.assemble(prob, Potential(Profile.indicator(0.5, 2.0)), -1.0, m=32)
+
+
+@st.composite
+def _wells(draw):
+    """A half-line or exterior-ball sector problem with a well outside it."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    bc = draw(st.sampled_from(["dirichlet", "neumann"]))
+    if draw(st.booleans()) and d == 1:
+        prob, inner = ProblemSpec(1, "half_line", bc), 0.0
+    else:
+        radius = draw(st.floats(0.5, 2.0))
+        prob = ProblemSpec(d, "exterior_ball", bc, radius=radius,
+                           sector=draw(st.integers(0, 1 if d == 1 else 2)))
+        inner = radius
+    lo = inner + draw(st.floats(0.0, 2.0))
+    hi = lo + draw(st.floats(0.1, 2.0))
+    shape = draw(st.sampled_from([Profile.indicator, Profile.tent, Profile.bump]))
+    return prob, Potential(shape(lo, hi, draw(st.floats(0.1, 5.0))))
+
+
+class TestKernelProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_wells(), st.floats(-6.0, 1.0), st.floats(0.1, 3.0),
+           st.integers(8, 64))
+    def test_symmetric_nonnegative_and_nondecreasing_in_lambda(
+            self, well, exponent, decades, m):
+        prob, pot = well
+        lam_lo, lam_hi = -10.0 ** (exponent + decades), -10.0 ** exponent
+        mus = []
+        for lam in (lam_lo, lam_hi):
+            mat = bs.assemble(prob, pot, lam, m=m)
+            assert np.array_equal(mat.entries, mat.entries.T)
+            assert np.all(mat.entries >= 0.0)
+            mus.append(bs.principal_eigenvalue(mat, 1e-10)[0])
+        assert mus[0] <= mus[1] * (1.0 + 1e-8)
 
 
 class TestMuCurve:
@@ -191,8 +228,7 @@ class TestBetaCritical:
 
     def test_zero_potential_sentinel(self):
         out = bs.beta_critical(HALF_LINE_D, Potential(Profile.indicator(1.0, 2.0), 0.0))
-        assert isinstance(out, bs.NoBoundStates)
-        assert repr(out) == "NoBoundStates"
+        assert out is None
 
     def test_limit_kernel_method_propagates_divergence(self):
         with pytest.raises(KernelLimitError):

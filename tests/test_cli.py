@@ -69,6 +69,17 @@ class TestConfigHandling:
         assert payload["beta_cr"] is None
         assert payload["beta_cr_verdict"] == "no-bound-states"
 
+    def test_mu_curve_indeterminate_tail_has_no_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bs, "classify_limit", lambda report: bs.Classification(
+            "indeterminate", mu_last=1.0, growth_per_decade=0.03))
+        code, cfg = run_config(tmp_path, "mu_curve_neumann_1d.json", "mu-curve",
+                               extra={"numerics": {"m": 32}})
+        assert code == 0
+        payload = read_json(tmp_path, cfg)
+        assert payload["classification"]["verdict"] == "indeterminate"
+        assert payload["beta_cr"] is None
+        assert "beta_cr_verdict" not in payload
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = {"problem": {"geometry": "half_line", "dimension": 1,
                            "boundary_condition": "neumann"},
@@ -115,6 +126,23 @@ class TestConfigHandling:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config-error"
+
+    def test_planar_plus_halfspace_is_a_config_error(self, tmp_path, capsys):
+        code, _ = run_config(tmp_path, "halfspace_d2.json", "halfspace",
+                             extra={"study": {"sign": "plus"}})
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config-error"
+
+    def test_dichotomy_without_decades_uses_the_suite_default(self, tmp_path):
+        with open(os.path.join(CONFIG_DIR, "dichotomy.json")) as fh:
+            cfg = json.load(fh)
+        del cfg["numerics"]["lambda_decades"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("dichotomy", str(path), str(tmp_path)) == 0
+        assert read_json(tmp_path, cfg)["metadata"]["decades"] == [2, 8]
 
 
 class TestReportWriting:

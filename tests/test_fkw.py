@@ -193,6 +193,18 @@ class TestNormLimit:
         assert out["verdict"] == "bounded"
         assert out["mu_star"] == 0.0
 
+    def test_divergent_sector_outranks_an_indeterminate_one(self, monkeypatch):
+        def verdict(report):
+            sector = report.metadata["sector"]
+            return bs.Classification("indeterminate" if sector == 0 else "divergent",
+                                     growth_per_decade=0.03)
+
+        monkeypatch.setattr(bs, "classify_limit", verdict)
+        plain = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
+        assert bs.beta_critical(plain, POT, method="extrapolation", m=32,
+                                sector_max=1) == 0.0
+        assert fkw.fkw_norm_limit(BALL3, POT, m=32, sector_max=1)["verdict"] == "divergent"
+
 
 class TestBetaCriticalFkw:
     def test_d3_positive_and_matched_by_oracle(self):
@@ -211,7 +223,7 @@ class TestBetaCriticalFkw:
 
     def test_zero_potential_sentinel(self):
         out = fkw.beta_critical_fkw(BALL3, Potential(Profile.indicator(1.5, 2.5), 0.0))
-        assert isinstance(out, bs.NoBoundStates)
+        assert out is None
 
     def test_given_limit_is_not_recomputed(self, monkeypatch):
         limit = fkw.fkw_norm_limit(BALL2, POT, m=120, sector_max=1)
