@@ -37,7 +37,6 @@ DEFAULTS = {
     "panel_order": bs.DEFAULT_PANEL_ORDER,       # Gauss-Legendre points per panel
     "lambda_decades": list(bs.DEFAULT_DECADES),  # energy grid -10^{-j}
     "mesh_h": ds.DEFAULT_H,                      # finite-difference mesh
-    "r_max": ds.DEFAULT_R_MAX,                   # truncation radius
     "eig_tol": bs.DEFAULT_EIG_TOL,               # eigenvalue relative tolerance
     "bisect_tol": ds.DEFAULT_BISECT_TOL,         # threshold bisection tolerance
     "sector_max": fkw.DEFAULT_SECTOR_MAX,        # highest angular sector swept
@@ -203,26 +202,24 @@ def _run_direct(cfg, problem, potential, num):
 
     def one(beta):
         count = ds.count_negative(problem, potential, float(beta),
-                                  h=num["mesh_h"], r_max=num["r_max"],
-                                  refine=refine)
+                                  h=num["mesh_h"], refine=refine)
         row = {"beta": float(beta), "count": count, "mesh": num["mesh_h"],
-               "r_max": num["r_max"], "lambda0": "", "residual": ""}
+               "lambda0": "", "residual": ""}
         if count > 0 and beta > 0:
-            gs = ds.ground_state(problem, potential, float(beta),
-                                 r_max=num["r_max"])
+            gs = ds.ground_state(problem, potential, float(beta))
             if gs is not None:
                 row["lambda0"] = gs[0]
                 row["residual"] = ds.eigenvalue_residual(
-                    problem, potential, float(beta), gs[0], r_max=num["r_max"])
+                    problem, potential, float(beta), gs[0])
         return row
 
     rows = [one(beta) for beta in beta_grid]
     bc = ds.beta_critical_direct(problem, potential, tol=num["bisect_tol"],
-                                 h=num["mesh_h"], r_max=num["r_max"])
+                                 h=num["mesh_h"])
     payload = {"rows": rows,
                "beta_cr_direct": bc,
-               "metadata": {"mesh_h": num["mesh_h"], "r_max": num["r_max"]}}
-    return payload, ("beta", "lambda0", "count", "mesh", "r_max", "residual"), rows
+               "metadata": {"mesh_h": num["mesh_h"]}}
+    return payload, ("beta", "lambda0", "count", "mesh", "residual"), rows
 
 
 def _run_crosscheck(cfg, problem, potential, num):
@@ -296,7 +293,7 @@ def _run_clr(cfg, problem, potential, num):
     constant = study_cfg.get("constant", ex.DEFAULT_CLR_CONSTANT)
     refine = study_cfg.get("refine", False)
     study = ex.clr_audit(problem, potential, beta_grid, constant=constant,
-                         h=num["mesh_h"], r_max=num["r_max"], refine=refine)
+                         h=num["mesh_h"], refine=refine)
     payload = study.to_json_dict()
     cols = ("beta", "count", "bound", "violated")
     rows = [{c: r[c] for c in cols} for r in study.rows]
@@ -331,12 +328,8 @@ RUNNERS = {
 
 
 def run(subcommand: str, config_path: str, out_dir: str = ".",
-        threads: int = 1, verbose: bool = False) -> int:
-    """Execute one subcommand; returns the process exit code.
-
-    ``threads`` is accepted for compatibility and has no effect: every
-    subcommand runs serially.
-    """
+        verbose: bool = False) -> int:
+    """Execute one subcommand; returns the process exit code."""
     try:
         cfg = load_config(config_path)
         problem = build_problem(cfg)
@@ -348,21 +341,25 @@ def run(subcommand: str, config_path: str, out_dir: str = ".",
     try:
         payload, columns, rows = RUNNERS[subcommand](cfg, problem, potential, num)
         jsonschema.validate(payload, load_schema("report"))
-        out_cfg = cfg.get("output", {})
-        json_name = out_cfg.get("json", f"{subcommand}.json")
-        csv_name = out_cfg.get("csv", f"{subcommand}.csv")
-        write_json(os.path.join(out_dir, json_name), payload)
-        write_csv(os.path.join(out_dir, csv_name), columns, rows)
-        if verbose:
-            print(json.dumps({"subcommand": subcommand,
-                              "artifacts": [json_name, csv_name]}))
-        return 0
     except NUMERIC_ERRORS as exc:
         _diagnostic("numerical-failure", exc)
         return 2
     except ValidationError as exc:
         _diagnostic("config-error", exc)
         return 1
+    out_cfg = cfg.get("output", {})
+    json_name = out_cfg.get("json", f"{subcommand}.json")
+    csv_name = out_cfg.get("csv", f"{subcommand}.csv")
+    try:
+        write_json(os.path.join(out_dir, json_name), payload)
+        write_csv(os.path.join(out_dir, csv_name), columns, rows)
+    except OSError as exc:  # --out names a file, or the directory is not writable
+        _diagnostic("output-error", exc)
+        return 1
+    if verbose:
+        print(json.dumps({"subcommand": subcommand,
+                          "artifacts": [json_name, csv_name]}))
+    return 0
 
 
 def _diagnostic(kind: str, exc: Exception):
@@ -376,19 +373,30 @@ def _diagnostic(kind: str, exc: Exception):
     print(json.dumps(info, sort_keys=True, default=str), file=sys.stderr)
 
 
+class UsageError(Exception):
+    """A command line argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="betacrit",
         description="Coupling thresholds of exterior elliptic problems: "
                     "kernel spectra, direct solves, and scaling studies.")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="JSON configuration path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; runs are serial")
     parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    return run(args.subcommand, args.config, args.out, args.threads, args.verbose)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        _diagnostic("usage-error", exc)
+        return 1
+    return run(args.subcommand, args.config, args.out, args.verbose)
 
 
 if __name__ == "__main__":

@@ -1,29 +1,33 @@
-"""Direct negative-spectrum computations on truncated domains.
+"""Direct negative-spectrum computations, closed at the support edge R*.
 
-The radial operator -(a r^{d-1} u')'/r^{d-1} + centrifugal - beta V is
-discretized by second-order finite differences built from the quadratic form,
-so the matrix is symmetric tridiagonal.  Decay at infinity enters through an
-exact boundary relation at the truncation radius: the zero-energy closure for
-eigenvalue counting (which makes the count independent of the truncation),
-and the energy-dependent closure inside the shooting solver for eigenvalues.
+Past R* = max(support hi of V, r_flat, r_in) the sector equation is the free
+one, so decay at infinity enters through an exact boundary relation there:
+the zero-energy closure for eigenvalue counting (which makes the count
+independent of where the mesh ends), and the energy-dependent closure
+inside the shooting solver for eigenvalues.  The radial operator
+-(a r^{d-1} u')'/r^{d-1} + centrifugal - beta V is discretized by
+second-order finite differences built from the quadratic form, so the
+matrix is symmetric tridiagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from . import birman_schwinger as bs
 from .errors import UnconvergedError, ValidationError
 from .model import Potential, ProblemSpec, validate
-from .sector_ode import SectorODE
+from .sector_ode import SectorODE, closure_radius
 
 DEFAULT_H = 1e-3
-DEFAULT_R_MAX = 30.0
 DEFAULT_BISECT_TOL = 1e-6
+SEED_NODES = 1024  # finite-difference nodes behind the shooting bracket
 
 
 @dataclass(frozen=True)
@@ -39,20 +43,20 @@ class DiscreteOperator:
 
 
 def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
-                   h: float = DEFAULT_H, r_max: float = DEFAULT_R_MAX,
+                   h: float = DEFAULT_H, r_out: float | None = None,
                    sector: int | None = None, closure_lambda: float = 0.0) -> DiscreteOperator:
-    """Finite-difference pencil on [r_in, r_max] with the decay closure.
+    """Finite-difference pencil on [r_in, r_out] with the decay closure.
 
-    ``closure_lambda`` selects the energy of the outer boundary relation;
-    0 gives the threshold-exact closure used for counting.
+    ``r_out`` defaults to R* + 1; ``closure_lambda`` selects the energy of
+    the outer boundary relation, 0 giving the threshold-exact closure used
+    for counting.
     """
     ode = SectorODE(problem, sector=sector)
     l, bc = ode.sector, ode.bc
     r_in = problem.inner_radius
-    hi = potential.support[1]
-    if r_max < hi + 1.0:
-        r_max = hi + 5.0
-    n = max(8, int(round((r_max - r_in) / h)))
+    if r_out is None:
+        r_out = closure_radius(problem, potential) + 1.0
+    n = max(8, int(round((r_out - r_in) / h)))
     r = r_in + h * np.arange(n + 1)
     _, q, weight = ode.coefficients(r)
     # V enters cell-averaged, over the cells as the mesh realizes them
@@ -79,7 +83,7 @@ def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
         mesh, diag, off, mass = r, diag_full, off_full, mass_full
     else:
         raise ValidationError(f"unsupported sector boundary condition {bc!r}")
-    meta = {"h": h, "r_max": float(r[-1]), "sector": l, "bc": bc,
+    meta = {"h": h, "r_out": float(r[-1]), "sector": l, "bc": bc,
             "closure_lambda": closure_lambda}
     return DiscreteOperator(mesh, diag, off, mass, beta, meta)
 
@@ -106,23 +110,22 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray, shift: np.ndarray | float = 
 
 
 def sector_count(problem: ProblemSpec, potential: Potential, beta: float,
-                 h: float, r_max: float, sector: int) -> int:
+                 h: float, sector: int) -> int:
     """Negative-eigenvalue count of one angular sector."""
-    op = build_operator(problem, potential, beta, h, r_max, sector=sector,
-                        closure_lambda=0.0)
+    op = build_operator(problem, potential, beta, h, sector=sector)
     return _sturm_count(op.diag, op.off, 0.0)
 
 
 def _total_count(problem: ProblemSpec, potential: Potential, beta: float,
-                 h: float, r_max: float, l_cap: int = 400) -> int:
+                 h: float, l_cap: int = 400) -> int:
     """Sum of sector counts with multiplicities (sectors empty out monotonically)."""
     if problem.geometry == "half_line":
-        return sector_count(problem, potential, beta, h, r_max, 0)
+        return sector_count(problem, potential, beta, h, 0)
     if problem.dimension == 1:  # even/odd components of the punctured line
-        return sum(sector_count(problem, potential, beta, h, r_max, l) for l in (0, 1))
+        return sum(sector_count(problem, potential, beta, h, l) for l in (0, 1))
     total = 0
     for l in range(l_cap + 1):
-        c = sector_count(problem, potential, beta, h, r_max, l)
+        c = sector_count(problem, potential, beta, h, l)
         if c == 0:
             break
         total += problem.sector_multiplicity(l) * c
@@ -130,13 +133,11 @@ def _total_count(problem: ProblemSpec, potential: Potential, beta: float,
 
 
 def count_negative(problem: ProblemSpec, potential: Potential, beta: float,
-                   h: float = DEFAULT_H, r_max: float = DEFAULT_R_MAX,
-                   refine: bool = True) -> int:
+                   h: float = DEFAULT_H, refine: bool = True) -> int:
     """Number of negative eigenvalues of the full operator at coupling beta.
 
-    With ``refine`` the count is recomputed at half the mesh and at twice the
-    truncation radius; disagreement raises ``UnconvergedError`` carrying all
-    the counts.
+    With ``refine`` the count is recomputed at half the mesh; disagreement
+    raises ``UnconvergedError`` carrying both counts.
     """
     diags = validate(problem, potential)
     if diags:
@@ -145,44 +146,76 @@ def count_negative(problem: ProblemSpec, potential: Potential, beta: float,
         raise ValidationError("coupling must be nonnegative")
     if potential.is_zero() or beta == 0.0:
         return 0
-    base = _total_count(problem, potential, beta, h, r_max)
+    base = _total_count(problem, potential, beta, h)
     if not refine:
         return base
-    checks = {
-        (h, r_max): base,
-        (0.5 * h, r_max): _total_count(problem, potential, beta, 0.5 * h, r_max),
-        (h, 2.0 * r_max): _total_count(problem, potential, beta, h, 2.0 * r_max),
-    }
-    values = set(checks.values())
-    if len(values) > 1:
+    half = _total_count(problem, potential, beta, 0.5 * h)
+    if half != base:
         raise UnconvergedError(
             "negative-eigenvalue count did not stabilize under refinement",
-            details={f"h={k[0]:g},R={k[1]:g}": v for k, v in checks.items()})
+            details={f"h={h:g}": base, f"h={0.5 * h:g}": half})
     return base
 
 
 def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
-                   lam: float, r_max: float = DEFAULT_R_MAX,
-                   sector: int = 0) -> float:
-    """theta(r_max) - theta_target; zero exactly at sector eigenvalues.
+                   lam: float, sector: int = 0) -> float:
+    """theta(R*) - theta_target; zero exactly at sector eigenvalues.
 
     theta is the Pruefer angle of (u, p u') along the regular solution, the
-    target that of the decaying free solution at r_max.
+    target that of the decaying free solution at R*.  As lam rises theta
+    rises and the target falls, so the mismatch increases with lam.
     """
     ode = SectorODE(problem, potential, beta, sector)
+    r_star = closure_radius(problem, potential)
     _, theta, _ = ode.integrate(lam, [math.atan2(*ode.regular_state())],
-                                problem.inner_radius, r_max, prufer=True,
+                                problem.inner_radius, r_star, prufer=True,
                                 rtol=1e-10, atol=1e-13)
-    return float(theta[0]) - math.atan2(*ode.decay_state(lam, r_max))
+    return float(theta[0]) - math.atan2(*ode.decay_state(lam, r_star))
+
+
+def _fd_ground_energy(problem: ProblemSpec, potential: Potential, beta: float,
+                      sector: int, h: float) -> float | None:
+    """Lowest eigenvalue of the pencil on [r_in, R* + 1] whose closure sits at
+    that same energy; None when the pencil has none below 0.
+
+    The lowest eigenvalue falls as the closure energy mu rises, so the
+    consistent energy is the one root of lowest(mu) - mu in [lowest(0), 0].
+    """
+    def lowest(mu):
+        op = build_operator(problem, potential, beta, h, sector=sector,
+                            closure_lambda=mu)
+        scale = 1.0 / np.sqrt(op.mass)
+        return float(eigh_tridiagonal(op.diag * scale * scale,
+                                      op.off * scale[:-1] * scale[1:],
+                                      eigvals_only=True, select="i",
+                                      select_range=(0, 0))[0])
+
+    lam = lowest(0.0)
+    if lam >= 0.0:
+        return None
+    return brentq(lambda mu: lowest(mu) - mu, lam, 0.0, xtol=1e-9 * max(1.0, -lam))
+
+
+def _ground_seed(problem: ProblemSpec, potential: Potential, beta: float,
+                 sector: int):
+    """(estimate, spread) of the ground energy: the pencil's value at h, and
+    twice its gap to the value at 2h, an O(h^2) window.  None when the
+    pencil has no negative eigenvalue."""
+    h = (closure_radius(problem, potential) + 1.0 - problem.inner_radius) / SEED_NODES
+    fine = _fd_ground_energy(problem, potential, beta, sector, h)
+    coarse = _fd_ground_energy(problem, potential, beta, sector, 2.0 * h)
+    if fine is None or coarse is None:
+        return None
+    return fine, 2.0 * abs(fine - coarse)
 
 
 def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
-                 tol: float = 1e-10, r_max: float = DEFAULT_R_MAX,
-                 sector: int = 0):
+                 tol: float = 1e-10, sector: int = 0):
     """Lowest eigenvalue and radial profile, or None without bound states.
 
-    Shooting on the phase mismatch with the energy-dependent decay closure;
-    the eigenvalue is bracketed inside (-beta max V, 0).
+    Shooting on the phase mismatch with the energy-dependent decay closure.
+    The root is bracketed inside (-beta max V, 0), narrowed around the
+    finite-difference estimate before the root search.
     """
     diags = validate(problem, potential)
     if diags:
@@ -191,51 +224,52 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
         raise ValidationError("ground-state search needs beta > 0")
     if potential.is_zero():
         return None
-    lo, hi = potential.support
-    r_max = max(r_max, hi + 10.0)
     vmax = beta * potential.max_value()
     lam_lo = -vmax - 1e-6
     lam_hi = -1e-12 * max(1.0, vmax)
-    f_hi = phase_mismatch(problem, potential, beta, lam_hi, r_max, sector)
-    if f_hi <= 0.0:
+
+    @functools.cache
+    def mismatch(lam):
+        return phase_mismatch(problem, potential, beta, lam, sector)
+
+    lo, hi = lam_lo, lam_hi
+    seed = _ground_seed(problem, potential, beta, sector)
+    if seed is not None:  # the mismatch increases with lam
+        for lam in (seed[0] - seed[1], seed[0] + seed[1]):
+            if lo < lam < hi:
+                if mismatch(lam) < 0.0:
+                    lo = lam
+                else:
+                    hi = lam
+    if hi == lam_hi and mismatch(hi) <= 0.0:
         return None
-    f_lo = phase_mismatch(problem, potential, beta, lam_lo, r_max, sector)
-    if f_lo >= 0.0:
+    if lo == lam_lo and mismatch(lo) >= 0.0:
         raise UnconvergedError(
             "shooting bracket failure: mismatch positive at the lower bound",
-            details={"lambda_lo": lam_lo, "mismatch": f_lo})
-    lam0 = brentq(lambda lam: phase_mismatch(problem, potential, beta, lam,
-                                             r_max, sector),
-                  lam_lo, lam_hi, xtol=tol)
-    mesh, u = _eigenfunction(problem, potential, beta, lam0, r_max, sector)
+            details={"lambda_lo": lam_lo, "mismatch": mismatch(lo)})
+    lam0 = brentq(mismatch, lo, hi, xtol=tol)
+    mesh, u = _eigenfunction(problem, potential, beta, lam0, sector)
     return float(lam0), (mesh, u)
 
 
-def _eigenfunction(problem, potential, beta, lam, r_max, sector, n_mesh=4000):
+def _eigenfunction(problem, potential, beta, lam, sector, n_mesh=4000):
     """Profile at a converged eigenvalue, normalized in the volume measure.
 
-    The regular branch is integrated outward only up to the outer support
-    edge; past the well the decaying branch is integrated inward from the
-    truncation radius (the stable direction) and the two are glued by value.
+    The regular branch is integrated outward up to R*; past R* the profile
+    is the decaying free solution in closed form, out to where it has
+    fallen by e^{-40}.
     """
     ode = SectorODE(problem, potential, beta, sector)
     r_in = problem.inner_radius
-    glue = min(max(potential.support[1], problem.flat_radius()), r_max - 1.0)
-
-    def branch(y, start):
-        pieces, _, _ = ode.integrate(
-            lam, y, start, glue, rtol=1e-10, atol=1e-13,
-            t_eval=lambda a0, b0: np.linspace(
-                a0, b0, max(8, int(n_mesh * abs(b0 - a0) / (r_max - r_in)))))
-        return (np.concatenate([seg.sol.t for seg in pieces]),
-                np.concatenate([seg.sol.y[0] for seg in pieces]))
-
-    mesh_out, u_out = branch(ode.regular_state(), r_in)
-    mesh_in, u_in = branch(ode.decay_state(lam, r_max), r_max)
-    mesh_in, u_in = mesh_in[::-1], u_in[::-1]
-    scale = u_out[-1] / u_in[0] if u_in[0] != 0 else 1.0
-    mesh = np.concatenate([mesh_out, mesh_in[1:]])
-    u = np.concatenate([u_out, scale * u_in[1:]])
+    r_star = closure_radius(problem, potential)
+    pieces, _, _ = ode.integrate(
+        lam, ode.regular_state(), r_in, r_star, rtol=1e-10, atol=1e-13,
+        t_eval=lambda a0, b0: np.linspace(
+            a0, b0, max(8, int(n_mesh * (b0 - a0) / (r_star - r_in)))))
+    tail = r_star + np.linspace(0.0, 40.0 / math.sqrt(-lam), n_mesh // 4 + 1)[1:]
+    mesh = np.concatenate([seg.sol.t for seg in pieces] + [tail])
+    u = np.concatenate([seg.sol.y[0] for seg in pieces]
+                       + [pieces[-1].sol.y[0, -1] * ode.decay_ratio(lam, tail, r_star)])
     norm = math.sqrt(np.trapezoid(u ** 2 * mesh ** (problem.dimension - 1), mesh))
     return mesh, u / norm
 
@@ -265,8 +299,7 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
 
 
 def beta_critical_direct(problem: ProblemSpec, potential: Potential,
-                         tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H,
-                         r_max: float = DEFAULT_R_MAX):
+                         tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H):
     """Coupling threshold by bisection of the negative-eigenvalue count.
 
     None when no coupling up to 2^60 creates a bound state (as for V == 0).
@@ -276,11 +309,9 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential,
         raise ValidationError("; ".join(diags))
     if potential.is_zero():
         return None
-    lo_sup, hi_sup = potential.support
-    r_max = max(r_max, hi_sup + 10.0)
 
     def has_state(beta):
-        return _total_count(problem, potential, beta, h, r_max) >= 1
+        return _total_count(problem, potential, beta, h) >= 1
 
     lo, hi = 0.0, 1.0
     doublings = 0
@@ -299,20 +330,19 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential,
 
 
 def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,
-                        lam: float, r_max: float | None = None,
-                        sector: int = 0, h_res: float = 1e-2) -> float:
+                        lam: float, sector: int = 0, h_res: float = 1e-2) -> float:
     """Strong-form residual of the eigen-equation at a converged energy.
 
-    Re-integrates the first-order system (u, p u') on uniform sub-grids and
-    checks (p u')' = (q - lambda w) u with fourth-order differences inside
-    each smooth segment.  Returns the max residual relative to the profile
-    scale.
+    Re-integrates the first-order system (u, p u') on uniform sub-grids up
+    to R* (past it the closed-form tail solves the free equation exactly)
+    and checks (p u')' = (q - lambda w) u with fourth-order differences
+    inside each smooth segment.  Returns the max residual relative to the
+    profile scale.
     """
     ode = SectorODE(problem, potential, beta, sector)
-    if r_max is None:
-        r_max = max(DEFAULT_R_MAX, potential.support[1] + 10.0)
     pieces, _, _ = ode.integrate(
-        lam, ode.regular_state(), problem.inner_radius, r_max,
+        lam, ode.regular_state(), problem.inner_radius,
+        closure_radius(problem, potential),
         rtol=1e-12, atol=1e-14,
         t_eval=lambda a0, b0: np.linspace(
             a0, b0, max(9, int(round((b0 - a0) / h_res)) + 1)))

@@ -252,6 +252,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     _require_kernel(d, sign)
     rows = []
     notices = []
+    minorants = {}  # the sub-ball operator depends on n only through the shift
     w_mass = _profile_mass(family.base_profile, d)
     for n in n_grid:
         center = family.center(n)
@@ -268,8 +269,11 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
             row["rank_one_bound"] = (math.log(2.0 * n * center)
                                      / (2.0 * math.pi * math.log(n))) * w_mass
         else:
-            row["minorant"] = minorant_eigenvalue(d, 2.0 * n * center,
-                                                  family.base_profile, m=m)
+            shift = 2.0 * n * center
+            if shift not in minorants:
+                minorants[shift] = minorant_eigenvalue(d, shift, family.base_profile,
+                                                       m=m)
+            row["minorant"] = minorants[shift]
         rows.append(row)
     norms = [r["norm"] for r in rows]
     meta = {"d": d, "sign": sign, "m": m, "path": family.center_path.describe(),
@@ -332,7 +336,7 @@ def scaling_study_1d(family: ScaledPotentialFamily, n_grid,
 
 def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
               constant: float = DEFAULT_CLR_CONSTANT, h: float = ds.DEFAULT_H,
-              r_max: float = ds.DEFAULT_R_MAX, refine: bool = False) -> ScalingStudy:
+              refine: bool = False) -> ScalingStudy:
     """Counting bound audit: count <= constant * beta^{3/2} integral V^{3/2}.
 
     A violation would expose a solver bug, so the rows carry an explicit
@@ -344,7 +348,7 @@ def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
     rows = []
     for beta in beta_grid:
         count = ds.count_negative(problem, potential, float(beta), h=h,
-                                  r_max=r_max, refine=refine)
+                                  refine=refine)
         bound = constant * float(beta) ** 1.5 * v_moment
         rows.append({"beta": float(beta), "count": count, "bound": bound,
                      "violated": bool(count > bound)})

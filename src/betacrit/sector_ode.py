@@ -7,8 +7,8 @@ In sector l of a d-dimensional problem every route solves
 
 with the diffusion coefficient a(r) and the potential V.  ``SectorODE`` is
 the only code that knows p, q and w, the first-order (u, p u') and Pruefer
-forms of the equation, the decay closure at a truncation radius, and how to
-integrate across the kinks of V and a.
+forms of the equation, the decaying free solution past the closure radius
+R*, and how to integrate across the kinks of V and a.
 """
 
 from __future__ import annotations
@@ -22,6 +22,15 @@ from scipy.special import kve
 
 from .errors import UnconvergedError
 from .model import Potential, ProblemSpec
+
+
+def closure_radius(problem: ProblemSpec, potential: Potential) -> float:
+    """R* = max(support hi of V, r_flat, r_in).
+
+    Past R* the potential vanishes and a == 1, so the sector equation is the
+    free one and ``SectorODE.decay_state`` closes it exactly.
+    """
+    return max(potential.support[1], problem.flat_radius())
 
 
 class Segment(NamedTuple):
@@ -49,21 +58,24 @@ class SectorODE:
         self.dimension = problem.dimension
         self.bc = problem.effective_bc(self.sector)
         self._cent = self.sector * (self.sector + self.dimension - 2)
+        self._nu = self.sector + 0.5 * self.dimension - 1.0
 
     def coefficients(self, r):
-        """(p, q, w) at r, a float or an array."""
-        scalar = not isinstance(r, np.ndarray)
+        """(p, q, w) at r, a float or an array; a float never touches numpy."""
+        array = isinstance(r, np.ndarray)
+        if not array:
+            r = float(r)
         d = self.dimension
         w = r ** (d - 1)
         coefficient = self.problem.coefficient
         if coefficient is None:
             a = 1.0
         else:
-            a = float(coefficient(r)) if scalar else coefficient(r)
+            a = coefficient(r) if array else coefficient.at(r)
         q = a * self._cent * r ** (d - 3) if self._cent else 0.0
         if self.potential is not None:
-            v = self.potential(r)
-            q = q - self.beta * (float(v) if scalar else v) * w
+            v = self.potential(r) if array else self.potential.at(r)
+            q = q - self.beta * v * w
         return a * w, q, w
 
     def rhs(self, lam: float):
@@ -102,10 +114,16 @@ class SectorODE:
             log_derivative = -max(l + d - 2, 0) / r
         else:
             k = math.sqrt(-lam)
-            nu = l + 0.5 * d - 1.0
             z = k * r
-            log_derivative = l / r - k * kve(nu + 1.0, z) / kve(nu, z)
+            log_derivative = l / r - k * kve(self._nu + 1.0, z) / kve(self._nu, z)
         return 1.0, self.coefficients(r)[0] * log_derivative
+
+    def decay_ratio(self, lam: float, r, r0: float):
+        """u(r) / u(r0) along the decaying free solution r^{1-d/2} K_nu(k r),
+        for lam < 0 and r, r0 past the well."""
+        k = math.sqrt(-lam)
+        return ((r / r0) ** (1.0 - 0.5 * self.dimension) * np.exp(-k * (r - r0))
+                * kve(self._nu, k * r) / kve(self._nu, k * r0))
 
     def segment_points(self, r_in: float, r_out: float) -> list[float]:
         """[r_in, r_out] cut at the support edges of V and at r_flat, ascending."""

@@ -47,6 +47,27 @@ def halfline_crossing_count(beta: float, a: float, b: float,
         if phase > 0.5 * math.pi else 0
 
 
+def square_well_ground_energy(beta: float, a: float, b: float,
+                              inner: float = 0.0) -> float:
+    """Lowest eigenvalue -kappa^2 of the indicator well beta*1_(a,b), Dirichlet
+    at ``inner``, from the matching condition u'(b) = -kappa u(b).
+
+    u = sinh(kappa (x - inner)) before the well enters it at the Pruefer
+    angle atan((q/kappa) tanh(kappa arm)), q = sqrt(beta - kappa^2), and
+    advances by q (b - a) inside; the ground state leaves it at
+    pi - atan(q/kappa).  The mismatch falls strictly in kappa.
+    """
+    arm, width = a - inner, b - a
+
+    def mismatch(kappa):
+        q = math.sqrt(beta - kappa * kappa)
+        return (math.atan(q / kappa * math.tanh(kappa * arm)) + q * width
+                + math.atan(q / kappa) - math.pi)
+
+    kappa = brentq(mismatch, 1e-300, math.sqrt(beta), xtol=1e-300, rtol=1e-15)
+    return -kappa * kappa
+
+
 def bvp_green_halfline(bc: str, lam: float, xi: float, x_eval: np.ndarray,
                        length: float = 40.0, n: int = 200001) -> np.ndarray:
     """Finite-difference two-point solve of (-d2/dx2 - lam) G = delta_xi.

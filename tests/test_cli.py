@@ -21,10 +21,19 @@ def run_config(tmp_path, name, subcommand, extra=None):
     if extra:
         for key, val in extra.items():
             cfg.setdefault(key, {}).update(val)
+    tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = cli.run(subcommand, str(path), str(tmp_path))
     return code, cfg
+
+
+def betacrit(*args):
+    """The command line in a subprocess: (exit code, stderr lines)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "betacrit.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr.strip().splitlines()
 
 
 def read_json(tmp_path, cfg):
@@ -103,12 +112,8 @@ class TestConfigHandling:
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(cfg))
         # a subprocess, so that stray solver warnings would show on stderr
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        proc = subprocess.run([sys.executable, "-m", "betacrit.cli", "mu-curve",
-                               "--config", str(path), "--out", str(tmp_path)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 2
-        lines = proc.stderr.strip().splitlines()
+        code, lines = betacrit("mu-curve", "--config", str(path), "--out", str(tmp_path))
+        assert code == 2
         assert len(lines) == 1
         diag = json.loads(lines[0])
         assert diag["error"] == "numerical-failure"
@@ -135,6 +140,18 @@ class TestConfigHandling:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config-error"
 
+    def test_r_max_is_accepted_and_ignored(self, tmp_path):
+        study = {"study": {"beta_grid": [4.0]}}
+        code, cfg = run_config(tmp_path / "plain", "direct_square_well.json",
+                               "direct", extra=study)
+        assert code == 0
+        code, _ = run_config(tmp_path / "r_max", "direct_square_well.json",
+                             "direct", extra={**study, "numerics": {"r_max": 7.0}})
+        assert code == 0
+        for name in cfg["output"].values():
+            assert (tmp_path / "plain" / name).read_bytes() == \
+                (tmp_path / "r_max" / name).read_bytes()
+
     def test_dichotomy_without_decades_uses_the_suite_default(self, tmp_path):
         with open(os.path.join(CONFIG_DIR, "dichotomy.json")) as fh:
             cfg = json.load(fh)
@@ -143,6 +160,32 @@ class TestConfigHandling:
         path.write_text(json.dumps(cfg))
         assert cli.run("dichotomy", str(path), str(tmp_path)) == 0
         assert read_json(tmp_path, cfg)["metadata"]["decades"] == [2, 8]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("args", [
+        ("nosuch", "--config", "x.json"),
+        ("beta-cr", "--config", "x.json", "--threads", "4"),
+        ("beta-cr",),
+    ])
+    def test_usage_errors_exit_1_with_one_json_line(self, args):
+        code, lines = betacrit(*args)
+        assert code == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "usage-error"
+
+    def test_out_naming_a_file_exits_1_with_one_json_line(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, lines = betacrit("beta-cr", "--config",
+                               os.path.join(CONFIG_DIR, "beta_cr_square_well.json"),
+                               "--out", str(taken))
+        assert code == 1
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "output-error"
+        assert diag["type"] == "FileExistsError"
+        assert taken.read_text() == ""
 
 
 class TestReportWriting:
@@ -194,6 +237,8 @@ class TestSubcommands:
         payload = read_json(tmp_path, cfg)
         counts = [r["count"] for r in payload["rows"]]
         assert counts == [0, 1, 1, 4]
+        header = open(tmp_path / cfg["output"]["csv"]).readline().strip()
+        assert header == "beta,lambda0,count,mesh,residual"
 
     def test_fkw_report(self, tmp_path):
         code, cfg = run_config(tmp_path, "fkw_ball_d3.json", "fkw")
@@ -247,14 +292,3 @@ class TestDeterminism:
             assert cli.run("beta-cr", str(path), str(out)) == 0
         for name in cfg["output"].values():
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        with open(os.path.join(CONFIG_DIR, "crosscheck_square_well.json")) as fh:
-            cfg = json.load(fh)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert cli.run("crosscheck", str(path), str(tmp_path / "s"), threads=1) == 0
-        assert cli.run("crosscheck", str(path), str(tmp_path / "t"), threads=4) == 0
-        for name in cfg["output"].values():
-            assert (tmp_path / "s" / name).read_bytes() == \
-                (tmp_path / "t" / name).read_bytes()

@@ -76,11 +76,18 @@ class TestGroundState:
             lam0, _ = ds.ground_state(HALF_LINE_D, WELL, beta)
             assert lam0 >= -beta * WELL.max_value() - 1e-9
 
-    def test_truncation_independence_once_decayed(self):
-        vals = [ds.ground_state(HALF_LINE_D, WELL, 4.0, r_max=r)[0]
-                for r in (25.0, 40.0, 60.0)]
-        assert abs(vals[1] - vals[0]) < 1e-8
-        assert abs(vals[2] - vals[1]) < 1e-8
+    @pytest.mark.parametrize("beta", [0.814, 4.0, 100.0])
+    def test_matches_the_square_well_matching_equation(self, beta):
+        lam0, _ = ds.ground_state(HALF_LINE_D, WELL, beta)
+        exact = oc.square_well_ground_energy(beta, 1.0, 2.0)
+        assert abs(lam0 - exact) <= 1e-9 * max(1.0, abs(exact))
+
+    def test_profile_tail_is_the_decaying_free_solution(self):
+        lam0, (mesh, u) = ds.ground_state(HALF_LINE_D, WELL, 4.0)
+        tail = mesh > 2.0
+        k = np.sqrt(-lam0)
+        ratio = u[tail] * np.exp(k * mesh[tail])
+        assert ratio == pytest.approx(ratio[0], rel=1e-12)
 
     def test_profile_normalized_and_positive(self):
         lam0, (mesh, u) = ds.ground_state(HALF_LINE_D, WELL, 4.0)
@@ -199,15 +206,21 @@ class TestBetaCriticalDirect:
 
 class TestDiscreteOperator:
     def test_symmetric_tridiagonal_shape(self):
-        op = ds.build_operator(HALF_LINE_D, WELL, 2.0, h=1e-2, r_max=10.0)
+        op = ds.build_operator(HALF_LINE_D, WELL, 2.0, h=1e-2, r_out=10.0)
         assert op.diag.size == op.mesh.size
         assert op.off.size == op.diag.size - 1
         assert np.all(op.mass > 0)
 
-    def test_count_stable_across_truncation(self):
-        for r_max in (20.0, 40.0):
-            assert ds.count_negative(HALF_LINE_D, WELL, 4.0, r_max=r_max,
-                                     refine=False) == 1
+    def test_mesh_ends_one_unit_past_the_support_edge(self):
+        op = ds.build_operator(HALF_LINE_D, WELL, 2.0, h=1e-2)
+        assert op.mesh[-1] == pytest.approx(3.0, abs=1e-12)
+
+    def test_count_matches_crossing_oracle_at_h_and_half_h(self):
+        for beta in (0.5, 4.0, 30.0, 100.0):
+            expected = oc.halfline_crossing_count(beta, 1.0, 2.0)
+            for h in (2e-3, 1e-3):
+                assert ds.count_negative(HALF_LINE_D, WELL, beta, h=h,
+                                         refine=False) == expected
 
     def test_clr_inequality_d3(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)

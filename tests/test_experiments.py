@@ -113,6 +113,22 @@ class TestHalfspaceStudies:
                 assert row["minorant"] > 0
                 assert row["norm"] >= row["minorant"]
 
+    def test_d3_minorant_built_once_per_shift(self, monkeypatch):
+        shifts = []
+        minorant = ex.minorant_eigenvalue
+
+        def counted(d, shift, *args, **kwargs):
+            shifts.append(shift)
+            return minorant(d, shift, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "minorant_eigenvalue", counted)
+        # n x(n) = 1 along x(n) = 1/n, and = 2 along x(n) = 2/n
+        study = ex.halfspace_norm_study(3, "minus", unit_family(3), [2, 8, 32], m=120)
+        assert shifts == [2.0]
+        assert len({row["minorant"] for row in study.rows}) == 1
+        ex.halfspace_norm_study(3, "minus", unit_family(3, c=2.0), [2, 8], m=120)
+        assert shifts == [2.0, 4.0]
+
     def test_d3_scale_invariance_of_the_rescaled_kernel(self):
         fam = unit_family(3)
         study = ex.halfspace_norm_study(3, "minus", fam, [4, 64], m=600)

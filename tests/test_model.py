@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betacrit
 from betacrit.model import (CenterPath, CoefficientProfile, Potential,
@@ -170,3 +172,44 @@ class TestAdmissibility:
 def test_every_exported_name_resolves():
     for name in betacrit.__all__:
         assert getattr(betacrit, name, None) is not None, name
+
+
+@st.composite
+def _profile_and_point(draw):
+    """Samples on [-10, 10] and a point at a node, next to one, between two,
+    or outside the sampled range."""
+    xs = sorted(set(draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=8))))
+    if len(xs) < 2:
+        xs = [xs[0], xs[0] + 1.0]
+    ys = draw(st.lists(st.floats(0.0, 10.0), min_size=len(xs), max_size=len(xs)))
+    node = draw(st.sampled_from(xs))
+    x = draw(st.one_of(
+        st.just(node),
+        st.just(math.nextafter(node, -math.inf)),
+        st.just(math.nextafter(node, math.inf)),
+        st.floats(xs[0] - 2.0, xs[-1] + 2.0)))
+    return Profile(np.array(xs), np.array(ys)), x
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestScalarEvaluation:
+    @settings(max_examples=400, deadline=None)
+    @given(_profile_and_point(), st.floats(0.0, 5.0))
+    def test_profile_and_potential_match_np_interp_bit_for_bit(self, sample, amp):
+        profile, x = sample
+        assert _bits(profile.at(x)) == _bits(np.interp(x, profile.xs, profile.ys,
+                                                       left=0.0, right=0.0))
+        potential = Potential(profile, amp)
+        assert _bits(potential.at(x)) == _bits(potential(x))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_profile_and_point(), st.floats(0.0, 3.0))
+    def test_coefficient_matches_its_array_form_bit_for_bit(self, sample, extra):
+        profile, r = sample
+        positive = Profile(profile.xs, profile.ys + 0.5)
+        coefficient = CoefficientProfile(positive, positive.hi + extra)
+        for x in (r, coefficient.r_flat, math.nextafter(coefficient.r_flat, 0.0)):
+            assert _bits(coefficient.at(x)) == _bits(coefficient(np.array([x]))[0])

@@ -5,7 +5,7 @@ import pytest
 
 from betacrit.errors import UnconvergedError
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
-from betacrit.sector_ode import SectorODE
+from betacrit.sector_ode import SectorODE, closure_radius
 
 BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
 POT = Potential(Profile.indicator(1.5, 2.5), 2.0)
@@ -40,6 +40,21 @@ class TestClosureAndSegments:
         u, flux = SectorODE(BALL3).decay_state(-k * k, r)
         assert flux / u == pytest.approx(-r * r * (k + 1.0 / r), rel=1e-12)
         assert SectorODE(BALL3).decay_state(0.0, r) == (1.0, -r)
+
+    def test_decay_ratio_is_the_free_decaying_profile(self):
+        # d = 3, l = 0: u = e^{-kr}/r; d = 1: u = e^{-kr}
+        k, r0, r = 0.7, 2.5, np.array([2.5, 3.0, 9.0])
+        ratio = SectorODE(BALL3).decay_ratio(-k * k, r, r0)
+        assert ratio == pytest.approx(np.exp(-k * (r - r0)) * r0 / r, rel=1e-13)
+        line = SectorODE(ProblemSpec(1, "half_line", "dirichlet"))
+        assert line.decay_ratio(-k * k, r, r0) == pytest.approx(np.exp(-k * (r - r0)),
+                                                                rel=1e-13)
+
+    def test_closure_radius_is_where_v_and_a_stop_varying(self):
+        assert closure_radius(BALL3, POT) == 2.5
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0,
+                           coefficient=CoefficientProfile(A.profile, 3.0))
+        assert closure_radius(prob, POT) == 3.0
 
     def test_constant_tail_at_zero_energy(self):
         ode = SectorODE(ProblemSpec(2, "exterior_ball", "neumann", radius=1.0))
