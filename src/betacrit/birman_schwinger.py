@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import eigh
 
 from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
                      UnconvergedError, ValidationError)
@@ -140,47 +141,22 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 20000):
     return theta, res, -1
 
 
-def _subspace_fallback(a: np.ndarray, tol: float, dim: int = 4, sweeps: int = 400):
-    """Deterministic orthogonal iteration used when power iteration stalls
-    (nearly degenerate top of the spectrum)."""
-    n = a.shape[0]
-    dim = min(dim, n)
-    cols = [np.ones(n)]
-    if dim > 1:
-        cols.append(np.array([(-1.0) ** i for i in range(n)]))
-    if dim > 2:
-        cols.append(np.linspace(-1.0, 1.0, n))
-    if dim > 3:
-        cols.append(np.linspace(-1.0, 1.0, n) ** 2)
-    v, _ = np.linalg.qr(np.stack(cols[:dim], axis=1))
-    theta = 0.0
-    for _ in range(sweeps):
-        v, _ = np.linalg.qr(a @ v)
-        t = v.T @ (a @ v)
-        evals, evecs = np.linalg.eigh(0.5 * (t + t.T))
-        idx = int(np.argmax(evals))
-        theta = float(evals[idx])
-        w = v @ evecs[:, idx]
-        res = float(np.linalg.norm(a @ w - theta * w))
-        if res <= tol * max(abs(theta), 1e-300):
-            return theta, res
-    return theta, res
-
-
 def principal_eigenvalue(matrix, tol: float = DEFAULT_EIG_TOL):
     """(largest eigenvalue, achieved residual) of a symmetric kernel matrix.
 
-    Power iteration from the all-ones vector, with a small deterministic
-    subspace iteration as the fallback for (near-)degenerate tops.  The
+    Power iteration from the all-ones vector; where it stalls (a nearly
+    degenerate top), a dense symmetric solve for the top pair.  The
     residual lands in reports.
     """
     a = matrix.entries if isinstance(matrix, KernelMatrix) else np.asarray(matrix, dtype=float)
     theta, res, iters = _power_iteration(a, tol)
     if iters < 0:
-        theta, res = _subspace_fallback(a, tol)
+        evals, evecs = eigh(a, subset_by_index=[len(a) - 1, len(a) - 1])
+        theta, w = float(evals[0]), evecs[:, 0]
+        res = float(np.linalg.norm(a @ w - theta * w))
         if res > tol * max(abs(theta), 1e-300):
             raise UnconvergedError(
-                f"principal eigenvalue iteration stalled (residual {res:.3e})",
+                f"principal eigenvalue solve missed the tolerance (residual {res:.3e})",
                 details={"residual": res, "value": theta})
     return theta, res
 

@@ -3,15 +3,17 @@
 Every subcommand reads one JSON configuration (schema shipped with the
 package), writes its artifacts atomically into the output directory, and
 exits 0 on success, 1 on configuration errors, 2 on numerical failures
-(unconverged counts, indeterminate classifications, near-singular solves).
-Outputs carry no timestamps, and all iterative solvers start from fixed
-vectors, so identical configs produce byte-identical artifacts.
+(unconverged counts, indeterminate classifications, near-singular solves)
+and on a report that fails its schema.  Outputs carry no timestamps, and all
+iterative solvers start from fixed vectors, so identical configs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -56,10 +58,26 @@ def load_schema(name: str = "config") -> dict:
         return json.load(fh)
 
 
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """The schema's validator, checked against its meta-schema on first use."""
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, name: str):
+    """Raise the error ``jsonschema.validate`` would raise, if any."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def load_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
-    jsonschema.validate(cfg, load_schema())
+    _validate(cfg, "config")
     return cfg
 
 
@@ -340,13 +358,16 @@ def run(subcommand: str, config_path: str, out_dir: str = ".",
         return 1
     try:
         payload, columns, rows = RUNNERS[subcommand](cfg, problem, potential, num)
-        jsonschema.validate(payload, load_schema("report"))
+        _validate(payload, "report")
     except NUMERIC_ERRORS as exc:
         _diagnostic("numerical-failure", exc)
         return 2
     except ValidationError as exc:
         _diagnostic("config-error", exc)
         return 1
+    except jsonschema.ValidationError as exc:  # a report the program got wrong
+        _diagnostic("report-error", exc)
+        return 2
     out_cfg = cfg.get("output", {})
     json_name = out_cfg.get("json", f"{subcommand}.json")
     csv_name = out_cfg.get("csv", f"{subcommand}.csv")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.spatial.distance import cdist
 
 from . import birman_schwinger as bs
 from . import direct_spectrum as ds
@@ -141,16 +142,17 @@ def _distances(pts: np.ndarray, shift: float | None = None):
 
     The image of s is its mirror across x1 = 0 moved by ``shift`` along e1;
     without a shift only the direct distances are formed (image is None).
+    No m x m x d array is formed.
     """
-    diff = pts[:, None, :] - pts[None, :, :]
-    direct = np.sqrt(np.sum(diff ** 2, axis=-1))
+    direct = cdist(pts, pts)
     if shift is None:
         return direct, None
-    star = pts.copy()
-    star[:, 0] = -star[:, 0]
-    diff_im = pts[:, None, :] - star[None, :, :]
-    diff_im[..., 0] += shift
-    return direct, np.sqrt(np.sum(diff_im ** 2, axis=-1))
+    x1 = np.add.outer(pts[:, 0], pts[:, 0]) + shift
+    sq = x1 * x1
+    for k in range(1, pts.shape[1]):
+        t = np.subtract.outer(pts[:, k], pts[:, k])
+        sq += t * t
+    return direct, np.sqrt(sq)
 
 
 def _ball_cloud(m: int, radius: float = 1.0, center=None):
@@ -252,28 +254,29 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     _require_kernel(d, sign)
     rows = []
     notices = []
-    minorants = {}  # the sub-ball operator depends on n only through the shift
+    built = {}  # d = 3: both operators depend on n only through n x(n)
     w_mass = _profile_mass(family.base_profile, d)
     for n in n_grid:
         center = family.center(n)
+        row = {"n": float(n), "center": center}
+        if d == 3 and n * center in built:
+            rows.append({**row, **built[n * center]})
+            continue
         try:
             mat = halfspace_kernel_matrix(d, sign, float(n), center,
                                           family.base_profile, m=m)
         except ValidationError as exc:
             notices.append(f"n={n:g} skipped: {exc}")
             continue
-        norm, _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
-        row = {"n": float(n), "center": center, "norm": norm,
-               "nodes": mat.meta["nodes"]}
+        row["norm"], _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
+        row["nodes"] = mat.meta["nodes"]
         if d == 2:
             row["rank_one_bound"] = (math.log(2.0 * n * center)
                                      / (2.0 * math.pi * math.log(n))) * w_mass
         else:
-            shift = 2.0 * n * center
-            if shift not in minorants:
-                minorants[shift] = minorant_eigenvalue(d, shift, family.base_profile,
-                                                       m=m)
-            row["minorant"] = minorants[shift]
+            row["minorant"] = minorant_eigenvalue(d, 2.0 * n * center,
+                                                  family.base_profile, m=m)
+            built[n * center] = {k: row[k] for k in ("norm", "nodes", "minorant")}
         rows.append(row)
     norms = [r["norm"] for r in rows]
     meta = {"d": d, "sign": sign, "m": m, "path": family.center_path.describe(),

@@ -312,3 +312,17 @@ def reflection_kernel(d: int, sign: str, x: np.ndarray, xi: np.ndarray) -> float
         s = -1.0 if sign == "minus" else 1.0
         return (1.0 / direct + s / image) / (4.0 * math.pi)
     return math.log(image / direct) / (2.0 * math.pi)
+
+
+def broadcast_distances(pts: np.ndarray, shift: float | None = None):
+    """(direct, image) distances from m x m x d difference arrays: the image
+    of s is its mirror across x1 = 0 moved by ``shift`` along e1."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    direct = np.sqrt(np.sum(diff ** 2, axis=-1))
+    if shift is None:
+        return direct, None
+    star = pts.copy()
+    star[:, 0] = -star[:, 0]
+    diff_im = pts[:, None, :] - star[None, :, :]
+    diff_im[..., 0] += shift
+    return direct, np.sqrt(np.sum(diff_im ** 2, axis=-1))

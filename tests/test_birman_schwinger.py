@@ -35,6 +35,27 @@ class TestPrincipalEigenvalue:
         val = bs.principal_eigenvalue(a, 1e-10)[0]
         assert val == pytest.approx(2.0, rel=1e-8)
 
+    def test_nearly_degenerate_top_is_solved_exactly(self):
+        # six top eigenvalues within 5e-9 of each other stall power iteration
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        spectrum = np.concatenate([1.0 - 1e-9 * np.arange(6),
+                                   rng.uniform(0.1, 0.5, 34)])
+        a = (q * spectrum) @ q.T
+        a = 0.5 * (a + a.T)
+        val, res = bs.principal_eigenvalue(a, 1e-10)
+        assert val == pytest.approx(1.0, rel=1e-12)
+        assert res <= 1e-10 * val
+
+    def test_deep_energy_exterior_well(self):
+        # the top two eigenvalues agree to 9e-10 relative at lambda = -1e4
+        prob = ProblemSpec(1, "exterior_ball", "dirichlet", radius=1.0)
+        mat = bs.assemble(prob, WELL, -1e4, m=21)
+        val, res = bs.principal_eigenvalue(mat, 1e-10)
+        assert val == pytest.approx(float(np.linalg.eigvalsh(mat.entries)[-1]),
+                                    rel=1e-12)
+        assert res <= 1e-10 * val
+
     def test_residual_meets_the_tolerance(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         val, res = bs.principal_eigenvalue(a, 1e-12)

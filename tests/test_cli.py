@@ -162,6 +162,77 @@ class TestConfigHandling:
         assert read_json(tmp_path, cfg)["metadata"]["decades"] == [2, 8]
 
 
+def one_diagnostic(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+class TestSchemaValidation:
+    PROBLEM = {"geometry": "half_line", "dimension": 1,
+               "boundary_condition": "dirichlet"}
+    WELL = {"kind": "indicator", "support": [1.0, 2.0]}
+
+    @pytest.mark.parametrize("cfg", [
+        {"problem": PROBLEM, "potential": WELL, "numerics": {"eig_tol": -1.0}},
+        {"problem": {**PROBLEM, "typo": 1}, "potential": WELL},
+        {"problem": {**PROBLEM, "dimension": "one"}, "potential": WELL},
+        {"problem": PROBLEM},
+        {"problem": PROBLEM, "potential": {"kind": "x"}},
+        {"problem": PROBLEM, "potential": WELL, "study": {"beta_grid": ["a"]}},
+        {"problem": {**PROBLEM, "dimension": 0, "typo": 1},
+         "potential": {"kind": "tent", "support": "x"}, "numerics": {"m": -2}},
+        # best_match does not pick the first error here
+        {"problem": PROBLEM, "potential": WELL, "numerics": {"m": 0},
+         "output": {"json": 3}},
+        [],
+    ])
+    def test_diagnostic_matches_jsonschema_validate(self, tmp_path, capsys, cfg):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("beta-cr", str(path), str(tmp_path)) == 1
+        diag = one_diagnostic(capsys)
+        with pytest.raises(jsonschema.ValidationError) as err:
+            jsonschema.validate(cfg, cli.load_schema())
+        assert diag["error"] == "config-error"
+        assert diag["field"] == "/".join(str(p) for p in err.value.absolute_path)
+        assert diag["message"] == err.value.message
+
+    def test_meta_schema_checked_once_per_schema(self, tmp_path, monkeypatch):
+        validator = jsonschema.validators.validator_for(cli.load_schema())
+        check_schema = validator.check_schema
+        checked = []
+
+        def counted(schema, *args, **kwargs):
+            checked.append(schema["$id"])
+            return check_schema(schema, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("jsonschema.validate rebuilds the validator")
+
+        monkeypatch.setattr(validator, "check_schema", counted)
+        monkeypatch.setattr(jsonschema, "validate", refuse)
+        cli._validator.cache_clear()
+        for run in range(3):
+            code, _ = run_config(tmp_path / str(run), "beta_cr_square_well.json",
+                                 "beta-cr", extra={"numerics": {"m": 32}})
+            assert code == 0
+        assert checked == ["betacrit-config", "betacrit-report"]
+
+    def test_invalid_report_exits_2_without_artifacts(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def oops(cfg, problem, potential, num):
+            return {"beta_cr": "oops"}, ("beta_cr",), [{"beta_cr": "oops"}]
+
+        monkeypatch.setitem(cli.RUNNERS, "beta-cr", oops)
+        code, cfg = run_config(tmp_path, "beta_cr_square_well.json", "beta-cr")
+        assert code == 2
+        diag = one_diagnostic(capsys)
+        assert diag["error"] == "report-error"
+        assert diag["type"] == "ValidationError"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 class TestCommandLine:
     @pytest.mark.parametrize("args", [
         ("nosuch", "--config", "x.json"),

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from betacrit import birman_schwinger as bs
 from betacrit import experiments as ex
@@ -129,6 +132,27 @@ class TestHalfspaceStudies:
         ex.halfspace_norm_study(3, "minus", unit_family(3, c=2.0), [2, 8], m=120)
         assert shifts == [2.0, 4.0]
 
+    def test_d3_norm_built_once_per_n_times_center(self, monkeypatch):
+        calls = []
+        kernel_matrix = ex.halfspace_kernel_matrix
+
+        def counted(d, sign, n, center, *args, **kwargs):
+            calls.append(n * center)
+            return kernel_matrix(d, sign, n, center, *args, **kwargs)
+
+        # x(n) = 1/n as in configs/halfspace_d3.json: n x(n) = 1 for every n
+        study = ex.halfspace_norm_study(3, "minus", unit_family(3), [2, 8, 32, 128],
+                                        m=120)
+        monkeypatch.setattr(ex, "halfspace_kernel_matrix", counted)
+        cached = ex.halfspace_norm_study(3, "minus", unit_family(3),
+                                         [2, 8, 32, 128], m=120)
+        assert calls == [1.0]
+        assert cached.to_json_dict() == study.to_json_dict()
+        assert [r["n"] for r in cached.rows] == [2.0, 8.0, 32.0, 128.0]
+        # x(n) = n^-1/2: a new product, so a new build, for every n
+        ex.halfspace_norm_study(3, "minus", unit_family(3, delta=0.5), [4, 16], m=120)
+        assert calls == [1.0, 2.0, 4.0]
+
     def test_d3_scale_invariance_of_the_rescaled_kernel(self):
         fam = unit_family(3)
         study = ex.halfspace_norm_study(3, "minus", fam, [4, 64], m=600)
@@ -170,6 +194,36 @@ class TestHalfspaceStudies:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             ex.halfspace_norm_study(2, "minus", unit_family(3), [10], m=200)
+
+
+def clouds(dim):
+    return arrays(np.float64, st.tuples(st.integers(1, 24), st.just(dim)),
+                  elements=st.floats(-4.0, 4.0, allow_subnormal=False))
+
+
+class TestDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(clouds(2), clouds(3)),
+           st.one_of(st.none(), st.floats(0.0, 2e4, allow_subnormal=False)))
+    def test_bit_identical_to_the_broadcast_formula(self, pts, shift):
+        direct, image = ex._distances(pts, shift)
+        old_direct, old_image = oc.broadcast_distances(pts, shift)
+        assert direct.tobytes() == old_direct.tobytes()
+        if shift is None:
+            assert image is None
+        else:
+            assert image.tobytes() == old_image.tobytes()
+
+    @pytest.mark.parametrize("cloud", ["disk", "ball", "sub-ball"])
+    def test_bit_identical_on_the_study_clouds(self, cloud):
+        pts = {"disk": lambda: ex.disk_grid(18, 36)[0],
+               "ball": lambda: ex._ball_cloud(700)[0],
+               "sub-ball": lambda: ex._ball_cloud(
+                   700, radius=0.25, center=(0.5, 0.0, 0.0))[0]}[cloud]()
+        for shift in (None, 0.02, 1.0, 2.0, 2e3):
+            new, old = ex._distances(pts, shift), oc.broadcast_distances(pts, shift)
+            assert new[0].tobytes() == old[0].tobytes()
+            assert shift is None or new[1].tobytes() == old[1].tobytes()
 
 
 def kernel_values(mat):
