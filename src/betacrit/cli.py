@@ -217,10 +217,10 @@ def _run_direct(cfg, problem, potential, num):
     study = cfg.get("study", {})
     beta_grid = study.get("beta_grid", [1.0])
     refine = study.get("refine", True)
+    counter = ds.SpectrumCounter(problem, potential)  # rows and threshold share it
 
     def one(beta):
-        count = ds.count_negative(problem, potential, float(beta),
-                                  h=num["mesh_h"], refine=refine)
+        count = counter.count(float(beta), h=num["mesh_h"], refine=refine)
         row = {"beta": float(beta), "count": count, "mesh": num["mesh_h"],
                "lambda0": "", "residual": ""}
         if count > 0 and beta > 0:
@@ -232,8 +232,7 @@ def _run_direct(cfg, problem, potential, num):
         return row
 
     rows = [one(beta) for beta in beta_grid]
-    bc = ds.beta_critical_direct(problem, potential, tol=num["bisect_tol"],
-                                 h=num["mesh_h"])
+    bc = counter.threshold(tol=num["bisect_tol"], h=num["mesh_h"])
     payload = {"rows": rows,
                "beta_cr_direct": bc,
                "metadata": {"mesh_h": num["mesh_h"]}}

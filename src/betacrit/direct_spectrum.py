@@ -13,11 +13,14 @@ matrix is symmetric tridiagonal.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
 from . import birman_schwinger as bs
@@ -42,6 +45,88 @@ class DiscreteOperator:
     meta: dict = field(default_factory=dict)
 
 
+class _Mesh(NamedTuple):
+    """What no sector and no coupling changes in the pencil on [r_in, r_out]."""
+
+    r: np.ndarray        # nodes r_0..r_N
+    h: float
+    p_half: np.ndarray   # p at the cell midpoints
+    p_sum: np.ndarray    # (p_{i-1/2} + p_{i+1/2}) / h at the interior nodes
+    off: np.ndarray      # -p_half / h
+    weight: np.ndarray
+    v_cell: np.ndarray   # V averaged over the cells as the mesh realizes them
+
+
+def _mesh(problem: ProblemSpec, potential: Potential, h: float,
+          r_out: float | None = None) -> _Mesh:
+    ode = SectorODE(problem)
+    r_in = problem.inner_radius
+    if r_out is None:
+        r_out = closure_radius(problem, potential) + 1.0
+    n = max(8, int(round((r_out - r_in) / h)))
+    r = r_in + h * np.arange(n + 1)
+    weight = ode.coefficients(r)[2]
+    p_half = ode.coefficients(r[:-1] + 0.5 * h)[0]
+    return _Mesh(r, h, p_half, (p_half[:-1] + p_half[1:]) / h, -p_half / h,
+                 weight, potential.cell_average(r, float(r[1] - r[0])))
+
+
+class SectorPencil:
+    """One sector's finite-difference pencil with the coupling factored out,
+    A(beta) = A0 - beta D_V, on the mesh of a ``_Mesh``.
+
+    The diagonal is assembled from the quadratic form in the order a single
+    build uses, p-sum + (q0 - beta V w) h, so it is the same to the last bit
+    for every coupling; the closure flux is kept per closure energy.  The
+    centrifugal term q0 is formed afresh for each diagonal (a few
+    microseconds), so a pencil keeps no array of its own and a count that
+    sweeps many sectors holds one mesh, not one array per sector.
+    """
+
+    def __init__(self, mesh: _Mesh, problem: ProblemSpec, sector: int | None = None):
+        ode = SectorODE(problem, sector=sector)
+        if ode.bc not in ("dirichlet", "neumann"):
+            raise ValidationError(f"unsupported sector boundary condition {ode.bc!r}")
+        self.ode, self.grid = ode, mesh
+        # Dirichlet eliminates u(r_in) = 0, the first node
+        self.first = 1 if ode.bc == "dirichlet" else 0
+        self.off = mesh.off[self.first:]
+        self._flux = {}
+
+    def diag(self, beta: float, closure_lambda: float = 0.0) -> np.ndarray:
+        grid, h = self.grid, self.grid.h
+        if closure_lambda not in self._flux:
+            self._flux[closure_lambda] = self.ode.decay_state(closure_lambda, grid.r[-1])[1]
+        q = self.ode.coefficients(grid.r)[1] - beta * grid.v_cell * grid.weight
+        diag = np.empty(q.size)
+        diag[1:-1] = grid.p_sum + q[1:-1] * h
+        diag[0] = grid.p_half[0] / h + q[0] * 0.5 * h
+        diag[-1] = grid.p_half[-1] / h + q[-1] * 0.5 * h - self._flux[closure_lambda]
+        return diag[self.first:]
+
+    @functools.cached_property
+    def mass(self) -> np.ndarray:
+        grid = self.grid
+        mass = grid.weight * grid.h
+        mass[0] *= 0.5
+        mass[-1] *= 0.5
+        if self.first:  # node 1 becomes a full interior cell
+            mass = mass[1:].copy()
+            mass[0] = grid.weight[1] * grid.h
+        return mass
+
+    def count(self, beta: float) -> int:
+        """Negative eigenvalues of A(beta) with the zero-energy closure."""
+        return _sturm_count(self.diag(beta), self.off)
+
+    def operator(self, beta: float, closure_lambda: float = 0.0) -> DiscreteOperator:
+        r = self.grid.r
+        meta = {"h": self.grid.h, "r_out": float(r[-1]), "sector": self.ode.sector,
+                "bc": self.ode.bc, "closure_lambda": closure_lambda}
+        return DiscreteOperator(r[self.first:], self.diag(beta, closure_lambda),
+                                self.off, self.mass, beta, meta)
+
+
 def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
                    h: float = DEFAULT_H, r_out: float | None = None,
                    sector: int | None = None, closure_lambda: float = 0.0) -> DiscreteOperator:
@@ -51,85 +136,110 @@ def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
     the outer boundary relation, 0 giving the threshold-exact closure used
     for counting.
     """
-    ode = SectorODE(problem, sector=sector)
-    l, bc = ode.sector, ode.bc
-    r_in = problem.inner_radius
-    if r_out is None:
-        r_out = closure_radius(problem, potential) + 1.0
-    n = max(8, int(round((r_out - r_in) / h)))
-    r = r_in + h * np.arange(n + 1)
-    _, q, weight = ode.coefficients(r)
-    # V enters cell-averaged, over the cells as the mesh realizes them
-    q = q - beta * potential.cell_average(r, float(r[1] - r[0])) * weight
-    p_half = ode.coefficients(r[:-1] + 0.5 * h)[0]
-    _, flux_out = ode.decay_state(closure_lambda, r[-1])
-
-    # quadratic-form assembly over all nodes r_0..r_N
-    diag_full = np.empty(n + 1)
-    diag_full[1:-1] = (p_half[:-1] + p_half[1:]) / h + q[1:-1] * h
-    diag_full[0] = p_half[0] / h + q[0] * 0.5 * h
-    diag_full[-1] = p_half[-1] / h + q[-1] * 0.5 * h - flux_out
-    off_full = -p_half / h
-    mass_full = weight * h
-    mass_full[0] *= 0.5
-    mass_full[-1] *= 0.5
-
-    if bc == "dirichlet":
-        # eliminate u(r_in) = 0; node 1 becomes a full interior cell
-        mesh, diag, off = r[1:], diag_full[1:], off_full[1:]
-        mass = mass_full[1:].copy()
-        mass[0] = weight[1] * h
-    elif bc == "neumann":
-        mesh, diag, off, mass = r, diag_full, off_full, mass_full
-    else:
-        raise ValidationError(f"unsupported sector boundary condition {bc!r}")
-    meta = {"h": h, "r_out": float(r[-1]), "sector": l, "bc": bc,
-            "closure_lambda": closure_lambda}
-    return DiscreteOperator(mesh, diag, off, mass, beta, meta)
+    pencil = SectorPencil(_mesh(problem, potential, h, r_out), problem, sector)
+    return pencil.operator(beta, closure_lambda)
 
 
-def _sturm_count(diag: np.ndarray, off: np.ndarray, shift: np.ndarray | float = 0.0) -> int:
-    """Number of eigenvalues below the shift for a symmetric tridiagonal.
+def _sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
+    """Number of eigenvalues <= 0 of a symmetric tridiagonal.
 
-    A zero pivot stands for -tiny, so it counts as negative (as in LAPACK's
-    bisection).
+    LAPACK's bisection (``dstebz``) counts the nonpositive pivots of the
+    Sturm sequence, a zero pivot standing for -tiny; with an infinite
+    tolerance every interval has converged at once, so only the count is
+    formed.
     """
-    d = (diag - shift).tolist()
-    e = off.tolist()
-    count = 0
-    t = d[0]
-    if t <= 0:
-        count += 1
-    tiny = 1e-300
-    for i in range(1, len(d)):
-        denom = t if abs(t) > tiny else math.copysign(tiny, t if t != 0 else -1.0)
-        t = d[i] - e[i - 1] * e[i - 1] / denom
-        if t <= 0:
-            count += 1
+    if diag.size == 1:  # the wrapper rejects an empty off-diagonal
+        return int(diag[0] <= 0.0)
+    count, *_, info = dstebz(diag, off, 1, -math.inf, 0.0, 0, 0, math.inf, "B")
+    if info:
+        raise UnconvergedError("LAPACK dstebz failed", details={"info": info})
     return count
 
 
 def sector_count(problem: ProblemSpec, potential: Potential, beta: float,
                  h: float, sector: int) -> int:
     """Negative-eigenvalue count of one angular sector."""
-    op = build_operator(problem, potential, beta, h, sector=sector)
-    return _sturm_count(op.diag, op.off, 0.0)
+    return SectorPencil(_mesh(problem, potential, h), problem, sector).count(beta)
 
 
-def _total_count(problem: ProblemSpec, potential: Potential, beta: float,
-                 h: float, l_cap: int = 400) -> int:
-    """Sum of sector counts with multiplicities (sectors empty out monotonically)."""
-    if problem.geometry == "half_line":
-        return sector_count(problem, potential, beta, h, 0)
-    if problem.dimension == 1:  # even/odd components of the punctured line
-        return sum(sector_count(problem, potential, beta, h, l) for l in (0, 1))
-    total = 0
-    for l in range(l_cap + 1):
-        c = sector_count(problem, potential, beta, h, l)
-        if c == 0:
-            break
-        total += problem.sector_multiplicity(l) * c
-    return total
+class SpectrumCounter:
+    """Negative-eigenvalue counts of one problem and potential.
+
+    Each (h, sector) pencil is built on first use and kept for the life of
+    the counter, so a bisection or a coupling grid pays for it once; make
+    one counter per study, never one per process.
+    """
+
+    def __init__(self, problem: ProblemSpec, potential: Potential):
+        diags = validate(problem, potential)
+        if diags:
+            raise ValidationError("; ".join(diags))
+        self.problem, self.potential = problem, potential
+        self._meshes: dict[float, _Mesh] = {}
+        self._pencils: dict[tuple[float, int], SectorPencil] = {}
+
+    def pencil(self, h: float, sector: int) -> SectorPencil:
+        pencil = self._pencils.get((h, sector))
+        if pencil is None:
+            if h not in self._meshes:
+                self._meshes[h] = _mesh(self.problem, self.potential, h)
+            pencil = SectorPencil(self._meshes[h], self.problem, sector)
+            self._pencils[(h, sector)] = pencil
+        return pencil
+
+    def total(self, beta: float, h: float) -> int:
+        """Sum of sector counts with multiplicities, up to the first empty
+        sector (sectors empty out monotonically)."""
+        problem = self.problem
+        if problem.geometry == "half_line":
+            return self.pencil(h, 0).count(beta)
+        if problem.dimension == 1:  # even/odd components of the punctured line
+            return sum(self.pencil(h, l).count(beta) for l in (0, 1))
+        total = 0
+        for l in itertools.count():
+            c = self.pencil(h, l).count(beta)
+            if c == 0:
+                return total
+            total += problem.sector_multiplicity(l) * c
+
+    def count(self, beta: float, h: float = DEFAULT_H, refine: bool = True) -> int:
+        """``count_negative`` on this counter's pencils."""
+        if beta < 0:
+            raise ValidationError("coupling must be nonnegative")
+        if self.potential.is_zero() or beta == 0.0:
+            return 0
+        base = self.total(beta, h)
+        if not refine:
+            return base
+        half = self.total(beta, 0.5 * h)
+        if half != base:
+            raise UnconvergedError(
+                "negative-eigenvalue count did not stabilize under refinement",
+                details={f"h={h:g}": base, f"h={0.5 * h:g}": half})
+        return base
+
+    def threshold(self, tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H):
+        """``beta_critical_direct`` on this counter's pencils."""
+        if self.potential.is_zero():
+            return None
+
+        def has_state(beta):
+            return self.total(beta, h) >= 1
+
+        lo, hi = 0.0, 1.0
+        doublings = 0
+        while not has_state(hi):
+            lo, hi = hi, 2.0 * hi
+            doublings += 1
+            if doublings > 60:
+                return None
+        while hi - lo > tol * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if has_state(mid):
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
 
 
 def count_negative(problem: ProblemSpec, potential: Potential, beta: float,
@@ -139,22 +249,7 @@ def count_negative(problem: ProblemSpec, potential: Potential, beta: float,
     With ``refine`` the count is recomputed at half the mesh; disagreement
     raises ``UnconvergedError`` carrying both counts.
     """
-    diags = validate(problem, potential)
-    if diags:
-        raise ValidationError("; ".join(diags))
-    if beta < 0:
-        raise ValidationError("coupling must be nonnegative")
-    if potential.is_zero() or beta == 0.0:
-        return 0
-    base = _total_count(problem, potential, beta, h)
-    if not refine:
-        return base
-    half = _total_count(problem, potential, beta, 0.5 * h)
-    if half != base:
-        raise UnconvergedError(
-            "negative-eigenvalue count did not stabilize under refinement",
-            details={f"h={h:g}": base, f"h={0.5 * h:g}": half})
-    return base
+    return SpectrumCounter(problem, potential).count(beta, h, refine)
 
 
 def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
@@ -181,12 +276,12 @@ def _fd_ground_energy(problem: ProblemSpec, potential: Potential, beta: float,
     The lowest eigenvalue falls as the closure energy mu rises, so the
     consistent energy is the one root of lowest(mu) - mu in [lowest(0), 0].
     """
-    def lowest(mu):
-        op = build_operator(problem, potential, beta, h, sector=sector,
-                            closure_lambda=mu)
-        scale = 1.0 / np.sqrt(op.mass)
-        return float(eigh_tridiagonal(op.diag * scale * scale,
-                                      op.off * scale[:-1] * scale[1:],
+    pencil = SectorPencil(_mesh(problem, potential, h), problem, sector)
+    scale = 1.0 / np.sqrt(pencil.mass)
+    off = pencil.off * scale[:-1] * scale[1:]
+
+    def lowest(mu):  # only the closure entry moves with mu
+        return float(eigh_tridiagonal(pencil.diag(beta, mu) * scale * scale, off,
                                       eigvals_only=True, select="i",
                                       select_range=(0, 0))[0])
 
@@ -304,29 +399,7 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential,
 
     None when no coupling up to 2^60 creates a bound state (as for V == 0).
     """
-    diags = validate(problem, potential)
-    if diags:
-        raise ValidationError("; ".join(diags))
-    if potential.is_zero():
-        return None
-
-    def has_state(beta):
-        return _total_count(problem, potential, beta, h) >= 1
-
-    lo, hi = 0.0, 1.0
-    doublings = 0
-    while not has_state(hi):
-        lo, hi = hi, 2.0 * hi
-        doublings += 1
-        if doublings > 60:
-            return None
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if has_state(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return SpectrumCounter(problem, potential).threshold(tol, h)
 
 
 def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,

@@ -9,6 +9,7 @@ integrals of the singular part over the quadrature domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ DEFAULT_CLR_CONSTANT = 0.1156  # d=3 counting-bound constant, configurable
 # one decade past the kernel default: the planar Dirichlet tail creeps up
 # like 1/ln(1/|lambda|) and needs it to read as bounded
 DICHOTOMY_DECADES = (2, 8)
+SUB_BALL = ((0.5, 0.0, 0.0), 0.25)  # center and radius of the d=3 comparison ball
 
 
 @dataclass(frozen=True)
@@ -145,20 +147,75 @@ def _distances(pts: np.ndarray, shift: float | None = None):
     No m x m x d array is formed.
     """
     direct = cdist(pts, pts)
-    if shift is None:
-        return direct, None
+    return direct, None if shift is None else _image_distances(pts, shift)
+
+
+def _image_distances(pts: np.ndarray, shift: float) -> np.ndarray:
     x1 = np.add.outer(pts[:, 0], pts[:, 0]) + shift
     sq = x1 * x1
     for k in range(1, pts.shape[1]):
         t = np.subtract.outer(pts[:, k], pts[:, k])
         sq += t * t
-    return direct, np.sqrt(sq)
+    return np.sqrt(sq)
 
 
 def _ball_cloud(m: int, radius: float = 1.0, center=None):
     """Ball product rule with about m nodes (c x c x 1.4c)."""
     c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
     return ball_grid(c, c, int(math.ceil(1.4 * c)), radius=radius, center=center)
+
+
+class _Cloud:
+    """Quadrature cloud on a disk (d = 2) or a ball (d = 3) cut to
+    x1 > x1_min, with what no shift changes: the node radii, the singular
+    kernel g on the direct distances and its exact cell integrals per cut.
+    Each is formed on first use, so a study that hands one cloud to every n
+    forms it once.
+    """
+
+    def __init__(self, d: int, m: int, x1_min: float = -np.inf,
+                 radius: float = 1.0, center=None):
+        if d == 2:
+            n_r = max(6, int(round(math.sqrt(m / 2.0))))
+            pts, w = disk_grid(n_r, 2 * n_r, radius)
+        else:
+            pts, w = _ball_cloud(m, radius=radius, center=center)
+        keep = pts[:, 0] > x1_min + 1e-12
+        self.pts, self.w = pts[keep], w[keep]
+        self.d, self.radius, self.center = d, radius, center
+        self.bottom = radius if center is None else radius - center[0]  # -min s1
+        self._cells = {}
+
+    def keeps_all(self, x1_min: float) -> bool:
+        """Whether the cut x1 > x1_min drops none of the nodes."""
+        return bool(np.all(self.pts[:, 0] > x1_min + 1e-12))
+
+    @functools.cached_property
+    def radii(self) -> np.ndarray:
+        return np.linalg.norm(self.pts, axis=1)
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        direct, _ = _distances(self.pts)
+        with np.errstate(divide="ignore"):
+            return np.log(1.0 / direct) if self.d == 2 else 1.0 / direct
+
+    def cells(self, x1_min: float = -np.inf) -> np.ndarray:
+        """Exact integrals of g over the disk or ball cut at s1 > x1_min.
+
+        A cut below the bottom by more than the node margin shortens no
+        ray, so every such cut shares the uncut integrals, bit for bit.
+        """
+        if x1_min < -self.bottom - 1e-12:
+            x1_min = -np.inf
+        if x1_min not in self._cells:
+            if self.d == 2:
+                cells = log_cell_integrals(self.pts, self.radius, x1_min)
+            else:
+                cells = newton_cell_integrals(self.pts, self.radius, x1_min,
+                                              center=self.center)
+            self._cells[x1_min] = cells
+        return self._cells[x1_min]
 
 
 def _require_kernel(d: int, sign: str):
@@ -172,53 +229,48 @@ def _require_kernel(d: int, sign: str):
 
 def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
                             profile: Profile | None = None,
-                            m: int = 700) -> bs.KernelMatrix:
+                            m: int = 700, *, _cloud: _Cloud | None = None) -> bs.KernelMatrix:
     """Discretized rescaled kernel operator for one value of n.
 
     Points live in the rescaled frame (original = center*e1 + point/n): the
     half-space is x1 > -n*center, and the image of s picks up the shift
     2*n*center along e1.  ``profile`` is the radial profile of the well
-    shape W (default: indicator of the unit ball).
+    shape W (default: indicator of the unit ball).  ``_cloud`` is the uncut
+    unit cloud a study shares across its n grid; it serves every n whose
+    cut drops no node.
     """
     _require_kernel(d, sign)
     if d == 2 and n <= 1.0:
         raise ValidationError("d=2 scaling needs n > 1")
     cut = -n * center
-    if d == 2:
-        n_r = max(6, int(round(math.sqrt(m / 2.0))))
-        pts, w = disk_grid(n_r, 2 * n_r)
-    else:
-        pts, w = _ball_cloud(m)
-    keep = pts[:, 0] > cut + 1e-12
-    pts, w = pts[keep], w[keep]
-    density = (np.linalg.norm(pts, axis=1) <= 1.0).astype(float) \
-        if profile is None else profile(np.linalg.norm(pts, axis=1))
-    direct, image = _distances(pts, 2.0 * n * center)
+    cloud = _cloud
+    if cloud is None or not cloud.keeps_all(cut):
+        cloud = _Cloud(d, m, cut)
+    density = (cloud.radii <= 1.0).astype(float) if profile is None \
+        else profile(cloud.radii)
+    image = _image_distances(cloud.pts, 2.0 * n * center)
     if d == 2:
         c_s = 1.0 / (2.0 * math.pi * math.log(n))
-        with np.errstate(divide="ignore"):
-            g = np.log(1.0 / direct)
         regular = c_s * np.log(image)
-        cells = log_cell_integrals(pts, 1.0, cut)
     else:
         c_s = C3
         sgn = -1.0 if sign == "minus" else 1.0
-        with np.errstate(divide="ignore"):
-            g = 1.0 / direct
         regular = sgn * C3 / image
-        cells = newton_cell_integrals(pts, 1.0, cut)
-    meta = {"d": d, "sign": sign, "n": n, "center": center, "nodes": pts.shape[0]}
-    return bs.assemble_points(pts, w, density, regular, g, c_s, cells, meta)
+    meta = {"d": d, "sign": sign, "n": n, "center": center,
+            "nodes": cloud.pts.shape[0]}
+    return bs.assemble_points(cloud.pts, cloud.w, density, regular, cloud.g, c_s,
+                              cloud.cells(cut), meta)
 
 
 def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
-                        ball_center=(0.5, 0.0, 0.0), ball_radius: float = 0.25,
-                        m: int = 700) -> float:
+                        ball_center=SUB_BALL[0], ball_radius: float = SUB_BALL[1],
+                        m: int = 700, *, _cloud: _Cloud | None = None) -> float:
     """Principal eigenvalue of the fixed sub-ball comparison operator.
 
     The image term is controlled on a ball away from the boundary:
     |image| >= 2(c1 - r_B) + shift there, so the kernel dominates
-    rho * c3 / |y - s| with an explicit rho independent of n.
+    rho * c3 / |y - s| with an explicit rho independent of n.  ``_cloud``
+    is the sub-ball's cloud, which a study shares across its shifts.
     """
     if d != 3:
         raise ValidationError("the sub-ball comparison operator is a d=3 device")
@@ -226,18 +278,11 @@ def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
     rho = 1.0 - (2.0 * ball_radius) / (2.0 * (c1 - ball_radius) + shift)
     if rho <= 0:
         return 0.0
-    pts, w = _ball_cloud(m, radius=ball_radius, center=ball_center)
-    if profile is None:
-        alpha = 1.0
-    else:
-        alpha = float(np.min(profile(np.linalg.norm(pts, axis=1))))
-    direct, _ = _distances(pts)
-    with np.errstate(divide="ignore"):
-        g = 1.0 / direct
-    cells = newton_cell_integrals(pts, ball_radius, center=ball_center)
-    mat = bs.assemble_points(pts, w, np.ones(pts.shape[0]),
-                             np.zeros_like(g), g, rho * alpha * C3, cells,
-                             {"rho": rho, "alpha": alpha})
+    cloud = _cloud or _Cloud(3, m, radius=ball_radius, center=ball_center)
+    alpha = 1.0 if profile is None else float(np.min(profile(cloud.radii)))
+    mat = bs.assemble_points(cloud.pts, cloud.w, np.ones(cloud.pts.shape[0]),
+                             np.zeros_like(cloud.g), cloud.g, rho * alpha * C3,
+                             cloud.cells(), {"rho": rho, "alpha": alpha})
     return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
 
 
@@ -256,6 +301,10 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     notices = []
     built = {}  # d = 3: both operators depend on n only through n x(n)
     w_mass = _profile_mass(family.base_profile, d)
+    # the geometry no n changes; its distances and integrals are formed by
+    # the first n that needs them
+    unit = _Cloud(d, m)
+    sub_ball = _Cloud(3, m, radius=SUB_BALL[1], center=SUB_BALL[0]) if d == 3 else None
     for n in n_grid:
         center = family.center(n)
         row = {"n": float(n), "center": center}
@@ -264,7 +313,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
             continue
         try:
             mat = halfspace_kernel_matrix(d, sign, float(n), center,
-                                          family.base_profile, m=m)
+                                          family.base_profile, m=m, _cloud=unit)
         except ValidationError as exc:
             notices.append(f"n={n:g} skipped: {exc}")
             continue
@@ -275,7 +324,8 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
                                      / (2.0 * math.pi * math.log(n))) * w_mass
         else:
             row["minorant"] = minorant_eigenvalue(d, 2.0 * n * center,
-                                                  family.base_profile, m=m)
+                                                  family.base_profile, m=m,
+                                                  _cloud=sub_ball)
             built[n * center] = {k: row[k] for k in ("norm", "nodes", "minorant")}
         rows.append(row)
     norms = [r["norm"] for r in rows]
@@ -348,10 +398,10 @@ def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
     if problem.dimension != 3:
         raise ValidationError("the counting bound audit is a d=3 statement")
     v_moment = potential.integral_power(1.5, 3)
+    counter = ds.SpectrumCounter(problem, potential)
     rows = []
     for beta in beta_grid:
-        count = ds.count_negative(problem, potential, float(beta), h=h,
-                                  refine=refine)
+        count = counter.count(float(beta), h=h, refine=refine)
         bound = constant * float(beta) ** 1.5 * v_moment
         rows.append({"beta": float(beta), "count": count, "bound": bound,
                      "violated": bool(count > bound)})

@@ -326,3 +326,22 @@ def broadcast_distances(pts: np.ndarray, shift: float | None = None):
     diff_im = pts[:, None, :] - star[None, :, :]
     diff_im[..., 0] += shift
     return direct, np.sqrt(np.sum(diff_im ** 2, axis=-1))
+
+
+def sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
+    """Eigenvalues <= 0 of a symmetric tridiagonal, by the Sturm sequence of
+    pivots in plain Python.  A zero pivot stands for -tiny, so it counts as
+    negative (as in LAPACK's bisection)."""
+    d = diag.tolist()
+    e = off.tolist()
+    count = 0
+    t = d[0]
+    if t <= 0:
+        count += 1
+    tiny = 1e-300
+    for i in range(1, len(d)):
+        denom = t if abs(t) > tiny else math.copysign(tiny, t if t != 0 else -1.0)
+        t = d[i] - e[i - 1] * e[i - 1] / denom
+        if t <= 0:
+            count += 1
+    return count

@@ -1,18 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from betacrit import birman_schwinger as bs
+from betacrit import cli
 from betacrit import direct_spectrum as ds
+from betacrit import experiments as ex
 from betacrit.errors import UnconvergedError, ValidationError
 from betacrit.model import (CoefficientProfile, Potential, ProblemSpec,
                             Profile)
+from betacrit.sector_ode import SectorODE, closure_radius
 
 import oracles as oc
 
 HALF_LINE_D = ProblemSpec(1, "half_line", "dirichlet")
 HALF_LINE_N = ProblemSpec(1, "half_line", "neumann")
+BALL_D3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
 WELL = Potential(Profile.indicator(1.0, 2.0))
 BETA_CR_WELL = oc.square_well_beta_cr(1.0, 2.0)
 
@@ -45,6 +51,17 @@ class TestCountNegative:
         for beta in (1.3, 3.5, 5.0):
             expected = oc.total_count_zero_energy(3, 1.0, 1.5, 2.5, 1.0, beta)
             assert ds.count_negative(prob, pot, beta, refine=False) == expected
+
+    def test_d3_count_runs_to_the_first_empty_sector(self):
+        # sector 400 still holds 76 states here: no cap may cut the sum short
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        beta, h = 1e5, 2e-3
+        assert ds.sector_count(BALL_D3, pot, beta, h, 400) == 76
+        counts = []
+        while not counts or counts[-1]:
+            counts.append(ds.sector_count(BALL_D3, pot, beta, h, len(counts)))
+        expected = sum((2 * l + 1) * c for l, c in enumerate(counts))
+        assert ds.count_negative(BALL_D3, pot, beta, h=h, refine=False) == expected
 
     def test_unconverged_between_mesh_thresholds(self):
         # brackets chosen so the coarse and the half-step mesh disagree
@@ -240,6 +257,20 @@ def _tridiagonals(draw):
     return np.array(diag), np.array(off)
 
 
+@st.composite
+def _sturm_inputs(draw):
+    """Tridiagonals with small-integer entries, which make exact zero pivots
+    (diag 1, 1 and off 1, say), and zero or tiny off-diagonals, which LAPACK
+    splits into blocks."""
+    n = draw(st.integers(1, 12))
+    floats = st.floats(-10.0, 10.0, allow_subnormal=False)
+    diag = st.one_of(st.integers(-3, 3).map(float), floats)
+    off = st.one_of(st.sampled_from([0.0, 1e-300, 1e-170, 1e-160, 1e-30, 1e-8]),
+                    st.integers(-3, 3).map(float), floats)
+    return (np.array(draw(st.lists(diag, min_size=n, max_size=n))),
+            np.array(draw(st.lists(off, min_size=n - 1, max_size=n - 1))))
+
+
 class TestSturmCount:
     @settings(max_examples=300, deadline=None)
     @given(_tridiagonals())
@@ -248,6 +279,144 @@ class TestSturmCount:
         eig = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         assume(np.min(np.abs(eig)) > 1e-9)  # no eigenvalue at the shift itself
         assert ds._sturm_count(diag, off) == int(np.sum(eig < 0))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_sturm_inputs())
+    def test_lapack_count_matches_the_python_sturm_loop(self, tri):
+        diag, off = tri
+        count, loop = ds._sturm_count(diag, off), oc.sturm_count(diag, off)
+        eig = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(eig))))
+        if np.min(np.abs(eig)) > tol:
+            assert count == loop
+        else:
+            # an eigenvalue at 0 up to rounding, which the block split or the
+            # tiny pivot may put on either side: both counts stay in between
+            below, at_most = int(np.sum(eig < -tol)), int(np.sum(eig <= tol))
+            assert below <= count <= at_most
+            assert below <= loop <= at_most
+
+
+def _one_shot_operator(problem, potential, beta, h, sector, closure_lambda):
+    """(mesh, diag, off, mass) assembled in one pass, the way the pencil's
+    single build did it before the coupling was factored out."""
+    ode = SectorODE(problem, sector=sector)
+    r_in = problem.inner_radius
+    r_out = closure_radius(problem, potential) + 1.0
+    n = max(8, int(round((r_out - r_in) / h)))
+    r = r_in + h * np.arange(n + 1)
+    _, q, weight = ode.coefficients(r)
+    q = q - beta * potential.cell_average(r, float(r[1] - r[0])) * weight
+    p_half = ode.coefficients(r[:-1] + 0.5 * h)[0]
+    _, flux_out = ode.decay_state(closure_lambda, r[-1])
+    diag = np.empty(n + 1)
+    diag[1:-1] = (p_half[:-1] + p_half[1:]) / h + q[1:-1] * h
+    diag[0] = p_half[0] / h + q[0] * 0.5 * h
+    diag[-1] = p_half[-1] / h + q[-1] * 0.5 * h - flux_out
+    off = -p_half / h
+    mass = weight * h
+    mass[0] *= 0.5
+    mass[-1] *= 0.5
+    if ode.bc == "neumann":
+        return r, diag, off, mass
+    mass = mass[1:].copy()
+    mass[0] = weight[1] * h
+    return r[1:], diag[1:], off[1:], mass
+
+
+STIFF = CoefficientProfile(Profile(np.array([1.0, 2.0, 3.0]),
+                                   np.array([2.0, 1.5, 1.0])), 3.0)
+PENCIL_CASES = ((HALF_LINE_D, 0), (HALF_LINE_N, 0), (HALF_LINE_D, 1),
+                (BALL_D3, 0), (BALL_D3, 3),
+                (ProblemSpec(2, "exterior_ball", "neumann", radius=1.0), 2),
+                (ProblemSpec(3, "exterior_ball", "fkw", radius=1.0), 0),
+                (ProblemSpec(3, "exterior_ball", "fkw", radius=1.0), 1),
+                (ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0,
+                             coefficient=STIFF), 1))
+
+
+class TestSectorPencil:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(PENCIL_CASES), st.sampled_from(("indicator", "tent", "bump")),
+           st.lists(st.tuples(st.floats(0.0, 300.0),
+                              st.one_of(st.just(0.0), st.floats(-50.0, -1e-6))),
+                    min_size=1, max_size=6))
+    def test_operator_matches_a_fresh_build_bit_for_bit(self, case, shape, queries):
+        prob, sector = case
+        lo = prob.inner_radius + 0.4
+        pot = Potential(getattr(Profile, shape)(lo, lo + 0.9), 1.3)
+        h = 5e-3
+        pencil = ds.SectorPencil(ds._mesh(prob, pot, h), prob, sector)
+        for beta, lam in queries:
+            op = pencil.operator(beta, lam)
+            fresh = ds.build_operator(prob, pot, beta, h=h, sector=sector,
+                                      closure_lambda=lam)
+            once = _one_shot_operator(prob, pot, beta, h, sector, lam)
+            for name, reference in zip(("mesh", "diag", "off", "mass"), once):
+                assert np.array_equal(getattr(op, name), getattr(fresh, name))
+                assert np.array_equal(getattr(op, name), reference)
+            assert op.meta == fresh.meta
+            assert pencil.count(beta) == oc.sturm_count(pencil.diag(beta), pencil.off)
+
+
+class TestPencilSharing:
+    """Each (h, sector) pencil is built once per call, and never kept between calls."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        pencil = ds.SectorPencil
+
+        def counted(mesh, problem, sector=None):
+            built.append((mesh.h, sector))
+            return pencil(mesh, problem, sector)
+
+        monkeypatch.setattr(ds, "SectorPencil", counted)
+        return built
+
+    def test_threshold_bisection(self, builds):
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        ds.beta_critical_direct(BALL_D3, pot, tol=1e-6, h=4e-3)
+        assert builds == [(4e-3, 0), (4e-3, 1)]
+
+    def test_counting_audit_grid(self, builds):
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        ex.clr_audit(BALL_D3, pot, [1.3, 5.0, 20.0, 80.0], h=4e-3, refine=True)
+        assert len(builds) == len(set(builds))
+        assert {h for h, _ in builds} == {4e-3, 2e-3}
+        sectors = sorted(l for h, l in builds if h == 4e-3)
+        assert sectors == list(range(len(sectors))) and len(sectors) > 3
+
+    def test_direct_runner_once_per_run(self, builds, tmp_path):
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "dirichlet"},
+               "potential": {"kind": "indicator", "support": [1.0, 2.0]},
+               "numerics": {"mesh_h": 0.004},
+               "study": {"beta_grid": [0.5, 4.0, 30.0]}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("direct", str(path), str(tmp_path)) == 0
+        first = list(builds)
+        # rows at h and h/2 and the threshold at h share the run's pencils,
+        # apart from the two the shooting seed builds per row
+        counting = [b for b in first if b[0] in (0.004, 0.002)]
+        assert counting == [(0.004, 0), (0.002, 0)]
+        assert cli.run("direct", str(path), str(tmp_path)) == 0
+        assert builds[len(first):] == first  # the second run builds its own
+
+
+class TestCountMonotone:
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from((HALF_LINE_D, HALF_LINE_N, BALL_D3)),
+           st.sampled_from(("indicator", "tent", "bump")),
+           st.floats(0.0, 1.0), st.floats(0.3, 1.5),
+           st.lists(st.floats(0.0, 150.0), min_size=2, max_size=6))
+    def test_nondecreasing_in_beta(self, prob, shape, offset, width, betas):
+        lo = prob.inner_radius + offset
+        counter = ds.SpectrumCounter(prob, Potential(getattr(Profile, shape)(lo, lo + width)))
+        counts = {beta: counter.count(beta, h=4e-3, refine=False) for beta in betas}
+        ordered = [counts[beta] for beta in sorted(counts)]
+        assert ordered == sorted(ordered)
 
 
 SCALING_PROBLEMS = (HALF_LINE_D,

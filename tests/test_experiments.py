@@ -153,6 +153,37 @@ class TestHalfspaceStudies:
         ex.halfspace_norm_study(3, "minus", unit_family(3, delta=0.5), [4, 16], m=120)
         assert calls == [1.0, 2.0, 4.0]
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_geometry_built_once_per_study(self, monkeypatch, d):
+        name = "log_cell_integrals" if d == 2 else "newton_cell_integrals"
+        real = getattr(ex, name)
+        cuts = []
+
+        def counted(pts, radius=1.0, x1_min=-np.inf, **kwargs):
+            cuts.append((radius, x1_min))
+            return real(pts, radius, x1_min, **kwargs)
+
+        monkeypatch.setattr(ex, name, counted)
+        # x(n) = 2 n^-1/2: every cut -2 sqrt(n) lies below the disk or ball
+        family = unit_family(d, c=2.0, delta=0.5)
+        n_grid = [4.0, 16.0, 64.0]
+        study = ex.halfspace_norm_study(d, "minus", family, n_grid, m=150)
+        sub_ball = [(0.25, -np.inf)] if d == 3 else []
+        assert cuts == [(1.0, -np.inf)] + sub_ball
+        pts = ex._Cloud(d, 150).pts
+        for n in n_grid:
+            assert np.array_equal(real(pts, 1.0, -n * family.center(n)), real(pts, 1.0))
+        for row in study.rows:  # each n as a build of its own gives the same bits
+            mat = ex.halfspace_kernel_matrix(d, "minus", row["n"], row["center"], m=150)
+            assert bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0] == row["norm"]
+            if d == 3:
+                assert ex.minorant_eigenvalue(3, 2.0 * row["n"] * row["center"],
+                                              m=150) == row["minorant"]
+        # x(n) = 1/n cuts at -1 for every n: one cut, one set of integrals
+        cuts.clear()
+        ex.halfspace_norm_study(d, "minus", unit_family(d), [4.0, 16.0], m=150)
+        assert cuts == [(1.0, -1.0)] + sub_ball
+
     def test_d3_scale_invariance_of_the_rescaled_kernel(self):
         fam = unit_family(3)
         study = ex.halfspace_norm_study(3, "minus", fam, [4, 64], m=600)
