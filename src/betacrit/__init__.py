@@ -19,8 +19,7 @@ from .birman_schwinger import (Classification, KernelMatrix, SpectralReport,
                                beta_from_verdict, classify_limit,
                                default_lambda_grid, mu_curve, norm_limit,
                                principal_eigenvalue)
-from .direct_spectrum import (DiscreteOperator, beta_critical_direct,
-                              build_operator, count_negative,
+from .direct_spectrum import (beta_critical_direct, count_negative,
                               crosscheck_birman_schwinger, eigenvalue_residual,
                               ground_state)
 from .fkw import (FkwSolution, beta_critical_fkw, fkw_norm_limit, gamma1,
@@ -32,13 +31,13 @@ from .experiments import (ScalingStudy, clr_audit, dichotomy_suite,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CenterPath", "Classification", "CoefficientProfile", "DiscreteOperator",
-    "FkwSolution", "IndeterminateError", "KernelLimitError", "KernelMatrix",
+    "CenterPath", "Classification", "CoefficientProfile", "FkwSolution",
+    "IndeterminateError", "KernelLimitError", "KernelMatrix",
     "MethodDisagreement", "NearSingularError", "Potential", "ProblemSpec",
     "Profile", "ScaledPotentialFamily", "ScalingStudy", "SpectralReport",
     "UnconvergedError", "ValidationError", "assemble", "assemble_points",
     "beta_critical", "beta_critical_direct", "beta_critical_fkw",
-    "beta_from_verdict", "build_operator", "classify_limit", "clr_audit",
+    "beta_from_verdict", "classify_limit", "clr_audit",
     "count_negative", "crosscheck_birman_schwinger", "default_lambda_grid",
     "dichotomy_suite", "eigenvalue_residual", "fkw_norm_limit", "gamma1",
     "green_kernel", "ground_state", "h_factor", "halfspace_norm_study",

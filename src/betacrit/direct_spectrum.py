@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,20 +32,8 @@ DEFAULT_BISECT_TOL = 1e-6
 SEED_NODES = 1024  # finite-difference nodes behind the shooting bracket
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """Symmetric tridiagonal pencil (A, M) for one angular sector."""
-
-    mesh: np.ndarray
-    diag: np.ndarray
-    off: np.ndarray
-    mass: np.ndarray
-    beta: float
-    meta: dict = field(default_factory=dict)
-
-
 class _Mesh(NamedTuple):
-    """What no sector and no coupling changes in the pencil on [r_in, r_out]."""
+    """What no sector and no coupling changes in the pencil on [r_in, R* + 1]."""
 
     r: np.ndarray        # nodes r_0..r_N
     h: float
@@ -57,12 +44,11 @@ class _Mesh(NamedTuple):
     v_cell: np.ndarray   # V averaged over the cells as the mesh realizes them
 
 
-def _mesh(problem: ProblemSpec, potential: Potential, h: float,
-          r_out: float | None = None) -> _Mesh:
+def _mesh(problem: ProblemSpec, potential: Potential, h: float) -> _Mesh:
+    """Nodes of spacing h on [r_in, R* + 1], where every closure is exact."""
     ode = SectorODE(problem)
     r_in = problem.inner_radius
-    if r_out is None:
-        r_out = closure_radius(problem, potential) + 1.0
+    r_out = closure_radius(problem, potential) + 1.0
     n = max(8, int(round((r_out - r_in) / h)))
     r = r_in + h * np.arange(n + 1)
     weight = ode.coefficients(r)[2]
@@ -119,26 +105,6 @@ class SectorPencil:
         """Negative eigenvalues of A(beta) with the zero-energy closure."""
         return _sturm_count(self.diag(beta), self.off)
 
-    def operator(self, beta: float, closure_lambda: float = 0.0) -> DiscreteOperator:
-        r = self.grid.r
-        meta = {"h": self.grid.h, "r_out": float(r[-1]), "sector": self.ode.sector,
-                "bc": self.ode.bc, "closure_lambda": closure_lambda}
-        return DiscreteOperator(r[self.first:], self.diag(beta, closure_lambda),
-                                self.off, self.mass, beta, meta)
-
-
-def build_operator(problem: ProblemSpec, potential: Potential, beta: float,
-                   h: float = DEFAULT_H, r_out: float | None = None,
-                   sector: int | None = None, closure_lambda: float = 0.0) -> DiscreteOperator:
-    """Finite-difference pencil on [r_in, r_out] with the decay closure.
-
-    ``r_out`` defaults to R* + 1; ``closure_lambda`` selects the energy of
-    the outer boundary relation, 0 giving the threshold-exact closure used
-    for counting.
-    """
-    pencil = SectorPencil(_mesh(problem, potential, h, r_out), problem, sector)
-    return pencil.operator(beta, closure_lambda)
-
 
 def _sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
     """Number of eigenvalues <= 0 of a symmetric tridiagonal.
@@ -154,12 +120,6 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
     if info:
         raise UnconvergedError("LAPACK dstebz failed", details={"info": info})
     return count
-
-
-def sector_count(problem: ProblemSpec, potential: Potential, beta: float,
-                 h: float, sector: int) -> int:
-    """Negative-eigenvalue count of one angular sector."""
-    return SectorPencil(_mesh(problem, potential, h), problem, sector).count(beta)
 
 
 class SpectrumCounter:
@@ -208,6 +168,11 @@ class SpectrumCounter:
             raise ValidationError("coupling must be nonnegative")
         if self.potential.is_zero() or beta == 0.0:
             return 0
+        resolution = beta * self.potential.max_value() * h * h
+        if resolution > 1.0:  # the well's wavelength spans less than a cell
+            raise UnconvergedError(
+                "mesh too coarse for this coupling: h sqrt(beta max V) > 1",
+                details={"beta": beta, "h": h, "beta_max_v_h2": resolution})
         base = self.total(beta, h)
         if not refine:
             return base
@@ -247,7 +212,8 @@ def count_negative(problem: ProblemSpec, potential: Potential, beta: float,
     """Number of negative eigenvalues of the full operator at coupling beta.
 
     With ``refine`` the count is recomputed at half the mesh; disagreement
-    raises ``UnconvergedError`` carrying both counts.
+    raises ``UnconvergedError`` carrying both counts, as does a coupling
+    the mesh cannot resolve, h sqrt(beta max V) > 1.
     """
     return SpectrumCounter(problem, potential).count(beta, h, refine)
 

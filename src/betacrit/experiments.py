@@ -139,18 +139,9 @@ def newton_cell_integrals(points: np.ndarray, radius: float = 1.0,
 # near-boundary kernel studies
 
 
-def _distances(pts: np.ndarray, shift: float | None = None):
-    """(direct, image) distance matrices of a point cloud.
-
-    The image of s is its mirror across x1 = 0 moved by ``shift`` along e1;
-    without a shift only the direct distances are formed (image is None).
-    No m x m x d array is formed.
-    """
-    direct = cdist(pts, pts)
-    return direct, None if shift is None else _image_distances(pts, shift)
-
-
 def _image_distances(pts: np.ndarray, shift: float) -> np.ndarray:
+    """|y - s*| for the mirror s* of s across x1 = 0 moved by ``shift`` along
+    e1, from m x m outer sums (no m x m x d array)."""
     x1 = np.add.outer(pts[:, 0], pts[:, 0]) + shift
     sq = x1 * x1
     for k in range(1, pts.shape[1]):
@@ -196,7 +187,7 @@ class _Cloud:
 
     @functools.cached_property
     def g(self) -> np.ndarray:
-        direct, _ = _distances(self.pts)
+        direct = cdist(self.pts, self.pts)
         with np.errstate(divide="ignore"):
             return np.log(1.0 / direct) if self.d == 2 else 1.0 / direct
 

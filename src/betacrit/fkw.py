@@ -13,18 +13,17 @@ gamma1(0-) = 1 in the classical d=3 unit-ball case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from . import birman_schwinger as bs
-from .direct_spectrum import beta_critical_direct, build_operator
+from .direct_spectrum import SectorPencil, _mesh, beta_critical_direct
 from .errors import (KernelLimitError, MethodDisagreement, NearSingularError,
                      ValidationError)
 from .model import Potential, ProblemSpec, validate
-from .sector_ode import SectorODE
+from .sector_ode import SectorODE, closure_radius
 
 DEFAULT_SECTOR_MAX = 3
 
@@ -41,20 +40,28 @@ def _top_sector(problem: ProblemSpec, sector_max: int) -> int:
 
 
 class RadialSolution:
-    """Radial profile backed by the integrator's dense output.
+    """Radial profile: the integrator's dense output up to R*, the decaying
+    free solution in closed form past it.
 
     Calling it evaluates the profile; ``derivative`` evaluates p u'.
     """
 
-    def __init__(self, pieces, scale: float):
-        self._pieces = pieces  # (lo, hi, dense, rescale)
+    def __init__(self, ode: SectorODE, lam: float, r_star: float, pieces,
+                 scale: float):
+        self._ode, self._lam, self._r_star = ode, lam, r_star
+        self._pieces = pieces  # (lo, hi, dense, rescale); u(R*) = 1 unscaled
         self._scale = scale
 
     def _eval(self, r, component):
         r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)  # beyond the integrated range the tail is ~0
+        out = np.zeros(r.shape)  # below the obstacle the profile is undefined
+        tail = r > self._r_star
+        if tail.any():
+            u = self._ode.decay_ratio(self._lam, r[tail], self._r_star)
+            out[tail] = u if component == 0 else \
+                u * self._ode.decay_state(self._lam, r[tail])[1]
         for lo, hi, dense, rescale in self._pieces:
-            mask = (r >= lo - 1e-12) & (r <= hi + 1e-12)
+            mask = (r >= lo - 1e-12) & (r <= hi + 1e-12) & ~tail
             if mask.any():
                 out[mask] = dense(np.clip(r[mask], lo, hi))[component] * rescale
         return out / self._scale
@@ -85,12 +92,13 @@ class FkwSolution:
 
 
 def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
-            r_max: float = 40.0, rtol: float = 1e-11):
+            rtol: float = 1e-11):
     """Decaying radial solution with unit trace on the obstacle sphere.
 
-    Integrated inward from the truncation radius (the stable direction for
-    the decaying branch); raises ``NearSingularError`` when the energy sits
-    at a Dirichlet eigenvalue, where no unit-trace solution exists.
+    Integrated inward (the stable direction for the decaying branch) from
+    R*, where the decaying free solution is exact; raises
+    ``NearSingularError`` when the energy sits at a Dirichlet eigenvalue,
+    where no unit-trace solution exists.
     """
     _require_fkw(problem)
     diags = validate(problem, potential)
@@ -100,28 +108,20 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
         raise ValidationError("the exterior solve needs lambda <= 0")
     if lam == 0 and problem.dimension <= 2:
         raise KernelLimitError("no decaying zero-energy solution in this sector")
-    r0 = problem.inner_radius
-    hi = potential.support[1]
-    r_floor = max(hi + 1.0, problem.flat_radius() + 1.0, r0 + 1.0)
-    if lam < 0:
-        # the decaying branch grows inward like e^{k(r_max - r)}: cap the
-        # exponent; the decay closure is exact at any radius past the well
-        k = math.sqrt(-lam)
-        r_max = max(r_floor, min(r_max, r_floor + 40.0 / max(k, 1.0)))
-    else:
-        r_max = max(r_max, r_floor)
+    r_star = closure_radius(problem, potential)
     ode = SectorODE(problem, potential, beta, sector=0)
     # only the ratio to the trace matters, so each segment restarts at O(1)
-    pieces, y, scale = ode.integrate(lam, ode.decay_state(lam, r_max), r_max, r0,
-                                     rescale=True, dense_output=True, rtol=rtol,
-                                     atol=1e-12)
+    pieces, y, scale = ode.integrate(lam, ode.decay_state(lam, r_star), r_star,
+                                     problem.inner_radius, rescale=True,
+                                     dense_output=True, rtol=rtol, atol=1e-12)
     u_at_r0 = y[0] * scale
     umax = max(abs(seg.scale) * float(np.max(np.abs(seg.sol.y[0])))
                for seg in pieces)
     if abs(u_at_r0) < 1e-6 * umax:
         raise NearSingularError("energy sits at a Dirichlet eigenvalue; "
                                 "the unit-trace solution degenerates")
-    return RadialSolution([(seg.end, seg.start, seg.sol.sol, seg.scale)
+    return RadialSolution(ode, lam, r_star,
+                          [(seg.end, seg.start, seg.sol.sol, seg.scale)
                            for seg in pieces], u_at_r0)
 
 
@@ -131,34 +131,31 @@ def _boundary_flux(problem: ProblemSpec, v: RadialSolution) -> float:
     return -float(v.derivative(r0)) / SectorODE(problem).coefficients(r0)[0]
 
 
-def gamma1(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
-           r_max: float = 40.0) -> float:
+def gamma1(problem: ProblemSpec, beta: float, potential: Potential,
+           lam: float) -> float:
     """Mean boundary flux of the unit-trace solution, oriented to be positive
     for energies below the potential well."""
-    return _boundary_flux(problem, solve_v(problem, beta, potential, lam,
-                                           r_max=r_max))
+    return _boundary_flux(problem, solve_v(problem, beta, potential, lam))
 
 
 def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential,
-                         lam: float, f, sector: int, h: float, r_max: float):
-    """Truncated Dirichlet solve (H_beta - lambda) w = f with the decay closure.
+                         lam: float, f, sector: int, h: float):
+    """Dirichlet solve (H_beta - lambda) w = f on [r0, R* + 1], closed there
+    by the decay relation at lambda.
 
     The resolvent decomposition always uses the Dirichlet condition, whatever
     the sector's effective condition is.
     """
     forced = ProblemSpec(problem.dimension, problem.geometry, "dirichlet",
                          problem.radius, problem.coefficient, 0)
-    op = build_operator(forced, potential, beta, h, r_max, sector=sector,
-                        closure_lambda=lam)
-    mesh = op.mesh
+    pencil = SectorPencil(_mesh(forced, potential, h), forced, sector)
+    mesh = pencil.grid.r[pencil.first:]
     f_vals = np.asarray(f(mesh), dtype=float)
-    a_diag = op.diag - lam * op.mass
-    rhs = op.mass * f_vals
-    ab = np.zeros((3, a_diag.size))
-    ab[0, 1:] = op.off
-    ab[1, :] = a_diag
-    ab[2, :-1] = op.off
-    w = solve_banded((1, 1), ab, rhs)
+    ab = np.zeros((3, mesh.size))
+    ab[0, 1:] = pencil.off
+    ab[1, :] = pencil.diag(beta, lam) - lam * pencil.mass
+    ab[2, :-1] = pencil.off
+    w = solve_banded((1, 1), ab, pencil.mass * f_vals)
     if float(np.max(np.abs(w))) > 1e10 * (float(np.max(np.abs(f_vals))) + 1e-300):
         raise NearSingularError("resolvent solve near-singular at this energy")
     return mesh, w
@@ -173,28 +170,28 @@ def _inner_flux(mesh: np.ndarray, w: np.ndarray, h: float) -> float:
 
 
 def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
-              f: dict, h: float = 1e-3, r_max: float = 40.0,
-              gamma1_tol: float = 1e-9) -> FkwSolution:
+              f: dict, h: float = 1e-3, gamma1_tol: float = 1e-9) -> FkwSolution:
     """Solve (H_beta - lambda) u = f under the constant-trace/zero-flux pair.
 
     ``f`` maps sector indices to radial source callables.  The symmetric
     sector combines the Dirichlet resolvent with the unit-trace solution so
     both boundary conditions hold; higher sectors are pure Dirichlet solves.
+    Profiles run over [r0, R* + 1], where the decay closure is exact for a
+    source supported inside that interval; any source past R* + 1 is cut.
     """
     _require_fkw(problem)
     if lam >= 0:
         raise ValidationError("source problems are solved below the continuous spectrum")
-    lo, hi = potential.support
-    r_max = max(r_max, hi + 10.0)
-    v = solve_v(problem, beta, potential, lam, r_max=r_max)
+    v = solve_v(problem, beta, potential, lam)
     g1 = _boundary_flux(problem, v)
+    r0 = problem.inner_radius
+    r_out = closure_radius(problem, potential) + 1.0
     sector_profiles = {}
     alpha = 0.0
     gamma = 0.0
     f0 = f.get(0)
     if f0 is not None:
-        mesh0, w0 = _dirichlet_resolvent(problem, beta, potential, lam, f0, 0,
-                                         h, r_max)
+        mesh0, w0 = _dirichlet_resolvent(problem, beta, potential, lam, f0, 0, h)
         gamma = _inner_flux(mesh0, w0, h)
         if abs(g1) < gamma1_tol * max(1.0, abs(gamma)):
             raise NearSingularError(
@@ -202,23 +199,19 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
                 "the energy is too close to an eigenvalue of the nonlocal problem")
         alpha = -gamma / g1
         u0 = alpha * v(mesh0) + w0
-        mesh0 = np.concatenate([[problem.inner_radius], mesh0])
-        u0 = np.concatenate([[alpha], u0])
-        sector_profiles[0] = (mesh0, u0)
+        sector_profiles[0] = (np.concatenate([[r0], mesh0]),
+                              np.concatenate([[alpha], u0]))
     for l, fl in sorted(f.items()):
         if l == 0 or fl is None:
             continue
-        mesh_l, w_l = _dirichlet_resolvent(problem, beta, potential, lam, fl, l,
-                                           h, r_max)
-        mesh_l = np.concatenate([[problem.inner_radius], mesh_l])
-        w_l = np.concatenate([[0.0], w_l])
-        sector_profiles[l] = (mesh_l, w_l)
+        mesh_l, w_l = _dirichlet_resolvent(problem, beta, potential, lam, fl, l, h)
+        sector_profiles[l] = (np.concatenate([[r0], mesh_l]),
+                              np.concatenate([[0.0], w_l]))
     if not sector_profiles:
-        r0 = problem.inner_radius
-        sector_profiles[0] = (np.array([r0, r_max]), np.zeros(2))
+        sector_profiles[0] = (np.array([r0, r_out]), np.zeros(2))
     return FkwSolution(alpha=float(alpha), gamma=float(gamma), gamma1=float(g1),
                        lam=lam, sector_profiles=sector_profiles,
-                       meta={"h": h, "r_max": r_max, "beta": beta,
+                       meta={"h": h, "r_out": r_out, "beta": beta,
                              "flux_orientation": "toward the obstacle"})
 
 

@@ -120,7 +120,10 @@ class SectorODE:
 
     def decay_ratio(self, lam: float, r, r0: float):
         """u(r) / u(r0) along the decaying free solution r^{1-d/2} K_nu(k r),
-        for lam < 0 and r, r0 past the well."""
+        for r, r0 past the well; at lambda = 0 along the bounded one of
+        ``decay_state``."""
+        if lam == 0:
+            return (r / r0) ** -max(self.sector + self.dimension - 2, 0)
         k = math.sqrt(-lam)
         return ((r / r0) ** (1.0 - 0.5 * self.dimension) * np.exp(-k * (r - r0))
                 * kve(self._nu, k * r) / kve(self._nu, k * r0))

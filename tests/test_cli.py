@@ -120,6 +120,19 @@ class TestConfigHandling:
         assert diag["type"] == "UnconvergedError"
         assert {"segment", "solver"} <= set(diag["details"])
 
+    def test_unresolved_coupling_exit_code(self, tmp_path, capsys):
+        # beta max V h^2 = 40 on the shipped clr mesh: no count is formed
+        code, _ = run_config(tmp_path, "clr_d3.json", "clr",
+                             extra={"study": {"beta_grid": [1.3, 1e7]}})
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "numerical-failure"
+        assert diag["type"] == "UnconvergedError"
+        assert diag["details"]["beta_max_v_h2"] == pytest.approx(40.0)
+        assert not list(tmp_path.glob("clr_d3.*"))
+
     @pytest.mark.parametrize("subcommand", ["direct", "crosscheck", "beta-cr"])
     def test_half_line_must_be_one_dimensional(self, tmp_path, capsys, subcommand):
         cfg = {"problem": {"geometry": "half_line", "dimension": 3,

@@ -56,12 +56,24 @@ class TestCountNegative:
         # sector 400 still holds 76 states here: no cap may cut the sum short
         pot = Potential(Profile.indicator(1.5, 2.5))
         beta, h = 1e5, 2e-3
-        assert ds.sector_count(BALL_D3, pot, beta, h, 400) == 76
+        counter = ds.SpectrumCounter(BALL_D3, pot)
+        assert counter.pencil(h, 400).count(beta) == 76
         counts = []
         while not counts or counts[-1]:
-            counts.append(ds.sector_count(BALL_D3, pot, beta, h, len(counts)))
+            counts.append(counter.pencil(h, len(counts)).count(beta))
         expected = sum((2 * l + 1) * c for l, c in enumerate(counts))
         assert ds.count_negative(BALL_D3, pot, beta, h=h, refine=False) == expected
+
+    def test_coupling_past_the_mesh_resolution_is_unconverged(self):
+        # beta max V h^2 = 40: every well node of every sector would count
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        with pytest.raises(UnconvergedError) as err:
+            ds.count_negative(BALL_D3, pot, 1e7, h=2e-3, refine=False)
+        assert err.value.details == {"beta": 1e7, "h": 2e-3,
+                                     "beta_max_v_h2": pytest.approx(40.0)}
+        with pytest.raises(UnconvergedError):
+            ds.count_negative(HALF_LINE_D, WELL, 1.01e6)  # h = 1e-3
+        assert ds.count_negative(HALF_LINE_D, WELL, 1e6, refine=False) > 0
 
     def test_unconverged_between_mesh_thresholds(self):
         # brackets chosen so the coarse and the half-step mesh disagree
@@ -223,14 +235,16 @@ class TestBetaCriticalDirect:
 
 class TestDiscreteOperator:
     def test_symmetric_tridiagonal_shape(self):
-        op = ds.build_operator(HALF_LINE_D, WELL, 2.0, h=1e-2, r_out=10.0)
-        assert op.diag.size == op.mesh.size
-        assert op.off.size == op.diag.size - 1
-        assert np.all(op.mass > 0)
+        pencil = ds.SpectrumCounter(HALF_LINE_D, WELL).pencil(1e-2, 0)
+        diag = pencil.diag(2.0)
+        assert diag.size == pencil.grid.r.size - 1  # u(0) = 0 eliminated
+        assert pencil.off.size == diag.size - 1
+        assert pencil.mass.size == diag.size
+        assert np.all(pencil.mass > 0)
 
     def test_mesh_ends_one_unit_past_the_support_edge(self):
-        op = ds.build_operator(HALF_LINE_D, WELL, 2.0, h=1e-2)
-        assert op.mesh[-1] == pytest.approx(3.0, abs=1e-12)
+        pencil = ds.SpectrumCounter(HALF_LINE_D, WELL).pencil(1e-2, 0)
+        assert pencil.grid.r[-1] == pytest.approx(3.0, abs=1e-12)
 
     def test_count_matches_crossing_oracle_at_h_and_half_h(self):
         for beta in (0.5, 4.0, 30.0, 100.0):
@@ -341,21 +355,21 @@ class TestSectorPencil:
            st.lists(st.tuples(st.floats(0.0, 300.0),
                               st.one_of(st.just(0.0), st.floats(-50.0, -1e-6))),
                     min_size=1, max_size=6))
-    def test_operator_matches_a_fresh_build_bit_for_bit(self, case, shape, queries):
+    def test_reused_pencil_matches_a_one_shot_build_bit_for_bit(self, case, shape,
+                                                                queries):
         prob, sector = case
         lo = prob.inner_radius + 0.4
         pot = Potential(getattr(Profile, shape)(lo, lo + 0.9), 1.3)
         h = 5e-3
-        pencil = ds.SectorPencil(ds._mesh(prob, pot, h), prob, sector)
+        pencil = ds.SpectrumCounter(prob, pot).pencil(h, sector)
         for beta, lam in queries:
-            op = pencil.operator(beta, lam)
-            fresh = ds.build_operator(prob, pot, beta, h=h, sector=sector,
-                                      closure_lambda=lam)
-            once = _one_shot_operator(prob, pot, beta, h, sector, lam)
-            for name, reference in zip(("mesh", "diag", "off", "mass"), once):
-                assert np.array_equal(getattr(op, name), getattr(fresh, name))
-                assert np.array_equal(getattr(op, name), reference)
-            assert op.meta == fresh.meta
+            fresh = ds.SectorPencil(ds._mesh(prob, pot, h), prob, sector)
+            mesh, diag, off, mass = _one_shot_operator(prob, pot, beta, h, sector, lam)
+            for kept in (pencil, fresh):
+                assert np.array_equal(kept.grid.r[kept.first:], mesh)
+                assert np.array_equal(kept.diag(beta, lam), diag)
+                assert np.array_equal(kept.off, off)
+                assert np.array_equal(kept.mass, mass)
             assert pencil.count(beta) == oc.sturm_count(pencil.diag(beta), pencil.off)
 
 
@@ -444,3 +458,24 @@ class TestCouplingScaling:
         # each bisection stops within tol * max(1, beta) of the mesh threshold
         bound = tol * (max(1.0, direct_c) + max(1.0, direct) / c)
         assert abs(direct_c - direct / c) <= bound
+
+
+class TestDilation:
+    """On the half-line with a Dirichlet condition, V_s(x) = s^-2 V(x / s)
+    has the threshold of V: the limit kernel min(x, y) scales like s, and a
+    mesh scaled with the well sees the same pencil up to the flat tail."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(("indicator", "tent", "bump")), st.floats(0.0, 2.0),
+           st.floats(0.2, 2.0), st.floats(0.2, 5.0), st.floats(0.3, 4.0))
+    def test_threshold_is_dilation_invariant(self, shape, lo, width, height, s):
+        make = getattr(Profile, shape)
+        pot = Potential(make(lo, lo + width, height))
+        dilated = Potential(make(s * lo, s * (lo + width), height / s ** 2))
+        kernel = [bs.beta_critical(HALF_LINE_D, p, method="limit-kernel", m=64)
+                  for p in (pot, dilated)]
+        assert kernel[1] == pytest.approx(kernel[0], rel=1e-12)
+        h = 2e-3
+        direct = [ds.beta_critical_direct(HALF_LINE_D, pot, h=h),
+                  ds.beta_critical_direct(HALF_LINE_D, dilated, h=h * s)]
+        assert direct[1] == pytest.approx(direct[0], rel=1e-9)

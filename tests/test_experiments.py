@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from betacrit import birman_schwinger as bs
 from betacrit import experiments as ex
@@ -233,17 +234,17 @@ def clouds(dim):
 
 
 class TestDistances:
+    """cdist (the direct distances) and ``_image_distances`` against the
+    m x m x d broadcast formula, bit for bit."""
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(clouds(2), clouds(3)),
            st.one_of(st.none(), st.floats(0.0, 2e4, allow_subnormal=False)))
     def test_bit_identical_to_the_broadcast_formula(self, pts, shift):
-        direct, image = ex._distances(pts, shift)
         old_direct, old_image = oc.broadcast_distances(pts, shift)
-        assert direct.tobytes() == old_direct.tobytes()
-        if shift is None:
-            assert image is None
-        else:
-            assert image.tobytes() == old_image.tobytes()
+        assert cdist(pts, pts).tobytes() == old_direct.tobytes()
+        if shift is not None:
+            assert ex._image_distances(pts, shift).tobytes() == old_image.tobytes()
 
     @pytest.mark.parametrize("cloud", ["disk", "ball", "sub-ball"])
     def test_bit_identical_on_the_study_clouds(self, cloud):
@@ -252,9 +253,10 @@ class TestDistances:
                "sub-ball": lambda: ex._ball_cloud(
                    700, radius=0.25, center=(0.5, 0.0, 0.0))[0]}[cloud]()
         for shift in (None, 0.02, 1.0, 2.0, 2e3):
-            new, old = ex._distances(pts, shift), oc.broadcast_distances(pts, shift)
-            assert new[0].tobytes() == old[0].tobytes()
-            assert shift is None or new[1].tobytes() == old[1].tobytes()
+            old_direct, old_image = oc.broadcast_distances(pts, shift)
+            assert cdist(pts, pts).tobytes() == old_direct.tobytes()
+            assert shift is None or \
+                ex._image_distances(pts, shift).tobytes() == old_image.tobytes()
 
 
 def kernel_values(mat):

@@ -41,6 +41,26 @@ class TestExteriorSolution:
             v = fkw.solve_v(problem, beta, POT, lam)
             assert np.all(v(np.linspace(1.0, 8.0, 200)) > 0.0)
 
+    def test_closed_form_past_the_support_edge(self):
+        # R* = 2.5: past it the profile is the decaying free solution
+        v = fkw.solve_v(BALL3, 0.0, POT, 0.0)
+        assert float(v(50.0)) == pytest.approx(1.0 / 50.0, rel=1e-10)
+        r = np.array([2.0, 2.5, 3.0, 9.0, 50.0])
+        assert v.derivative(r) == pytest.approx(-np.ones(5), rel=1e-9)  # r^2 (1/r)'
+        k = 0.8
+        v = fkw.solve_v(BALL3, 1.0, POT, -k * k)
+        r = np.array([3.0, 6.0, 40.0, 60.0])
+        assert v(r) == pytest.approx(float(v(2.5)) * 2.5 / r * np.exp(-k * (r - 2.5)),
+                                     rel=1e-12)
+        assert np.all(v(r) > 0.0)
+
+    def test_continuous_across_the_support_edge(self):
+        for problem, beta, lam in ((BALL3, 0.7, -1.3), (BALL2, 2.0, -0.05)):
+            v = fkw.solve_v(problem, beta, POT, lam)
+            r = 2.5 + np.array([-1e-7, 0.0, 1e-7])
+            assert v(r) == pytest.approx(float(v(2.5)), rel=1e-6)
+            assert v.derivative(r) == pytest.approx(float(v.derivative(2.5)), rel=1e-6)
+
     def test_trace_is_one(self):
         v = fkw.solve_v(BALL3, 0.7, POT, -1.3)
         assert float(v(1.0)) == pytest.approx(1.0, rel=1e-12)
@@ -105,7 +125,16 @@ class TestSolveFkw:
         sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: f0})
         assert len(calls) == 1
         monkeypatch.undo()
-        assert sol.gamma1 == fkw.gamma1(BALL3, 0.5, POT, -1.0, r_max=40.0)
+        assert sol.gamma1 == fkw.gamma1(BALL3, 0.5, POT, -1.0)
+
+    def test_profiles_end_one_past_the_support_edge(self):
+        f = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        for sources in ({}, {0: f}, {1: f}, {0: f, 2: f}):
+            sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, sources, h=2e-3)
+            assert sol.meta["r_out"] == 3.5
+            for mesh, _ in sol.sector_profiles.values():
+                assert mesh[0] == 1.0
+                assert mesh[-1] == pytest.approx(3.5, abs=1e-12)
 
     def test_boundary_pair_holds(self):
         f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
@@ -121,14 +150,15 @@ class TestSolveFkw:
         mesh0, u0 = sol.sector_profiles[0]
         from scipy.linalg import solve_banded
         neu = ProblemSpec(3, "exterior_ball", "neumann", radius=1.0)
-        op = ds.build_operator(neu, POT, 0.5, h, 40.0, sector=0,
-                               closure_lambda=-1.0)
-        ab = np.zeros((3, op.diag.size))
-        ab[0, 1:] = op.off
-        ab[1, :] = op.diag + op.mass
-        ab[2, :-1] = op.off
-        w = solve_banded((1, 1), ab, op.mass * f0(op.mesh))
-        gap = np.max(np.abs(np.interp(op.mesh, mesh0, u0) - w))
+        pencil = ds.SpectrumCounter(neu, POT).pencil(h, 0)
+        mesh = pencil.grid.r
+        assert mesh[-1] == pytest.approx(mesh0[-1], abs=1e-12)
+        ab = np.zeros((3, mesh.size))
+        ab[0, 1:] = pencil.off
+        ab[1, :] = pencil.diag(0.5, -1.0) + pencil.mass
+        ab[2, :-1] = pencil.off
+        w = solve_banded((1, 1), ab, pencil.mass * f0(mesh))
+        gap = np.max(np.abs(np.interp(mesh, mesh0, u0) - w))
         assert gap < 5e-6 * np.max(np.abs(w))
 
     def test_higher_sector_source_is_pure_dirichlet(self):

@@ -50,6 +50,22 @@ class TestClosureAndSegments:
         assert line.decay_ratio(-k * k, r, r0) == pytest.approx(np.exp(-k * (r - r0)),
                                                                 rel=1e-13)
 
+    def test_decay_ratio_at_zero_energy_is_the_bounded_free_solution(self):
+        # r^{-(l+d-2)} where that decays, a constant otherwise
+        r0, r = 2.5, np.array([2.5, 3.0, 9.0])
+        d3 = SectorODE(BALL3)
+        assert d3.decay_ratio(0.0, r, r0) == pytest.approx(r0 / r, rel=1e-15)
+        d3_l2 = SectorODE(BALL3, sector=2)
+        assert d3_l2.decay_ratio(0.0, r, r0) == pytest.approx((r0 / r) ** 3, rel=1e-15)
+        d2 = SectorODE(ProblemSpec(2, "exterior_ball", "neumann", radius=1.0))
+        assert np.all(d2.decay_ratio(0.0, r, r0) == 1.0)
+        line = SectorODE(ProblemSpec(1, "half_line", "dirichlet"))
+        assert np.all(line.decay_ratio(0.0, r, r0) == 1.0)
+        # and it is the small-k limit of the decaying branch
+        for ode in (d3, d3_l2):
+            assert ode.decay_ratio(-1e-14, r, r0) == pytest.approx(
+                ode.decay_ratio(0.0, r, r0), rel=1e-6)
+
     def test_closure_radius_is_where_v_and_a_stop_varying(self):
         assert closure_radius(BALL3, POT) == 2.5
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0,
