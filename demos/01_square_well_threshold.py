@@ -15,7 +15,8 @@ from scipy.optimize import brentq
 
 from betacrit import (ProblemSpec, Potential, Profile, beta_critical,
                       beta_critical_direct, count_negative,
-                      crosscheck_birman_schwinger, ground_state)
+                      crosscheck_birman_schwinger, eigenfunction,
+                      ground_state)
 
 
 def main():
@@ -46,7 +47,8 @@ def main():
     for row in crosscheck_birman_schwinger(problem, well, [1.0, 2.0, 4.0]):
         print(f"  {row['beta']:4.1f}  {row['lambda0']:+.8f}   {row['residual']:.2e}")
 
-    lam0, (mesh, u) = ground_state(problem, well, 4.0)
+    lam0 = ground_state(problem, well, 4.0)
+    mesh, u = eigenfunction(problem, well, 4.0, lam0)
     print(f"\nground state at beta = 4: lambda0 = {lam0:.8f}, "
           f"profile peak at r = {mesh[u.argmax()]:.3f}")
 

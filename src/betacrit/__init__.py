@@ -20,8 +20,8 @@ from .birman_schwinger import (Classification, KernelMatrix, SpectralReport,
                                default_lambda_grid, mu_curve, norm_limit,
                                principal_eigenvalue)
 from .direct_spectrum import (beta_critical_direct, count_negative,
-                              crosscheck_birman_schwinger, eigenvalue_residual,
-                              ground_state)
+                              crosscheck_birman_schwinger, eigenfunction,
+                              eigenvalue_residual, ground_state)
 from .fkw import (FkwSolution, beta_critical_fkw, fkw_norm_limit, gamma1,
                   solve_fkw, solve_v)
 from .experiments import (ScalingStudy, clr_audit, dichotomy_suite,
@@ -39,8 +39,8 @@ __all__ = [
     "beta_critical", "beta_critical_direct", "beta_critical_fkw",
     "beta_from_verdict", "classify_limit", "clr_audit",
     "count_negative", "crosscheck_birman_schwinger", "default_lambda_grid",
-    "dichotomy_suite", "eigenvalue_residual", "fkw_norm_limit", "gamma1",
-    "green_kernel", "ground_state", "h_factor", "halfspace_norm_study",
+    "dichotomy_suite", "eigenfunction", "eigenvalue_residual", "fkw_norm_limit",
+    "gamma1", "green_kernel", "ground_state", "h_factor", "halfspace_norm_study",
     "minorant_eigenvalue", "mu_curve", "norm_limit", "principal_eigenvalue",
     "scaling_study_1d", "solve_fkw", "solve_v", "validate",
 ]

@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
                      UnconvergedError, ValidationError)
 from .green_kernels import solution_pair
-from .model import Potential, ProblemSpec, validate
+from .model import Potential, ProblemSpec, require_valid
 
 DEFAULT_M = 400
 DEFAULT_PANEL_ORDER = 8
@@ -54,8 +54,6 @@ class KernelMatrix:
     nodes: np.ndarray
     weights: np.ndarray  # volume weights (measure of each node's cell)
     entries: np.ndarray
-    lam: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -69,9 +67,7 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
     lam = 0 requests the limit kernel and raises ``KernelLimitError`` where
     that limit diverges (e.g. Neumann in low dimension).
     """
-    diags = validate(problem, potential)
-    if diags:
-        raise ValidationError("; ".join(diags))
+    require_valid(problem, potential)
     a, b, c, k = solution_pair(problem, lam)
     lo, hi = potential.support
     nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m, panel_order)
@@ -84,18 +80,13 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
     entries += np.triu(entries, 1).T
     if k:
         entries *= np.exp(-k * np.abs(nodes[:, None] - nodes[None, :]))
-    meta = {"m": nodes.size, "panel_order": panel_order,
-            "geometry": problem.geometry, "sector": problem.sector,
-            "bc": problem.boundary_condition,
-            "diagonal_rule": "evaluate",  # these kernels stay continuous there
-            "normalization": "(H0-lambda)G=delta; G>=0 for lambda<0"}
-    return KernelMatrix(nodes, vol, entries, lam, meta)
+    return KernelMatrix(nodes, vol, entries)
 
 
 def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray,
                     regular_matrix: np.ndarray, singular_matrix: np.ndarray,
                     singular_coefficient: float,
-                    singular_cell_integrals: np.ndarray, meta: dict) -> KernelMatrix:
+                    singular_cell_integrals: np.ndarray) -> KernelMatrix:
     """Zero-energy Nystrom matrix on an explicit point cloud, with subtraction.
 
     The operator kernel is density-weighted:
@@ -115,10 +106,7 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
     diag_fix = singular_coefficient * density * (singular_cell_integrals - row)
     entries[np.diag_indices_from(entries)] = np.diag(regular_matrix) * v + diag_fix
     entries = 0.5 * (entries + entries.T)
-    meta = dict(meta)
-    meta.setdefault("diagonal_rule",
-                    "mean-value subtraction with exact cell integrals")
-    return KernelMatrix(np.asarray(points, dtype=float), v, entries, 0.0, meta)
+    return KernelMatrix(np.asarray(points, dtype=float), v, entries)
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 20000):

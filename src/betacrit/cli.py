@@ -218,17 +218,18 @@ def _run_direct(cfg, problem, potential, num):
     beta_grid = study.get("beta_grid", [1.0])
     refine = study.get("refine", True)
     counter = ds.SpectrumCounter(problem, potential)  # rows and threshold share it
+    lowest = problem.with_sector(0)  # holds the lowest state of the whole operator
 
     def one(beta):
         count = counter.count(float(beta), h=num["mesh_h"], refine=refine)
         row = {"beta": float(beta), "count": count, "mesh": num["mesh_h"],
                "lambda0": "", "residual": ""}
         if count > 0 and beta > 0:
-            gs = ds.ground_state(problem, potential, float(beta))
-            if gs is not None:
-                row["lambda0"] = gs[0]
+            lam0 = ds.ground_state(lowest, potential, float(beta))
+            if lam0 is not None:
+                row["lambda0"] = lam0
                 row["residual"] = ds.eigenvalue_residual(
-                    problem, potential, float(beta), gs[0])
+                    lowest, potential, float(beta), lam0)
         return row
 
     rows = [one(beta) for beta in beta_grid]
@@ -272,16 +273,9 @@ def _run_fkw(cfg, problem, potential, num):
     return payload, ("lambda", "gamma1"), g_rows
 
 
-def _require_family(potential):
-    if not isinstance(potential, ScaledPotentialFamily):
-        raise ValidationError("this study needs potential.kind == 'family'")
-    return potential
-
-
 def _run_scaling(cfg, problem, potential, num):
-    family = _require_family(potential)
     n_grid = cfg.get("study", {}).get("n_grid", [4, 8, 16, 32])
-    study = ex.scaling_study_1d(family, n_grid, m=num["m"])
+    study = ex.scaling_study_1d(potential, n_grid, m=num["m"])
     payload = study.to_json_dict()
     cols = ("n", "beta_cr_kernel", "beta_cr_direct", "h", "m")
     rows = [{c: r.get(c, "") for c in cols} for r in study.rows]
@@ -289,11 +283,10 @@ def _run_scaling(cfg, problem, potential, num):
 
 
 def _run_halfspace(cfg, problem, potential, num):
-    family = _require_family(potential)
     study_cfg = cfg.get("study", {})
     sign = study_cfg.get("sign", "minus")
     n_grid = study_cfg.get("n_grid", [10, 100, 1000, 10000])
-    study = ex.halfspace_norm_study(problem.dimension, sign, family, n_grid,
+    study = ex.halfspace_norm_study(problem.dimension, sign, potential, n_grid,
                                     m=num["m"])
     payload = study.to_json_dict()
     if problem.dimension == 2:
@@ -352,6 +345,11 @@ def run(subcommand: str, config_path: str, out_dir: str = ".",
         problem = build_problem(cfg)
         potential = build_potential(cfg)
         num = _numerics(cfg)
+        wants_family = subcommand in ("scaling", "halfspace")  # dichotomy: either
+        if subcommand != "dichotomy" and wants_family != isinstance(
+                potential, ScaledPotentialFamily):
+            raise ValidationError(f"{subcommand} needs potential.kind "
+                                  f"{'==' if wants_family else '!='} 'family'")
     except CONFIG_ERRORS as exc:
         _diagnostic("config-error", exc)
         return 1

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from . import birman_schwinger as bs
 from .errors import UnconvergedError, ValidationError
-from .model import Potential, ProblemSpec, validate
+from .model import Potential, ProblemSpec, require_valid
 from .sector_ode import SectorODE, closure_radius
 
 DEFAULT_H = 1e-3
@@ -69,8 +69,8 @@ class SectorPencil:
     sweeps many sectors holds one mesh, not one array per sector.
     """
 
-    def __init__(self, mesh: _Mesh, problem: ProblemSpec, sector: int | None = None):
-        ode = SectorODE(problem, sector=sector)
+    def __init__(self, mesh: _Mesh, problem: ProblemSpec):
+        ode = SectorODE(problem)
         if ode.bc not in ("dirichlet", "neumann"):
             raise ValidationError(f"unsupported sector boundary condition {ode.bc!r}")
         self.ode, self.grid = ode, mesh
@@ -131,9 +131,7 @@ class SpectrumCounter:
     """
 
     def __init__(self, problem: ProblemSpec, potential: Potential):
-        diags = validate(problem, potential)
-        if diags:
-            raise ValidationError("; ".join(diags))
+        require_valid(problem, potential)
         self.problem, self.potential = problem, potential
         self._meshes: dict[float, _Mesh] = {}
         self._pencils: dict[tuple[float, int], SectorPencil] = {}
@@ -143,7 +141,7 @@ class SpectrumCounter:
         if pencil is None:
             if h not in self._meshes:
                 self._meshes[h] = _mesh(self.problem, self.potential, h)
-            pencil = SectorPencil(self._meshes[h], self.problem, sector)
+            pencil = SectorPencil(self._meshes[h], self.problem.with_sector(sector))
             self._pencils[(h, sector)] = pencil
         return pencil
 
@@ -200,6 +198,8 @@ class SpectrumCounter:
                 return None
         while hi - lo > tol * max(1.0, hi):
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent floats: tol is below their spacing
+                break
             if has_state(mid):
                 hi = mid
             else:
@@ -219,30 +219,30 @@ def count_negative(problem: ProblemSpec, potential: Potential, beta: float,
 
 
 def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
-                   lam: float, sector: int = 0) -> float:
+                   lam: float) -> float:
     """theta(R*) - theta_target; zero exactly at sector eigenvalues.
 
     theta is the Pruefer angle of (u, p u') along the regular solution, the
     target that of the decaying free solution at R*.  As lam rises theta
     rises and the target falls, so the mismatch increases with lam.
     """
-    ode = SectorODE(problem, potential, beta, sector)
+    ode = SectorODE(problem, potential, beta)
     r_star = closure_radius(problem, potential)
-    _, theta, _ = ode.integrate(lam, [math.atan2(*ode.regular_state())],
-                                problem.inner_radius, r_star, prufer=True,
-                                rtol=1e-10, atol=1e-13)
+    theta = ode.integrate(lam, [math.atan2(*ode.regular_state())],
+                          problem.inner_radius, r_star, prufer=True,
+                          dense_output=False, rtol=1e-10, atol=1e-13).end
     return float(theta[0]) - math.atan2(*ode.decay_state(lam, r_star))
 
 
 def _fd_ground_energy(problem: ProblemSpec, potential: Potential, beta: float,
-                      sector: int, h: float) -> float | None:
+                      h: float) -> float | None:
     """Lowest eigenvalue of the pencil on [r_in, R* + 1] whose closure sits at
     that same energy; None when the pencil has none below 0.
 
     The lowest eigenvalue falls as the closure energy mu rises, so the
     consistent energy is the one root of lowest(mu) - mu in [lowest(0), 0].
     """
-    pencil = SectorPencil(_mesh(problem, potential, h), problem, sector)
+    pencil = SectorPencil(_mesh(problem, potential, h), problem)
     scale = 1.0 / np.sqrt(pencil.mass)
     off = pencil.off * scale[:-1] * scale[1:]
 
@@ -257,30 +257,29 @@ def _fd_ground_energy(problem: ProblemSpec, potential: Potential, beta: float,
     return brentq(lambda mu: lowest(mu) - mu, lam, 0.0, xtol=1e-9 * max(1.0, -lam))
 
 
-def _ground_seed(problem: ProblemSpec, potential: Potential, beta: float,
-                 sector: int):
+def _ground_seed(problem: ProblemSpec, potential: Potential, beta: float):
     """(estimate, spread) of the ground energy: the pencil's value at h, and
     twice its gap to the value at 2h, an O(h^2) window.  None when the
     pencil has no negative eigenvalue."""
     h = (closure_radius(problem, potential) + 1.0 - problem.inner_radius) / SEED_NODES
-    fine = _fd_ground_energy(problem, potential, beta, sector, h)
-    coarse = _fd_ground_energy(problem, potential, beta, sector, 2.0 * h)
+    fine = _fd_ground_energy(problem, potential, beta, h)
+    coarse = _fd_ground_energy(problem, potential, beta, 2.0 * h)
     if fine is None or coarse is None:
         return None
     return fine, 2.0 * abs(fine - coarse)
 
 
 def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
-                 tol: float = 1e-10, sector: int = 0):
-    """Lowest eigenvalue and radial profile, or None without bound states.
+                 tol: float = 1e-10) -> float | None:
+    """Lowest eigenvalue of the problem's sector, or None without bound
+    states there.
 
     Shooting on the phase mismatch with the energy-dependent decay closure.
     The root is bracketed inside (-beta max V, 0), narrowed around the
-    finite-difference estimate before the root search.
+    finite-difference estimate before the root search.  ``eigenfunction``
+    gives the profile at the returned energy.
     """
-    diags = validate(problem, potential)
-    if diags:
-        raise ValidationError("; ".join(diags))
+    require_valid(problem, potential)
     if beta <= 0:
         raise ValidationError("ground-state search needs beta > 0")
     if potential.is_zero():
@@ -291,10 +290,10 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
 
     @functools.cache
     def mismatch(lam):
-        return phase_mismatch(problem, potential, beta, lam, sector)
+        return phase_mismatch(problem, potential, beta, lam)
 
     lo, hi = lam_lo, lam_hi
-    seed = _ground_seed(problem, potential, beta, sector)
+    seed = _ground_seed(problem, potential, beta)
     if seed is not None:  # the mismatch increases with lam
         for lam in (seed[0] - seed[1], seed[0] + seed[1]):
             if lo < lam < hi:
@@ -308,29 +307,28 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
         raise UnconvergedError(
             "shooting bracket failure: mismatch positive at the lower bound",
             details={"lambda_lo": lam_lo, "mismatch": mismatch(lo)})
-    lam0 = brentq(mismatch, lo, hi, xtol=tol)
-    mesh, u = _eigenfunction(problem, potential, beta, lam0, sector)
-    return float(lam0), (mesh, u)
+    return float(brentq(mismatch, lo, hi, xtol=tol))
 
 
-def _eigenfunction(problem, potential, beta, lam, sector, n_mesh=4000):
-    """Profile at a converged eigenvalue, normalized in the volume measure.
+def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,
+                  lam: float, n_mesh: int = 4000):
+    """(mesh, u): the profile at an eigenvalue of the problem's sector,
+    normalized in the volume measure.
 
     The regular branch is integrated outward up to R*; past R* the profile
     is the decaying free solution in closed form, out to where it has
     fallen by e^{-40}.
     """
-    ode = SectorODE(problem, potential, beta, sector)
+    ode = SectorODE(problem, potential, beta)
     r_in = problem.inner_radius
     r_star = closure_radius(problem, potential)
-    pieces, _, _ = ode.integrate(
-        lam, ode.regular_state(), r_in, r_star, rtol=1e-10, atol=1e-13,
-        t_eval=lambda a0, b0: np.linspace(
-            a0, b0, max(8, int(n_mesh * (b0 - a0) / (r_star - r_in)))))
+    solution = ode.integrate(lam, ode.regular_state(), r_in, r_star,
+                             rtol=1e-10, atol=1e-13)
+    pieces = solution.sample(lambda a0, b0: np.linspace(
+        a0, b0, max(8, int(n_mesh * (b0 - a0) / (r_star - r_in)))))
     tail = r_star + np.linspace(0.0, 40.0 / math.sqrt(-lam), n_mesh // 4 + 1)[1:]
-    mesh = np.concatenate([seg.sol.t for seg in pieces] + [tail])
-    u = np.concatenate([seg.sol.y[0] for seg in pieces]
-                       + [pieces[-1].sol.y[0, -1] * ode.decay_ratio(lam, tail, r_star)])
+    mesh = np.concatenate([r for r, _, _ in pieces] + [tail])
+    u = np.concatenate([u for _, u, _ in pieces] + [solution(tail)])
     norm = math.sqrt(np.trapezoid(u ** 2 * mesh ** (problem.dimension - 1), mesh))
     return mesh, u / norm
 
@@ -340,18 +338,18 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
                                 tol: float = 1e-10):
     """Residual |beta * mu0(lambda0(beta)) - 1| over a coupling grid.
 
-    For each coupling the ground state energy comes from the shooting solver
-    and mu0 from the independently assembled kernel matrix at that energy.
+    For each coupling the ground state energy of the problem's sector comes
+    from the shooting solver and mu0 from the independently assembled kernel
+    matrix of that same sector at that energy.
     """
     rows = []
     if potential.is_zero():
         return rows
     for beta in beta_grid:
-        gs = ground_state(problem, potential, float(beta), tol=tol)
-        if gs is None:
+        lam0 = ground_state(problem, potential, float(beta), tol=tol)
+        if lam0 is None:
             raise ValidationError(f"no bound state at beta={beta:g}; "
                                   "crosscheck needs couplings above threshold")
-        lam0, _ = gs
         mat = bs.assemble(problem, potential, lam0, m=m)
         mu0, _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
         rows.append({"beta": float(beta), "lambda0": lam0, "mu0": mu0,
@@ -369,7 +367,7 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential,
 
 
 def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,
-                        lam: float, sector: int = 0, h_res: float = 1e-2) -> float:
+                        lam: float, h_res: float = 1e-2) -> float:
     """Strong-form residual of the eigen-equation at a converged energy.
 
     Re-integrates the first-order system (u, p u') on uniform sub-grids up
@@ -378,19 +376,17 @@ def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,
     inside each smooth segment.  Returns the max residual relative to the
     profile scale.
     """
-    ode = SectorODE(problem, potential, beta, sector)
-    pieces, _, _ = ode.integrate(
+    ode = SectorODE(problem, potential, beta)
+    pieces = ode.integrate(
         lam, ode.regular_state(), problem.inner_radius,
-        closure_radius(problem, potential),
-        rtol=1e-12, atol=1e-14,
-        t_eval=lambda a0, b0: np.linspace(
-            a0, b0, max(9, int(round((b0 - a0) / h_res)) + 1)))
-    scale_u = max(float(np.max(np.abs(seg.sol.y[0]))) for seg in pieces)
-    scale_v = max(float(np.max(np.abs(seg.sol.y[1]))) for seg in pieces)
+        closure_radius(problem, potential), rtol=1e-12, atol=1e-14,
+    ).sample(lambda a0, b0: np.linspace(
+        a0, b0, max(9, int(round((b0 - a0) / h_res)) + 1)))
+    scale_u = max(float(np.max(np.abs(uu))) for _, uu, _ in pieces)
+    scale_v = max(float(np.max(np.abs(vv))) for _, _, vv in pieces)
     denom = max(scale_v, (abs(lam) + beta * potential.max_value() + 1.0) * scale_u)
     worst = 0.0
-    for seg in pieces:
-        r, (uu, vv) = seg.sol.t, seg.sol.y
+    for r, uu, vv in pieces:
         if r.size < 9:
             continue
         hh = r[1] - r[0]

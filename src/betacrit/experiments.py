@@ -247,10 +247,8 @@ def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
         c_s = C3
         sgn = -1.0 if sign == "minus" else 1.0
         regular = sgn * C3 / image
-    meta = {"d": d, "sign": sign, "n": n, "center": center,
-            "nodes": cloud.pts.shape[0]}
     return bs.assemble_points(cloud.pts, cloud.w, density, regular, cloud.g, c_s,
-                              cloud.cells(cut), meta)
+                              cloud.cells(cut))
 
 
 def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
@@ -273,7 +271,7 @@ def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
     alpha = 1.0 if profile is None else float(np.min(profile(cloud.radii)))
     mat = bs.assemble_points(cloud.pts, cloud.w, np.ones(cloud.pts.shape[0]),
                              np.zeros_like(cloud.g), cloud.g, rho * alpha * C3,
-                             cloud.cells(), {"rho": rho, "alpha": alpha})
+                             cloud.cells())
     return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
 
 
@@ -309,7 +307,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
             notices.append(f"n={n:g} skipped: {exc}")
             continue
         row["norm"], _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
-        row["nodes"] = mat.meta["nodes"]
+        row["nodes"] = mat.size
         if d == 2:
             row["rank_one_bound"] = (math.log(2.0 * n * center)
                                      / (2.0 * math.pi * math.log(n))) * w_mass
@@ -370,7 +368,8 @@ def scaling_study_1d(family: ScaledPotentialFamily, n_grid,
                               "; ".join(notices))
     vals = [r["beta_cr_kernel"] for r in rows]
     meta = {"m": m, "path": family.center_path.describe(),
-            "monotone_increasing": bool(all(b > a for a, b in zip(vals, vals[1:])))}
+            "monotone_increasing": None not in vals and all(
+                b > a for a, b in zip(vals, vals[1:]))}
     return ScalingStudy("shrinking-well-1d", tuple(rows), tuple(notices), meta)
 
 
@@ -388,8 +387,8 @@ def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
     """
     if problem.dimension != 3:
         raise ValidationError("the counting bound audit is a d=3 statement")
+    counter = ds.SpectrumCounter(problem, potential)  # validates the potential
     v_moment = potential.integral_power(1.5, 3)
-    counter = ds.SpectrumCounter(problem, potential)
     rows = []
     for beta in beta_grid:
         count = counter.count(float(beta), h=h, refine=refine)

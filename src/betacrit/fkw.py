@@ -13,7 +13,7 @@ gamma1(0-) = 1 in the classical d=3 unit-ball case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -22,8 +22,8 @@ from . import birman_schwinger as bs
 from .direct_spectrum import SectorPencil, _mesh, beta_critical_direct
 from .errors import (KernelLimitError, MethodDisagreement, NearSingularError,
                      ValidationError)
-from .model import Potential, ProblemSpec, validate
-from .sector_ode import SectorODE, closure_radius
+from .model import Potential, ProblemSpec, require_valid
+from .sector_ode import SectorODE, SectorSolution, closure_radius
 
 DEFAULT_SECTOR_MAX = 3
 
@@ -39,41 +39,6 @@ def _top_sector(problem: ProblemSpec, sector_max: int) -> int:
     return 1 if problem.dimension == 1 else sector_max
 
 
-class RadialSolution:
-    """Radial profile: the integrator's dense output up to R*, the decaying
-    free solution in closed form past it.
-
-    Calling it evaluates the profile; ``derivative`` evaluates p u'.
-    """
-
-    def __init__(self, ode: SectorODE, lam: float, r_star: float, pieces,
-                 scale: float):
-        self._ode, self._lam, self._r_star = ode, lam, r_star
-        self._pieces = pieces  # (lo, hi, dense, rescale); u(R*) = 1 unscaled
-        self._scale = scale
-
-    def _eval(self, r, component):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)  # below the obstacle the profile is undefined
-        tail = r > self._r_star
-        if tail.any():
-            u = self._ode.decay_ratio(self._lam, r[tail], self._r_star)
-            out[tail] = u if component == 0 else \
-                u * self._ode.decay_state(self._lam, r[tail])[1]
-        for lo, hi, dense, rescale in self._pieces:
-            mask = (r >= lo - 1e-12) & (r <= hi + 1e-12) & ~tail
-            if mask.any():
-                out[mask] = dense(np.clip(r[mask], lo, hi))[component] * rescale
-        return out / self._scale
-
-    def __call__(self, r):
-        return self._eval(r, 0)
-
-    def derivative(self, r):
-        """p(r) u'(r) along the profile."""
-        return self._eval(r, 1)
-
-
 @dataclass(frozen=True)
 class FkwSolution:
     """Sector-decomposed solution with its boundary constants."""
@@ -83,7 +48,7 @@ class FkwSolution:
     gamma1: float
     lam: float
     sector_profiles: dict  # l -> (mesh, values)
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # "source_cut": see solve_fkw
 
     def to_json_dict(self) -> dict:
         return {"alpha": self.alpha, "gamma": self.gamma, "gamma1": self.gamma1,
@@ -92,8 +57,9 @@ class FkwSolution:
 
 
 def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
-            rtol: float = 1e-11):
-    """Decaying radial solution with unit trace on the obstacle sphere.
+            rtol: float = 1e-11) -> SectorSolution:
+    """Decaying radial solution with unit trace on the obstacle sphere, in
+    the symmetric sector.
 
     Integrated inward (the stable direction for the decaying branch) from
     R*, where the decaying free solution is exact; raises
@@ -101,31 +67,24 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
     where no unit-trace solution exists.
     """
     _require_fkw(problem)
-    diags = validate(problem, potential)
-    if diags:
-        raise ValidationError("; ".join(diags))
+    require_valid(problem, potential)
     if lam > 0:
         raise ValidationError("the exterior solve needs lambda <= 0")
     if lam == 0 and problem.dimension <= 2:
         raise KernelLimitError("no decaying zero-energy solution in this sector")
     r_star = closure_radius(problem, potential)
-    ode = SectorODE(problem, potential, beta, sector=0)
+    ode = SectorODE(problem.with_sector(0), potential, beta)
     # only the ratio to the trace matters, so each segment restarts at O(1)
-    pieces, y, scale = ode.integrate(lam, ode.decay_state(lam, r_star), r_star,
-                                     problem.inner_radius, rescale=True,
-                                     dense_output=True, rtol=rtol, atol=1e-12)
-    u_at_r0 = y[0] * scale
-    umax = max(abs(seg.scale) * float(np.max(np.abs(seg.sol.y[0])))
-               for seg in pieces)
-    if abs(u_at_r0) < 1e-6 * umax:
+    v = ode.integrate(lam, ode.decay_state(lam, r_star), r_star,
+                      problem.inner_radius, rescale=True, rtol=rtol, atol=1e-12)
+    if abs(v.end[0]) < 1e-6 * v.peak:
         raise NearSingularError("energy sits at a Dirichlet eigenvalue; "
                                 "the unit-trace solution degenerates")
-    return RadialSolution(ode, lam, r_star,
-                          [(seg.end, seg.start, seg.sol.sol, seg.scale)
-                           for seg in pieces], u_at_r0)
+    v.norm = v.end[0]  # u(r0)
+    return v
 
 
-def _boundary_flux(problem: ProblemSpec, v: RadialSolution) -> float:
+def _boundary_flux(problem: ProblemSpec, v: SectorSolution) -> float:
     """Mean boundary flux -v'(r0) of the unit-trace solution."""
     r0 = problem.inner_radius
     return -float(v.derivative(r0)) / SectorODE(problem).coefficients(r0)[0]
@@ -139,26 +98,28 @@ def gamma1(problem: ProblemSpec, beta: float, potential: Potential,
 
 
 def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential,
-                         lam: float, f, sector: int, h: float):
-    """Dirichlet solve (H_beta - lambda) w = f on [r0, R* + 1], closed there
-    by the decay relation at lambda.
+                         lam: float, f, h: float):
+    """Dirichlet solve (H_beta - lambda) w = f on [r0, R* + 1] in the
+    problem's sector, closed there by the decay relation at lambda.
 
     The resolvent decomposition always uses the Dirichlet condition, whatever
-    the sector's effective condition is.
+    the sector's effective condition is.  Returns the mesh, w, and the part
+    of the source the mesh cuts, |f(R* + 1)| / max |f| (0 for f == 0).
     """
-    forced = ProblemSpec(problem.dimension, problem.geometry, "dirichlet",
-                         problem.radius, problem.coefficient, 0)
-    pencil = SectorPencil(_mesh(forced, potential, h), forced, sector)
+    forced = replace(problem, boundary_condition="dirichlet")
+    pencil = SectorPencil(_mesh(forced, potential, h), forced)
     mesh = pencil.grid.r[pencil.first:]
     f_vals = np.asarray(f(mesh), dtype=float)
+    f_max = float(np.max(np.abs(f_vals)))
+    cut = abs(float(f_vals[-1])) / f_max if f_max > 0.0 else 0.0
     ab = np.zeros((3, mesh.size))
     ab[0, 1:] = pencil.off
     ab[1, :] = pencil.diag(beta, lam) - lam * pencil.mass
     ab[2, :-1] = pencil.off
     w = solve_banded((1, 1), ab, pencil.mass * f_vals)
-    if float(np.max(np.abs(w))) > 1e10 * (float(np.max(np.abs(f_vals))) + 1e-300):
+    if float(np.max(np.abs(w))) > 1e10 * (f_max + 1e-300):
         raise NearSingularError("resolvent solve near-singular at this energy")
-    return mesh, w
+    return mesh, w, cut
 
 
 def _inner_flux(mesh: np.ndarray, w: np.ndarray, h: float) -> float:
@@ -177,7 +138,8 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
     sector combines the Dirichlet resolvent with the unit-trace solution so
     both boundary conditions hold; higher sectors are pure Dirichlet solves.
     Profiles run over [r0, R* + 1], where the decay closure is exact for a
-    source supported inside that interval; any source past R* + 1 is cut.
+    source supported inside that interval; any source past R* + 1 is cut,
+    and ``meta["source_cut"]`` records |f(R* + 1)| / max |f| per sector.
     """
     _require_fkw(problem)
     if lam >= 0:
@@ -187,11 +149,13 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
     r0 = problem.inner_radius
     r_out = closure_radius(problem, potential) + 1.0
     sector_profiles = {}
+    source_cut = {}
     alpha = 0.0
     gamma = 0.0
     f0 = f.get(0)
     if f0 is not None:
-        mesh0, w0 = _dirichlet_resolvent(problem, beta, potential, lam, f0, 0, h)
+        mesh0, w0, source_cut[0] = _dirichlet_resolvent(
+            problem.with_sector(0), beta, potential, lam, f0, h)
         gamma = _inner_flux(mesh0, w0, h)
         if abs(g1) < gamma1_tol * max(1.0, abs(gamma)):
             raise NearSingularError(
@@ -204,7 +168,8 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
     for l, fl in sorted(f.items()):
         if l == 0 or fl is None:
             continue
-        mesh_l, w_l = _dirichlet_resolvent(problem, beta, potential, lam, fl, l, h)
+        mesh_l, w_l, source_cut[l] = _dirichlet_resolvent(
+            problem.with_sector(l), beta, potential, lam, fl, h)
         sector_profiles[l] = (np.concatenate([[r0], mesh_l]),
                               np.concatenate([[0.0], w_l]))
     if not sector_profiles:
@@ -212,7 +177,8 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
     return FkwSolution(alpha=float(alpha), gamma=float(gamma), gamma1=float(g1),
                        lam=lam, sector_profiles=sector_profiles,
                        meta={"h": h, "r_out": r_out, "beta": beta,
-                             "flux_orientation": "toward the obstacle"})
+                             "flux_orientation": "toward the obstacle",
+                             "source_cut": source_cut})
 
 
 def fkw_norm_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,
@@ -244,9 +210,7 @@ def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
     the default grid.
     """
     _require_fkw(problem)
-    diags = validate(problem, potential)
-    if diags:
-        raise ValidationError("; ".join(diags))
+    require_valid(problem, potential)
     if potential.is_zero():
         return None
     if limit is None:

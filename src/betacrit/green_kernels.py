@@ -112,15 +112,13 @@ def _variable_a_pair(problem: ProblemSpec, lam: float, free):
     g, f, dg, df = (float(v) for v in free(rf, derivatives=True))
 
     # decaying solution inward from the flattening radius, regular outward
-    (dec,), _, _ = ode.integrate(lam, [f, p_rf * df], rf, r0, dense_output=True,
-                                 rtol=1e-11, atol=1e-14)
-    (reg,), y_reg, _ = ode.integrate(lam, ode.regular_state(), r0, rf,
-                                     dense_output=True, rtol=1e-11, atol=1e-14)
+    dec = ode.integrate(lam, [f, p_rf * df], rf, r0, rtol=1e-11, atol=1e-14)
+    reg = ode.integrate(lam, ode.regular_state(), r0, rf, rtol=1e-11, atol=1e-14)
 
     # a = u_reg e^{-k(r - r0)} and b = u_dec e^{kr}; past r_flat
     # a = alpha g + beta f e^{-2k(r - rf)} continues the regular solution
     scale = math.exp(-k * (rf - r0))
-    y_rf, dy_rf = y_reg[0] * scale, y_reg[1] / p_rf * scale
+    y_rf, dy_rf = reg.end[0] * scale, reg.end[1] / p_rf * scale
     wr = g * df - dg * f
     alpha = (y_rf * df - dy_rf * f) / wr
     beta = (dy_rf * g - y_rf * dg) / wr
@@ -130,7 +128,7 @@ def _variable_a_pair(problem: ProblemSpec, lam: float, free):
         out = np.empty_like(r)
         inner = r <= rf
         if inner.any():
-            out[inner] = reg.sol.sol(r[inner])[0] * np.exp(-k * (r[inner] - r0))
+            out[inner] = reg(r[inner]) * np.exp(-k * (r[inner] - r0))
         if (~inner).any():
             ro = r[~inner]
             g_o, f_o = free(ro)
@@ -142,7 +140,7 @@ def _variable_a_pair(problem: ProblemSpec, lam: float, free):
         out = np.empty_like(r)
         inner = r < rf
         if inner.any():
-            out[inner] = dec.sol.sol(r[inner])[0] * np.exp(k * (r[inner] - rf))
+            out[inner] = dec(r[inner]) * np.exp(k * (r[inner] - rf))
         if (~inner).any():
             out[~inner] = free(r[~inner])[1]
         return out

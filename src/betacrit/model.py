@@ -154,8 +154,10 @@ class ProblemSpec:
     """Exterior problem: geometry, dimension, coefficient, boundary condition.
 
     ``sector`` selects the angular component for exterior-ball problems
-    (``l = 0`` is the radially symmetric one).  ``radius`` is the obstacle
-    radius for the exterior ball and is ignored otherwise.
+    (``l = 0`` is the radially symmetric one); it is the only way any
+    routine is told which sector to work in, so a caller that sweeps sectors
+    passes ``with_sector(l)``.  ``radius`` is the obstacle radius for the
+    exterior ball and is ignored otherwise.
     """
 
     dimension: int
@@ -203,17 +205,16 @@ class ProblemSpec:
             return self.inner_radius
         return max(self.inner_radius, self.coefficient.r_flat)
 
-    def effective_bc(self, sector: int | None = None) -> str:
-        """Boundary condition seen by a single angular sector.
+    def effective_bc(self) -> str:
+        """Boundary condition seen by the problem's angular sector.
 
         The nonlocal condition (constant trace, zero mean flux against the
         uniform measure) decouples into a Neumann condition on the symmetric
         sector and Dirichlet conditions on all the others.
         """
-        l = self.sector if sector is None else sector
         if self.boundary_condition != "fkw":
             return self.boundary_condition
-        return "neumann" if l == 0 else "dirichlet"
+        return "neumann" if self.sector == 0 else "dirichlet"
 
     def with_sector(self, sector: int) -> "ProblemSpec":
         return ProblemSpec(self.dimension, self.geometry, self.boundary_condition,
@@ -406,8 +407,8 @@ def validate(problem: ProblemSpec, potential: Potential) -> list[str]:
     if problem.geometry in ("half_line", "exterior_ball"):
         if potential.center is not None:
             diags.append("support outside domain: ball supports belong to half-space problems")
-        elif lo < problem.inner_radius - 1e-12:
-            diags.append("support outside domain")
+        elif lo < problem.inner_radius - 1e-12 or hi <= problem.inner_radius + 1e-12:
+            diags.append("support outside domain")  # in the domain to within 1e-12
     else:  # half_space: support is a ball about center*e1, domain x1 > 0
         if potential.center is None:
             diags.append("support outside domain: half-space potentials need a ball support")
@@ -415,6 +416,11 @@ def validate(problem: ProblemSpec, potential: Potential) -> list[str]:
             diags.append("support outside domain")
     if not math.isfinite(hi):
         diags.append("support not compact")
-    if problem.boundary_condition == "fkw" and problem.geometry != "exterior_ball":
-        diags.append("fkw condition requires the exterior ball geometry")
     return diags
+
+
+def require_valid(problem: ProblemSpec, potential: Potential) -> None:
+    """Raise ``ValidationError`` carrying every diagnostic of ``validate``."""
+    diags = validate(problem, potential)
+    if diags:
+        raise ValidationError("; ".join(diags))

@@ -8,13 +8,13 @@ In sector l of a d-dimensional problem every route solves
 with the diffusion coefficient a(r) and the potential V.  ``SectorODE`` is
 the only code that knows p, q and w, the first-order (u, p u') and Pruefer
 forms of the equation, the decaying free solution past the closure radius
-R*, and how to integrate across the kinks of V and a.
+R*, and how to integrate across the kinks of V and a.  ``SectorSolution``
+is the only reader of what it integrates.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -33,32 +33,87 @@ def closure_radius(problem: ProblemSpec, potential: Potential) -> float:
     return max(potential.support[1], problem.flat_radius())
 
 
-class Segment(NamedTuple):
-    """One integrated piece: the true state on it is ``sol`` times ``scale``."""
+class SectorSolution:
+    """One integration of the sector equation at energy ``lam``.
 
-    start: float
-    end: float
-    sol: object
-    scale: float
+    Inside its span the state (u, p u') is each piece's dense output times
+    the piece's scale.  Past the outer end it continues as the decaying free
+    solution in closed form, which is the continuation of a solution started
+    from ``decay_state`` or of an eigenfunction; below the inner end it is 0.
+    ``end`` is the true state where the integration stopped and ``peak`` the
+    largest |u| it passed.  Values read through ``state``, ``sample`` and
+    calling are divided by ``norm`` (1 unless a caller sets it).  An
+    integration without dense output gives only ``end`` and ``peak``.
+    """
+
+    def __init__(self, ode: "SectorODE", lam: float, pieces, end):
+        self.ode, self.lam, self.end, self.norm = ode, lam, end, 1.0
+        self._pieces = pieces  # (start, end, solve_ivp result, scale), in order
+        start, stop = pieces[0][0], pieces[-1][1]
+        self.span = (min(start, stop), max(start, stop))
+        self._outer = pieces[0][2].y[:, 0] if start > stop else end
+
+    @property
+    def peak(self) -> float:
+        return max(abs(scale) * float(np.max(np.abs(sol.y[0])))
+                   for _, _, sol, scale in self._pieces)
+
+    def state(self, r) -> np.ndarray:
+        """(u, p u') at the radii r, stacked along the first axis."""
+        r = np.asarray(r, dtype=float)
+        out = np.zeros((2,) + r.shape)
+        lo, hi = self.span
+        tail = r > hi
+        if tail.any():
+            u = self._outer[0] * self.ode.decay_ratio(self.lam, r[tail], hi)
+            out[0, tail] = u
+            out[1, tail] = u * self.ode.decay_state(self.lam, r[tail])[1]
+        for start, stop, sol, scale in self._pieces:
+            a, b = min(start, stop), max(start, stop)
+            mask = (r >= a - 1e-12) & (r <= b + 1e-12) & ~tail
+            if mask.any():
+                out[:, mask] = sol.sol(np.clip(r[mask], a, b)) * scale
+        return out / self.norm
+
+    def __call__(self, r):
+        return self.state(r)[0]
+
+    def derivative(self, r):
+        """p(r) u'(r) along the solution."""
+        return self.state(r)[1]
+
+    def sample(self, points):
+        """(r, u, p u') on each piece, at the radii ``points(start, end)`` of
+        that piece, each read from the piece's own dense output."""
+        return [(r, *(sol.sol(r) * scale / self.norm))
+                for start, stop, sol, scale in self._pieces
+                for r in (points(start, stop),)]
 
 
 class SectorODE:
-    """Sector equation of ``problem`` at coupling ``beta`` to ``potential``.
+    """Sector equation of ``problem`` at coupling ``beta`` to ``potential``,
+    in the problem's own sector.
 
-    ``sector`` defaults to the problem's own.  Without a coefficient (a == 1)
-    or without a potential that term is never evaluated.
+    Without a coefficient (a == 1) or without a potential that term is never
+    evaluated.
     """
 
     def __init__(self, problem: ProblemSpec, potential: Potential | None = None,
-                 beta: float = 0.0, sector: int | None = None):
+                 beta: float = 0.0):
         self.problem = problem
         self.potential = potential
         self.beta = beta
-        self.sector = problem.sector if sector is None else sector
+        self.sector = problem.sector
         self.dimension = problem.dimension
-        self.bc = problem.effective_bc(self.sector)
+        self.bc = problem.effective_bc()
         self._cent = self.sector * (self.sector + self.dimension - 2)
         self._nu = self.sector + 0.5 * self.dimension - 1.0
+        kinks = {problem.flat_radius()}  # a and V are smooth between samples
+        if problem.coefficient is not None:  # sampled up to r_flat at most
+            kinks.update(problem.coefficient.profile.xs.tolist())
+        if potential is not None:
+            kinks.update(potential.profile.xs.tolist())
+        self._kinks = sorted(kinks)
 
     def coefficients(self, r):
         """(p, q, w) at r, a float or an array; a float never touches numpy."""
@@ -129,26 +184,21 @@ class SectorODE:
                 * kve(self._nu, k * r) / kve(self._nu, k * r0))
 
     def segment_points(self, r_in: float, r_out: float) -> list[float]:
-        """[r_in, r_out] cut at the support edges of V and at r_flat, ascending."""
-        cuts = {r_in, r_out}
-        inner = [self.problem.flat_radius()]
-        if self.potential is not None:
-            inner += self.potential.support
-        cuts.update(float(c) for c in inner if r_in < c < r_out)
-        return sorted(cuts)
+        """[r_in, r_out] cut at every sample of V and of a, and at r_flat,
+        ascending."""
+        return [r_in] + [c for c in self._kinks if r_in < c < r_out] + [r_out]
 
     def integrate(self, lam: float, y, start: float, end: float, *,
-                  prufer: bool = False, t_eval=None, rescale: bool = False,
-                  **options):
+                  prufer: bool = False, rescale: bool = False,
+                  dense_output: bool = True, **options) -> SectorSolution:
         """Integrate from state ``y`` at ``start`` to ``end``, either direction.
 
         Each piece between consecutive ``segment_points`` is one RK45 solve,
         with the step capped at an eighth of the support width inside it.
-        ``t_eval(a, b)`` gives a piece's output radii; with ``rescale`` the
-        state restarts each piece divided by its largest component.  Other
-        ``options`` go to ``solve_ivp``.  Returns the pieces as ``Segment``
-        records, and the final state with its scale.  A failed solve raises
-        ``UnconvergedError``.
+        With ``rescale`` the state restarts each piece divided by its largest
+        component.  Other ``options`` go to ``solve_ivp``.  A Pruefer
+        integration (``prufer``) gives the angle alone; read only its
+        ``end``.  A failed solve raises ``UnconvergedError``.
         """
         rhs = self.prufer_rhs(lam) if prufer else self.rhs(lam)
         points = self.segment_points(min(start, end), max(start, end))
@@ -164,17 +214,16 @@ class SectorODE:
                 max_step = min(max_step, max(support[1] - support[0], 1e-6) / 8)
             with np.errstate(over="ignore", invalid="ignore"):
                 sol = solve_ivp(rhs, (a0, b0), y, max_step=max_step,
-                                t_eval=None if t_eval is None else t_eval(a0, b0),
-                                **options)
+                                dense_output=dense_output, **options)
             if not (sol.success and np.isfinite(sol.y).all()):
                 raise UnconvergedError(
                     "sector ODE integration failed",
                     details={"segment": [float(a0), float(b0)], "lambda": lam,
                              "solver": sol.message})
-            pieces.append(Segment(a0, b0, sol, scale))
+            pieces.append((a0, b0, sol, scale))
             y = sol.y[:, -1]
             if rescale:
                 mag = max(abs(y[0]), abs(y[1]), 1e-300)
                 scale *= mag
                 y = y / mag
-        return pieces, y, scale
+        return SectorSolution(self, lam, pieces, y * scale)

@@ -324,6 +324,37 @@ class TestSubcommands:
         header = open(tmp_path / cfg["output"]["csv"]).readline().strip()
         assert header == "beta,lambda0,count,mesh,residual"
 
+    def test_crosscheck_pairs_energy_and_kernel_of_the_config_sector(self, tmp_path):
+        # the sector-0 energy against the sector-1 kernel reads 0.071 here
+        cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
+                           "boundary_condition": "dirichlet", "radius": 1.0,
+                           "sector": 1},
+               "potential": {"kind": "indicator", "support": [1.5, 2.5]},
+               "study": {"beta_grid": [8.0]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("crosscheck", str(path), str(tmp_path)) == 0
+        with open(tmp_path / "crosscheck.json") as fh:
+            payload = json.load(fh)
+        assert payload["max_residual"] < 1e-4
+
+    def test_direct_rows_hold_the_lowest_state_whatever_the_config_sector(self, tmp_path):
+        reports = []
+        for sector in (0, 2):
+            cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
+                               "boundary_condition": "dirichlet", "radius": 1.0,
+                               "sector": sector},
+                   "potential": {"kind": "indicator", "support": [1.5, 2.5]},
+                   "numerics": {"mesh_h": 4e-3, "bisect_tol": 1e-4},
+                   "study": {"beta_grid": [8.0], "refine": False}}
+            path = tmp_path / f"cfg{sector}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / str(sector)
+            assert cli.run("direct", str(path), str(out)) == 0
+            reports.append((out / "direct.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["rows"][0]["lambda0"] < -4.5  # below sector 1's
+
     def test_fkw_report(self, tmp_path):
         code, cfg = run_config(tmp_path, "fkw_ball_d3.json", "fkw")
         assert code == 0

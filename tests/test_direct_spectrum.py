@@ -86,6 +86,14 @@ class TestCountNegative:
         assert err.value.details
 
 
+class TestThreshold:
+    def test_tolerance_below_the_float_spacing_ends_the_bisection(self):
+        # it ran forever once lo and hi were adjacent floats
+        fine = ds.beta_critical_direct(HALF_LINE_D, WELL, tol=1e-300, h=0.01)
+        assert fine == pytest.approx(
+            ds.beta_critical_direct(HALF_LINE_D, WELL, tol=1e-9, h=0.01), rel=1e-8)
+
+
 class TestGroundState:
     def test_none_below_threshold(self):
         assert ds.ground_state(HALF_LINE_D, WELL, 0.9 * BETA_CR_WELL) is None
@@ -95,31 +103,33 @@ class TestGroundState:
                                Potential(Profile.indicator(1.0, 2.0), 0.0), 2.0) is None
 
     def test_energy_window_and_residual(self):
-        lam0, (mesh, u) = ds.ground_state(HALF_LINE_D, WELL, 4.0)
+        lam0 = ds.ground_state(HALF_LINE_D, WELL, 4.0)
         assert -4.0 < lam0 < 0.0
         res = ds.eigenvalue_residual(HALF_LINE_D, WELL, 4.0, lam0)
         assert res < 1e-6
 
     def test_energy_bounded_by_well_depth(self):
         for beta in (1.0, 2.5, 6.0):
-            lam0, _ = ds.ground_state(HALF_LINE_D, WELL, beta)
+            lam0 = ds.ground_state(HALF_LINE_D, WELL, beta)
             assert lam0 >= -beta * WELL.max_value() - 1e-9
 
     @pytest.mark.parametrize("beta", [0.814, 4.0, 100.0])
     def test_matches_the_square_well_matching_equation(self, beta):
-        lam0, _ = ds.ground_state(HALF_LINE_D, WELL, beta)
+        lam0 = ds.ground_state(HALF_LINE_D, WELL, beta)
         exact = oc.square_well_ground_energy(beta, 1.0, 2.0)
         assert abs(lam0 - exact) <= 1e-9 * max(1.0, abs(exact))
 
     def test_profile_tail_is_the_decaying_free_solution(self):
-        lam0, (mesh, u) = ds.ground_state(HALF_LINE_D, WELL, 4.0)
+        lam0 = ds.ground_state(HALF_LINE_D, WELL, 4.0)
+        mesh, u = ds.eigenfunction(HALF_LINE_D, WELL, 4.0, lam0)
         tail = mesh > 2.0
         k = np.sqrt(-lam0)
         ratio = u[tail] * np.exp(k * mesh[tail])
         assert ratio == pytest.approx(ratio[0], rel=1e-12)
 
     def test_profile_normalized_and_positive(self):
-        lam0, (mesh, u) = ds.ground_state(HALF_LINE_D, WELL, 4.0)
+        lam0 = ds.ground_state(HALF_LINE_D, WELL, 4.0)
+        mesh, u = ds.eigenfunction(HALF_LINE_D, WELL, 4.0, lam0)
         norm = np.trapezoid(u ** 2, mesh)
         assert norm == pytest.approx(1.0, rel=1e-3)
         assert np.all(u[1:-1] > -1e-10)
@@ -129,26 +139,26 @@ class TestGroundState:
         pot3 = Potential(Profile.indicator(1.5, 2.5))
         shifted = ProblemSpec(1, "half_line", "dirichlet")
         pot1 = Potential(Profile.indicator(0.5, 1.5))
-        lam3, _ = ds.ground_state(prob, pot3, 4.0)
-        lam1, _ = ds.ground_state(shifted, pot1, 4.0)
+        lam3 = ds.ground_state(prob, pot3, 4.0)
+        lam1 = ds.ground_state(shifted, pot1, 4.0)
         assert lam3 == pytest.approx(lam1, rel=1e-6)
 
     def test_variable_coefficient_shifts_energy_up(self):
         a = CoefficientProfile(Profile(np.array([0.0, 3.0]),
                                        np.array([1.5, 1.5])), 3.0)
         stiff = ProblemSpec(1, "half_line", "dirichlet", coefficient=a)
-        lam_stiff, _ = ds.ground_state(stiff, WELL, 4.0)
-        lam_flat, _ = ds.ground_state(HALF_LINE_D, WELL, 4.0)
+        lam_stiff = ds.ground_state(stiff, WELL, 4.0)
+        lam_flat = ds.ground_state(HALF_LINE_D, WELL, 4.0)
         assert lam_stiff > lam_flat
 
 
     def test_d3_sector1_matches_fd_eigenvalue(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
         pot = Potential(Profile.indicator(1.5, 2.5))
-        lam0, _ = ds.ground_state(prob, pot, 8.0, sector=1, tol=1e-9)
+        lam0 = ds.ground_state(prob.with_sector(1), pot, 8.0, tol=1e-9)
         ref = oc.fd_ground_energy(3, 1, 1.0, (1.5, 2.5), 8.0)
         assert lam0 == pytest.approx(ref, rel=1e-6)
-        assert ds.eigenvalue_residual(prob, pot, 8.0, lam0, sector=1) < 1e-6
+        assert ds.eigenvalue_residual(prob.with_sector(1), pot, 8.0, lam0) < 1e-6
 
     def test_d3_variable_coefficient_matches_fd_eigenvalue(self):
         a = CoefficientProfile(Profile(np.array([1.0, 2.0, 3.0]),
@@ -156,16 +166,45 @@ class TestGroundState:
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0,
                            coefficient=a)
         pot = Potential(Profile.indicator(1.5, 2.5))
-        lam0, _ = ds.ground_state(prob, pot, 5.0, tol=1e-9)
+        lam0 = ds.ground_state(prob, pot, 5.0, tol=1e-9)
         ref = oc.fd_ground_energy(3, 0, 1.0, (1.5, 2.5), 5.0, coefficient=a)
         assert lam0 == pytest.approx(ref, rel=1e-6)
         assert ds.eigenvalue_residual(prob, pot, 5.0, lam0) < 1e-6
+
+
+    @pytest.mark.parametrize("shape,bound", [("tent", 1e-6), ("bump", 1e-9)])
+    def test_sampled_wells_are_integrated_between_their_samples(self, shape, bound):
+        # a kink inside an RK45 step spoils the profile there: cut only at
+        # the support edges, the tent reads 7.4e-3 and the bump 3.4e-5
+        pot = Potential(getattr(Profile, shape)(1.2, 1.9, 1.5))
+        lam0 = ds.ground_state(HALF_LINE_D, pot, 6.0)
+        assert ds.eigenvalue_residual(HALF_LINE_D, pot, 6.0, lam0) < bound
+
+    def test_eigenfunction_reads_the_problem_sector(self):
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        lam0 = ds.ground_state(prob, pot, 8.0, tol=1e-9)
+        mesh, u = ds.eigenfunction(prob, pot, 8.0, lam0)
+        assert np.trapezoid(u ** 2 * mesh ** 2, mesh) == pytest.approx(1.0, rel=1e-3)
+        # the sector-1 profile decays like r^{-1} K_{3/2}(k r) past R*
+        k, tail = np.sqrt(-lam0), mesh > 2.5
+        ratio = u[tail] * mesh[tail] ** 2 * np.exp(k * mesh[tail]) / (1.0 + k * mesh[tail])
+        assert ratio == pytest.approx(ratio[0], rel=1e-10)
 
 
 class TestCrosscheck:
     def test_identity_residual_small(self):
         rows = ds.crosscheck_birman_schwinger(HALF_LINE_D, WELL, [1.0, 2.0, 4.0])
         assert max(r["residual"] for r in rows) < 1e-3
+
+    def test_energy_and_kernel_come_from_the_problem_sector(self):
+        # pairing the sector-0 energy with the sector-1 kernel reads 0.071
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        (row,) = ds.crosscheck_birman_schwinger(prob, pot, [8.0])
+        ref = oc.fd_ground_energy(3, 1, 1.0, (1.5, 2.5), 8.0)
+        assert row["lambda0"] == pytest.approx(ref, rel=1e-6)
+        assert row["residual"] < 1e-4
 
     def test_zero_potential_empty(self):
         rows = ds.crosscheck_birman_schwinger(
@@ -314,7 +353,7 @@ class TestSturmCount:
 def _one_shot_operator(problem, potential, beta, h, sector, closure_lambda):
     """(mesh, diag, off, mass) assembled in one pass, the way the pencil's
     single build did it before the coupling was factored out."""
-    ode = SectorODE(problem, sector=sector)
+    ode = SectorODE(problem.with_sector(sector))
     r_in = problem.inner_radius
     r_out = closure_radius(problem, potential) + 1.0
     n = max(8, int(round((r_out - r_in) / h)))
@@ -340,7 +379,8 @@ def _one_shot_operator(problem, potential, beta, h, sector, closure_lambda):
 
 STIFF = CoefficientProfile(Profile(np.array([1.0, 2.0, 3.0]),
                                    np.array([2.0, 1.5, 1.0])), 3.0)
-PENCIL_CASES = ((HALF_LINE_D, 0), (HALF_LINE_N, 0), (HALF_LINE_D, 1),
+PENCIL_CASES = ((HALF_LINE_D, 0), (HALF_LINE_N, 0),
+                (ProblemSpec(1, "exterior_ball", "dirichlet", radius=1.0), 1),
                 (BALL_D3, 0), (BALL_D3, 3),
                 (ProblemSpec(2, "exterior_ball", "neumann", radius=1.0), 2),
                 (ProblemSpec(3, "exterior_ball", "fkw", radius=1.0), 0),
@@ -363,7 +403,7 @@ class TestSectorPencil:
         h = 5e-3
         pencil = ds.SpectrumCounter(prob, pot).pencil(h, sector)
         for beta, lam in queries:
-            fresh = ds.SectorPencil(ds._mesh(prob, pot, h), prob, sector)
+            fresh = ds.SectorPencil(ds._mesh(prob, pot, h), prob.with_sector(sector))
             mesh, diag, off, mass = _one_shot_operator(prob, pot, beta, h, sector, lam)
             for kept in (pencil, fresh):
                 assert np.array_equal(kept.grid.r[kept.first:], mesh)
@@ -381,9 +421,9 @@ class TestPencilSharing:
         built = []
         pencil = ds.SectorPencil
 
-        def counted(mesh, problem, sector=None):
-            built.append((mesh.h, sector))
-            return pencil(mesh, problem, sector)
+        def counted(mesh, problem):
+            built.append((mesh.h, problem.sector))
+            return pencil(mesh, problem)
 
         monkeypatch.setattr(ds, "SectorPencil", counted)
         return built

@@ -219,7 +219,7 @@ class TestHalfspaceStudies:
         cells = ex.newton_cell_integrals(pts, 1.0 / n, center=(center, 0.0, 0.0))
         density = pot.evaluate_point(pts)
         mat_phys = bs.assemble_points(pts, w, density, regular, sing,
-                                      1.0 / (4.0 * math.pi), cells, {})
+                                      1.0 / (4.0 * math.pi), cells)
         mu_physical = bs.principal_eigenvalue(mat_phys, 1e-10)[0]
         assert mu_physical == pytest.approx(mu_rescaled, rel=1e-9)
 

@@ -73,7 +73,7 @@ class TestExteriorSolution:
     def test_singular_at_a_dirichlet_eigenvalue(self):
         dirichlet = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
         beta = 4.0
-        lam_d, _ = ds.ground_state(dirichlet, POT, beta)
+        lam_d = ds.ground_state(dirichlet, POT, beta)
         with pytest.raises(NearSingularError):
             fkw.solve_v(BALL3, beta, POT, lam_d)
 
@@ -136,6 +136,18 @@ class TestSolveFkw:
                 assert mesh[0] == 1.0
                 assert mesh[-1] == pytest.approx(3.5, abs=1e-12)
 
+    def test_cut_source_is_recorded_per_sector(self):
+        # |f(R* + 1)| / max |f|: 0 inside [r0, R* + 1], e^{-9} for the Gaussian
+        gauss = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        inside = lambda r: np.clip((r - 1.5) * (3.0 - r), 0.0, None)
+        sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: gauss, 1: inside, 2: gauss})
+        cut = sol.meta["source_cut"]
+        assert cut[0] == pytest.approx(math.exp(-9.0), rel=1e-9)
+        assert cut[1] == 0.0
+        assert cut[2] == cut[0]
+        assert fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: inside}).meta["source_cut"] == {0: 0.0}
+        assert fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {}).meta["source_cut"] == {}
+
     def test_boundary_pair_holds(self):
         f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
         sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: f0})
@@ -180,7 +192,7 @@ class TestSolveFkw:
 
     def test_near_singular_at_nonlocal_eigenvalue(self):
         beta = 4.0
-        lam0, _ = ds.ground_state(BALL3, POT, beta)  # sector-0 state of the pair
+        lam0 = ds.ground_state(BALL3, POT, beta)  # sector-0 state of the pair
         g_at = fkw.gamma1(BALL3, beta, POT, lam0)
         assert abs(g_at) < 1e-5  # the flux constant degenerates exactly there
         f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)

@@ -88,6 +88,15 @@ class TestValidate:
         diags = validate(prob, Potential(Profile.indicator(0.5, 2.0)))
         assert any("support outside domain" in d for d in diags)
 
+    def test_support_must_reach_into_the_domain(self):
+        # both edges are judged to within 1e-12: a well on the boundary
+        # itself holds no mass in the domain
+        prob = ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0)
+        assert validate(prob, Potential(Profile.indicator(1.0 - 1e-13, 2.0))) == []
+        for lo, hi in ((0.5, 1.0), (1.0 - 1e-13, 1.0 + 1e-13)):
+            assert validate(prob, Potential(Profile.indicator(lo, hi))) == [
+                "support outside domain"]
+
     def test_negative_sample_flagged(self):
         prob = ProblemSpec(1, "half_line", "dirichlet")
         bad = Potential(Profile(np.array([1.0, 1.5, 2.0]),
@@ -147,9 +156,9 @@ class TestProblemSpec:
 
     def test_fkw_sector_conditions(self):
         prob = ProblemSpec(3, "exterior_ball", "fkw", radius=1.0)
-        assert prob.effective_bc(0) == "neumann"
-        assert prob.effective_bc(1) == "dirichlet"
-        assert prob.effective_bc(5) == "dirichlet"
+        assert prob.effective_bc() == "neumann"
+        assert prob.with_sector(1).effective_bc() == "dirichlet"
+        assert prob.with_sector(5).effective_bc() == "dirichlet"
 
     def test_types_are_immutable(self):
         prob = ProblemSpec(1, "half_line", "dirichlet")

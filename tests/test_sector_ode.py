@@ -15,7 +15,7 @@ A = CoefficientProfile(Profile(np.array([1.0, 2.0]), np.array([2.0, 1.0])), 2.0)
 class TestCoefficients:
     def test_values_match_the_sector_equation(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
-        ode = SectorODE(prob, POT, beta=0.5, sector=2)
+        ode = SectorODE(prob.with_sector(2), POT, beta=0.5)
         r = np.array([1.25, 2.0, 3.0])
         a = np.array([1.75, 1.0, 1.0])
         v = np.array([0.0, 2.0, 0.0])
@@ -55,7 +55,7 @@ class TestClosureAndSegments:
         r0, r = 2.5, np.array([2.5, 3.0, 9.0])
         d3 = SectorODE(BALL3)
         assert d3.decay_ratio(0.0, r, r0) == pytest.approx(r0 / r, rel=1e-15)
-        d3_l2 = SectorODE(BALL3, sector=2)
+        d3_l2 = SectorODE(BALL3.with_sector(2))
         assert d3_l2.decay_ratio(0.0, r, r0) == pytest.approx((r0 / r) ** 3, rel=1e-15)
         d2 = SectorODE(ProblemSpec(2, "exterior_ball", "neumann", radius=1.0))
         assert np.all(d2.decay_ratio(0.0, r, r0) == 1.0)
@@ -81,15 +81,28 @@ class TestClosureAndSegments:
         assert SectorODE(prob, POT).segment_points(1.0, 10.0) == [1.0, 1.5, 2.0, 2.5, 10.0]
         assert SectorODE(prob).segment_points(1.0, 10.0) == [1.0, 2.0, 10.0]
 
+    def test_cuts_at_every_sample_of_v_and_a(self):
+        a = CoefficientProfile(Profile(np.array([1.0, 1.4, 1.8]),
+                                       np.array([2.0, 1.2, 1.5])), 2.0)
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=a)
+        tent = Potential(Profile.tent(1.5, 2.5))
+        assert SectorODE(prob, tent).segment_points(1.0, 10.0) == \
+            [1.0, 1.4, 1.5, 1.8, 2.0, 2.5, 10.0]
+        bump = Potential(Profile.bump(1.2, 1.9))
+        assert SectorODE(BALL3, bump).segment_points(1.0, 3.0) == \
+            [1.0, *bump.profile.xs.tolist(), 3.0]
+
     def test_integrates_backwards_through_the_pieces(self):
         # free d = 3 sector 0: the decaying solution e^{-kr}/r, integrated inward
         k = 1.0
         ode = SectorODE(BALL3, POT, beta=0.0)
-        pieces, y, scale = ode.integrate(-k * k, ode.decay_state(-1.0, 6.0), 6.0, 1.0,
-                                         rtol=1e-11, atol=1e-14)
-        assert [(s.start, s.end) for s in pieces] == [(6.0, 2.5), (2.5, 1.5), (1.5, 1.0)]
-        assert scale == 1.0
-        assert y[0] == pytest.approx(math.exp(5.0 * k) * 6.0, rel=1e-8)
+        sol = ode.integrate(-k * k, ode.decay_state(-1.0, 6.0), 6.0, 1.0,
+                            rtol=1e-11, atol=1e-14)
+        assert ode.segment_points(1.0, 6.0) == [1.0, 1.5, 2.5, 6.0]
+        assert sol.span == (1.0, 6.0)
+        assert sol.end[0] == pytest.approx(math.exp(5.0 * k) * 6.0, rel=1e-8)
+        r = np.array([1.0, 1.5, 2.0, 2.5, 4.0, 6.0])
+        assert sol(r) == pytest.approx(np.exp(k * (6.0 - r)) * 6.0 / r, rel=1e-8)
 
     def test_rescaled_state_keeps_the_ratio(self):
         ode = SectorODE(BALL3, POT, beta=0.0)
@@ -97,8 +110,10 @@ class TestClosureAndSegments:
                               atol=1e-14)
         scaled = ode.integrate(-1.0, ode.decay_state(-1.0, 6.0), 6.0, 1.0, rtol=1e-11,
                                atol=1e-14, rescale=True)
-        assert max(abs(scaled[1])) == pytest.approx(1.0)
-        assert scaled[1] * scaled[2] == pytest.approx(plain[1], rel=1e-8)
+        assert scaled.end == pytest.approx(plain.end, rel=1e-8)
+        assert scaled.peak == pytest.approx(plain.peak, rel=1e-8)
+        r = np.linspace(1.0, 6.0, 11)
+        assert scaled.state(r) == pytest.approx(plain.state(r), rel=1e-8)
 
     def test_failed_solve_is_unconverged(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
