@@ -94,8 +94,7 @@ class SectorPencil:
     def mass(self) -> np.ndarray:
         grid = self.grid
         mass = grid.weight * grid.h
-        mass[0] *= 0.5
-        mass[-1] *= 0.5
+        mass[[0, -1]] *= 0.5
         if self.first:  # node 1 becomes a full interior cell
             mass = mass[1:].copy()
             mass[0] = grid.weight[1] * grid.h
@@ -185,22 +184,16 @@ class SpectrumCounter:
         """``beta_critical_direct`` on this counter's pencils."""
         if self.potential.is_zero():
             return None
-
-        def has_state(beta):
-            return self.total(beta, h) >= 1
-
         lo, hi = 0.0, 1.0
-        doublings = 0
-        while not has_state(hi):
+        while not self.total(hi, h):  # no bound state yet
             lo, hi = hi, 2.0 * hi
-            doublings += 1
-            if doublings > 60:
+            if hi > 2.0 ** 60:
                 return None
         while hi - lo > tol * max(1.0, hi):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):  # adjacent floats: tol is below their spacing
                 break
-            if has_state(mid):
+            if self.total(mid, h):
                 hi = mid
             else:
                 lo = mid
@@ -285,8 +278,7 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
     if potential.is_zero():
         return None
     vmax = beta * potential.max_value()
-    lam_lo = -vmax - 1e-6
-    lam_hi = -1e-12 * max(1.0, vmax)
+    lam_lo, lam_hi = -vmax - 1e-6, -1e-12 * max(1.0, vmax)
 
     @functools.cache
     def mismatch(lam):
@@ -322,7 +314,7 @@ def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,
     ode = SectorODE(problem, potential, beta)
     r_in = problem.inner_radius
     r_star = closure_radius(problem, potential)
-    solution = ode.integrate(lam, ode.regular_state(), r_in, r_star,
+    solution = ode.integrate(lam, ode.regular_state(), r_in, r_star, decays=True,
                              rtol=1e-10, atol=1e-13)
     pieces = solution.sample(lambda a0, b0: np.linspace(
         a0, b0, max(8, int(n_mesh * (b0 - a0) / (r_star - r_in)))))

@@ -75,8 +75,8 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
     r_star = closure_radius(problem, potential)
     ode = SectorODE(problem.with_sector(0), potential, beta)
     # only the ratio to the trace matters, so each segment restarts at O(1)
-    v = ode.integrate(lam, ode.decay_state(lam, r_star), r_star,
-                      problem.inner_radius, rescale=True, rtol=rtol, atol=1e-12)
+    v = ode.integrate(lam, ode.decay_state(lam, r_star), r_star, problem.inner_radius,
+                      rescale=True, decays=True, rtol=rtol, atol=1e-12)
     if abs(v.end[0]) < 1e-6 * v.peak:
         raise NearSingularError("energy sits at a Dirichlet eigenvalue; "
                                 "the unit-trace solution degenerates")

@@ -33,21 +33,27 @@ def closure_radius(problem: ProblemSpec, potential: Potential) -> float:
     return max(potential.support[1], problem.flat_radius())
 
 
+def _gap(r: float) -> float:
+    """Shortest piece the integrator is given: far above RK45's 10 ulps."""
+    return 1e-12 * max(1.0, abs(r))
+
+
 class SectorSolution:
     """One integration of the sector equation at energy ``lam``.
 
     Inside its span the state (u, p u') is each piece's dense output times
-    the piece's scale.  Past the outer end it continues as the decaying free
-    solution in closed form, which is the continuation of a solution started
-    from ``decay_state`` or of an eigenfunction; below the inner end it is 0.
-    ``end`` is the true state where the integration stopped and ``peak`` the
-    largest |u| it passed.  Values read through ``state``, ``sample`` and
-    calling are divided by ``norm`` (1 unless a caller sets it).  An
-    integration without dense output gives only ``end`` and ``peak``.
+    the piece's scale; below the inner end it is 0.  Past the outer end only
+    a solution that ``decays`` there (one started from ``decay_state``, or
+    an eigenfunction) continues, as the decaying free solution in closed
+    form; reading any other past its end raises ``ValueError``.  ``end`` is
+    the true state where the integration stopped and ``peak`` the largest
+    |u| it passed.  Values read through ``state``, ``sample`` and calling
+    are divided by ``norm`` (1 unless a caller sets it).  An integration
+    without dense output gives only ``end`` and ``peak``.
     """
 
-    def __init__(self, ode: "SectorODE", lam: float, pieces, end):
-        self.ode, self.lam, self.end, self.norm = ode, lam, end, 1.0
+    def __init__(self, ode: "SectorODE", lam: float, pieces, end, decays: bool):
+        self.ode, self.lam, self.end, self.norm, self.decays = ode, lam, end, 1.0, decays
         self._pieces = pieces  # (start, end, solve_ivp result, scale), in order
         start, stop = pieces[0][0], pieces[-1][1]
         self.span = (min(start, stop), max(start, stop))
@@ -65,6 +71,8 @@ class SectorSolution:
         lo, hi = self.span
         tail = r > hi
         if tail.any():
+            if not self.decays:
+                raise ValueError("no decaying tail past the end of this solution")
             u = self._outer[0] * self.ode.decay_ratio(self.lam, r[tail], hi)
             out[0, tail] = u
             out[1, tail] = u * self.ode.decay_state(self.lam, r[tail])[1]
@@ -100,11 +108,8 @@ class SectorODE:
 
     def __init__(self, problem: ProblemSpec, potential: Potential | None = None,
                  beta: float = 0.0):
-        self.problem = problem
-        self.potential = potential
-        self.beta = beta
-        self.sector = problem.sector
-        self.dimension = problem.dimension
+        self.problem, self.potential, self.beta = problem, potential, beta
+        self.sector, self.dimension = problem.sector, problem.dimension
         self.bc = problem.effective_bc()
         self._cent = self.sector * (self.sector + self.dimension - 2)
         self._nu = self.sector + 0.5 * self.dimension - 1.0
@@ -113,7 +118,8 @@ class SectorODE:
             kinks.update(problem.coefficient.profile.xs.tolist())
         if potential is not None:
             kinks.update(potential.profile.xs.tolist())
-        self._kinks = sorted(kinks)
+        kinks = sorted(kinks)  # RK45 cannot step across a few ulps: drop near-repeats
+        self._kinks = [c for b, c in zip([-math.inf] + kinks, kinks) if c - b > _gap(c)]
 
     def coefficients(self, r):
         """(p, q, w) at r, a float or an array; a float never touches numpy."""
@@ -185,20 +191,22 @@ class SectorODE:
 
     def segment_points(self, r_in: float, r_out: float) -> list[float]:
         """[r_in, r_out] cut at every sample of V and of a, and at r_flat,
-        ascending."""
-        return [r_in] + [c for c in self._kinks if r_in < c < r_out] + [r_out]
+        ascending; samples within ``_gap`` of r_in or r_out are dropped."""
+        return [r_in] + [c for c in self._kinks
+                         if r_in + _gap(c) < c < r_out - _gap(c)] + [r_out]
 
     def integrate(self, lam: float, y, start: float, end: float, *,
-                  prufer: bool = False, rescale: bool = False,
+                  prufer: bool = False, rescale: bool = False, decays: bool = False,
                   dense_output: bool = True, **options) -> SectorSolution:
         """Integrate from state ``y`` at ``start`` to ``end``, either direction.
 
         Each piece between consecutive ``segment_points`` is one RK45 solve,
         with the step capped at an eighth of the support width inside it.
         With ``rescale`` the state restarts each piece divided by its largest
-        component.  Other ``options`` go to ``solve_ivp``.  A Pruefer
-        integration (``prufer``) gives the angle alone; read only its
-        ``end``.  A failed solve raises ``UnconvergedError``.
+        component; with ``decays`` the solution continues past its outer end
+        as the decaying free solution.  Other ``options`` go to ``solve_ivp``.
+        A Pruefer integration (``prufer``) gives the angle alone; read only
+        its ``end``.  A failed solve raises ``UnconvergedError``.
         """
         rhs = self.prufer_rhs(lam) if prufer else self.rhs(lam)
         points = self.segment_points(min(start, end), max(start, end))
@@ -226,4 +234,4 @@ class SectorODE:
                 mag = max(abs(y[0]), abs(y[1]), 1e-300)
                 scale *= mag
                 y = y / mag
-        return SectorSolution(self, lam, pieces, y * scale)
+        return SectorSolution(self, lam, pieces, y * scale, decays)

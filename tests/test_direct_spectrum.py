@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -179,6 +180,17 @@ class TestGroundState:
         pot = Potential(getattr(Profile, shape)(1.2, 1.9, 1.5))
         lam0 = ds.ground_state(HALF_LINE_D, pot, 6.0)
         assert ds.eigenvalue_residual(HALF_LINE_D, pot, 6.0, lam0) < bound
+
+    @pytest.mark.parametrize("ulps", [1, 4])
+    def test_jump_written_as_samples_ulps_apart(self, ulps):
+        # a piece a few ulps long left the residual grid no spacing: it read inf
+        x = 1.5
+        for _ in range(ulps):
+            x = math.nextafter(x, 2.0)
+        pot = Potential(Profile(np.array([1.2, 1.5, x, 1.9]), np.array([0.5, 0.5, 1.0, 1.0])))
+        lam0 = ds.ground_state(HALF_LINE_D, pot, 4.0)
+        assert lam0 == pytest.approx(-0.72686177, rel=1e-7)
+        assert ds.eigenvalue_residual(HALF_LINE_D, pot, 4.0, lam0) < 1e-7
 
     def test_eigenfunction_reads_the_problem_sector(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)

@@ -114,6 +114,49 @@ class TestClosureAndSegments:
         assert scaled.peak == pytest.approx(plain.peak, rel=1e-8)
         r = np.linspace(1.0, 6.0, 11)
         assert scaled.state(r) == pytest.approx(plain.state(r), rel=1e-8)
+        # every piece after the first restarts at O(1); the plain ones grow
+        starts = [max(abs(sol.y[:, 0])) for _, _, sol, _ in scaled._pieces[1:]]
+        assert starts == pytest.approx([1.0, 1.0])
+        assert all(scale > 10.0 for *_, scale in scaled._pieces[1:])
+        assert all(max(abs(sol.y[:, 0])) > 10.0 for _, _, sol, _ in plain._pieces[1:])
+
+    def test_rescaling_carries_an_inward_solve_past_float_overflow(self):
+        # at k = 150 the state grows by e^{k (6 - 1)} = e^750, past the float
+        # range; no piece alone grows by more than e^525 (the total scale, and
+        # so ``end``, still overflow)
+        lam = -150.0 ** 2
+        ode = SectorODE(BALL3, POT, beta=0.0)
+        y = ode.decay_state(lam, 6.0)
+        with pytest.raises(UnconvergedError):
+            ode.integrate(lam, y, 6.0, 1.0, rtol=1e-10, atol=1e-14)
+        with np.errstate(over="ignore"):
+            sol = ode.integrate(lam, y, 6.0, 1.0, rtol=1e-10, atol=1e-14, rescale=True)
+        assert [max(abs(s.y[:, 0])) for _, _, s, _ in sol._pieces[1:]] == \
+            pytest.approx([1.0, 1.0])
+        # the ratio of the state across the last piece is the free one
+        last = sol._pieces[-1][2]
+        assert last.y[0, -1] / last.y[0, 0] == pytest.approx(1.5 * math.exp(75.0), rel=1e-7)
+
+    def test_samples_ulps_apart_make_one_cut(self):
+        jump = math.nextafter(1.5, 2.0)
+        pot = Potential(Profile(np.array([1.2, 1.5, jump, 1.9]), np.array([0.5, 0.5, 1.0, 1.0])))
+        ode = SectorODE(BALL3, pot, beta=4.0)
+        assert ode.segment_points(1.0, 3.0) == [1.0, 1.2, 1.5, 1.9, 3.0]
+        below = math.nextafter(1.9, 0.0)
+        assert ode.segment_points(1.0, below) == [1.0, 1.2, 1.5, below]
+        above = math.nextafter(1.2, 2.0)
+        assert ode.segment_points(above, 3.0) == [above, 1.5, 1.9, 3.0]
+
+    def test_only_a_decaying_solution_reads_past_its_end(self):
+        ode = SectorODE(BALL3, POT, beta=2.0)
+        reg = ode.integrate(-1.0, ode.regular_state(), 1.0, 2.5, rtol=1e-10, atol=1e-13)
+        assert np.isfinite(reg(np.array([1.0, 2.0, 2.5]))).all()
+        with pytest.raises(ValueError):
+            reg(3.0)
+        dec = ode.integrate(-1.0, ode.decay_state(-1.0, 2.5), 2.5, 1.0, decays=True,
+                            rtol=1e-10, atol=1e-13)
+        r = np.array([3.0, 4.0])
+        assert dec(r) == pytest.approx(np.exp(2.5 - r) * 2.5 / r, rel=1e-12)
 
     def test_failed_solve_is_unconverged(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
