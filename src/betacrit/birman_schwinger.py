@@ -110,23 +110,28 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 20000):
-    """Largest eigenvalue of a symmetric matrix; all-ones start vector."""
+    """Largest eigenvalue of a symmetric matrix; all-ones start vector.
+
+    Each iterate is divided by the power of two at the matrix's largest
+    entry: that is exact, and keeps every squared norm in range.
+    """
     n = a.shape[0]
     if n == 0:
         return 0.0, 0.0, 0
+    scale = 2.0 ** math.frexp(max(float(a.max()), -float(a.min())))[1]
     v = np.full(n, 1.0 / math.sqrt(n))
     theta = 0.0
     for it in range(1, max_iter + 1):
-        u = a @ v
+        u = (a @ v) / scale
         norm_u = float(np.linalg.norm(u))
         if norm_u == 0.0:
             return 0.0, 0.0, it
         theta = float(v @ u)
         res = float(np.linalg.norm(u - theta * v))
         if res <= tol * max(abs(theta), 1e-300):
-            return theta, res, it
+            return theta * scale, res * scale, it
         v = u / norm_u
-    return theta, res, -1
+    return theta * scale, res * scale, -1
 
 
 def principal_eigenvalue(matrix, tol: float = DEFAULT_EIG_TOL):
@@ -168,12 +173,6 @@ class SpectralReport:
 
     samples: tuple  # rows (lambda, mu0, m, residual)
     metadata: dict = field(default_factory=dict)
-
-    def lambdas(self) -> np.ndarray:
-        return np.array([s[0] for s in self.samples])
-
-    def mus(self) -> np.ndarray:
-        return np.array([s[1] for s in self.samples])
 
     def to_json_dict(self) -> dict:
         return {"samples": list(self.csv_rows()), "metadata": dict(self.metadata)}

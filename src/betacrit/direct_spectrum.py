@@ -221,10 +221,8 @@ def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
     """
     ode = SectorODE(problem, potential, beta)
     r_star = closure_radius(problem, potential)
-    theta = ode.integrate(lam, [math.atan2(*ode.regular_state())],
-                          problem.inner_radius, r_star, prufer=True,
-                          dense_output=False, rtol=1e-10, atol=1e-13).end
-    return float(theta[0]) - math.atan2(*ode.decay_state(lam, r_star))
+    theta = ode.integrate(lam, ode.regular_state(), problem.inner_radius, r_star).angle
+    return theta - math.atan2(*ode.decay_state(lam, r_star))
 
 
 def _fd_ground_energy(problem: ProblemSpec, potential: Potential, beta: float,
@@ -314,8 +312,7 @@ def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,
     ode = SectorODE(problem, potential, beta)
     r_in = problem.inner_radius
     r_star = closure_radius(problem, potential)
-    solution = ode.integrate(lam, ode.regular_state(), r_in, r_star, decays=True,
-                             rtol=1e-10, atol=1e-13)
+    solution = ode.integrate(lam, ode.regular_state(), r_in, r_star, decays=True)
     pieces = solution.sample(lambda a0, b0: np.linspace(
         a0, b0, max(8, int(n_mesh * (b0 - a0) / (r_star - r_in)))))
     tail = r_star + np.linspace(0.0, 40.0 / math.sqrt(-lam), n_mesh // 4 + 1)[1:]
@@ -362,16 +359,15 @@ def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,
                         lam: float, h_res: float = 1e-2) -> float:
     """Strong-form residual of the eigen-equation at a converged energy.
 
-    Re-integrates the first-order system (u, p u') on uniform sub-grids up
-    to R* (past it the closed-form tail solves the free equation exactly)
-    and checks (p u')' = (q - lambda w) u with fourth-order differences
-    inside each smooth segment.  Returns the max residual relative to the
-    profile scale.
+    Reads the regular solution (u, p u') on uniform sub-grids up to R*
+    (past it the closed-form tail solves the free equation exactly) and
+    checks (p u')' = (q - lambda w) u with fourth-order differences inside
+    each smooth segment.  Returns the max residual relative to the profile
+    scale.
     """
     ode = SectorODE(problem, potential, beta)
     pieces = ode.integrate(
-        lam, ode.regular_state(), problem.inner_radius,
-        closure_radius(problem, potential), rtol=1e-12, atol=1e-14,
+        lam, ode.regular_state(), problem.inner_radius, closure_radius(problem, potential),
     ).sample(lambda a0, b0: np.linspace(
         a0, b0, max(9, int(round((b0 - a0) / h_res)) + 1)))
     scale_u = max(float(np.max(np.abs(uu))) for _, uu, _ in pieces)

@@ -56,8 +56,8 @@ class FkwSolution:
                 "metadata": dict(self.meta)}
 
 
-def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
-            rtol: float = 1e-11) -> SectorSolution:
+def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
+            lam: float) -> SectorSolution:
     """Decaying radial solution with unit trace on the obstacle sphere, in
     the symmetric sector.
 
@@ -74,20 +74,19 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
         raise KernelLimitError("no decaying zero-energy solution in this sector")
     r_star = closure_radius(problem, potential)
     ode = SectorODE(problem.with_sector(0), potential, beta)
-    # only the ratio to the trace matters, so each segment restarts at O(1)
     v = ode.integrate(lam, ode.decay_state(lam, r_star), r_star, problem.inner_radius,
-                      rescale=True, decays=True, rtol=rtol, atol=1e-12)
-    if abs(v.end[0]) < 1e-6 * v.peak:
+                      decays=True)
+    v.normalize(problem.inner_radius)  # only the ratio to the trace matters
+    if not v.peak < 1e6:
         raise NearSingularError("energy sits at a Dirichlet eigenvalue; "
                                 "the unit-trace solution degenerates")
-    v.norm = v.end[0]  # u(r0)
     return v
 
 
 def _boundary_flux(problem: ProblemSpec, v: SectorSolution) -> float:
     """Mean boundary flux -v'(r0) of the unit-trace solution."""
     r0 = problem.inner_radius
-    return -float(v.derivative(r0)) / SectorODE(problem).coefficients(r0)[0]
+    return -float(v.state(r0)[1]) / SectorODE(problem).coefficients(r0)[0]
 
 
 def gamma1(problem: ProblemSpec, beta: float, potential: Potential,

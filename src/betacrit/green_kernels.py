@@ -102,7 +102,9 @@ def _variable_a_pair(problem: ProblemSpec, lam: float, free):
     """``solution_pair`` for a variable coefficient: the sector ODE inside
     [r0, r_flat], the free solutions beyond.
 
-    The ODE runs unscaled, so k (r_flat - r0) must stay well below 700.
+    Each ODE solution is read apart from its log-scale, which meets the
+    factor e^{-k |r - start|} before anything is exponentiated, so no k
+    overflows it.
     """
     r0 = problem.inner_radius
     rf = problem.flat_radius()
@@ -112,13 +114,16 @@ def _variable_a_pair(problem: ProblemSpec, lam: float, free):
     g, f, dg, df = (float(v) for v in free(rf, derivatives=True))
 
     # decaying solution inward from the flattening radius, regular outward
-    dec = ode.integrate(lam, [f, p_rf * df], rf, r0, rtol=1e-11, atol=1e-14)
-    reg = ode.integrate(lam, ode.regular_state(), r0, rf, rtol=1e-11, atol=1e-14)
+    dec = ode.integrate(lam, [f, p_rf * df], rf, r0)
+    reg = ode.integrate(lam, ode.regular_state(), r0, rf)
 
-    # a = u_reg e^{-k(r - r0)} and b = u_dec e^{kr}; past r_flat
+    def damped(solution, r, start):
+        y, s = solution.log_state(r)
+        return y * np.exp(s - k * np.abs(r - start))
+
+    # a = u_reg e^{-k(r - r0)} and b = u_dec e^{-k(rf - r)}; past r_flat
     # a = alpha g + beta f e^{-2k(r - rf)} continues the regular solution
-    scale = math.exp(-k * (rf - r0))
-    y_rf, dy_rf = reg.end[0] * scale, reg.end[1] / p_rf * scale
+    y_rf, dy_rf = damped(reg, rf, r0) / [1.0, p_rf]
     wr = g * df - dg * f
     alpha = (y_rf * df - dy_rf * f) / wr
     beta = (dy_rf * g - y_rf * dg) / wr
@@ -128,7 +133,7 @@ def _variable_a_pair(problem: ProblemSpec, lam: float, free):
         out = np.empty_like(r)
         inner = r <= rf
         if inner.any():
-            out[inner] = reg(r[inner]) * np.exp(-k * (r[inner] - r0))
+            out[inner] = damped(reg, r[inner], r0)[0]
         if (~inner).any():
             ro = r[~inner]
             g_o, f_o = free(ro)
@@ -140,7 +145,7 @@ def _variable_a_pair(problem: ProblemSpec, lam: float, free):
         out = np.empty_like(r)
         inner = r < rf
         if inner.any():
-            out[inner] = dec(r[inner]) * np.exp(k * (r[inner] - rf))
+            out[inner] = damped(dec, r[inner], rf)[0]
         if (~inner).any():
             out[~inner] = free(r[~inner])[1]
         return out

@@ -9,7 +9,6 @@ bump shapes are all exact within the same representation.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +28,6 @@ def _readonly(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float).copy()
     arr.flags.writeable = False
     return arr
-
-
-def _interp_at(x: float, xs: list, ys: list, left: float, right: float) -> float:
-    """``np.interp(x, xs, ys, left, right)`` at one finite float, bit for bit,
-    by bisection on samples held as Python floats."""
-    if x < xs[0]:
-        return left
-    if x >= xs[-1]:
-        return ys[-1] if x == xs[-1] else right
-    j = bisect_right(xs, x) - 1
-    if x == xs[j]:
-        return ys[j]
-    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j]
 
 
 @dataclass(frozen=True)
@@ -64,7 +50,6 @@ class Profile:
             raise ValidationError("profile needs at least two samples")
         if not np.all(np.diff(self.xs) > 0):
             raise ValidationError("profile abscissae must be strictly increasing")
-        object.__setattr__(self, "_samples", (self.xs.tolist(), self.ys.tolist()))
 
     @classmethod
     def indicator(cls, lo: float, hi: float, height: float = 1.0) -> "Profile":
@@ -92,10 +77,6 @@ class Profile:
 
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys, left=0.0, right=0.0)
-
-    def at(self, x: float) -> float:
-        """The profile at one float: ``self(x)`` without numpy."""
-        return _interp_at(x, *self._samples, 0.0, 0.0)
 
     def integral_to(self, x):
         """Exact antiderivative of the piecewise-linear profile from lo to x."""
@@ -136,14 +117,7 @@ class CoefficientProfile:
         r = np.asarray(r, dtype=float)
         inside = np.interp(r, self.profile.xs, self.profile.ys,
                            left=self.profile.ys[0], right=1.0)
-        return np.where(r >= self.r_flat, 1.0, inside)
-
-    def at(self, r: float) -> float:
-        """a at one float: ``self(r)`` without numpy."""
-        if r >= self.r_flat:
-            return 1.0
-        xs, ys = self.profile._samples
-        return _interp_at(r, xs, ys, ys[0], 1.0)
+        return np.where(r >= self.r_flat, 1.0, inside)[()]  # a float gives a float
 
     def max_value(self) -> float:
         return max(1.0, self.profile.max_value())
@@ -257,25 +231,12 @@ class Potential:
     def __call__(self, r):
         return self.amplitude * self.profile(r)
 
-    def at(self, r: float) -> float:
-        """V at one float: ``self(r)`` without numpy."""
-        return self.amplitude * self.profile.at(r)
-
     def cell_average(self, r, h: float):
         """Average of V over cells [r - h/2, r + h/2]; exact for the sampled
         representation, so indicator edges carry their true fractional weight."""
         upper = self.profile.integral_to(np.asarray(r, dtype=float) + 0.5 * h)
         lower = self.profile.integral_to(np.asarray(r, dtype=float) - 0.5 * h)
         return self.amplitude * (upper - lower) / h
-
-    def evaluate_point(self, y: np.ndarray) -> np.ndarray:
-        """Evaluate at d-dimensional points (rows); only for ball supports."""
-        if self.center is None:
-            raise ValidationError("pointwise evaluation needs a ball-supported potential")
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        c = np.zeros(y.shape[1])
-        c[0] = self.center
-        return self(np.linalg.norm(y - c, axis=1))
 
     def is_zero(self) -> bool:
         return self.amplitude == 0.0 or self.profile.max_value() == 0.0

@@ -1,4 +1,4 @@
-"""The radial equation of one angular sector, and its only integrator.
+"""The radial equation of one angular sector, and its only propagator.
 
 In sector l of a d-dimensional problem every route solves
 
@@ -6,10 +6,19 @@ In sector l of a d-dimensional problem every route solves
     q = a l(l+d-2) r^{d-3} - beta V w,
 
 with the diffusion coefficient a(r) and the potential V.  ``SectorODE`` is
-the only code that knows p, q and w, the first-order (u, p u') and Pruefer
-forms of the equation, the decaying free solution past the closure radius
-R*, and how to integrate across the kinks of V and a.  ``SectorSolution``
+the only code that knows p, q and w, the first-order form y' = A y of the
+equation for y = (u, p u'), the decaying free solution past the closure
+radius R*, and how to step across the kinks of V and a.  ``SectorSolution``
 is the only reader of what it integrates.
+
+A step of length h is the fourth-order Magnus propagator on two Gauss points
+(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), y -> exp(Omega) y
+with Omega = h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1].  For
+A = [[0, 1/p], [q - lambda w, 0]] the commutator is diagonal and Omega
+traceless, so Omega^2 = D I and exp(Omega) = cos t + sin(t)/t Omega for
+D = -t^2 (a step turning the state by about t) or cosh t + sinh(t)/t Omega
+for D = t^2 (a growing step, kept divided by e^t).  Where p, q and w are
+constant the step is exact.
 """
 
 from __future__ import annotations
@@ -17,11 +26,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import kve
 
 from .errors import UnconvergedError
 from .model import Potential, ProblemSpec
+
+STEPS_PER_UNIT = 1000  # fewest steps per unit length
+MAX_TURN = 0.25        # most an oscillating step may turn the state, in radians
+MAX_STEPS = 2 ** 18    # most steps of one integration
+GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 def closure_radius(problem: ProblemSpec, potential: Potential) -> float:
@@ -34,68 +47,95 @@ def closure_radius(problem: ProblemSpec, potential: Potential) -> float:
 
 
 def _gap(r: float) -> float:
-    """Shortest piece the integrator is given: far above RK45's 10 ulps."""
+    """Shortest piece of the mesh: closer samples are one cut."""
     return 1e-12 * max(1.0, abs(r))
+
+
+def _fill(cuts: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Nodes with ``steps[i]`` uniform steps from cuts[i] to cuts[i + 1]."""
+    piece = np.repeat(np.arange(steps.size), steps)
+    j = np.arange(piece.size) - np.repeat(np.cumsum(steps) - steps, steps)
+    r = cuts[piece] + (cuts[piece + 1] - cuts[piece]) * (j / steps[piece])
+    return np.append(r, cuts[-1])
 
 
 class SectorSolution:
     """One integration of the sector equation at energy ``lam``.
 
-    Inside its span the state (u, p u') is each piece's dense output times
-    the piece's scale; below the inner end it is 0.  Past the outer end only
-    a solution that ``decays`` there (one started from ``decay_state``, or
-    an eigenfunction) continues, as the decaying free solution in closed
-    form; reading any other past its end raises ``ValueError``.  ``end`` is
-    the true state where the integration stopped and ``peak`` the largest
-    |u| it passed.  Values read through ``state``, ``sample`` and calling
-    are divided by ``norm`` (1 unless a caller sets it).  An integration
-    without dense output gives only ``end`` and ``peak``.
+    At each node of the mesh ``r``, in the order stepped, the state
+    (u, p u') is ``y`` e^``log``, y of unit 1-norm until ``normalize``;
+    between nodes it is a partial step from the node before, and below the
+    span 0.  Past the outer end only a solution that ``decays`` there (one
+    started from ``decay_state``, or an eigenfunction) continues, as the
+    decaying free solution in closed form; any other raises ``ValueError``.
     """
 
-    def __init__(self, ode: "SectorODE", lam: float, pieces, end, decays: bool):
-        self.ode, self.lam, self.end, self.norm, self.decays = ode, lam, end, 1.0, decays
-        self._pieces = pieces  # (start, end, solve_ivp result, scale), in order
-        start, stop = pieces[0][0], pieces[-1][1]
-        self.span = (min(start, stop), max(start, stop))
-        self._outer = pieces[0][2].y[:, 0] if start > stop else end
+    def __init__(self, ode: "SectorODE", lam: float, cuts, r, y, log, decays: bool):
+        self.ode, self.lam, self.decays = ode, lam, decays
+        self.cuts, self.r, self.y, self.log = cuts, r, y, log
+        self.span = (min(r[0], r[-1]), max(r[0], r[-1]))
+        self._sign = 1.0 if r[-1] >= r[0] else -1.0  # self._sign * r ascends
+
+    def normalize(self, r: float) -> None:
+        """Divide the solution by u(r), apart from its log-scale, so that
+        ratios stay finite where u itself would overflow."""
+        (u, _), (s,) = self.log_state(np.array([float(r)]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.y, self.log = self.y / u, self.log - s
 
     @property
     def peak(self) -> float:
-        return max(abs(scale) * float(np.max(np.abs(sol.y[0])))
-                   for _, _, sol, scale in self._pieces)
+        """Largest |u| at the nodes."""
+        return float(np.max(np.abs(self.y[0]) * np.exp(self.log)))
 
-    def state(self, r) -> np.ndarray:
-        """(u, p u') at the radii r, stacked along the first axis."""
+    @property
+    def angle(self) -> float:
+        """Pruefer angle atan2(u, p u') at the end, carried from the start:
+        no step turns the state by pi, so each adds its principal change."""
+        theta = np.arctan2(self.y[0], self.y[1])
+        turn = np.diff(theta)
+        turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
+        return float(theta[0] + turn.sum())
+
+    def log_state(self, r):
+        """(y, s) at the radii r, with the state (u, p u') equal to y e^s."""
         r = np.asarray(r, dtype=float)
-        out = np.zeros((2,) + r.shape)
+        y = np.zeros((2,) + r.shape)
+        s = np.full(r.shape, -math.inf)
         lo, hi = self.span
         tail = r > hi
         if tail.any():
             if not self.decays:
                 raise ValueError("no decaying tail past the end of this solution")
-            u = self._outer[0] * self.ode.decay_ratio(self.lam, r[tail], hi)
-            out[0, tail] = u
-            out[1, tail] = u * self.ode.decay_state(self.lam, r[tail])[1]
-        for start, stop, sol, scale in self._pieces:
-            a, b = min(start, stop), max(start, stop)
-            mask = (r >= a - 1e-12) & (r <= b + 1e-12) & ~tail
-            if mask.any():
-                out[:, mask] = sol.sol(np.clip(r[mask], a, b)) * scale
-        return out / self.norm
+            outer = 0 if self.r[0] == hi else -1
+            u = self.y[0, outer] * self.ode.decay_ratio(self.lam, r[tail], hi)
+            y[:, tail] = u, u * self.ode.decay_state(self.lam, r[tail])[1]
+            s[tail] = self.log[outer]
+        inside = (r >= lo - 1e-12) & ~tail
+        if inside.any():
+            x = np.clip(r[inside], lo, hi)
+            i = np.searchsorted(self._sign * self.r, self._sign * x, side="right") - 1
+            m, growth = self.ode.propagators(self.lam, self.r[i], x - self.r[i])
+            u, v = self.y[:, i]
+            y[:, inside] = m[0] * u + m[1] * v, m[2] * u + m[3] * v
+            s[inside] = self.log[i] + growth
+        return y, s
+
+    def state(self, r) -> np.ndarray:
+        """(u, p u') at the radii r, stacked along the first axis."""
+        y, s = self.log_state(r)
+        return y * np.exp(s)
 
     def __call__(self, r):
         return self.state(r)[0]
 
-    def derivative(self, r):
-        """p(r) u'(r) along the solution."""
-        return self.state(r)[1]
-
     def sample(self, points):
-        """(r, u, p u') on each piece, at the radii ``points(start, end)`` of
-        that piece, each read from the piece's own dense output."""
-        return [(r, *(sol.sol(r) * scale / self.norm))
-                for start, stop, sol, scale in self._pieces
-                for r in (points(start, stop),)]
+        """(r, u, p u') on each piece between cuts, in the order integrated,
+        at the radii ``points(start, end)`` of that piece."""
+        rs = [points(a, b) for a, b in zip(self.cuts[:-1], self.cuts[1:])]
+        u, v = self.state(np.concatenate(rs))
+        bounds = np.cumsum([r.size for r in rs])[:-1]
+        return list(zip(rs, np.split(u, bounds), np.split(v, bounds)))
 
 
 class SectorODE:
@@ -118,47 +158,18 @@ class SectorODE:
             kinks.update(problem.coefficient.profile.xs.tolist())
         if potential is not None:
             kinks.update(potential.profile.xs.tolist())
-        kinks = sorted(kinks)  # RK45 cannot step across a few ulps: drop near-repeats
+        kinks = sorted(kinks)  # near-repeated samples make one cut
         self._kinks = [c for b, c in zip([-math.inf] + kinks, kinks) if c - b > _gap(c)]
 
     def coefficients(self, r):
-        """(p, q, w) at r, a float or an array; a float never touches numpy."""
-        array = isinstance(r, np.ndarray)
-        if not array:
-            r = float(r)
+        """(p, q, w) at r, a float or an array."""
         d = self.dimension
         w = r ** (d - 1)
-        coefficient = self.problem.coefficient
-        if coefficient is None:
-            a = 1.0
-        else:
-            a = coefficient(r) if array else coefficient.at(r)
+        a = 1.0 if self.problem.coefficient is None else self.problem.coefficient(r)
         q = a * self._cent * r ** (d - 3) if self._cent else 0.0
         if self.potential is not None:
-            v = self.potential(r) if array else self.potential.at(r)
-            q = q - self.beta * v * w
+            q = q - self.beta * self.potential(r) * w
         return a * w, q, w
-
-    def rhs(self, lam: float):
-        """Right-hand side of the first-order system for (u, p u')."""
-        coefficients = self.coefficients
-
-        def rhs(r, y):
-            p, q, w = coefficients(r)
-            return [y[1] / p, (q - lam * w) * y[0]]
-
-        return rhs
-
-    def prufer_rhs(self, lam: float):
-        """Right-hand side for the Pruefer angle theta of (u, p u') = rho (sin, cos)."""
-        coefficients = self.coefficients
-
-        def rhs(r, y):
-            p, q, w = coefficients(r)
-            s, c = math.sin(y[0]), math.cos(y[0])
-            return [c * c / p + (lam * w - q) * s * s]
-
-        return rhs
 
     def regular_state(self) -> tuple[float, float]:
         """(u, p u') meeting the sector's boundary condition on the obstacle."""
@@ -195,43 +206,69 @@ class SectorODE:
         return [r_in] + [c for c in self._kinks
                          if r_in + _gap(c) < c < r_out - _gap(c)] + [r_out]
 
-    def integrate(self, lam: float, y, start: float, end: float, *,
-                  prufer: bool = False, rescale: bool = False, decays: bool = False,
-                  dense_output: bool = True, **options) -> SectorSolution:
-        """Integrate from state ``y`` at ``start`` to ``end``, either direction.
+    def mesh(self, lam: float, r_in: float, r_out: float) -> np.ndarray:
+        """Ascending nodes: each piece between ``segment_points`` filled with
+        uniform steps, ``STEPS_PER_UNIT`` per unit length or as many more as
+        keep every turn below ``MAX_TURN`` at the local wavenumber
+        sqrt((lambda w - q) / p), read just inside both ends of the piece,
+        where V and a are linear.  Past ``MAX_STEPS`` steps the mesh raises
+        ``UnconvergedError``."""
+        cuts = np.array(self.segment_points(r_in, r_out))
+        width = np.diff(cuts)
+        p, q, w = self.coefficients(np.concatenate([cuts[:-1] + 1e-9 * width,
+                                                    cuts[1:] - 1e-9 * width]))
+        wave = np.sqrt(np.maximum(lam * w - q, 0.0) / p).reshape(2, -1).max(axis=0)
+        steps = np.ceil(width * np.maximum(STEPS_PER_UNIT, wave / MAX_TURN))
+        if not steps.sum() <= MAX_STEPS:
+            raise UnconvergedError("sector ODE needs more steps than one integration takes",
+                                   details={"segment": [r_in, r_out], "lambda": lam,
+                                            "steps": float(steps.sum())})
+        return _fill(cuts, steps.astype(np.int64))
 
-        Each piece between consecutive ``segment_points`` is one RK45 solve,
-        with the step capped at an eighth of the support width inside it.
-        With ``rescale`` the state restarts each piece divided by its largest
-        component; with ``decays`` the solution continues past its outer end
-        as the decaying free solution.  Other ``options`` go to ``solve_ivp``.
-        A Pruefer integration (``prufer``) gives the angle alone; read only
-        its ``end``.  A failed solve raises ``UnconvergedError``.
+    def propagators(self, lam: float, r, h):
+        """Magnus steps from the radii r over the lengths h: (m, g), with the
+        entries m00, m01, m10, m11 of exp(Omega) e^{-g} along the first axis
+        and the growth g >= 0 taken out."""
+        p, q, w = self.coefficients(np.concatenate([r + GAUSS[0] * h, r + GAUSS[1] * h]))
+        a1, a2 = np.split(1.0 / p, 2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            b1, b2 = np.split(q - lam * w, 2)  # integrate() checks what overflows
+            diag = math.sqrt(3.0) / 12.0 * h * h * (a2 * b1 - a1 * b2)
+            up, low = 0.5 * h * (a1 + a2), 0.5 * h * (b1 + b2)
+            disc = diag * diag + up * low
+            grows, t = disc > 0.0, np.sqrt(np.abs(disc))
+            c = np.where(grows, 0.5 + 0.5 * np.exp(-2.0 * t), np.cos(t))
+            s = np.where(grows, -0.5 * np.expm1(-2.0 * t) / t, np.sinc(t / math.pi))
+            m = np.array([c + s * diag, s * up, s * low, c - s * diag])
+        return m, np.where(grows, t, 0.0)
+
+    def integrate(self, lam: float, y, start: float, end: float, *,
+                  decays: bool = False) -> SectorSolution:
+        """Step from state ``y`` at ``start`` to ``end``, either way, on the
+        ``mesh`` of the span, scaling the state to unit 1-norm after every
+        step and keeping the logarithm of the scale apart.  With ``decays``
+        the solution continues past its outer end as the decaying free
+        solution.  A state that is not finite raises ``UnconvergedError``.
         """
-        rhs = self.prufer_rhs(lam) if prufer else self.rhs(lam)
-        points = self.segment_points(min(start, end), max(start, end))
+        r = self.mesh(lam, min(start, end), max(start, end))
+        cuts = self.segment_points(min(start, end), max(start, end))
         if start > end:
-            points.reverse()
-        support = None if self.potential is None else self.potential.support
-        scale = 1.0
-        pieces = []
-        for a0, b0 in zip(points[:-1], points[1:]):
-            max_step = abs(b0 - a0)
-            if (support is not None and min(a0, b0) >= support[0] - 1e-15
-                    and max(a0, b0) <= support[1] + 1e-15):
-                max_step = min(max_step, max(support[1] - support[0], 1e-6) / 8)
-            with np.errstate(over="ignore", invalid="ignore"):
-                sol = solve_ivp(rhs, (a0, b0), y, max_step=max_step,
-                                dense_output=dense_output, **options)
-            if not (sol.success and np.isfinite(sol.y).all()):
-                raise UnconvergedError(
-                    "sector ODE integration failed",
-                    details={"segment": [float(a0), float(b0)], "lambda": lam,
-                             "solver": sol.message})
-            pieces.append((a0, b0, sol, scale))
-            y = sol.y[:, -1]
-            if rescale:
-                mag = max(abs(y[0]), abs(y[1]), 1e-300)
-                scale *= mag
-                y = y / mag
-        return SectorSolution(self, lam, pieces, y * scale, decays)
+            r, cuts = r[::-1], cuts[::-1]
+        m, growth = self.propagators(lam, r[:-1], np.diff(r))
+        u, v = float(y[0]), float(y[1])
+        size = abs(u) + abs(v)
+        u, v = u / size, v / size
+        steps = [u, v, size]
+        for m00, m01, m10, m11 in zip(*m.tolist()):
+            u, v = m00 * u + m01 * v, m10 * u + m11 * v
+            size = abs(u) + abs(v)
+            u /= size
+            v /= size
+            steps += u, v, size
+        states, sizes = np.split(np.array(steps).reshape(-1, 3).T, [2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log = np.cumsum(np.log(sizes[0]) + np.append(0.0, growth))
+        if not (np.isfinite(states).all() and np.isfinite(log[-1])):
+            raise UnconvergedError("sector ODE integration failed",
+                                   details={"segment": [start, end], "lambda": lam})
+        return SectorSolution(self, lam, cuts, r, states, log, decays)

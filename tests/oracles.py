@@ -345,3 +345,22 @@ def sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
         if t <= 0:
             count += 1
     return count
+
+
+def ball_potential_at(potential, y: np.ndarray) -> np.ndarray:
+    """A ball-supported potential at d-dimensional points (rows): its radial
+    profile at the distance from the center on the x1-axis."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    center = np.zeros(y.shape[1])
+    center[0] = potential.center
+    return potential(np.linalg.norm(y - center, axis=1))
+
+
+def report_lambdas(report) -> np.ndarray:
+    """The energies of a ``SpectralReport``'s samples."""
+    return np.array([s[0] for s in report.samples])
+
+
+def report_mus(report) -> np.ndarray:
+    """The principal eigenvalues of a ``SpectralReport``'s samples."""
+    return np.array([s[1] for s in report.samples])

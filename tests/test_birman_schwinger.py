@@ -29,6 +29,15 @@ class TestPrincipalEigenvalue:
     def test_zero_matrix(self):
         assert bs.principal_eigenvalue(np.zeros((5, 5)), 1e-12)[0] == 0.0
 
+    @pytest.mark.parametrize("size", [2.0 ** -990, 2.0 ** 530])
+    def test_scales_exactly_without_warnings(self, size):
+        # near 1e160 the squared norms of the iterates leave the float range
+        a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        val, res = bs.principal_eigenvalue(a, 1e-12)
+        assert val == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-12)
+        with np.errstate(all="raise"):
+            assert bs.principal_eigenvalue(size * a, 1e-12) == (size * val, size * res)
+
     def test_degenerate_top_handled_by_fallback(self):
         # the all-ones start vector is orthogonal to both top eigenvectors
         a = np.diag([2.0, -2.0, 0.5])
@@ -151,14 +160,14 @@ class TestKernelProperties:
 class TestMuCurve:
     def test_dirichlet_monotone_toward_threshold(self):
         rep = bs.mu_curve(HALF_LINE_D, WELL, m=200)
-        mus = rep.mus()
+        mus = oc.report_mus(rep)
         assert np.all(np.diff(mus) > 0)
         assert rep.metadata["monotone"]
         assert mus[-1] == pytest.approx(1.0 / BETA_CR_WELL, rel=2e-3)
 
     def test_neumann_grows_like_inverse_sqrt(self):
         rep = bs.mu_curve(HALF_LINE_N, WELL, m=200)
-        lams, mus = rep.lambdas(), rep.mus()
+        lams, mus = oc.report_lambdas(rep), oc.report_mus(rep)
         slope = np.polyfit(np.log(np.abs(lams)), np.log(mus), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)
 
@@ -178,7 +187,8 @@ class TestMuCurve:
         pot = Potential(Profile.indicator(1.5, 2.5))
         grid = -np.power(10.0, [-4.0, -5.0, -6.0, -7.0, -8.0])
         rep = bs.mu_curve(prob, pot, lambda_grid=grid, m=300)
-        slope = np.polyfit(np.log(1.0 / np.abs(rep.lambdas())), rep.mus(), 1)[0]
+        slope = np.polyfit(np.log(1.0 / np.abs(oc.report_lambdas(rep))),
+                           oc.report_mus(rep), 1)[0]
         predicted = 0.5 * (2.5 ** 2 - 1.5 ** 2) / 2.0
         assert slope == pytest.approx(predicted, rel=2e-2)
 
@@ -186,7 +196,7 @@ class TestMuCurve:
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
         pot = Potential(Profile.indicator(1.5, 2.5))
         rep = bs.mu_curve(prob, pot, lambda_grid=[-1e-3, -1e-5, -1e-7], m=200)
-        mus = rep.mus()
+        mus = oc.report_mus(rep)
         assert abs(mus[-1] - mus[-2]) / mus[-2] < 0.01
         limit = bs.principal_eigenvalue(bs.assemble(prob, pot, 0.0, m=200), 1e-10)[0]
         assert mus[-1] == pytest.approx(limit, rel=1e-3)
@@ -313,6 +323,23 @@ class TestSeparableAssembly:
         assert np.all(mat.entries >= 0.0)
         assert np.array_equal(mat.entries, mat.entries.T)
         assert np.all(np.diag(mat.entries) > 0.0)
+
+    def test_large_k_with_a_variable_coefficient_stays_finite(self):
+        # a = 2 -> 1 on [1, 2] at lambda = -1e6: the regular solution grows by
+        # about e^820 across it, so only the log-scaled solutions stay finite
+        a = CoefficientProfile(Profile(np.array([1.0, 2.0]), np.array([2.0, 1.0])), 2.0)
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=a)
+        pot = Potential(Profile.indicator(1.0, 2.0))
+        mat = bs.assemble(prob, pot, -1e6)
+        assert np.all(np.isfinite(mat.entries))
+        assert np.all(mat.entries >= 0.0)
+        assert np.array_equal(mat.entries, mat.entries.T)
+        # away from the obstacle the diagonal is the local (WKB) kernel
+        # 1 / (2 k sqrt(p w)) per unit sphere measure, with k = 1000
+        r = mat.nodes
+        g = np.diag(mat.entries) / (mat.weights * pot(r))
+        wkb = 1.0 / (8.0 * math.pi * 1000.0 * np.sqrt(a(r)) * r ** 2)
+        assert g[r > 1.01] == pytest.approx(wkb[r > 1.01], rel=1e-4)
 
 
 class TestEigenpairCorrespondence:

@@ -101,14 +101,14 @@ class TestConfigHandling:
         assert diag["error"] == "numerical-failure"
 
     def test_failed_integration_exit_code(self, tmp_path):
-        # the unscaled coefficient ODE overflows at k (r_flat - r0) = 1000
+        # at lambda = -1e300 the coefficient ODE's step exponents overflow
         cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
                            "boundary_condition": "dirichlet", "radius": 1.0,
                            "coefficient": {"samples": [[1.0, 2.0], [2.0, 1.0]],
                                            "flat_radius": 2.0}},
                "potential": {"kind": "indicator", "support": [1.5, 2.5]},
                "numerics": {"m": 32},
-               "study": {"lambda_grid": [-1e6]}}
+               "study": {"lambda_grid": [-1e300]}}
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(cfg))
         # a subprocess, so that stray solver warnings would show on stderr
@@ -118,7 +118,25 @@ class TestConfigHandling:
         diag = json.loads(lines[0])
         assert diag["error"] == "numerical-failure"
         assert diag["type"] == "UnconvergedError"
-        assert {"segment", "solver"} <= set(diag["details"])
+        assert diag["details"] == {"segment": [2.0, 1.0], "lambda": -1e300}
+
+    def test_huge_kernel_prints_no_warning(self, tmp_path):
+        # at lambda = -2.2e-311 the Neumann half-line kernel reaches 1e155,
+        # whose squared norm overflowed inside the power iteration
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "neumann",
+                           "coefficient": {"samples": [[0, 1.3], [0.8, 0.9], [1.5, 1.0]],
+                                           "flat_radius": 1.5}},
+               "potential": {"kind": "indicator", "support": [1, 2]},
+               "numerics": {"m": 40},
+               "study": {"lambda_grid": [-3.13, -2.2e-311, -2.45]}}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(cfg))
+        # a subprocess, so that numpy warnings would show on stderr
+        code, lines = betacrit("mu-curve", "--config", str(path), "--out", str(tmp_path))
+        assert code == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config-error"
 
     def test_unresolved_coupling_exit_code(self, tmp_path, capsys):
         # beta max V h^2 = 40 on the shipped clr mesh: no count is formed

@@ -120,6 +120,26 @@ class TestGroundState:
         exact = oc.square_well_ground_energy(beta, 1.0, 2.0)
         assert abs(lam0 - exact) <= 1e-9 * max(1.0, abs(exact))
 
+    @pytest.mark.parametrize("support,beta", [((1.0, 2.0), 0.814), ((1.0, 2.0), 4.0),
+                                              ((0.5, 1.3), 12.0), ((1.0, 2.0), 100.0)])
+    def test_exact_on_piecewise_constant_wells(self, support, beta):
+        # the Magnus step is exact where the coefficients are constant, so on
+        # a half-line indicator well only the root search is left
+        pot = Potential(Profile.indicator(*support))
+        lam0 = ds.ground_state(HALF_LINE_D, pot, beta, tol=1e-15)
+        exact = oc.square_well_ground_energy(beta, *support)
+        assert lam0 == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("prob,beta,energy", [
+        (HALF_LINE_D, 6.0, -1.3351453168379208),
+        (BALL_D3, 30.0, -14.685918172542957),
+    ], ids=["half_line", "d3"])
+    def test_densely_sampled_well_keeps_its_energy(self, prob, beta, energy):
+        # 2,000 samples of a cos^2 well, each one a cut of the mesh; the
+        # energies are those of an adaptive RK45 shooting at rtol 1e-10
+        pot = Potential(Profile.bump(1.0, 2.0, n=2000))
+        assert ds.ground_state(prob, pot, beta) == pytest.approx(energy, rel=1e-9)
+
     def test_profile_tail_is_the_decaying_free_solution(self):
         lam0 = ds.ground_state(HALF_LINE_D, WELL, 4.0)
         mesh, u = ds.eigenfunction(HALF_LINE_D, WELL, 4.0, lam0)
@@ -217,6 +237,14 @@ class TestCrosscheck:
         ref = oc.fd_ground_energy(3, 1, 1.0, (1.5, 2.5), 8.0)
         assert row["lambda0"] == pytest.approx(ref, rel=1e-6)
         assert row["residual"] < 1e-4
+
+    def test_d3_sector1_residual_is_the_kernel_error(self):
+        # the shooting energy is far closer than that, so what is left is
+        # the Nystrom error of the m = 400 kernel matrix
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)
+        (row,) = ds.crosscheck_birman_schwinger(prob, Potential(Profile.indicator(1.5, 2.5)),
+                                                [8.0])
+        assert row["residual"] <= 6.1e-6
 
     def test_zero_potential_empty(self):
         rows = ds.crosscheck_birman_schwinger(

@@ -217,7 +217,7 @@ class TestHalfspaceStudies:
         assert check == pytest.approx(sing[0, 1] / (4 * math.pi)
                                       + regular[0, 1], rel=1e-12)
         cells = ex.newton_cell_integrals(pts, 1.0 / n, center=(center, 0.0, 0.0))
-        density = pot.evaluate_point(pts)
+        density = oc.ball_potential_at(pot, pts)
         mat_phys = bs.assemble_points(pts, w, density, regular, sing,
                                       1.0 / (4.0 * math.pi), cells)
         mu_physical = bs.principal_eigenvalue(mat_phys, 1e-10)[0]

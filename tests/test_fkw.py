@@ -46,7 +46,7 @@ class TestExteriorSolution:
         v = fkw.solve_v(BALL3, 0.0, POT, 0.0)
         assert float(v(50.0)) == pytest.approx(1.0 / 50.0, rel=1e-10)
         r = np.array([2.0, 2.5, 3.0, 9.0, 50.0])
-        assert v.derivative(r) == pytest.approx(-np.ones(5), rel=1e-9)  # r^2 (1/r)'
+        assert v.state(r)[1] == pytest.approx(-np.ones(5), rel=1e-9)  # r^2 (1/r)'
         k = 0.8
         v = fkw.solve_v(BALL3, 1.0, POT, -k * k)
         r = np.array([3.0, 6.0, 40.0, 60.0])
@@ -59,7 +59,7 @@ class TestExteriorSolution:
             v = fkw.solve_v(problem, beta, POT, lam)
             r = 2.5 + np.array([-1e-7, 0.0, 1e-7])
             assert v(r) == pytest.approx(float(v(2.5)), rel=1e-6)
-            assert v.derivative(r) == pytest.approx(float(v.derivative(2.5)), rel=1e-6)
+            assert v.state(r)[1] == pytest.approx(float(v.state(2.5)[1]), rel=1e-6)
 
     def test_trace_is_one(self):
         v = fkw.solve_v(BALL3, 0.7, POT, -1.3)

@@ -5,7 +5,7 @@ import pytest
 
 from betacrit.errors import UnconvergedError
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
-from betacrit.sector_ode import SectorODE, closure_radius
+from betacrit.sector_ode import MAX_STEPS, MAX_TURN, STEPS_PER_UNIT, SectorODE, closure_radius
 
 BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
 POT = Potential(Profile.indicator(1.5, 2.5), 2.0)
@@ -96,46 +96,86 @@ class TestClosureAndSegments:
         # free d = 3 sector 0: the decaying solution e^{-kr}/r, integrated inward
         k = 1.0
         ode = SectorODE(BALL3, POT, beta=0.0)
-        sol = ode.integrate(-k * k, ode.decay_state(-1.0, 6.0), 6.0, 1.0,
-                            rtol=1e-11, atol=1e-14)
+        sol = ode.integrate(-k * k, ode.decay_state(-1.0, 6.0), 6.0, 1.0)
         assert ode.segment_points(1.0, 6.0) == [1.0, 1.5, 2.5, 6.0]
         assert sol.span == (1.0, 6.0)
-        assert sol.end[0] == pytest.approx(math.exp(5.0 * k) * 6.0, rel=1e-8)
+        assert sol(1.0) == pytest.approx(math.exp(5.0 * k) * 6.0, rel=1e-8)
         r = np.array([1.0, 1.5, 2.0, 2.5, 4.0, 6.0])
         assert sol(r) == pytest.approx(np.exp(k * (6.0 - r)) * 6.0 / r, rel=1e-8)
 
     def test_rescaled_state_keeps_the_ratio(self):
+        # every node keeps its state at unit 1-norm and the logarithm of the
+        # scale apart; reads multiply the two back into the true solution
         ode = SectorODE(BALL3, POT, beta=0.0)
-        plain = ode.integrate(-1.0, ode.decay_state(-1.0, 6.0), 6.0, 1.0, rtol=1e-11,
-                              atol=1e-14)
-        scaled = ode.integrate(-1.0, ode.decay_state(-1.0, 6.0), 6.0, 1.0, rtol=1e-11,
-                               atol=1e-14, rescale=True)
-        assert scaled.end == pytest.approx(plain.end, rel=1e-8)
-        assert scaled.peak == pytest.approx(plain.peak, rel=1e-8)
-        r = np.linspace(1.0, 6.0, 11)
-        assert scaled.state(r) == pytest.approx(plain.state(r), rel=1e-8)
-        # every piece after the first restarts at O(1); the plain ones grow
-        starts = [max(abs(sol.y[:, 0])) for _, _, sol, _ in scaled._pieces[1:]]
-        assert starts == pytest.approx([1.0, 1.0])
-        assert all(scale > 10.0 for *_, scale in scaled._pieces[1:])
-        assert all(max(abs(sol.y[:, 0])) > 10.0 for _, _, sol, _ in plain._pieces[1:])
+        sol = ode.integrate(-1.0, ode.decay_state(-1.0, 6.0), 6.0, 1.0)
+        assert np.abs(sol.y).sum(axis=0) == pytest.approx(1.0, rel=1e-15)
+        u = np.exp(6.0 - sol.r) * 6.0 / sol.r
+        assert sol.y[0] * np.exp(sol.log) == pytest.approx(u, rel=1e-8)
+        assert sol.log[-1] - sol.log[0] > 4.0  # the solution grew by e^5 6/5
+        assert sol.peak == pytest.approx(math.exp(5.0) * 6.0, rel=1e-8)
+        r = np.linspace(1.0, 6.0, 11)  # mostly between nodes
+        assert sol(r) == pytest.approx(np.exp(6.0 - r) * 6.0 / r, rel=1e-8)
+        assert sol.state(r)[1] == pytest.approx(-(r + 1.0) * np.exp(6.0 - r) * 6.0,
+                                                  rel=1e-8)
 
     def test_rescaling_carries_an_inward_solve_past_float_overflow(self):
         # at k = 150 the state grows by e^{k (6 - 1)} = e^750, past the float
-        # range; no piece alone grows by more than e^525 (the total scale, and
-        # so ``end``, still overflow)
+        # range; the nodes stay at unit norm and the log-scale carries the
+        # growth, so the solution read as a ratio to u(1) stays finite
         lam = -150.0 ** 2
         ode = SectorODE(BALL3, POT, beta=0.0)
-        y = ode.decay_state(lam, 6.0)
-        with pytest.raises(UnconvergedError):
-            ode.integrate(lam, y, 6.0, 1.0, rtol=1e-10, atol=1e-14)
+        sol = ode.integrate(lam, ode.decay_state(lam, 6.0), 6.0, 1.0)
+        assert np.abs(sol.y).sum(axis=0) == pytest.approx(1.0, rel=1e-15)
+        # |u| + |p u'| = u (1 + r (k r + 1)) with u = e^{k (6 - r)} 6 / r
+        assert sol.log[-1] - sol.log[0] == pytest.approx(
+            750.0 + math.log(6.0 * 152.0 / 5407.0), rel=1e-9)
         with np.errstate(over="ignore"):
-            sol = ode.integrate(lam, y, 6.0, 1.0, rtol=1e-10, atol=1e-14, rescale=True)
-        assert [max(abs(s.y[:, 0])) for _, _, s, _ in sol._pieces[1:]] == \
-            pytest.approx([1.0, 1.0])
+            assert np.isinf(sol(1.0))
+        sol.normalize(1.0)
+        # p u' / u = -r (k r + 1) at r = 1, and |u| peaks there
+        assert sol.state(1.0) == pytest.approx([1.0, -151.0], rel=1e-7)
+        assert sol.peak == pytest.approx(1.0, rel=1e-12)
         # the ratio of the state across the last piece is the free one
-        last = sol._pieces[-1][2]
-        assert last.y[0, -1] / last.y[0, 0] == pytest.approx(1.5 * math.exp(75.0), rel=1e-7)
+        assert sol(np.array([1.5])) == pytest.approx(math.exp(-75.0) / 1.5, rel=1e-7)
+
+    def test_variable_coefficient_deep_in_energy_stays_finite(self):
+        # a = 2 -> 1 on [1, 2] at lambda = -1e6: u grows by about e^820, which
+        # overflowed the unscaled integration
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
+        ode = SectorODE(prob)
+        sol = ode.integrate(-1e6, ode.regular_state(), 1.0, 2.0)
+        assert np.isfinite(sol.y).all() and np.isfinite(sol.log).all()
+        assert math.log(sol.y[0, -1]) + sol.log[-1] == pytest.approx(819.96, abs=0.01)
+
+    def test_pruefer_angle_counts_the_half_turns(self):
+        # u = sin(pi r) / pi on the free half-line at lambda = pi^2: the
+        # angle of (u, u') reaches 3 pi at r = 3, through many short steps
+        line = SectorODE(ProblemSpec(1, "half_line", "dirichlet"))
+        sol = line.integrate(math.pi ** 2, line.regular_state(), 0.0, 3.0)
+        assert sol.angle == pytest.approx(3.0 * math.pi, rel=1e-12)
+        assert line.integrate(-1.0, line.regular_state(), 0.0, 3.0).angle == \
+            pytest.approx(math.atan(math.tanh(3.0)), rel=1e-12)
+
+    def test_mesh_fills_each_piece_uniformly(self):
+        ode = SectorODE(BALL3, POT, beta=2.0)
+        r = ode.mesh(-1.0, 1.0, 3.0)
+        assert set(ode.segment_points(1.0, 3.0)) <= set(r.tolist())
+        h = np.diff(r)
+        for lo, hi in [(1.0, 1.5), (1.5, 2.5), (2.5, 3.0)]:
+            inside = h[(r[:-1] >= lo) & (r[1:] <= hi)]
+            assert inside.size == round((hi - lo) * STEPS_PER_UNIT)
+            assert inside == pytest.approx(inside[0], rel=1e-9)
+
+    def test_mesh_keeps_each_oscillating_step_below_the_turn_bound(self):
+        # beta V = 2e6 on [1.5, 2.5]: a wavenumber near 1400, far past the
+        # fixed density there and nowhere else
+        ode = SectorODE(BALL3, POT, beta=1e6)
+        r = ode.mesh(-1.0, 1.0, 3.0)
+        p, q, w = ode.coefficients(r[:-1] + 0.5 * np.diff(r))
+        wave = np.sqrt(np.maximum(-w - q, 0.0) / p)
+        assert np.max(wave * np.diff(r)) <= MAX_TURN
+        assert np.sum((r > 1.5) & (r < 2.5)) > 4 * STEPS_PER_UNIT
+        assert np.sum(r < 1.5) == round(0.5 * STEPS_PER_UNIT)
 
     def test_samples_ulps_apart_make_one_cut(self):
         jump = math.nextafter(1.5, 2.0)
@@ -149,19 +189,26 @@ class TestClosureAndSegments:
 
     def test_only_a_decaying_solution_reads_past_its_end(self):
         ode = SectorODE(BALL3, POT, beta=2.0)
-        reg = ode.integrate(-1.0, ode.regular_state(), 1.0, 2.5, rtol=1e-10, atol=1e-13)
+        reg = ode.integrate(-1.0, ode.regular_state(), 1.0, 2.5)
         assert np.isfinite(reg(np.array([1.0, 2.0, 2.5]))).all()
         with pytest.raises(ValueError):
             reg(3.0)
-        dec = ode.integrate(-1.0, ode.decay_state(-1.0, 2.5), 2.5, 1.0, decays=True,
-                            rtol=1e-10, atol=1e-13)
+        dec = ode.integrate(-1.0, ode.decay_state(-1.0, 2.5), 2.5, 1.0, decays=True)
         r = np.array([3.0, 4.0])
         assert dec(r) == pytest.approx(np.exp(2.5 - r) * 2.5 / r, rel=1e-12)
 
     def test_failed_solve_is_unconverged(self):
+        # at lambda = -1e300 the step exponents overflow: no state is finite
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
         ode = SectorODE(prob)
         with pytest.raises(UnconvergedError) as err:
-            ode.integrate(-1e6, ode.regular_state(), 1.0, 2.0, rtol=1e-11, atol=1e-14)
-        assert err.value.details["segment"] == [1.0, 2.0]
-        assert err.value.details["solver"]
+            ode.integrate(-1e300, ode.regular_state(), 1.0, 2.0)
+        assert err.value.details == {"segment": [1.0, 2.0], "lambda": -1e300}
+
+    def test_a_mesh_past_the_step_budget_is_unconverged(self):
+        # beta V = 2e12: a wavenumber of 1.4e6 needs millions of steps
+        ode = SectorODE(BALL3, POT, beta=1e12)
+        with pytest.raises(UnconvergedError) as err:
+            ode.integrate(0.0, ode.regular_state(), 1.0, 2.5)
+        assert err.value.details["segment"] == [1.0, 2.5]
+        assert err.value.details["steps"] > MAX_STEPS
