@@ -8,6 +8,7 @@ threshold is 1/mu*; when mu0 diverges the threshold is zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,13 +33,16 @@ def default_lambda_grid(decades=DEFAULT_DECADES) -> np.ndarray:
     return -np.power(10.0, [-j for j in range(j0, j1 + 1)])
 
 
+_legendre = functools.cache(leggauss)  # read only: shared by every assembly
+
+
 def gauss_panels(lo: float, hi: float, m: int, panel_order: int = DEFAULT_PANEL_ORDER):
     """Composite Gauss-Legendre rule with ~m nodes on [lo, hi]."""
     if hi <= lo:
         raise ValidationError("empty quadrature interval")
     q = max(1, min(panel_order, m))
     panels = max(1, round(m / q))
-    xg, wg = leggauss(q)
+    xg, wg = _legendre(q)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -68,18 +72,20 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
     that limit diverges (e.g. Neumann in low dimension).
     """
     require_valid(problem, potential)
-    a, b, c, k = solution_pair(problem, lam)
+    reg, dec, c = solution_pair(problem, lam)
     lo, hi = potential.support
     nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m, panel_order)
     vol = w * problem.measure(nodes)
-    # G = a(min) b(max) exp(-k |x - xi|) / C: the nodes ascend, so the upper
-    # triangle of the outer product holds a(x_i) b(x_j) with x_i <= x_j;
-    # mirroring it makes the matrix exactly symmetric
+    (y_reg, s_reg), (y_dec, s_dec) = reg(nodes), dec(nodes)
+    # G = u_reg(min) u_dec(max) / C: the nodes ascend, so the upper triangle
+    # holds u_reg(x_i) u_dec(x_j) with x_i <= x_j, where s_reg(x_i) + s_dec(x_j)
+    # is at most about 0; mirroring it makes the matrix exactly symmetric
     half_weight = np.sqrt(vol) * np.sqrt(potential(nodes))
-    entries = np.triu(np.outer(half_weight * a(nodes) / c, half_weight * b(nodes)))
-    entries += np.triu(entries, 1).T
-    if k:
-        entries *= np.exp(-k * np.abs(nodes[:, None] - nodes[None, :]))
+    entries = np.outer(half_weight * y_reg / c, half_weight * y_dec)
+    upper = np.tri(nodes.size, dtype=bool).T
+    if s_reg.any() or s_dec.any():
+        entries *= np.exp(np.where(upper, s_reg[:, None] + s_dec[None, :], 0.0))
+    entries = np.where(upper, entries, entries.T)
     return KernelMatrix(nodes, vol, entries)
 
 
@@ -211,11 +217,14 @@ def mu_curve(problem: ProblemSpec, potential: Potential, lambda_grid=None,
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray):
+    # dividing y by a power of two is exact and keeps squared norms in range
+    scale = 2.0 ** math.frexp(float(np.max(np.abs(y))))[1]
+    y = y / scale
     a = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
     denom = float(np.linalg.norm(y - y.mean())) or 1.0
-    return coef[0], coef[1], float(np.linalg.norm(resid)) / denom
+    return coef[0] * scale, coef[1] * scale, float(np.linalg.norm(resid)) / denom
 
 
 def classify_limit(samples, bounded_tol: float = 0.02,
@@ -238,13 +247,13 @@ def classify_limit(samples, bounded_tol: float = 0.02,
     mu = np.array([r[1] for r in rows])
     if np.any(lam >= 0):
         raise ValidationError("classification samples must have lambda < 0")
-    span = math.log10(abs(lam[0]) / abs(lam[-1]))
+    span = math.log10(-lam[0]) - math.log10(-lam[-1])
     if span < 3 - 1e-9:
         raise ValidationError("classification needs samples spanning >= 3 decades")
     if np.any(mu <= 0):
         return Classification("bounded", mu_star=float(mu[-1]), mu_last=float(mu[-1]),
                               extrapolation_gap=0.0, growth_per_decade=0.0)
-    ddec = math.log10(abs(lam[-2]) / abs(lam[-1]))
+    ddec = math.log10(-lam[-2]) - math.log10(-lam[-1])
     growth = (mu[-1] / mu[-2]) ** (1.0 / ddec) - 1.0
 
     if growth < bounded_tol:

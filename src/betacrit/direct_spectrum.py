@@ -181,11 +181,14 @@ class SpectrumCounter:
         return base
 
     def threshold(self, tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H):
-        """``beta_critical_direct`` on this counter's pencils."""
+        """``beta_critical_direct`` on this counter's sector-0 pencil: every
+        other sector's pencil is a principal submatrix of it plus the
+        nonnegative centrifugal diagonal, so only sector 0 decides."""
         if self.potential.is_zero():
             return None
+        ground = self.pencil(h, 0)
         lo, hi = 0.0, 1.0
-        while not self.total(hi, h):  # no bound state yet
+        while not ground.count(hi):  # no bound state yet
             lo, hi = hi, 2.0 * hi
             if hi > 2.0 ** 60:
                 return None
@@ -193,7 +196,7 @@ class SpectrumCounter:
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):  # adjacent floats: tol is below their spacing
                 break
-            if self.total(mid, h):
+            if ground.count(mid):
                 hi = mid
             else:
                 lo = mid

@@ -8,9 +8,11 @@ element reproduces the sector operator exactly.
 On the half-line and in every exterior-ball sector the kernel is
 G(r, rho) = u_reg(min) u_dec(max) / C, where u_reg meets the boundary
 condition and u_dec decays at infinity.  ``solution_pair`` is the only place
-that knows these solutions.  It returns them exponentially scaled,
-u_reg = a(r) e^{kr} and u_dec = b(r) e^{-kr} with k = sqrt(-lambda), so
-kernels stay finite for any k*r.
+that knows these solutions: the sector ODE up to the flattening radius r_f of
+the coefficient (an empty span where a == 1), the free solutions beyond.
+Each is returned apart from its log-scale, u = y e^s, and the scales of
+G(r, rho) are added before anything is exponentiated, so kernels stay finite
+for any k = sqrt(-lambda).
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from .sector_ode import SectorODE
 
 
 def solution_pair(problem: ProblemSpec, lam: float):
-    """(a, b, C, k) with G(r, rho) = a(min) b(max) exp(-k |r - rho|) / C.
+    """(reg, dec, C) with G(r, rho) = u_reg(min) u_dec(max) / C against
+    ``problem.measure`` in the problem's sector.
 
-    ``a`` and ``b`` are callables, and G is the kernel against
-    ``problem.measure`` in the problem's sector.  lam = 0 gives the pointwise
-    zero-energy limit and raises ``KernelLimitError`` where that diverges: the
-    Neumann condition when the zero-energy decaying solution is constant.
+    ``reg`` and ``dec`` map radii to (y, s), the solution being y e^s: the
+    sector ODE below r_f, the free solutions with s = +-k (r - r_f) beyond.
+    For r <= rho, s_reg(r) + s_dec(rho) is at most about 0.  lam = 0 gives
+    the zero-energy limit and raises ``KernelLimitError`` where it diverges:
+    Neumann when the zero-energy decaying solution is constant.
     """
     if problem.geometry not in ("half_line", "exterior_ball"):
         raise ValidationError("sector Green functions cover the half-line and the "
@@ -39,12 +43,10 @@ def solution_pair(problem: ProblemSpec, lam: float):
                               "kernels on point clouds")
     if lam > 0:
         raise ValidationError("Green functions need lambda <= 0")
-    d = problem.dimension
-    l = problem.sector
-    bc = problem.effective_bc()
+    d, l = problem.dimension, problem.sector
     k = math.sqrt(-lam)
     # for d + l <= 2 the zero-energy decaying solution is constant
-    if k == 0 and bc == "neumann" and d + l <= 2:
+    if k == 0 and problem.effective_bc() == "neumann" and d + l <= 2:
         raise KernelLimitError(f"limit kernel divergent for the Neumann condition "
                                f"on the {problem.geometry} (d={d}, sector {l})")
 
@@ -80,79 +82,46 @@ def solution_pair(problem: ProblemSpec, lam: float):
                 df = s * f + amp * k * (-kve(nu + 1.0, z) + (nu / z) * k_nu)
         return (g, f, dg, df) if derivatives else (g, f)
 
-    if problem.flat_radius() > problem.inner_radius:  # a(r) != 1 somewhere
-        return _variable_a_pair(problem, lam, free)
-    r0 = problem.inner_radius
-    g0, f0, dg0, df0 = free(r0, derivatives=True)
-    # u_reg = growing - ratio * e^{2k r0} * decaying meets the boundary condition
-    ratio = g0 / f0 if bc == "dirichlet" else dg0 / df0
-
-    def a(r):
-        g, f = free(r)
-        return g - ratio * f * np.exp(-2.0 * k * (np.asarray(r, dtype=float) - r0))
-
-    def b(r):
-        return free(r)[1]
-
-    c = float(problem.measure(r0) * (f0 * dg0 - df0 * g0))
-    return a, b, c, k
-
-
-def _variable_a_pair(problem: ProblemSpec, lam: float, free):
-    """``solution_pair`` for a variable coefficient: the sector ODE inside
-    [r0, r_flat], the free solutions beyond.
-
-    Each ODE solution is read apart from its log-scale, which meets the
-    factor e^{-k |r - start|} before anything is exponentiated, so no k
-    overflows it.
-    """
-    r0 = problem.inner_radius
-    rf = problem.flat_radius()
-    k = math.sqrt(-lam)
+    r0, rf = problem.inner_radius, problem.flat_radius()
     ode = SectorODE(problem)
     p_rf = ode.coefficients(rf)[0]
     g, f, dg, df = (float(v) for v in free(rf, derivatives=True))
-
-    # decaying solution inward from the flattening radius, regular outward
-    dec = ode.integrate(lam, [f, p_rf * df], rf, r0)
-    reg = ode.integrate(lam, ode.regular_state(), r0, rf)
-
-    def damped(solution, r, start):
-        y, s = solution.log_state(r)
-        return y * np.exp(s - k * np.abs(r - start))
-
-    # a = u_reg e^{-k(r - r0)} and b = u_dec e^{-k(rf - r)}; past r_flat
-    # a = alpha g + beta f e^{-2k(r - rf)} continues the regular solution
-    y_rf, dy_rf = damped(reg, rf, r0) / [1.0, p_rf]
+    inward = outward = None  # the span [r0, r_f] is empty where a == 1
+    y_rf, s_rf = np.array(ode.regular_state()), 0.0
+    if rf > r0:
+        inward = ode.integrate(lam, [f, p_rf * df], rf, r0)
+        outward = ode.integrate(lam, ode.regular_state(), r0, rf)
+        y_rf, s_rf = outward.log_state(rf)
+    # past r_f u_reg = alpha g e^{k(r - r_f)} + beta f e^{-k(r - r_f)}
+    u_rf, du_rf = y_rf / [1.0, p_rf]
     wr = g * df - dg * f
-    alpha = (y_rf * df - dy_rf * f) / wr
-    beta = (dy_rf * g - y_rf * dg) / wr
+    alpha = (u_rf * df - du_rf * f) / wr
+    beta = (du_rf * g - u_rf * dg) / wr
 
-    def a(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        inner = r <= rf
-        if inner.any():
-            out[inner] = damped(reg, r[inner], r0)[0]
-        if (~inner).any():
-            ro = r[~inner]
-            g_o, f_o = free(ro)
-            out[~inner] = alpha * g_o + beta * f_o * np.exp(-2.0 * k * (ro - rf))
-        return out
+    def joined(solution, shift, outside):
+        """(y, s) of u read from ``solution`` below r_f, its log-scale less
+        ``shift``, and from ``outside`` beyond."""
+        def read(r):
+            r = np.asarray(r, dtype=float)
+            y, s = np.empty_like(r), np.empty_like(r)
+            inner = r < rf  # empty on the domain r >= r0 where a == 1
+            if inner.any():
+                (y[inner], _), s[inner] = solution.log_state(r[inner])
+                s[inner] -= shift
+            y[~inner], s[~inner] = outside(r[~inner])
+            return y, s
+        return read
 
-    def b(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        inner = r < rf
-        if inner.any():
-            out[inner] = damped(dec, r[inner], rf)[0]
-        if (~inner).any():
-            out[~inner] = free(r[~inner])[1]
-        return out
+    def reg_outside(r):
+        g_o, f_o = free(r)
+        return alpha * g_o + beta * f_o * np.exp(-2.0 * k * (r - rf)), k * (r - rf)
 
-    # p (u_dec u_reg' - u_dec' u_reg) is constant; the coefficient is 1 at r_flat
-    c = float(problem.measure(rf) * (f * dy_rf - df * y_rf))
-    return a, b, c, k
+    # the decaying solution starts from the true size of (f, p f') at r_f,
+    # so it keeps its own log-scale; the regular one is taken relative to r_f
+    reg = joined(outward, s_rf, reg_outside)
+    dec = joined(inward, 0.0, lambda r: (free(r)[1], -k * (r - rf)))
+    # p (u_dec u_reg' - u_dec' u_reg) is constant; the coefficient is 1 at r_f
+    return reg, dec, float(problem.measure(rf) * (f * du_rf - df * u_rf))
 
 
 def green_kernel(problem: ProblemSpec, lam: float, x, xi):
@@ -161,8 +130,6 @@ def green_kernel(problem: ProblemSpec, lam: float, x, xi):
 
     lam = 0 gives the zero-energy limit kernel where it exists.
     """
-    a, b, c, k = solution_pair(problem, lam)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    lo, hi = np.minimum(x, xi), np.maximum(x, xi)
-    return a(lo) * b(hi) * np.exp(-k * (hi - lo)) / c
+    reg, dec, c = solution_pair(problem, lam)
+    (y_reg, s_reg), (y_dec, s_dec) = reg(np.minimum(x, xi)), dec(np.maximum(x, xi))
+    return y_reg * y_dec * np.exp(s_reg + s_dec) / c

@@ -119,9 +119,6 @@ class CoefficientProfile:
                            left=self.profile.ys[0], right=1.0)
         return np.where(r >= self.r_flat, 1.0, inside)[()]  # a float gives a float
 
-    def max_value(self) -> float:
-        return max(1.0, self.profile.max_value())
-
 
 @dataclass(frozen=True)
 class ProblemSpec:

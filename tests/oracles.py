@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
-from scipy.special import spherical_jn, spherical_yn, jv, yv
+from scipy.special import ive, kve, spherical_jn, spherical_yn, jv, yv
 
 
 def threshold_wavenumber(width: float, arm: float, crossing: int = 0) -> float:
@@ -364,3 +364,43 @@ def report_lambdas(report) -> np.ndarray:
 def report_mus(report) -> np.ndarray:
     """The principal eigenvalues of a ``SpectralReport``'s samples."""
     return np.array([s[1] for s in report.samples])
+
+
+def constant_coefficient_green(problem, lam: float, x, xi):
+    """Sector kernel for a == 1 in closed form, per unit sphere measure.
+
+    With the free solutions g e^{kr} (growing) and f e^{-kr} (decaying),
+    u_reg = g - (g0/f0) f e^{-2k(r - r0)} for Dirichlet (derivatives for
+    Neumann), u_dec = f, and C the measure times their Wronskian at r0;
+    G = u_reg(min) u_dec(max) e^{-k |x - xi|} / C.
+    """
+    d, l, r0 = problem.dimension, problem.sector, problem.inner_radius
+    k = math.sqrt(-lam)
+
+    def free(r):
+        """(g, f, g', f'), each scaled by e^{-kr} (g) or e^{kr} (f)."""
+        r = np.asarray(r, dtype=float)
+        one = np.ones_like(r)
+        if d == 1:
+            if k == 0:
+                return r, one, one, 0.0 * one
+            return (-np.expm1(-2.0 * k * r) / (2.0 * k), one,
+                    0.5 * (1.0 + np.exp(-2.0 * k * r)), -k * one)
+        if k == 0:
+            q = l + d - 2
+            if q == 0:
+                return np.log(r), one, 1.0 / r, 0.0 * one
+            return r ** l, r ** (-q), l * r ** (l - 1.0), -q * r ** (-q - 1.0)
+        nu, z, amp = l + 0.5 * d - 1.0, k * r, r ** (1.0 - 0.5 * d)
+        g, f = amp * ive(nu, z), amp * kve(nu, z)
+        s = (1.0 - 0.5 * d) / r
+        return (g, f, s * g + amp * k * (ive(nu + 1.0, z) + (nu / z) * ive(nu, z)),
+                s * f + amp * k * (-kve(nu + 1.0, z) + (nu / z) * kve(nu, z)))
+
+    g0, f0, dg0, df0 = free(r0)
+    ratio = g0 / f0 if problem.effective_bc() == "dirichlet" else dg0 / df0
+    lo = np.minimum(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
+    hi = np.maximum(np.asarray(x, dtype=float), np.asarray(xi, dtype=float))
+    u_reg = free(lo)[0] - ratio * free(lo)[1] * np.exp(-2.0 * k * (lo - r0))
+    c = problem.measure(r0) * (f0 * dg0 - df0 * g0)
+    return u_reg * free(hi)[1] * np.exp(-k * (hi - lo)) / c

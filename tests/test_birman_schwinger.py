@@ -342,6 +342,29 @@ class TestSeparableAssembly:
         assert g[r > 1.01] == pytest.approx(wkb[r > 1.01], rel=1e-4)
 
 
+    @pytest.mark.parametrize("lam", [-1e7, -1e8])
+    @pytest.mark.parametrize("geometry", ["half_line", "exterior_ball"])
+    def test_deep_energy_where_the_coefficient_is_below_one(self, geometry, lam):
+        # a = 0.3 -> 1: the solutions grow like e^{k r / sqrt(a)}, faster
+        # than e^{kr}, so only their own log-scales keep the kernel finite
+        lo = 0.0 if geometry == "half_line" else 1.0
+        a = CoefficientProfile(Profile(np.array([lo, 2.0]), np.array([0.3, 1.0])), 2.0)
+        prob = (ProblemSpec(1, "half_line", "dirichlet", coefficient=a)
+                if geometry == "half_line" else
+                ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=a))
+        pot = Potential(Profile.indicator(1.0, 2.0))
+        mat = bs.assemble(prob, pot, lam, m=100)
+        assert np.all(np.isfinite(mat.entries))
+        assert np.all(mat.entries >= 0.0)
+        assert np.array_equal(mat.entries, mat.entries.T)
+        # the diagonal is the local (WKB) kernel 1 / (2 k sqrt(p w)) per unit
+        # sphere measure; a decaying branch shifted by its starting scale
+        # misses it by a factor 1 + k
+        r = np.array([1.2, 1.5, 1.9])
+        wkb = 1.0 / (2.0 * math.sqrt(-lam) * np.sqrt(a(r)) * prob.measure(r))
+        assert green_kernel(prob, lam, r, r) == pytest.approx(wkb, rel=1e-3)
+
+
 class TestEigenpairCorrespondence:
     def test_reconstructed_eigenfunction_weak_residual_shrinks(self):
         # (mu, w) of the kernel matrix reconstructs u with H_{1/mu} u = lam u;

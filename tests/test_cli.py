@@ -138,6 +138,39 @@ class TestConfigHandling:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config-error"
 
+    def test_deep_energy_below_unit_coefficient_prints_nothing(self, tmp_path):
+        # a = 0.3 -> 1 at lambda = -1e7: the kernel matrix was all NaN and
+        # the eigensolve ended in a traceback
+        cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
+                           "boundary_condition": "dirichlet", "radius": 1.0,
+                           "coefficient": {"samples": [[1, 0.3], [2, 1.0]],
+                                           "flat_radius": 2}},
+               "potential": {"kind": "indicator", "support": [1, 2]},
+               "numerics": {"m": 100},
+               "study": {"lambda_grid": [-1e7, -1e5, -1e3, -10, -1]},
+               "output": {"json": "deep.json"}}
+        path = tmp_path / "deep_config.json"
+        path.write_text(json.dumps(cfg))
+        code, lines = betacrit("mu-curve", "--config", str(path), "--out", str(tmp_path))
+        assert (code, lines) == (0, [])
+        mus = [row["mu0"] for row in read_json(tmp_path, cfg)["samples"]]
+        assert len(mus) == 5 and np.all(np.isfinite(mus))
+
+    def test_subnormal_energy_classifies_without_warning(self, tmp_path):
+        # the decade span of a grid reaching -2.2e-311 is a difference of
+        # logarithms; the ratio of its end energies overflowed
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "neumann",
+                           "coefficient": {"samples": [[0, 1.3], [0.8, 0.9], [1.5, 1.0]],
+                                           "flat_radius": 1.5}},
+               "potential": {"kind": "indicator", "support": [1, 2]},
+               "numerics": {"m": 40},
+               "study": {"lambda_grid": [-3.13, -2.2e-311, -2.45, -1.0, -0.5]}}
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(cfg))
+        code, lines = betacrit("mu-curve", "--config", str(path), "--out", str(tmp_path))
+        assert (code, lines) == (0, [])
+
     def test_unresolved_coupling_exit_code(self, tmp_path, capsys):
         # beta max V h^2 = 40 on the shipped clr mesh: no count is formed
         code, _ = run_config(tmp_path, "clr_d3.json", "clr",

@@ -134,6 +134,33 @@ class TestRadial:
         assert green_kernel(prob, -0.9, r, 1.2) == pytest.approx(ref, rel=5e-4)
 
 
+def _constant_coefficient_cases():
+    yield HALF_D
+    yield HALF_N
+    for d in (1, 2, 3):
+        for bc in ("dirichlet", "neumann", "fkw"):
+            for l in range(2 if d == 1 else 4):
+                yield ProblemSpec(d, "exterior_ball", bc, radius=1.0, sector=l)
+
+
+class TestConstantCoefficientPair:
+    @pytest.mark.parametrize("prob", list(_constant_coefficient_cases()),
+                             ids=lambda p: f"{p.geometry}-d{p.dimension}-"
+                                           f"{p.boundary_condition}-{p.sector}")
+    def test_matches_the_closed_form(self, prob):
+        # the sector ODE's span is empty where a == 1: the pair is the free
+        # solutions matched to the boundary condition at r0
+        x = prob.inner_radius + np.linspace(0.0, 3.0, 31)
+        for lam in (0.0, -1e-8, -1.0, -1e4, -1e6):
+            try:
+                g = green_kernel(prob, lam, x[:, None], x[None, :])
+            except KernelLimitError:
+                assert lam == 0.0 and prob.effective_bc() == "neumann"
+                continue
+            ref = oc.constant_coefficient_green(prob, lam, x[:, None], x[None, :])
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref)), lam
+
+
 class TestKernelProperties:
     def problems(self):
         yield ProblemSpec(1, "half_line", "dirichlet"), (0.2, 6.0)
