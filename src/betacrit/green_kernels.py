@@ -8,11 +8,10 @@ element reproduces the sector operator exactly.
 On the half-line and in every exterior-ball sector the kernel is
 G(r, rho) = u_reg(min) u_dec(max) / C, where u_reg meets the boundary
 condition and u_dec decays at infinity.  ``solution_pair`` is the only place
-that knows these solutions: the sector ODE up to the flattening radius r_f of
-the coefficient (an empty span where a == 1), the free solutions beyond.
-Each is returned apart from its log-scale, u = y e^s, and the scales of
-G(r, rho) are added before anything is exponentiated, so kernels stay finite
-for any k = sqrt(-lambda).
+that knows these solutions: the sector ODE up to the radius r_f where a
+flattens to 1 (an empty span where a == 1), the free solutions beyond.  Each
+comes apart from its log-scale, u = y e^s, and the scales are added before
+anything is exponentiated, so kernels stay finite for any k = sqrt(-lambda).
 """
 
 from __future__ import annotations
@@ -54,13 +53,9 @@ def solution_pair(problem: ProblemSpec, lam: float):
         """Free solutions g(r) e^{kr} (growing) and f(r) e^{-kr} (decaying) as
         (g, f); with ``derivatives`` also their r-derivatives, scaled alike."""
         r = np.asarray(r, dtype=float)
-        if d == 1:
-            # sinh(kr)/k and e^{-kr}; r and 1 at zero energy
-            if k == 0:
-                g, dg = r, np.ones_like(r)
-            else:
-                g = -np.expm1(-2.0 * k * r) / (2.0 * k)
-                dg = 0.5 * (1.0 + np.exp(-2.0 * k * r))
+        if d == 1:  # sinh(kr)/k and e^{-kr}; r and 1 at zero energy
+            g = r if k == 0 else -np.expm1(-2.0 * k * r) / (2.0 * k)
+            dg = 0.5 * (1.0 + np.exp(-2.0 * k * r))
             f, df = np.ones_like(r), np.full_like(r, -k)
         elif k == 0:
             q = l + d - 2
@@ -99,12 +94,11 @@ def solution_pair(problem: ProblemSpec, lam: float):
     beta = (du_rf * g - u_rf * dg) / wr
 
     def joined(solution, shift, outside):
-        """(y, s) of u read from ``solution`` below r_f, its log-scale less
-        ``shift``, and from ``outside`` beyond."""
+        """(y, s): ``solution``'s below r_f, less ``shift``; ``outside``'s beyond."""
         def read(r):
             r = np.asarray(r, dtype=float)
             y, s = np.empty_like(r), np.empty_like(r)
-            inner = r < rf  # empty on the domain r >= r0 where a == 1
+            inner = r < rf  # empty where a == 1
             if inner.any():
                 (y[inner], _), s[inner] = solution.log_state(r[inner])
                 s[inner] -= shift
@@ -128,8 +122,12 @@ def green_kernel(problem: ProblemSpec, lam: float, x, xi):
     """Pointwise kernel of (H0 - lambda)^{-1} on the half-line or in the
     problem's exterior-ball sector, per unit sphere measure.
 
-    lam = 0 gives the zero-energy limit kernel where it exists.
+    lam = 0 gives the zero-energy limit kernel where it exists.  Radii
+    inside the obstacle raise ``ValidationError``.
     """
     reg, dec, c = solution_pair(problem, lam)
-    (y_reg, s_reg), (y_dec, s_dec) = reg(np.minimum(x, xi)), dec(np.maximum(x, xi))
+    lo = np.minimum(x, xi)
+    if np.any(lo < problem.inner_radius):
+        raise ValidationError("kernel radii must lie outside the obstacle")
+    (y_reg, s_reg), (y_dec, s_dec) = reg(lo), dec(np.maximum(x, xi))
     return y_reg * y_dec * np.exp(s_reg + s_dec) / c

@@ -160,6 +160,14 @@ class TestConstantCoefficientPair:
             ref = oc.constant_coefficient_green(prob, lam, x[:, None], x[None, :])
             assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref)), lam
 
+    @pytest.mark.parametrize("coefficient", [None, CoefficientProfile(
+        Profile(np.array([1.0, 2.0]), np.array([0.5, 1.0])), 2.0)])
+    def test_radii_inside_the_obstacle_are_rejected(self, coefficient):
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0,
+                           coefficient=coefficient)
+        with pytest.raises(ValidationError):
+            green_kernel(prob, -1.0, np.array([0.5, 1.5]), 2.0)
+
 
 class TestKernelProperties:
     def problems(self):
