@@ -341,7 +341,6 @@ class TestSeparableAssembly:
         wkb = 1.0 / (8.0 * math.pi * 1000.0 * np.sqrt(a(r)) * r ** 2)
         assert g[r > 1.01] == pytest.approx(wkb[r > 1.01], rel=1e-4)
 
-
     @pytest.mark.parametrize("lam", [-1e7, -1e8])
     @pytest.mark.parametrize("geometry", ["half_line", "exterior_ball"])
     def test_deep_energy_where_the_coefficient_is_below_one(self, geometry, lam):
