@@ -4,7 +4,8 @@ Past R* = max(support hi of V, r_flat, r_in) the sector equation is the free
 one, so decay at infinity enters through an exact boundary relation there:
 the zero-energy closure for eigenvalue counting (which makes the count
 independent of where the mesh ends), and the energy-dependent closure
-inside the shooting solver for eigenvalues.  The radial operator
+inside the shooting solver for eigenvalues, which roots the phase mismatch
+in k = sqrt(-lambda).  For counting, the radial operator
 -(a r^{d-1} u')'/r^{d-1} + centrifugal - beta V is discretized by
 second-order finite differences built from the quadratic form, so the
 matrix is symmetric tridiagonal.
@@ -18,7 +19,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
@@ -29,7 +29,6 @@ from .sector_ode import SectorODE, closure_radius
 
 DEFAULT_H = 1e-3
 DEFAULT_BISECT_TOL = 1e-6
-SEED_NODES = 1024  # finite-difference nodes behind the shooting bracket
 
 
 class _Mesh(NamedTuple):
@@ -228,50 +227,18 @@ def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
     return theta - math.atan2(*ode.decay_state(lam, r_star))
 
 
-def _fd_ground_energy(problem: ProblemSpec, potential: Potential, beta: float,
-                      h: float) -> float | None:
-    """Lowest eigenvalue of the pencil on [r_in, R* + 1] whose closure sits at
-    that same energy; None when the pencil has none below 0.
-
-    The lowest eigenvalue falls as the closure energy mu rises, so the
-    consistent energy is the one root of lowest(mu) - mu in [lowest(0), 0].
-    """
-    pencil = SectorPencil(_mesh(problem, potential, h), problem)
-    scale = 1.0 / np.sqrt(pencil.mass)
-    off = pencil.off * scale[:-1] * scale[1:]
-
-    def lowest(mu):  # only the closure entry moves with mu
-        return float(eigh_tridiagonal(pencil.diag(beta, mu) * scale * scale, off,
-                                      eigvals_only=True, select="i",
-                                      select_range=(0, 0))[0])
-
-    lam = lowest(0.0)
-    if lam >= 0.0:
-        return None
-    return brentq(lambda mu: lowest(mu) - mu, lam, 0.0, xtol=1e-9 * max(1.0, -lam))
-
-
-def _ground_seed(problem: ProblemSpec, potential: Potential, beta: float):
-    """(estimate, spread) of the ground energy: the pencil's value at h, and
-    twice its gap to the value at 2h, an O(h^2) window.  None when the
-    pencil has no negative eigenvalue."""
-    h = (closure_radius(problem, potential) + 1.0 - problem.inner_radius) / SEED_NODES
-    fine = _fd_ground_energy(problem, potential, beta, h)
-    coarse = _fd_ground_energy(problem, potential, beta, 2.0 * h)
-    if fine is None or coarse is None:
-        return None
-    return fine, 2.0 * abs(fine - coarse)
-
-
 def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
                  tol: float = 1e-10) -> float | None:
     """Lowest eigenvalue of the problem's sector, or None without bound
     states there.
 
-    Shooting on the phase mismatch with the energy-dependent decay closure.
-    The root is bracketed inside (-beta max V, 0), narrowed around the
-    finite-difference estimate before the root search.  ``eigenfunction``
-    gives the profile at the returned energy.
+    Shooting on the phase mismatch with the energy-dependent decay closure,
+    rooted in k = sqrt(-lambda) on (sqrt(1e-12 max(1, beta max V)),
+    sqrt(beta max V + 1e-6)): the closure is smooth in k where it has a
+    square-root branch in lambda, so a shallow state comes out accurate
+    relative to its size.  The k-tolerance keeps |d lambda| <= tol on the
+    whole bracket.  ``eigenfunction`` gives the profile at the returned
+    energy.
     """
     require_valid(problem, potential)
     if beta <= 0:
@@ -279,28 +246,21 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
     if potential.is_zero():
         return None
     vmax = beta * potential.max_value()
-    lam_lo, lam_hi = -vmax - 1e-6, -1e-12 * max(1.0, vmax)
+    lam_lo = -vmax - 1e-6
+    k_lo, k_hi = math.sqrt(1e-12 * max(1.0, vmax)), math.sqrt(-lam_lo)
 
     @functools.cache
-    def mismatch(lam):
-        return phase_mismatch(problem, potential, beta, lam)
+    def mismatch(k):  # falls as k rises
+        return phase_mismatch(problem, potential, beta, -k * k)
 
-    lo, hi = lam_lo, lam_hi
-    seed = _ground_seed(problem, potential, beta)
-    if seed is not None:  # the mismatch increases with lam
-        for lam in (seed[0] - seed[1], seed[0] + seed[1]):
-            if lo < lam < hi:
-                if mismatch(lam) < 0.0:
-                    lo = lam
-                else:
-                    hi = lam
-    if hi == lam_hi and mismatch(hi) <= 0.0:
+    if mismatch(k_lo) <= 0.0:
         return None
-    if lo == lam_lo and mismatch(lo) >= 0.0:
+    if mismatch(k_hi) >= 0.0:
         raise UnconvergedError(
             "shooting bracket failure: mismatch positive at the lower bound",
-            details={"lambda_lo": lam_lo, "mismatch": mismatch(lo)})
-    return float(brentq(mismatch, lo, hi, xtol=tol))
+            details={"lambda_lo": lam_lo, "mismatch": mismatch(k_hi)})
+    k = brentq(mismatch, k_lo, k_hi, xtol=0.5 * tol / k_hi)
+    return -k * k
 
 
 def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,

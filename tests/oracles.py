@@ -60,7 +60,8 @@ def square_well_ground_energy(beta: float, a: float, b: float,
     arm, width = a - inner, b - a
 
     def mismatch(kappa):
-        q = math.sqrt(beta - kappa * kappa)
+        # clamped: at the bracket end sqrt(beta)**2 may round above beta
+        q = math.sqrt(max(0.0, beta - kappa * kappa))
         return (math.atan(q / kappa * math.tanh(kappa * arm)) + q * width
                 + math.atan(q / kappa) - math.pi)
 

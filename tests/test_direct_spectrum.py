@@ -114,11 +114,21 @@ class TestGroundState:
             lam0 = ds.ground_state(HALF_LINE_D, WELL, beta)
             assert lam0 >= -beta * WELL.max_value() - 1e-9
 
-    @pytest.mark.parametrize("beta", [0.814, 4.0, 100.0])
+    @pytest.mark.parametrize("beta", [0.814, 2.0, 4.0, 5.0, 100.0])
     def test_matches_the_square_well_matching_equation(self, beta):
         lam0 = ds.ground_state(HALF_LINE_D, WELL, beta)
         exact = oc.square_well_ground_energy(beta, 1.0, 2.0)
         assert abs(lam0 - exact) <= 1e-9 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("beta,rel", [(0.7402, 1e-5), (0.74018, 5e-5)])
+    def test_shallow_state_is_accurate_relative_to_its_size(self, beta, rel):
+        # beta_cr = 0.7401738843949668, so lambda0 is -4.23e-10 and -2.32e-11;
+        # the root in k bounds |d lambda| / |lambda| by tol / (k k_hi), which
+        # is 5.6e-6 and 2.4e-5 here; |d lambda| <= tol alone would allow any
+        # error on the shallower one
+        lam0 = ds.ground_state(HALF_LINE_D, WELL, beta)
+        exact = oc.square_well_ground_energy(beta, 1.0, 2.0)
+        assert abs(lam0 - exact) <= rel * abs(exact)
 
     @pytest.mark.parametrize("support,beta", [((1.0, 2.0), 0.814), ((1.0, 2.0), 4.0),
                                               ((0.5, 1.3), 12.0), ((1.0, 2.0), 100.0)])
@@ -491,10 +501,8 @@ class TestPencilSharing:
         path.write_text(json.dumps(cfg))
         assert cli.run("direct", str(path), str(tmp_path)) == 0
         first = list(builds)
-        # rows at h and h/2 and the threshold at h share the run's pencils,
-        # apart from the two the shooting seed builds per row
-        counting = [b for b in first if b[0] in (0.004, 0.002)]
-        assert counting == [(0.004, 0), (0.002, 0)]
+        # rows at h and h/2 and the threshold at h share the run's pencils
+        assert first == [(0.004, 0), (0.002, 0)]
         assert cli.run("direct", str(path), str(tmp_path)) == 0
         assert builds[len(first):] == first  # the second run builds its own
 
@@ -511,6 +519,32 @@ class TestCountMonotone:
         counts = {beta: counter.count(beta, h=4e-3, refine=False) for beta in betas}
         ordered = [counts[beta] for beta in sorted(counts)]
         assert ordered == sorted(ordered)
+
+
+class TestGroundStateMonotone:
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from((HALF_LINE_D, BALL_D3)),
+           st.sampled_from(("indicator", "tent", "bump")),
+           st.floats(0.0, 1.0), st.floats(0.3, 1.5),
+           st.lists(st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 20.0)),
+                    min_size=2, max_size=4))
+    def test_falls_strictly_in_beta(self, prob, shape, offset, width, factors):
+        factors = sorted(factors)
+        # couplings 0.1% apart move even a shallow state by far more than tol
+        assume(all(b > 1.001 * a for a, b in zip(factors, factors[1:])))
+        lo = prob.inner_radius + offset
+        pot = Potential(getattr(Profile, shape)(lo, lo + width))
+        beta_cr = ds.beta_critical_direct(prob, pot)
+        pencil = ds.SpectrumCounter(prob, pot).pencil(2e-3, 0)
+        energies = []
+        for c in factors:
+            beta = c * beta_cr
+            lam0 = ds.ground_state(prob, pot, beta)
+            assert (lam0 is None) == (pencil.count(beta) == 0)
+            if lam0 is not None:
+                assert -beta * pot.max_value() < lam0 < 0.0
+                energies.append(lam0)
+        assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
 SCALING_PROBLEMS = (HALF_LINE_D,

@@ -38,8 +38,8 @@ def test_the_cli_imports_no_ode_integrator():
 
 
 @pytest.mark.parametrize("fn", [
-    SectorODE, ds.SectorPencil, ds.phase_mismatch, ds._fd_ground_energy,
-    ds._ground_seed, ds.ground_state, ds.eigenfunction, ds.eigenvalue_residual,
+    SectorODE, ds.SectorPencil, ds.phase_mismatch, ds.ground_state,
+    ds.eigenfunction, ds.eigenvalue_residual,
     fkw._dirichlet_resolvent, ProblemSpec.effective_bc,
 ], ids=lambda fn: fn.__qualname__)
 def test_sector_is_named_only_by_the_problem(fn):
