@@ -289,10 +289,8 @@ def _run_halfspace(cfg, problem, potential, num):
     study = ex.halfspace_norm_study(problem.dimension, sign, potential, n_grid,
                                     m=num["m"])
     payload = study.to_json_dict()
-    if problem.dimension == 2:
-        cols = ("n", "center", "norm", "rank_one_bound", "nodes")
-    else:
-        cols = ("n", "center", "norm", "minorant", "nodes")
+    floor = "rank_one_bound" if problem.dimension == 2 else "minorant"
+    cols = ("n", "center", "norm", floor, "nodes")
     rows = [{c: r.get(c, "") for c in cols} for r in study.rows]
     return payload, cols, rows
 

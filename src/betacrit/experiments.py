@@ -4,7 +4,9 @@ The shrinking-well studies work in the rescaled frame where the well has unit
 size: the near-boundary kernels there determine how the coupling threshold
 responds as the well approaches the boundary.  Weakly singular kernels (log
 in 2-d, inverse distance in 3-d) get their Nystrom diagonal from exact ray
-integrals of the singular part over the quadrature domain.
+integrals of the singular part over the quadrature domain.  In 3-d every
+operator is invariant under rotation about x1, so it is solved on the rings
+of the ball rule, one row per ring.
 """
 
 from __future__ import annotations
@@ -85,21 +87,14 @@ def ball_grid(n_r: int, n_mu: int, n_phi: int, radius: float = 1.0,
     return pts, w
 
 
-def _ray_length_ball(y: np.ndarray, omega: np.ndarray, radius: float,
-                     center=None) -> np.ndarray:
-    """Distance from interior points y to the sphere along directions omega."""
-    yc = y if center is None else y - np.asarray(center, dtype=float)
-    b = yc @ omega.T
-    disc = radius ** 2 - np.sum(yc ** 2, axis=1)[:, None] + b ** 2
-    return -b + np.sqrt(np.maximum(disc, 0.0))
-
-
 def _ray_lengths(y: np.ndarray, omega: np.ndarray, radius: float,
                  x1_min: float, center=None) -> np.ndarray:
     """Distance from interior points y along directions omega to the boundary
     of ball(radius) cut at s1 > x1_min."""
-    # a call of its own, so the sphere's temporaries are freed before the cut
-    t = _ray_length_ball(y, omega, radius, center)
+    yc = y if center is None else y - np.asarray(center, dtype=float)
+    b = yc @ omega.T
+    disc = radius ** 2 - np.sum(yc ** 2, axis=1)[:, None] + b ** 2
+    t = -b + np.sqrt(np.maximum(disc, 0.0))
     if np.isfinite(x1_min):
         with np.errstate(divide="ignore"):
             t_line = (x1_min - y[:, 0:1]) / omega[:, 0][None, :]
@@ -139,29 +134,27 @@ def newton_cell_integrals(points: np.ndarray, radius: float = 1.0,
 # near-boundary kernel studies
 
 
-def _image_distances(pts: np.ndarray, shift: float) -> np.ndarray:
-    """|y - s*| for the mirror s* of s across x1 = 0 moved by ``shift`` along
-    e1, from m x m outer sums (no m x m x d array)."""
-    x1 = np.add.outer(pts[:, 0], pts[:, 0]) + shift
+def _image_distances(rows: np.ndarray, pts: np.ndarray, shift: float) -> np.ndarray:
+    """|y - s*| for y in ``rows``, s in ``pts`` and s* the mirror of s across
+    x1 = 0 moved by ``shift`` along e1, from outer sums."""
+    x1 = np.add.outer(rows[:, 0], pts[:, 0]) + shift
     sq = x1 * x1
     for k in range(1, pts.shape[1]):
-        t = np.subtract.outer(pts[:, k], pts[:, k])
+        t = np.subtract.outer(rows[:, k], pts[:, k])
         sq += t * t
     return np.sqrt(sq)
-
-
-def _ball_cloud(m: int, radius: float = 1.0, center=None):
-    """Ball product rule with about m nodes (c x c x 1.4c)."""
-    c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
-    return ball_grid(c, c, int(math.ceil(1.4 * c)), radius=radius, center=center)
 
 
 class _Cloud:
     """Quadrature cloud on a disk (d = 2) or a ball (d = 3) cut to
     x1 > x1_min, with what no shift changes: the node radii, the singular
-    kernel g on the direct distances and its exact cell integrals per cut.
-    Each is formed on first use, so a study that hands one cloud to every n
-    forms it once.
+    kernel g on the direct distances and its exact cell integrals per cut,
+    each formed on first use, so once for a study sharing the cloud.
+
+    The ball rule (c x c x 1.4c nodes, x1 the polar axis) comes in rings of
+    ``fold`` azimuths, and every kernel here is invariant under rotation
+    about x1, so g and the integrals are formed at ``rows``, each ring's
+    first node, only.  A cut disk has no such symmetry: fold = 1.
     """
 
     def __init__(self, d: int, m: int, x1_min: float = -np.inf,
@@ -169,10 +162,14 @@ class _Cloud:
         if d == 2:
             n_r = max(6, int(round(math.sqrt(m / 2.0))))
             pts, w = disk_grid(n_r, 2 * n_r, radius)
+            self.fold = 1
         else:
-            pts, w = _ball_cloud(m, radius=radius, center=center)
+            c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
+            self.fold = int(math.ceil(1.4 * c))
+            pts, w = ball_grid(c, c, self.fold, radius=radius, center=center)
         keep = pts[:, 0] > x1_min + 1e-12
         self.pts, self.w = pts[keep], w[keep]
+        self.rows = self.pts[::self.fold]
         self.d, self.radius, self.center = d, radius, center
         self.bottom = radius if center is None else radius - center[0]  # -min s1
         self._cells = {}
@@ -187,12 +184,13 @@ class _Cloud:
 
     @functools.cached_property
     def g(self) -> np.ndarray:
-        direct = cdist(self.pts, self.pts)
+        direct = cdist(self.rows, self.pts)
         with np.errstate(divide="ignore"):
             return np.log(1.0 / direct) if self.d == 2 else 1.0 / direct
 
     def cells(self, x1_min: float = -np.inf) -> np.ndarray:
-        """Exact integrals of g over the disk or ball cut at s1 > x1_min.
+        """Exact integrals of g at the rows over the disk or ball cut at
+        s1 > x1_min.
 
         A cut below the bottom by more than the node margin shortens no
         ray, so every such cut shares the uncut integrals, bit for bit.
@@ -201,12 +199,20 @@ class _Cloud:
             x1_min = -np.inf
         if x1_min not in self._cells:
             if self.d == 2:
-                cells = log_cell_integrals(self.pts, self.radius, x1_min)
+                cells = log_cell_integrals(self.rows, self.radius, x1_min)
             else:
-                cells = newton_cell_integrals(self.pts, self.radius, x1_min,
+                cells = newton_cell_integrals(self.rows, self.radius, x1_min,
                                               center=self.center)
             self._cells[x1_min] = cells
         return self._cells[x1_min]
+
+    @functools.cached_property
+    def singular_eigenvalue(self) -> float:
+        """Top eigenvalue of the kernel g at unit density, uncut."""
+        mat = bs.assemble_points(self.pts, self.w, np.ones(len(self.pts)),
+                                 np.zeros_like(self.g), self.g, 1.0, self.cells(),
+                                 self.fold)
+        return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
 
 
 def _require_kernel(d: int, sign: str):
@@ -216,6 +222,13 @@ def _require_kernel(d: int, sign: str):
         raise ValidationError(f"sign must be 'minus' or 'plus', got {sign!r}")
     if d == 2 and sign == "plus":
         raise ValidationError("the d=2 rescaled kernel exists for the minus case only")
+
+
+def _singular_coefficient(d: int, n: float) -> float:
+    """c_s(n); the rescaled kernel is c_s(n) times a function of n x(n)."""
+    if d == 2 and n <= 1.0:
+        raise ValidationError("d=2 scaling needs n > 1")
+    return C3 if d == 3 else 1.0 / (2.0 * math.pi * math.log(n))
 
 
 def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
@@ -228,27 +241,21 @@ def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
     2*n*center along e1.  ``profile`` is the radial profile of the well
     shape W (default: indicator of the unit ball).  ``_cloud`` is the uncut
     unit cloud a study shares across its n grid; it serves every n whose
-    cut drops no node.
+    cut drops no node.  In d = 3 the matrix is folded over the rings.
     """
     _require_kernel(d, sign)
-    if d == 2 and n <= 1.0:
-        raise ValidationError("d=2 scaling needs n > 1")
+    c_s = _singular_coefficient(d, n)
     cut = -n * center
     cloud = _cloud
     if cloud is None or not cloud.keeps_all(cut):
         cloud = _Cloud(d, m, cut)
     density = (cloud.radii <= 1.0).astype(float) if profile is None \
         else profile(cloud.radii)
-    image = _image_distances(cloud.pts, 2.0 * n * center)
-    if d == 2:
-        c_s = 1.0 / (2.0 * math.pi * math.log(n))
-        regular = c_s * np.log(image)
-    else:
-        c_s = C3
-        sgn = -1.0 if sign == "minus" else 1.0
-        regular = sgn * C3 / image
+    image = _image_distances(cloud.rows, cloud.pts, 2.0 * n * center)
+    regular = c_s * np.log(image) if d == 2 else \
+        (-C3 if sign == "minus" else C3) / image
     return bs.assemble_points(cloud.pts, cloud.w, density, regular, cloud.g, c_s,
-                              cloud.cells(cut))
+                              cloud.cells(cut), cloud.fold)
 
 
 def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
@@ -259,20 +266,16 @@ def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
     The image term is controlled on a ball away from the boundary:
     |image| >= 2(c1 - r_B) + shift there, so the kernel dominates
     rho * c3 / |y - s| with an explicit rho independent of n.  ``_cloud``
-    is the sub-ball's cloud, which a study shares across its shifts.
+    is the sub-ball's cloud, which solves 1/|y - s| once for every shift.
     """
     if d != 3:
         raise ValidationError("the sub-ball comparison operator is a d=3 device")
-    c1 = ball_center[0]
-    rho = 1.0 - (2.0 * ball_radius) / (2.0 * (c1 - ball_radius) + shift)
+    rho = 1.0 - (2.0 * ball_radius) / (2.0 * (ball_center[0] - ball_radius) + shift)
     if rho <= 0:
         return 0.0
     cloud = _cloud or _Cloud(3, m, radius=ball_radius, center=ball_center)
     alpha = 1.0 if profile is None else float(np.min(profile(cloud.radii)))
-    mat = bs.assemble_points(cloud.pts, cloud.w, np.ones(cloud.pts.shape[0]),
-                             np.zeros_like(cloud.g), cloud.g, rho * alpha * C3,
-                             cloud.cells())
-    return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
+    return rho * alpha * C3 * cloud.singular_eigenvalue
 
 
 def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
@@ -281,14 +284,15 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
 
     Rows carry the principal eigenvalue per n; for d=2 the rank-one lower
     bound of the shifted-log kernel, for d=3 the sub-ball comparison
-    eigenvalue, land alongside for the boundedness checks.
+    eigenvalue, land alongside for the boundedness checks.  Each value of
+    n x(n) is built once, its norm rescaled by c_s(n) for the other n.
     """
     if family.dimension != d:
         raise ValidationError("family dimension does not match the study dimension")
     _require_kernel(d, sign)
     rows = []
     notices = []
-    built = {}  # d = 3: both operators depend on n only through n x(n)
+    built = {}  # n x(n) -> (c_s, norm, nodes) at the first n with that product
     w_mass = _profile_mass(family.base_profile, d)
     # the geometry no n changes; its distances and integrals are formed by
     # the first n that needs them
@@ -297,17 +301,18 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     for n in n_grid:
         center = family.center(n)
         row = {"n": float(n), "center": center}
-        if d == 3 and n * center in built:
-            rows.append({**row, **built[n * center]})
-            continue
         try:
-            mat = halfspace_kernel_matrix(d, sign, float(n), center,
-                                          family.base_profile, m=m, _cloud=unit)
+            c_s = _singular_coefficient(d, float(n))
+            if n * center not in built:
+                mat = halfspace_kernel_matrix(d, sign, float(n), center,
+                                              family.base_profile, m=m, _cloud=unit)
+                norm = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
+                built[n * center] = (c_s, norm, mat.nodes.shape[0])
         except ValidationError as exc:
             notices.append(f"n={n:g} skipped: {exc}")
             continue
-        row["norm"], _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
-        row["nodes"] = mat.size
+        c_first, norm, nodes = built[n * center]
+        row["norm"], row["nodes"] = norm * (c_s / c_first), nodes
         if d == 2:
             row["rank_one_bound"] = (math.log(2.0 * n * center)
                                      / (2.0 * math.pi * math.log(n))) * w_mass
@@ -315,7 +320,6 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
             row["minorant"] = minorant_eigenvalue(d, 2.0 * n * center,
                                                   family.base_profile, m=m,
                                                   _cloud=sub_ball)
-            built[n * center] = {k: row[k] for k in ("norm", "nodes", "minorant")}
         rows.append(row)
     norms = [r["norm"] for r in rows]
     meta = {"d": d, "sign": sign, "m": m, "path": family.center_path.describe(),

@@ -49,9 +49,10 @@ def solution_pair(problem: ProblemSpec, lam: float):
         raise KernelLimitError(f"limit kernel divergent for the Neumann condition "
                                f"on the {problem.geometry} (d={d}, sector {l})")
 
-    def free(r, derivatives=False):
+    def free(r, derivatives=False, growing=True):
         """Free solutions g(r) e^{kr} (growing) and f(r) e^{-kr} (decaying) as
-        (g, f); with ``derivatives`` also their r-derivatives, scaled alike."""
+        (g, f); with ``derivatives`` also their r-derivatives, scaled alike.
+        Without ``growing`` the Bessel branch skips g and returns NaN."""
         r = np.asarray(r, dtype=float)
         if d == 1:  # sinh(kr)/k and e^{-kr}; r and 1 at zero energy
             g = r if k == 0 else -np.expm1(-2.0 * k * r) / (2.0 * k)
@@ -69,7 +70,7 @@ def solution_pair(problem: ProblemSpec, lam: float):
             nu = l + 0.5 * d - 1.0
             z = k * r
             amp = r ** (1.0 - 0.5 * d)
-            i_nu, k_nu = ive(nu, z), kve(nu, z)
+            i_nu, k_nu = (ive(nu, z) if growing else np.nan), kve(nu, z)
             g, f = amp * i_nu, amp * k_nu
             if derivatives:
                 s = (1.0 - 0.5 * d) / r
@@ -113,7 +114,7 @@ def solution_pair(problem: ProblemSpec, lam: float):
     # the decaying solution starts from the true size of (f, p f') at r_f,
     # so it keeps its own log-scale; the regular one is taken relative to r_f
     reg = joined(outward, s_rf, reg_outside)
-    dec = joined(inward, 0.0, lambda r: (free(r)[1], -k * (r - rf)))
+    dec = joined(inward, 0.0, lambda r: (free(r, growing=False)[1], -k * (r - rf)))
     # p (u_dec u_reg' - u_dec' u_reg) is constant; the coefficient is 1 at r_f
     return reg, dec, float(problem.measure(rf) * (f * du_rf - df * u_rf))
 

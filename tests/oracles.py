@@ -329,6 +329,51 @@ def broadcast_distances(pts: np.ndarray, shift: float | None = None):
     return direct, np.sqrt(np.sum(diff_im ** 2, axis=-1))
 
 
+def point_matrix(weights: np.ndarray, density: np.ndarray, regular: np.ndarray,
+                 singular: np.ndarray, coefficient: float,
+                 cells: np.ndarray) -> np.ndarray:
+    """Full m x m Nystrom matrix of the kernel coefficient g + regular on a
+    point cloud, every node a row: sqrt(density) [...] sqrt(density) off the
+    diagonal, the mean-value subtraction with the cell integrals of g on it,
+    symmetrized."""
+    v = weights * density
+    sq = np.sqrt(v)
+    entries = sq[:, None] * regular * sq[None, :]
+    g = np.array(singular, dtype=float)
+    np.fill_diagonal(g, 0.0)
+    entries = entries + coefficient * (sq[:, None] * g * sq[None, :])
+    fix = coefficient * density * (cells - g @ weights)
+    entries[np.diag_indices_from(entries)] = np.diag(regular) * v + fix
+    return 0.5 * (entries + entries.T)
+
+
+def halfspace_matrix(d: int, sign: str, n: float, center: float, pts: np.ndarray,
+                     weights: np.ndarray, density: np.ndarray,
+                     cells: np.ndarray) -> np.ndarray:
+    """Full m x m rescaled half-space matrix: direct part c_s g, image part
+    from the broadcast distances to the mirror shifted by 2 n x(n)."""
+    direct, image = broadcast_distances(pts, 2.0 * n * center)
+    with np.errstate(divide="ignore"):
+        if d == 2:
+            c_s = 1.0 / (2.0 * math.pi * math.log(n))
+            return point_matrix(weights, density, c_s * np.log(image),
+                                np.log(1.0 / direct), c_s, cells)
+        c3 = 1.0 / (4.0 * math.pi)
+        sgn = -1.0 if sign == "minus" else 1.0
+        return point_matrix(weights, density, sgn * c3 / image, 1.0 / direct,
+                            c3, cells)
+
+
+def newton_matrix(pts: np.ndarray, weights: np.ndarray, cells: np.ndarray,
+                  coefficient: float) -> np.ndarray:
+    """Full m x m matrix of coefficient / |y - s| at unit density."""
+    direct, _ = broadcast_distances(pts)
+    with np.errstate(divide="ignore"):
+        g = 1.0 / direct
+    ones = np.ones(pts.shape[0])
+    return point_matrix(weights, ones, np.zeros_like(g), g, coefficient, cells)
+
+
 def sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
     """Eigenvalues <= 0 of a symmetric tridiagonal, by the Sturm sequence of
     pivots in plain Python.  A zero pivot stands for -tiny, so it counts as

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import eigvalsh
 from scipy.spatial.distance import cdist
 
 from betacrit import birman_schwinger as bs
@@ -117,21 +118,30 @@ class TestHalfspaceStudies:
                 assert row["minorant"] > 0
                 assert row["norm"] >= row["minorant"]
 
-    def test_d3_minorant_built_once_per_shift(self, monkeypatch):
-        shifts = []
-        minorant = ex.minorant_eigenvalue
+    def test_d3_minorant_built_once_per_study(self, monkeypatch):
+        sub_ball_builds = []
+        assemble = bs.assemble_points
 
-        def counted(d, shift, *args, **kwargs):
-            shifts.append(shift)
-            return minorant(d, shift, *args, **kwargs)
+        def counted(points, *args, **kwargs):
+            center, radius = ex.SUB_BALL
+            if np.all(np.linalg.norm(points - center, axis=1) <= radius):
+                sub_ball_builds.append(points.shape[0])
+            return assemble(points, *args, **kwargs)
 
-        monkeypatch.setattr(ex, "minorant_eigenvalue", counted)
-        # n x(n) = 1 along x(n) = 1/n, and = 2 along x(n) = 2/n
+        monkeypatch.setattr(bs, "assemble_points", counted)
+        # n x(n) = 1 along x(n) = 1/n: one shift, one minorant
         study = ex.halfspace_norm_study(3, "minus", unit_family(3), [2, 8, 32], m=120)
-        assert shifts == [2.0]
+        assert len(sub_ball_builds) == 1
         assert len({row["minorant"] for row in study.rows}) == 1
-        ex.halfspace_norm_study(3, "minus", unit_family(3, c=2.0), [2, 8], m=120)
-        assert shifts == [2.0, 4.0]
+        # x(n) = n^-1/2: a shift of its own for every n, still one build
+        study = ex.halfspace_norm_study(3, "minus", unit_family(3, delta=0.5),
+                                        [4, 16, 64], m=120)
+        assert len(sub_ball_builds) == 2
+        minorants = study.values("minorant")
+        assert np.all(np.diff(minorants) > 0)
+        for row in study.rows:  # each shift on a sub-ball of its own
+            assert ex.minorant_eigenvalue(3, 2.0 * row["n"] * row["center"],
+                                          m=120) == row["minorant"]
 
     def test_d3_norm_built_once_per_n_times_center(self, monkeypatch):
         calls = []
@@ -153,6 +163,30 @@ class TestHalfspaceStudies:
         # x(n) = n^-1/2: a new product, so a new build, for every n
         ex.halfspace_norm_study(3, "minus", unit_family(3, delta=0.5), [4, 16], m=120)
         assert calls == [1.0, 2.0, 4.0]
+
+    def test_d2_norm_built_once_per_n_times_center(self, monkeypatch):
+        calls = []
+        kernel_matrix = ex.halfspace_kernel_matrix
+
+        def counted(d, sign, n, center, *args, **kwargs):
+            calls.append(n * center)
+            return kernel_matrix(d, sign, n, center, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "halfspace_kernel_matrix", counted)
+        # x(n) = 1/n as in configs/halfspace_d2.json: one build, norms
+        # rescaled by c_s(n) = 1/(2 pi ln n)
+        n_grid = [10.0, 100.0, 1000.0, 10000.0]
+        study = ex.halfspace_norm_study(2, "minus", unit_family(2), n_grid, m=200)
+        assert calls == [1.0]
+        assert [r["nodes"] for r in study.rows] == [study.rows[0]["nodes"]] * 4
+        for row in study.rows:
+            mat = kernel_matrix(2, "minus", row["n"], row["center"], m=200)
+            built = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
+            assert row["norm"] == pytest.approx(built, rel=1e-14)
+        # an n at or below 1 is still refused, even where its product is cached
+        study = ex.halfspace_norm_study(2, "minus", unit_family(2), [10.0, 1.0], m=200)
+        assert [r["n"] for r in study.rows] == [10.0]
+        assert any("n=1 skipped" in note for note in study.notices)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_geometry_built_once_per_study(self, monkeypatch, d):
@@ -202,7 +236,8 @@ class TestHalfspaceStudies:
         mu_rescaled = bs.principal_eigenvalue(mat, 1e-10)[0]
 
         pot = fam.realize(n)
-        pts, w = ex._ball_cloud(600, radius=1.0 / n, center=(center, 0.0, 0.0))
+        cloud = ex._Cloud(3, 600, radius=1.0 / n, center=(center, 0.0, 0.0))
+        pts, w = cloud.pts, cloud.w
         # direct part is the singular piece, the reflected charge is smooth
         diff = pts[:, None, :] - pts[None, :, :]
         with np.errstate(divide="ignore"):
@@ -235,28 +270,34 @@ def clouds(dim):
 
 class TestDistances:
     """cdist (the direct distances) and ``_image_distances`` against the
-    m x m x d broadcast formula, bit for bit."""
+    m x m x d broadcast formula, bit for bit: on every row, and on a row
+    subset such as the ring rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(clouds(2), clouds(3)),
-           st.one_of(st.none(), st.floats(0.0, 2e4, allow_subnormal=False)))
-    def test_bit_identical_to_the_broadcast_formula(self, pts, shift):
+           st.one_of(st.none(), st.floats(0.0, 2e4, allow_subnormal=False)),
+           st.integers(1, 7))
+    def test_bit_identical_to_the_broadcast_formula(self, pts, shift, stride):
         old_direct, old_image = oc.broadcast_distances(pts, shift)
-        assert cdist(pts, pts).tobytes() == old_direct.tobytes()
-        if shift is not None:
-            assert ex._image_distances(pts, shift).tobytes() == old_image.tobytes()
+        for rows in (slice(None), slice(None, None, stride)):
+            assert cdist(pts[rows], pts).tobytes() == old_direct[rows].tobytes()
+            assert shift is None or ex._image_distances(
+                pts[rows], pts, shift).tobytes() == old_image[rows].tobytes()
 
     @pytest.mark.parametrize("cloud", ["disk", "ball", "sub-ball"])
     def test_bit_identical_on_the_study_clouds(self, cloud):
-        pts = {"disk": lambda: ex.disk_grid(18, 36)[0],
-               "ball": lambda: ex._ball_cloud(700)[0],
-               "sub-ball": lambda: ex._ball_cloud(
-                   700, radius=0.25, center=(0.5, 0.0, 0.0))[0]}[cloud]()
+        cloud = {"disk": lambda: ex._Cloud(2, 648),
+                 "ball": lambda: ex._Cloud(3, 700),
+                 "sub-ball": lambda: ex._Cloud(
+                     3, 700, radius=0.25, center=(0.5, 0.0, 0.0))}[cloud]()
+        pts = cloud.pts
+        assert np.array_equal(cloud.rows, pts[::cloud.fold])
         for shift in (None, 0.02, 1.0, 2.0, 2e3):
             old_direct, old_image = oc.broadcast_distances(pts, shift)
-            assert cdist(pts, pts).tobytes() == old_direct.tobytes()
-            assert shift is None or \
-                ex._image_distances(pts, shift).tobytes() == old_image.tobytes()
+            for rows in (slice(None), slice(None, None, cloud.fold)):
+                assert cdist(pts[rows], pts).tobytes() == old_direct[rows].tobytes()
+                assert shift is None or ex._image_distances(
+                    pts[rows], pts, shift).tobytes() == old_image[rows].tobytes()
 
 
 def kernel_values(mat):
@@ -266,14 +307,29 @@ def kernel_values(mat):
     return mat.entries / (sq[:, None] * sq[None, :])
 
 
+def ring_kernel_values(mat):
+    """(K(y_a, s_j), fold) from the unfolded ring rows: y_a is node a * fold,
+    the first of ring a; the entry at s_j = y_a holds the subtraction."""
+    fold = mat.nodes.shape[0] // mat.size
+    sq = np.sqrt(mat.weights)
+    return mat.rows / (sq[::fold, None] * sq[None, :]), fold
+
+
+def own_node(mat, fold):
+    """Mask of each ring row's own node."""
+    rings = np.arange(mat.size)
+    return np.arange(mat.nodes.shape[0])[None, :] == fold * rings[:, None]
+
+
 class TestHalfSpace:
     """The rescaled image kernel, read off the assembled matrix."""
 
     def test_image_term_vanishes_far_from_boundary(self):
         mat = ex.halfspace_kernel_matrix(3, "minus", 5.0, 1e6, m=200)
-        direct = np.linalg.norm(mat.nodes[:, None] - mat.nodes[None, :], axis=-1)
-        off = ~np.eye(mat.size, dtype=bool)
-        far = kernel_values(mat)[off]
+        vals, fold = ring_kernel_values(mat)
+        direct = np.linalg.norm(mat.nodes[::fold, None] - mat.nodes[None, :], axis=-1)
+        off = ~own_node(mat, fold)
+        far = vals[off]
         assert far == pytest.approx(1.0 / direct[off] / (4 * math.pi), rel=1e-5)
 
     def test_d2_values_vanish_as_n_grows(self):
@@ -292,17 +348,17 @@ class TestHalfSpace:
         # image argument carries the reflected source plus the 2 n x(n) shift
         n, c = 10.0, 1.0
         mat = ex.halfspace_kernel_matrix(3, "minus", n, c, m=200)
-        vals = kernel_values(mat)
+        vals, fold = ring_kernel_values(mat)
         e1 = np.array([1.0, 0.0, 0.0])
-        for i, j in [(0, 1), (3, 50), (17, 120), (60, 174), (150, 7)]:
-            y, s = mat.nodes[i], mat.nodes[j]
+        for a, j in [(0, 1), (3, 50), (17, 120), (8, 174), (21, 7)]:
+            y, s = mat.nodes[a * fold], mat.nodes[j]
             image = np.array([y[0] + s[0] + 2.0 * n * c, y[1] - s[1], y[2] - s[2]])
             expected = (1.0 / np.linalg.norm(y - s)
                         - 1.0 / np.linalg.norm(image)) / (4.0 * math.pi)
-            assert vals[i, j] == pytest.approx(expected, rel=1e-13)
+            assert vals[a, j] == pytest.approx(expected, rel=1e-13)
             # independent image-charge evaluation in physical coordinates
             phys = oc.reflection_kernel(3, "minus", c * e1 + y / n, c * e1 + s / n)
-            assert vals[i, j] == pytest.approx(phys / n, rel=1e-12)
+            assert vals[a, j] == pytest.approx(phys / n, rel=1e-12)
 
     def test_support_enforced(self):
         # the boundary x1 = -n*x(n) cuts the unit ball; a well of radius 0.5
@@ -310,13 +366,16 @@ class TestHalfSpace:
         profile = Profile.indicator(0.0, 0.5)
         mat = ex.halfspace_kernel_matrix(3, "minus", 10.0, 0.05, profile, m=300)
         whole = ex.halfspace_kernel_matrix(3, "minus", 10.0, 1.0, profile, m=300)
-        assert mat.size < whole.size
+        assert mat.size < whole.size and len(mat.nodes) < len(whole.nodes)
         assert np.all(mat.nodes[:, 0] > -0.5)
         outside = np.linalg.norm(mat.nodes, axis=1) > 0.5
         assert outside.any() and not outside.all()
         assert np.all(mat.weights[outside] == 0.0)
-        assert np.all(mat.entries[outside] == 0.0)
-        assert np.all(mat.entries[:, outside] == 0.0)
+        fold = len(mat.nodes) // mat.size
+        assert np.all(mat.rows[outside[::fold]] == 0.0)
+        assert np.all(mat.rows[:, outside] == 0.0)
+        assert np.all(mat.entries[outside[::fold]] == 0.0)
+        assert np.all(mat.entries[:, outside[::fold]] == 0.0)
 
     def test_d2_plus_sign_unsupported(self):
         with pytest.raises(ValidationError):
@@ -341,6 +400,56 @@ class TestHalfSpace:
         assert np.array_equal(mat.entries, mat.entries.T)
         off = ~np.eye(mat.size, dtype=bool)
         assert np.all(mat.entries[off] >= 0.0)
+
+
+class TestRingReduction:
+    """The ring-folded matrices against the full m x m assembly of
+    ``oracles``: same top eigenvalue where the cloud keeps whole rings."""
+
+    @staticmethod
+    def top(a):
+        return eigvalsh(a, subset_by_index=[len(a) - 1, len(a) - 1])[0]
+
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    @pytest.mark.parametrize("shape", ["indicator", "tent", "bump"])
+    def test_halfspace_top_eigenvalue_matches_the_full_matrix(self, sign, shape):
+        profile = {"indicator": None, "tent": Profile.tent(0.0, 1.0),
+                   "bump": Profile.bump(0.0, 1.0)}[shape]
+        cloud = ex._Cloud(3, 700)
+        cells = ex.newton_cell_integrals(cloud.pts)
+        density = (cloud.radii <= 1.0).astype(float) if profile is None \
+            else profile(cloud.radii)
+        # n x(n) = 1, and 1.111 n^0.283 at n = 10: both leave the ball uncut
+        for n, c in [(2.0, 0.5), (10.0, 1.111 * 10.0 ** -0.717)]:
+            assert cloud.keeps_all(-n * c)
+            mat = ex.halfspace_kernel_matrix(3, sign, n, c, profile, m=700)
+            assert mat.size * cloud.fold == len(mat.nodes) == 768
+            full = oc.halfspace_matrix(3, sign, n, c, cloud.pts, cloud.w, density,
+                                       cells)
+            assert self.top(mat.entries) == pytest.approx(self.top(full), rel=1e-12)
+            norm = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
+            assert norm == pytest.approx(self.top(full), rel=1e-12)
+
+    def test_sub_ball_top_eigenvalue_matches_the_full_matrix(self):
+        (center, radius), m = ex.SUB_BALL, 700
+        cloud = ex._Cloud(3, m, radius=radius, center=center)
+        cells = ex.newton_cell_integrals(cloud.pts, radius, center=center)
+        for shift in (2.0, 5.0, 20.0):
+            rho = 1.0 - 2.0 * radius / (2.0 * (center[0] - radius) + shift)
+            full = oc.newton_matrix(cloud.pts, cloud.w, cells, rho * ex.C3)
+            assert ex.minorant_eigenvalue(3, shift, m=m) == \
+                pytest.approx(self.top(full), rel=1e-12)
+
+    @pytest.mark.parametrize("n, c", [(10.0, 0.1), (10.0, 0.05), (1e3, 0.3)])
+    def test_d2_fold_of_one_is_the_full_matrix_bit_for_bit(self, n, c):
+        cloud = ex._Cloud(2, 500, -n * c)
+        assert cloud.fold == 1
+        mat = ex.halfspace_kernel_matrix(2, "minus", n, c, m=500)
+        density = (cloud.radii <= 1.0).astype(float)
+        cells = ex.log_cell_integrals(cloud.pts, 1.0, -n * c)
+        full = oc.halfspace_matrix(2, "minus", n, c, cloud.pts, cloud.w, density,
+                                   cells)
+        assert mat.entries.tobytes() == full.tobytes()
 
 
 class TestCountingAudit:
