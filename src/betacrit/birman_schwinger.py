@@ -58,7 +58,6 @@ class KernelMatrix:
     nodes: np.ndarray
     weights: np.ndarray  # volume weights (measure of each node's cell)
     entries: np.ndarray
-    rows: np.ndarray | None = None  # point clouds: ring rows before the fold
 
     @property
     def size(self) -> int:
@@ -91,36 +90,31 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
 
 
 def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray,
-                    regular_rows: np.ndarray, singular_rows: np.ndarray,
+                    regular_matrix: np.ndarray, singular_matrix: np.ndarray,
                     singular_coefficient: float,
-                    singular_cell_integrals: np.ndarray, fold: int = 1) -> KernelMatrix:
+                    singular_cell_integrals: np.ndarray) -> KernelMatrix:
     """Zero-energy Nystrom matrix on an explicit point cloud, with subtraction.
 
     The operator kernel is density-weighted:
         K(y, s) = sqrt(density(y)) [c_s * g(y,s) + reg(y,s)] sqrt(density(s))
-    The cloud comes in rings of ``fold`` consecutive nodes that a symmetry
-    of K permutes cyclically, and the rows are given at each ring's first
-    node y_a: ``singular_rows`` holds g(y_a, .) (its entry at y_a ignored),
-    ``singular_cell_integrals`` its exact integral over the whole quadrature
-    domain, so the mean-value subtraction fixes the diagonal without ever
-    evaluating g on it.  Summing each row over the rings gives the
-    ring-constant (mode-0) block, which holds the top eigenvalue where K is
-    nonnegative off the diagonal; fold = 1 gives the whole matrix.
+    ``singular_matrix`` holds g off the diagonal (diagonal entries ignored),
+    and ``singular_cell_integrals`` the exact integrals of g(y_i, .) over the
+    whole quadrature domain.  The mean-value subtraction then fixes the
+    diagonal without ever evaluating g on it.  A node may stand for a whole
+    ring, as on a meridian half-disk: then ``weights`` holds the ring's
+    volume and g the kernel's mean over the ring.
     """
     v = weights * density
     sq = np.sqrt(v)
-    rep = np.arange(0, len(points), fold)
-    diag = (np.arange(rep.size), rep)
-    rows = sq[rep, None] * regular_rows * sq[None, :]
-    g = np.array(singular_rows, dtype=float)
-    g[diag] = 0.0
-    rows = rows + singular_coefficient * (sq[rep, None] * g * sq[None, :])
-    row = g @ weights  # sum_{j != rep_a} w_j g_aj
-    diag_fix = singular_coefficient * density[rep] * (singular_cell_integrals - row)
-    rows[diag] = regular_rows[diag] * v[rep] + diag_fix
-    folded = rows.reshape(rep.size, rep.size, fold).sum(axis=2)
-    return KernelMatrix(np.asarray(points, dtype=float), v,
-                        0.5 * (folded + folded.T), rows)
+    entries = sq[:, None] * regular_matrix * sq[None, :]
+    g = np.array(singular_matrix, dtype=float)
+    np.fill_diagonal(g, 0.0)
+    entries = entries + singular_coefficient * (sq[:, None] * g * sq[None, :])
+    row = g @ weights  # sum_{j != i} w_j g_ij
+    diag_fix = singular_coefficient * density * (singular_cell_integrals - row)
+    entries[np.diag_indices_from(entries)] = np.diag(regular_matrix) * v + diag_fix
+    entries = 0.5 * (entries + entries.T)
+    return KernelMatrix(np.asarray(points, dtype=float), v, entries)
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 20000):

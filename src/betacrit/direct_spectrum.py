@@ -237,8 +237,11 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
     sqrt(beta max V + 1e-6)): the closure is smooth in k where it has a
     square-root branch in lambda, so a shallow state comes out accurate
     relative to its size.  The k-tolerance keeps |d lambda| <= tol on the
-    whole bracket.  ``eigenfunction`` gives the profile at the returned
-    energy.
+    whole bracket.  A state shallower than the bracket, just above
+    threshold, exists where the zero-energy closure (k = 0) still leaves a
+    positive mismatch; it is rooted in ln k to 1e-12 relative, and comes
+    out as -0.0 where its energy underflows.  ``eigenfunction`` gives the
+    profile at the returned energy.
     """
     require_valid(problem, potential)
     if beta <= 0:
@@ -254,7 +257,15 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
         return phase_mismatch(problem, potential, beta, -k * k)
 
     if mismatch(k_lo) <= 0.0:
-        return None
+        if mismatch(0.0) <= 0.0:
+            return None
+        # shallower than the bracket: root in ln k, so the state comes out
+        # relative to its size (a planar s-state's is exponentially small)
+        # down to e^-744, the smallest subnormal; below it lambda is -0.0
+        if mismatch(math.exp(-372.0)) <= 0.0:
+            return -0.0
+        u = brentq(lambda u: mismatch(math.exp(u)), -372.0, math.log(k_lo), xtol=1e-12)
+        return -math.exp(2.0 * u)
     if mismatch(k_hi) >= 0.0:
         raise UnconvergedError(
             "shooting bracket failure: mismatch positive at the lower bound",
@@ -270,8 +281,11 @@ def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,
 
     The regular branch is integrated outward up to R*; past R* the profile
     is the decaying free solution in closed form, out to where it has
-    fallen by e^{-40}.
+    fallen by e^{-40}, so it needs lambda < 0: a state whose energy
+    underflows to -0.0 has no tail to sample.
     """
+    if not lam < 0.0:
+        raise ValidationError(f"the profile needs an energy below zero, got {lam!r}")
     ode = SectorODE(problem, potential, beta)
     r_in = problem.inner_radius
     r_star = closure_radius(problem, potential)

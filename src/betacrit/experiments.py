@@ -3,10 +3,10 @@
 The shrinking-well studies work in the rescaled frame where the well has unit
 size: the near-boundary kernels there determine how the coupling threshold
 responds as the well approaches the boundary.  Weakly singular kernels (log
-in 2-d, inverse distance in 3-d) get their Nystrom diagonal from exact ray
-integrals of the singular part over the quadrature domain.  In 3-d every
-operator is invariant under rotation about x1, so it is solved on the rings
-of the ball rule, one row per ring.
+in 2-d, inverse distance in 3-d) get their Nystrom diagonal from a
+mean-value subtraction with exact cell integrals.  In 3-d every operator is
+invariant under rotation about x1, so it is solved on the meridian
+half-disk, with the kernel's azimuthal mean in closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.spatial.distance import cdist
+from scipy.special import ellipkm1
 
 from . import birman_schwinger as bs
 from . import direct_spectrum as ds
@@ -30,6 +30,7 @@ DEFAULT_CLR_CONSTANT = 0.1156  # d=3 counting-bound constant, configurable
 # like 1/ln(1/|lambda|) and needs it to read as bounded
 DICHOTOMY_DECADES = (2, 8)
 SUB_BALL = ((0.5, 0.0, 0.0), 0.25)  # center and radius of the d=3 comparison ball
+SEGMENT_ORDER = 32  # Gauss nodes per direction on the segment a cut removes
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class ScalingStudy:
 
 
 # ---------------------------------------------------------------------------
-# quadrature grids on disks and balls
+# quadrature on disks and meridian half-disks
 
 
 def disk_grid(n_r: int, n_t: int, radius: float = 1.0):
@@ -66,112 +67,91 @@ def disk_grid(n_r: int, n_t: int, radius: float = 1.0):
     return pts, w
 
 
-def ball_grid(n_r: int, n_mu: int, n_phi: int, radius: float = 1.0,
-              center=None):
-    """Spherical product rule with the x1-axis as the polar axis."""
-    xg, wg = leggauss(n_r)
+def meridian_grid(c: int, radius: float = 1.0, c1: float = 0.0):
+    """The ball about c1 e1 on its meridian half-disk: nodes (s1, sigma) =
+    (c1 + r mu, r sqrt(1 - mu^2)) from the c x c Gauss rule in r and
+    mu = cos(theta), sigma the distance from the x1 axis, each weighted by
+    the volume 2 pi w_r w_mu r^2 of its ring."""
+    xg, wg = leggauss(c)
     r = 0.5 * radius * (xg + 1.0)
-    wr = 0.5 * radius * wg * r ** 2
-    mu, wmu = leggauss(n_mu)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
-    sin_t = np.sqrt(1.0 - mu ** 2)
-    x1 = np.einsum("i,j->ij", r, mu)
-    x2 = np.einsum("i,j,k->ijk", r, sin_t, np.cos(phi))
-    x3 = np.einsum("i,j,k->ijk", r, sin_t, np.sin(phi))
-    pts = np.stack([np.broadcast_to(x1[:, :, None], x2.shape).ravel(),
-                    x2.ravel(), x3.ravel()], axis=1)
-    w = np.einsum("i,j,k->ijk", wr, wmu, np.full(n_phi, wphi)).ravel()
-    if center is not None:
-        pts = pts + np.asarray(center, dtype=float)
-    return pts, w
+    wr = math.pi * radius * wg * r ** 2
+    mu, wmu = leggauss(c)
+    pts = np.stack([c1 + np.outer(r, mu).ravel(),
+                    np.outer(r, np.sqrt(1.0 - mu ** 2)).ravel()], axis=1)
+    return pts, np.outer(wr, wmu).ravel()
 
 
-def _ray_lengths(y: np.ndarray, omega: np.ndarray, radius: float,
-                 x1_min: float, center=None) -> np.ndarray:
-    """Distance from interior points y along directions omega to the boundary
-    of ball(radius) cut at s1 > x1_min."""
-    yc = y if center is None else y - np.asarray(center, dtype=float)
-    b = yc @ omega.T
-    disc = radius ** 2 - np.sum(yc ** 2, axis=1)[:, None] + b ** 2
-    t = -b + np.sqrt(np.maximum(disc, 0.0))
-    if np.isfinite(x1_min):
-        with np.errstate(divide="ignore"):
-            t_line = (x1_min - y[:, 0:1]) / omega[:, 0][None, :]
-        t_line = np.where(omega[:, 0][None, :] < 0, t_line, np.inf)
-        t = np.minimum(t, np.maximum(t_line, 0.0))
-    return t
-
-
-def log_cell_integrals(points: np.ndarray, radius: float = 1.0,
-                       x1_min: float = -np.inf, n_theta: int = 256) -> np.ndarray:
-    """Exact integrals of ln(1/|y - s|) over disk(radius) cut at s1 > x1_min."""
-    theta = 2.0 * math.pi * (np.arange(n_theta) + 0.5) / n_theta
-    omega = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    t = _ray_lengths(points, omega, radius, x1_min)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = 0.25 * t ** 2 * (1.0 - 2.0 * np.log(t))
-    f = np.where(t > 0, f, 0.0)
-    return f.sum(axis=1) * (2.0 * math.pi / n_theta)
-
-
-def newton_cell_integrals(points: np.ndarray, radius: float = 1.0,
-                          x1_min: float = -np.inf, n_mu: int = 32,
-                          n_phi: int = 32, center=None) -> np.ndarray:
-    """Exact integrals of 1/|y - s| over ball(radius) cut at s1 > x1_min."""
-    mu, wmu = leggauss(n_mu)
-    phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-    sin_t = np.sqrt(1.0 - mu ** 2)
-    omega = np.stack([np.repeat(mu, n_phi),
-                      np.outer(sin_t, np.cos(phi)).ravel(),
-                      np.outer(sin_t, np.sin(phi)).ravel()], axis=1)
-    wdir = np.repeat(wmu, n_phi) * (2.0 * math.pi / n_phi)
-    t = _ray_lengths(points, omega, radius, x1_min, center=center)
-    return 0.5 * (t ** 2) @ wdir
+def _segment(d: int, x1_min: float, radius: float, c1: float):
+    """Gauss product rule on the segment s1 < x1_min of the disk (d = 2) or
+    of the meridian half-disk with ring weights (d = 3) of ``radius`` about
+    c1 e1: s1 = c1 + R cos(theta) for theta from the cut to pi, then across
+    the chord of half-width R sin(theta), so no endpoint is singular."""
+    x, w = leggauss(SEGMENT_ORDER)
+    t0 = math.acos(min(1.0, max(-1.0, (x1_min - c1) / radius)))
+    theta = t0 + 0.5 * (math.pi - t0) * (x + 1.0)
+    half = radius * np.sin(theta)  # chord half-width, and ds1 / dtheta
+    w_s1 = 0.5 * (math.pi - t0) * w * half
+    if d == 2:
+        across = np.outer(half, x)
+        weights = np.outer(w_s1 * half, w)
+    else:
+        across = np.outer(half, 0.5 * (x + 1.0))
+        weights = math.pi * across * np.outer(w_s1 * half, w)
+    s1 = np.repeat(c1 + radius * np.cos(theta), SEGMENT_ORDER)
+    return np.stack([s1, across.ravel()], axis=1), weights.ravel()
 
 
 # ---------------------------------------------------------------------------
 # near-boundary kernel studies
 
 
-def _image_distances(rows: np.ndarray, pts: np.ndarray, shift: float) -> np.ndarray:
-    """|y - s*| for y in ``rows``, s in ``pts`` and s* the mirror of s across
-    x1 = 0 moved by ``shift`` along e1, from outer sums."""
-    x1 = np.add.outer(rows[:, 0], pts[:, 0]) + shift
+def _distances(y: np.ndarray, s: np.ndarray, shift: float | None = None) -> np.ndarray:
+    """|y - s| for y in ``y``, s in ``s``, from outer differences; with a
+    ``shift``, |y - s*| for s* the mirror of s across x1 = 0 moved by
+    ``shift`` along e1, from outer sums."""
+    if shift is None:
+        x1 = np.subtract.outer(y[:, 0], s[:, 0])
+    else:
+        x1 = np.add.outer(y[:, 0], s[:, 0]) + shift
     sq = x1 * x1
-    for k in range(1, pts.shape[1]):
-        t = np.subtract.outer(rows[:, k], pts[:, k])
+    for k in range(1, s.shape[1]):
+        t = np.subtract.outer(y[:, k], s[:, k])
         sq += t * t
     return np.sqrt(sq)
 
 
-class _Cloud:
-    """Quadrature cloud on a disk (d = 2) or a ball (d = 3) cut to
-    x1 > x1_min, with what no shift changes: the node radii, the singular
-    kernel g on the direct distances and its exact cell integrals per cut,
-    each formed on first use, so once for a study sharing the cloud.
+def _ring_mean(y: np.ndarray, s: np.ndarray, shift: float | None = None) -> np.ndarray:
+    """Mean of 1/|y - R s| over the rotations R about x1, for meridian
+    points y and s (or the images s* of ``_distances``):
+    (2/pi) K(1 - near^2/far^2) / far, with near and far the distances from
+    y to the nearest and farthest points of the ring."""
+    near = _distances(y, s, shift)
+    far = _distances(y, s * np.array([1.0, -1.0]), shift)
+    return (2.0 / math.pi) * ellipkm1((near / far) ** 2) / far
 
-    The ball rule (c x c x 1.4c nodes, x1 the polar axis) comes in rings of
-    ``fold`` azimuths, and every kernel here is invariant under rotation
-    about x1, so g and the integrals are formed at ``rows``, each ring's
-    first node, only.  A cut disk has no such symmetry: fold = 1.
+
+class _Cloud:
+    """Quadrature cloud cut to x1 > x1_min, with what no shift changes: the
+    node radii, the singular kernel g on the nodes and its exact cell
+    integrals per cut, each formed on first use, so once for a study
+    sharing the cloud.
+
+    In d = 2 the cloud is the disk, and g(y, s) = ln(1/|y - s|).  In d = 3
+    it is the ball about c1 e1 on its meridian half-disk (c x c nodes), and
+    g(y, s) is the mean of 1/|y - s| over the ring through s.
     """
 
     def __init__(self, d: int, m: int, x1_min: float = -np.inf,
-                 radius: float = 1.0, center=None):
+                 radius: float = 1.0, c1: float = 0.0):
         if d == 2:
             n_r = max(6, int(round(math.sqrt(m / 2.0))))
             pts, w = disk_grid(n_r, 2 * n_r, radius)
-            self.fold = 1
         else:
             c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
-            self.fold = int(math.ceil(1.4 * c))
-            pts, w = ball_grid(c, c, self.fold, radius=radius, center=center)
+            pts, w = meridian_grid(c, radius, c1)
         keep = pts[:, 0] > x1_min + 1e-12
         self.pts, self.w = pts[keep], w[keep]
-        self.rows = self.pts[::self.fold]
-        self.d, self.radius, self.center = d, radius, center
-        self.bottom = radius if center is None else radius - center[0]  # -min s1
+        self.d, self.radius, self.c1 = d, radius, c1
         self._cells = {}
 
     def keeps_all(self, x1_min: float) -> bool:
@@ -182,27 +162,35 @@ class _Cloud:
     def radii(self) -> np.ndarray:
         return np.linalg.norm(self.pts, axis=1)
 
+    def kernel(self, s: np.ndarray, shift: float | None = None) -> np.ndarray:
+        """g from every node to the points ``s``, or to their images."""
+        if self.d == 3:
+            return _ring_mean(self.pts, s, shift)
+        with np.errstate(divide="ignore"):
+            return -np.log(_distances(self.pts, s, shift))
+
     @functools.cached_property
     def g(self) -> np.ndarray:
-        direct = cdist(self.rows, self.pts)
-        with np.errstate(divide="ignore"):
-            return np.log(1.0 / direct) if self.d == 2 else 1.0 / direct
+        return self.kernel(self.pts)
 
     def cells(self, x1_min: float = -np.inf) -> np.ndarray:
-        """Exact integrals of g at the rows over the disk or ball cut at
-        s1 > x1_min.
-
-        A cut below the bottom by more than the node margin shortens no
-        ray, so every such cut shares the uncut integrals, bit for bit.
+        """Exact integrals of g from every node over the disk or ball cut at
+        s1 > x1_min: the uncut closed form less the ``_segment`` rule on the
+        part the cut removes, which holds no node.  Every cut at or below
+        the bottom shares the uncut integrals.
         """
-        if x1_min < -self.bottom - 1e-12:
+        if x1_min <= self.c1 - self.radius:
             x1_min = -np.inf
         if x1_min not in self._cells:
+            r2 = self.radius ** 2
+            y2 = np.sum((self.pts - [self.c1, 0.0]) ** 2, axis=1)  # |y - center|^2
             if self.d == 2:
-                cells = log_cell_integrals(self.rows, self.radius, x1_min)
+                cells = math.pi * (r2 * math.log(1.0 / self.radius) + 0.5 * (r2 - y2))
             else:
-                cells = newton_cell_integrals(self.rows, self.radius, x1_min,
-                                              center=self.center)
+                cells = 2.0 * math.pi * (r2 - y2 / 3.0)
+            if x1_min > -np.inf:
+                seg, w = _segment(self.d, x1_min, self.radius, self.c1)
+                cells = cells - self.kernel(seg) @ w
             self._cells[x1_min] = cells
         return self._cells[x1_min]
 
@@ -210,8 +198,7 @@ class _Cloud:
     def singular_eigenvalue(self) -> float:
         """Top eigenvalue of the kernel g at unit density, uncut."""
         mat = bs.assemble_points(self.pts, self.w, np.ones(len(self.pts)),
-                                 np.zeros_like(self.g), self.g, 1.0, self.cells(),
-                                 self.fold)
+                                 np.zeros_like(self.g), self.g, 1.0, self.cells())
         return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
 
 
@@ -241,7 +228,8 @@ def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
     2*n*center along e1.  ``profile`` is the radial profile of the well
     shape W (default: indicator of the unit ball).  ``_cloud`` is the uncut
     unit cloud a study shares across its n grid; it serves every n whose
-    cut drops no node.  In d = 3 the matrix is folded over the rings.
+    cut drops no node.  In d = 3 the nodes and the operator live on the
+    meridian half-disk.
     """
     _require_kernel(d, sign)
     c_s = _singular_coefficient(d, n)
@@ -251,11 +239,10 @@ def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
         cloud = _Cloud(d, m, cut)
     density = (cloud.radii <= 1.0).astype(float) if profile is None \
         else profile(cloud.radii)
-    image = _image_distances(cloud.rows, cloud.pts, 2.0 * n * center)
-    regular = c_s * np.log(image) if d == 2 else \
-        (-C3 if sign == "minus" else C3) / image
+    image = cloud.kernel(cloud.pts, 2.0 * n * center)
+    regular = (-c_s if sign == "minus" else c_s) * image
     return bs.assemble_points(cloud.pts, cloud.w, density, regular, cloud.g, c_s,
-                              cloud.cells(cut), cloud.fold)
+                              cloud.cells(cut))
 
 
 def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
@@ -265,15 +252,18 @@ def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
 
     The image term is controlled on a ball away from the boundary:
     |image| >= 2(c1 - r_B) + shift there, so the kernel dominates
-    rho * c3 / |y - s| with an explicit rho independent of n.  ``_cloud``
-    is the sub-ball's cloud, which solves 1/|y - s| once for every shift.
+    rho * c3 / |y - s| with an explicit rho independent of n.  The ball
+    must be centred on the x1 axis, where the meridian rule holds it, and
+    ``_cloud`` is its cloud, which solves 1/|y - s| once for every shift.
     """
     if d != 3:
         raise ValidationError("the sub-ball comparison operator is a d=3 device")
+    if any(ball_center[1:]):
+        raise ValidationError("the comparison ball must be centred on the x1 axis")
     rho = 1.0 - (2.0 * ball_radius) / (2.0 * (ball_center[0] - ball_radius) + shift)
     if rho <= 0:
         return 0.0
-    cloud = _cloud or _Cloud(3, m, radius=ball_radius, center=ball_center)
+    cloud = _cloud or _Cloud(3, m, radius=ball_radius, c1=ball_center[0])
     alpha = 1.0 if profile is None else float(np.min(profile(cloud.radii)))
     return rho * alpha * C3 * cloud.singular_eigenvalue
 
@@ -297,7 +287,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     # the geometry no n changes; its distances and integrals are formed by
     # the first n that needs them
     unit = _Cloud(d, m)
-    sub_ball = _Cloud(3, m, radius=SUB_BALL[1], center=SUB_BALL[0]) if d == 3 else None
+    sub_ball = _Cloud(3, m, radius=SUB_BALL[1], c1=SUB_BALL[0][0]) if d == 3 else None
     for n in n_grid:
         center = family.center(n)
         row = {"n": float(n), "center": center}

@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
-from scipy.special import ive, kve, spherical_jn, spherical_yn, jv, yv
+from scipy.special import iv, ive, kv, kve, spherical_jn, spherical_yn, jv, yv
 
 
 def threshold_wavenumber(width: float, arm: float, crossing: int = 0) -> float:
@@ -67,6 +67,32 @@ def square_well_ground_energy(beta: float, a: float, b: float,
 
     kappa = brentq(mismatch, 1e-300, math.sqrt(beta), xtol=1e-300, rtol=1e-15)
     return -kappa * kappa
+
+
+def planar_ground_energy(beta: float, a: float, b: float, r0: float) -> float:
+    """Lowest sector-0 eigenvalue -kappa^2 of the indicator well
+    beta*1_(a,b) outside the disk of radius r0 (Dirichlet), from Bessel
+    matching rooted in ln kappa: a planar s-state just above threshold is
+    exponentially shallow.
+
+    u = I0(kappa r) K0(kappa r0) - K0(kappa r) I0(kappa r0) up to the well,
+    J0/Y0 of q = sqrt(beta - kappa^2) inside it, and K0(kappa r) past it.
+    """
+    def mismatch(log_kappa):
+        kappa = math.exp(log_kappa)
+        q = math.sqrt(beta - kappa * kappa)
+        u = iv(0, kappa * a) * kv(0, kappa * r0) - kv(0, kappa * a) * iv(0, kappa * r0)
+        du = kappa * (iv(1, kappa * a) * kv(0, kappa * r0)
+                      + kv(1, kappa * a) * iv(0, kappa * r0))
+        wr = q * (jv(0, q * a) * -yv(1, q * a) + jv(1, q * a) * yv(0, q * a))
+        c_j = (u * -q * yv(1, q * a) - du * yv(0, q * a)) / wr
+        c_y = (du * jv(0, q * a) + u * q * jv(1, q * a)) / wr
+        u_b = c_j * jv(0, q * b) + c_y * yv(0, q * b)
+        du_b = -q * (c_j * jv(1, q * b) + c_y * yv(1, q * b))
+        return du_b * kv(0, kappa * b) + u_b * kappa * kv(1, kappa * b)
+
+    log_kappa = brentq(mismatch, -372.0, math.log(0.1 * math.sqrt(beta)), xtol=1e-13)
+    return -math.exp(2.0 * log_kappa)
 
 
 def bvp_green_halfline(bc: str, lam: float, xi: float, x_eval: np.ndarray,
@@ -315,6 +341,17 @@ def reflection_kernel(d: int, sign: str, x: np.ndarray, xi: np.ndarray) -> float
     return math.log(image / direct) / (2.0 * math.pi)
 
 
+def ring_average(f, y: np.ndarray, s: np.ndarray, n_phi: int = 2048) -> float:
+    """Mean of f(y, R s) over n_phi midpoint rotations R about the x1 axis,
+    for 3-d points y and s: a periodic trapezoid sum, fast to converge
+    where y stays off the ring of s."""
+    total = 0.0
+    for phi in 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi:
+        c, sn = math.cos(phi), math.sin(phi)
+        total += f(y, np.array([s[0], c * s[1] - sn * s[2], sn * s[1] + c * s[2]]))
+    return total / n_phi
+
+
 def broadcast_distances(pts: np.ndarray, shift: float | None = None):
     """(direct, image) distances from m x m x d difference arrays: the image
     of s is its mirror across x1 = 0 moved by ``shift`` along e1."""
@@ -327,6 +364,38 @@ def broadcast_distances(pts: np.ndarray, shift: float | None = None):
     diff_im = pts[:, None, :] - star[None, :, :]
     diff_im[..., 0] += shift
     return direct, np.sqrt(np.sum(diff_im ** 2, axis=-1))
+
+
+def ray_cell_integrals(points: np.ndarray, radius: float, x1_min: float,
+                       n_dir: int, center: float = 0.0) -> np.ndarray:
+    """Integrals of ln(1/|y - s|) (2-d points) or 1/|y - s| (3-d points)
+    over the disk or ball of ``radius`` about center e1, cut at
+    s1 > x1_min, along rays from each y: n_dir midpoint angles in 2-d,
+    n_dir Gauss polar by n_dir midpoint azimuthal directions in 3-d.  Each
+    ray runs to the circle or sphere, or to the cut plane if that is
+    nearer; its radial integral is exact."""
+    d = points.shape[1]
+    phi = 2.0 * math.pi * (np.arange(n_dir) + 0.5) / n_dir
+    if d == 2:
+        omega = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        wdir = np.full(n_dir, 2.0 * math.pi / n_dir)
+    else:
+        mu, wmu = np.polynomial.legendre.leggauss(n_dir)
+        sin_t = np.sqrt(1.0 - mu ** 2)
+        omega = np.stack([np.repeat(mu, n_dir), np.outer(sin_t, np.cos(phi)).ravel(),
+                          np.outer(sin_t, np.sin(phi)).ravel()], axis=1)
+        wdir = np.repeat(wmu, n_dir) * (2.0 * math.pi / n_dir)
+    down = omega[:, 0] < 0
+    cells = []
+    for y in points:  # one row at a time: 3-d direction sets are large
+        yc = y - center * np.eye(d)[0]
+        b = omega @ yc
+        t = -b + np.sqrt(radius ** 2 - yc @ yc + b ** 2)
+        t_cut = (x1_min - y[0]) / np.where(down, omega[:, 0], -1.0)
+        t = np.where(down, np.minimum(t, t_cut), t)
+        f = 0.25 * t ** 2 * (1.0 - 2.0 * np.log(t)) if d == 2 else 0.5 * t ** 2
+        cells.append(f @ wdir)
+    return np.array(cells)
 
 
 def point_matrix(weights: np.ndarray, density: np.ndarray, regular: np.ndarray,
@@ -362,16 +431,6 @@ def halfspace_matrix(d: int, sign: str, n: float, center: float, pts: np.ndarray
         sgn = -1.0 if sign == "minus" else 1.0
         return point_matrix(weights, density, sgn * c3 / image, 1.0 / direct,
                             c3, cells)
-
-
-def newton_matrix(pts: np.ndarray, weights: np.ndarray, cells: np.ndarray,
-                  coefficient: float) -> np.ndarray:
-    """Full m x m matrix of coefficient / |y - s| at unit density."""
-    direct, _ = broadcast_distances(pts)
-    with np.errstate(divide="ignore"):
-        g = 1.0 / direct
-    ones = np.ones(pts.shape[0])
-    return point_matrix(weights, ones, np.zeros_like(g), g, coefficient, cells)
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray) -> int:

@@ -130,6 +130,38 @@ class TestGroundState:
         exact = oc.square_well_ground_energy(beta, 1.0, 2.0)
         assert abs(lam0 - exact) <= rel * abs(exact)
 
+    @pytest.mark.parametrize("eps", [3e-8, 1e-7, 1e-6])
+    def test_state_shallower_than_the_bracket_is_found(self, eps):
+        # lambda0 is -3.1e-16, -3.4e-15 and -3.4e-13, above the bracket's
+        # shallow end -1e-12: the root in k lies on [0, k_lo]
+        beta = BETA_CR_WELL * (1.0 + eps)
+        lam0 = ds.ground_state(HALF_LINE_D, WELL, beta)
+        exact = oc.square_well_ground_energy(beta, 1.0, 2.0)
+        assert exact > -1e-12
+        assert lam0 == pytest.approx(exact, rel=1e-5)
+
+    @pytest.mark.parametrize("eps", [3e-2, 1e-2, 3e-3])
+    def test_exponentially_shallow_planar_state(self, eps):
+        # a planar s-state sits at about -exp(-c / eps) above threshold
+        # (beta_cr = 0.78957958668 here): -8.6e-25, -1.0e-71, -5.4e-236
+        prob = ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0)
+        beta = 0.78957958668 * (1.0 + eps)
+        lam0 = ds.ground_state(prob, Potential(Profile.indicator(1.5, 2.5)), beta)
+        exact = oc.planar_ground_energy(beta, 1.5, 2.5, 1.0)
+        assert lam0 == pytest.approx(exact, rel=1e-8)
+
+    def test_profile_of_an_underflowed_state_is_refused(self):
+        # beta_cr (1 + 1e-3) puts this planar s-state below e^-744: -0.0
+        prob = ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0)
+        pot, beta = Potential(Profile.indicator(1.5, 2.5)), 0.78957958668 * 1.001
+        lam0 = ds.ground_state(prob, pot, beta)
+        assert lam0 == 0.0 and math.copysign(1.0, lam0) < 0
+        with pytest.raises(ValidationError):
+            ds.eigenfunction(prob, pot, beta, lam0)
+
+    def test_none_just_below_threshold(self):
+        assert ds.ground_state(HALF_LINE_D, WELL, BETA_CR_WELL * (1.0 - 1e-6)) is None
+
     @pytest.mark.parametrize("support,beta", [((1.0, 2.0), 0.814), ((1.0, 2.0), 4.0),
                                               ((0.5, 1.3), 12.0), ((1.0, 2.0), 100.0)])
     def test_exact_on_piecewise_constant_wells(self, support, beta):
@@ -268,6 +300,14 @@ class TestCrosscheck:
         lams = [abs(r["lambda0"]) for r in rows]
         assert lams == sorted(lams, reverse=True)
         assert all(r["residual"] < 2e-3 for r in rows)
+
+    def test_coupling_just_above_threshold(self):
+        # lambda0 = -3.4e-13 lies above the shooting bracket's shallow end
+        beta = BETA_CR_WELL * (1.0 + 1e-6)
+        (row,) = ds.crosscheck_birman_schwinger(HALF_LINE_D, WELL, [beta])
+        exact = oc.square_well_ground_energy(beta, 1.0, 2.0)
+        assert row["lambda0"] == pytest.approx(exact, rel=1e-5)
+        assert row["residual"] < 1e-5
 
     def test_subthreshold_rejected(self):
         with pytest.raises(ValidationError):

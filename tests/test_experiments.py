@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import eigvalsh
-from scipy.spatial.distance import cdist
 
 from betacrit import birman_schwinger as bs
 from betacrit import experiments as ex
@@ -22,28 +20,75 @@ def unit_family(d, c=1.0, delta=1.0, profile=None):
                                  CenterPath(c, delta), d)
 
 
+def lift(p):
+    """A meridian node (s1, sigma) as the 3-d point (s1, sigma, 0)."""
+    return np.array([p[0], p[1], 0.0])
+
+
+def ray_cells(cloud, cut, n_dir):
+    """The ray oracle's cell integrals at the nodes of a unit cloud."""
+    pts = cloud.pts if cloud.d == 2 else np.column_stack(
+        [cloud.pts, np.zeros(len(cloud.pts))])
+    return oc.ray_cell_integrals(pts, 1.0, cut, n_dir)
+
+
 class TestCellIntegrals:
-    def test_disk_closed_form(self):
-        pts = np.array([[0.0, 0.0], [0.3, 0.2], [-0.1, 0.6]])
-        vals = ex.log_cell_integrals(pts, 1.0)
-        exact = math.pi * (1.0 - np.sum(pts ** 2, axis=1)) / 2.0
-        assert vals == pytest.approx(exact, abs=1e-10)
+    @pytest.mark.parametrize("d, m, n_dir", [(2, 500, 512), (3, 700, 64)])
+    def test_uncut_closed_form_matches_the_ray_oracle(self, d, m, n_dir):
+        cloud = ex._Cloud(d, m)
+        assert cloud.cells() == pytest.approx(ray_cells(cloud, -np.inf, n_dir),
+                                              rel=1e-12)
 
-    def test_ball_closed_form(self):
-        pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.2, 0.1], [0.5, -0.5, 0.2]])
-        vals = ex.newton_cell_integrals(pts, 1.0)
-        exact = 2.0 * math.pi * (1.0 - np.sum(pts ** 2, axis=1) / 3.0)
-        assert vals == pytest.approx(exact, rel=1e-10)
+    def test_closed_form_on_a_ball_off_the_origin(self):
+        cloud = ex._Cloud(3, 700, radius=0.25, c1=0.5)
+        rays = oc.ray_cell_integrals(np.column_stack([cloud.pts, np.zeros(64)]),
+                                     0.25, -np.inf, 64, center=0.5)
+        assert cloud.cells() == pytest.approx(rays, rel=1e-12)
 
-    def test_halved_by_a_cut_through_the_center(self):
-        val = ex.log_cell_integrals(np.array([[0.0, 0.0]]), 1.0, x1_min=0.0)
-        assert val[0] == pytest.approx(math.pi / 4.0, rel=1e-10)
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cut", [-0.9, -0.5, 0.0, 0.5])
+    def test_segment_weights_measure_the_cut_off_part(self, d, cut):
+        _, w = ex._segment(d, cut, 1.0, 0.0)
+        h = 1.0 + cut  # height of the part s1 < cut
+        if d == 2:
+            exact = math.acos(-cut) + cut * math.sqrt(1.0 - cut * cut)
+        else:
+            exact = math.pi * h * h * (3.0 - h) / 3.0
+        assert w.sum() == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("d, m", [(2, 500), (3, 700)])
+    @pytest.mark.parametrize("n, x", [(2.0, 0.2), (10.0, 0.05)])
+    def test_cut_cells_converge_and_match_the_ray_oracle(self, monkeypatch, d, m,
+                                                         n, x):
+        cut = -n * x
+        rules = {}
+        for order in (32, 64):
+            monkeypatch.setattr(ex, "SEGMENT_ORDER", order)
+            cloud = ex._Cloud(d, m, cut)
+            rules[order] = cloud.cells(cut)
+        ray256, ray512 = ray_cells(cloud, cut, 256), ray_cells(cloud, cut, 512)
+        scale = np.max(np.abs(ray512))
+        # the ray rule converges slowly where a ray grazes the corner of
+        # the cut; its own 256-vs-512 difference bounds its error
+        ray_error = np.max(np.abs(ray256 - ray512))
+        # a disk node 0.028 from the cut at -0.4 leaves the log near-singular
+        # on the segment: 2.9e-4 there, 1.1e-6 at most in d = 3
+        agree = {2: 5e-4, 3: 2e-6}[d]
+        assert np.max(np.abs(rules[32] - rules[64])) <= agree * scale
+        for cells in rules.values():
+            assert np.max(np.abs(cells - ray512)) <= ray_error
+
+    def test_cuts_at_or_below_the_bottom_share_the_uncut_integrals(self):
+        cloud = ex._Cloud(3, 700)
+        for cut in (-1.0, -1.5, -np.inf):
+            assert cloud.cells(cut) is cloud.cells()
 
     def test_grid_weights_integrate_area_and_volume(self):
         pts, w = ex.disk_grid(20, 40)
         assert w.sum() == pytest.approx(math.pi, rel=1e-12)
-        pts, w = ex.ball_grid(10, 10, 14)
+        pts, w = ex.meridian_grid(10)
         assert w.sum() == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+        assert np.all(pts[:, 1] > 0.0)
 
 
 class TestShrinkingWells1d:
@@ -123,8 +168,8 @@ class TestHalfspaceStudies:
         assemble = bs.assemble_points
 
         def counted(points, *args, **kwargs):
-            center, radius = ex.SUB_BALL
-            if np.all(np.linalg.norm(points - center, axis=1) <= radius):
+            (c1, _, _), radius = ex.SUB_BALL  # meridian nodes (s1, sigma)
+            if np.all(np.hypot(points[:, 0] - c1, points[:, 1]) <= radius):
                 sub_ball_builds.append(points.shape[0])
             return assemble(points, *args, **kwargs)
 
@@ -190,34 +235,46 @@ class TestHalfspaceStudies:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_geometry_built_once_per_study(self, monkeypatch, d):
-        name = "log_cell_integrals" if d == 2 else "newton_cell_integrals"
-        real = getattr(ex, name)
-        cuts = []
+        segment, kernel = ex._segment, ex._Cloud.kernel
+        segments, kernels = [], []
 
-        def counted(pts, radius=1.0, x1_min=-np.inf, **kwargs):
-            cuts.append((radius, x1_min))
-            return real(pts, radius, x1_min, **kwargs)
+        def counted_segment(d, x1_min, radius, c1):
+            segments.append(x1_min)
+            return segment(d, x1_min, radius, c1)
 
-        monkeypatch.setattr(ex, name, counted)
+        def counted_kernel(cloud, s, shift=None):
+            kernels.append((cloud.radius, shift))
+            return kernel(cloud, s, shift)
+
+        monkeypatch.setattr(ex, "_segment", counted_segment)
+        monkeypatch.setattr(ex._Cloud, "kernel", counted_kernel)
         # x(n) = 2 n^-1/2: every cut -2 sqrt(n) lies below the disk or ball
         family = unit_family(d, c=2.0, delta=0.5)
         n_grid = [4.0, 16.0, 64.0]
         study = ex.halfspace_norm_study(d, "minus", family, n_grid, m=150)
-        sub_ball = [(0.25, -np.inf)] if d == 3 else []
-        assert cuts == [(1.0, -np.inf)] + sub_ball
-        pts = ex._Cloud(d, 150).pts
+        sub_ball = [(0.25, None)] if d == 3 else []
+        assert segments == []
+        # g once per cloud, and one image kernel per n
+        assert [k for k in kernels if k[1] is None] == [(1.0, None)] + sub_ball
+        assert [k[1] for k in kernels if k[1] is not None] == \
+            [2.0 * n * family.center(n) for n in n_grid]
+        cloud = ex._Cloud(d, 150)
         for n in n_grid:
-            assert np.array_equal(real(pts, 1.0, -n * family.center(n)), real(pts, 1.0))
+            assert cloud.cells(-n * family.center(n)) is cloud.cells()
         for row in study.rows:  # each n as a build of its own gives the same bits
             mat = ex.halfspace_kernel_matrix(d, "minus", row["n"], row["center"], m=150)
             assert bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0] == row["norm"]
             if d == 3:
                 assert ex.minorant_eigenvalue(3, 2.0 * row["n"] * row["center"],
                                               m=150) == row["minorant"]
-        # x(n) = 1/n cuts at -1 for every n: one cut, one set of integrals
-        cuts.clear()
+        # x(n) = 1/n cuts at the bottom, -1, for every n: no segment
+        segments.clear()
         ex.halfspace_norm_study(d, "minus", unit_family(d), [4.0, 16.0], m=150)
-        assert cuts == [(1.0, -1.0)] + sub_ball
+        assert segments == []
+        # x(n) = 0.5/n cuts at -0.5 for every n: one cut, one segment rule
+        ex.halfspace_norm_study(d, "minus", unit_family(d, c=0.5), [4.0, 16.0],
+                                m=150)
+        assert segments == [-0.5]
 
     def test_d3_scale_invariance_of_the_rescaled_kernel(self):
         fam = unit_family(3)
@@ -236,25 +293,21 @@ class TestHalfspaceStudies:
         mu_rescaled = bs.principal_eigenvalue(mat, 1e-10)[0]
 
         pot = fam.realize(n)
-        cloud = ex._Cloud(3, 600, radius=1.0 / n, center=(center, 0.0, 0.0))
+        cloud = ex._Cloud(3, 600, radius=1.0 / n, c1=center)
         pts, w = cloud.pts, cloud.w
-        # direct part is the singular piece, the reflected charge is smooth
-        diff = pts[:, None, :] - pts[None, :, :]
-        with np.errstate(divide="ignore"):
-            sing = 1.0 / np.sqrt(np.sum(diff ** 2, axis=-1))
-        reflected = pts.copy()
-        reflected[:, 0] = -reflected[:, 0]
-        image = np.sqrt(np.sum((pts[:, None, :] - reflected[None, :, :]) ** 2,
-                               axis=-1))
-        regular = -1.0 / (4.0 * math.pi) / image
-        # off the diagonal the pieces recombine to the reflection kernel
-        check = oc.reflection_kernel(3, "minus", pts[0], pts[1])
+        # direct part is the singular piece, the reflected charge is smooth;
+        # both are ring means in the physical frame
+        sing = cloud.g
+        regular = -cloud.kernel(pts, 0.0) / (4.0 * math.pi)
+        # off the diagonal the pieces recombine to the ring mean of the
+        # reflection kernel
+        check = oc.ring_average(lambda x, xi: oc.reflection_kernel(3, "minus", x, xi),
+                                lift(pts[0]), lift(pts[1]))
         assert check == pytest.approx(sing[0, 1] / (4 * math.pi)
                                       + regular[0, 1], rel=1e-12)
-        cells = ex.newton_cell_integrals(pts, 1.0 / n, center=(center, 0.0, 0.0))
-        density = oc.ball_potential_at(pot, pts)
+        density = oc.ball_potential_at(pot, np.column_stack([pts, np.zeros(len(pts))]))
         mat_phys = bs.assemble_points(pts, w, density, regular, sing,
-                                      1.0 / (4.0 * math.pi), cells)
+                                      1.0 / (4.0 * math.pi), cloud.cells())
         mu_physical = bs.principal_eigenvalue(mat_phys, 1e-10)[0]
         assert mu_physical == pytest.approx(mu_rescaled, rel=1e-9)
 
@@ -269,35 +322,29 @@ def clouds(dim):
 
 
 class TestDistances:
-    """cdist (the direct distances) and ``_image_distances`` against the
-    m x m x d broadcast formula, bit for bit: on every row, and on a row
-    subset such as the ring rows."""
+    """``_distances``, direct and image, against the m x m x d broadcast
+    formula, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(clouds(2), clouds(3)),
-           st.one_of(st.none(), st.floats(0.0, 2e4, allow_subnormal=False)),
-           st.integers(1, 7))
-    def test_bit_identical_to_the_broadcast_formula(self, pts, shift, stride):
+           st.one_of(st.none(), st.floats(0.0, 2e4, allow_subnormal=False)))
+    def test_bit_identical_to_the_broadcast_formula(self, pts, shift):
         old_direct, old_image = oc.broadcast_distances(pts, shift)
-        for rows in (slice(None), slice(None, None, stride)):
-            assert cdist(pts[rows], pts).tobytes() == old_direct[rows].tobytes()
-            assert shift is None or ex._image_distances(
-                pts[rows], pts, shift).tobytes() == old_image[rows].tobytes()
+        assert ex._distances(pts, pts).tobytes() == old_direct.tobytes()
+        assert shift is None or ex._distances(
+            pts, pts, shift).tobytes() == old_image.tobytes()
 
-    @pytest.mark.parametrize("cloud", ["disk", "ball", "sub-ball"])
+    @pytest.mark.parametrize("cloud", ["disk", "meridian", "sub-ball"])
     def test_bit_identical_on_the_study_clouds(self, cloud):
         cloud = {"disk": lambda: ex._Cloud(2, 648),
-                 "ball": lambda: ex._Cloud(3, 700),
-                 "sub-ball": lambda: ex._Cloud(
-                     3, 700, radius=0.25, center=(0.5, 0.0, 0.0))}[cloud]()
+                 "meridian": lambda: ex._Cloud(3, 700),
+                 "sub-ball": lambda: ex._Cloud(3, 700, radius=0.25, c1=0.5)}[cloud]()
         pts = cloud.pts
-        assert np.array_equal(cloud.rows, pts[::cloud.fold])
         for shift in (None, 0.02, 1.0, 2.0, 2e3):
             old_direct, old_image = oc.broadcast_distances(pts, shift)
-            for rows in (slice(None), slice(None, None, cloud.fold)):
-                assert cdist(pts[rows], pts).tobytes() == old_direct[rows].tobytes()
-                assert shift is None or ex._image_distances(
-                    pts[rows], pts, shift).tobytes() == old_image[rows].tobytes()
+            assert ex._distances(pts, pts).tobytes() == old_direct.tobytes()
+            assert shift is None or ex._distances(
+                pts, pts, shift).tobytes() == old_image.tobytes()
 
 
 def kernel_values(mat):
@@ -307,18 +354,12 @@ def kernel_values(mat):
     return mat.entries / (sq[:, None] * sq[None, :])
 
 
-def ring_kernel_values(mat):
-    """(K(y_a, s_j), fold) from the unfolded ring rows: y_a is node a * fold,
-    the first of ring a; the entry at s_j = y_a holds the subtraction."""
-    fold = mat.nodes.shape[0] // mat.size
-    sq = np.sqrt(mat.weights)
-    return mat.rows / (sq[::fold, None] * sq[None, :]), fold
-
-
-def own_node(mat, fold):
-    """Mask of each ring row's own node."""
-    rings = np.arange(mat.size)
-    return np.arange(mat.nodes.shape[0])[None, :] == fold * rings[:, None]
+def physical_ring_kernel(sign, n, c, y, s):
+    """Ring mean of the image-charge kernel between meridian nodes y and s
+    of the rescaled frame, read in physical coordinates c e1 + point / n."""
+    e1 = np.array([c, 0.0, 0.0])
+    return oc.ring_average(lambda x, xi: oc.reflection_kernel(3, sign, x, xi),
+                           e1 + lift(y) / n, e1 + lift(s) / n) / n
 
 
 class TestHalfSpace:
@@ -326,11 +367,11 @@ class TestHalfSpace:
 
     def test_image_term_vanishes_far_from_boundary(self):
         mat = ex.halfspace_kernel_matrix(3, "minus", 5.0, 1e6, m=200)
-        vals, fold = ring_kernel_values(mat)
-        direct = np.linalg.norm(mat.nodes[::fold, None] - mat.nodes[None, :], axis=-1)
-        off = ~own_node(mat, fold)
-        far = vals[off]
-        assert far == pytest.approx(1.0 / direct[off] / (4 * math.pi), rel=1e-5)
+        vals = kernel_values(mat)
+        for a, j in [(0, 1), (3, 20), (11, 23), (24, 7)]:
+            y, s = lift(mat.nodes[a]), lift(mat.nodes[j])
+            direct = oc.ring_average(lambda x, xi: 1.0 / np.linalg.norm(x - xi), y, s)
+            assert vals[a, j] == pytest.approx(direct / (4 * math.pi), rel=1e-5)
 
     def test_d2_values_vanish_as_n_grows(self):
         # bounded n*x(n): the log prefactor sends values to zero like 1/ln n
@@ -348,17 +389,18 @@ class TestHalfSpace:
         # image argument carries the reflected source plus the 2 n x(n) shift
         n, c = 10.0, 1.0
         mat = ex.halfspace_kernel_matrix(3, "minus", n, c, m=200)
-        vals, fold = ring_kernel_values(mat)
-        e1 = np.array([1.0, 0.0, 0.0])
-        for a, j in [(0, 1), (3, 50), (17, 120), (8, 174), (21, 7)]:
-            y, s = mat.nodes[a * fold], mat.nodes[j]
-            image = np.array([y[0] + s[0] + 2.0 * n * c, y[1] - s[1], y[2] - s[2]])
-            expected = (1.0 / np.linalg.norm(y - s)
-                        - 1.0 / np.linalg.norm(image)) / (4.0 * math.pi)
-            assert vals[a, j] == pytest.approx(expected, rel=1e-13)
+        vals = kernel_values(mat)
+        for a, j in [(0, 1), (3, 20), (17, 12), (8, 24), (21, 7)]:
+            y, s = lift(mat.nodes[a]), lift(mat.nodes[j])
+            mirror = np.array([-1.0, 1.0, 1.0])
+            shift = np.array([2.0 * n * c, 0.0, 0.0])
+            expected = oc.ring_average(
+                lambda x, xi: 1.0 / np.linalg.norm(x - xi)
+                - 1.0 / np.linalg.norm(x - (mirror * xi - shift)), y, s) / (4.0 * math.pi)
+            assert vals[a, j] == pytest.approx(expected, rel=1e-12)
             # independent image-charge evaluation in physical coordinates
-            phys = oc.reflection_kernel(3, "minus", c * e1 + y / n, c * e1 + s / n)
-            assert vals[a, j] == pytest.approx(phys / n, rel=1e-12)
+            phys = physical_ring_kernel("minus", n, c, mat.nodes[a], mat.nodes[j])
+            assert vals[a, j] == pytest.approx(phys, rel=1e-12)
 
     def test_support_enforced(self):
         # the boundary x1 = -n*x(n) cuts the unit ball; a well of radius 0.5
@@ -366,16 +408,13 @@ class TestHalfSpace:
         profile = Profile.indicator(0.0, 0.5)
         mat = ex.halfspace_kernel_matrix(3, "minus", 10.0, 0.05, profile, m=300)
         whole = ex.halfspace_kernel_matrix(3, "minus", 10.0, 1.0, profile, m=300)
-        assert mat.size < whole.size and len(mat.nodes) < len(whole.nodes)
+        assert mat.size < whole.size and len(mat.nodes) == mat.size
         assert np.all(mat.nodes[:, 0] > -0.5)
         outside = np.linalg.norm(mat.nodes, axis=1) > 0.5
         assert outside.any() and not outside.all()
         assert np.all(mat.weights[outside] == 0.0)
-        fold = len(mat.nodes) // mat.size
-        assert np.all(mat.rows[outside[::fold]] == 0.0)
-        assert np.all(mat.rows[:, outside] == 0.0)
-        assert np.all(mat.entries[outside[::fold]] == 0.0)
-        assert np.all(mat.entries[:, outside[::fold]] == 0.0)
+        assert np.all(mat.entries[outside] == 0.0)
+        assert np.all(mat.entries[:, outside] == 0.0)
 
     def test_d2_plus_sign_unsupported(self):
         with pytest.raises(ValidationError):
@@ -402,54 +441,61 @@ class TestHalfSpace:
         assert np.all(mat.entries[off] >= 0.0)
 
 
-class TestRingReduction:
-    """The ring-folded matrices against the full m x m assembly of
-    ``oracles``: same top eigenvalue where the cloud keeps whole rings."""
-
-    @staticmethod
-    def top(a):
-        return eigvalsh(a, subset_by_index=[len(a) - 1, len(a) - 1])[0]
+class TestMeridian:
+    """The d = 3 operators on the meridian half-disk: the ring kernel against
+    brute-force azimuthal sums, and the eigenvalues against closed forms and
+    a finer meridian rule."""
 
     @pytest.mark.parametrize("sign", ["minus", "plus"])
-    @pytest.mark.parametrize("shape", ["indicator", "tent", "bump"])
-    def test_halfspace_top_eigenvalue_matches_the_full_matrix(self, sign, shape):
-        profile = {"indicator": None, "tent": Profile.tent(0.0, 1.0),
-                   "bump": Profile.bump(0.0, 1.0)}[shape]
-        cloud = ex._Cloud(3, 700)
-        cells = ex.newton_cell_integrals(cloud.pts)
-        density = (cloud.radii <= 1.0).astype(float) if profile is None \
-            else profile(cloud.radii)
-        # n x(n) = 1, and 1.111 n^0.283 at n = 10: both leave the ball uncut
-        for n, c in [(2.0, 0.5), (10.0, 1.111 * 10.0 ** -0.717)]:
-            assert cloud.keeps_all(-n * c)
-            mat = ex.halfspace_kernel_matrix(3, sign, n, c, profile, m=700)
-            assert mat.size * cloud.fold == len(mat.nodes) == 768
-            full = oc.halfspace_matrix(3, sign, n, c, cloud.pts, cloud.w, density,
-                                       cells)
-            assert self.top(mat.entries) == pytest.approx(self.top(full), rel=1e-12)
-            norm = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
-            assert norm == pytest.approx(self.top(full), rel=1e-12)
+    @pytest.mark.parametrize("n, c", [(2.0, 0.5), (10.0, 0.05)])
+    def test_ring_kernel_matches_an_azimuthal_sum(self, sign, n, c):
+        # n x(n) = 1 leaves the ball whole; 0.5 cuts it at x1 = -0.5
+        mat = ex.halfspace_kernel_matrix(3, sign, n, c, m=700)
+        vals = kernel_values(mat)
+        for a, j in [(0, 1), (1, 0), (9, 10), (20, 28), (40, 5), (50, mat.size - 1)]:
+            phys = physical_ring_kernel(sign, n, c, mat.nodes[a], mat.nodes[j])
+            assert vals[a, j] == pytest.approx(phys, rel=1e-12)
 
-    def test_sub_ball_top_eigenvalue_matches_the_full_matrix(self):
-        (center, radius), m = ex.SUB_BALL, 700
-        cloud = ex._Cloud(3, m, radius=radius, center=center)
-        cells = ex.newton_cell_integrals(cloud.pts, radius, center=center)
-        for shift in (2.0, 5.0, 20.0):
-            rho = 1.0 - 2.0 * radius / (2.0 * (center[0] - radius) + shift)
-            full = oc.newton_matrix(cloud.pts, cloud.w, cells, rho * ex.C3)
-            assert ex.minorant_eigenvalue(3, shift, m=m) == \
-                pytest.approx(self.top(full), rel=1e-12)
+    def test_sub_ball_eigenvalue_meets_its_closed_form(self):
+        # the top eigenfunction of 1/|y - s| on a ball of radius R is
+        # sin(kr)/r with cot(kR) = 0, so the eigenvalue is 16 R^2 / pi
+        (center, radius), m = ex.SUB_BALL, 5735
+        cloud = ex._Cloud(3, m, radius=radius, c1=center[0])
+        assert len(cloud.pts) == 256
+        exact = 16.0 * radius ** 2 / math.pi
+        assert cloud.singular_eigenvalue == pytest.approx(exact, rel=1e-6)
+        rho = 1.0 - 2.0 * radius / (2.0 * (center[0] - radius) + 2.0)
+        assert ex.minorant_eigenvalue(3, 2.0, m=m) == pytest.approx(
+            rho * ex.C3 * exact, rel=1e-6)
+
+    def test_off_axis_comparison_ball_rejected(self):
+        # the meridian rule holds only balls centred on the rotation axis
+        with pytest.raises(ValidationError):
+            ex.minorant_eigenvalue(3, 2.0, Profile.tent(0.0, 1.0),
+                                   ball_center=(0.5, 0.2, 0.0))
+
+    def test_norms_at_m_700_meet_a_finer_rule(self):
+        # 64 nodes against 1600 (c = 40), n x(n) = 1
+        fine = ex._Cloud(3, int(1.4 * 40 ** 3))
+        assert len(fine.pts) == 1600
+        for sign, rel in [("minus", 1e-5), ("plus", 3e-5)]:
+            mat = ex.halfspace_kernel_matrix(3, sign, 2.0, 0.5, m=700)
+            assert mat.size == 64
+            ref = ex.halfspace_kernel_matrix(3, sign, 2.0, 0.5, _cloud=fine)
+            assert bs.principal_eigenvalue(mat)[0] == pytest.approx(
+                bs.principal_eigenvalue(ref)[0], rel=rel)
 
     @pytest.mark.parametrize("n, c", [(10.0, 0.1), (10.0, 0.05), (1e3, 0.3)])
-    def test_d2_fold_of_one_is_the_full_matrix_bit_for_bit(self, n, c):
+    def test_d2_matrix_is_the_full_point_matrix(self, n, c):
         cloud = ex._Cloud(2, 500, -n * c)
-        assert cloud.fold == 1
         mat = ex.halfspace_kernel_matrix(2, "minus", n, c, m=500)
         density = (cloud.radii <= 1.0).astype(float)
-        cells = ex.log_cell_integrals(cloud.pts, 1.0, -n * c)
         full = oc.halfspace_matrix(2, "minus", n, c, cloud.pts, cloud.w, density,
-                                   cells)
-        assert mat.entries.tobytes() == full.tobytes()
+                                   cloud.cells(-n * c))
+        # the oracle forms g as ln(1/|y - s|), the cloud as -ln|y - s|:
+        # they differ in the last bit, which the row sums of the diagonal
+        # subtraction carry up to a few 1e-15 of the largest entry
+        assert np.max(np.abs(mat.entries - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 class TestCountingAudit:
