@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
 
 from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
                      UnconvergedError, ValidationError)
@@ -152,6 +151,7 @@ def principal_eigenvalue(matrix, tol: float = DEFAULT_EIG_TOL):
     a = matrix.entries if isinstance(matrix, KernelMatrix) else np.asarray(matrix, dtype=float)
     theta, res, iters = _power_iteration(a, tol)
     if iters < 0:
+        from scipy.linalg import eigh
         evals, evecs = eigh(a, subset_by_index=[len(a) - 1, len(a) - 1])
         theta, w = float(evals[0]), evecs[:, 0]
         res = float(np.linalg.norm(a @ w - theta * w))

@@ -156,9 +156,11 @@ def write_json(path: str, payload: dict):
 
 
 def _atomic_write(path: str, text: str):
+    """Rename a unique sibling onto ``path``: a reader never sees a partial artifact,
+    and runs into one directory cannot collide.  No fsync: a rerun of the config
+    rebuilds a lost artifact byte for byte."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    # a unique sibling, so concurrent runs into one directory cannot collide
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
                                suffix=".tmp")
     try:

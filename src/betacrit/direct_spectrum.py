@@ -19,8 +19,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dstebz
-from scipy.optimize import brentq
 
 from . import birman_schwinger as bs
 from .errors import UnconvergedError, ValidationError
@@ -114,6 +112,7 @@ def _sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
     """
     if diag.size == 1:  # the wrapper rejects an empty off-diagonal
         return int(diag[0] <= 0.0)
+    from scipy.linalg.lapack import dstebz
     count, *_, info = dstebz(diag, off, 1, -math.inf, 0.0, 0, 0, math.inf, "B")
     if info:
         raise UnconvergedError("LAPACK dstebz failed", details={"info": info})
@@ -256,6 +255,7 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
     def mismatch(k):  # falls as k rises
         return phase_mismatch(problem, potential, beta, -k * k)
 
+    from scipy.optimize import brentq
     if mismatch(k_lo) <= 0.0:
         if mismatch(0.0) <= 0.0:
             return None

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ellipkm1
 
 from . import birman_schwinger as bs
 from . import direct_spectrum as ds
@@ -125,6 +124,7 @@ def _ring_mean(y: np.ndarray, s: np.ndarray, shift: float | None = None) -> np.n
     points y and s (or the images s* of ``_distances``):
     (2/pi) K(1 - near^2/far^2) / far, with near and far the distances from
     y to the nearest and farthest points of the ring."""
+    from scipy.special import ellipkm1
     near = _distances(y, s, shift)
     far = _distances(y, s * np.array([1.0, -1.0]), shift)
     return (2.0 / math.pi) * ellipkm1((near / far) ** 2) / far

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import birman_schwinger as bs
 from .direct_spectrum import SectorPencil, _mesh, beta_critical_direct
@@ -111,6 +110,7 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     f_vals = np.asarray(f(mesh), dtype=float)
     f_max = float(np.max(np.abs(f_vals)))
     cut = abs(float(f_vals[-1])) / f_max if f_max > 0.0 else 0.0
+    from scipy.linalg import solve_banded
     ab = np.zeros((3, mesh.size))
     ab[0, 1:] = pencil.off
     ab[1, :] = pencil.diag(beta, lam) - lam * pencil.mass

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ive, kve
 
 from .errors import KernelLimitError
 from .model import ProblemSpec, ValidationError
@@ -67,6 +66,7 @@ def solution_pair(problem: ProblemSpec, lam: float):
                 f, df = r ** (-q), -q * r ** (-q - 1.0)
         else:
             # r^{1-d/2} I_nu(kr) and r^{1-d/2} K_nu(kr) through the scaled Bessels
+            from scipy.special import ive, kve
             nu = l + 0.5 * d - 1.0
             z = k * r
             amp = r ** (1.0 - 0.5 * d)

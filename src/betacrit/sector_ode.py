@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import kve
 
 from .errors import UnconvergedError
 from .model import Potential, ProblemSpec
@@ -185,6 +184,7 @@ class SectorODE:
         if lam == 0:
             log_derivative = -max(l + d - 2, 0) / r
         else:
+            from scipy.special import kve
             k = math.sqrt(-lam)
             z = k * r
             log_derivative = l / r - k * kve(self._nu + 1.0, z) / kve(self._nu, z)
@@ -196,6 +196,7 @@ class SectorODE:
         ``decay_state``."""
         if lam == 0:
             return (r / r0) ** -max(self.sector + self.dimension - 2, 0)
+        from scipy.special import kve
         k = math.sqrt(-lam)
         return ((r / r0) ** (1.0 - 0.5 * self.dimension) * np.exp(-k * (r - r0))
                 * kve(self._nu, k * r) / kve(self._nu, k * r0))

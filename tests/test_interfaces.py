@@ -1,6 +1,7 @@
 """The sector interface stays narrow: one propagator and one reader of what
 it integrates, both in ``sector_ode``, and sectors named only by
-``ProblemSpec``."""
+``ProblemSpec``.  Start-up stays light: scipy is imported in the functions
+that call it, so a run loads only the scipy modules it uses."""
 
 import inspect
 import os
@@ -17,7 +18,9 @@ from betacrit.model import ProblemSpec
 from betacrit.sector_ode import SectorODE
 
 SRC = pathlib.Path(ds.__file__).resolve().parent
+CONFIGS = SRC.parent.parent / "configs"
 INTEGRATOR = re.compile(r"\.propagators\(|\bGAUSS\b|solve_ivp|odeint|scipy\.integrate")
+SCIPY_IMPORT = re.compile(r"^(from|import) scipy")
 
 
 def test_only_sector_ode_integrates_or_reads_integrator_output():
@@ -29,12 +32,43 @@ def test_only_sector_ode_integrates_or_reads_integrator_output():
     assert hits == []
 
 
-def test_the_cli_imports_no_ode_integrator():
+def _fresh(code: str, cwd) -> str:
+    """Last line ``code`` prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = "import sys, betacrit.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+                         env=env, cwd=cwd, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_no_module_imports_scipy_at_its_top_level():
+    """Each scipy function is imported in the function that calls it."""
+    hits = [f"{path.name}:{number}: {line}"
+            for path in sorted(SRC.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if SCIPY_IMPORT.match(line)]
+    assert hits == []
+
+
+def test_the_cli_imports_no_ode_integrator(tmp_path):
+    code = ("import sys, betacrit.cli; "
+            "print('scipy.integrate' in sys.modules, 'scipy' in sys.modules)")
+    assert _fresh(code, tmp_path) == "False False"
+
+
+def test_half_line_and_planar_half_space_runs_load_no_scipy(tmp_path):
+    """A half-line kernel run and the d = 2 half-space study need no Bessel
+    function, dense solver or root finder, so they load no scipy module."""
+    runs = [("beta-cr", "beta_cr_square_well.json"),
+            ("mu-curve", "mu_curve_neumann_1d.json"),
+            ("halfspace", "halfspace_d2.json")]
+    code = "\n".join([
+        "import sys",
+        "from betacrit import cli",
+        f"for sub, name in {runs!r}:",
+        f"    config = {str(CONFIGS)!r} + '/' + name",
+        "    assert cli.main([sub, '--config', config, '--out', name[:-5]]) == 0, name",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert _fresh(code, tmp_path) == "[]"
 
 
 @pytest.mark.parametrize("fn", [
