@@ -56,14 +56,14 @@ def _mesh(problem: ProblemSpec, potential: Potential, h: float) -> _Mesh:
 
 class SectorPencil:
     """One sector's finite-difference pencil with the coupling factored out,
-    A(beta) = A0 - beta D_V, on the mesh of a ``_Mesh``.
+    A(beta) = A0 - beta D_V, on the mesh of a ``_Mesh``, closed at lambda = 0.
 
     The diagonal is assembled from the quadratic form in the order a single
     build uses, p-sum + (q0 - beta V w) h, so it is the same to the last bit
-    for every coupling; the closure flux is kept per closure energy.  The
-    centrifugal term q0 is formed afresh for each diagonal (a few
-    microseconds), so a pencil keeps no array of its own and a count that
-    sweeps many sectors holds one mesh, not one array per sector.
+    for every coupling.  The centrifugal term q0 is formed afresh for each
+    diagonal (a few microseconds), so a pencil keeps no array of its own and
+    a count that sweeps many sectors holds one mesh, not one array per
+    sector.
     """
 
     def __init__(self, mesh: _Mesh, problem: ProblemSpec):
@@ -74,31 +74,19 @@ class SectorPencil:
         # Dirichlet eliminates u(r_in) = 0, the first node
         self.first = 1 if ode.bc == "dirichlet" else 0
         self.off = mesh.off[self.first:]
-        self._flux = {}
+        self._flux = ode.decay_state(0.0, mesh.r[-1])[1]
 
-    def diag(self, beta: float, closure_lambda: float = 0.0) -> np.ndarray:
+    def diag(self, beta: float) -> np.ndarray:
         grid, h = self.grid, self.grid.h
-        if closure_lambda not in self._flux:
-            self._flux[closure_lambda] = self.ode.decay_state(closure_lambda, grid.r[-1])[1]
         q = self.ode.coefficients(grid.r)[1] - beta * grid.v_cell * grid.weight
         diag = np.empty(q.size)
         diag[1:-1] = grid.p_sum + q[1:-1] * h
         diag[0] = grid.p_half[0] / h + q[0] * 0.5 * h
-        diag[-1] = grid.p_half[-1] / h + q[-1] * 0.5 * h - self._flux[closure_lambda]
+        diag[-1] = grid.p_half[-1] / h + q[-1] * 0.5 * h - self._flux
         return diag[self.first:]
 
-    @functools.cached_property
-    def mass(self) -> np.ndarray:
-        grid = self.grid
-        mass = grid.weight * grid.h
-        mass[[0, -1]] *= 0.5
-        if self.first:  # node 1 becomes a full interior cell
-            mass = mass[1:].copy()
-            mass[0] = grid.weight[1] * grid.h
-        return mass
-
     def count(self, beta: float) -> int:
-        """Negative eigenvalues of A(beta) with the zero-energy closure."""
+        """Negative eigenvalues of A(beta)."""
         return _sturm_count(self.diag(beta), self.off)
 
 

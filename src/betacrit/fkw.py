@@ -13,16 +13,18 @@ gamma1(0-) = 1 in the classical d=3 unit-ball case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import birman_schwinger as bs
-from .direct_spectrum import SectorPencil, _mesh, beta_critical_direct
+from .direct_spectrum import beta_critical_direct
 from .errors import (KernelLimitError, MethodDisagreement, NearSingularError,
-                     ValidationError)
+                     UnconvergedError, ValidationError)
+from .green_kernels import solution_pair
 from .model import Potential, ProblemSpec, require_valid
-from .sector_ode import SectorODE, SectorSolution, closure_radius
+from .sector_ode import MAX_STEPS, MAX_TURN, SectorODE, SectorSolution, closure_radius
 
 DEFAULT_SECTOR_MAX = 3
 
@@ -47,12 +49,7 @@ class FkwSolution:
     gamma1: float
     lam: float
     sector_profiles: dict  # l -> (mesh, values)
-    meta: dict = field(default_factory=dict)  # "source_cut": see solve_fkw
-
-    def to_json_dict(self) -> dict:
-        return {"alpha": self.alpha, "gamma": self.gamma, "gamma1": self.gamma1,
-                "lambda": self.lam, "sectors": sorted(self.sector_profiles),
-                "metadata": dict(self.meta)}
+    meta: dict = field(default_factory=dict)
 
 
 def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
@@ -95,89 +92,100 @@ def gamma1(problem: ProblemSpec, beta: float, potential: Potential,
     return _boundary_flux(problem, solve_v(problem, beta, potential, lam))
 
 
-def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential,
-                         lam: float, f, h: float):
-    """Dirichlet solve (H_beta - lambda) w = f on [r0, R* + 1] in the
-    problem's sector, closed there by the decay relation at lambda.
+def _running_sum(terms: np.ndarray, logs: np.ndarray):
+    """Running sums of terms e^logs along the last axis as (y, s), each sum
+    y e^s with |y| <= 1 (s = -inf while empty), summed in logs by sign."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        size = np.log(np.abs(terms)) + logs
+        pos, neg = (np.logaddexp.accumulate(np.where(side, size, -np.inf), axis=-1)
+                    for side in (terms > 0.0, terms < 0.0))
+        s = np.maximum(pos, neg)
+        return np.where(s > -np.inf, np.exp(pos - s) - np.exp(neg - s), 0.0), s
 
-    The resolvent decomposition always uses the Dirichlet condition, whatever
-    the sector's effective condition is.  Returns the mesh, w, and the part
-    of the source the mesh cuts, |f(R* + 1)| / max |f| (0 for f == 0).
+
+def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential,
+                         lam: float, f):
+    """Dirichlet solve (H_beta - lambda) w = f in the problem's sector, whatever
+    its effective condition, by variation of parameters on the Green pair,
+    w(r) = [u_dec(r) int_{r0}^r u_reg f dm + u_reg(r) int_r^inf u_dec f dm] / C,
+    by Simpson's rule on the sector ODE's mesh of [r0, R* + 1], its steps
+    split until k h <= ``MAX_TURN``, then on 1000 quadratically growing steps
+    until u_dec has fallen by e^-40.  No source is cut; the log-scales are
+    added before anything is exponentiated, so any k = sqrt(-lambda) stays
+    finite.  Returns the mesh, w on it and gamma = -w'(r0).
     """
     forced = replace(problem, boundary_condition="dirichlet")
-    pencil = SectorPencil(_mesh(forced, potential, h), forced)
-    mesh = pencil.grid.r[pencil.first:]
-    f_vals = np.asarray(f(mesh), dtype=float)
-    f_max = float(np.max(np.abs(f_vals)))
-    cut = abs(float(f_vals[-1])) / f_max if f_max > 0.0 else 0.0
-    from scipy.linalg import solve_banded
-    ab = np.zeros((3, mesh.size))
-    ab[0, 1:] = pencil.off
-    ab[1, :] = pencil.diag(beta, lam) - lam * pencil.mass
-    ab[2, :-1] = pencil.off
-    w = solve_banded((1, 1), ab, pencil.mass * f_vals)
-    if float(np.max(np.abs(w))) > 1e10 * (f_max + 1e-300):
+    reg, dec, c = solution_pair(forced, lam, potential, beta)
+    r0, k = problem.inner_radius, math.sqrt(-lam)
+    r_out = closure_radius(problem, potential) + 1.0
+    ode = SectorODE(forced, potential, beta)
+    mesh = ode.mesh(lam, r0, r_out)
+    parts = math.ceil(k * float(np.max(np.diff(mesh))) / MAX_TURN)  # Simpson steps per step
+    if 2 * parts * mesh.size > MAX_STEPS:
+        raise UnconvergedError("resolvent quadrature past the step budget",
+                               details={"lambda": lam})
+    ends = np.append((mesh[:-1, None] + np.diff(mesh)[:, None] * np.arange(parts) / parts)
+                     .ravel(), r_out + np.linspace(0.0, 1.0, 1001) ** 2 * (40.0 / k))
+    x = np.empty(2 * ends.size - 1)  # the ends of the Simpson steps, and their midpoints
+    x[::2], x[1::2] = ends, 0.5 * (ends[:-1] + ends[1:])
+    (y_reg, s_reg), (y_dec, s_dec) = reg(x), dec(x)
+    # Simpson step i: (h/6) (g(x_2i) + 4 g(x_2i+1) + g(x_2i+2))
+    at = (2 * np.arange(x.size // 2)[:, None] + [0, 1, 2]).ravel()
+    source = (((x[2::2] - x[:-2:2])[:, None] * [1.0, 4.0, 1.0] / 6.0).ravel()
+              * (np.asarray(f(x), dtype=float) * forced.measure(x))[at])
+    (y_lo, y_hi), (s_lo, s_hi) = _running_sum(
+        np.stack([source * y_reg[at], (source * y_dec[at])[::-1]]),
+        np.stack([s_reg[at], s_dec[at][::-1]]))
+    # mesh node j starts step b: int_{r0}^r ends with step b - 1, int_r^inf starts with b
+    b = parts * np.arange(mesh.size)
+    y_lo, s_lo = np.append(0.0, y_lo[2::3])[b], np.append(-np.inf, s_lo[2::3])[b]
+    y_hi, s_hi = y_hi[::-1][3 * b], s_hi[::-1][3 * b]
+    w = (y_dec[2 * b] * y_lo * np.exp(s_dec[2 * b] + s_lo)
+         + y_reg[2 * b] * y_hi * np.exp(s_reg[2 * b] + s_hi)) / c
+    if not float(np.max(np.abs(w))) <= 1e10 * (float(np.max(np.abs(f(mesh)))) + 1e-300):
         raise NearSingularError("resolvent solve near-singular at this energy")
-    return mesh, w, cut
-
-
-def _inner_flux(mesh: np.ndarray, w: np.ndarray, h: float) -> float:
-    """-w'(r0) for a Dirichlet profile (w(r0) = 0 eliminated from the mesh)."""
-    # one-sided fourth-order stencil including the boundary zero
-    u0, u1, u2, u3, u4 = 0.0, w[0], w[1], w[2], w[3]
-    deriv = (-25 * u0 + 48 * u1 - 36 * u2 + 16 * u3 - 3 * u4) / (12 * h)
-    return -deriv
+    # u_reg'(r0) / C from the Wronskian p (u_dec u_reg' - u_dec' u_reg) m / w = C
+    p0, _, w0 = ode.coefficients(r0)
+    gamma = (-w0 * y_hi[0] * math.exp(s_hi[0] - s_dec[0])
+             / (forced.measure(r0) * p0 * y_dec[0]))
+    return mesh, w, float(gamma)
 
 
 def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
-              f: dict, h: float = 1e-3, gamma1_tol: float = 1e-9) -> FkwSolution:
+              f: dict, gamma1_tol: float = 1e-9) -> FkwSolution:
     """Solve (H_beta - lambda) u = f under the constant-trace/zero-flux pair.
 
     ``f`` maps sector indices to radial source callables.  The symmetric
     sector combines the Dirichlet resolvent with the unit-trace solution so
     both boundary conditions hold; higher sectors are pure Dirichlet solves.
-    Profiles run over [r0, R* + 1], where the decay closure is exact for a
-    source supported inside that interval; any source past R* + 1 is cut,
-    and ``meta["source_cut"]`` records |f(R* + 1)| / max |f| per sector.
+    Profiles run over [r0, R* + 1]; the whole source enters them, its tail
+    past R* + 1 included.
     """
     _require_fkw(problem)
     if lam >= 0:
         raise ValidationError("source problems are solved below the continuous spectrum")
     v = solve_v(problem, beta, potential, lam)
     g1 = _boundary_flux(problem, v)
-    r0 = problem.inner_radius
-    r_out = closure_radius(problem, potential) + 1.0
     sector_profiles = {}
-    source_cut = {}
-    alpha = 0.0
-    gamma = 0.0
-    f0 = f.get(0)
-    if f0 is not None:
-        mesh0, w0, source_cut[0] = _dirichlet_resolvent(
-            problem.with_sector(0), beta, potential, lam, f0, h)
-        gamma = _inner_flux(mesh0, w0, h)
-        if abs(g1) < gamma1_tol * max(1.0, abs(gamma)):
-            raise NearSingularError(
-                "zero-mean-flux constant is degenerate (gamma1 ~ 0): "
-                "the energy is too close to an eigenvalue of the nonlocal problem")
-        alpha = -gamma / g1
-        u0 = alpha * v(mesh0) + w0
-        sector_profiles[0] = (np.concatenate([[r0], mesh0]),
-                              np.concatenate([[alpha], u0]))
-    for l, fl in sorted(f.items()):
-        if l == 0 or fl is None:
-            continue
-        mesh_l, w_l, source_cut[l] = _dirichlet_resolvent(
-            problem.with_sector(l), beta, potential, lam, fl, h)
-        sector_profiles[l] = (np.concatenate([[r0], mesh_l]),
-                              np.concatenate([[0.0], w_l]))
+    alpha = gamma = 0.0
+    for l in sorted(l for l in f if f[l] is not None):
+        mesh, w, flux = _dirichlet_resolvent(problem.with_sector(l), beta, potential,
+                                             lam, f[l])
+        if l == 0:
+            if abs(g1) < gamma1_tol * max(1.0, abs(flux)):
+                raise NearSingularError(
+                    "zero-mean-flux constant is degenerate (gamma1 ~ 0): "
+                    "the energy is too close to an eigenvalue of the nonlocal problem")
+            gamma, alpha = flux, -flux / g1
+            w = alpha * v(mesh) + w
+        sector_profiles[l] = (mesh, w)
+    r_out = closure_radius(problem, potential) + 1.0
     if not sector_profiles:
-        sector_profiles[0] = (np.array([r0, r_out]), np.zeros(2))
+        sector_profiles[0] = (np.array([problem.inner_radius, r_out]), np.zeros(2))
     return FkwSolution(alpha=float(alpha), gamma=float(gamma), gamma1=float(g1),
                        lam=lam, sector_profiles=sector_profiles,
-                       meta={"h": h, "r_out": r_out, "beta": beta,
-                             "flux_orientation": "toward the obstacle",
-                             "source_cut": source_cut})
+                       meta={"r_out": r_out, "beta": beta,
+                             "flux_orientation": "toward the obstacle"})
 
 
 def fkw_norm_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,

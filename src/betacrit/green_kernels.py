@@ -8,8 +8,8 @@ element reproduces the sector operator exactly.
 On the half-line and in every exterior-ball sector the kernel is
 G(r, rho) = u_reg(min) u_dec(max) / C, where u_reg meets the boundary
 condition and u_dec decays at infinity.  ``solution_pair`` is the only place
-that knows these solutions: the sector ODE up to the radius r_f where a
-flattens to 1 (an empty span where a == 1), the free solutions beyond.  Each
+that knows these solutions: the sector ODE up to r_f (where a flattens to 1,
+or R* with a potential; empty where a == 1), the free solutions beyond.  Each
 comes apart from its log-scale, u = y e^s, and the scales are added before
 anything is exponentiated, so kernels stay finite for any k = sqrt(-lambda).
 """
@@ -21,16 +21,18 @@ import math
 import numpy as np
 
 from .errors import KernelLimitError
-from .model import ProblemSpec, ValidationError
-from .sector_ode import SectorODE
+from .model import Potential, ProblemSpec, ValidationError
+from .sector_ode import SectorODE, closure_radius
 
 
-def solution_pair(problem: ProblemSpec, lam: float):
+def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None = None,
+                  beta: float = 0.0):
     """(reg, dec, C) with G(r, rho) = u_reg(min) u_dec(max) / C against
-    ``problem.measure`` in the problem's sector.
+    ``problem.measure`` in the problem's sector of H0, or of H0 - beta V.
 
     ``reg`` and ``dec`` map radii to (y, s), the solution being y e^s: the
-    sector ODE below r_f, the free solutions with s = +-k (r - r_f) beyond.
+    sector ODE below r_f (R* = ``closure_radius`` with a potential), the
+    free solutions with s = +-k (r - r_f) beyond.
     For r <= rho, s_reg(r) + s_dec(rho) is at most about 0.  lam = 0 gives
     the zero-energy limit and raises ``KernelLimitError`` where it diverges:
     Neumann when the zero-energy decaying solution is constant.
@@ -78,8 +80,9 @@ def solution_pair(problem: ProblemSpec, lam: float):
                 df = s * f + amp * k * (-kve(nu + 1.0, z) + (nu / z) * k_nu)
         return (g, f, dg, df) if derivatives else (g, f)
 
-    r0, rf = problem.inner_radius, problem.flat_radius()
-    ode = SectorODE(problem)
+    r0 = problem.inner_radius
+    rf = problem.flat_radius() if potential is None else closure_radius(problem, potential)
+    ode = SectorODE(problem, potential, beta)
     p_rf = ode.coefficients(rf)[0]
     g, f, dg, df = (float(v) for v in free(rf, derivatives=True))
     inward = outward = None  # the span [r0, r_f] is empty where a == 1

@@ -180,14 +180,14 @@ class SectorODE:
         At lambda = 0 the bounded solution takes over, r^{-(l+d-2)} when that
         decays and a constant otherwise.
         """
-        d, l = self.dimension, self.sector
+        d, l, k = self.dimension, self.sector, math.sqrt(-lam)
         if lam == 0:
             log_derivative = -max(l + d - 2, 0) / r
+        elif d == 1:  # e^{-kr}: the line has no centrifugal term
+            log_derivative = -k
         else:
             from scipy.special import kve
-            k = math.sqrt(-lam)
-            z = k * r
-            log_derivative = l / r - k * kve(self._nu + 1.0, z) / kve(self._nu, z)
+            log_derivative = l / r - k * kve(self._nu + 1.0, k * r) / kve(self._nu, k * r)
         return 1.0, self.coefficients(r)[0] * log_derivative
 
     def decay_ratio(self, lam: float, r, r0: float):

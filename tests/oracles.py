@@ -228,6 +228,40 @@ def fd_unit_trace(d: int, r0: float, well, beta: float, lam: float,
     return r, (4.0 * u_fine - u) / 3.0, (4.0 * flux_fine - flux) / 3.0
 
 
+def fd_resolvent(d: int, l: int, r0: float, well, beta: float, lam: float, f,
+                 bc: str = "dirichlet", length: float = 30.0, h: float = 1e-3):
+    """(H - lam) w = f in sector l with w = 0 at r0 + length, and either
+    w(r0) = 0 (``bc`` "dirichlet") or no flux at r0 ("neumann", the node r0
+    on its half cell): nodes, values and -w'(r0), Richardson-extrapolated
+    in h.  The whole source on the interval enters; none is cut."""
+    def solve(step):
+        r, p, q, w = _fd_sector(d, l, r0, length, step, well, beta)
+        diag = (p[:-1] + p[1:]) / step ** 2 + q - lam * w
+        off = -p[1:-1] / step ** 2
+        rhs = w * f(r)
+        if bc == "neumann":
+            w0 = r0 ** (d - 1.0)
+            lo, hi = well
+            frac0 = np.clip((min(r0 + 0.5 * step, hi) - max(r0, lo)) / (0.5 * step), 0.0, 1.0)
+            q0 = l * (l + d - 2) * r0 ** (d - 3.0) - beta * frac0 * w0
+            r = np.append(r0, r)
+            diag = np.append(p[0] / step ** 2 + 0.5 * (q0 - lam * w0), diag)
+            off = np.append(-p[0] / step ** 2, off)
+            rhs = np.append(0.5 * w0 * f(r0), rhs)
+        ab = np.zeros((3, r.size))
+        ab[0, 1:] = off
+        ab[1, :] = diag
+        ab[2, :-1] = off
+        u = solve_banded((1, 1), ab, rhs)
+        flux = 0.0 if bc == "neumann" else -(4.0 * u[0] - u[1]) / (2.0 * step)
+        return r, u, flux
+
+    r, u, flux = solve(h)
+    _, u_fine, flux_fine = solve(0.5 * h)
+    u_fine = u_fine[::2] if bc == "neumann" else u_fine[1::2]  # the coarse nodes
+    return r, (4.0 * u_fine - u) / 3.0, (4.0 * flux_fine - flux) / 3.0
+
+
 def _radial_zero_energy_pair(d: int, l: int):
     """(growing, bounded) zero-energy free solutions and their derivatives."""
     if d == 1:

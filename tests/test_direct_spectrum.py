@@ -368,8 +368,6 @@ class TestDiscreteOperator:
         diag = pencil.diag(2.0)
         assert diag.size == pencil.grid.r.size - 1  # u(0) = 0 eliminated
         assert pencil.off.size == diag.size - 1
-        assert pencil.mass.size == diag.size
-        assert np.all(pencil.mass > 0)
 
     def test_mesh_ends_one_unit_past_the_support_edge(self):
         pencil = ds.SpectrumCounter(HALF_LINE_D, WELL).pencil(1e-2, 0)
@@ -440,9 +438,10 @@ class TestSturmCount:
             assert below <= loop <= at_most
 
 
-def _one_shot_operator(problem, potential, beta, h, sector, closure_lambda):
-    """(mesh, diag, off, mass) assembled in one pass, the way the pencil's
-    single build did it before the coupling was factored out."""
+def _one_shot_operator(problem, potential, beta, h, sector):
+    """(mesh, diag, off) with the zero-energy closure, assembled in one pass
+    the way the pencil's single build did it before the coupling was
+    factored out."""
     ode = SectorODE(problem.with_sector(sector))
     r_in = problem.inner_radius
     r_out = closure_radius(problem, potential) + 1.0
@@ -451,20 +450,15 @@ def _one_shot_operator(problem, potential, beta, h, sector, closure_lambda):
     _, q, weight = ode.coefficients(r)
     q = q - beta * potential.cell_average(r, float(r[1] - r[0])) * weight
     p_half = ode.coefficients(r[:-1] + 0.5 * h)[0]
-    _, flux_out = ode.decay_state(closure_lambda, r[-1])
+    _, flux_out = ode.decay_state(0.0, r[-1])
     diag = np.empty(n + 1)
     diag[1:-1] = (p_half[:-1] + p_half[1:]) / h + q[1:-1] * h
     diag[0] = p_half[0] / h + q[0] * 0.5 * h
     diag[-1] = p_half[-1] / h + q[-1] * 0.5 * h - flux_out
     off = -p_half / h
-    mass = weight * h
-    mass[0] *= 0.5
-    mass[-1] *= 0.5
     if ode.bc == "neumann":
-        return r, diag, off, mass
-    mass = mass[1:].copy()
-    mass[0] = weight[1] * h
-    return r[1:], diag[1:], off[1:], mass
+        return r, diag, off
+    return r[1:], diag[1:], off[1:]
 
 
 STIFF = CoefficientProfile(Profile(np.array([1.0, 2.0, 3.0]),
@@ -482,24 +476,21 @@ PENCIL_CASES = ((HALF_LINE_D, 0), (HALF_LINE_N, 0),
 class TestSectorPencil:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(PENCIL_CASES), st.sampled_from(("indicator", "tent", "bump")),
-           st.lists(st.tuples(st.floats(0.0, 300.0),
-                              st.one_of(st.just(0.0), st.floats(-50.0, -1e-6))),
-                    min_size=1, max_size=6))
+           st.lists(st.floats(0.0, 300.0), min_size=1, max_size=6))
     def test_reused_pencil_matches_a_one_shot_build_bit_for_bit(self, case, shape,
-                                                                queries):
+                                                                betas):
         prob, sector = case
         lo = prob.inner_radius + 0.4
         pot = Potential(getattr(Profile, shape)(lo, lo + 0.9), 1.3)
         h = 5e-3
         pencil = ds.SpectrumCounter(prob, pot).pencil(h, sector)
-        for beta, lam in queries:
+        for beta in betas:
             fresh = ds.SectorPencil(ds._mesh(prob, pot, h), prob.with_sector(sector))
-            mesh, diag, off, mass = _one_shot_operator(prob, pot, beta, h, sector, lam)
+            mesh, diag, off = _one_shot_operator(prob, pot, beta, h, sector)
             for kept in (pencil, fresh):
                 assert np.array_equal(kept.grid.r[kept.first:], mesh)
-                assert np.array_equal(kept.diag(beta, lam), diag)
+                assert np.array_equal(kept.diag(beta), diag)
                 assert np.array_equal(kept.off, off)
-                assert np.array_equal(kept.mass, mass)
             assert pencil.count(beta) == oc.sturm_count(pencil.diag(beta), pencil.off)
 
 

@@ -7,7 +7,8 @@ from scipy.optimize import brentq
 from betacrit import birman_schwinger as bs
 from betacrit import direct_spectrum as ds
 from betacrit import fkw
-from betacrit.errors import IndeterminateError, NearSingularError, ValidationError
+from betacrit.errors import (IndeterminateError, NearSingularError, UnconvergedError,
+                             ValidationError)
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
 
 import oracles as oc
@@ -130,23 +131,11 @@ class TestSolveFkw:
     def test_profiles_end_one_past_the_support_edge(self):
         f = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
         for sources in ({}, {0: f}, {1: f}, {0: f, 2: f}):
-            sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, sources, h=2e-3)
+            sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, sources)
             assert sol.meta["r_out"] == 3.5
             for mesh, _ in sol.sector_profiles.values():
                 assert mesh[0] == 1.0
                 assert mesh[-1] == pytest.approx(3.5, abs=1e-12)
-
-    def test_cut_source_is_recorded_per_sector(self):
-        # |f(R* + 1)| / max |f|: 0 inside [r0, R* + 1], e^{-9} for the Gaussian
-        gauss = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
-        inside = lambda r: np.clip((r - 1.5) * (3.0 - r), 0.0, None)
-        sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: gauss, 1: inside, 2: gauss})
-        cut = sol.meta["source_cut"]
-        assert cut[0] == pytest.approx(math.exp(-9.0), rel=1e-9)
-        assert cut[1] == 0.0
-        assert cut[2] == cut[0]
-        assert fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: inside}).meta["source_cut"] == {0: 0.0}
-        assert fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {}).meta["source_cut"] == {}
 
     def test_boundary_pair_holds(self):
         f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
@@ -157,21 +146,61 @@ class TestSolveFkw:
 
     def test_sector0_equals_neumann_resolvent(self):
         f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
-        h = 1e-3
-        sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: f0}, h=h)
+        sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {0: f0})
         mesh0, u0 = sol.sector_profiles[0]
-        from scipy.linalg import solve_banded
-        neu = ProblemSpec(3, "exterior_ball", "neumann", radius=1.0)
-        pencil = ds.SpectrumCounter(neu, POT).pencil(h, 0)
-        mesh = pencil.grid.r
-        assert mesh[-1] == pytest.approx(mesh0[-1], abs=1e-12)
-        ab = np.zeros((3, mesh.size))
-        ab[0, 1:] = pencil.off
-        ab[1, :] = pencil.diag(0.5, -1.0) + pencil.mass
-        ab[2, :-1] = pencil.off
-        w = solve_banded((1, 1), ab, pencil.mass * f0(mesh))
-        gap = np.max(np.abs(np.interp(mesh, mesh0, u0) - w))
+        r, w, _ = oc.fd_resolvent(3, 0, 1.0, (1.5, 2.5), 0.5, -1.0, f0, bc="neumann")
+        near = r <= mesh0[-1]
+        gap = np.max(np.abs(np.interp(r[near], mesh0, u0) - w[near]))
         assert gap < 5e-6 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("lam,length", [(-1.0, 30.0), (-1e-2, 420.0)])
+    def test_gaussian_source_matches_the_uncut_fd_solve(self, lam, length):
+        # the Gaussian of demo 05 reaches past R* + 1 = 3.5, where it is e^-9:
+        # that tail enters w and gamma, and nothing is cut; at lambda = -1e-2
+        # the decaying tail runs 400 units past R* + 1
+        f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        sol = fkw.solve_fkw(BALL3, 0.5, POT, lam, {0: f0, 1: f0})
+        for l in (0, 1):
+            mesh, w, gamma = fkw._dirichlet_resolvent(BALL3.with_sector(l), 0.5, POT,
+                                                      lam, f0)
+            r, w_fd, gamma_fd = oc.fd_resolvent(3, l, 1.0, (1.5, 2.5), 0.5, lam, f0,
+                                                length=length)
+            near = r <= mesh[-1]
+            gap = np.max(np.abs(np.interp(r[near], mesh, w) - w_fd[near]))
+            assert gap < 1e-8 * np.max(np.abs(w_fd))
+            assert gamma == pytest.approx(gamma_fd, rel=1e-8)
+            if l == 0:
+                assert sol.gamma == gamma
+            else:
+                assert np.array_equal(sol.sector_profiles[l][1], w)
+
+    def test_deep_energy_resolvent_is_finite_and_local(self):
+        # at lambda = -1e6 the pair grows and decays like e^{+-1000 r}: the
+        # profile stays finite, and -lambda w -> f off a boundary layer of
+        # width 1/k at r0
+        lam = -1e6
+        f = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        sol = fkw.solve_fkw(BALL3, 0.5, POT, lam, {0: f, 2: f})
+        for l in (0, 2):
+            mesh, u = sol.sector_profiles[l]
+            assert np.all(np.isfinite(u))
+            off = mesh > 1.05
+            assert np.max(np.abs(-lam * u[off] - f(mesh[off]))) < 3e-5
+
+    def test_resolvent_past_the_step_budget_is_unconverged(self):
+        # k h <= 1/4 would take 800 quadrature steps per mesh step at lambda = -1e10
+        f = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        with pytest.raises(UnconvergedError):
+            fkw.solve_fkw(BALL3, 0.5, POT, -1e10, {1: f})
+
+    @pytest.mark.parametrize("beta", [8.0, 20.0])
+    def test_resolvent_at_a_dirichlet_eigenvalue_is_near_singular(self, beta):
+        # sector 1 is a Dirichlet sector: at its ground state the resolvent
+        # does not exist, and the guard on max |w| must say so
+        lam = ds.ground_state(BALL3.with_sector(1), POT, beta)
+        gauss = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        with pytest.raises(NearSingularError):
+            fkw.solve_fkw(BALL3, beta, POT, lam, {1: gauss})
 
     def test_higher_sector_source_is_pure_dirichlet(self):
         f1 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)

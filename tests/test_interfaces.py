@@ -1,6 +1,6 @@
 """The sector interface stays narrow: one propagator and one reader of what
-it integrates, both in ``sector_ode``, and sectors named only by
-``ProblemSpec``.  Start-up stays light: scipy is imported in the functions
+it integrates, both in ``sector_ode``, one user of the finite-difference
+pencil, and sectors named only by ``ProblemSpec``.  Start-up stays light: scipy is imported in the functions
 that call it, so a run loads only the scipy modules it uses."""
 
 import inspect
@@ -29,6 +29,19 @@ def test_only_sector_ode_integrates_or_reads_integrator_output():
             for path in sorted(SRC.glob("*.py")) if path.name != "sector_ode.py"
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if INTEGRATOR.search(line)]
+    assert hits == []
+
+
+def test_only_the_counter_names_the_fd_pencil():
+    """The finite-difference pencil is a counter and nothing else: only
+    ``direct_spectrum.py`` names it or its mesh, and no module solves a
+    banded system."""
+    pencil = re.compile(r"\b(SectorPencil|_Mesh|_mesh)\b")
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if (pencil.search(line) and path.name != "direct_spectrum.py")
+            or "solve_banded" in line]
     assert hits == []
 
 

@@ -41,6 +41,15 @@ class TestClosureAndSegments:
         assert flux / u == pytest.approx(-r * r * (k + 1.0 / r), rel=1e-12)
         assert SectorODE(BALL3).decay_state(0.0, r) == (1.0, -r)
 
+    def test_decay_state_on_the_line_is_exactly_minus_k(self):
+        # d = 1 has no centrifugal term in either sector: u = e^{-kr}
+        for l in (0, 1):
+            ode = SectorODE(ProblemSpec(1, "exterior_ball", "dirichlet", radius=1.0,
+                                        sector=l))
+            for lam in (-1e-12, -0.49, -1.0, -3.7, -1e6):
+                for r in (1.0, 1.5, 2.5, 40.0):
+                    assert ode.decay_state(lam, r) == (1.0, -math.sqrt(-lam))
+
     def test_decay_ratio_is_the_free_decaying_profile(self):
         # d = 3, l = 0: u = e^{-kr}/r; d = 1: u = e^{-kr}
         k, r0, r = 0.7, 2.5, np.array([2.5, 3.0, 9.0])
