@@ -29,12 +29,13 @@ def main():
     # a path that dips outside the domain for small n gets truncated
     slow = ScaledPotentialFamily(Profile.indicator(0.0, 1.0),
                                  CenterPath(0.5, 0.5), 1)
-    study = scaling_study_1d(slow, [2, 4, 8], m=300, with_direct=False)
+    study = scaling_study_1d(slow, [2, 4, 8], m=300)
     print("\nslow center path x(n) = 0.5/sqrt(n):")
     for note in study.notices:
         print(f"  notice: {note}")
     for row in study.rows:
-        print(f"  n = {row['n']:4.0f}  beta_cr = {row['beta_cr_kernel']:.6f}")
+        print(f"  n = {row['n']:4.0f}  beta_cr = {row['beta_cr_kernel']:.6f} (kernel), "
+              f"{row['beta_cr_direct']:.6f} (direct)")
 
 
 if __name__ == "__main__":

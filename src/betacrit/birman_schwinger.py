@@ -21,9 +21,12 @@ from .green_kernels import solution_pair
 from .model import Potential, ProblemSpec, require_valid
 
 DEFAULT_M = 400
-DEFAULT_PANEL_ORDER = 8
-DEFAULT_EIG_TOL = 1e-8
 DEFAULT_DECADES = (2, 7)
+PANEL_ORDER = 8  # Gauss-Legendre points per panel
+EIG_TOL = 1e-8  # relative residual of the principal eigenpair
+# growth of mu0 per decade below which the tail reads as bounded, and above
+# which it reads as divergent
+BOUNDED_TOL, DIVERGENT_TOL = 0.02, 0.05
 
 
 def default_lambda_grid(decades=DEFAULT_DECADES) -> np.ndarray:
@@ -35,11 +38,11 @@ def default_lambda_grid(decades=DEFAULT_DECADES) -> np.ndarray:
 _legendre = functools.cache(leggauss)  # read only: shared by every assembly
 
 
-def gauss_panels(lo: float, hi: float, m: int, panel_order: int = DEFAULT_PANEL_ORDER):
+def gauss_panels(lo: float, hi: float, m: int):
     """Composite Gauss-Legendre rule with ~m nodes on [lo, hi]."""
     if hi <= lo:
         raise ValidationError("empty quadrature interval")
-    q = max(1, min(panel_order, m))
+    q = max(1, min(PANEL_ORDER, m))
     panels = max(1, round(m / q))
     xg, wg = _legendre(q)
     edges = np.linspace(lo, hi, panels + 1)
@@ -64,7 +67,7 @@ class KernelMatrix:
 
 
 def assemble(problem: ProblemSpec, potential: Potential, lam: float,
-             m: int = DEFAULT_M, panel_order: int = DEFAULT_PANEL_ORDER) -> KernelMatrix:
+             m: int = DEFAULT_M) -> KernelMatrix:
     """Kernel matrix of the sandwiched resolvent at energy lambda <= 0.
 
     lam = 0 requests the limit kernel and raises ``KernelLimitError`` where
@@ -73,7 +76,7 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
     require_valid(problem, potential)
     reg, dec, c = solution_pair(problem, lam)
     lo, hi = potential.support
-    nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m, panel_order)
+    nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m)
     vol = w * problem.measure(nodes)
     (y_reg, s_reg), (y_dec, s_dec) = reg(nodes), dec(nodes)
     # G = u_reg(min) u_dec(max) / C: the nodes ascend, so the upper triangle
@@ -116,8 +119,10 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
     return KernelMatrix(np.asarray(points, dtype=float), v, entries)
 
 
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 20000):
-    """Largest eigenvalue of a symmetric matrix; all-ones start vector.
+def _power_iteration(a: np.ndarray):
+    """(eigenvalue, residual, steps) of a symmetric matrix's largest
+    eigenvalue from the all-ones start vector; steps is -1 when 20,000 did
+    not reach ``EIG_TOL``.
 
     Each iterate is divided by the power of two at the matrix's largest
     entry: that is exact, and keeps every squared norm in range.
@@ -128,34 +133,35 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int = 20000):
     scale = 2.0 ** math.frexp(max(float(a.max()), -float(a.min())))[1]
     v = np.full(n, 1.0 / math.sqrt(n))
     theta = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 20001):
         u = (a @ v) / scale
         norm_u = float(np.linalg.norm(u))
         if norm_u == 0.0:
             return 0.0, 0.0, it
         theta = float(v @ u)
         res = float(np.linalg.norm(u - theta * v))
-        if res <= tol * max(abs(theta), 1e-300):
+        if res <= EIG_TOL * max(abs(theta), 1e-300):
             return theta * scale, res * scale, it
         v = u / norm_u
     return theta * scale, res * scale, -1
 
 
-def principal_eigenvalue(matrix, tol: float = DEFAULT_EIG_TOL):
-    """(largest eigenvalue, achieved residual) of a symmetric kernel matrix.
+def principal_eigenvalue(matrix):
+    """(largest eigenvalue, achieved residual) of a symmetric kernel matrix,
+    the residual at most ``EIG_TOL`` relative.
 
     Power iteration from the all-ones vector; where it stalls (a nearly
     degenerate top), a dense symmetric solve for the top pair.  The
     residual lands in reports.
     """
     a = matrix.entries if isinstance(matrix, KernelMatrix) else np.asarray(matrix, dtype=float)
-    theta, res, iters = _power_iteration(a, tol)
+    theta, res, iters = _power_iteration(a)
     if iters < 0:
         from scipy.linalg import eigh
         evals, evecs = eigh(a, subset_by_index=[len(a) - 1, len(a) - 1])
         theta, w = float(evals[0]), evecs[:, 0]
         res = float(np.linalg.norm(a @ w - theta * w))
-        if res > tol * max(abs(theta), 1e-300):
+        if res > EIG_TOL * max(abs(theta), 1e-300):
             raise UnconvergedError(
                 f"principal eigenvalue solve missed the tolerance (residual {res:.3e})",
                 details={"residual": res, "value": theta})
@@ -191,8 +197,7 @@ class SpectralReport:
 
 
 def mu_curve(problem: ProblemSpec, potential: Potential, lambda_grid=None,
-             m: int = DEFAULT_M, panel_order: int = DEFAULT_PANEL_ORDER,
-             tol: float = DEFAULT_EIG_TOL) -> SpectralReport:
+             m: int = DEFAULT_M) -> SpectralReport:
     """Principal eigenvalue along an energy grid increasing toward 0-.
 
     The samples must come out monotone (the operator grows with lambda); a
@@ -206,13 +211,13 @@ def mu_curve(problem: ProblemSpec, potential: Potential, lambda_grid=None,
         raise ValidationError("energy grid must be strictly negative")
     rows = []
     for lam in lams:
-        mat = assemble(problem, potential, float(lam), m=m, panel_order=panel_order)
-        mu, res = principal_eigenvalue(mat, tol)
+        mat = assemble(problem, potential, float(lam), m=m)
+        mu, res = principal_eigenvalue(mat)
         rows.append((float(lam), mu, mat.size, res))
     mus = np.array([r[1] for r in rows])
     scale = float(np.max(np.abs(mus))) if mus.size else 1.0
-    monotone = bool(np.all(np.diff(mus) >= -10 * tol * max(scale, 1.0)))
-    meta = {"m": m, "panel_order": panel_order, "monotone": monotone,
+    monotone = bool(np.all(np.diff(mus) >= -10 * EIG_TOL * max(scale, 1.0)))
+    meta = {"m": m, "panel_order": PANEL_ORDER, "monotone": monotone,
             "sector": problem.sector, "bc": problem.boundary_condition,
             "normalization": "(H0-lambda)G=delta; G>=0 for lambda<0"}
     return SpectralReport(tuple(rows), meta)
@@ -229,12 +234,11 @@ def _fit_line(x: np.ndarray, y: np.ndarray):
     return coef[0] * scale, coef[1] * scale, float(np.linalg.norm(resid)) / denom
 
 
-def classify_limit(samples, bounded_tol: float = 0.02,
-                   divergent_tol: float = 0.05) -> Classification:
+def classify_limit(samples) -> Classification:
     """Bounded / divergent verdict from mu0 samples along lambda -> 0-.
 
-    Growth below ``bounded_tol`` per decade reads as bounded; above
-    ``divergent_tol`` the tail is fit against power and logarithmic models.
+    Growth below ``BOUNDED_TOL`` per decade reads as bounded; above
+    ``DIVERGENT_TOL`` the tail is fit against power and logarithmic models.
     Growth between the two thresholds yields an explicit indeterminate
     verdict, never a silent guess.
     """
@@ -258,7 +262,7 @@ def classify_limit(samples, bounded_tol: float = 0.02,
     ddec = math.log10(-lam[-2]) - math.log10(-lam[-1])
     growth = (mu[-1] / mu[-2]) ** (1.0 / ddec) - 1.0
 
-    if growth < bounded_tol:
+    if growth < BOUNDED_TOL:
         d1 = mu[-2] - mu[-3]
         d2 = mu[-1] - mu[-2]
         mu_star = float(mu[-1])
@@ -268,7 +272,7 @@ def classify_limit(samples, bounded_tol: float = 0.02,
         return Classification("bounded", mu_star=mu_star, mu_last=float(mu[-1]),
                               extrapolation_gap=float(mu_star - mu[-1]),
                               growth_per_decade=float(growth))
-    if growth <= divergent_tol:
+    if growth <= DIVERGENT_TOL:
         return Classification("indeterminate", mu_last=float(mu[-1]),
                               growth_per_decade=float(growth))
 
@@ -287,9 +291,7 @@ def classify_limit(samples, bounded_tol: float = 0.02,
 
 
 def norm_limit(problem: ProblemSpec, potential: Potential, sectors,
-               lambda_grid=None, m: int = DEFAULT_M,
-               panel_order: int = DEFAULT_PANEL_ORDER,
-               tol: float = DEFAULT_EIG_TOL) -> dict:
+               lambda_grid=None, m: int = DEFAULT_M) -> dict:
     """Classify mu0 as lambda -> 0- in every sector and combine the verdicts.
 
     The norm diverges as soon as one sector's does; otherwise one
@@ -297,8 +299,7 @@ def norm_limit(problem: ProblemSpec, potential: Potential, sectors,
     is bounded with mu* the largest sector limit.
     """
     per_sector = {l: classify_limit(mu_curve(problem.with_sector(l), potential,
-                                             lambda_grid=lambda_grid, m=m,
-                                             panel_order=panel_order, tol=tol))
+                                             lambda_grid=lambda_grid, m=m))
                   for l in sectors}
     verdicts = {cls.verdict for cls in per_sector.values()}
     verdict = next((v for v in ("divergent", "indeterminate") if v in verdicts),
@@ -324,9 +325,7 @@ def beta_from_verdict(verdict: str, mu_star: float | None):
 
 
 def beta_critical(problem: ProblemSpec, potential: Potential,
-                  method: str = "auto", m: int = DEFAULT_M,
-                  tol: float = DEFAULT_EIG_TOL, lambda_grid=None,
-                  panel_order: int = DEFAULT_PANEL_ORDER,
+                  method: str = "auto", m: int = DEFAULT_M, lambda_grid=None,
                   sector_max: int | None = None):
     """Coupling threshold 1/mu* from the sandwiched-resolvent route.
 
@@ -343,14 +342,12 @@ def beta_critical(problem: ProblemSpec, potential: Potential,
     sectors = [problem.sector] if sector_max is None else range(sector_max + 1)
 
     def _limit_kernel_value():
-        mats = (assemble(problem.with_sector(l), potential, 0.0, m=m,
-                         panel_order=panel_order) for l in sectors)
-        return beta_from_verdict("bounded", max(principal_eigenvalue(mat, tol)[0]
+        mats = (assemble(problem.with_sector(l), potential, 0.0, m=m) for l in sectors)
+        return beta_from_verdict("bounded", max(principal_eigenvalue(mat)[0]
                                                 for mat in mats))
 
     def _extrapolation_value():
-        limit = norm_limit(problem, potential, sectors, lambda_grid, m,
-                           panel_order, tol)
+        limit = norm_limit(problem, potential, sectors, lambda_grid, m)
         return beta_from_verdict(limit["verdict"], limit["mu_star"])
 
     if method == "limit-kernel":

@@ -36,13 +36,11 @@ from .model import (CenterPath, CoefficientProfile, Potential, ProblemSpec,
 
 DEFAULTS = {
     "m": bs.DEFAULT_M,                           # kernel quadrature nodes
-    "panel_order": bs.DEFAULT_PANEL_ORDER,       # Gauss-Legendre points per panel
     "lambda_decades": list(bs.DEFAULT_DECADES),  # energy grid -10^{-j}
     "mesh_h": ds.DEFAULT_H,                      # finite-difference mesh
-    "eig_tol": bs.DEFAULT_EIG_TOL,               # eigenvalue relative tolerance
-    "bisect_tol": ds.DEFAULT_BISECT_TOL,         # threshold bisection tolerance
     "sector_max": fkw.DEFAULT_SECTOR_MAX,        # highest angular sector swept
 }
+SHAPES = {"indicator": Profile.indicator, "bump": Profile.bump, "tent": Profile.tent}
 
 SUBCOMMANDS = ("mu-curve", "beta-cr", "direct", "crosscheck", "fkw",
                "scaling", "halfspace", "clr", "dichotomy")
@@ -96,28 +94,19 @@ def build_problem(cfg: dict) -> ProblemSpec:
 def build_potential(cfg: dict) -> Potential | ScaledPotentialFamily:
     q = cfg["potential"]
     kind = q["kind"]
-    amp = q.get("amplitude", 1.0)
     if kind == "family":
-        profile_name = q.get("profile", "indicator")
-        base = {"indicator": Profile.indicator(0.0, 1.0),
-                "bump": Profile.bump(0.0, 1.0),
-                "tent": Profile.tent(0.0, 1.0)}[profile_name]
         path = CenterPath(q.get("center_coefficient", 1.0),
                           q.get("center_exponent", 1.0))
-        return ScaledPotentialFamily(base, path, cfg["problem"]["dimension"])
+        return ScaledPotentialFamily(SHAPES[q.get("profile", "indicator")](0.0, 1.0),
+                                     path, cfg["problem"]["dimension"])
+    if kind == "zero":
+        return Potential(Profile.indicator(*q["support"], 0.0), 0.0)
     if kind == "samples":
         samples = np.array(q["samples"], dtype=float)
-        return Potential(Profile(samples[:, 0], samples[:, 1]), amp)
-    lo, hi = q["support"]
-    if kind == "indicator":
-        return Potential(Profile.indicator(lo, hi), amp)
-    if kind == "tent":
-        return Potential(Profile.tent(lo, hi), amp)
-    if kind == "bump":
-        return Potential(Profile.bump(lo, hi), amp)
-    if kind == "zero":
-        return Potential(Profile.indicator(lo, hi, 0.0), 0.0)
-    raise ValidationError(f"unknown potential kind {kind!r}")
+        profile = Profile(samples[:, 0], samples[:, 1])
+    else:
+        profile = SHAPES[kind](*q["support"])
+    return Potential(profile, q.get("amplitude", 1.0))
 
 
 def _numerics(cfg: dict) -> dict:
@@ -134,6 +123,8 @@ def _lambda_grid(cfg: dict, num: dict) -> np.ndarray:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -146,7 +137,7 @@ def write_csv(path: str, columns, rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerow([_fmt(row.get(c)) for c in columns])
     _atomic_write(path, buf.getvalue())
 
 
@@ -181,8 +172,7 @@ def _atomic_write(path: str, text: str):
 
 def _run_mu_curve(cfg, problem, potential, num):
     grid = _lambda_grid(cfg, num)
-    report = bs.mu_curve(problem, potential, lambda_grid=grid, m=num["m"],
-                         panel_order=num["panel_order"], tol=num["eig_tol"])
+    report = bs.mu_curve(problem, potential, lambda_grid=grid, m=num["m"])
     cls = bs.classify_limit(report)
     payload = {**report.to_json_dict(), "classification": asdict(cls),
                "beta_cr": None}
@@ -200,19 +190,16 @@ def _run_beta_cr(cfg, problem, potential, num):
     method = cfg.get("study", {}).get("method", "auto")
     grid = _lambda_grid(cfg, num)
     value = bs.beta_critical(problem, potential, method=method, m=num["m"],
-                             tol=num["eig_tol"], lambda_grid=grid,
-                             panel_order=num["panel_order"])
+                             lambda_grid=grid)
     if value is None:
         beta_payload = {"beta_cr": None, "verdict": "no-bound-states"}
     else:
         beta_payload = {"beta_cr": value, "verdict": "bounded" if value > 0 else "divergent"}
     payload = {**beta_payload, "method": method,
-               "metadata": {"m": num["m"], "panel_order": num["panel_order"],
+               "metadata": {"m": num["m"], "panel_order": bs.PANEL_ORDER,
                             "sector": problem.sector,
                             "normalization": "(H0-lambda)G=delta; G>=0 for lambda<0"}}
-    rows = [{"beta_cr": "" if beta_payload["beta_cr"] is None else beta_payload["beta_cr"],
-             "verdict": beta_payload["verdict"], "method": method}]
-    return payload, ("beta_cr", "verdict", "method"), rows
+    return payload, ("beta_cr", "verdict", "method"), [payload]
 
 
 def _run_direct(cfg, problem, potential, num):
@@ -235,7 +222,7 @@ def _run_direct(cfg, problem, potential, num):
         return row
 
     rows = [one(beta) for beta in beta_grid]
-    bc = counter.threshold(tol=num["bisect_tol"], h=num["mesh_h"])
+    bc = counter.threshold(h=num["mesh_h"])
     payload = {"rows": rows,
                "beta_cr_direct": bc,
                "metadata": {"mesh_h": num["mesh_h"]}}
@@ -278,10 +265,8 @@ def _run_fkw(cfg, problem, potential, num):
 def _run_scaling(cfg, problem, potential, num):
     n_grid = cfg.get("study", {}).get("n_grid", [4, 8, 16, 32])
     study = ex.scaling_study_1d(potential, n_grid, m=num["m"])
-    payload = study.to_json_dict()
     cols = ("n", "beta_cr_kernel", "beta_cr_direct", "h", "m")
-    rows = [{c: r.get(c, "") for c in cols} for r in study.rows]
-    return payload, cols, rows
+    return study.to_json_dict(), cols, study.rows
 
 
 def _run_halfspace(cfg, problem, potential, num):
@@ -290,11 +275,9 @@ def _run_halfspace(cfg, problem, potential, num):
     n_grid = study_cfg.get("n_grid", [10, 100, 1000, 10000])
     study = ex.halfspace_norm_study(problem.dimension, sign, potential, n_grid,
                                     m=num["m"])
-    payload = study.to_json_dict()
     floor = "rank_one_bound" if problem.dimension == 2 else "minorant"
     cols = ("n", "center", "norm", floor, "nodes")
-    rows = [{c: r.get(c, "") for c in cols} for r in study.rows]
-    return payload, cols, rows
+    return study.to_json_dict(), cols, study.rows
 
 
 def _run_clr(cfg, problem, potential, num):
@@ -304,10 +287,8 @@ def _run_clr(cfg, problem, potential, num):
     refine = study_cfg.get("refine", False)
     study = ex.clr_audit(problem, potential, beta_grid, constant=constant,
                          h=num["mesh_h"], refine=refine)
-    payload = study.to_json_dict()
     cols = ("beta", "count", "bound", "violated")
-    rows = [{c: r[c] for c in cols} for r in study.rows]
-    return payload, cols, rows
+    return study.to_json_dict(), cols, study.rows
 
 
 def _run_dichotomy(cfg, problem, potential, num):
@@ -320,8 +301,7 @@ def _run_dichotomy(cfg, problem, potential, num):
             f"{study.meta['indeterminate']} indeterminate verdicts in the dichotomy suite")
     cols = ("d", "bc", "potential", "verdict", "rate_exponent",
             "log_divergence", "growth_per_decade")
-    rows = [{c: ("" if r[c] is None else r[c]) for c in cols} for r in study.rows]
-    return payload, cols, rows
+    return payload, cols, study.rows
 
 
 RUNNERS = {

@@ -27,6 +27,8 @@ from .sector_ode import SectorODE, closure_radius
 
 DEFAULT_H = 1e-3
 DEFAULT_BISECT_TOL = 1e-6
+PROFILE_NODES = 4000  # eigenfunction samples up to R*, and a quarter as many past it
+RESIDUAL_H = 1e-2  # spacing of the residual check's sub-grids
 
 
 class _Mesh(NamedTuple):
@@ -74,7 +76,7 @@ class SectorPencil:
         # Dirichlet eliminates u(r_in) = 0, the first node
         self.first = 1 if ode.bc == "dirichlet" else 0
         self.off = mesh.off[self.first:]
-        self._flux = ode.decay_state(0.0, mesh.r[-1])[1]
+        self.flux = ode.decay_state(0.0, mesh.r[-1])[1]  # zero-energy closure
 
     def diag(self, beta: float) -> np.ndarray:
         grid, h = self.grid, self.grid.h
@@ -82,7 +84,7 @@ class SectorPencil:
         diag = np.empty(q.size)
         diag[1:-1] = grid.p_sum + q[1:-1] * h
         diag[0] = grid.p_half[0] / h + q[0] * 0.5 * h
-        diag[-1] = grid.p_half[-1] / h + q[-1] * 0.5 * h - self._flux
+        diag[-1] = grid.p_half[-1] / h + q[-1] * 0.5 * h - self.flux
         return diag[self.first:]
 
     def count(self, beta: float) -> int:
@@ -173,6 +175,8 @@ class SpectrumCounter:
         if self.potential.is_zero():
             return None
         ground = self.pencil(h, 0)
+        if ground.ode.bc == "neumann" and ground.flux == 0.0:
+            return 0.0  # A0 annihilates the constants: every coupling binds
         lo, hi = 0.0, 1.0
         while not ground.count(hi):  # no bound state yet
             lo, hi = hi, 2.0 * hi
@@ -263,7 +267,7 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
 
 
 def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,
-                  lam: float, n_mesh: int = 4000):
+                  lam: float):
     """(mesh, u): the profile at an eigenvalue of the problem's sector,
     normalized in the volume measure.
 
@@ -279,8 +283,8 @@ def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,
     r_star = closure_radius(problem, potential)
     solution = ode.integrate(lam, ode.regular_state(), r_in, r_star, decays=True)
     pieces = solution.sample(lambda a0, b0: np.linspace(
-        a0, b0, max(8, int(n_mesh * (b0 - a0) / (r_star - r_in)))))
-    tail = r_star + np.linspace(0.0, 40.0 / math.sqrt(-lam), n_mesh // 4 + 1)[1:]
+        a0, b0, max(8, int(PROFILE_NODES * (b0 - a0) / (r_star - r_in)))))
+    tail = r_star + np.linspace(0.0, 40.0 / math.sqrt(-lam), PROFILE_NODES // 4 + 1)[1:]
     mesh = np.concatenate([r for r, _, _ in pieces] + [tail])
     u = np.concatenate([u for _, u, _ in pieces] + [solution(tail)])
     norm = math.sqrt(np.trapezoid(u ** 2 * mesh ** (problem.dimension - 1), mesh))
@@ -305,7 +309,7 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
             raise ValidationError(f"no bound state at beta={beta:g}; "
                                   "crosscheck needs couplings above threshold")
         mat = bs.assemble(problem, potential, lam0, m=m)
-        mu0, _ = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)
+        mu0, _ = bs.principal_eigenvalue(mat)
         rows.append({"beta": float(beta), "lambda0": lam0, "mu0": mu0,
                      "residual": abs(beta * mu0 - 1.0)})
     return rows
@@ -315,13 +319,15 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential,
                          tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H):
     """Coupling threshold by bisection of the negative-eigenvalue count.
 
-    None when no coupling up to 2^60 creates a bound state (as for V == 0).
+    None when no coupling up to 2^60 creates a bound state (as for V == 0),
+    and exactly 0.0 where sector 0 is Neumann without a zero-energy closure
+    flux (d = 1 and 2, the sectors whose limit kernel diverges).
     """
     return SpectrumCounter(problem, potential).threshold(tol, h)
 
 
 def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,
-                        lam: float, h_res: float = 1e-2) -> float:
+                        lam: float) -> float:
     """Strong-form residual of the eigen-equation at a converged energy.
 
     Reads the regular solution (u, p u') on uniform sub-grids up to R*
@@ -334,7 +340,7 @@ def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,
     pieces = ode.integrate(
         lam, ode.regular_state(), problem.inner_radius, closure_radius(problem, potential),
     ).sample(lambda a0, b0: np.linspace(
-        a0, b0, max(9, int(round((b0 - a0) / h_res)) + 1)))
+        a0, b0, max(9, int(round((b0 - a0) / RESIDUAL_H)) + 1)))
     scale_u = max(float(np.max(np.abs(uu))) for _, uu, _ in pieces)
     scale_v = max(float(np.max(np.abs(vv))) for _, _, vv in pieces)
     denom = max(scale_v, (abs(lam) + beta * potential.max_value() + 1.0) * scale_u)

@@ -199,7 +199,7 @@ class _Cloud:
         """Top eigenvalue of the kernel g at unit density, uncut."""
         mat = bs.assemble_points(self.pts, self.w, np.ones(len(self.pts)),
                                  np.zeros_like(self.g), self.g, 1.0, self.cells())
-        return bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
+        return bs.principal_eigenvalue(mat)[0]
 
 
 def _require_kernel(d: int, sign: str):
@@ -283,7 +283,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     rows = []
     notices = []
     built = {}  # n x(n) -> (c_s, norm, nodes) at the first n with that product
-    w_mass = _profile_mass(family.base_profile, d)
+    w_mass = Potential(family.base_profile, center=0.0).integral_power(1.0, d)
     # the geometry no n changes; its distances and integrals are formed by
     # the first n that needs them
     unit = _Cloud(d, m)
@@ -296,7 +296,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
             if n * center not in built:
                 mat = halfspace_kernel_matrix(d, sign, float(n), center,
                                               family.base_profile, m=m, _cloud=unit)
-                norm = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
+                norm = bs.principal_eigenvalue(mat)[0]
                 built[n * center] = (c_s, norm, mat.nodes.shape[0])
         except ValidationError as exc:
             notices.append(f"n={n:g} skipped: {exc}")
@@ -318,21 +318,12 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     return ScalingStudy("halfspace-norm", tuple(rows), tuple(notices), meta)
 
 
-def _profile_mass(profile: Profile, d: int) -> float:
-    """integral of W over R^d for a radial profile."""
-    r = np.linspace(0.0, profile.hi, 4001)
-    if d == 1:
-        return 2.0 * float(np.trapezoid(profile(r), r))
-    area = 2.0 * math.pi if d == 2 else 4.0 * math.pi
-    return float(np.trapezoid(profile(r) * area * r ** (d - 1), r))
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional shrinking wells
 
 
 def scaling_study_1d(family: ScaledPotentialFamily, n_grid,
-                     m: int = bs.DEFAULT_M, with_direct: bool = True) -> ScalingStudy:
+                     m: int = bs.DEFAULT_M) -> ScalingStudy:
     """Coupling threshold of the shrinking well family on the half-line.
 
     Both routes are reported per admissible n; inadmissible scales (support
@@ -350,13 +341,11 @@ def scaling_study_1d(family: ScaledPotentialFamily, n_grid,
             continue
         pot = family.realize(n)
         beta_kernel = bs.beta_critical(problem, pot, method="limit-kernel", m=m)
-        row = {"n": float(n), "beta_cr_kernel": beta_kernel, "m": m}
-        if with_direct:
-            h = min(ds.DEFAULT_H, (pot.support[1] - pot.support[0]) / 80.0)
-            row["beta_cr_direct"] = ds.beta_critical_direct(problem, pot,
-                                                            tol=1e-7, h=h)
-            row["h"] = h
-        rows.append(row)
+        h = min(ds.DEFAULT_H, (pot.support[1] - pot.support[0]) / 80.0)
+        rows.append({"n": float(n), "beta_cr_kernel": beta_kernel, "m": m,
+                     "beta_cr_direct": ds.beta_critical_direct(problem, pot,
+                                                               tol=1e-7, h=h),
+                     "h": h})
     if not rows:
         raise ValidationError("every n in the grid was inadmissible; " +
                               "; ".join(notices))
@@ -413,8 +402,7 @@ def default_dichotomy_potentials(dimension: int) -> list[tuple[str, Potential]]:
 
 
 def dichotomy_suite(potentials_1d=None, potentials_2d=None,
-                    m: int = 300, decades=DICHOTOMY_DECADES,
-                    radius: float = 1.0) -> ScalingStudy:
+                    m: int = 300, decades=DICHOTOMY_DECADES) -> ScalingStudy:
     """Bounded/divergent verdicts over (dimension, condition, potential).
 
     Low-dimensional exterior problems split by the boundary condition:
@@ -434,7 +422,7 @@ def dichotomy_suite(potentials_1d=None, potentials_2d=None,
                 if d == 1:
                     prob = ProblemSpec(1, "half_line", bc)
                 else:
-                    prob = ProblemSpec(2, "exterior_ball", bc, radius=radius)
+                    prob = ProblemSpec(2, "exterior_ball", bc)  # unit obstacle
                 rep = bs.mu_curve(prob, pot, lambda_grid=grid, m=m)
                 cls = bs.classify_limit(rep)
                 rows.append({"d": d, "bc": bc, "potential": name,

@@ -189,8 +189,7 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
 
 
 def fkw_norm_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,
-                   m: int = bs.DEFAULT_M, sector_max: int = DEFAULT_SECTOR_MAX,
-                   tol: float = bs.DEFAULT_EIG_TOL) -> dict:
+                   m: int = bs.DEFAULT_M, sector_max: int = DEFAULT_SECTOR_MAX) -> dict:
     """Classify the sandwiched-resolvent norm per sector as lambda -> 0-.
 
     Sector 0 carries the Neumann-type reduction of the nonlocal condition,
@@ -201,20 +200,19 @@ def fkw_norm_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,
         lambda_grid = bs.default_lambda_grid((2, 8))
     return bs.norm_limit(problem, potential,
                          range(_top_sector(problem, sector_max) + 1),
-                         lambda_grid, m, tol=tol)
+                         lambda_grid, m)
 
 
 def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
                       m: int = bs.DEFAULT_M, sector_max: int = DEFAULT_SECTOR_MAX,
-                      crosscheck: bool = True, agree_tol: float = 1e-2,
                       limit: dict | None = None):
     """Coupling threshold for the nonlocal condition (uniform measure).
 
     1/mu* over the sector family when the norms stay bounded, 0 when they
-    diverge, None without bound states; cross-checked against the direct
-    eigenvalue sweep with the matching per-sector conditions.  ``limit`` is
-    a ``fkw_norm_limit`` result to reuse; without it the limit is taken on
-    the default grid.
+    diverge, None without bound states.  A positive threshold must agree
+    with the direct eigenvalue sweep to 1%, or ``MethodDisagreement`` is
+    raised.  ``limit`` is a ``fkw_norm_limit`` result to reuse; without it
+    the limit is taken on the default grid.
     """
     _require_fkw(problem)
     require_valid(problem, potential)
@@ -227,10 +225,9 @@ def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
         return beta
     value = bs.beta_critical(problem, potential, method="limit-kernel", m=m,
                              sector_max=_top_sector(problem, sector_max))
-    if crosscheck:
-        direct = beta_critical_direct(problem, potential, tol=1e-6)
-        if isinstance(direct, float) and abs(direct - value) > agree_tol * max(value, direct):
-            raise MethodDisagreement(
-                f"kernel and direct thresholds disagree: {value:.6g} vs {direct:.6g}",
-                values={"kernel": value, "direct": direct})
+    direct = beta_critical_direct(problem, potential, tol=1e-6)
+    if isinstance(direct, float) and abs(direct - value) > 1e-2 * max(value, direct):
+        raise MethodDisagreement(
+            f"kernel and direct thresholds disagree: {value:.6g} vs {direct:.6g}",
+            values={"kernel": value, "direct": direct})
     return value

@@ -42,17 +42,29 @@ def read_json(tmp_path, cfg):
 
 
 class TestConfigHandling:
-    def test_negative_tolerance_names_the_field(self, tmp_path, capsys):
+    def test_out_of_range_field_is_named(self, tmp_path, capsys):
         cfg = {"problem": {"geometry": "half_line", "dimension": 1,
                            "boundary_condition": "dirichlet"},
                "potential": {"kind": "indicator", "support": [1.0, 2.0]},
-               "numerics": {"eig_tol": -1.0}}
+               "numerics": {"m": 0}}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert cli.run("beta-cr", str(path), str(tmp_path)) == 1
         diag = json.loads(capsys.readouterr().err.strip())
         assert diag["error"] == "config-error"
-        assert "eig_tol" in diag["field"]
+        assert diag["field"] == "numerics/m"
+
+    @pytest.mark.parametrize("field, value", [("panel_order", 8), ("eig_tol", 1e-8),
+                                              ("bisect_tol", 1e-6)])
+    def test_retired_numerics_field_is_a_config_error(self, tmp_path, capsys,
+                                                      field, value):
+        code, _ = run_config(tmp_path, "mu_curve_neumann_1d.json", "mu-curve",
+                             extra={"numerics": {field: value}})
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config-error"
+        assert field in json.loads(lines[0])["message"]
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         cfg = {"problem": {"geometry": "half_line", "dimension": 1,
@@ -238,7 +250,7 @@ class TestSchemaValidation:
     WELL = {"kind": "indicator", "support": [1.0, 2.0]}
 
     @pytest.mark.parametrize("cfg", [
-        {"problem": PROBLEM, "potential": WELL, "numerics": {"eig_tol": -1.0}},
+        {"problem": PROBLEM, "potential": WELL, "numerics": {"mesh_h": -1.0}},
         {"problem": {**PROBLEM, "typo": 1}, "potential": WELL},
         {"problem": {**PROBLEM, "dimension": "one"}, "potential": WELL},
         {"problem": PROBLEM},
@@ -375,6 +387,18 @@ class TestSubcommands:
         header = open(tmp_path / cfg["output"]["csv"]).readline().strip()
         assert header == "beta,lambda0,count,mesh,residual"
 
+    def test_direct_neumann_half_line_threshold_is_zero(self, tmp_path):
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "neumann"},
+               "potential": {"kind": "indicator", "support": [1.0, 2.0]},
+               "study": {"beta_grid": [0.5]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("direct", str(path), str(tmp_path)) == 0
+        payload = json.loads((tmp_path / "direct.json").read_text())
+        assert payload["beta_cr_direct"] == 0.0
+        assert payload["rows"][0]["count"] == 1
+
     def test_crosscheck_pairs_energy_and_kernel_of_the_config_sector(self, tmp_path):
         # the sector-0 energy against the sector-1 kernel reads 0.071 here
         cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
@@ -396,7 +420,7 @@ class TestSubcommands:
                                "boundary_condition": "dirichlet", "radius": 1.0,
                                "sector": sector},
                    "potential": {"kind": "indicator", "support": [1.5, 2.5]},
-                   "numerics": {"mesh_h": 4e-3, "bisect_tol": 1e-4},
+                   "numerics": {"mesh_h": 4e-3},
                    "study": {"beta_grid": [8.0], "refine": False}}
             path = tmp_path / f"cfg{sector}.json"
             path.write_text(json.dumps(cfg))

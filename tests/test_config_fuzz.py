@@ -81,11 +81,8 @@ def _single(inner):
 
 NUMERICS = st.fixed_dictionaries(
     {"m": st.integers(1, 40), "mesh_h": _num(0.005, 0.2)},
-    optional={"panel_order": st.integers(1, 8),
-              "lambda_decades": st.lists(st.integers(0, 9), min_size=2, max_size=2),
+    optional={"lambda_decades": st.lists(st.integers(0, 9), min_size=2, max_size=2),
               "r_max": _num(1.0, 30.0),
-              "eig_tol": _num(1e-12, 1e-2),
-              "bisect_tol": st.one_of(_num(1e-8, 1e-2), st.just(1e-300)),
               "sector_max": st.integers(0, 3)})
 
 STUDIES = st.fixed_dictionaries(

@@ -322,8 +322,19 @@ class TestBetaCriticalDirect:
     def test_neumann_collapses_to_zero(self):
         values = [ds.beta_critical_direct(HALF_LINE_N, WELL, tol=1e-6, h=h)
                   for h in (4e-3, 2e-3)]
-        assert all(v < 1e-4 for v in values)
-        assert values[1] <= values[0] + 1e-12
+        assert values == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bc", ["neumann", "fkw"])
+    def test_planar_neumann_sector_zero_collapses_to_zero(self, bc):
+        # sector 0 carries the Neumann condition under both
+        prob = ProblemSpec(2, "exterior_ball", bc, radius=1.0)
+        assert ds.beta_critical_direct(prob, Potential(Profile.indicator(1.5, 2.5))) == 0.0
+
+    def test_d3_neumann_threshold_stays_positive(self):
+        prob = ProblemSpec(3, "exterior_ball", "neumann", radius=1.0)
+        value = ds.beta_critical_direct(prob, Potential(Profile.indicator(1.5, 2.5)),
+                                        tol=1e-6, h=1e-3)
+        assert value == 0.5417037010192871
 
     def test_d3_agrees_with_kernel_route(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)

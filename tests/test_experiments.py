@@ -101,14 +101,13 @@ class TestShrinkingWells1d:
         assert study.meta["monotone_increasing"]
 
     def test_quadrupling_scale_quadruples_threshold(self):
-        study = ex.scaling_study_1d(unit_family(1), [4, 16], m=400,
-                                    with_direct=False)
+        study = ex.scaling_study_1d(unit_family(1), [4, 16], m=400)
         r = study.rows[1]["beta_cr_kernel"] / study.rows[0]["beta_cr_kernel"]
         assert r == pytest.approx(4.0, rel=1e-3)
 
     def test_baseline_detached_well(self):
         fam = unit_family(1, c=2.0, delta=0.0)  # fixed center x = 2
-        study = ex.scaling_study_1d(fam, [1], m=400, with_direct=False)
+        study = ex.scaling_study_1d(fam, [1], m=400)
         expected = oc.square_well_beta_cr(1.0, 3.0)
         assert study.rows[0]["beta_cr_kernel"] == pytest.approx(expected, rel=1e-3)
 
@@ -116,8 +115,7 @@ class TestShrinkingWells1d:
         # height scaling n keeps the threshold finite: a fixed-center family
         # converges to the point-interaction limit 1/(mass * center) = 1/4
         fam = unit_family(1, c=2.0, delta=0.0)
-        study = ex.scaling_study_1d(fam, [4, 16, 64, 256], m=400,
-                                    with_direct=False)
+        study = ex.scaling_study_1d(fam, [4, 16, 64, 256], m=400)
         gaps = [row["beta_cr_kernel"] - 0.25 for row in study.rows]
         assert all(g > 0 for g in gaps)
         for a, b in zip(gaps, gaps[1:]):
@@ -126,14 +124,14 @@ class TestShrinkingWells1d:
 
     def test_inadmissible_scales_truncated_with_notice(self):
         fam = unit_family(1, c=0.5, delta=0.5)
-        study = ex.scaling_study_1d(fam, [2, 4, 8], m=200, with_direct=False)
+        study = ex.scaling_study_1d(fam, [2, 4, 8], m=200)
         assert [row["n"] for row in study.rows] == [4.0, 8.0]
         assert any("n=2" in note for note in study.notices)
 
     def test_all_inadmissible_is_an_error(self):
         fam = unit_family(1, c=0.1, delta=1.0)
         with pytest.raises(ValidationError):
-            ex.scaling_study_1d(fam, [2, 4], m=100, with_direct=False)
+            ex.scaling_study_1d(fam, [2, 4], m=100)
 
 
 class TestHalfspaceStudies:
@@ -226,7 +224,7 @@ class TestHalfspaceStudies:
         assert [r["nodes"] for r in study.rows] == [study.rows[0]["nodes"]] * 4
         for row in study.rows:
             mat = kernel_matrix(2, "minus", row["n"], row["center"], m=200)
-            built = bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0]
+            built = bs.principal_eigenvalue(mat)[0]
             assert row["norm"] == pytest.approx(built, rel=1e-14)
         # an n at or below 1 is still refused, even where its product is cached
         study = ex.halfspace_norm_study(2, "minus", unit_family(2), [10.0, 1.0], m=200)
@@ -263,7 +261,7 @@ class TestHalfspaceStudies:
             assert cloud.cells(-n * family.center(n)) is cloud.cells()
         for row in study.rows:  # each n as a build of its own gives the same bits
             mat = ex.halfspace_kernel_matrix(d, "minus", row["n"], row["center"], m=150)
-            assert bs.principal_eigenvalue(mat, bs.DEFAULT_EIG_TOL)[0] == row["norm"]
+            assert bs.principal_eigenvalue(mat)[0] == row["norm"]
             if d == 3:
                 assert ex.minorant_eigenvalue(3, 2.0 * row["n"] * row["center"],
                                               m=150) == row["minorant"]
@@ -290,7 +288,7 @@ class TestHalfspaceStudies:
         center = fam.center(n)
         mat = ex.halfspace_kernel_matrix(3, "minus", n, center,
                                          fam.base_profile, m=600)
-        mu_rescaled = bs.principal_eigenvalue(mat, 1e-10)[0]
+        mu_rescaled = bs.principal_eigenvalue(mat)[0]
 
         pot = fam.realize(n)
         cloud = ex._Cloud(3, 600, radius=1.0 / n, c1=center)
@@ -308,7 +306,7 @@ class TestHalfspaceStudies:
         density = oc.ball_potential_at(pot, np.column_stack([pts, np.zeros(len(pts))]))
         mat_phys = bs.assemble_points(pts, w, density, regular, sing,
                                       1.0 / (4.0 * math.pi), cloud.cells())
-        mu_physical = bs.principal_eigenvalue(mat_phys, 1e-10)[0]
+        mu_physical = bs.principal_eigenvalue(mat_phys)[0]
         assert mu_physical == pytest.approx(mu_rescaled, rel=1e-9)
 
     def test_dimension_mismatch_rejected(self):

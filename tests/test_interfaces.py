@@ -1,9 +1,11 @@
 """The sector interface stays narrow: one propagator and one reader of what
 it integrates, both in ``sector_ode``, one user of the finite-difference
 pencil, and sectors named only by ``ProblemSpec``.  Start-up stays light: scipy is imported in the functions
-that call it, so a run loads only the scipy modules it uses."""
+that call it, so a run loads only the scipy modules it uses.  The config
+schema offers no field the command line does not read."""
 
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -91,3 +93,15 @@ def test_half_line_and_planar_half_space_runs_load_no_scipy(tmp_path):
 ], ids=lambda fn: fn.__qualname__)
 def test_sector_is_named_only_by_the_problem(fn):
     assert "sector" not in inspect.signature(fn).parameters
+
+
+def test_every_numerics_and_study_field_is_read_by_the_cli():
+    """A field the schema accepts but no runner reads would be a silent knob;
+    ``r_max`` stays accepted and ignored while the benchmark generator
+    writes it."""
+    schema = json.loads((SRC / "schemas" / "config.schema.json").read_text())
+    source = (SRC / "cli.py").read_text()
+    unread = [f"{section}.{name}" for section in ("numerics", "study")
+              for name in schema["properties"][section]["properties"]
+              if not re.search(rf'(\[|\.get\()"{name}"', source)]
+    assert unread == ["numerics.r_max"]
