@@ -24,7 +24,8 @@ from .errors import (KernelLimitError, MethodDisagreement, NearSingularError,
                      UnconvergedError, ValidationError)
 from .green_kernels import solution_pair
 from .model import Potential, ProblemSpec, require_valid
-from .sector_ode import MAX_STEPS, MAX_TURN, SectorODE, SectorSolution, closure_radius
+from .sector_ode import (MAX_STEPS, MAX_TURN, STEPS_PER_UNIT, SectorODE, SectorSolution,
+                         closure_radius, fill)
 
 DEFAULT_SECTOR_MAX = 3
 
@@ -108,18 +109,22 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     """Dirichlet solve (H_beta - lambda) w = f in the problem's sector, whatever
     its effective condition, by variation of parameters on the Green pair,
     w(r) = [u_dec(r) int_{r0}^r u_reg f dm + u_reg(r) int_r^inf u_dec f dm] / C,
-    by Simpson's rule on the sector ODE's mesh of [r0, R* + 1], its steps
-    split until k h <= ``MAX_TURN``, then on 1000 quadratically growing steps
-    until u_dec has fallen by e^-40.  No source is cut; the log-scales are
-    added before anything is exponentiated, so any k = sqrt(-lambda) stays
-    finite.  Returns the mesh, w on it and gamma = -w'(r0).
+    by Simpson's rule on [r0, R* + 1] at a spacing of at most
+    1/``STEPS_PER_UNIT``, also where the sector ODE takes longer exact steps:
+    each of its ``pieces`` filled with that density or as many more steps as
+    the turn bound needs, each step split until k h <= ``MAX_TURN``; then on
+    1000 quadratically growing steps until u_dec has fallen by e^-40.  No
+    source is cut; the log-scales are added before anything is
+    exponentiated, so any k = sqrt(-lambda) stays finite.  Returns the mesh,
+    w on it and gamma = -w'(r0).
     """
     forced = replace(problem, boundary_condition="dirichlet")
     reg, dec, c = solution_pair(forced, lam, potential, beta)
     r0, k = problem.inner_radius, math.sqrt(-lam)
     r_out = closure_radius(problem, potential) + 1.0
     ode = SectorODE(forced, potential, beta)
-    mesh = ode.mesh(lam, r0, r_out)
+    cuts, turn, _ = ode.pieces(lam, r0, r_out)
+    mesh = fill(cuts, np.maximum(turn, np.ceil(np.diff(cuts) * STEPS_PER_UNIT)))
     parts = math.ceil(k * float(np.max(np.diff(mesh))) / MAX_TURN)  # Simpson steps per step
     if 2 * parts * mesh.size > MAX_STEPS:
         raise UnconvergedError("resolvent quadrature past the step budget",

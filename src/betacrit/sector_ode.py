@@ -30,7 +30,7 @@ import numpy as np
 from .errors import UnconvergedError
 from .model import Potential, ProblemSpec
 
-STEPS_PER_UNIT = 1000  # fewest steps per unit length
+STEPS_PER_UNIT = 1000  # fewest steps per unit length where p, q or w varies
 MAX_TURN = 0.25        # most an oscillating step may turn the state, in radians
 MAX_STEPS = 2 ** 18    # most steps of one integration
 GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -50,8 +50,9 @@ def _gap(r: float) -> float:
     return 1e-12 * max(1.0, abs(r))
 
 
-def _fill(cuts: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def fill(cuts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Nodes with ``steps[i]`` uniform steps from cuts[i] to cuts[i + 1]."""
+    steps = steps.astype(np.int64)
     piece = np.repeat(np.arange(steps.size), steps)
     j = np.arange(piece.size) - np.repeat(np.cumsum(steps) - steps, steps)
     r = cuts[piece] + (cuts[piece + 1] - cuts[piece]) * (j / steps[piece])
@@ -207,24 +208,37 @@ class SectorODE:
         return [r_in] + [c for c in self._kinks
                          if r_in + _gap(c) < c < r_out - _gap(c)] + [r_out]
 
-    def mesh(self, lam: float, r_in: float, r_out: float) -> np.ndarray:
-        """Ascending nodes: each piece between ``segment_points`` filled with
-        uniform steps, ``STEPS_PER_UNIT`` per unit length or as many more as
-        keep every turn below ``MAX_TURN`` at the local wavenumber
-        sqrt((lambda w - q) / p), read just inside both ends of the piece,
-        where V and a are linear.  Past ``MAX_STEPS`` steps the mesh raises
-        ``UnconvergedError``."""
+    def pieces(self, lam: float, r_in: float, r_out: float):
+        """(cuts, turn, exact): the ``segment_points`` of [r_in, r_out], and
+        for each piece between them the fewest uniform steps that keep every
+        turn at or below ``MAX_TURN`` at the local wavenumber
+        sqrt((lambda w - q) / p), and whether p, q and w are constant, so
+        that one step is exact.  Both are read just inside the two ends of
+        the piece, where V and a are linear."""
         cuts = np.array(self.segment_points(r_in, r_out))
         width = np.diff(cuts)
-        p, q, w = self.coefficients(np.concatenate([cuts[:-1] + 1e-9 * width,
-                                                    cuts[1:] - 1e-9 * width]))
-        wave = np.sqrt(np.maximum(lam * w - q, 0.0) / p).reshape(2, -1).max(axis=0)
-        steps = np.ceil(width * np.maximum(STEPS_PER_UNIT, wave / MAX_TURN))
+        p, q, w = (c.reshape(2, -1) for c in np.broadcast_arrays(*self.coefficients(
+            np.concatenate([cuts[:-1] + 1e-9 * width, cuts[1:] - 1e-9 * width]))))
+        wave = np.sqrt(np.maximum(lam * w - q, 0.0) / p).max(axis=0)
+        exact = (p[0] == p[1]) & (q[0] == q[1]) & (w[0] == w[1])
+        return cuts, np.ceil(width * (wave / MAX_TURN)), exact
+
+    def mesh(self, lam: float, r_in: float, r_out: float) -> np.ndarray:
+        """Ascending nodes: each of the ``pieces`` filled with uniform steps,
+        as many as its turn needs and at least one, and where p, q or w
+        varies at least ``STEPS_PER_UNIT`` per unit length.  A step that does
+        not oscillate turns the state by less than pi however long it is (the
+        Pruefer angle cannot cross k pi downward or k pi + pi/2 upward), as
+        ``SectorSolution.angle`` needs.  Past ``MAX_STEPS`` steps the mesh
+        raises ``UnconvergedError``."""
+        cuts, turn, exact = self.pieces(lam, r_in, r_out)
+        floor = np.where(exact, 1.0, np.ceil(np.diff(cuts) * STEPS_PER_UNIT))
+        steps = np.maximum(turn, floor)
         if not steps.sum() <= MAX_STEPS:
             raise UnconvergedError("sector ODE needs more steps than one integration takes",
                                    details={"segment": [r_in, r_out], "lambda": lam,
                                             "steps": float(steps.sum())})
-        return _fill(cuts, steps.astype(np.int64))
+        return fill(cuts, steps)
 
     def propagators(self, lam: float, r, h):
         """Magnus steps from the radii r over the lengths h: (m, g), with the

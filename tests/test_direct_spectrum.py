@@ -266,6 +266,40 @@ class TestGroundState:
         assert ratio == pytest.approx(ratio[0], rel=1e-10)
 
 
+class TestPiecewiseConstantWells:
+    """Half-line indicator wells, where the sector ODE crosses each piece in
+    as few exact steps as its turn allows, one where nothing oscillates."""
+
+    @staticmethod
+    def _well(lo, width, amp, factor):
+        beta = factor * oc.square_well_beta_cr(lo, lo + width) / amp
+        return Potential(Profile.indicator(lo, lo + width), amp), beta
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 3.0), st.floats(0.1, 3.0), st.floats(0.1, 10.0),
+           st.floats(1.05, 50.0))
+    def test_ground_state_solves_the_matching_equation(self, lo, width, amp, factor):
+        pot, beta = self._well(lo, width, amp, factor)
+        lam0 = ds.ground_state(HALF_LINE_D, pot, beta)  # tol = 1e-10
+        assert abs(lam0 - oc.square_well_ground_energy(beta * amp, lo, lo + width)) <= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 3.0), st.floats(0.1, 3.0), st.floats(0.1, 10.0),
+           st.floats(1.05, 50.0))
+    def test_zero_energy_angle_counts_the_crossings(self, lo, width, amp, factor):
+        # the mismatch is the Pruefer angle past pi/2 at R*: a long exact step
+        # must not lose a half-turn when the angle is unwrapped.  At a
+        # crossing itself (lo = 0, width 1/2, factor 49: k = 7 pi) the count
+        # is decided by rounding, so the wells skip a band of 1e-9 there
+        k = math.sqrt(factor * oc.square_well_beta_cr(lo, lo + width))
+        turns = (k * width + math.atan(k * lo)) / math.pi - 0.5
+        assume(abs(turns - round(turns)) > 1e-9)
+        pot, beta = self._well(lo, width, amp, factor)
+        m = ds.phase_mismatch(HALF_LINE_D, pot, beta, 0.0)
+        count = math.floor(m / math.pi) + 1 if m > 0.0 else 0
+        assert count == oc.halfline_crossing_count(beta * amp, lo, lo + width)
+
+
 class TestCrosscheck:
     def test_identity_residual_small(self):
         rows = ds.crosscheck_birman_schwinger(HALF_LINE_D, WELL, [1.0, 2.0, 4.0])

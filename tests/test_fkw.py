@@ -10,6 +10,7 @@ from betacrit import fkw
 from betacrit.errors import (IndeterminateError, NearSingularError, UnconvergedError,
                              ValidationError)
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
+from betacrit.sector_ode import STEPS_PER_UNIT
 
 import oracles as oc
 
@@ -173,6 +174,22 @@ class TestSolveFkw:
                 assert sol.gamma == gamma
             else:
                 assert np.array_equal(sol.sector_profiles[l][1], w)
+
+    @pytest.mark.parametrize("lam,gamma", [(-1.0, -0.7206086898048639),
+                                           (-1e-2, -2.271962631827823)])
+    def test_line_resolvent_keeps_its_quadrature_density(self, lam, gamma):
+        # d = 1 with a == 1 and an indicator well: the sector ODE crosses each
+        # piece in a few exact steps, but the Simpson steps stay at most
+        # 1/STEPS_PER_UNIT apart, or gamma moves by 1.7e-6 and 1.6e-3 here;
+        # gamma is the value of the 1,000-per-unit mesh on every piece, and
+        # within 2.4e-9 of oracles.fd_resolvent
+        line = ProblemSpec(1, "exterior_ball", "fkw", radius=1.0)
+        f = lambda r: np.exp(-(r - 2.0) ** 2)
+        sol = fkw.solve_fkw(line, 0.5, POT, lam, {0: f, 1: f})
+        assert sol.gamma == pytest.approx(gamma, abs=1e-9)
+        for mesh, _ in sol.sector_profiles.values():
+            assert mesh.size == 2501
+            assert np.max(np.diff(mesh)) <= (1.0 + 1e-9) / STEPS_PER_UNIT
 
     def test_deep_energy_resolvent_is_finite_and_local(self):
         # at lambda = -1e6 the pair grows and decays like e^{+-1000 r}: the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betacrit.errors import UnconvergedError
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
@@ -10,6 +12,16 @@ from betacrit.sector_ode import MAX_STEPS, MAX_TURN, STEPS_PER_UNIT, SectorODE, 
 BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
 POT = Potential(Profile.indicator(1.5, 2.5), 2.0)
 A = CoefficientProfile(Profile(np.array([1.0, 2.0]), np.array([2.0, 1.0])), 2.0)
+LINE = ProblemSpec(1, "half_line", "dirichlet")
+WELL = Potential(Profile.indicator(1.0, 2.0))
+
+
+def _steps_per_piece(ode, lam, r_in, r_out):
+    """Steps of ``mesh`` between consecutive cuts: every cut is a node."""
+    r = ode.mesh(lam, r_in, r_out)
+    cuts = ode.segment_points(r_in, r_out)
+    assert np.isin(cuts, r).all()
+    return np.diff(np.searchsorted(r, cuts)).tolist()
 
 
 class TestCoefficients:
@@ -158,9 +170,11 @@ class TestClosureAndSegments:
 
     def test_pruefer_angle_counts_the_half_turns(self):
         # u = sin(pi r) / pi on the free half-line at lambda = pi^2: the
-        # angle of (u, u') reaches 3 pi at r = 3, through many short steps
-        line = SectorODE(ProblemSpec(1, "half_line", "dirichlet"))
+        # angle of (u, u') reaches 3 pi at r = 3, through 38 exact steps of
+        # at most MAX_TURN each
+        line = SectorODE(LINE)
         sol = line.integrate(math.pi ** 2, line.regular_state(), 0.0, 3.0)
+        assert sol.r.size == 38 + 1
         assert sol.angle == pytest.approx(3.0 * math.pi, rel=1e-12)
         assert line.integrate(-1.0, line.regular_state(), 0.0, 3.0).angle == \
             pytest.approx(math.atan(math.tanh(3.0)), rel=1e-12)
@@ -185,6 +199,52 @@ class TestClosureAndSegments:
         assert np.max(wave * np.diff(r)) <= MAX_TURN
         assert np.sum((r > 1.5) & (r < 2.5)) > 4 * STEPS_PER_UNIT
         assert np.sum(r < 1.5) == round(0.5 * STEPS_PER_UNIT)
+
+    def test_constant_pieces_take_only_the_steps_their_turn_needs(self):
+        # d = 1, a == 1 and an indicator well: p, q and w are constant on
+        # every piece, so one Magnus step is exact there and no density floor
+        # applies; the well turns the state by sqrt(4 - 1) per unit length
+        for prob in (LINE, ProblemSpec(1, "exterior_ball", "neumann", radius=0.5,
+                                       sector=1)):
+            ode = SectorODE(prob, WELL, beta=4.0)
+            assert ode.pieces(-1.0, 0.5, 3.0)[2].tolist() == [True] * 3
+            assert _steps_per_piece(ode, -1.0, 0.5, 3.0) == \
+                [1, math.ceil(math.sqrt(3.0) / MAX_TURN), 1]
+            assert _steps_per_piece(ode, -5.0, 0.5, 3.0) == [1, 1, 1]  # nothing turns
+        assert _steps_per_piece(SectorODE(LINE), -1.0, 0.0, 50.0) == [1]
+
+    def test_the_floor_stays_where_a_coefficient_varies(self):
+        # r^{d-1} in d >= 2, a linear V, a sampled a: the step is exact only
+        # to fourth order there
+        for d in (2, 3):
+            ode = SectorODE(ProblemSpec(d, "exterior_ball", "dirichlet", radius=1.0),
+                            POT, beta=2.0)
+            assert _steps_per_piece(ode, -1.0, 1.0, 3.0) == [500, 1000, 500]
+        for profile in (Profile.tent(1.2, 1.9, 1.5), Profile.bump(1.2, 1.9, n=8)):
+            ode = SectorODE(LINE, Potential(profile), beta=6.0)
+            floor = np.ceil(np.diff(profile.xs) * STEPS_PER_UNIT).astype(int).tolist()
+            assert _steps_per_piece(ode, -1.0, 0.0, 3.0) == [1] + floor + [1]
+        line_a = ProblemSpec(1, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
+        assert _steps_per_piece(SectorODE(line_a), -1.0, 1.0, 3.0) == [1000, 1]
+        assert _steps_per_piece(SectorODE(line_a, WELL, beta=4.0), -1.0, 1.0, 3.0) == \
+            [1000, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(("indicator", "tent", "bump")), st.floats(0.0, 2.0),
+           st.floats(0.05, 2.0), st.floats(0.0, 1e4), st.floats(-100.0, 100.0))
+    def test_every_piece_steps_and_no_step_turns_past_the_bound(self, shape, lo, width,
+                                                                 beta, lam):
+        pot = Potential(getattr(Profile, shape)(lo, lo + width))
+        ode = SectorODE(LINE, pot, beta)
+        r = ode.mesh(lam, 0.0, lo + width + 1.0)
+        assert min(_steps_per_piece(ode, lam, 0.0, lo + width + 1.0)) >= 1
+        # between cuts (lambda w - q) / p is linear on the line: the largest
+        # wavenumber of a step is at one of its ends
+        h = np.diff(r)
+        for end in (r[:-1] + 1e-9 * h, r[1:] - 1e-9 * h):
+            p, q, w = ode.coefficients(end)
+            wave = np.sqrt(np.maximum(lam * w - q, 0.0) / p)
+            assert np.max(wave * h) <= MAX_TURN * (1.0 + 1e-9)
 
     def test_samples_ulps_apart_make_one_cut(self):
         jump = math.nextafter(1.5, 2.0)
