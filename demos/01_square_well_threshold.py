@@ -3,8 +3,9 @@
 The Dirichlet half-line with an indicator well on [1, 2] has a closed-form
 threshold: the zero-energy matching condition k + arctan(k) = pi/2 gives
 beta_cr = k^2.  The kernel route (largest eigenvalue of the sandwiched
-resolvent at zero energy) and the direct route (bisection on the negative
-eigenvalue count) must land on the same number.
+resolvent at zero energy) and the direct route (the coupling at which the
+zero-energy Pruefer angle reaches its target, where the negative-eigenvalue
+count first rises) must land on the same number.
 
 Run:  PYTHONPATH=src python3 demos/01_square_well_threshold.py
 """
@@ -31,8 +32,8 @@ def main():
     print(f"kernel eigenvalue    beta_cr = {kernel:.8f}   "
           f"(rel err {abs(kernel - exact) / exact:.1e})")
 
-    direct = beta_critical_direct(problem, well, tol=1e-7)
-    print(f"eigenvalue counting  beta_cr = {direct:.8f}   "
+    direct = beta_critical_direct(problem, well)
+    print(f"zero-energy angle    beta_cr = {direct:.8f}   "
           f"(rel err {abs(direct - exact) / exact:.1e})")
 
     print("\ncounts around the threshold:")

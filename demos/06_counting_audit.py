@@ -25,7 +25,7 @@ def main():
     print(f"violations: {study.meta['violations']}")
 
     betas = [5.0, 15.0, 50.0, 160.0, 500.0]
-    counts = [count_negative(problem, pot, b, refine=False) for b in betas]
+    counts = [count_negative(problem, pot, b) for b in betas]
     slope = np.polyfit(np.log(betas), np.log(counts), 1)[0]
     print("\ndeep-well growth:")
     for b, c in zip(betas, counts):

@@ -37,7 +37,6 @@ from .model import (CenterPath, CoefficientProfile, Potential, ProblemSpec,
 DEFAULTS = {
     "m": bs.DEFAULT_M,                           # kernel quadrature nodes
     "lambda_decades": list(bs.DEFAULT_DECADES),  # energy grid -10^{-j}
-    "mesh_h": ds.DEFAULT_H,                      # finite-difference mesh
     "sector_max": fkw.DEFAULT_SECTOR_MAX,        # highest angular sector swept
 }
 SHAPES = {"indicator": Profile.indicator, "bump": Profile.bump, "tent": Profile.tent}
@@ -203,16 +202,12 @@ def _run_beta_cr(cfg, problem, potential, num):
 
 
 def _run_direct(cfg, problem, potential, num):
-    study = cfg.get("study", {})
-    beta_grid = study.get("beta_grid", [1.0])
-    refine = study.get("refine", True)
-    counter = ds.SpectrumCounter(problem, potential)  # rows and threshold share it
+    beta_grid = cfg.get("study", {}).get("beta_grid", [1.0])
     lowest = problem.with_sector(0)  # holds the lowest state of the whole operator
 
     def one(beta):
-        count = counter.count(float(beta), h=num["mesh_h"], refine=refine)
-        row = {"beta": float(beta), "count": count, "mesh": num["mesh_h"],
-               "lambda0": "", "residual": ""}
+        count = ds.count_negative(problem, potential, float(beta))
+        row = {"beta": float(beta), "count": count, "lambda0": "", "residual": ""}
         if count > 0 and beta > 0:
             lam0 = ds.ground_state(lowest, potential, float(beta))
             if lam0 is not None:
@@ -222,11 +217,9 @@ def _run_direct(cfg, problem, potential, num):
         return row
 
     rows = [one(beta) for beta in beta_grid]
-    bc = counter.threshold(h=num["mesh_h"])
     payload = {"rows": rows,
-               "beta_cr_direct": bc,
-               "metadata": {"mesh_h": num["mesh_h"]}}
-    return payload, ("beta", "lambda0", "count", "mesh", "residual"), rows
+               "beta_cr_direct": ds.beta_critical_direct(problem, potential)}
+    return payload, ("beta", "lambda0", "count", "residual"), rows
 
 
 def _run_crosscheck(cfg, problem, potential, num):
@@ -265,7 +258,7 @@ def _run_fkw(cfg, problem, potential, num):
 def _run_scaling(cfg, problem, potential, num):
     n_grid = cfg.get("study", {}).get("n_grid", [4, 8, 16, 32])
     study = ex.scaling_study_1d(potential, n_grid, m=num["m"])
-    cols = ("n", "beta_cr_kernel", "beta_cr_direct", "h", "m")
+    cols = ("n", "beta_cr_kernel", "beta_cr_direct", "m")
     return study.to_json_dict(), cols, study.rows
 
 
@@ -284,9 +277,7 @@ def _run_clr(cfg, problem, potential, num):
     study_cfg = cfg.get("study", {})
     beta_grid = study_cfg.get("beta_grid", [2.0, 5.0, 20.0, 80.0])
     constant = study_cfg.get("constant", ex.DEFAULT_CLR_CONSTANT)
-    refine = study_cfg.get("refine", False)
-    study = ex.clr_audit(problem, potential, beta_grid, constant=constant,
-                         h=num["mesh_h"], refine=refine)
+    study = ex.clr_audit(problem, potential, beta_grid, constant=constant)
     cols = ("beta", "count", "bound", "violated")
     return study.to_json_dict(), cols, study.rows
 

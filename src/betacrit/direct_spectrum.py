@@ -2,206 +2,50 @@
 
 Past R* = max(support hi of V, r_flat, r_in) the sector equation is the free
 one, so decay at infinity enters through an exact boundary relation there:
-the zero-energy closure for eigenvalue counting (which makes the count
-independent of where the mesh ends), and the energy-dependent closure
-inside the shooting solver for eigenvalues, which roots the phase mismatch
-in k = sqrt(-lambda).  For counting, the radial operator
--(a r^{d-1} u')'/r^{d-1} + centrifugal - beta V is discretized by
-second-order finite differences built from the quadratic form, so the
-matrix is symmetric tridiagonal.
+the zero-energy closure for counting and for the threshold, and the
+energy-dependent closure inside the shooting solver for eigenvalues, which
+roots the phase mismatch in k = sqrt(-lambda).  Counts and thresholds are
+read off the Pruefer angle at lambda = 0 (Sturm oscillation): a sector's
+count from ``sector_ode.zero_energy_count``, the threshold as the coupling
+where sector 0's zero-energy mismatch changes sign.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from . import birman_schwinger as bs
 from .errors import UnconvergedError, ValidationError
 from .model import Potential, ProblemSpec, require_valid
-from .sector_ode import SectorODE, closure_radius
+from .sector_ode import SectorODE, closure_radius, zero_energy_count
 
-DEFAULT_H = 1e-3
-DEFAULT_BISECT_TOL = 1e-6
 PROFILE_NODES = 4000  # eigenfunction samples up to R*, and a quarter as many past it
 RESIDUAL_H = 1e-2  # spacing of the residual check's sub-grids
 
 
-class _Mesh(NamedTuple):
-    """What no sector and no coupling changes in the pencil on [r_in, R* + 1]."""
-
-    r: np.ndarray        # nodes r_0..r_N
-    h: float
-    p_half: np.ndarray   # p at the cell midpoints
-    p_sum: np.ndarray    # (p_{i-1/2} + p_{i+1/2}) / h at the interior nodes
-    off: np.ndarray      # -p_half / h
-    weight: np.ndarray
-    v_cell: np.ndarray   # V averaged over the cells as the mesh realizes them
-
-
-def _mesh(problem: ProblemSpec, potential: Potential, h: float) -> _Mesh:
-    """Nodes of spacing h on [r_in, R* + 1], where every closure is exact."""
-    ode = SectorODE(problem)
-    r_in = problem.inner_radius
-    r_out = closure_radius(problem, potential) + 1.0
-    n = max(8, int(round((r_out - r_in) / h)))
-    r = r_in + h * np.arange(n + 1)
-    weight = ode.coefficients(r)[2]
-    p_half = ode.coefficients(r[:-1] + 0.5 * h)[0]
-    return _Mesh(r, h, p_half, (p_half[:-1] + p_half[1:]) / h, -p_half / h,
-                 weight, potential.cell_average(r, float(r[1] - r[0])))
-
-
-class SectorPencil:
-    """One sector's finite-difference pencil with the coupling factored out,
-    A(beta) = A0 - beta D_V, on the mesh of a ``_Mesh``, closed at lambda = 0.
-
-    The diagonal is assembled from the quadratic form in the order a single
-    build uses, p-sum + (q0 - beta V w) h, so it is the same to the last bit
-    for every coupling.  The centrifugal term q0 is formed afresh for each
-    diagonal (a few microseconds), so a pencil keeps no array of its own and
-    a count that sweeps many sectors holds one mesh, not one array per
-    sector.
-    """
-
-    def __init__(self, mesh: _Mesh, problem: ProblemSpec):
-        ode = SectorODE(problem)
-        if ode.bc not in ("dirichlet", "neumann"):
-            raise ValidationError(f"unsupported sector boundary condition {ode.bc!r}")
-        self.ode, self.grid = ode, mesh
-        # Dirichlet eliminates u(r_in) = 0, the first node
-        self.first = 1 if ode.bc == "dirichlet" else 0
-        self.off = mesh.off[self.first:]
-        self.flux = ode.decay_state(0.0, mesh.r[-1])[1]  # zero-energy closure
-
-    def diag(self, beta: float) -> np.ndarray:
-        grid, h = self.grid, self.grid.h
-        q = self.ode.coefficients(grid.r)[1] - beta * grid.v_cell * grid.weight
-        diag = np.empty(q.size)
-        diag[1:-1] = grid.p_sum + q[1:-1] * h
-        diag[0] = grid.p_half[0] / h + q[0] * 0.5 * h
-        diag[-1] = grid.p_half[-1] / h + q[-1] * 0.5 * h - self.flux
-        return diag[self.first:]
-
-    def count(self, beta: float) -> int:
-        """Negative eigenvalues of A(beta)."""
-        return _sturm_count(self.diag(beta), self.off)
-
-
-def _sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
-    """Number of eigenvalues <= 0 of a symmetric tridiagonal.
-
-    LAPACK's bisection (``dstebz``) counts the nonpositive pivots of the
-    Sturm sequence, a zero pivot standing for -tiny; with an infinite
-    tolerance every interval has converged at once, so only the count is
-    formed.
-    """
-    if diag.size == 1:  # the wrapper rejects an empty off-diagonal
-        return int(diag[0] <= 0.0)
-    from scipy.linalg.lapack import dstebz
-    count, *_, info = dstebz(diag, off, 1, -math.inf, 0.0, 0, 0, math.inf, "B")
-    if info:
-        raise UnconvergedError("LAPACK dstebz failed", details={"info": info})
-    return count
-
-
-class SpectrumCounter:
-    """Negative-eigenvalue counts of one problem and potential.
-
-    Each (h, sector) pencil is built on first use and kept for the life of
-    the counter, so a bisection or a coupling grid pays for it once; make
-    one counter per study, never one per process.
-    """
-
-    def __init__(self, problem: ProblemSpec, potential: Potential):
-        require_valid(problem, potential)
-        self.problem, self.potential = problem, potential
-        self._meshes: dict[float, _Mesh] = {}
-        self._pencils: dict[tuple[float, int], SectorPencil] = {}
-
-    def pencil(self, h: float, sector: int) -> SectorPencil:
-        pencil = self._pencils.get((h, sector))
-        if pencil is None:
-            if h not in self._meshes:
-                self._meshes[h] = _mesh(self.problem, self.potential, h)
-            pencil = SectorPencil(self._meshes[h], self.problem.with_sector(sector))
-            self._pencils[(h, sector)] = pencil
-        return pencil
-
-    def total(self, beta: float, h: float) -> int:
-        """Sum of sector counts with multiplicities, up to the first empty
-        sector (sectors empty out monotonically)."""
-        problem = self.problem
-        if problem.geometry == "half_line":
-            return self.pencil(h, 0).count(beta)
-        if problem.dimension == 1:  # even/odd components of the punctured line
-            return sum(self.pencil(h, l).count(beta) for l in (0, 1))
-        total = 0
-        for l in itertools.count():
-            c = self.pencil(h, l).count(beta)
-            if c == 0:
-                return total
-            total += problem.sector_multiplicity(l) * c
-
-    def count(self, beta: float, h: float = DEFAULT_H, refine: bool = True) -> int:
-        """``count_negative`` on this counter's pencils."""
-        if beta < 0:
-            raise ValidationError("coupling must be nonnegative")
-        if self.potential.is_zero() or beta == 0.0:
-            return 0
-        resolution = beta * self.potential.max_value() * h * h
-        if resolution > 1.0:  # the well's wavelength spans less than a cell
-            raise UnconvergedError(
-                "mesh too coarse for this coupling: h sqrt(beta max V) > 1",
-                details={"beta": beta, "h": h, "beta_max_v_h2": resolution})
-        base = self.total(beta, h)
-        if not refine:
-            return base
-        half = self.total(beta, 0.5 * h)
-        if half != base:
-            raise UnconvergedError(
-                "negative-eigenvalue count did not stabilize under refinement",
-                details={f"h={h:g}": base, f"h={0.5 * h:g}": half})
-        return base
-
-    def threshold(self, tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H):
-        """``beta_critical_direct`` on this counter's sector-0 pencil: every
-        other sector's pencil is a principal submatrix of it plus the
-        nonnegative centrifugal diagonal, so only sector 0 decides."""
-        if self.potential.is_zero():
-            return None
-        ground = self.pencil(h, 0)
-        if ground.ode.bc == "neumann" and ground.flux == 0.0:
-            return 0.0  # A0 annihilates the constants: every coupling binds
-        lo, hi = 0.0, 1.0
-        while not ground.count(hi):  # no bound state yet
-            lo, hi = hi, 2.0 * hi
-            if hi > 2.0 ** 60:
-                return None
-        while hi - lo > tol * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # adjacent floats: tol is below their spacing
-                break
-            if ground.count(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-
-def count_negative(problem: ProblemSpec, potential: Potential, beta: float,
-                   h: float = DEFAULT_H, refine: bool = True) -> int:
+def count_negative(problem: ProblemSpec, potential: Potential, beta: float) -> int:
     """Number of negative eigenvalues of the full operator at coupling beta.
 
-    With ``refine`` the count is recomputed at half the mesh; disagreement
-    raises ``UnconvergedError`` carrying both counts, as does a coupling
-    the mesh cannot resolve, h sqrt(beta max V) > 1.
+    Sector l holds floor(m_l / pi) + 1 eigenvalues below 0 when its
+    zero-energy ``phase_mismatch`` m_l is positive, and none otherwise
+    (``sector_ode.zero_energy_count``).  At a coupling exactly at a
+    crossing, where a state sits at zero energy, the count takes the side
+    its mismatch rounds to: at the first crossing m = 0 and the state is
+    not counted; at the j-th, j >= 2, m = (j - 1) pi up to rounding, and
+    the state is counted when m rounds up to it.  The half-line well
+    [0, 0.5] at beta = 49 pi^2 (k = 7 pi, the fourth crossing) has
+    m / pi = 2.999999999999994 and counts 3, the side below.  A coupling
+    past the count's work budget raises ``UnconvergedError``.
     """
-    return SpectrumCounter(problem, potential).count(beta, h, refine)
+    if beta < 0:
+        raise ValidationError("coupling must be nonnegative")
+    require_valid(problem, potential)
+    if potential.is_zero() or beta == 0.0:
+        return 0
+    return zero_energy_count(problem, potential, beta)
 
 
 def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
@@ -315,15 +159,33 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
     return rows
 
 
-def beta_critical_direct(problem: ProblemSpec, potential: Potential,
-                         tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H):
-    """Coupling threshold by bisection of the negative-eigenvalue count.
+def beta_critical_direct(problem: ProblemSpec, potential: Potential):
+    """Coupling threshold: the root in beta of sector 0's zero-energy
+    ``phase_mismatch``, which rises with beta, bracketed by doubling beta.
 
     None when no coupling up to 2^60 creates a bound state (as for V == 0),
     and exactly 0.0 where sector 0 is Neumann without a zero-energy closure
-    flux (d = 1 and 2, the sectors whose limit kernel diverges).
+    flux (d = 1 and 2, the sectors whose limit kernel diverges): there the
+    constants solve the free equation, so every coupling binds.
     """
-    return SpectrumCounter(problem, potential).threshold(tol, h)
+    require_valid(problem, potential)
+    if potential.is_zero():
+        return None
+    ground = problem.with_sector(0)
+    ode = SectorODE(ground)
+    if ode.bc == "neumann" and ode.decay_state(0.0, closure_radius(problem, potential))[1] == 0.0:
+        return 0.0
+
+    def mismatch(beta):
+        return phase_mismatch(ground, potential, beta, 0.0)
+
+    lo, hi = 0.0, 1.0
+    while not mismatch(hi) > 0.0:  # no bound state yet
+        lo, hi = hi, 2.0 * hi
+        if hi > 2.0 ** 60:
+            return None
+    from scipy.optimize import brentq
+    return brentq(mismatch, lo, hi, xtol=1e-15 * hi)
 
 
 def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,

@@ -341,11 +341,8 @@ def scaling_study_1d(family: ScaledPotentialFamily, n_grid,
             continue
         pot = family.realize(n)
         beta_kernel = bs.beta_critical(problem, pot, method="limit-kernel", m=m)
-        h = min(ds.DEFAULT_H, (pot.support[1] - pot.support[0]) / 80.0)
         rows.append({"n": float(n), "beta_cr_kernel": beta_kernel, "m": m,
-                     "beta_cr_direct": ds.beta_critical_direct(problem, pot,
-                                                               tol=1e-7, h=h),
-                     "h": h})
+                     "beta_cr_direct": ds.beta_critical_direct(problem, pot)})
     if not rows:
         raise ValidationError("every n in the grid was inadmissible; " +
                               "; ".join(notices))
@@ -361,8 +358,7 @@ def scaling_study_1d(family: ScaledPotentialFamily, n_grid,
 
 
 def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
-              constant: float = DEFAULT_CLR_CONSTANT, h: float = ds.DEFAULT_H,
-              refine: bool = False) -> ScalingStudy:
+              constant: float = DEFAULT_CLR_CONSTANT) -> ScalingStudy:
     """Counting bound audit: count <= constant * beta^{3/2} integral V^{3/2}.
 
     A violation would expose a solver bug, so the rows carry an explicit
@@ -370,15 +366,14 @@ def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
     """
     if problem.dimension != 3:
         raise ValidationError("the counting bound audit is a d=3 statement")
-    counter = ds.SpectrumCounter(problem, potential)  # validates the potential
     v_moment = potential.integral_power(1.5, 3)
     rows = []
     for beta in beta_grid:
-        count = counter.count(float(beta), h=h, refine=refine)
+        count = ds.count_negative(problem, potential, float(beta))
         bound = constant * float(beta) ** 1.5 * v_moment
         rows.append({"beta": float(beta), "count": count, "bound": bound,
                      "violated": bool(count > bound)})
-    meta = {"constant": constant, "v_moment": v_moment, "h": h,
+    meta = {"constant": constant, "v_moment": v_moment,
             "violations": int(sum(r["violated"] for r in rows))}
     return ScalingStudy("counting-audit", tuple(rows), (), meta)
 

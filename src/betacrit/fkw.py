@@ -230,7 +230,7 @@ def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
         return beta
     value = bs.beta_critical(problem, potential, method="limit-kernel", m=m,
                              sector_max=_top_sector(problem, sector_max))
-    direct = beta_critical_direct(problem, potential, tol=1e-6)
+    direct = beta_critical_direct(problem, potential)
     if isinstance(direct, float) and abs(direct - value) > 1e-2 * max(value, direct):
         raise MethodDisagreement(
             f"kernel and direct thresholds disagree: {value:.6g} vs {direct:.6g}",

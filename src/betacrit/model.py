@@ -78,17 +78,6 @@ class Profile:
     def __call__(self, x):
         return np.interp(x, self.xs, self.ys, left=0.0, right=0.0)
 
-    def integral_to(self, x):
-        """Exact antiderivative of the piecewise-linear profile from lo to x."""
-        xs, ys = self.xs, self.ys
-        seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        x = np.clip(np.asarray(x, dtype=float), xs[0], xs[-1])
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-        t = x - xs[idx]
-        slope = (ys[idx + 1] - ys[idx]) / (xs[idx + 1] - xs[idx])
-        return cum[idx] + ys[idx] * t + 0.5 * slope * t * t
-
     def min_value(self) -> float:
         return float(self.ys.min())
 
@@ -227,13 +216,6 @@ class Potential:
 
     def __call__(self, r):
         return self.amplitude * self.profile(r)
-
-    def cell_average(self, r, h: float):
-        """Average of V over cells [r - h/2, r + h/2]; exact for the sampled
-        representation, so indicator edges carry their true fractional weight."""
-        upper = self.profile.integral_to(np.asarray(r, dtype=float) + 0.5 * h)
-        lower = self.profile.integral_to(np.asarray(r, dtype=float) - 0.5 * h)
-        return self.amplitude * (upper - lower) / h
 
     def is_zero(self) -> bool:
         return self.amplitude == 0.0 or self.profile.max_value() == 0.0

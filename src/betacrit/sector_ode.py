@@ -19,10 +19,15 @@ traceless, so Omega^2 = D I and exp(Omega) = cos t + sin(t)/t Omega for
 D = -t^2 (a step turning the state by about t) or cosh t + sinh(t)/t Omega
 for D = t^2 (a growing step, kept divided by e^t).  Where p, q and w are
 constant the step is exact.
+
+``zero_energy_count`` reads the number of negative eigenvalues off the
+Pruefer angle at lambda = 0 (Sturm oscillation; Pryce 1993, as in SLEDGE and
+MATSLISE), stepping all sectors of a chunk together on one mesh.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -31,8 +36,11 @@ from .errors import UnconvergedError
 from .model import Potential, ProblemSpec
 
 STEPS_PER_UNIT = 1000  # fewest steps per unit length where p, q or w varies
-MAX_TURN = 0.25        # most an oscillating step may turn the state, in radians
+MAX_TURN = 0.25        # most an oscillating step may turn the state, in radians,
+                       # and a count's step may grow a sector that can bind, in e-folds
 MAX_STEPS = 2 ** 18    # most steps of one integration
+MAX_WORK = 2 ** 22     # most steps x sectors of one count
+CHUNK = 2 ** 18        # most steps x sectors stepped at once
 GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
@@ -166,7 +174,7 @@ class SectorODE:
         d = self.dimension
         w = r ** (d - 1)
         a = 1.0 if self.problem.coefficient is None else self.problem.coefficient(r)
-        q = a * self._cent * r ** (d - 3) if self._cent else 0.0
+        q = a * self._cent * r ** (d - 3) if np.any(self._cent) else 0.0 * self._cent
         if self.potential is not None:
             q = q - self.beta * self.potential(r) * w
         return a * w, q, w
@@ -183,7 +191,7 @@ class SectorODE:
         """
         d, l, k = self.dimension, self.sector, math.sqrt(-lam)
         if lam == 0:
-            log_derivative = -max(l + d - 2, 0) / r
+            log_derivative = -np.maximum(l + d - 2, 0) / r
         elif d == 1:  # e^{-kr}: the line has no centrifugal term
             log_derivative = -k
         else:
@@ -201,6 +209,35 @@ class SectorODE:
         k = math.sqrt(-lam)
         return ((r / r0) ** (1.0 - 0.5 * self.dimension) * np.exp(-k * (r - r0))
                 * kve(self._nu, k * r) / kve(self._nu, k * r0))
+
+    def free_step(self, start: float, end: float) -> np.ndarray:
+        """Entries m00, m01, m10, m11 of the zero-energy step from ``start``
+        to ``end`` across a span where V = 0 and a = 1, up to a positive
+        factor: exact, from the free solutions r^l and r^{-(l+d-2)} (r and 1
+        on the line, ln r and 1 in the planar sector 0).  The step does not
+        oscillate, so it turns the state by less than pi."""
+        d, l = self.dimension, self.sector
+        one = np.ones_like(l, dtype=float)
+        if d == 1:
+            return np.array([one, (end - start) * one, 0.0 * one, one])
+        # the pair's transfer matrix divided by (end/start)^l, written with
+        # e = (1 - (start/end)^s) / s, s = 2l + d - 2, which tends to ln(end/start)
+        log_rho, s = math.log(end / start), 2 * l + d - 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.where(s > 0, -np.expm1(-s * log_rho) / s, log_rho)
+        p0, p1 = self.coefficients(start)[0], self.coefficients(end)[0]
+        return np.array([1.0 - l * e, start * e / p0 * one, p1 * self._cent * e / end,
+                         p1 * start * (np.exp(-s * log_rho) + l * e) / (end * p0)])
+
+    def _in_sectors(self, sectors: np.ndarray) -> "SectorODE":
+        """This equation in every one of ``sectors`` at once, as a column:
+        coefficients, propagators, ``free_step`` and the zero-energy
+        ``decay_state`` then carry one row per sector."""
+        batch = copy.copy(self)
+        batch.sector = np.asarray(sectors)[:, None]
+        batch._cent = batch.sector * (batch.sector + self.dimension - 2)
+        batch._nu = batch.sector + 0.5 * self.dimension - 1.0
+        return batch
 
     def segment_points(self, r_in: float, r_out: float) -> list[float]:
         """[r_in, r_out] cut at every sample of V and of a, and at r_flat,
@@ -245,9 +282,9 @@ class SectorODE:
         entries m00, m01, m10, m11 of exp(Omega) e^{-g} along the first axis
         and the growth g >= 0 taken out."""
         p, q, w = self.coefficients(np.concatenate([r + GAUSS[0] * h, r + GAUSS[1] * h]))
-        a1, a2 = np.split(1.0 / p, 2)
+        a1, a2 = np.split(1.0 / p, 2, axis=-1)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            b1, b2 = np.split(q - lam * w, 2)  # integrate() checks what overflows
+            b1, b2 = np.split(q - lam * w, 2, axis=-1)  # integrate() checks what overflows
             diag = math.sqrt(3.0) / 12.0 * h * h * (a2 * b1 - a1 * b2)
             up, low = 0.5 * h * (a1 + a2), 0.5 * h * (b1 + b2)
             disc = diag * diag + up * low
@@ -287,3 +324,76 @@ class SectorODE:
             raise UnconvergedError("sector ODE integration failed",
                                    details={"segment": [start, end], "lambda": lam})
         return SectorSolution(self, lam, cuts, r, states, log, decays)
+
+
+def zero_energy_count(problem: ProblemSpec, potential: Potential, beta: float) -> int:
+    """Negative eigenvalues of the whole operator at coupling beta > 0.
+
+    By the Sturm oscillation theorem sector l holds floor(m_l / pi) + 1 of
+    them when its zero-energy mismatch m_l (``phase_mismatch`` at lambda =
+    0) is positive, and none otherwise.  Sectors are summed with their
+    multiplicities up to the first empty one: the centrifugal term only
+    raises q, so only sectors with l(l+d-2) < beta V r^2 / a somewhere can
+    bind.  The sectors of a chunk are stepped together on one mesh: one
+    exact ``free_step`` from r_flat (the obstacle without a coefficient) to
+    the well, and elsewhere at least one step on every piece, each step
+    turning sector 0, where the well turns fastest, by at most ``MAX_TURN``,
+    and growing a sector that can bind by at most ``MAX_TURN`` e-folds.
+    Past ``MAX_STEPS`` steps, or past ``MAX_WORK`` steps times the sectors
+    that can bind, it raises ``UnconvergedError``.
+    """
+    ode = SectorODE(problem.with_sector(0), potential, beta)
+    d, r_in = problem.dimension, problem.inner_radius
+    r_star, r_flat = closure_radius(problem, potential), problem.flat_radius()
+    lo = min(max(potential.support[0], r_flat), r_star)  # the free span is [r_flat, lo]
+
+    kinks = np.array(ode.segment_points(r_in, r_star))
+    probe = fill(kinks, np.full(kinks.size - 1, 8.0))
+    p, q, _ = ode.coefficients(probe)
+    reach = max(0.0, float(np.max(-q * probe * probe / p)))  # l(l+d-2) below it can bind
+    # such a sector grows by up to sqrt(reach) / r per unit length where V is small
+    rise = math.sqrt(reach) / MAX_TURN if d > 1 else 0.0
+
+    def nodes(a, b):
+        if not b > a:
+            return np.array([a])
+        cuts, turn, _ = ode.pieces(0.0, a, b)
+        grow = np.ceil(np.diff(cuts) * rise / cuts[:-1]) if rise else 0.0
+        return fill(cuts, np.maximum(np.maximum(turn, grow), 1.0))
+
+    inner, outer = nodes(r_in, r_flat), nodes(lo, r_star)
+    r = np.concatenate([inner, outer if lo > r_flat else outer[1:]])
+    limit = 1 if problem.geometry == "half_line" else 2 if d == 1 else math.inf
+    sectors = min(limit, 1 + math.ceil(0.5 * (math.sqrt((d - 2) ** 2 + 4 * reach) - d + 2)))
+    steps = r.size - 1
+    if not (steps <= MAX_STEPS and steps * sectors <= MAX_WORK):
+        raise UnconvergedError("zero-energy count needs more steps than one count takes",
+                               details={"beta": beta, "steps": steps, "sectors": sectors})
+    starts = np.array([SectorODE(problem.with_sector(l)).regular_state()
+                       for l in range(min(limit, 2))])  # sector 0 alone may differ (fkw)
+    total, first = 0, 0
+    while first < limit:
+        ls = np.arange(first, first + max(1, min(CHUNK // max(steps, 1), sectors - first)))
+        batch = ode._in_sectors(ls)
+        m, _ = batch.propagators(0.0, r[:-1], np.diff(r))
+        if lo > r_flat:
+            m[..., inner.size - 1] = batch.free_step(r_flat, lo)[..., 0]
+        y = np.empty((steps + 1, 2, ls.size))
+        u, v = y[0] = starts[np.minimum(ls, 1)].T
+        for i, (m00, m01, m10, m11) in enumerate(np.ascontiguousarray(np.moveaxis(m, -1, 0)), 1):
+            u, v = m00 * u + m01 * v, m10 * u + m11 * v
+            size = np.abs(u) + np.abs(v)
+            u, v = y[i] = u / size, v / size
+        theta = np.arctan2(y[:, 0], y[:, 1])
+        turn = np.diff(theta, axis=0)
+        turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
+        target = np.arctan2(*batch.decay_state(0.0, r_star)).ravel()
+        mismatch = theta[0] + turn.sum(axis=0) - target
+        if not np.isfinite(mismatch).all():
+            raise UnconvergedError("zero-energy count failed", details={"beta": beta})
+        for l, m_l in zip(ls.tolist(), mismatch.tolist()):
+            if not m_l > 0.0:
+                return total
+            total += problem.sector_multiplicity(l) * (math.floor(m_l / math.pi) + 1)
+        first = int(ls[-1]) + 1
+    return total

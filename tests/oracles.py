@@ -2,18 +2,29 @@
 
 Everything here is deliberately separate from the package machinery: closed
 forms, zero-energy matching, banded finite-difference boundary-value solves,
-and plain reflection arithmetic.  Tests freeze values computed by these
-routines and compare the package against them.
+finite-difference eigenvalue counts, and plain reflection arithmetic.  Tests
+freeze values computed by these routines and compare the package against
+them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 from scipy.special import iv, ive, kv, kve, spherical_jn, spherical_yn, jv, yv
+
+from betacrit.errors import UnconvergedError, ValidationError
+from betacrit.model import Potential, ProblemSpec, Profile, require_valid
+from betacrit.sector_ode import SectorODE, closure_radius
+
+DEFAULT_H = 1e-3
+DEFAULT_BISECT_TOL = 1e-6
 
 
 def threshold_wavenumber(width: float, arm: float, crossing: int = 0) -> float:
@@ -543,3 +554,184 @@ def constant_coefficient_green(problem, lam: float, x, xi):
     u_reg = free(lo)[0] - ratio * free(lo)[1] * np.exp(-2.0 * k * (lo - r0))
     c = problem.measure(r0) * (f0 * dg0 - df0 * g0)
     return u_reg * free(hi)[1] * np.exp(-k * (hi - lo)) / c
+
+
+# ---------------------------------------------------------------------------
+# finite-difference eigenvalue counts: a second discretization of the sector
+# equation, the reference for the package's zero-energy angle count
+
+
+def integral_to(profile: Profile, x):
+    """Exact antiderivative of the piecewise-linear profile from lo to x."""
+    xs, ys = profile.xs, profile.ys
+    seg = 0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    x = np.clip(np.asarray(x, dtype=float), xs[0], xs[-1])
+    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    t = x - xs[idx]
+    slope = (ys[idx + 1] - ys[idx]) / (xs[idx + 1] - xs[idx])
+    return cum[idx] + ys[idx] * t + 0.5 * slope * t * t
+
+
+def cell_average(potential: Potential, r, h: float):
+    """Average of V over cells [r - h/2, r + h/2]; exact for the sampled
+    representation, so indicator edges carry their true fractional weight."""
+    upper = integral_to(potential.profile, np.asarray(r, dtype=float) + 0.5 * h)
+    lower = integral_to(potential.profile, np.asarray(r, dtype=float) - 0.5 * h)
+    return potential.amplitude * (upper - lower) / h
+
+
+class _Mesh(NamedTuple):
+    """What no sector and no coupling changes in the pencil on [r_in, R* + 1]."""
+
+    r: np.ndarray        # nodes r_0..r_N
+    h: float
+    p_half: np.ndarray   # p at the cell midpoints
+    p_sum: np.ndarray    # (p_{i-1/2} + p_{i+1/2}) / h at the interior nodes
+    off: np.ndarray      # -p_half / h
+    weight: np.ndarray
+    v_cell: np.ndarray   # V averaged over the cells as the mesh realizes them
+
+
+def _mesh(problem: ProblemSpec, potential: Potential, h: float) -> _Mesh:
+    """Nodes of spacing h on [r_in, R* + 1], where every closure is exact."""
+    ode = SectorODE(problem)
+    r_in = problem.inner_radius
+    r_out = closure_radius(problem, potential) + 1.0
+    n = max(8, int(round((r_out - r_in) / h)))
+    r = r_in + h * np.arange(n + 1)
+    weight = ode.coefficients(r)[2]
+    p_half = ode.coefficients(r[:-1] + 0.5 * h)[0]
+    return _Mesh(r, h, p_half, (p_half[:-1] + p_half[1:]) / h, -p_half / h,
+                 weight, cell_average(potential, r, float(r[1] - r[0])))
+
+
+class SectorPencil:
+    """One sector's finite-difference pencil with the coupling factored out,
+    A(beta) = A0 - beta D_V, on the mesh of a ``_Mesh``, closed at lambda = 0.
+
+    The diagonal is assembled from the quadratic form in the order a single
+    build uses, p-sum + (q0 - beta V w) h, so it is the same to the last bit
+    for every coupling.
+    """
+
+    def __init__(self, mesh: _Mesh, problem: ProblemSpec):
+        ode = SectorODE(problem)
+        if ode.bc not in ("dirichlet", "neumann"):
+            raise ValidationError(f"unsupported sector boundary condition {ode.bc!r}")
+        self.ode, self.grid = ode, mesh
+        # Dirichlet eliminates u(r_in) = 0, the first node
+        self.first = 1 if ode.bc == "dirichlet" else 0
+        self.off = mesh.off[self.first:]
+        self.flux = ode.decay_state(0.0, mesh.r[-1])[1]  # zero-energy closure
+
+    def diag(self, beta: float) -> np.ndarray:
+        grid, h = self.grid, self.grid.h
+        q = self.ode.coefficients(grid.r)[1] - beta * grid.v_cell * grid.weight
+        diag = np.empty(q.size)
+        diag[1:-1] = grid.p_sum + q[1:-1] * h
+        diag[0] = grid.p_half[0] / h + q[0] * 0.5 * h
+        diag[-1] = grid.p_half[-1] / h + q[-1] * 0.5 * h - self.flux
+        return diag[self.first:]
+
+    def count(self, beta: float) -> int:
+        """Negative eigenvalues of A(beta)."""
+        return _sturm_count(self.diag(beta), self.off)
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray) -> int:
+    """Number of eigenvalues <= 0 of a symmetric tridiagonal.
+
+    LAPACK's bisection (``dstebz``) counts the nonpositive pivots of the
+    Sturm sequence, a zero pivot standing for -tiny; with an infinite
+    tolerance every interval has converged at once, so only the count is
+    formed.
+    """
+    if diag.size == 1:  # the wrapper rejects an empty off-diagonal
+        return int(diag[0] <= 0.0)
+    count, *_, info = dstebz(diag, off, 1, -math.inf, 0.0, 0, 0, math.inf, "B")
+    if info:
+        raise UnconvergedError("LAPACK dstebz failed", details={"info": info})
+    return count
+
+
+class SpectrumCounter:
+    """Finite-difference negative-eigenvalue counts of one problem and
+    potential, each (h, sector) pencil built on first use and kept."""
+
+    def __init__(self, problem: ProblemSpec, potential: Potential):
+        require_valid(problem, potential)
+        self.problem, self.potential = problem, potential
+        self._meshes: dict[float, _Mesh] = {}
+        self._pencils: dict[tuple[float, int], SectorPencil] = {}
+
+    def pencil(self, h: float, sector: int) -> SectorPencil:
+        pencil = self._pencils.get((h, sector))
+        if pencil is None:
+            if h not in self._meshes:
+                self._meshes[h] = _mesh(self.problem, self.potential, h)
+            pencil = SectorPencil(self._meshes[h], self.problem.with_sector(sector))
+            self._pencils[(h, sector)] = pencil
+        return pencil
+
+    def total(self, beta: float, h: float) -> int:
+        """Sum of sector counts with multiplicities, up to the first empty
+        sector (sectors empty out monotonically)."""
+        problem = self.problem
+        if problem.geometry == "half_line":
+            return self.pencil(h, 0).count(beta)
+        if problem.dimension == 1:  # even/odd components of the punctured line
+            return sum(self.pencil(h, l).count(beta) for l in (0, 1))
+        total = 0
+        for l in itertools.count():
+            c = self.pencil(h, l).count(beta)
+            if c == 0:
+                return total
+            total += problem.sector_multiplicity(l) * c
+
+    def count(self, beta: float, h: float = DEFAULT_H, refine: bool = True) -> int:
+        """The count on the pencils at h; with ``refine`` also at h/2, and a
+        disagreement, or a coupling the mesh cannot resolve,
+        h sqrt(beta max V) > 1, raises ``UnconvergedError``."""
+        if beta < 0:
+            raise ValidationError("coupling must be nonnegative")
+        if self.potential.is_zero() or beta == 0.0:
+            return 0
+        resolution = beta * self.potential.max_value() * h * h
+        if resolution > 1.0:  # the well's wavelength spans less than a cell
+            raise UnconvergedError(
+                "mesh too coarse for this coupling: h sqrt(beta max V) > 1",
+                details={"beta": beta, "h": h, "beta_max_v_h2": resolution})
+        base = self.total(beta, h)
+        if not refine:
+            return base
+        half = self.total(beta, 0.5 * h)
+        if half != base:
+            raise UnconvergedError(
+                "negative-eigenvalue count did not stabilize under refinement",
+                details={f"h={h:g}": base, f"h={0.5 * h:g}": half})
+        return base
+
+    def threshold(self, tol: float = DEFAULT_BISECT_TOL, h: float = DEFAULT_H):
+        """Coupling threshold by bisection of sector 0's count: every other
+        sector's pencil is a principal submatrix of it plus the nonnegative
+        centrifugal diagonal, so only sector 0 decides."""
+        if self.potential.is_zero():
+            return None
+        ground = self.pencil(h, 0)
+        if ground.ode.bc == "neumann" and ground.flux == 0.0:
+            return 0.0  # A0 annihilates the constants: every coupling binds
+        lo, hi = 0.0, 1.0
+        while not ground.count(hi):  # no bound state yet
+            lo, hi = hi, 2.0 * hi
+            if hi > 2.0 ** 60:
+                return None
+        while hi - lo > tol * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent floats: tol is below their spacing
+                break
+            if ground.count(mid):
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)

@@ -36,7 +36,7 @@ def test_criterion_1_square_well_threshold_both_routes():
     oracle = oc.square_well_beta_cr(1.0, 2.0)
     kernel_route = bs.beta_critical(HALF_LINE_D, WELL, method="limit-kernel",
                                     m=400)
-    direct_route = ds.beta_critical_direct(HALF_LINE_D, WELL, tol=1e-6, h=1e-3)
+    direct_route = ds.beta_critical_direct(HALF_LINE_D, WELL)
     err_k = abs(kernel_route - oracle) / oracle
     err_d = abs(direct_route - oracle) / oracle
     assert err_k <= 1e-3
@@ -47,11 +47,11 @@ def test_criterion_1_square_well_threshold_both_routes():
 
 def test_criterion_2_threshold_counts_stable():
     oracle = oc.square_well_beta_cr(1.0, 2.0)
-    below = ds.count_negative(HALF_LINE_D, WELL, 0.9 * oracle, refine=True)
-    above = ds.count_negative(HALF_LINE_D, WELL, 1.1 * oracle, refine=True)
+    below = ds.count_negative(HALF_LINE_D, WELL, 0.9 * oracle)
+    above = ds.count_negative(HALF_LINE_D, WELL, 1.1 * oracle)
     assert below == 0 and above == 1
     report(2, f"count(0.9 beta_cr) = {below}, count(1.1 beta_cr) = {above}, "
-              "stable under mesh and truncation refinement")
+              "read off the zero-energy Pruefer angle")
 
 
 def test_criterion_3_eigenvalue_correspondence_residual():

@@ -1,6 +1,6 @@
 """The sector interface stays narrow: one propagator and one reader of what
-it integrates, both in ``sector_ode``, one user of the finite-difference
-pencil, and sectors named only by ``ProblemSpec``.  Start-up stays light: scipy is imported in the functions
+it integrates, both in ``sector_ode``, no finite-difference pencil (it is a
+test oracle), and sectors named only by ``ProblemSpec``.  Start-up stays light: scipy is imported in the functions
 that call it, so a run loads only the scipy modules it uses.  The config
 schema offers no field the command line does not read."""
 
@@ -34,16 +34,15 @@ def test_only_sector_ode_integrates_or_reads_integrator_output():
     assert hits == []
 
 
-def test_only_the_counter_names_the_fd_pencil():
-    """The finite-difference pencil is a counter and nothing else: only
-    ``direct_spectrum.py`` names it or its mesh, and no module solves a
-    banded system."""
-    pencil = re.compile(r"\b(SectorPencil|_Mesh|_mesh)\b")
+def test_no_module_names_the_fd_pencil():
+    """Counts come from the zero-energy angle: no module names the
+    finite-difference pencil, its mesh, its counter or LAPACK's ``stebz``,
+    and none solves a banded system.  ``tests/oracles.py`` keeps them."""
+    pencil = re.compile(r"\b(SectorPencil|_Mesh|_mesh|SpectrumCounter)\b|stebz")
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(SRC.glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
-            if (pencil.search(line) and path.name != "direct_spectrum.py")
-            or "solve_banded" in line]
+            if pencil.search(line) or "solve_banded" in line]
     assert hits == []
 
 
@@ -70,12 +69,14 @@ def test_the_cli_imports_no_ode_integrator(tmp_path):
     assert _fresh(code, tmp_path) == "False False"
 
 
-def test_half_line_and_planar_half_space_runs_load_no_scipy(tmp_path):
-    """A half-line kernel run and the d = 2 half-space study need no Bessel
-    function, dense solver or root finder, so they load no scipy module."""
+def test_half_line_planar_half_space_and_count_runs_load_no_scipy(tmp_path):
+    """A half-line kernel run, the d = 2 half-space study and the d = 3
+    counting audit need no Bessel function, dense solver or root finder, so
+    they load no scipy module."""
     runs = [("beta-cr", "beta_cr_square_well.json"),
             ("mu-curve", "mu_curve_neumann_1d.json"),
-            ("halfspace", "halfspace_d2.json")]
+            ("halfspace", "halfspace_d2.json"),
+            ("clr", "clr_d3.json")]
     code = "\n".join([
         "import sys",
         "from betacrit import cli",
@@ -87,7 +88,7 @@ def test_half_line_and_planar_half_space_runs_load_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("fn", [
-    SectorODE, ds.SectorPencil, ds.phase_mismatch, ds.ground_state,
+    SectorODE, ds.phase_mismatch, ds.ground_state,
     ds.eigenfunction, ds.eigenvalue_residual,
     fkw._dirichlet_resolvent, ProblemSpec.effective_bc,
 ], ids=lambda fn: fn.__qualname__)
@@ -97,11 +98,11 @@ def test_sector_is_named_only_by_the_problem(fn):
 
 def test_every_numerics_and_study_field_is_read_by_the_cli():
     """A field the schema accepts but no runner reads would be a silent knob;
-    ``r_max`` stays accepted and ignored while the benchmark generator
-    writes it."""
+    ``mesh_h`` and ``r_max`` stay accepted and ignored while the benchmark
+    generator writes them."""
     schema = json.loads((SRC / "schemas" / "config.schema.json").read_text())
     source = (SRC / "cli.py").read_text()
     unread = [f"{section}.{name}" for section in ("numerics", "study")
               for name in schema["properties"][section]["properties"]
               if not re.search(rf'(\[|\.get\()"{name}"', source)]
-    assert unread == ["numerics.r_max"]
+    assert unread == ["numerics.mesh_h", "numerics.r_max"]
