@@ -20,7 +20,7 @@ import numpy as np
 from . import birman_schwinger as bs
 from .errors import UnconvergedError, ValidationError
 from .model import Potential, ProblemSpec, require_valid
-from .sector_ode import SectorODE, closure_radius, zero_energy_count
+from .sector_ode import SectorODE, ZeroEnergyAngle, closure_radius, zero_energy_count
 
 PROFILE_NODES = 4000  # eigenfunction samples up to R*, and a quarter as many past it
 RESIDUAL_H = 1e-2  # spacing of the residual check's sub-grids
@@ -54,8 +54,13 @@ def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
 
     theta is the Pruefer angle of (u, p u') along the regular solution, the
     target that of the decaying free solution at R*.  As lam rises theta
-    rises and the target falls, so the mismatch increases with lam.
+    rises and the target falls, so the mismatch increases with lam.  At
+    lam = 0 it is the ``ZeroEnergyAngle`` that counts read, refined in
+    sector 0, where its root is the threshold.
     """
+    if lam == 0.0:
+        return float(ZeroEnergyAngle(problem, potential, beta).mismatch(
+            [problem.sector], refined=problem.sector == 0)[0])
     ode = SectorODE(problem, potential, beta)
     r_star = closure_radius(problem, potential)
     theta = ode.integrate(lam, ode.regular_state(), problem.inner_radius, r_star).angle
@@ -176,6 +181,7 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential):
     if ode.bc == "neumann" and ode.decay_state(0.0, closure_radius(problem, potential))[1] == 0.0:
         return 0.0
 
+    @functools.cache  # brentq evaluates the bracket's ends again
     def mismatch(beta):
         return phase_mismatch(ground, potential, beta, 0.0)
 

@@ -41,6 +41,8 @@ MAX_TURN = 0.25        # most an oscillating step may turn the state, in radians
 MAX_STEPS = 2 ** 18    # most steps of one integration
 MAX_WORK = 2 ** 22     # most steps x sectors of one count
 CHUNK = 2 ** 18        # most steps x sectors stepped at once
+WELL_STEPS = 1000      # fewest steps of sector 0's refined zero-energy angle
+GUARD = 0.05           # radians from a crossing where a count reads the refined angle
 GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
@@ -65,6 +67,32 @@ def fill(cuts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     j = np.arange(piece.size) - np.repeat(np.cumsum(steps) - steps, steps)
     r = cuts[piece] + (cuts[piece + 1] - cuts[piece]) * (j / steps[piece])
     return np.append(r, cuts[-1])
+
+
+def walk(steps, u, v) -> np.ndarray:
+    """(u, v, size) along the first axis, at the start and after each of
+    ``steps`` (rows m00, m01, m10, m11 of floats or of arrays): the state is
+    scaled to unit 1-norm after every step, and size is the 1-norm it had
+    before."""
+    size = abs(u) + abs(v)
+    u, v = u / size, v / size
+    states = [u, v, size]
+    for m00, m01, m10, m11 in steps:
+        u, v = m00 * u + m01 * v, m10 * u + m11 * v
+        size = abs(u) + abs(v)
+        u, v = u / size, v / size
+        states += u, v, size
+    return np.array(states).reshape((-1, 3) + np.shape(u))
+
+
+def pruefer_angle(u, v, axis: int = -1):
+    """Pruefer angle atan2(u, v) at the last node along ``axis``, carried
+    from the first: no step turns the state by pi, so each adds its
+    principal change."""
+    theta = np.arctan2(u, v)
+    turn = np.diff(theta, axis=axis)
+    return np.take(theta, 0, axis=axis) + (turn - 2.0 * math.pi * np.round(
+        turn / (2.0 * math.pi))).sum(axis=axis)
 
 
 class SectorSolution:
@@ -98,12 +126,8 @@ class SectorSolution:
 
     @property
     def angle(self) -> float:
-        """Pruefer angle atan2(u, p u') at the end, carried from the start:
-        no step turns the state by pi, so each adds its principal change."""
-        theta = np.arctan2(self.y[0], self.y[1])
-        turn = np.diff(theta)
-        turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
-        return float(theta[0] + turn.sum())
+        """Pruefer angle atan2(u, p u') at the end, carried from the start."""
+        return float(pruefer_angle(self.y[0], self.y[1]))
 
     def log_state(self, r):
         """(y, s) at the radii r, with the state (u, p u') equal to y e^s."""
@@ -281,10 +305,11 @@ class SectorODE:
         """Magnus steps from the radii r over the lengths h: (m, g), with the
         entries m00, m01, m10, m11 of exp(Omega) e^{-g} along the first axis
         and the growth g >= 0 taken out."""
+        n = np.shape(r)[-1]  # the second Gauss points start at n
         p, q, w = self.coefficients(np.concatenate([r + GAUSS[0] * h, r + GAUSS[1] * h]))
-        a1, a2 = np.split(1.0 / p, 2, axis=-1)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            b1, b2 = np.split(q - lam * w, 2, axis=-1)  # integrate() checks what overflows
+            a, b = 1.0 / p, q - lam * w  # integrate() checks what overflows
+            a1, a2, b1, b2 = a[..., :n], a[..., n:], b[..., :n], b[..., n:]
             diag = math.sqrt(3.0) / 12.0 * h * h * (a2 * b1 - a1 * b2)
             up, low = 0.5 * h * (a1 + a2), 0.5 * h * (b1 + b2)
             disc = diag * diag + up * low
@@ -307,90 +332,118 @@ class SectorODE:
         if start > end:
             r, cuts = r[::-1], cuts[::-1]
         m, growth = self.propagators(lam, r[:-1], np.diff(r))
-        u, v = float(y[0]), float(y[1])
-        size = abs(u) + abs(v)
-        u, v = u / size, v / size
-        steps = [u, v, size]
-        for m00, m01, m10, m11 in zip(*m.tolist()):
-            u, v = m00 * u + m01 * v, m10 * u + m11 * v
-            size = abs(u) + abs(v)
-            u /= size
-            v /= size
-            steps += u, v, size
-        states, sizes = np.split(np.array(steps).reshape(-1, 3).T, [2])
+        states = walk(zip(*m.tolist()), float(y[0]), float(y[1])).T
         with np.errstate(divide="ignore", invalid="ignore"):
-            log = np.cumsum(np.log(sizes[0]) + np.append(0.0, growth))
+            states, log = states[:2], np.cumsum(np.log(states[2]) + np.append(0.0, growth))
         if not (np.isfinite(states).all() and np.isfinite(log[-1])):
             raise UnconvergedError("sector ODE integration failed",
                                    details={"segment": [start, end], "lambda": lam})
         return SectorSolution(self, lam, cuts, r, states, log, decays)
 
 
+class ZeroEnergyAngle:
+    """The zero-energy Pruefer angle of every sector of ``problem`` at
+    coupling beta.
+
+    ``mismatch`` steps sectors together on the turn mesh: one exact
+    ``free_step`` from r_flat (the obstacle without a coefficient) to the
+    well, and elsewhere at least one step on every piece, each turning
+    sector 0, where the well turns fastest, by at most ``MAX_TURN``, and
+    growing a sector that can bind by at most ``MAX_TURN`` e-folds.  With
+    ``refined`` sector 0, whose sign change is the threshold, steps on that
+    mesh with at least ``WELL_STEPS`` steps per length of the stepped span
+    (all but the free step) where p, q or w varies: its angle holds to
+    about 1e-13, and a dilated well on the line takes the same steps.
+    Past ``MAX_STEPS`` steps either mesh raises ``UnconvergedError``.
+    """
+
+    def __init__(self, problem: ProblemSpec, potential: Potential, beta: float):
+        self.beta = beta
+        ode = self.ode = SectorODE(problem.with_sector(0), potential, beta)
+        d, r_in = problem.dimension, problem.inner_radius
+        self.r_star, r_flat = closure_radius(problem, potential), problem.flat_radius()
+        lo = min(max(potential.support[0], r_flat), self.r_star)  # free span [r_flat, lo]
+        self._spans, self._meshes = ((r_in, r_flat), (lo, self.r_star)), {}
+        reach = 0.0  # l(l+d-2) below it can bind; on the line every sector can
+        if d > 1:
+            kinks = np.array(ode.segment_points(r_in, self.r_star))
+            probe = fill(kinks, np.full(kinks.size - 1, 8.0))
+            p, q, _ = ode.coefficients(probe)
+            reach = max(reach, float(np.max(-q * probe * probe / p)))
+        # such a sector grows by up to sqrt(reach) / r per unit length where V is small
+        self._rise = math.sqrt(reach) / MAX_TURN
+        self.limit = 1 if problem.geometry == "half_line" else 2 if d == 1 else math.inf
+        self.sectors = min(self.limit, 1 + math.ceil(
+            0.5 * (math.sqrt((d - 2) ** 2 + 4 * reach) - d + 2)))  # that can bind
+        self._starts = np.array([SectorODE(problem.with_sector(l)).regular_state()
+                                 for l in range(min(self.limit, 2))])  # sector 0 may differ
+
+    def mesh(self, refined: bool):
+        """(r, free): the nodes of the turn mesh, or of sector 0's refined
+        one, and the node the exact free step starts from (None without
+        a free span)."""
+        if refined not in self._meshes:
+            floor = refined * WELL_STEPS / sum(b - a for a, b in self._spans)
+            parts = [np.array([a]) for a, _ in self._spans]
+            for k, (a, b) in enumerate(self._spans):
+                if b > a:
+                    cuts, turn, exact = self.ode.pieces(0.0, a, b)
+                    width = np.diff(cuts)
+                    grow = np.ceil(width * self._rise / cuts[:-1]) if self._rise else 0.0
+                    least = np.where(exact, 1.0, np.maximum(np.ceil(width * floor), 1.0))
+                    parts[k] = fill(cuts, np.maximum(np.maximum(turn, grow), least))
+            (inner, outer), free = parts, self._spans[1][0] > self._spans[0][1]
+            r = np.concatenate([inner, outer if free else outer[1:]])
+            if not r.size - 1 <= MAX_STEPS:
+                raise UnconvergedError("zero-energy angle needs more steps than one integration "
+                                       "takes", details={"beta": self.beta, "steps": r.size - 1})
+            self._meshes[refined] = r, inner.size - 1 if free else None
+        return self._meshes[refined]
+
+    def mismatch(self, sectors, refined: bool = False) -> np.ndarray:
+        """theta(R*) - theta_target of each of ``sectors``, stepped together
+        on the turn mesh, or on sector 0's refined one."""
+        (r, free), ls = self.mesh(refined), np.asarray(sectors).ravel()
+        batch = self.ode._in_sectors(ls)
+        m, _ = batch.propagators(0.0, r[:-1], np.diff(r))
+        if free is not None:
+            m[..., free] = batch.free_step(self._spans[0][1], self._spans[1][0])[..., 0]
+        u, v = self._starts[np.minimum(ls, 1)].T
+        if ls.size == 1:  # floats step faster than arrays of one
+            y = walk(zip(*m[:, 0].tolist()), float(u[0]), float(v[0]))[..., None]
+        else:
+            y = walk(np.ascontiguousarray(np.moveaxis(m, -1, 0)), u, v)
+        target = np.arctan2(*batch.decay_state(0.0, self.r_star)).ravel()
+        mismatch = pruefer_angle(y[:, 0], y[:, 1], axis=0) - target
+        if not np.isfinite(mismatch).all():
+            raise UnconvergedError("zero-energy angle failed", details={"beta": self.beta})
+        return mismatch
+
+
 def zero_energy_count(problem: ProblemSpec, potential: Potential, beta: float) -> int:
     """Negative eigenvalues of the whole operator at coupling beta > 0.
 
     By the Sturm oscillation theorem sector l holds floor(m_l / pi) + 1 of
-    them when its zero-energy mismatch m_l (``phase_mismatch`` at lambda =
-    0) is positive, and none otherwise.  Sectors are summed with their
-    multiplicities up to the first empty one: the centrifugal term only
-    raises q, so only sectors with l(l+d-2) < beta V r^2 / a somewhere can
-    bind.  The sectors of a chunk are stepped together on one mesh: one
-    exact ``free_step`` from r_flat (the obstacle without a coefficient) to
-    the well, and elsewhere at least one step on every piece, each step
-    turning sector 0, where the well turns fastest, by at most ``MAX_TURN``,
-    and growing a sector that can bind by at most ``MAX_TURN`` e-folds.
-    Past ``MAX_STEPS`` steps, or past ``MAX_WORK`` steps times the sectors
-    that can bind, it raises ``UnconvergedError``.
+    them when its zero-energy mismatch m_l (``ZeroEnergyAngle.mismatch``)
+    is positive, and none otherwise.  Within ``GUARD`` of a crossing sector
+    0 reads its refined angle, so a coupling next to the threshold counts on
+    the side ``beta_critical_direct`` puts it.  Sectors are summed with
+    their multiplicities up to the first empty one: the centrifugal term
+    only raises q, so only sectors with l(l+d-2) < beta V r^2 / a somewhere
+    can bind.  Past ``MAX_WORK`` steps times the sectors that can bind it
+    raises ``UnconvergedError``.
     """
-    ode = SectorODE(problem.with_sector(0), potential, beta)
-    d, r_in = problem.dimension, problem.inner_radius
-    r_star, r_flat = closure_radius(problem, potential), problem.flat_radius()
-    lo = min(max(potential.support[0], r_flat), r_star)  # the free span is [r_flat, lo]
-
-    kinks = np.array(ode.segment_points(r_in, r_star))
-    probe = fill(kinks, np.full(kinks.size - 1, 8.0))
-    p, q, _ = ode.coefficients(probe)
-    reach = max(0.0, float(np.max(-q * probe * probe / p)))  # l(l+d-2) below it can bind
-    # such a sector grows by up to sqrt(reach) / r per unit length where V is small
-    rise = math.sqrt(reach) / MAX_TURN if d > 1 else 0.0
-
-    def nodes(a, b):
-        if not b > a:
-            return np.array([a])
-        cuts, turn, _ = ode.pieces(0.0, a, b)
-        grow = np.ceil(np.diff(cuts) * rise / cuts[:-1]) if rise else 0.0
-        return fill(cuts, np.maximum(np.maximum(turn, grow), 1.0))
-
-    inner, outer = nodes(r_in, r_flat), nodes(lo, r_star)
-    r = np.concatenate([inner, outer if lo > r_flat else outer[1:]])
-    limit = 1 if problem.geometry == "half_line" else 2 if d == 1 else math.inf
-    sectors = min(limit, 1 + math.ceil(0.5 * (math.sqrt((d - 2) ** 2 + 4 * reach) - d + 2)))
-    steps = r.size - 1
-    if not (steps <= MAX_STEPS and steps * sectors <= MAX_WORK):
+    angle = ZeroEnergyAngle(problem, potential, beta)
+    steps, sectors = angle.mesh(False)[0].size - 1, angle.sectors
+    if not steps * sectors <= MAX_WORK:
         raise UnconvergedError("zero-energy count needs more steps than one count takes",
                                details={"beta": beta, "steps": steps, "sectors": sectors})
-    starts = np.array([SectorODE(problem.with_sector(l)).regular_state()
-                       for l in range(min(limit, 2))])  # sector 0 alone may differ (fkw)
     total, first = 0, 0
-    while first < limit:
+    while first < angle.limit:
         ls = np.arange(first, first + max(1, min(CHUNK // max(steps, 1), sectors - first)))
-        batch = ode._in_sectors(ls)
-        m, _ = batch.propagators(0.0, r[:-1], np.diff(r))
-        if lo > r_flat:
-            m[..., inner.size - 1] = batch.free_step(r_flat, lo)[..., 0]
-        y = np.empty((steps + 1, 2, ls.size))
-        u, v = y[0] = starts[np.minimum(ls, 1)].T
-        for i, (m00, m01, m10, m11) in enumerate(np.ascontiguousarray(np.moveaxis(m, -1, 0)), 1):
-            u, v = m00 * u + m01 * v, m10 * u + m11 * v
-            size = np.abs(u) + np.abs(v)
-            u, v = y[i] = u / size, v / size
-        theta = np.arctan2(y[:, 0], y[:, 1])
-        turn = np.diff(theta, axis=0)
-        turn -= 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
-        target = np.arctan2(*batch.decay_state(0.0, r_star)).ravel()
-        mismatch = theta[0] + turn.sum(axis=0) - target
-        if not np.isfinite(mismatch).all():
-            raise UnconvergedError("zero-energy count failed", details={"beta": beta})
+        mismatch = angle.mismatch(ls)
+        if first == 0 and abs(mismatch[0] - math.pi * round(mismatch[0] / math.pi)) < GUARD:
+            mismatch[:1] = angle.mismatch([0], refined=True)  # the side the threshold reads
         for l, m_l in zip(ls.tolist(), mismatch.tolist()):
             if not m_l > 0.0:
                 return total

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from betacrit.errors import UnconvergedError
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
-from betacrit.sector_ode import MAX_STEPS, MAX_TURN, STEPS_PER_UNIT, SectorODE, closure_radius
+from betacrit.sector_ode import (GUARD, MAX_STEPS, MAX_TURN, STEPS_PER_UNIT, SectorODE,
+                                 ZeroEnergyAngle, closure_radius)
 
 BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
 POT = Potential(Profile.indicator(1.5, 2.5), 2.0)
@@ -281,3 +282,38 @@ class TestClosureAndSegments:
             ode.integrate(0.0, ode.regular_state(), 1.0, 2.5)
         assert err.value.details["segment"] == [1.0, 2.5]
         assert err.value.details["steps"] > MAX_STEPS
+
+
+ANGLE_PROBLEMS = (LINE, ProblemSpec(1, "half_line", "neumann"), BALL3,
+                  ProblemSpec(1, "exterior_ball", "fkw", radius=1.0),
+                  ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0),
+                  ProblemSpec(3, "exterior_ball", "fkw", radius=1.0),
+                  ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A),
+                  ProblemSpec(3, "exterior_ball", "dirichlet", radius=0.3))
+
+
+class TestZeroEnergyAngle:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(ANGLE_PROBLEMS), st.sampled_from(("indicator", "tent", "bump")),
+           st.floats(0.0, 1.5), st.floats(0.05, 2.0), st.floats(0.3, 3.0),
+           st.floats(math.log(0.3), math.log(3e4)))
+    def test_turn_mesh_angle_stays_well_inside_the_guard(self, prob, shape, offset,
+                                                         width, height, log_beta):
+        # a count reads sector 0 off the turn mesh farther than GUARD from a
+        # crossing, so it must count as the refined angle there
+        lo = prob.inner_radius + offset
+        angle = ZeroEnergyAngle(prob, Potential(getattr(Profile, shape)(lo, lo + width, height)),
+                                math.exp(log_beta))
+        # (they differed by 3.3e-4 at most on 400 random wells)
+        turn, refined = angle.mismatch([0])[0], angle.mismatch([0], refined=True)[0]
+        assert abs(turn - refined) < 0.1 * GUARD
+
+    def test_only_sector_0_takes_the_refined_mesh(self):
+        # the d = 3 tent: the turn mesh takes few steps, the refined one at
+        # least 1,000 on the well, and every other sector the turn mesh
+        angle = ZeroEnergyAngle(BALL3, Potential(Profile.tent(1.2, 1.9, 1.5)), 2.0)
+        assert angle.mesh(False)[0].size < 20
+        assert angle.mesh(True)[0].size > 1000
+        pair = angle.mismatch([0, 1])
+        assert pair[1] == angle.mismatch([1])[0]
+        assert pair[0] == pytest.approx(angle.mismatch([0], refined=True)[0], abs=1e-3)
