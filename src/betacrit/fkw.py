@@ -67,10 +67,10 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
     require_valid(problem, potential)
     if lam > 0:
         raise ValidationError("the exterior solve needs lambda <= 0")
-    if lam == 0 and problem.dimension <= 2:
-        raise KernelLimitError("no decaying zero-energy solution in this sector")
     r_star = closure_radius(problem, potential)
     ode = SectorODE(problem.with_sector(0), potential, beta)
+    if lam == 0 and ode.decay_state(0.0, r_star)[1] == 0.0:
+        raise KernelLimitError("no decaying zero-energy solution in this sector")
     v = ode.integrate(lam, ode.decay_state(lam, r_star), r_star, problem.inner_radius,
                       decays=True)
     v.normalize(problem.inner_radius)  # only the ratio to the trace matters

@@ -7,9 +7,10 @@ element reproduces the sector operator exactly.
 
 On the half-line and in every exterior-ball sector the kernel is
 G(r, rho) = u_reg(min) u_dec(max) / C, where u_reg meets the boundary
-condition and u_dec decays at infinity.  ``solution_pair`` is the only place
-that knows these solutions: the sector ODE up to r_f (where a flattens to 1,
-or R* with a potential; empty where a == 1), the free solutions beyond.  Each
+condition and u_dec decays at infinity.  ``solution_pair`` builds these
+solutions: the sector ODE up to r_f (where a flattens to 1, or R* with a
+potential; empty where a == 1), matched there to the free solutions of
+``SectorODE.free_pair``, which is the one place that writes those down.  Each
 comes apart from its log-scale, u = y e^s, and the scales are added before
 anything is exponentiated, so kernels stay finite for any k = sqrt(-lambda).
 """
@@ -43,48 +44,15 @@ def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None 
                               "kernels on point clouds")
     if lam > 0:
         raise ValidationError("Green functions need lambda <= 0")
-    d, l = problem.dimension, problem.sector
-    k = math.sqrt(-lam)
-    # for d + l <= 2 the zero-energy decaying solution is constant
-    if k == 0 and problem.effective_bc() == "neumann" and d + l <= 2:
-        raise KernelLimitError(f"limit kernel divergent for the Neumann condition "
-                               f"on the {problem.geometry} (d={d}, sector {l})")
-
-    def free(r, derivatives=False, growing=True):
-        """Free solutions g(r) e^{kr} (growing) and f(r) e^{-kr} (decaying) as
-        (g, f); with ``derivatives`` also their r-derivatives, scaled alike.
-        Without ``growing`` the Bessel branch skips g and returns NaN."""
-        r = np.asarray(r, dtype=float)
-        if d == 1:  # sinh(kr)/k and e^{-kr}; r and 1 at zero energy
-            g = r if k == 0 else -np.expm1(-2.0 * k * r) / (2.0 * k)
-            dg = 0.5 * (1.0 + np.exp(-2.0 * k * r))
-            f, df = np.ones_like(r), np.full_like(r, -k)
-        elif k == 0:
-            q = l + d - 2
-            if q == 0:
-                g, dg, f, df = np.log(r), 1.0 / r, np.ones_like(r), np.zeros_like(r)
-            else:
-                g, dg = r ** l, l * r ** (l - 1.0)
-                f, df = r ** (-q), -q * r ** (-q - 1.0)
-        else:
-            # r^{1-d/2} I_nu(kr) and r^{1-d/2} K_nu(kr) through the scaled Bessels
-            from scipy.special import ive, kve
-            nu = l + 0.5 * d - 1.0
-            z = k * r
-            amp = r ** (1.0 - 0.5 * d)
-            i_nu, k_nu = (ive(nu, z) if growing else np.nan), kve(nu, z)
-            g, f = amp * i_nu, amp * k_nu
-            if derivatives:
-                s = (1.0 - 0.5 * d) / r
-                dg = s * g + amp * k * (ive(nu + 1.0, z) + (nu / z) * i_nu)
-                df = s * f + amp * k * (-kve(nu + 1.0, z) + (nu / z) * k_nu)
-        return (g, f, dg, df) if derivatives else (g, f)
-
     r0 = problem.inner_radius
     rf = problem.flat_radius() if potential is None else closure_radius(problem, potential)
     ode = SectorODE(problem, potential, beta)
-    p_rf = ode.coefficients(rf)[0]
-    g, f, dg, df = (float(v) for v in free(rf, derivatives=True))
+    # the zero-energy flux at r_f + 1, since r_f is 0 on the bare half-line
+    if lam == 0 and ode.bc == "neumann" and ode.decay_state(0.0, rf + 1.0)[1] == 0.0:
+        raise KernelLimitError(f"limit kernel divergent for the Neumann condition on the "
+                               f"{problem.geometry} (d={ode.dimension}, sector {ode.sector})")
+    k, p_rf = math.sqrt(-lam), ode.coefficients(rf)[0]
+    g, f, dg, df = (float(v) for v in ode.free_pair(lam, rf, derivatives=True))
     inward = outward = None  # the span [r0, r_f] is empty where a == 1
     y_rf, s_rf = np.array(ode.regular_state()), 0.0
     if rf > r0:
@@ -111,13 +79,13 @@ def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None 
         return read
 
     def reg_outside(r):
-        g_o, f_o = free(r)
+        g_o, f_o = ode.free_pair(lam, r)
         return alpha * g_o + beta * f_o * np.exp(-2.0 * k * (r - rf)), k * (r - rf)
 
     # the decaying solution starts from the true size of (f, p f') at r_f,
     # so it keeps its own log-scale; the regular one is taken relative to r_f
     reg = joined(outward, s_rf, reg_outside)
-    dec = joined(inward, 0.0, lambda r: (free(r, growing=False)[1], -k * (r - rf)))
+    dec = joined(inward, 0.0, lambda r: (ode.free_pair(lam, r, growing=False)[1], -k * (r - rf)))
     # p (u_dec u_reg' - u_dec' u_reg) is constant; the coefficient is 1 at r_f
     return reg, dec, float(problem.measure(rf) * (f * du_rf - df * u_rf))
 

@@ -7,9 +7,9 @@ In sector l of a d-dimensional problem every route solves
 
 with the diffusion coefficient a(r) and the potential V.  ``SectorODE`` is
 the only code that knows p, q and w, the first-order form y' = A y of the
-equation for y = (u, p u'), the decaying free solution past the closure
-radius R*, and how to step across the kinks of V and a.  ``SectorSolution``
-is the only reader of what it integrates.
+equation for y = (u, p u'), how to step across the kinks of V and a, and the
+free solutions past the closure radius R* (``free_pair``, which the Green
+functions read).  ``SectorSolution`` is the only reader of what it integrates.
 
 A step of length h is the fourth-order Magnus propagator on two Gauss points
 (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), y -> exp(Omega) y
@@ -140,9 +140,11 @@ class SectorSolution:
             if not self.decays:
                 raise ValueError("no decaying tail past the end of this solution")
             outer = 0 if self.r[0] == hi else -1
-            u = self.y[0, outer] * self.ode.decay_ratio(self.lam, r[tail], hi)
-            y[:, tail] = u, u * self.ode.decay_state(self.lam, r[tail])[1]
-            s[tail] = self.log[outer]
+            _, f, _, df = self.ode.free_pair(self.lam, np.append(hi, r[tail]),
+                                             derivatives=True, growing=False)
+            u = self.y[0, outer] / f[0]
+            y[:, tail] = u * f[1:], u * self.ode.coefficients(r[tail])[0] * df[1:]
+            s[tail] = self.log[outer] - math.sqrt(-self.lam) * (r[tail] - hi)
         inside = (r >= lo - 1e-12) & ~tail
         if inside.any():
             x = np.clip(r[inside], lo, hi)
@@ -207,32 +209,51 @@ class SectorODE:
         """(u, p u') meeting the sector's boundary condition on the obstacle."""
         return (0.0, 1.0) if self.bc == "dirichlet" else (1.0, 0.0)
 
+    def free_pair(self, lam: float, r, derivatives: bool = False, growing: bool = True):
+        """Free solutions (V = 0, a = 1) at the radii r, growing g(r) e^{kr} and
+        decaying f(r) e^{-kr}, k = sqrt(-lambda), as (g, f); with ``derivatives``
+        also their r-derivatives, scaled alike.  sinh(kr)/k and e^{-kr} on the
+        line, r^{1-d/2} I_nu(kr) and r^{1-d/2} K_nu(kr) otherwise (DLMF 10.29);
+        at lambda = 0 r and 1 on the line, ln r and 1 in the planar sector 0,
+        r^l and r^{-(l+d-2)} otherwise.  Without ``growing`` g is NaN.  A Bessel
+        value that is not finite raises ``UnconvergedError``."""
+        d, l, k = self.dimension, self.sector, math.sqrt(-lam)
+        r = np.asarray(r, dtype=float)
+        if d == 1:
+            g = r if k == 0 else -np.expm1(-2.0 * k * r) / (2.0 * k)
+            dg = 0.5 * (1.0 + np.exp(-2.0 * k * r))
+            f, df = np.ones_like(r), np.full_like(r, -k)
+        elif k == 0 and l + d == 2:  # the planar sector 0
+            g, dg, f, df = np.log(r), 1.0 / r, np.ones_like(r), np.zeros_like(r)
+        elif k == 0:
+            q = l + d - 2
+            g, dg, f, df = r ** l, l * r ** (l - 1.0), r ** (-q), -q * r ** (-q - 1.0)
+        else:  # the Bessels scaled by e^{-z} and e^{z}
+            from scipy.special import ive, kve
+            nu, z, amp = self._nu, k * r, r ** (1.0 - 0.5 * d)
+            k_n = [kve(nu + j, z) for j in range(1 + derivatives)]
+            i_n = [ive(nu + j, z) if growing else np.nan for j in range(1 + derivatives)]
+            if not np.isfinite(k_n + i_n if growing else k_n).all():
+                raise UnconvergedError("Bessel functions of the free pair out of range",
+                                       details={"lambda": lam, "sector": l})
+            g, f = amp * i_n[0], amp * k_n[0]
+            if derivatives:
+                s = (1.0 - 0.5 * d) / r
+                dg = s * g + amp * k * (i_n[1] + (nu / z) * i_n[0])
+                df = s * f + amp * k * (-k_n[1] + (nu / z) * k_n[0])
+        return (g, f, dg, df) if derivatives else (g, f)
+
     def decay_state(self, lam: float, r: float) -> tuple[float, float]:
         """(u, p u') of the decaying free solution at a radius past the well.
 
         At lambda = 0 the bounded solution takes over, r^{-(l+d-2)} when that
-        decays and a constant otherwise.
-        """
-        d, l, k = self.dimension, self.sector, math.sqrt(-lam)
+        decays and a constant otherwise; its log-derivative is written out,
+        since r^{-(l+d-2)} underflows in the far sectors a count steps."""
+        p = self.coefficients(r)[0]
         if lam == 0:
-            log_derivative = -np.maximum(l + d - 2, 0) / r
-        elif d == 1:  # e^{-kr}: the line has no centrifugal term
-            log_derivative = -k
-        else:
-            from scipy.special import kve
-            log_derivative = l / r - k * kve(self._nu + 1.0, k * r) / kve(self._nu, k * r)
-        return 1.0, self.coefficients(r)[0] * log_derivative
-
-    def decay_ratio(self, lam: float, r, r0: float):
-        """u(r) / u(r0) along the decaying free solution r^{1-d/2} K_nu(k r),
-        for r, r0 past the well; at lambda = 0 along the bounded one of
-        ``decay_state``."""
-        if lam == 0:
-            return (r / r0) ** -max(self.sector + self.dimension - 2, 0)
-        from scipy.special import kve
-        k = math.sqrt(-lam)
-        return ((r / r0) ** (1.0 - 0.5 * self.dimension) * np.exp(-k * (r - r0))
-                * kve(self._nu, k * r) / kve(self._nu, k * r0))
+            return 1.0, p * (-np.maximum(self.sector + self.dimension - 2, 0) / r)
+        _, f, _, df = self.free_pair(lam, r, derivatives=True, growing=False)
+        return 1.0, p * (df / f)
 
     def free_step(self, start: float, end: float) -> np.ndarray:
         """Entries m00, m01, m10, m11 of the zero-energy step from ``start``

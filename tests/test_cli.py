@@ -114,7 +114,9 @@ class TestConfigHandling:
         assert diag["error"] == "numerical-failure"
 
     def test_failed_integration_exit_code(self, tmp_path):
-        # at lambda = -1e300 the coefficient ODE's step exponents overflow
+        # at lambda = -1e300 the coefficient ODE's step exponents overflow; the
+        # free pair it is matched to at r_f = 2 (k r = 2e150, past the range of
+        # the scaled Bessels) fails first
         cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
                            "boundary_condition": "dirichlet", "radius": 1.0,
                            "coefficient": {"samples": [[1.0, 2.0], [2.0, 1.0]],
@@ -131,7 +133,35 @@ class TestConfigHandling:
         diag = json.loads(lines[0])
         assert diag["error"] == "numerical-failure"
         assert diag["type"] == "UnconvergedError"
-        assert diag["details"] == {"segment": [2.0, 1.0], "lambda": -1e300}
+        assert diag["details"] == {"lambda": -1e300, "sector": 0}
+
+    @pytest.mark.parametrize("subcommand, problem, extra", [
+        ("mu-curve", {"boundary_condition": "dirichlet", "sector": 3}, {}),
+        ("beta-cr", {"boundary_condition": "dirichlet", "sector": 3},
+         {"study": {"method": "extrapolation"}}),
+        ("fkw", {"boundary_condition": "fkw"},
+         {"numerics": {"sector_max": 3}, "study": {"beta": 0.0}})])
+    def test_free_pair_past_the_float_range_exits_2(self, tmp_path, subcommand, problem,
+                                                    extra):
+        # at k r near 1e-150 the scaled K_nu of the free pair overflows (in the
+        # fkw sweep K_{nu+1} of sector 1); the NaNs reached the eigensolver
+        # and ended in a traceback
+        cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3, "radius": 1.0,
+                           **problem},
+               "potential": {"kind": "indicator", "support": [1.5, 2.5]},
+               "numerics": {"m": 50},
+               "study": {"lambda_grid": [-1e-300, -1e-290, -1e-280, -1e-270, -1e-260]}}
+        for section, fields in extra.items():
+            cfg[section].update(fields)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        # a subprocess, so that numpy warnings would show on stderr
+        code, lines = betacrit(subcommand, "--config", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "numerical-failure"
+        assert diag["type"] == "UnconvergedError"
 
     def test_huge_kernel_prints_no_warning(self, tmp_path):
         # at lambda = -2.2e-311 the Neumann half-line kernel reaches 1e155,

@@ -46,6 +46,18 @@ def test_no_module_names_the_fd_pencil():
     assert hits == []
 
 
+def test_only_sector_ode_names_the_bessel_pair():
+    """``SectorODE.free_pair`` owns the free solutions: no other module names
+    the scaled Bessels, and ``green_kernels`` imports nothing from scipy."""
+    bessel = re.compile(r"\b(ive|kve)\b")
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "sector_ode.py"
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if bessel.search(line)
+            or path.name == "green_kernels.py" and SCIPY_IMPORT.match(line.strip())]
+    assert hits == []
+
+
 def _fresh(code: str, cwd) -> str:
     """Last line ``code`` prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

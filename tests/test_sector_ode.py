@@ -25,6 +25,13 @@ def _steps_per_piece(ode, lam, r_in, r_out):
     return np.diff(np.searchsorted(r, cuts)).tolist()
 
 
+def _tail_ratio(ode, lam, r, r0):
+    """u(r) / u(r0) along the decaying free solution, its scale e^{-k(r - r0)}
+    put back."""
+    f = ode.free_pair(lam, np.append(r0, r))[1]
+    return f[1:] / f[0] * np.exp(-math.sqrt(-lam) * (r - r0))
+
+
 class TestCoefficients:
     def test_values_match_the_sector_equation(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
@@ -63,30 +70,46 @@ class TestClosureAndSegments:
                 for r in (1.0, 1.5, 2.5, 40.0):
                     assert ode.decay_state(lam, r) == (1.0, -math.sqrt(-lam))
 
-    def test_decay_ratio_is_the_free_decaying_profile(self):
+    def test_free_pair_decays_as_the_free_decaying_profile(self):
         # d = 3, l = 0: u = e^{-kr}/r; d = 1: u = e^{-kr}
         k, r0, r = 0.7, 2.5, np.array([2.5, 3.0, 9.0])
-        ratio = SectorODE(BALL3).decay_ratio(-k * k, r, r0)
-        assert ratio == pytest.approx(np.exp(-k * (r - r0)) * r0 / r, rel=1e-13)
-        line = SectorODE(ProblemSpec(1, "half_line", "dirichlet"))
-        assert line.decay_ratio(-k * k, r, r0) == pytest.approx(np.exp(-k * (r - r0)),
-                                                                rel=1e-13)
+        assert _tail_ratio(SectorODE(BALL3), -k * k, r, r0) == pytest.approx(
+            np.exp(-k * (r - r0)) * r0 / r, rel=1e-13)
+        assert _tail_ratio(SectorODE(LINE), -k * k, r, r0) == pytest.approx(
+            np.exp(-k * (r - r0)), rel=1e-13)
 
-    def test_decay_ratio_at_zero_energy_is_the_bounded_free_solution(self):
+    def test_free_pair_at_zero_energy_decays_as_the_bounded_free_solution(self):
         # r^{-(l+d-2)} where that decays, a constant otherwise
         r0, r = 2.5, np.array([2.5, 3.0, 9.0])
         d3 = SectorODE(BALL3)
-        assert d3.decay_ratio(0.0, r, r0) == pytest.approx(r0 / r, rel=1e-15)
+        assert _tail_ratio(d3, 0.0, r, r0) == pytest.approx(r0 / r, rel=1e-15)
         d3_l2 = SectorODE(BALL3.with_sector(2))
-        assert d3_l2.decay_ratio(0.0, r, r0) == pytest.approx((r0 / r) ** 3, rel=1e-15)
+        assert _tail_ratio(d3_l2, 0.0, r, r0) == pytest.approx((r0 / r) ** 3, rel=1e-15)
         d2 = SectorODE(ProblemSpec(2, "exterior_ball", "neumann", radius=1.0))
-        assert np.all(d2.decay_ratio(0.0, r, r0) == 1.0)
-        line = SectorODE(ProblemSpec(1, "half_line", "dirichlet"))
-        assert np.all(line.decay_ratio(0.0, r, r0) == 1.0)
+        assert np.all(_tail_ratio(d2, 0.0, r, r0) == 1.0)
+        assert np.all(_tail_ratio(SectorODE(LINE), 0.0, r, r0) == 1.0)
         # and it is the small-k limit of the decaying branch
         for ode in (d3, d3_l2):
-            assert ode.decay_ratio(-1e-14, r, r0) == pytest.approx(
-                ode.decay_ratio(0.0, r, r0), rel=1e-6)
+            assert _tail_ratio(ode, -1e-14, r, r0) == pytest.approx(
+                _tail_ratio(ode, 0.0, r, r0), rel=1e-6)
+
+    @pytest.mark.parametrize("lam", [0.0, -1e-6, -1.0, -900.0])
+    @pytest.mark.parametrize("d, l", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 3),
+                                      (3, 0), (3, 1), (3, 3)])
+    def test_free_pair_wronskian_is_constant(self, d, l, lam):
+        # p (g f' - g' f) of two solutions of the free equation is constant;
+        # the scales e^{kr} and e^{-kr} cancel in it.  d = 2, l = 0 at zero
+        # energy is the pair ln r, 1; the half-line pair starts at r = 0, and
+        # the line has no sector past 1
+        if (d, l) == (1, 0):
+            problem, r = LINE, np.array([0.0, 0.3, 2.0, 11.0])
+        else:
+            problem = ProblemSpec(d, "exterior_ball", "dirichlet", radius=1.0, sector=l)
+            r = np.array([1.0, 1.7, 4.0, 11.0])
+        ode = SectorODE(problem)
+        g, f, dg, df = ode.free_pair(lam, r, derivatives=True)
+        wronskian = ode.coefficients(r)[0] * (g * df - dg * f)
+        assert wronskian == pytest.approx(np.full(r.size, wronskian[0]), rel=1e-12)
 
     def test_closure_radius_is_where_v_and_a_stop_varying(self):
         assert closure_radius(BALL3, POT) == 2.5
