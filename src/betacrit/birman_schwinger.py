@@ -157,9 +157,8 @@ def principal_eigenvalue(matrix):
     a = matrix.entries if isinstance(matrix, KernelMatrix) else np.asarray(matrix, dtype=float)
     theta, res, iters = _power_iteration(a)
     if iters < 0:
-        from scipy.linalg import eigh
-        evals, evecs = eigh(a, subset_by_index=[len(a) - 1, len(a) - 1])
-        theta, w = float(evals[0]), evecs[:, 0]
+        evals, evecs = np.linalg.eigh(a)
+        theta, w = float(evals[-1]), evecs[:, -1]
         res = float(np.linalg.norm(a @ w - theta * w))
         if res > EIG_TOL * max(abs(theta), 1e-300):
             raise UnconvergedError(

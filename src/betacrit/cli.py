@@ -274,10 +274,8 @@ def _run_halfspace(cfg, problem, potential, num):
 
 
 def _run_clr(cfg, problem, potential, num):
-    study_cfg = cfg.get("study", {})
-    beta_grid = study_cfg.get("beta_grid", [2.0, 5.0, 20.0, 80.0])
-    constant = study_cfg.get("constant", ex.DEFAULT_CLR_CONSTANT)
-    study = ex.clr_audit(problem, potential, beta_grid, constant=constant)
+    beta_grid = cfg.get("study", {}).get("beta_grid", [2.0, 5.0, 20.0, 80.0])
+    study = ex.clr_audit(problem, potential, beta_grid)
     cols = ("beta", "count", "bound", "violated")
     return study.to_json_dict(), cols, study.rows
 

@@ -141,8 +141,7 @@ def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,
 
 
 def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
-                                beta_grid, m: int = bs.DEFAULT_M,
-                                tol: float = 1e-10):
+                                beta_grid, m: int = bs.DEFAULT_M):
     """Residual |beta * mu0(lambda0(beta)) - 1| over a coupling grid.
 
     For each coupling the ground state energy of the problem's sector comes
@@ -153,7 +152,7 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
     if potential.is_zero():
         return rows
     for beta in beta_grid:
-        lam0 = ground_state(problem, potential, float(beta), tol=tol)
+        lam0 = ground_state(problem, potential, float(beta))
         if lam0 is None:
             raise ValidationError(f"no bound state at beta={beta:g}; "
                                   "crosscheck needs couplings above threshold")

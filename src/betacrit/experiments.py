@@ -6,7 +6,8 @@ responds as the well approaches the boundary.  Weakly singular kernels (log
 in 2-d, inverse distance in 3-d) get their Nystrom diagonal from a
 mean-value subtraction with exact cell integrals.  In 3-d every operator is
 invariant under rotation about x1, so it is solved on the meridian
-half-disk, with the kernel's azimuthal mean in closed form.
+half-disk, with the kernel's azimuthal mean in closed form; the sub-ball
+comparison operator that bounds it from below is solved in closed form.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .errors import ValidationError
 from .model import Potential, ProblemSpec, Profile, ScaledPotentialFamily
 
 C3 = 1.0 / (4.0 * math.pi)
-DEFAULT_CLR_CONSTANT = 0.1156  # d=3 counting-bound constant, configurable
+CLR_CONSTANT = 0.1156  # d=3 counting-bound constant
 # one decade past the kernel default: the planar Dirichlet tail creeps up
 # like 1/ln(1/|lambda|) and needs it to read as bounded
 DICHOTOMY_DECADES = (2, 8)
-SUB_BALL = ((0.5, 0.0, 0.0), 0.25)  # center and radius of the d=3 comparison ball
+SUB_BALL = (0.5, 0.25)  # c1 and radius of the d=3 comparison ball about c1 e1
 SEGMENT_ORDER = 32  # Gauss nodes per direction on the segment a cut removes
 
 
@@ -194,13 +195,6 @@ class _Cloud:
             self._cells[x1_min] = cells
         return self._cells[x1_min]
 
-    @functools.cached_property
-    def singular_eigenvalue(self) -> float:
-        """Top eigenvalue of the kernel g at unit density, uncut."""
-        mat = bs.assemble_points(self.pts, self.w, np.ones(len(self.pts)),
-                                 np.zeros_like(self.g), self.g, 1.0, self.cells())
-        return bs.principal_eigenvalue(mat)[0]
-
 
 def _require_kernel(d: int, sign: str):
     if d not in (2, 3):
@@ -245,27 +239,24 @@ def halfspace_kernel_matrix(d: int, sign: str, n: float, center: float,
                               cloud.cells(cut))
 
 
-def minorant_eigenvalue(d: int, shift: float, profile: Profile | None = None,
-                        ball_center=SUB_BALL[0], ball_radius: float = SUB_BALL[1],
-                        m: int = 700, *, _cloud: _Cloud | None = None) -> float:
-    """Principal eigenvalue of the fixed sub-ball comparison operator.
+def minorant_eigenvalue(shift: float, profile: Profile | None = None) -> float:
+    """Principal eigenvalue of the fixed d = 3 sub-ball comparison operator.
 
-    The image term is controlled on a ball away from the boundary:
-    |image| >= 2(c1 - r_B) + shift there, so the kernel dominates
-    rho * c3 / |y - s| with an explicit rho independent of n.  The ball
-    must be centred on the x1 axis, where the meridian rule holds it, and
-    ``_cloud`` is its cloud, which solves 1/|y - s| once for every shift.
+    On the ball B of radius R about c1 e1 (``SUB_BALL``), away from the
+    boundary, |image| >= 2(c1 - R) + shift, so the kernel dominates
+    rho alpha c3 / |y - s| there with rho independent of n and alpha the
+    least value of the profile on B's radii [c1 - R, c1 + R]: at the two
+    ends and the samples between.  The top eigenvalue of 1/|y - s| on B is
+    16 R^2 / pi, with eigenfunction sin(kr)/r and kR = pi/2.
     """
-    if d != 3:
-        raise ValidationError("the sub-ball comparison operator is a d=3 device")
-    if any(ball_center[1:]):
-        raise ValidationError("the comparison ball must be centred on the x1 axis")
-    rho = 1.0 - (2.0 * ball_radius) / (2.0 * (ball_center[0] - ball_radius) + shift)
+    c1, radius = SUB_BALL
+    rho = 1.0 - (2.0 * radius) / (2.0 * (c1 - radius) + shift)
     if rho <= 0:
         return 0.0
-    cloud = _cloud or _Cloud(3, m, radius=ball_radius, c1=ball_center[0])
-    alpha = 1.0 if profile is None else float(np.min(profile(cloud.radii)))
-    return rho * alpha * C3 * cloud.singular_eigenvalue
+    ends = (c1 - radius, c1 + radius)  # samples outside B read at its ends
+    alpha = 1.0 if profile is None else \
+        float(np.min(profile(np.clip(np.append(profile.xs, ends), *ends))))
+    return rho * alpha * C3 * (16.0 * radius ** 2 / math.pi)
 
 
 def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
@@ -287,7 +278,6 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
     # the geometry no n changes; its distances and integrals are formed by
     # the first n that needs them
     unit = _Cloud(d, m)
-    sub_ball = _Cloud(3, m, radius=SUB_BALL[1], c1=SUB_BALL[0][0]) if d == 3 else None
     for n in n_grid:
         center = family.center(n)
         row = {"n": float(n), "center": center}
@@ -307,9 +297,7 @@ def halfspace_norm_study(d: int, sign: str, family: ScaledPotentialFamily,
             row["rank_one_bound"] = (math.log(2.0 * n * center)
                                      / (2.0 * math.pi * math.log(n))) * w_mass
         else:
-            row["minorant"] = minorant_eigenvalue(d, 2.0 * n * center,
-                                                  family.base_profile, m=m,
-                                                  _cloud=sub_ball)
+            row["minorant"] = minorant_eigenvalue(2.0 * n * center, family.base_profile)
         rows.append(row)
     norms = [r["norm"] for r in rows]
     meta = {"d": d, "sign": sign, "m": m, "path": family.center_path.describe(),
@@ -357,9 +345,8 @@ def scaling_study_1d(family: ScaledPotentialFamily, n_grid,
 # counting-bound audit
 
 
-def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
-              constant: float = DEFAULT_CLR_CONSTANT) -> ScalingStudy:
-    """Counting bound audit: count <= constant * beta^{3/2} integral V^{3/2}.
+def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid) -> ScalingStudy:
+    """Counting bound audit: count <= CLR_CONSTANT * beta^{3/2} integral V^{3/2}.
 
     A violation would expose a solver bug, so the rows carry an explicit
     flag; the integral runs over the volume where V lives.
@@ -370,10 +357,10 @@ def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
     rows = []
     for beta in beta_grid:
         count = ds.count_negative(problem, potential, float(beta))
-        bound = constant * float(beta) ** 1.5 * v_moment
+        bound = CLR_CONSTANT * float(beta) ** 1.5 * v_moment
         rows.append({"beta": float(beta), "count": count, "bound": bound,
                      "violated": bool(count > bound)})
-    meta = {"constant": constant, "v_moment": v_moment,
+    meta = {"constant": CLR_CONSTANT, "v_moment": v_moment,
             "violations": int(sum(r["violated"] for r in rows))}
     return ScalingStudy("counting-audit", tuple(rows), (), meta)
 
@@ -382,22 +369,18 @@ def clr_audit(problem: ProblemSpec, potential: Potential, beta_grid,
 # boundary-condition dichotomy
 
 
-def default_dichotomy_potentials(dimension: int) -> list[tuple[str, Potential]]:
-    if dimension == 1:
-        return [
-            ("indicator[1,2]", Potential(Profile.indicator(1.0, 2.0))),
-            ("tent[0.8,2.0]x2", Potential(Profile.tent(0.8, 2.0, 2.0))),
-            ("bump[1.5,2.5]x1.5", Potential(Profile.bump(1.5, 2.5, 1.5))),
-        ]
-    return [
-        ("indicator[1.5,2.5]", Potential(Profile.indicator(1.5, 2.5))),
+# the wells per dimension: d = 1 on the half-line, d = 2 outside the unit disk
+DICHOTOMY_POTENTIALS = {
+    1: (("indicator[1,2]", Potential(Profile.indicator(1.0, 2.0))),
+        ("tent[0.8,2.0]x2", Potential(Profile.tent(0.8, 2.0, 2.0))),
+        ("bump[1.5,2.5]x1.5", Potential(Profile.bump(1.5, 2.5, 1.5)))),
+    2: (("indicator[1.5,2.5]", Potential(Profile.indicator(1.5, 2.5))),
         ("tent[1.2,2.4]x2", Potential(Profile.tent(1.2, 2.4, 2.0))),
-        ("bump[1.8,2.8]x1.5", Potential(Profile.bump(1.8, 2.8, 1.5))),
-    ]
+        ("bump[1.8,2.8]x1.5", Potential(Profile.bump(1.8, 2.8, 1.5)))),
+}
 
 
-def dichotomy_suite(potentials_1d=None, potentials_2d=None,
-                    m: int = 300, decades=DICHOTOMY_DECADES) -> ScalingStudy:
+def dichotomy_suite(m: int = 300, decades=DICHOTOMY_DECADES) -> ScalingStudy:
     """Bounded/divergent verdicts over (dimension, condition, potential).
 
     Low-dimensional exterior problems split by the boundary condition:
@@ -405,13 +388,9 @@ def dichotomy_suite(potentials_1d=None, potentials_2d=None,
     logarithmically for the planar exterior ball).  Indeterminate verdicts
     are listed as such, never coerced.
     """
-    if potentials_1d is None:
-        potentials_1d = default_dichotomy_potentials(1)
-    if potentials_2d is None:
-        potentials_2d = default_dichotomy_potentials(2)
     grid = bs.default_lambda_grid(decades)
     rows = []
-    for d, pots in ((1, potentials_1d), (2, potentials_2d)):
+    for d, pots in DICHOTOMY_POTENTIALS.items():
         for bc in ("dirichlet", "neumann"):
             for name, pot in pots:
                 if d == 1:

@@ -47,8 +47,7 @@ def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None 
     r0 = problem.inner_radius
     rf = problem.flat_radius() if potential is None else closure_radius(problem, potential)
     ode = SectorODE(problem, potential, beta)
-    # the zero-energy flux at r_f + 1, since r_f is 0 on the bare half-line
-    if lam == 0 and ode.bc == "neumann" and ode.decay_state(0.0, rf + 1.0)[1] == 0.0:
+    if lam == 0 and ode.bc == "neumann" and ode.decay_state(0.0, rf)[1] == 0.0:
         raise KernelLimitError(f"limit kernel divergent for the Neumann condition on the "
                                f"{problem.geometry} (d={ode.dimension}, sector {ode.sector})")
     k, p_rf = math.sqrt(-lam), ode.coefficients(rf)[0]

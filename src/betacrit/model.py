@@ -18,6 +18,7 @@ BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "fkw")
 
 # surface measure of the unit sphere S^{d-1}; |S^0| = 2 (two points)
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+MOMENT_NODES = 4001  # trapezoid radii of Potential.integral_power
 
 
 class ValidationError(ValueError):
@@ -223,16 +224,16 @@ class Potential:
     def max_value(self) -> float:
         return self.amplitude * self.profile.max_value()
 
-    def integral_power(self, p: float, dimension: int, n: int = 4001) -> float:
+    def integral_power(self, p: float, dimension: int) -> float:
         """integral of V^p over the d-dimensional domain (radial supports)."""
         if self.is_zero():
             return 0.0
         lo, hi = self.profile.lo, self.profile.hi
         if self.center is not None:
-            r = np.linspace(0.0, hi, n)
+            r = np.linspace(0.0, hi, MOMENT_NODES)
             vals = self(r) ** p * SPHERE_AREA[dimension] * r ** (dimension - 1)
             return float(np.trapezoid(vals, r))
-        r = np.linspace(lo, hi, n)
+        r = np.linspace(lo, hi, MOMENT_NODES)
         w = np.ones_like(r) if dimension == 1 else SPHERE_AREA[dimension] * r ** (dimension - 1)
         return float(np.trapezoid(self(r) ** p * w, r))
 
@@ -306,8 +307,8 @@ class ScaledPotentialFamily:
         """Distance between the support of V_n and the boundary (can be < 0)."""
         return self.center(n) - self.support_radius() / float(n)
 
-    def admissible(self, n: float, tol: float = 1e-12) -> bool:
-        return self.margin(n) >= -tol
+    def admissible(self, n: float) -> bool:
+        return self.margin(n) >= -1e-12
 
     def realize(self, n: float) -> Potential:
         if n <= 0:

@@ -250,8 +250,9 @@ class SectorODE:
         decays and a constant otherwise; its log-derivative is written out,
         since r^{-(l+d-2)} underflows in the far sectors a count steps."""
         p = self.coefficients(r)[0]
-        if lam == 0:
-            return 1.0, p * (-np.maximum(self.sector + self.dimension - 2, 0) / r)
+        if lam == 0:  # q = 0 gives flux 0.0 at every radius, r = 0 too
+            q = np.maximum(self.sector + self.dimension - 2, 0)
+            return 1.0, p * (-q / np.where(q > 0, r, 1.0))
         _, f, _, df = self.free_pair(lam, r, derivatives=True, growing=False)
         return 1.0, p * (df / f)
 

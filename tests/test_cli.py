@@ -56,7 +56,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("section, field, value", [
         ("numerics", "panel_order", 8), ("numerics", "eig_tol", 1e-8),
-        ("numerics", "bisect_tol", 1e-6), ("study", "refine", True)])
+        ("numerics", "bisect_tol", 1e-6), ("study", "refine", True),
+        ("study", "constant", 0.2)])
     def test_retired_field_is_a_config_error(self, tmp_path, capsys, section, field,
                                              value):
         code, _ = run_config(tmp_path, "mu_curve_neumann_1d.json", "mu-curve",
@@ -65,6 +66,7 @@ class TestConfigHandling:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config-error"
+        assert json.loads(lines[0])["field"] == section
         assert field in json.loads(lines[0])["message"]
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):

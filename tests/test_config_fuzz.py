@@ -92,8 +92,7 @@ STUDIES = st.fixed_dictionaries(
               "beta_grid": st.lists(_num(0.0, 20.0), min_size=1, max_size=3),
               "n_grid": st.lists(_num(0.5, 60.0), min_size=1, max_size=3),
               "lambda_grid": st.lists(_num(-5.0, 0.5), min_size=1, max_size=6),
-              "sign": st.sampled_from(["minus", "plus"]),
-              "constant": _num(0.01, 1.0)})
+              "sign": st.sampled_from(["minus", "plus"])})
 
 # the problems each subcommand is meant for; any other accepted config too
 PROBLEM_FOR = {"fkw": _ball(("fkw",)), "clr": _ball(dimensions=(3,)),

@@ -161,12 +161,12 @@ class TestHalfspaceStudies:
                 assert row["minorant"] > 0
                 assert row["norm"] >= row["minorant"]
 
-    def test_d3_minorant_built_once_per_study(self, monkeypatch):
+    def test_d3_minorant_assembles_no_sub_ball(self, monkeypatch):
         sub_ball_builds = []
         assemble = bs.assemble_points
 
         def counted(points, *args, **kwargs):
-            (c1, _, _), radius = ex.SUB_BALL  # meridian nodes (s1, sigma)
+            c1, radius = ex.SUB_BALL  # meridian nodes (s1, sigma)
             if np.all(np.hypot(points[:, 0] - c1, points[:, 1]) <= radius):
                 sub_ball_builds.append(points.shape[0])
             return assemble(points, *args, **kwargs)
@@ -174,17 +174,16 @@ class TestHalfspaceStudies:
         monkeypatch.setattr(bs, "assemble_points", counted)
         # n x(n) = 1 along x(n) = 1/n: one shift, one minorant
         study = ex.halfspace_norm_study(3, "minus", unit_family(3), [2, 8, 32], m=120)
-        assert len(sub_ball_builds) == 1
         assert len({row["minorant"] for row in study.rows}) == 1
-        # x(n) = n^-1/2: a shift of its own for every n, still one build
+        # x(n) = n^-1/2: a shift of its own for every n
         study = ex.halfspace_norm_study(3, "minus", unit_family(3, delta=0.5),
                                         [4, 16, 64], m=120)
-        assert len(sub_ball_builds) == 2
+        assert sub_ball_builds == []
         minorants = study.values("minorant")
         assert np.all(np.diff(minorants) > 0)
-        for row in study.rows:  # each shift on a sub-ball of its own
-            assert ex.minorant_eigenvalue(3, 2.0 * row["n"] * row["center"],
-                                          m=120) == row["minorant"]
+        for row in study.rows:  # each shift on its own gives the same bits
+            assert ex.minorant_eigenvalue(2.0 * row["n"] * row["center"]) == \
+                row["minorant"]
 
     def test_d3_norm_built_once_per_n_times_center(self, monkeypatch):
         calls = []
@@ -250,10 +249,9 @@ class TestHalfspaceStudies:
         family = unit_family(d, c=2.0, delta=0.5)
         n_grid = [4.0, 16.0, 64.0]
         study = ex.halfspace_norm_study(d, "minus", family, n_grid, m=150)
-        sub_ball = [(0.25, None)] if d == 3 else []
         assert segments == []
-        # g once per cloud, and one image kernel per n
-        assert [k for k in kernels if k[1] is None] == [(1.0, None)] + sub_ball
+        # g once on the unit cloud, no sub-ball, and one image kernel per n
+        assert [k for k in kernels if k[1] is None] == [(1.0, None)]
         assert [k[1] for k in kernels if k[1] is not None] == \
             [2.0 * n * family.center(n) for n in n_grid]
         cloud = ex._Cloud(d, 150)
@@ -263,8 +261,8 @@ class TestHalfspaceStudies:
             mat = ex.halfspace_kernel_matrix(d, "minus", row["n"], row["center"], m=150)
             assert bs.principal_eigenvalue(mat)[0] == row["norm"]
             if d == 3:
-                assert ex.minorant_eigenvalue(3, 2.0 * row["n"] * row["center"],
-                                              m=150) == row["minorant"]
+                assert ex.minorant_eigenvalue(2.0 * row["n"] * row["center"]) == \
+                    row["minorant"]
         # x(n) = 1/n cuts at the bottom, -1, for every n: no segment
         segments.clear()
         ex.halfspace_norm_study(d, "minus", unit_family(d), [4.0, 16.0], m=150)
@@ -457,20 +455,24 @@ class TestMeridian:
     def test_sub_ball_eigenvalue_meets_its_closed_form(self):
         # the top eigenfunction of 1/|y - s| on a ball of radius R is
         # sin(kr)/r with cot(kR) = 0, so the eigenvalue is 16 R^2 / pi
-        (center, radius), m = ex.SUB_BALL, 5735
-        cloud = ex._Cloud(3, m, radius=radius, c1=center[0])
+        c1, radius = ex.SUB_BALL
+        cloud = ex._Cloud(3, 5735, radius=radius, c1=c1)
         assert len(cloud.pts) == 256
+        mat = bs.assemble_points(cloud.pts, cloud.w, np.ones(len(cloud.pts)),
+                                 np.zeros_like(cloud.g), cloud.g, 1.0, cloud.cells())
         exact = 16.0 * radius ** 2 / math.pi
-        assert cloud.singular_eigenvalue == pytest.approx(exact, rel=1e-6)
-        rho = 1.0 - 2.0 * radius / (2.0 * (center[0] - radius) + 2.0)
-        assert ex.minorant_eigenvalue(3, 2.0, m=m) == pytest.approx(
-            rho * ex.C3 * exact, rel=1e-6)
+        assert bs.principal_eigenvalue(mat)[0] == pytest.approx(exact, rel=1e-6)
+        rho = 1.0 - 2.0 * radius / (2.0 * (c1 - radius) + 2.0)
+        assert ex.minorant_eigenvalue(2.0) == pytest.approx(
+            rho * ex.C3 * exact, rel=1e-15)
 
-    def test_off_axis_comparison_ball_rejected(self):
-        # the meridian rule holds only balls centred on the rotation axis
-        with pytest.raises(ValidationError):
-            ex.minorant_eigenvalue(3, 2.0, Profile.tent(0.0, 1.0),
-                                   ball_center=(0.5, 0.2, 0.0))
+    def test_minorant_takes_the_least_profile_value_on_the_sub_ball(self):
+        # tent and bump on [0, 1] both fall to 1/2 at the ball's radii 0.25
+        # and 0.75; the bump's cos^2(pi/4) sample rounds 1 ulp above 1/2
+        bare = ex.minorant_eigenvalue(2.0)
+        assert ex.minorant_eigenvalue(2.0, Profile.tent(0.0, 1.0)) == 0.5 * bare
+        assert ex.minorant_eigenvalue(2.0, Profile.bump(0.0, 1.0)) == pytest.approx(
+            0.5 * bare, rel=1e-15)
 
     def test_norms_at_m_700_meet_a_finer_rule(self):
         # 64 nodes against 1600 (c = 40), n x(n) = 1

@@ -2,7 +2,8 @@
 it integrates, both in ``sector_ode``, no finite-difference pencil (it is a
 test oracle), and sectors named only by ``ProblemSpec``.  Start-up stays light: scipy is imported in the functions
 that call it, so a run loads only the scipy modules it uses.  The config
-schema offers no field the command line does not read."""
+schema offers no field the command line does not read, and the public
+functions' keyword defaults and the schema's fields are pinned by name."""
 
 import inspect
 import json
@@ -14,6 +15,7 @@ import sys
 
 import pytest
 
+import betacrit
 from betacrit import direct_spectrum as ds
 from betacrit import fkw
 from betacrit.model import ProblemSpec
@@ -48,13 +50,22 @@ def test_no_module_names_the_fd_pencil():
 
 def test_only_sector_ode_names_the_bessel_pair():
     """``SectorODE.free_pair`` owns the free solutions: no other module names
-    the scaled Bessels, and ``green_kernels`` imports nothing from scipy."""
+    the scaled Bessels."""
     bessel = re.compile(r"\b(ive|kve)\b")
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(SRC.glob("*.py")) if path.name != "sector_ode.py"
             for number, line in enumerate(path.read_text().splitlines(), 1)
-            if bessel.search(line)
-            or path.name == "green_kernels.py" and SCIPY_IMPORT.match(line.strip())]
+            if bessel.search(line)]
+    assert hits == []
+
+
+@pytest.mark.parametrize("name", ["green_kernels.py", "birman_schwinger.py"])
+def test_kernel_and_eigensolve_modules_name_no_scipy(name):
+    """The Green pair comes from ``free_pair`` and the stalled-top fallback
+    from ``numpy.linalg.eigh``: neither module names scipy."""
+    hits = [f"{name}:{number}: {line.strip()}"
+            for number, line in enumerate((SRC / name).read_text().splitlines(), 1)
+            if "scipy" in line]
     assert hits == []
 
 
@@ -118,3 +129,50 @@ def test_every_numerics_and_study_field_is_read_by_the_cli():
               for name in schema["properties"][section]["properties"]
               if not re.search(rf'(\[|\.get\()"{name}"', source)]
     assert unread == ["numerics.mesh_h", "numerics.r_max"]
+
+
+def _schema_fields(node, prefix=""):
+    """Dotted paths of the schema's leaf fields."""
+    for name, sub in node.get("properties", {}).items():
+        if "properties" in sub:
+            yield from _schema_fields(sub, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+def test_option_inventory():
+    """Every keyword default of a public function and every config field, by
+    name: a change that adds or retires an option shows it here."""
+    defaults = sorted(f"{name}.{param.name}" for name in betacrit.__all__
+                      if inspect.isfunction(fn := getattr(betacrit, name))
+                      for param in inspect.signature(fn).parameters.values()
+                      if param.default is not inspect.Parameter.empty)
+    assert defaults == [
+        "assemble.m",
+        "beta_critical.lambda_grid", "beta_critical.m", "beta_critical.method",
+        "beta_critical.sector_max",
+        "beta_critical_fkw.limit", "beta_critical_fkw.m", "beta_critical_fkw.sector_max",
+        "crosscheck_birman_schwinger.m",
+        "default_lambda_grid.decades",
+        "dichotomy_suite.decades", "dichotomy_suite.m",
+        "fkw_norm_limit.lambda_grid", "fkw_norm_limit.m", "fkw_norm_limit.sector_max",
+        "ground_state.tol",
+        "halfspace_norm_study.m",
+        "minorant_eigenvalue.profile",
+        "mu_curve.lambda_grid", "mu_curve.m",
+        "norm_limit.lambda_grid", "norm_limit.m",
+        "scaling_study_1d.m",
+        "solve_fkw.gamma1_tol"]
+    schema = json.loads((SRC / "schemas" / "config.schema.json").read_text())
+    assert sorted(_schema_fields(schema)) == [
+        "numerics.lambda_decades", "numerics.m", "numerics.mesh_h", "numerics.r_max",
+        "numerics.sector_max",
+        "output.csv", "output.json",
+        "potential.amplitude", "potential.center_coefficient",
+        "potential.center_exponent", "potential.kind", "potential.profile",
+        "potential.samples", "potential.support",
+        "problem.boundary_condition", "problem.coefficient.flat_radius",
+        "problem.coefficient.samples", "problem.dimension", "problem.geometry",
+        "problem.radius", "problem.sector",
+        "study.beta", "study.beta_grid", "study.lambda_grid", "study.method",
+        "study.n_grid", "study.sign"]

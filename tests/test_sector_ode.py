@@ -121,6 +121,12 @@ class TestClosureAndSegments:
         ode = SectorODE(ProblemSpec(2, "exterior_ball", "neumann", radius=1.0))
         assert ode.decay_state(0.0, 4.0) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_constant_tail_on_the_half_line_at_its_origin(self, bc):
+        # the bare half-line closes at r_f = 0: no 0/0, under error::RuntimeWarning
+        ode = SectorODE(ProblemSpec(1, "half_line", bc))
+        assert ode.decay_state(0.0, 0.0) == (1.0, 0.0)
+
     def test_cuts_at_support_edges_and_flat_radius(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
         assert SectorODE(prob, POT).segment_points(1.0, 10.0) == [1.0, 1.5, 2.0, 2.5, 10.0]
