@@ -14,8 +14,8 @@ from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
 from .model import (CenterPath, CoefficientProfile, Potential, ProblemSpec,
                     Profile, ScaledPotentialFamily, h_factor, validate)
 from .green_kernels import green_kernel
-from .birman_schwinger import (Classification, KernelMatrix, SpectralReport,
-                               assemble, assemble_points, beta_critical,
+from .birman_schwinger import (Classification, KernelMatrix, SectorKernel,
+                               SpectralReport, assemble, assemble_points, beta_critical,
                                beta_from_verdict, classify_limit,
                                default_lambda_grid, mu_curve, norm_limit,
                                principal_eigenvalue)
@@ -34,7 +34,7 @@ __all__ = [
     "CenterPath", "Classification", "CoefficientProfile", "FkwSolution",
     "IndeterminateError", "KernelLimitError", "KernelMatrix",
     "MethodDisagreement", "NearSingularError", "Potential", "ProblemSpec",
-    "Profile", "ScaledPotentialFamily", "ScalingStudy", "SpectralReport",
+    "Profile", "ScaledPotentialFamily", "ScalingStudy", "SectorKernel", "SpectralReport",
     "UnconvergedError", "ValidationError", "assemble", "assemble_points",
     "beta_critical", "beta_critical_direct", "beta_critical_fkw",
     "beta_from_verdict", "classify_limit", "clr_audit",

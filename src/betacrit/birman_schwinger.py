@@ -1,9 +1,9 @@
 """Resolvent sandwich operators and the coupling threshold they encode.
 
 The operator sqrt(V) (H0 - lambda)^{-1} sqrt(V) is discretized by a Nystrom
-method on composite Gauss-Legendre panels over the support of V.  Its largest
-eigenvalue mu0(lambda) increases toward mu* as lambda -> 0-, and the coupling
-threshold is 1/mu*; when mu0 diverges the threshold is zero.
+method on Gauss-Legendre panels over the support of V, in a sector as the
+generators of its semiseparable kernel.  Its largest eigenvalue mu0(lambda)
+grows to mu* as lambda -> 0-: the threshold is 1/mu*, or 0 where mu0 diverges.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def gauss_panels(lo: float, hi: float, m: int):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Symmetrized Nystrom discretization of the sandwiched resolvent."""
+    """Symmetrized Nystrom matrix of a sandwiched kernel on a point cloud."""
 
     nodes: np.ndarray
     weights: np.ndarray  # volume weights (measure of each node's cell)
@@ -66,9 +66,53 @@ class KernelMatrix:
         return self.entries.shape[0]
 
 
+@dataclass(frozen=True)
+class SectorKernel:
+    """A sector's sandwiched resolvent by the generators of G = u_reg(min) u_dec(max)
+    / C: on ascending nodes, entry (i, j), i <= j, is a_i b_j e^{s_reg_i + s_dec_j},
+    mirrored below.  ``K @ x`` takes two running sums (``_sums``), never the matrix."""
+
+    nodes: np.ndarray
+    weights: np.ndarray  # volume weights (measure of each node's cell)
+    a: np.ndarray  # h y_reg / C, h = sqrt(weight V)
+    b: np.ndarray  # h y_dec
+    s_reg: np.ndarray
+    s_dec: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.nodes.size
+
+    def dense(self) -> np.ndarray:
+        """The m x m matrix: the upper triangle, with s_reg + s_dec <~ 0, mirrored."""
+        upper = np.tri(self.size, dtype=bool).T
+        scales = np.where(upper, np.add.outer(self.s_reg, self.s_dec), 0.0)
+        entries = np.outer(self.a, self.b) * np.exp(scales)
+        return np.where(upper, entries, entries.T)
+
+    @functools.cached_property
+    def _sums(self):
+        # (K x)_i = e^{s_reg_i + s_dec_i} [b_i sum_{j<=i} a_j x_j e^{s_reg_j - s_reg_i}
+        # + a_i sum_{j>=i} b_j x_j e^{s_dec_j - s_dec_i} - a_i b_i x_i], both sums by
+        # recursive doubling in one array (the second reversed): step h adds term i - h
+        # times e^{s_{i-h} - s_i} (0 across the seam), as exact as the entries at any k
+        a, b, r, q = self.a, self.b, self.s_reg, self.s_dec[::-1]
+        steps = [(h, np.exp(np.concatenate([r[:-h] - r[h:], np.full(h, -np.inf), q[:-h] - q[h:]])))
+                 for h in (2 ** j for j in range((a.size - 1).bit_length()))]
+        d = np.exp(self.s_reg + self.s_dec)
+        return np.concatenate([a, b[::-1]]), steps, d * b, d * a, d * a * b
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        coef, steps, db, da, diag = self._sums
+        y = coef * np.concatenate([x, x[::-1]])
+        for h, factor in steps:
+            y[h:] += factor * y[:-h]
+        return db * y[:x.size] + da * y[:x.size - 1:-1] - diag * x
+
+
 def assemble(problem: ProblemSpec, potential: Potential, lam: float,
-             m: int = DEFAULT_M) -> KernelMatrix:
-    """Kernel matrix of the sandwiched resolvent at energy lambda <= 0.
+             m: int = DEFAULT_M) -> SectorKernel:
+    """Semiseparable Nystrom kernel of the sandwiched resolvent at lambda <= 0.
 
     lam = 0 requests the limit kernel and raises ``KernelLimitError`` where
     that limit diverges (e.g. Neumann in low dimension).
@@ -79,16 +123,9 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
     nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m)
     vol = w * problem.measure(nodes)
     (y_reg, s_reg), (y_dec, s_dec) = reg(nodes), dec(nodes)
-    # G = u_reg(min) u_dec(max) / C: the nodes ascend, so the upper triangle
-    # holds u_reg(x_i) u_dec(x_j) with x_i <= x_j, where s_reg(x_i) + s_dec(x_j)
-    # is at most about 0; mirroring it makes the matrix exactly symmetric
     half_weight = np.sqrt(vol) * np.sqrt(potential(nodes))
-    entries = np.outer(half_weight * y_reg / c, half_weight * y_dec)
-    upper = np.tri(nodes.size, dtype=bool).T
-    if s_reg.any() or s_dec.any():
-        entries *= np.exp(np.where(upper, s_reg[:, None] + s_dec[None, :], 0.0))
-    entries = np.where(upper, entries, entries.T)
-    return KernelMatrix(nodes, vol, entries)
+    return SectorKernel(nodes, vol, half_weight * y_reg / c, half_weight * y_dec,
+                        s_reg, s_dec)
 
 
 def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray,
@@ -119,18 +156,19 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
     return KernelMatrix(np.asarray(points, dtype=float), v, entries)
 
 
-def _power_iteration(a: np.ndarray):
+def _power_iteration(a):
     """(eigenvalue, residual, steps) of a symmetric matrix's largest
     eigenvalue from the all-ones start vector; steps is -1 when 20,000 did
     not reach ``EIG_TOL``.
 
-    Each iterate is divided by the power of two at the matrix's largest
-    entry: that is exact, and keeps every squared norm in range.
+    Each iterate is divided by the power of two at the largest entry (on the
+    diagonal of a ``SectorKernel``): exact, and keeps squared norms in range.
     """
-    n = a.shape[0]
+    n = a.size if isinstance(a, SectorKernel) else a.shape[0]
     if n == 0:
         return 0.0, 0.0, 0
-    scale = 2.0 ** math.frexp(max(float(a.max()), -float(a.min())))[1]
+    top = a._sums[-1].max() if isinstance(a, SectorKernel) else max(a.max(), -a.min())
+    scale = 2.0 ** math.frexp(float(top))[1]
     v = np.full(n, 1.0 / math.sqrt(n))
     theta = 0.0
     for it in range(1, 20001):
@@ -147,16 +185,18 @@ def _power_iteration(a: np.ndarray):
 
 
 def principal_eigenvalue(matrix):
-    """(largest eigenvalue, achieved residual) of a symmetric kernel matrix,
-    the residual at most ``EIG_TOL`` relative.
+    """(largest eigenvalue, achieved residual) of a symmetric kernel matrix
+    or ``SectorKernel``, the residual at most ``EIG_TOL`` relative.
 
-    Power iteration from the all-ones vector; where it stalls (a nearly
-    degenerate top), a dense symmetric solve for the top pair.  The
-    residual lands in reports.
+    Power iteration from the all-ones vector, each step one product with the
+    operator; where it stalls (a nearly degenerate top), a dense symmetric
+    solve for the top pair.  The residual lands in reports.
     """
-    a = matrix.entries if isinstance(matrix, KernelMatrix) else np.asarray(matrix, dtype=float)
+    a = matrix.entries if isinstance(matrix, KernelMatrix) else matrix
+    a = a if isinstance(a, SectorKernel) else np.asarray(a, dtype=float)
     theta, res, iters = _power_iteration(a)
     if iters < 0:
+        a = a.dense() if isinstance(a, SectorKernel) else a
         evals, evecs = np.linalg.eigh(a)
         theta, w = float(evals[-1]), evecs[:, -1]
         res = float(np.linalg.norm(a @ w - theta * w))

@@ -145,8 +145,8 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
     """Residual |beta * mu0(lambda0(beta)) - 1| over a coupling grid.
 
     For each coupling the ground state energy of the problem's sector comes
-    from the shooting solver and mu0 from the independently assembled kernel
-    matrix of that same sector at that energy.
+    from the shooting solver and mu0 from the independently assembled
+    semiseparable kernel of that same sector at that energy.
     """
     rows = []
     if potential.is_zero():

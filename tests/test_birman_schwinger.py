@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betacrit import birman_schwinger as bs
@@ -63,7 +64,7 @@ class TestPrincipalEigenvalue:
         prob = ProblemSpec(1, "exterior_ball", "dirichlet", radius=1.0)
         mat = bs.assemble(prob, WELL, -1e4, m=21)
         val, res = bs.principal_eigenvalue(mat)
-        assert val == pytest.approx(float(np.linalg.eigvalsh(mat.entries)[-1]),
+        assert val == pytest.approx(float(np.linalg.eigvalsh(mat.dense())[-1]),
                                     rel=1e-9)
         assert res <= bs.EIG_TOL * val
 
@@ -84,7 +85,7 @@ class TestAssemble:
     def test_zero_potential_gives_zero_matrix(self):
         mat = bs.assemble(HALF_LINE_D, Potential(Profile.indicator(1.0, 2.0), 0.0),
                           -1.0, m=32)
-        assert np.all(mat.entries == 0.0)
+        assert np.all(mat.dense() == 0.0)
 
     def test_single_node_smoke(self):
         c = 2.0
@@ -92,7 +93,7 @@ class TestAssemble:
         mat = bs.assemble(HALF_LINE_D, pot, -1.0, m=1)
         assert mat.size == 1
         g = (math.exp(0.0) - math.exp(-2.0 * 1.005)) / 2.0
-        assert mat.entries[0, 0] == pytest.approx(c * 0.01 * g, rel=1e-3)
+        assert mat.dense()[0, 0] == pytest.approx(c * 0.01 * g, rel=1e-3)
 
     def test_square_well_limit_eigenvalue(self):
         mat = bs.assemble(HALF_LINE_D, WELL, 0.0, m=200)
@@ -105,13 +106,14 @@ class TestAssemble:
             pot = WELL if prob.geometry == "half_line" else \
                 Potential(Profile.indicator(1.5, 2.5))
             mat = bs.assemble(prob, pot, -0.3, m=64)
-            assert np.all(mat.entries >= -1e-15)
-            assert np.allclose(mat.entries, mat.entries.T)
+            dense = mat.dense()
+            assert np.all(dense >= -1e-15)
+            assert np.allclose(dense, dense.T)
 
     def test_operator_positivity(self):
         for lam in (-1.0, -1e-4):
             mat = bs.assemble(HALF_LINE_D, WELL, lam, m=96)
-            evals = np.linalg.eigvalsh(mat.entries)
+            evals = np.linalg.eigvalsh(mat.dense())
             assert evals.min() >= -1e-10
 
     def test_neumann_limit_propagates(self):
@@ -153,10 +155,107 @@ class TestKernelProperties:
         mus = []
         for lam in (lam_lo, lam_hi):
             mat = bs.assemble(prob, pot, lam, m=m)
-            assert np.array_equal(mat.entries, mat.entries.T)
-            assert np.all(mat.entries >= 0.0)
+            dense = mat.dense()
+            assert np.array_equal(dense, dense.T)
+            assert np.all(dense >= 0.0)
             mus.append(bs.principal_eigenvalue(mat)[0])
         assert mus[0] <= mus[1] * (1.0 + 1e-8)
+
+
+@st.composite
+def _sector_problems(draw):
+    """A half-line or exterior-ball sector under the Dirichlet or Neumann
+    condition or the fkw reduction, with or without a sampled coefficient,
+    and a well outside the obstacle."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    bc = draw(st.sampled_from(["dirichlet", "neumann", "fkw"]))
+    half_line = d == 1 and bc != "fkw" and draw(st.booleans())
+    r0 = 0.0 if half_line else draw(st.floats(0.5, 2.0))
+    coefficient = None
+    if draw(st.booleans()):
+        ys = draw(st.lists(st.floats(0.3, 3.0), min_size=2, max_size=4))
+        r_flat = r0 + draw(st.floats(0.5, 2.0))
+        coefficient = CoefficientProfile(
+            Profile(np.linspace(r0, r_flat, len(ys)), np.array(ys)), r_flat)
+    if half_line:
+        prob = ProblemSpec(1, "half_line", bc, coefficient=coefficient)
+    else:
+        prob = ProblemSpec(d, "exterior_ball", bc, radius=r0, coefficient=coefficient,
+                           sector=draw(st.integers(0, 1 if d == 1 else 2)))
+    lo = r0 + draw(st.floats(0.0, 1.0))
+    hi = lo + draw(st.floats(0.1, 2.0))
+    shape = draw(st.sampled_from([Profile.indicator, Profile.tent, Profile.bump]))
+    return prob, Potential(shape(lo, hi, draw(st.floats(0.1, 5.0))))
+
+
+# lambda = 0, or -1e-8 down to -1e8, where k (hi - lo) reaches 2e4: there e^{s}
+# overflows, and one log-scale for every node would lose eps k r of accuracy
+_ENERGIES = st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: -10.0 ** e))
+_DEEP_WELL = (ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0),
+              Potential(Profile.indicator(1.2, 2.0)))
+
+
+def _assemble_or_reject(prob, pot, lam, m):
+    try:
+        return bs.assemble(prob, pot, lam, m=m)
+    except KernelLimitError:
+        assert lam == 0.0
+        assume(False)
+
+
+class TestSemiseparableApply:
+    """The generator form against the dense m x m matrix it stands for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sector_problems(), _ENERGIES, st.integers(1, 96), st.integers(0, 2 ** 32 - 1))
+    @example(_DEEP_WELL, -1e8, 96, 0)
+    def test_apply_matches_the_dense_matrix(self, case, lam, m, seed):
+        mat = _assemble_or_reject(*case, lam, m)
+        # nonnegative generators: K >= 0, so the all-ones start vector of the
+        # power iteration meets the top eigenvector
+        assert np.all(mat.a >= 0.0) and np.all(mat.b >= 0.0)
+        dense = mat.dense()
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(mat.size) * np.exp(rng.uniform(-20.0, 0.0, mat.size))
+        bound = np.abs(dense) @ np.abs(x)
+        assert np.all(np.abs(mat @ x - dense @ x) <= 1e-13 * bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sector_problems(), _ENERGIES, st.integers(1, 64))
+    @example(_DEEP_WELL, -1e8, 64)
+    def test_principal_eigenvalue_matches_dense_power_iteration(self, case, lam, m):
+        mat = _assemble_or_reject(*case, lam, m)
+        value, _, steps = bs._power_iteration(mat.dense())
+        assume(steps > 0)
+        assert bs.principal_eigenvalue(mat)[0] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_no_matrix_is_held(self):
+        # the dense form is built on request only, also not by a solve
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        mat = bs.assemble(*_DEEP_WELL, -1e-2, m=64)
+        assert not hasattr(mat, "entries")
+        bs.principal_eigenvalue(mat)
+        held = list(arrays(list(vars(mat).values())))
+        assert len(held) > 6 and all(a.ndim == 1 for a in held)
+
+    def test_peak_memory_stays_linear_in_m(self):
+        # the m x m matrix at m = 2000 alone would take 32 MB
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)
+        pot = Potential(Profile.tent(1.5, 2.5))
+        bs.principal_eigenvalue(bs.assemble(prob, pot, -1e-2, m=100))  # warm caches
+        tracemalloc.start()
+        try:
+            bs.principal_eigenvalue(bs.assemble(prob, pot, -1e-2, m=2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestMuCurve:
@@ -179,7 +278,7 @@ class TestMuCurve:
         mat = bs.assemble(HALF_LINE_N, WELL, lam, m=200)
         mu = bs.principal_eigenvalue(mat)[0]
         v = np.sqrt(mat.weights)
-        mean = float(v @ mat.entries @ v) / float(v @ v)
+        mean = float(v @ mat.dense() @ v) / float(v @ v)
         assert mu >= mean > 0.5 / math.sqrt(-lam)
 
     def test_d2_neumann_log_slope_matches_small_argument_expansion(self):
@@ -312,7 +411,7 @@ class TestSeparableAssembly:
                 continue
             g = green_kernel(prob, lam, mat.nodes[:, None], mat.nodes[None, :])
             hw = np.sqrt(mat.weights * pot(mat.nodes))
-            np.testing.assert_allclose(mat.entries, hw[:, None] * g * hw[None, :],
+            np.testing.assert_allclose(mat.dense(), hw[:, None] * g * hw[None, :],
                                        rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("prob", [HALF_LINE_D, HALF_LINE_N,
@@ -321,10 +420,11 @@ class TestSeparableAssembly:
     def test_large_k_r_stays_finite(self, prob):
         # k r reaches 2500: the scaled pair keeps every entry representable
         mat = bs.assemble(prob, Potential(Profile.indicator(1.5, 2.5)), -1e6, m=80)
-        assert np.all(np.isfinite(mat.entries))
-        assert np.all(mat.entries >= 0.0)
-        assert np.array_equal(mat.entries, mat.entries.T)
-        assert np.all(np.diag(mat.entries) > 0.0)
+        dense = mat.dense()
+        assert np.all(np.isfinite(dense))
+        assert np.all(dense >= 0.0)
+        assert np.array_equal(dense, dense.T)
+        assert np.all(np.diag(dense) > 0.0)
 
     def test_large_k_with_a_variable_coefficient_stays_finite(self):
         # a = 2 -> 1 on [1, 2] at lambda = -1e6: the regular solution grows by
@@ -333,13 +433,14 @@ class TestSeparableAssembly:
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=a)
         pot = Potential(Profile.indicator(1.0, 2.0))
         mat = bs.assemble(prob, pot, -1e6)
-        assert np.all(np.isfinite(mat.entries))
-        assert np.all(mat.entries >= 0.0)
-        assert np.array_equal(mat.entries, mat.entries.T)
+        dense = mat.dense()
+        assert np.all(np.isfinite(dense))
+        assert np.all(dense >= 0.0)
+        assert np.array_equal(dense, dense.T)
         # away from the obstacle the diagonal is the local (WKB) kernel
         # 1 / (2 k sqrt(p w)) per unit sphere measure, with k = 1000
         r = mat.nodes
-        g = np.diag(mat.entries) / (mat.weights * pot(r))
+        g = np.diag(dense) / (mat.weights * pot(r))
         wkb = 1.0 / (8.0 * math.pi * 1000.0 * np.sqrt(a(r)) * r ** 2)
         assert g[r > 1.01] == pytest.approx(wkb[r > 1.01], rel=1e-4)
 
@@ -355,9 +456,10 @@ class TestSeparableAssembly:
                 ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=a))
         pot = Potential(Profile.indicator(1.0, 2.0))
         mat = bs.assemble(prob, pot, lam, m=100)
-        assert np.all(np.isfinite(mat.entries))
-        assert np.all(mat.entries >= 0.0)
-        assert np.array_equal(mat.entries, mat.entries.T)
+        dense = mat.dense()
+        assert np.all(np.isfinite(dense))
+        assert np.all(dense >= 0.0)
+        assert np.array_equal(dense, dense.T)
         # the diagonal is the local (WKB) kernel 1 / (2 k sqrt(p w)) per unit
         # sphere measure; a decaying branch shifted by its starting scale
         # misses it by a factor 1 + k
@@ -375,7 +477,7 @@ class TestEigenpairCorrespondence:
         residuals = []
         for m in (60, 240):
             mat = bs.assemble(HALF_LINE_D, POT, lam, m=m)
-            evals, evecs = np.linalg.eigh(mat.entries)
+            evals, evecs = np.linalg.eigh(mat.dense())
             mu, w = evals[-1], evecs[:, -1]
             beta = 1.0 / mu
             x = np.linspace(0.0, 12.0, 48001)
