@@ -70,11 +70,12 @@ class KernelMatrix:
 class SectorKernel:
     """A sector's sandwiched resolvent by the generators of G = u_reg(min) u_dec(max)
     / C: on ascending nodes, entry (i, j), i <= j, is a_i b_j e^{s_reg_i + s_dec_j},
-    mirrored below.  ``K @ x`` takes two running sums (``_sums``), never the matrix."""
+    mirrored below.  ``K @ x`` takes two running sums (``_sums``), never the matrix.
+    With h = 1 the kernel is the Green matrix G(x_i, x_j) itself."""
 
     nodes: np.ndarray
     weights: np.ndarray  # volume weights (measure of each node's cell)
-    a: np.ndarray  # h y_reg / C, h = sqrt(weight V)
+    a: np.ndarray  # h y_reg / C, h = sqrt(weight V) in the sandwich
     b: np.ndarray  # h y_dec
     s_reg: np.ndarray
     s_dec: np.ndarray

@@ -28,6 +28,7 @@ from .sector_ode import (MAX_STEPS, MAX_TURN, STEPS_PER_UNIT, SectorODE, SectorS
                          closure_radius, fill)
 
 DEFAULT_SECTOR_MAX = 3
+GAMMA1_TOL = 1e-9  # |gamma1| below this, relative to max(1, |gamma|), is degenerate
 
 
 def _require_fkw(problem: ProblemSpec):
@@ -93,30 +94,20 @@ def gamma1(problem: ProblemSpec, beta: float, potential: Potential,
     return _boundary_flux(problem, solve_v(problem, beta, potential, lam))
 
 
-def _running_sum(terms: np.ndarray, logs: np.ndarray):
-    """Running sums of terms e^logs along the last axis as (y, s), each sum
-    y e^s with |y| <= 1 (s = -inf while empty), summed in logs by sign."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        size = np.log(np.abs(terms)) + logs
-        pos, neg = (np.logaddexp.accumulate(np.where(side, size, -np.inf), axis=-1)
-                    for side in (terms > 0.0, terms < 0.0))
-        s = np.maximum(pos, neg)
-        return np.where(s > -np.inf, np.exp(pos - s) - np.exp(neg - s), 0.0), s
-
-
 def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential,
                          lam: float, f):
     """Dirichlet solve (H_beta - lambda) w = f in the problem's sector, whatever
     its effective condition, by variation of parameters on the Green pair,
     w(r) = [u_dec(r) int_{r0}^r u_reg f dm + u_reg(r) int_r^inf u_dec f dm] / C,
-    by Simpson's rule on [r0, R* + 1] at a spacing of at most
+    as one product of a ``SectorKernel`` with generators y_reg / C and y_dec
+    (the Green matrix itself) and the source times its composite Simpson
+    weights.  The Simpson steps run on [r0, R* + 1] at a spacing of at most
     1/``STEPS_PER_UNIT``, also where the sector ODE takes longer exact steps:
     each of its ``pieces`` filled with that density or as many more steps as
     the turn bound needs, each step split until k h <= ``MAX_TURN``; then on
     1000 quadratically growing steps until u_dec has fallen by e^-40.  No
-    source is cut; the log-scales are added before anything is
-    exponentiated, so any k = sqrt(-lambda) stays finite.  Returns the mesh,
-    w on it and gamma = -w'(r0).
+    source is cut, and the product stays finite and exact to rounding at any
+    k = sqrt(-lambda).  Returns the mesh, w on it and gamma = -w'(r0).
     """
     forced = replace(problem, boundary_condition="dirichlet")
     reg, dec, c = solution_pair(forced, lam, potential, beta)
@@ -133,31 +124,25 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
                      .ravel(), r_out + np.linspace(0.0, 1.0, 1001) ** 2 * (40.0 / k))
     x = np.empty(2 * ends.size - 1)  # the ends of the Simpson steps, and their midpoints
     x[::2], x[1::2] = ends, 0.5 * (ends[:-1] + ends[1:])
+    sixth = np.diff(ends) / 6.0  # Simpson step i: h/6 at x_2i and x_2i+2, 4h/6 at x_2i+1
+    q = np.empty_like(x)
+    q[::2], q[1::2] = np.append(sixth, 0.0) + np.append(0.0, sixth), 4.0 * sixth
     (y_reg, s_reg), (y_dec, s_dec) = reg(x), dec(x)
-    # Simpson step i: (h/6) (g(x_2i) + 4 g(x_2i+1) + g(x_2i+2))
-    at = (2 * np.arange(x.size // 2)[:, None] + [0, 1, 2]).ravel()
-    source = (((x[2::2] - x[:-2:2])[:, None] * [1.0, 4.0, 1.0] / 6.0).ravel()
-              * (np.asarray(f(x), dtype=float) * forced.measure(x))[at])
-    (y_lo, y_hi), (s_lo, s_hi) = _running_sum(
-        np.stack([source * y_reg[at], (source * y_dec[at])[::-1]]),
-        np.stack([s_reg[at], s_dec[at][::-1]]))
-    # mesh node j starts step b: int_{r0}^r ends with step b - 1, int_r^inf starts with b
-    b = parts * np.arange(mesh.size)
-    y_lo, s_lo = np.append(0.0, y_lo[2::3])[b], np.append(-np.inf, s_lo[2::3])[b]
-    y_hi, s_hi = y_hi[::-1][3 * b], s_hi[::-1][3 * b]
-    w = (y_dec[2 * b] * y_lo * np.exp(s_dec[2 * b] + s_lo)
-         + y_reg[2 * b] * y_hi * np.exp(s_reg[2 * b] + s_hi)) / c
+    green = bs.SectorKernel(x, q * forced.measure(x), y_reg / c, y_dec, s_reg, s_dec)
+    source = green.weights * np.asarray(f(x), dtype=float)
+    w = (green @ source)[2 * parts * np.arange(mesh.size)]  # mesh node j is x[2 parts j]
     if not float(np.max(np.abs(w))) <= 1e10 * (float(np.max(np.abs(f(mesh)))) + 1e-300):
         raise NearSingularError("resolvent solve near-singular at this energy")
-    # u_reg'(r0) / C from the Wronskian p (u_dec u_reg' - u_dec' u_reg) m / w = C
+    # gamma = -u_reg'(r0) int u_dec f dm / C, u_reg'(r0) / C from the Wronskian
+    # p (u_dec u_reg' - u_dec' u_reg) m / w = C
     p0, _, w0 = ode.coefficients(r0)
-    gamma = (-w0 * y_hi[0] * math.exp(s_hi[0] - s_dec[0])
+    gamma = (-w0 * np.dot(y_dec * np.exp(s_dec - s_dec[0]), source)
              / (forced.measure(r0) * p0 * y_dec[0]))
     return mesh, w, float(gamma)
 
 
 def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: float,
-              f: dict, gamma1_tol: float = 1e-9) -> FkwSolution:
+              f: dict) -> FkwSolution:
     """Solve (H_beta - lambda) u = f under the constant-trace/zero-flux pair.
 
     ``f`` maps sector indices to radial source callables.  The symmetric
@@ -177,7 +162,7 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
         mesh, w, flux = _dirichlet_resolvent(problem.with_sector(l), beta, potential,
                                              lam, f[l])
         if l == 0:
-            if abs(g1) < gamma1_tol * max(1.0, abs(flux)):
+            if abs(g1) < GAMMA1_TOL * max(1.0, abs(flux)):
                 raise NearSingularError(
                     "zero-mean-flux constant is degenerate (gamma1 ~ 0): "
                     "the energy is too close to an eigenvalue of the nonlocal problem")

@@ -51,6 +51,11 @@ class Profile:
             raise ValidationError("profile needs at least two samples")
         if not np.all(np.diff(self.xs) > 0):
             raise ValidationError("profile abscissae must be strictly increasing")
+        with np.errstate(over="ignore", invalid="ignore"):  # np.interp divides alike
+            slopes = np.diff(self.ys) / np.diff(self.xs)
+        if not np.all(np.isfinite(slopes)):
+            raise ValidationError("profile slopes must be finite: samples too close "
+                                  "for their values")
 
     @classmethod
     def indicator(cls, lo: float, hi: float, height: float = 1.0) -> "Profile":

@@ -77,6 +77,18 @@ class TestConfigHandling:
         path.write_text(json.dumps(cfg))
         assert cli.run("beta-cr", str(path), str(tmp_path)) == 1
 
+    def test_samples_with_a_slope_past_the_float_range_are_a_config_error(
+            self, tmp_path, capsys):
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "dirichlet"},
+               "potential": {"kind": "samples",
+                             "samples": [[0.0, 0.0], [2.22507386e-311, 1.0], [1.0, 0.0]]},
+               "numerics": {"m": 32}}
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("beta-cr", str(path), str(tmp_path)) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config-error"
+
     def test_missing_file(self, tmp_path):
         assert cli.run("beta-cr", str(tmp_path / "nope.json"), str(tmp_path)) == 1
 

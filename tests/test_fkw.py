@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from betacrit import fkw
 from betacrit.errors import (IndeterminateError, NearSingularError, UnconvergedError,
                              ValidationError)
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
-from betacrit.sector_ode import STEPS_PER_UNIT
+from betacrit.green_kernels import solution_pair
+from betacrit.sector_ode import MAX_TURN, STEPS_PER_UNIT, SectorODE
 
 import oracles as oc
 
@@ -204,6 +206,46 @@ class TestSolveFkw:
             off = mesh > 1.05
             assert np.max(np.abs(-lam * u[off] - f(mesh[off]))) < 3e-5
 
+    @pytest.mark.parametrize("lam", [-1.0, -1e6, -1e8])
+    def test_resolvent_is_the_direct_green_sum(self, lam):
+        # at 40 mesh nodes w = sum_j G(r, x_j) q_j f_j m_j over the Simpson
+        # nodes x_j (the ends and midpoints of the steps, weights h/6, 4h/6,
+        # h/6), every entry exp(s_reg + s_dec) of its own: to 1e-14 of max |w|,
+        # where sums in one shared log-scale lost eps k r (1.2e-12 at -1e8)
+        f = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        k = math.sqrt(-lam)
+        for l in (0, 1):
+            problem = replace(BALL3.with_sector(l), boundary_condition="dirichlet")
+            mesh, w, gamma = fkw._dirichlet_resolvent(problem, 0.5, POT, lam, f)
+            parts = math.ceil(k * float(np.max(np.diff(mesh))) / MAX_TURN)
+            steps = mesh[:-1, None] + np.diff(mesh)[:, None] * np.arange(parts) / parts
+            ends = np.append(steps.ravel(),
+                             mesh[-1] + np.linspace(0.0, 1.0, 1001) ** 2 * (40.0 / k))
+            x = np.empty(2 * ends.size - 1)
+            x[::2], x[1::2] = ends, 0.5 * (ends[:-1] + ends[1:])
+            h = np.diff(ends)
+            q = np.zeros(x.size)
+            q[:-1:2] += h / 6.0
+            q[2::2] += h / 6.0
+            q[1::2] += 4.0 * h / 6.0
+            source = q * f(x) * problem.measure(x)
+            reg, dec, c = solution_pair(problem, lam, POT, 0.5)
+            (y_reg, s_reg), (y_dec, s_dec) = reg(x), dec(x)
+            picks = np.linspace(0, mesh.size - 1, 40).astype(int)
+            direct = np.array([
+                (y_dec[i] * np.sum(y_reg[:i + 1] * np.exp(s_reg[:i + 1] + s_dec[i])
+                                   * source[:i + 1])
+                 + y_reg[i] * np.sum(y_dec[i + 1:] * np.exp(s_reg[i] + s_dec[i + 1:])
+                                     * source[i + 1:])) / c
+                for i in 2 * parts * picks])
+            assert np.max(np.abs(w[picks] - direct)) <= 1e-14 * np.max(np.abs(w))
+            # gamma = -u_reg'(r0) sum_j u_dec(x_j) q_j f_j m_j / C, u_reg'(r0) / C
+            # from the Wronskian
+            p0, _, w0 = SectorODE(problem, POT, 0.5).coefficients(1.0)
+            flux = np.sum(y_dec * np.exp(s_dec - s_dec[0]) * source) / y_dec[0]
+            assert gamma == pytest.approx(-w0 * flux / (problem.measure(1.0) * p0),
+                                          rel=1e-14)
+
     def test_resolvent_past_the_step_budget_is_unconverged(self):
         # k h <= 1/4 would take 800 quadrature steps per mesh step at lambda = -1e10
         f = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
@@ -236,14 +278,15 @@ class TestSolveFkw:
         assert d1 < 0.05 * abs(alphas[0])
         assert d2 == pytest.approx(d1, rel=0.2)
 
-    def test_near_singular_at_nonlocal_eigenvalue(self):
+    def test_near_singular_at_nonlocal_eigenvalue(self, monkeypatch):
         beta = 4.0
         lam0 = ds.ground_state(BALL3, POT, beta)  # sector-0 state of the pair
         g_at = fkw.gamma1(BALL3, beta, POT, lam0)
         assert abs(g_at) < 1e-5  # the flux constant degenerates exactly there
         f0 = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
+        monkeypatch.setattr(fkw, "GAMMA1_TOL", 1e-4)
         with pytest.raises(NearSingularError):
-            fkw.solve_fkw(BALL3, beta, POT, lam0, {0: f0}, gamma1_tol=1e-4)
+            fkw.solve_fkw(BALL3, beta, POT, lam0, {0: f0})
 
 
 class TestSectorEquivalence:

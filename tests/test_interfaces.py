@@ -59,6 +59,17 @@ def test_only_sector_ode_names_the_bessel_pair():
     assert hits == []
 
 
+def test_no_module_sums_in_one_shared_log_scale():
+    """Green sums go through ``SectorKernel``, whose factors are exponentials of
+    nearby scale differences: no module sums by ``logaddexp``, which loses
+    eps k r."""
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "logaddexp" in line]
+    assert hits == []
+
+
 @pytest.mark.parametrize("name", ["green_kernels.py", "birman_schwinger.py"])
 def test_kernel_and_eigensolve_modules_name_no_scipy(name):
     """The Green pair comes from ``free_pair`` and the stalled-top fallback
@@ -161,8 +172,7 @@ def test_option_inventory():
         "minorant_eigenvalue.profile",
         "mu_curve.lambda_grid", "mu_curve.m",
         "norm_limit.lambda_grid", "norm_limit.m",
-        "scaling_study_1d.m",
-        "solve_fkw.gamma1_tol"]
+        "scaling_study_1d.m"]
     schema = json.loads((SRC / "schemas" / "config.schema.json").read_text())
     assert sorted(_schema_fields(schema)) == [
         "numerics.lambda_decades", "numerics.m", "numerics.mesh_h", "numerics.r_max",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betacrit
@@ -199,7 +199,21 @@ def _profile_and_point(draw):
         st.just(math.nextafter(node, -math.inf)),
         st.just(math.nextafter(node, math.inf)),
         st.floats(xs[0] - 2.0, xs[-1] + 2.0)))
-    return Profile(np.array(xs), np.array(ys)), x
+    try:
+        return Profile(np.array(xs), np.array(ys)), x
+    except ValidationError:  # only a slope past the float range is turned away
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.diff(ys) / np.diff(xs)).any()
+        assume(False)
+
+
+def test_profile_with_a_slope_past_the_float_range_is_rejected():
+    # np.interp's slope 1 / 2.2e-311 overflows: it read inf at 5e-324 and at
+    # 1e-311 (the profile is about 2.2e-13 and 0.45 there), and the potential NaN
+    with pytest.raises(ValidationError, match="slopes"):
+        Profile(np.array([0.0, 2.22507386e-311, 1.0]), np.array([0.0, 1.0, 0.0]))
+    narrow = Profile(np.array([0.0, 1e-300, 1.0]), np.array([0.0, 1.0, 0.0]))
+    assert float(narrow(5e-301)) == pytest.approx(0.5, rel=1e-15)
 
 
 def _bits(value) -> bytes:
