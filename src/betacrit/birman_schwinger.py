@@ -91,22 +91,32 @@ class SectorKernel:
         entries = np.outer(self.a, self.b) * np.exp(scales)
         return np.where(upper, entries, entries.T)
 
-    @functools.cached_property
-    def _sums(self):
+    def _steps(self):
         # (K x)_i = e^{s_reg_i + s_dec_i} [b_i sum_{j<=i} a_j x_j e^{s_reg_j - s_reg_i}
         # + a_i sum_{j>=i} b_j x_j e^{s_dec_j - s_dec_i} - a_i b_i x_i], both sums by
         # recursive doubling in one array (the second reversed): step h adds term i - h
         # times e^{s_{i-h} - s_i} (0 across the seam), as exact as the entries at any k
-        a, b, r, q = self.a, self.b, self.s_reg, self.s_dec[::-1]
-        steps = [(h, np.exp(np.concatenate([r[:-h] - r[h:], np.full(h, -np.inf), q[:-h] - q[h:]])))
-                 for h in (2 ** j for j in range((a.size - 1).bit_length()))]
-        d = np.exp(self.s_reg + self.s_dec)
-        return np.concatenate([a, b[::-1]]), steps, d * b, d * a, d * a * b
+        r, q = self.s_reg, self.s_dec[::-1]
+        for h in (2 ** j for j in range((self.size - 1).bit_length())):
+            yield h, np.exp(np.concatenate([r[:-h] - r[h:], np.full(h, -np.inf), q[:-h] - q[h:]]))
+
+    @functools.cached_property
+    def _sums(self):
+        a, b, d = self.a, self.b, np.exp(self.s_reg + self.s_dec)
+        return np.concatenate([a, b[::-1]]), d * b, d * a, d * a * b
+
+    @functools.cached_property
+    def _factors(self):  # kept for the many products of a solve
+        return list(self._steps())
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        coef, steps, db, da, diag = self._sums
+        return self.apply(x, self._factors)
+
+    def apply(self, x: np.ndarray, steps=None) -> np.ndarray:
+        """``K @ x``, each doubling factor formed in the loop unless ``steps`` are given."""
+        coef, db, da, diag = self._sums
         y = coef * np.concatenate([x, x[::-1]])
-        for h, factor in steps:
+        for h, factor in self._steps() if steps is None else steps:
             y[h:] += factor * y[:-h]
         return db * y[:x.size] + da * y[:x.size - 1:-1] - diag * x
 
@@ -140,9 +150,9 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
     ``singular_matrix`` holds g off the diagonal (diagonal entries ignored),
     and ``singular_cell_integrals`` the exact integrals of g(y_i, .) over the
     whole quadrature domain.  The mean-value subtraction then fixes the
-    diagonal without ever evaluating g on it.  A node may stand for a whole
-    ring, as on a meridian half-disk: then ``weights`` holds the ring's
-    volume and g the kernel's mean over the ring.
+    diagonal without ever evaluating g on it.  A node may stand for an orbit
+    (a ring, or a mirror pair): then ``weights`` holds the orbit's measure,
+    g the kernel's mean over it, and the matrix is the operator's even block.
     """
     v = weights * density
     sq = np.sqrt(v)

@@ -4,10 +4,10 @@ The shrinking-well studies work in the rescaled frame where the well has unit
 size: the near-boundary kernels there determine how the coupling threshold
 responds as the well approaches the boundary.  Weakly singular kernels (log
 in 2-d, inverse distance in 3-d) get their Nystrom diagonal from a
-mean-value subtraction with exact cell integrals.  In 3-d every operator is
-invariant under rotation about x1, so it is solved on the meridian
-half-disk, with the kernel's azimuthal mean in closed form; the sub-ball
-comparison operator that bounds it from below is solved in closed form.
+mean-value subtraction with exact cell integrals.  Operators are symmetric
+about x1, as their positive top eigenfunctions are, and are solved with one
+node per orbit: mirror pairs on the upper half-disk in 2-d, rings on the
+meridian half-disk in 3-d; the 3-d sub-ball lower bound is in closed form.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ class _Cloud:
     integrals per cut, each formed on first use, so once for a study
     sharing the cloud.
 
-    In d = 2 the cloud is the disk, and g(y, s) = ln(1/|y - s|).  In d = 3
-    it is the ball about c1 e1 on its meridian half-disk (c x c nodes), and
-    g(y, s) is the mean of 1/|y - s| over the ring through s.
+    Each node stands for its orbit about the x1 axis, weighted by the orbit's
+    measure, and g(y, s) is the kernel's mean over the orbit of s: in d = 2
+    the mirror pair {s, s*} on the upper half-disk (n_r (n_r + 1) nodes), in
+    d = 3 the ring through s on the meridian half-disk of the ball about c1 e1.
     """
 
     def __init__(self, d: int, m: int, x1_min: float = -np.inf,
@@ -147,10 +148,12 @@ class _Cloud:
         if d == 2:
             n_r = max(6, int(round(math.sqrt(m / 2.0))))
             pts, w = disk_grid(n_r, 2 * n_r, radius)
+            axis = np.arange(w.size) % n_r == 0  # theta = 0 or pi, on x2 = 0 exactly
+            pts[axis, 1], w = 0.0, np.where(axis, w, 2.0 * w)  # a pair's node weighs both
         else:
             c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
             pts, w = meridian_grid(c, radius, c1)
-        keep = pts[:, 0] > x1_min + 1e-12
+        keep = (pts[:, 0] > x1_min + 1e-12) & (pts[:, 1] >= 0.0)  # the upper half
         self.pts, self.w = pts[keep], w[keep]
         self.d, self.radius, self.c1 = d, radius, c1
         self._cells = {}
@@ -167,8 +170,9 @@ class _Cloud:
         """g from every node to the points ``s``, or to their images."""
         if self.d == 3:
             return _ring_mean(self.pts, s, shift)
-        with np.errstate(divide="ignore"):
-            return -np.log(_distances(self.pts, s, shift))
+        with np.errstate(divide="ignore"):  # the mean over the mirror pair {s, s*}
+            return -0.5 * np.log(_distances(self.pts, s, shift)
+                                 * _distances(self.pts, s * np.array([1.0, -1.0]), shift))
 
     @functools.cached_property
     def g(self) -> np.ndarray:

@@ -129,9 +129,10 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     q[::2], q[1::2] = np.append(sixth, 0.0) + np.append(0.0, sixth), 4.0 * sixth
     (y_reg, s_reg), (y_dec, s_dec) = reg(x), dec(x)
     green = bs.SectorKernel(x, q * forced.measure(x), y_reg / c, y_dec, s_reg, s_dec)
-    source = green.weights * np.asarray(f(x), dtype=float)
-    w = (green @ source)[2 * parts * np.arange(mesh.size)]  # mesh node j is x[2 parts j]
-    if not float(np.max(np.abs(w))) <= 1e10 * (float(np.max(np.abs(f(mesh)))) + 1e-300):
+    fx = np.asarray(f(x), dtype=float)
+    source = green.weights * fx
+    w = green.apply(source)[2 * parts * np.arange(mesh.size)]  # mesh node j is x[2 parts j]
+    if not float(np.max(np.abs(w))) <= 1e10 * (float(np.max(np.abs(fx))) + 1e-300):
         raise NearSingularError("resolvent solve near-singular at this energy")
     # gamma = -u_reg'(r0) int u_dec f dm / C, u_reg'(r0) / C from the Wronskian
     # p (u_dec u_reg' - u_dec' u_reg) m / w = C

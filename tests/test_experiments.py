@@ -32,6 +32,41 @@ def ray_cells(cloud, cut, n_dir):
     return oc.ray_cell_integrals(pts, 1.0, cut, n_dir)
 
 
+def orbit_basis(folded, full):
+    """One even function of the whole disk per folded node s: the column
+    (e_j + e_j*) / sqrt(2) for the mirror pair {s, s*} at full nodes j, j*,
+    e_j for a node on the axis."""
+    basis = np.zeros((len(full), len(folded)))
+    for k, s in enumerate(folded):
+        orbit = set()
+        for t in (s, s * np.array([1.0, -1.0])):
+            gaps = np.linalg.norm(full - t, axis=1)
+            assert gaps.min() < 1e-14
+            orbit.add(int(np.argmin(gaps)))
+        basis[sorted(orbit), k] = 1.0 / math.sqrt(len(orbit))
+    assert np.all(np.count_nonzero(basis, axis=1) == 1)  # every full node, once
+    return basis
+
+
+def unfolded_matrix(n, center, m, profile=None):
+    """(folded matrix, oracle matrix on the whole disk, orbit basis): the
+    whole polar disk rule that ``_Cloud(2, m, cut)`` folds, cut the same
+    way, each node with the cell integrals of its folded node."""
+    cut = -n * center
+    cloud = ex._Cloud(2, m, cut)
+    mat = ex.halfspace_kernel_matrix(2, "minus", n, center, profile, m=m)
+    n_r = max(6, int(round(math.sqrt(m / 2.0))))
+    pts, w = ex.disk_grid(n_r, 2 * n_r)
+    keep = pts[:, 0] > cut + 1e-12
+    pts, w = pts[keep], w[keep]
+    basis = orbit_basis(cloud.pts, pts)
+    radii = np.linalg.norm(pts, axis=1)
+    density = (radii <= 1.0).astype(float) if profile is None else profile(radii)
+    full = oc.halfspace_matrix(2, "minus", n, center, pts, w, density,
+                               (basis > 0) @ cloud.cells(cut))
+    return mat, full, basis
+
+
 class TestCellIntegrals:
     @pytest.mark.parametrize("d, m, n_dir", [(2, 500, 512), (3, 700, 64)])
     def test_uncut_closed_form_matches_the_ray_oracle(self, d, m, n_dir):
@@ -487,15 +522,46 @@ class TestMeridian:
 
     @pytest.mark.parametrize("n, c", [(10.0, 0.1), (10.0, 0.05), (1e3, 0.3)])
     def test_d2_matrix_is_the_full_point_matrix(self, n, c):
-        cloud = ex._Cloud(2, 500, -n * c)
-        mat = ex.halfspace_kernel_matrix(2, "minus", n, c, m=500)
-        density = (cloud.radii <= 1.0).astype(float)
-        full = oc.halfspace_matrix(2, "minus", n, c, cloud.pts, cloud.w, density,
-                                   cloud.cells(-n * c))
-        # the oracle forms g as ln(1/|y - s|), the cloud as -ln|y - s|:
-        # they differ in the last bit, which the row sums of the diagonal
-        # subtraction carry up to a few 1e-15 of the largest entry
-        assert np.max(np.abs(mat.entries - full)) <= 1e-13 * np.max(np.abs(full))
+        # one node per mirror pair: the folded matrix is the even block
+        # P^T K P of the whole disk's matrix K, P the orbit basis
+        mat, full, basis = unfolded_matrix(n, c, 500)
+        block = basis.T @ full @ basis
+        # the oracle forms g as ln(1/|y - s|), the cloud as the pair mean
+        # -ln(|y - s| |y - s*|) / 2: they differ in the last bits, which the
+        # row sums of the diagonal subtraction carry up to a few 1e-15 of the
+        # largest entry
+        assert np.max(np.abs(mat.entries - block)) <= 1e-13 * np.max(np.abs(block))
+
+
+PROFILES = {"indicator": Profile.indicator(0.0, 1.0), "tent": Profile.tent(0.0, 1.0),
+            "bump": Profile.bump(0.0, 1.0)}
+
+
+class TestMirrorFold:
+    """The d = 2 disk folded on its mirror line x2 = 0 against the whole disk."""
+
+    @pytest.mark.parametrize("m", [150, 500, 648])
+    def test_half_disk_nodes_weights_and_axis(self, m):
+        cloud = ex._Cloud(2, m)
+        n_r = max(6, int(round(math.sqrt(m / 2.0))))
+        assert len(cloud.pts) == n_r * (n_r + 1)
+        assert cloud.w.sum() == pytest.approx(math.pi, rel=1e-12)
+        # theta = 0 and pi, where sin(pi) would leave r * 1.2e-16
+        axis = np.abs(cloud.pts[:, 1]) < 1e-9
+        assert axis.sum() == 2 * n_r
+        assert np.all(cloud.pts[axis, 1] == 0.0)
+        assert np.all(cloud.pts[~axis, 1] > 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(2.5, 1e4), st.floats(0.2, 2.0), st.sampled_from(sorted(PROFILES)),
+           st.sampled_from([150, 300, 500]))
+    def test_folded_norm_is_the_top_of_the_whole_disk(self, n, t, shape, m):
+        # n x(n) = t: a t below 1 cuts the disk at x1 = -t.  The kernel is
+        # nonnegative, so the top eigenvector is positive, hence even; dense
+        # eigvalsh on the whole disk is itself off by up to 1.8e-15
+        mat, full, _ = unfolded_matrix(n, t / n, m, PROFILES[shape])
+        top = np.linalg.eigvalsh(full)[-1]
+        assert bs.principal_eigenvalue(mat)[0] == pytest.approx(top, rel=1e-14)
 
 
 class TestCountingAudit:

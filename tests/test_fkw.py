@@ -246,6 +246,18 @@ class TestSolveFkw:
             assert gamma == pytest.approx(-w0 * flux / (problem.measure(1.0) * p0),
                                           rel=1e-14)
 
+    def test_source_past_the_profile_end_is_no_singularity(self):
+        # a source centred at 10 is e^-169 on the mesh [r0, R* + 1 = 3.5], but all
+        # of it enters w: the near-singularity guard reads it on every Simpson
+        # node, and w matches the uncut FD solve on the mesh
+        f = lambda r: np.exp(-((r - 10.0) / 0.5) ** 2)
+        sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, {1: f})
+        mesh, w = sol.sector_profiles[1]
+        r, w_fd, _ = oc.fd_resolvent(3, 1, 1.0, (1.5, 2.5), 0.5, -1.0, f, length=30.0)
+        near = r <= mesh[-1]
+        gap = np.max(np.abs(np.interp(r[near], mesh, w) - w_fd[near]))
+        assert gap < 1e-8 * np.max(np.abs(w))
+
     def test_resolvent_past_the_step_budget_is_unconverged(self):
         # k h <= 1/4 would take 800 quadrature steps per mesh step at lambda = -1e10
         f = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
