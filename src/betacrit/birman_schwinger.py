@@ -91,32 +91,22 @@ class SectorKernel:
         entries = np.outer(self.a, self.b) * np.exp(scales)
         return np.where(upper, entries, entries.T)
 
-    def _steps(self):
+    @functools.cached_property
+    def _sums(self):
         # (K x)_i = e^{s_reg_i + s_dec_i} [b_i sum_{j<=i} a_j x_j e^{s_reg_j - s_reg_i}
         # + a_i sum_{j>=i} b_j x_j e^{s_dec_j - s_dec_i} - a_i b_i x_i], both sums by
         # recursive doubling in one array (the second reversed): step h adds term i - h
         # times e^{s_{i-h} - s_i} (0 across the seam), as exact as the entries at any k
-        r, q = self.s_reg, self.s_dec[::-1]
-        for h in (2 ** j for j in range((self.size - 1).bit_length())):
-            yield h, np.exp(np.concatenate([r[:-h] - r[h:], np.full(h, -np.inf), q[:-h] - q[h:]]))
-
-    @functools.cached_property
-    def _sums(self):
-        a, b, d = self.a, self.b, np.exp(self.s_reg + self.s_dec)
-        return np.concatenate([a, b[::-1]]), d * b, d * a, d * a * b
-
-    @functools.cached_property
-    def _factors(self):  # kept for the many products of a solve
-        return list(self._steps())
+        a, b, r, q = self.a, self.b, self.s_reg, self.s_dec[::-1]
+        steps = [(h, np.exp(np.concatenate([r[:-h] - r[h:], np.full(h, -np.inf), q[:-h] - q[h:]])))
+                 for h in (2 ** j for j in range((a.size - 1).bit_length()))]
+        d = np.exp(self.s_reg + self.s_dec)
+        return np.concatenate([a, b[::-1]]), steps, d * b, d * a, d * a * b
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x, self._factors)
-
-    def apply(self, x: np.ndarray, steps=None) -> np.ndarray:
-        """``K @ x``, each doubling factor formed in the loop unless ``steps`` are given."""
-        coef, db, da, diag = self._sums
+        coef, steps, db, da, diag = self._sums
         y = coef * np.concatenate([x, x[::-1]])
-        for h, factor in self._steps() if steps is None else steps:
+        for h, factor in steps:
             y[h:] += factor * y[:-h]
         return db * y[:x.size] + da * y[:x.size - 1:-1] - diag * x
 

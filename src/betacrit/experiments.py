@@ -148,12 +148,14 @@ class _Cloud:
         if d == 2:
             n_r = max(6, int(round(math.sqrt(m / 2.0))))
             pts, w = disk_grid(n_r, 2 * n_r, radius)
-            axis = np.arange(w.size) % n_r == 0  # theta = 0 or pi, on x2 = 0 exactly
+            j = np.arange(w.size) % (2 * n_r)  # angle index theta_j = pi j / n_r, radius-major
+            axis = j % n_r == 0  # theta = 0 or pi, on x2 = 0 exactly
             pts[axis, 1], w = 0.0, np.where(axis, w, 2.0 * w)  # a pair's node weighs both
+            pts, w = pts[j <= n_r], w[j <= n_r]  # the upper half
         else:
             c = max(5, int(round((m / 1.4) ** (1.0 / 3.0))))
             pts, w = meridian_grid(c, radius, c1)
-        keep = (pts[:, 0] > x1_min + 1e-12) & (pts[:, 1] >= 0.0)  # the upper half
+        keep = pts[:, 0] > x1_min + 1e-12
         self.pts, self.w = pts[keep], w[keep]
         self.d, self.radius, self.c1 = d, radius, c1
         self._cells = {}

@@ -131,7 +131,7 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     green = bs.SectorKernel(x, q * forced.measure(x), y_reg / c, y_dec, s_reg, s_dec)
     fx = np.asarray(f(x), dtype=float)
     source = green.weights * fx
-    w = green.apply(source)[2 * parts * np.arange(mesh.size)]  # mesh node j is x[2 parts j]
+    w = (green @ source)[2 * parts * np.arange(mesh.size)]  # mesh node j is x[2 parts j]
     if not float(np.max(np.abs(w))) <= 1e10 * (float(np.max(np.abs(fx))) + 1e-300):
         raise NearSingularError("resolvent solve near-singular at this energy")
     # gamma = -u_reg'(r0) int u_dec f dm / C, u_reg'(r0) / C from the Wronskian

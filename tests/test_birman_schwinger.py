@@ -244,24 +244,6 @@ class TestSemiseparableApply:
         held = list(arrays(list(vars(mat).values())))
         assert len(held) > 6 and all(a.ndim == 1 for a in held)
 
-    def test_a_single_product_keeps_no_doubling_factor(self):
-        # without steps, apply forms each factor in the loop: the bits of the
-        # cached product at a peak of 4 vectors of 2m floats, where the
-        # ceil(log2 m) = 15 cached factors alone take 15 such vectors
-        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)
-        mat = bs.assemble(prob, Potential(Profile.tent(1.5, 2.5)), -1e-2, m=20000)
-        x = np.ones(mat.size)
-        mat._sums  # the generators of both products
-        tracemalloc.start()
-        try:
-            once = mat.apply(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert "_factors" not in vars(mat)
-        assert peak < 5 * 16 * mat.size
-        assert np.array_equal(once, mat @ x)
-
     def test_peak_memory_stays_linear_in_m(self):
         # the m x m matrix at m = 2000 alone would take 32 MB
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)
