@@ -370,10 +370,11 @@ def beta_critical(problem: ProblemSpec, potential: Potential,
     """Coupling threshold 1/mu* from the sandwiched-resolvent route.
 
     method 'limit-kernel' evaluates the zero-energy kernel directly;
-    'extrapolation' classifies the mu0(lambda) tail; 'auto' prefers the limit
-    kernel and falls back; 'both' runs the two and cross-checks.  Sectors
-    0..sector_max are swept when ``sector_max`` is given.  Returns 0.0 for
-    divergent limits and None when there are no bound states (V == 0).
+    'extrapolation' classifies the mu0(lambda) tail; 'auto' takes the limit
+    kernel, or 0.0 where it diverges (a Neumann sector without zero-energy
+    flux, where every coupling binds); 'both' runs the two and cross-checks.
+    Sectors 0..sector_max are swept when ``sector_max`` is given.  Returns
+    0.0 for divergent limits and None when there are no bound states (V == 0).
     """
     if method not in ("auto", "limit-kernel", "extrapolation", "both"):
         raise ValidationError(f"unknown method {method!r}")
@@ -397,7 +398,7 @@ def beta_critical(problem: ProblemSpec, potential: Potential,
     try:
         lk = _limit_kernel_value()
     except KernelLimitError:
-        return _extrapolation_value()
+        return 0.0 if method == "auto" else _extrapolation_value()
     if method == "auto":
         return lk
 

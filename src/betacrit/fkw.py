@@ -24,11 +24,11 @@ from .errors import (KernelLimitError, MethodDisagreement, NearSingularError,
                      UnconvergedError, ValidationError)
 from .green_kernels import solution_pair
 from .model import Potential, ProblemSpec, require_valid
-from .sector_ode import (MAX_STEPS, MAX_TURN, STEPS_PER_UNIT, SectorODE, SectorSolution,
-                         closure_radius, fill)
+from .sector_ode import MAX_STEPS, MAX_TURN, SectorODE, SectorSolution, closure_radius, fill
 
 DEFAULT_SECTOR_MAX = 3
 GAMMA1_TOL = 1e-9  # |gamma1| below this, relative to max(1, |gamma|), is degenerate
+SIMPSON_PER_UNIT = 1000  # fewest Simpson steps of the resolvent per unit length
 
 
 def _require_fkw(problem: ProblemSpec):
@@ -101,11 +101,11 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     w(r) = [u_dec(r) int_{r0}^r u_reg f dm + u_reg(r) int_r^inf u_dec f dm] / C,
     as one product of a ``SectorKernel`` with generators y_reg / C and y_dec
     (the Green matrix itself) and the source times its composite Simpson
-    weights.  The Simpson steps run on [r0, R* + 1] at a spacing of at most
-    1/``STEPS_PER_UNIT``, also where the sector ODE takes longer exact steps:
-    each of its ``pieces`` filled with that density or as many more steps as
-    the turn bound needs, each step split until k h <= ``MAX_TURN``; then on
-    1000 quadratically growing steps until u_dec has fallen by e^-40.  No
+    weights.  That Simpson grid is a quadrature rule, not an ODE mesh: on
+    [r0, R* + 1] each of the sector ODE's ``pieces`` takes
+    ``SIMPSON_PER_UNIT`` steps per unit length or as many more as the turn
+    bound needs, each step split until k h <= ``MAX_TURN``; then come 1000
+    quadratically growing steps until u_dec has fallen by e^-40.  No
     source is cut, and the product stays finite and exact to rounding at any
     k = sqrt(-lambda).  Returns the mesh, w on it and gamma = -w'(r0).
     """
@@ -115,7 +115,7 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     r_out = closure_radius(problem, potential) + 1.0
     ode = SectorODE(forced, potential, beta)
     cuts, turn, _ = ode.pieces(lam, r0, r_out)
-    mesh = fill(cuts, np.maximum(turn, np.ceil(np.diff(cuts) * STEPS_PER_UNIT)))
+    mesh = fill(cuts, np.maximum(turn, np.ceil(np.diff(cuts) * SIMPSON_PER_UNIT)))
     parts = math.ceil(k * float(np.max(np.diff(mesh))) / MAX_TURN)  # Simpson steps per step
     if 2 * parts * mesh.size > MAX_STEPS:
         raise UnconvergedError("resolvent quadrature past the step budget",

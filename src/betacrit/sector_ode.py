@@ -18,7 +18,8 @@ A = [[0, 1/p], [q - lambda w, 0]] the commutator is diagonal and Omega
 traceless, so Omega^2 = D I and exp(Omega) = cos t + sin(t)/t Omega for
 D = -t^2 (a step turning the state by about t) or cosh t + sinh(t)/t Omega
 for D = t^2 (a growing step, kept divided by e^t).  Where p, q and w are
-constant the step is exact.
+constant the step is exact, and so is ``free_step`` where V = 0 and a == 1.
+``SectorODE.mesh``, scaled to the well, is the one rule for where a solve steps.
 
 ``zero_energy_count`` reads the number of negative eigenvalues off the
 Pruefer angle at lambda = 0 (Sturm oscillation; Pryce 1993, as in SLEDGE and
@@ -35,13 +36,12 @@ import numpy as np
 from .errors import UnconvergedError
 from .model import Potential, ProblemSpec
 
-STEPS_PER_UNIT = 1000  # fewest steps per unit length where p, q or w varies
 MAX_TURN = 0.25        # most an oscillating step may turn the state, in radians,
                        # and a count's step may grow a sector that can bind, in e-folds
 MAX_STEPS = 2 ** 18    # most steps of one integration
 MAX_WORK = 2 ** 22     # most steps x sectors of one count
 CHUNK = 2 ** 18        # most steps x sectors stepped at once
-WELL_STEPS = 1000      # fewest steps of sector 0's refined zero-energy angle
+WELL_STEPS = 1000      # fewest steps across the stepped span where p, q or w varies
 GUARD = 0.05           # radians from a crossing where a count reads the refined angle
 GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -194,6 +194,11 @@ class SectorODE:
             kinks.update(potential.profile.xs.tolist())
         kinks = sorted(kinks)  # near-repeated samples make one cut
         self._kinks = [c for b, c in zip([-math.inf] + kinks, kinks) if c - b > _gap(c)]
+        r_flat = problem.flat_radius()  # V = 0 and a == 1 on [r_flat, lo] and past R*
+        lo, r_star = (r_flat, r_flat) if potential is None else (
+            max(potential.support[0], r_flat), closure_radius(problem, potential))
+        self._free, stepped = (r_flat, lo, r_star), (r_flat - problem.inner_radius) + (r_star - lo)
+        self._density = WELL_STEPS / (stepped or 1.0)  # the floor per unit length
 
     def coefficients(self, r):
         """(p, q, w) at r, a float or an array."""
@@ -256,24 +261,32 @@ class SectorODE:
         _, f, _, df = self.free_pair(lam, r, derivatives=True, growing=False)
         return 1.0, p * (df / f)
 
-    def free_step(self, start: float, end: float) -> np.ndarray:
-        """Entries m00, m01, m10, m11 of the zero-energy step from ``start``
-        to ``end`` across a span where V = 0 and a = 1, up to a positive
-        factor: exact, from the free solutions r^l and r^{-(l+d-2)} (r and 1
-        on the line, ln r and 1 in the planar sector 0).  The step does not
-        oscillate, so it turns the state by less than pi."""
+    def free_step(self, lam: float, start, end):
+        """(m, g): the exact steps from the radii ``start`` to ``end``, either
+        way, where V = 0 and a == 1 in d >= 2, as ``propagators`` gives them.
+        Below 0 the matrix is Phi(end) Phi(start)^-1, Phi the (u, p u')
+        columns of ``free_pair``, and g = k |end - start|; at 0 it is written
+        out from r^l and r^{-(l+d-2)} (ln r and 1 in the planar sector 0), and
+        g = l ln(end/start).  The step turns the state by less than pi."""
         d, l = self.dimension, self.sector
-        one = np.ones_like(l, dtype=float)
-        if d == 1:
-            return np.array([one, (end - start) * one, 0.0 * one, one])
+        p0, p1 = start ** (d - 1), end ** (d - 1)  # p = w where a == 1
+        if lam < 0:
+            k, h = math.sqrt(-lam), end - start
+            pair = np.array(self.free_pair(lam, np.concatenate([start, end]), derivatives=True))
+            (g0, f0, dg0, df0), (g1, f1, dg1, df1) = np.split(pair, 2, axis=-1)
+            # g1 f0 carries e^{k h}, f1 g0 e^{-k h}: divided by e^{k |h|}
+            up, down = np.exp(2.0 * k * np.minimum(h, 0.0)), np.exp(-2.0 * k * np.maximum(h, 0.0))
+            m = np.array([p0 * (g1 * df0 * up - f1 * dg0 * down), f1 * g0 * down - g1 * f0 * up,
+                          p0 * p1 * (dg1 * df0 * up - df1 * dg0 * down),
+                          p1 * (df1 * g0 * down - dg1 * f0 * up)])
+            return m / (p0 * (g0 * df0 - dg0 * f0)), k * np.abs(h)
         # the pair's transfer matrix divided by (end/start)^l, written with
         # e = (1 - (start/end)^s) / s, s = 2l + d - 2, which tends to ln(end/start)
-        log_rho, s = math.log(end / start), 2 * l + d - 2
+        log_rho, s = np.log(end / start), 2 * l + d - 2
         with np.errstate(divide="ignore", invalid="ignore"):
             e = np.where(s > 0, -np.expm1(-s * log_rho) / s, log_rho)
-        p0, p1 = self.coefficients(start)[0], self.coefficients(end)[0]
-        return np.array([1.0 - l * e, start * e / p0 * one, p1 * self._cent * e / end,
-                         p1 * start * (np.exp(-s * log_rho) + l * e) / (end * p0)])
+        return np.array([1.0 - l * e, start * e / p0, p1 * self._cent * e / end,
+                         p1 * start * (np.exp(-s * log_rho) + l * e) / (end * p0)]), l * log_rho
 
     def _in_sectors(self, sectors: np.ndarray) -> "SectorODE":
         """This equation in every one of ``sectors`` at once, as a column:
@@ -295,38 +308,55 @@ class SectorODE:
         """(cuts, turn, exact): the ``segment_points`` of [r_in, r_out], and
         for each piece between them the fewest uniform steps that keep every
         turn at or below ``MAX_TURN`` at the local wavenumber
-        sqrt((lambda w - q) / p), and whether p, q and w are constant, so
-        that one step is exact.  Both are read just inside the two ends of
-        the piece, where V and a are linear."""
+        sqrt((lambda w - q) / p), and whether one step is exact: p, q and w
+        constant, or a ``free_step``.  Both are read just inside the two ends
+        of the piece, where V and a are linear."""
         cuts = np.array(self.segment_points(r_in, r_out))
         width = np.diff(cuts)
         p, q, w = (c.reshape(2, -1) for c in np.broadcast_arrays(*self.coefficients(
             np.concatenate([cuts[:-1] + 1e-9 * width, cuts[1:] - 1e-9 * width]))))
         wave = np.sqrt(np.maximum(lam * w - q, 0.0) / p).max(axis=0)
-        exact = (p[0] == p[1]) & (q[0] == q[1]) & (w[0] == w[1])
+        exact = ((p[0] == p[1]) & (q[0] == q[1]) & (w[0] == w[1])
+                 | self._is_free(lam, cuts[:-1], width))
         return cuts, np.ceil(width * (wave / MAX_TURN)), exact
 
-    def mesh(self, lam: float, r_in: float, r_out: float) -> np.ndarray:
-        """Ascending nodes: each of the ``pieces`` filled with uniform steps,
-        as many as its turn needs and at least one, and where p, q or w
-        varies at least ``STEPS_PER_UNIT`` per unit length.  A step that does
-        not oscillate turns the state by less than pi however long it is (the
-        Pruefer angle cannot cross k pi downward or k pi + pi/2 upward), as
-        ``SectorSolution.angle`` needs.  Past ``MAX_STEPS`` steps the mesh
-        raises ``UnconvergedError``."""
+    def mesh(self, lam: float, r_in: float, r_out: float, floor: bool = True,
+             rise: float = 0.0) -> np.ndarray:
+        """Ascending nodes, the one rule for where the sector ODE steps: each
+        of the ``pieces`` in uniform steps, as many as its turn needs and at
+        least one.  Where one step is not exact (p, q or w varies) there are,
+        with ``floor``, at least ``WELL_STEPS`` per length of the problem's
+        stepped span [r_in, r_flat] and [lo, R*], so a dilated well takes the
+        same steps, and with ``rise`` enough that none grows a solution by
+        more than ``rise`` / r per unit length.  A step that does not oscillate
+        turns the state by less than pi however long it is (the Pruefer angle
+        cannot cross k pi downward or k pi + pi/2 upward).  Past ``MAX_STEPS``
+        steps the mesh raises ``UnconvergedError``."""
         cuts, turn, exact = self.pieces(lam, r_in, r_out)
-        floor = np.where(exact, 1.0, np.ceil(np.diff(cuts) * STEPS_PER_UNIT))
-        steps = np.maximum(turn, floor)
+        width = np.diff(cuts)
+        least = np.ceil(width * self._density) if floor else 1.0
+        if rise:
+            least = np.maximum(least, np.ceil(width * rise / cuts[:-1]))
+        steps = np.maximum(turn, np.where(exact, 1.0, least))
         if not steps.sum() <= MAX_STEPS:
             raise UnconvergedError("sector ODE needs more steps than one integration takes",
                                    details={"segment": [r_in, r_out], "lambda": lam,
                                             "steps": float(steps.sum())})
         return fill(cuts, steps)
 
+    def _is_free(self, lam: float, r, h):
+        """Whether each step from the radii r over the lengths h is a
+        ``free_step``: no step crosses a cut, so its middle tells."""
+        if self.dimension == 1 or lam > 0.0:  # constant on the line; no pair above 0
+            return np.False_
+        mid, (r_flat, lo, r_star) = r + 0.5 * h, self._free
+        return ((mid > r_flat) & (mid < lo)) | (mid > r_star)
+
     def propagators(self, lam: float, r, h):
-        """Magnus steps from the radii r over the lengths h: (m, g), with the
-        entries m00, m01, m10, m11 of exp(Omega) e^{-g} along the first axis
-        and the growth g >= 0 taken out."""
+        """Steps from the radii r over the lengths h: (m, g), with the
+        entries m00, m01, m10, m11 of the step's matrix e^{-g} along the first
+        axis and the growth g taken out: Magnus steps, and ``free_step``
+        where the equation is free."""
         n = np.shape(r)[-1]  # the second Gauss points start at n
         p, q, w = self.coefficients(np.concatenate([r + GAUSS[0] * h, r + GAUSS[1] * h]))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -338,8 +368,10 @@ class SectorODE:
             grows, t = disc > 0.0, np.sqrt(np.abs(disc))
             c = np.where(grows, 0.5 + 0.5 * np.exp(-2.0 * t), np.cos(t))
             s = np.where(grows, -0.5 * np.expm1(-2.0 * t) / t, np.sinc(t / math.pi))
-            m = np.array([c + s * diag, s * up, s * low, c - s * diag])
-        return m, np.where(grows, t, 0.0)
+            m, g = np.array([c + s * diag, s * up, s * low, c - s * diag]), np.where(grows, t, 0.0)
+        if (free := self._is_free(lam, r, h)).any():
+            m[..., free], g[..., free] = self.free_step(lam, r[free], (r + h)[free])
+        return m, g
 
     def integrate(self, lam: float, y, start: float, end: float, *,
                   decays: bool = False) -> SectorSolution:
@@ -367,28 +399,24 @@ class ZeroEnergyAngle:
     """The zero-energy Pruefer angle of every sector of ``problem`` at
     coupling beta.
 
-    ``mismatch`` steps sectors together on the turn mesh: one exact
+    ``mismatch`` steps sectors together on the turn mesh, ``SectorODE.mesh``
+    of sector 0 from the obstacle to R* without the floor: one exact
     ``free_step`` from r_flat (the obstacle without a coefficient) to the
-    well, and elsewhere at least one step on every piece, each turning
-    sector 0, where the well turns fastest, by at most ``MAX_TURN``, and
-    growing a sector that can bind by at most ``MAX_TURN`` e-folds.  With
-    ``refined`` sector 0, whose sign change is the threshold, steps on that
-    mesh with at least ``WELL_STEPS`` steps per length of the stepped span
-    (all but the free step) where p, q or w varies: its angle holds to
-    about 1e-13, and a dilated well on the line takes the same steps.
-    Past ``MAX_STEPS`` steps either mesh raises ``UnconvergedError``.
+    well, and elsewhere steps that turn sector 0, where the well turns
+    fastest, by at most ``MAX_TURN`` and grow a sector that can bind by at
+    most ``MAX_TURN`` e-folds.  With ``refined`` sector 0, whose sign change
+    is the threshold, steps on that mesh with the floor: its angle holds to
+    about 1e-13, and a dilated well takes the same steps.
     """
 
     def __init__(self, problem: ProblemSpec, potential: Potential, beta: float):
         self.beta = beta
         ode = self.ode = SectorODE(problem.with_sector(0), potential, beta)
-        d, r_in = problem.dimension, problem.inner_radius
-        self.r_star, r_flat = closure_radius(problem, potential), problem.flat_radius()
-        lo = min(max(potential.support[0], r_flat), self.r_star)  # free span [r_flat, lo]
-        self._spans, self._meshes = ((r_in, r_flat), (lo, self.r_star)), {}
+        d, self._r_in = problem.dimension, problem.inner_radius
+        self.r_star, self._meshes = closure_radius(problem, potential), {}
         reach = 0.0  # l(l+d-2) below it can bind; on the line every sector can
         if d > 1:
-            kinks = np.array(ode.segment_points(r_in, self.r_star))
+            kinks = np.array(ode.segment_points(self._r_in, self.r_star))
             probe = fill(kinks, np.full(kinks.size - 1, 8.0))
             p, q, _ = ode.coefficients(probe)
             reach = max(reach, float(np.max(-q * probe * probe / p)))
@@ -400,36 +428,19 @@ class ZeroEnergyAngle:
         self._starts = np.array([SectorODE(problem.with_sector(l)).regular_state()
                                  for l in range(min(self.limit, 2))])  # sector 0 may differ
 
-    def mesh(self, refined: bool):
-        """(r, free): the nodes of the turn mesh, or of sector 0's refined
-        one, and the node the exact free step starts from (None without
-        a free span)."""
+    def mesh(self, refined: bool) -> np.ndarray:
+        """Nodes of the turn mesh, or of sector 0's refined one."""
         if refined not in self._meshes:
-            floor = refined * WELL_STEPS / sum(b - a for a, b in self._spans)
-            parts = [np.array([a]) for a, _ in self._spans]
-            for k, (a, b) in enumerate(self._spans):
-                if b > a:
-                    cuts, turn, exact = self.ode.pieces(0.0, a, b)
-                    width = np.diff(cuts)
-                    grow = np.ceil(width * self._rise / cuts[:-1]) if self._rise else 0.0
-                    least = np.where(exact, 1.0, np.maximum(np.ceil(width * floor), 1.0))
-                    parts[k] = fill(cuts, np.maximum(np.maximum(turn, grow), least))
-            (inner, outer), free = parts, self._spans[1][0] > self._spans[0][1]
-            r = np.concatenate([inner, outer if free else outer[1:]])
-            if not r.size - 1 <= MAX_STEPS:
-                raise UnconvergedError("zero-energy angle needs more steps than one integration "
-                                       "takes", details={"beta": self.beta, "steps": r.size - 1})
-            self._meshes[refined] = r, inner.size - 1 if free else None
+            self._meshes[refined] = self.ode.mesh(0.0, self._r_in, self.r_star,
+                                                  floor=refined, rise=self._rise)
         return self._meshes[refined]
 
     def mismatch(self, sectors, refined: bool = False) -> np.ndarray:
         """theta(R*) - theta_target of each of ``sectors``, stepped together
         on the turn mesh, or on sector 0's refined one."""
-        (r, free), ls = self.mesh(refined), np.asarray(sectors).ravel()
+        r, ls = self.mesh(refined), np.asarray(sectors).ravel()
         batch = self.ode._in_sectors(ls)
         m, _ = batch.propagators(0.0, r[:-1], np.diff(r))
-        if free is not None:
-            m[..., free] = batch.free_step(self._spans[0][1], self._spans[1][0])[..., 0]
         u, v = self._starts[np.minimum(ls, 1)].T
         if ls.size == 1:  # floats step faster than arrays of one
             y = walk(zip(*m[:, 0].tolist()), float(u[0]), float(v[0]))[..., None]
@@ -456,7 +467,7 @@ def zero_energy_count(problem: ProblemSpec, potential: Potential, beta: float) -
     raises ``UnconvergedError``.
     """
     angle = ZeroEnergyAngle(problem, potential, beta)
-    steps, sectors = angle.mesh(False)[0].size - 1, angle.sectors
+    steps, sectors = angle.mesh(False).size - 1, angle.sectors
     if not steps * sectors <= MAX_WORK:
         raise UnconvergedError("zero-energy count needs more steps than one count takes",
                                details={"beta": beta, "steps": steps, "sectors": sectors})

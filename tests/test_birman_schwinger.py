@@ -358,6 +358,18 @@ class TestBetaCritical:
         for pot in (WELL, Potential(Profile.bump(0.5, 1.5, 2.0))):
             assert bs.beta_critical(HALF_LINE_N, pot, m=200) == 0.0
 
+    def test_auto_reads_a_divergent_limit_kernel_as_zero(self, monkeypatch):
+        # the limit kernel raises exactly where every coupling binds, so
+        # 'auto' needs no sweep of the energy grid to return 0.0
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("auto swept the energy grid")
+
+        monkeypatch.setattr(bs, "mu_curve", no_sweep)
+        planar = ProblemSpec(2, "exterior_ball", "neumann", radius=1.0)
+        for prob, pot in ((HALF_LINE_N, WELL),
+                          (planar, Potential(Profile.indicator(1.5, 2.5)))):
+            assert bs.beta_critical(prob, pot, m=64) == 0.0
+
     def test_zero_potential_sentinel(self):
         out = bs.beta_critical(HALF_LINE_D, Potential(Profile.indicator(1.0, 2.0), 0.0))
         assert out is None

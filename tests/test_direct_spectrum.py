@@ -264,6 +264,43 @@ class TestGroundState:
         assert ratio == pytest.approx(ratio[0], rel=1e-10)
 
 
+class TestScaleFreeMesh:
+    """The sector ODE steps a well in ``WELL_STEPS`` per length of its
+    stepped span, so a dilated problem is solved the same at every scale."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(("tent", "bump")), st.floats(math.log(1e-3), math.log(10.0)))
+    def test_ground_state_is_dilation_invariant(self, shape, log_s):
+        # V on [s, 2s] of height 1 / s^2 is the unit well dilated by s, so
+        # lambda0 s^2 is the unit well's; ground_state's tol is 1e-10 in lambda
+        s = math.exp(log_s)
+        unit = ds.ground_state(HALF_LINE_D, Potential(getattr(Profile, shape)(1.0, 2.0)), 6.0)
+        lam0 = ds.ground_state(
+            HALF_LINE_D, Potential(getattr(Profile, shape)(s, 2.0 * s, 1.0 / s ** 2)), 6.0)
+        assert lam0 * s * s == pytest.approx(unit, rel=max(1e-10, 1e-10 / abs(lam0)))
+
+    @pytest.mark.parametrize("prob, lo, hi, height", [
+        (HALF_LINE_D, 1.0, 1.001, 1e6), (HALF_LINE_D, 1.0, 1.01, 1e4),
+        (ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0), 1.5, 1.51, 1e4),
+        (BALL_D3, 1.5, 1.51, 1e4), (BALL_D3, 1.5, 1.501, 1e6)])
+    def test_narrow_well_ground_state_holds_its_tolerance(self, monkeypatch, prob, lo, hi,
+                                                          height):
+        # tents 1e-2 and 1e-3 wide at 3 beta_cr against the same solve with
+        # every step of the mesh split in 40: they agree to 5e-12 (a fixed
+        # 1,000 steps per unit length was off by 7.2e-7 to 1.2e-4)
+        pot = Potential(Profile.tent(lo, hi, height))
+        beta = 3.0 * ds.beta_critical_direct(prob, pot)
+        lam0 = ds.ground_state(prob, pot, beta)
+        mesh = SectorODE.mesh
+
+        def finer(ode, *args, **kwargs):
+            r = mesh(ode, *args, **kwargs)
+            return np.append(r[:-1, None] + np.diff(r)[:, None] * np.arange(40) / 40, r[-1])
+
+        monkeypatch.setattr(SectorODE, "mesh", finer)
+        assert lam0 == pytest.approx(ds.ground_state(prob, pot, beta), rel=1e-10)
+
+
 class TestPiecewiseConstantWells:
     """Half-line indicator wells, where the sector ODE crosses each piece in
     as few exact steps as its turn allows, one where nothing oscillates."""

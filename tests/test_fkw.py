@@ -12,7 +12,7 @@ from betacrit.errors import (IndeterminateError, NearSingularError, UnconvergedE
                              ValidationError)
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
 from betacrit.green_kernels import solution_pair
-from betacrit.sector_ode import MAX_TURN, STEPS_PER_UNIT, SectorODE
+from betacrit.sector_ode import MAX_TURN, SectorODE
 
 import oracles as oc
 
@@ -96,7 +96,20 @@ class TestExteriorSolution:
 
 class TestGamma1:
     def test_classical_limit_value(self):
-        assert fkw.gamma1(BALL3, 0.0, POT, 0.0) == pytest.approx(1.0, abs=1e-4)
+        # beta = 0 on the shipped well: v = e^{-k(r - 1)} / r in d = 3, so
+        # gamma1 = 1 + k, and 1 at lambda = 0; solve_v crosses the gap [1, 1.5]
+        # and the tail in exact free steps
+        for lam in (-1e-2, -1e-3, -1e-4, -1e-5, -1e-6, 0.0):
+            assert fkw.gamma1(BALL3, 0.0, POT, lam) == pytest.approx(
+                1.0 + math.sqrt(-lam), rel=1e-13)
+
+    def test_planar_value_is_the_bessel_ratio(self):
+        # beta = 0 in d = 2: v = K0(k r) / K0(k), so gamma1 = k K1(k) / K0(k)
+        from scipy.special import kve
+        for lam in (-1e-2, -1e-3, -1e-4, -1e-5, -1e-6, -1e-7, -1e-8):
+            k = math.sqrt(-lam)
+            assert fkw.gamma1(BALL2, 0.0, POT, lam) == pytest.approx(
+                k * kve(1, k) / kve(0, k), rel=1e-13)
 
     def test_d2_vanishes_at_threshold(self):
         vals = [fkw.gamma1(BALL2, 0.0, POT, lam) for lam in (-1e-2, -1e-4, -1e-6, -1e-8)]
@@ -182,7 +195,7 @@ class TestSolveFkw:
     def test_line_resolvent_keeps_its_quadrature_density(self, lam, gamma):
         # d = 1 with a == 1 and an indicator well: the sector ODE crosses each
         # piece in a few exact steps, but the Simpson steps stay at most
-        # 1/STEPS_PER_UNIT apart, or gamma moves by 1.7e-6 and 1.6e-3 here;
+        # 1/fkw.SIMPSON_PER_UNIT apart, or gamma moves by 1.7e-6 and 1.6e-3 here;
         # gamma is the value of the 1,000-per-unit mesh on every piece, and
         # within 2.4e-9 of oracles.fd_resolvent
         line = ProblemSpec(1, "exterior_ball", "fkw", radius=1.0)
@@ -191,7 +204,7 @@ class TestSolveFkw:
         assert sol.gamma == pytest.approx(gamma, abs=1e-9)
         for mesh, _ in sol.sector_profiles.values():
             assert mesh.size == 2501
-            assert np.max(np.diff(mesh)) <= (1.0 + 1e-9) / STEPS_PER_UNIT
+            assert np.max(np.diff(mesh)) <= (1.0 + 1e-9) / fkw.SIMPSON_PER_UNIT
 
     def test_deep_energy_resolvent_is_finite_and_local(self):
         # at lambda = -1e6 the pair grows and decays like e^{+-1000 r}: the

@@ -1,10 +1,12 @@
-"""The sector interface stays narrow: one propagator and one reader of what
-it integrates, both in ``sector_ode``, no finite-difference pencil (it is a
-test oracle), and sectors named only by ``ProblemSpec``.  Start-up stays light: scipy is imported in the functions
-that call it, so a run loads only the scipy modules it uses.  The config
-schema offers no field the command line does not read, and the public
-functions' keyword defaults and the schema's fields are pinned by name."""
+"""The sector interface stays narrow: one propagator, one mesh rule and one
+reader of what it integrates, all in ``sector_ode``, no finite-difference
+pencil (it is a test oracle), and sectors named only by ``ProblemSpec``.
+Start-up stays light: scipy is imported in the functions that call it, so a
+run loads only the scipy modules it uses.  The config schema offers no field
+the command line does not read, and the public functions' keyword defaults
+and the schema's fields are pinned by name."""
 
+import ast
 import inspect
 import json
 import os
@@ -34,6 +36,24 @@ def test_only_sector_ode_integrates_or_reads_integrator_output():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if INTEGRATOR.search(line)]
     assert hits == []
+
+
+def test_one_rule_decides_where_the_sector_ode_steps():
+    """``SectorODE.mesh`` is the only mesh of the sector ODE; the fkw
+    resolvent's Simpson grid, a quadrature rule, is the one other reader of
+    ``pieces``, and no module keeps a per-unit step density."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                          and node.func.attr == "pieces"]
+    assert sorted(calls) == ["fkw.py:_dirichlet_resolvent", "sector_ode.py:mesh"]
+    assert sum(path.read_text().count(".pieces(") for path in SRC.glob("*.py")) == 2
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "STEPS_PER_UNIT" in path.read_text()] == []
 
 
 def test_no_module_names_the_fd_pencil():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from betacrit.errors import UnconvergedError
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
-from betacrit.sector_ode import (GUARD, MAX_STEPS, MAX_TURN, STEPS_PER_UNIT, SectorODE,
+from betacrit.sector_ode import (GUARD, MAX_STEPS, MAX_TURN, WELL_STEPS, SectorODE,
                                  ZeroEnergyAngle, closure_radius)
 
 BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
@@ -210,25 +210,28 @@ class TestClosureAndSegments:
             pytest.approx(math.atan(math.tanh(3.0)), rel=1e-12)
 
     def test_mesh_fills_each_piece_uniformly(self):
+        # d = 3: the gap [1, 1.5] and the tail past R* = 2.5 are free, one
+        # exact step each; the well takes WELL_STEPS per length of the
+        # stepped span [1.5, 2.5]
         ode = SectorODE(BALL3, POT, beta=2.0)
         r = ode.mesh(-1.0, 1.0, 3.0)
         assert set(ode.segment_points(1.0, 3.0)) <= set(r.tolist())
         h = np.diff(r)
-        for lo, hi in [(1.0, 1.5), (1.5, 2.5), (2.5, 3.0)]:
+        for lo, hi, steps in [(1.0, 1.5, 1), (1.5, 2.5, WELL_STEPS), (2.5, 3.0, 1)]:
             inside = h[(r[:-1] >= lo) & (r[1:] <= hi)]
-            assert inside.size == round((hi - lo) * STEPS_PER_UNIT)
+            assert inside.size == steps
             assert inside == pytest.approx(inside[0], rel=1e-9)
 
     def test_mesh_keeps_each_oscillating_step_below_the_turn_bound(self):
         # beta V = 2e6 on [1.5, 2.5]: a wavenumber near 1400, far past the
-        # fixed density there and nowhere else
+        # floor there; the free gap below it stays one step
         ode = SectorODE(BALL3, POT, beta=1e6)
         r = ode.mesh(-1.0, 1.0, 3.0)
         p, q, w = ode.coefficients(r[:-1] + 0.5 * np.diff(r))
         wave = np.sqrt(np.maximum(-w - q, 0.0) / p)
         assert np.max(wave * np.diff(r)) <= MAX_TURN
-        assert np.sum((r > 1.5) & (r < 2.5)) > 4 * STEPS_PER_UNIT
-        assert np.sum(r < 1.5) == round(0.5 * STEPS_PER_UNIT)
+        assert np.sum((r > 1.5) & (r < 2.5)) > 4 * WELL_STEPS
+        assert np.sum(r < 1.5) == 1
 
     def test_constant_pieces_take_only_the_steps_their_turn_needs(self):
         # d = 1, a == 1 and an indicator well: p, q and w are constant on
@@ -245,19 +248,26 @@ class TestClosureAndSegments:
 
     def test_the_floor_stays_where_a_coefficient_varies(self):
         # r^{d-1} in d >= 2, a linear V, a sampled a: the step is exact only
-        # to fourth order there
+        # to fourth order there, so such a piece takes WELL_STEPS per length
+        # of the stepped span; in d >= 2 the free gap and tail take one exact
+        # step, and a dilated well takes the same steps
         for d in (2, 3):
             ode = SectorODE(ProblemSpec(d, "exterior_ball", "dirichlet", radius=1.0),
                             POT, beta=2.0)
-            assert _steps_per_piece(ode, -1.0, 1.0, 3.0) == [500, 1000, 500]
+            assert _steps_per_piece(ode, -1.0, 1.0, 3.0) == [1, WELL_STEPS, 1]
         for profile in (Profile.tent(1.2, 1.9, 1.5), Profile.bump(1.2, 1.9, n=8)):
             ode = SectorODE(LINE, Potential(profile), beta=6.0)
-            floor = np.ceil(np.diff(profile.xs) * STEPS_PER_UNIT).astype(int).tolist()
+            density = WELL_STEPS / (profile.hi - profile.lo)
+            floor = np.ceil(np.diff(profile.xs) * density).astype(int).tolist()
             assert _steps_per_piece(ode, -1.0, 0.0, 3.0) == [1] + floor + [1]
+            narrow = Profile(1e-3 * profile.xs, profile.ys)
+            steps = _steps_per_piece(SectorODE(LINE, Potential(narrow), beta=6e6),
+                                     -1e6, 0.0, 3e-3)
+            assert abs(sum(steps[1:-1]) - sum(floor)) <= len(floor)
         line_a = ProblemSpec(1, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
-        assert _steps_per_piece(SectorODE(line_a), -1.0, 1.0, 3.0) == [1000, 1]
+        assert _steps_per_piece(SectorODE(line_a), -1.0, 1.0, 3.0) == [WELL_STEPS, 1]
         assert _steps_per_piece(SectorODE(line_a, WELL, beta=4.0), -1.0, 1.0, 3.0) == \
-            [1000, 1]
+            [WELL_STEPS, 1]
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(("indicator", "tent", "bump")), st.floats(0.0, 2.0),
@@ -341,8 +351,8 @@ class TestZeroEnergyAngle:
         # the d = 3 tent: the turn mesh takes few steps, the refined one at
         # least 1,000 on the well, and every other sector the turn mesh
         angle = ZeroEnergyAngle(BALL3, Potential(Profile.tent(1.2, 1.9, 1.5)), 2.0)
-        assert angle.mesh(False)[0].size < 20
-        assert angle.mesh(True)[0].size > 1000
+        assert angle.mesh(False).size < 20
+        assert angle.mesh(True).size > WELL_STEPS
         pair = angle.mismatch([0, 1])
         assert pair[1] == angle.mismatch([1])[0]
         assert pair[0] == pytest.approx(angle.mismatch([0], refined=True)[0], abs=1e-3)
