@@ -46,7 +46,7 @@ def main():
 
     for name, prob in (("d=3", ball3), ("d=2", ball2)):
         limit = fkw_norm_limit(prob, pot, m=240, sector_max=2)
-        beta = beta_critical_fkw(prob, pot, m=240, sector_max=2, limit=limit)
+        beta = beta_critical_fkw(prob, pot, m=240, sector_max=2)
         print(f"\n{name}: norm limit {limit['verdict']}, beta_cr = {beta}")
         for l, cls in limit["sectors"].items():
             tag = cls.verdict + (" log" if cls.log_divergence else "")

@@ -16,9 +16,8 @@ from .model import (CenterPath, CoefficientProfile, Potential, ProblemSpec,
 from .green_kernels import green_kernel
 from .birman_schwinger import (Classification, KernelMatrix, SectorKernel,
                                SpectralReport, assemble, assemble_points, beta_critical,
-                               beta_from_verdict, classify_limit,
-                               default_lambda_grid, mu_curve, norm_limit,
-                               principal_eigenvalue)
+                               classify_limit, default_lambda_grid, mu_curve,
+                               norm_limit, principal_eigenvalue)
 from .direct_spectrum import (beta_critical_direct, count_negative,
                               crosscheck_birman_schwinger, eigenfunction,
                               eigenvalue_residual, ground_state)
@@ -37,7 +36,7 @@ __all__ = [
     "Profile", "ScaledPotentialFamily", "ScalingStudy", "SectorKernel", "SpectralReport",
     "UnconvergedError", "ValidationError", "assemble", "assemble_points",
     "beta_critical", "beta_critical_direct", "beta_critical_fkw",
-    "beta_from_verdict", "classify_limit", "clr_audit",
+    "classify_limit", "clr_audit",
     "count_negative", "crosscheck_birman_schwinger", "default_lambda_grid",
     "dichotomy_suite", "eigenfunction", "eigenvalue_residual", "fkw_norm_limit",
     "gamma1", "green_kernel", "ground_state", "h_factor", "halfspace_norm_study",

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (IndeterminateError, KernelLimitError, MethodDisagreement,
-                     UnconvergedError, ValidationError)
+from .errors import (IndeterminateError, MethodDisagreement, UnconvergedError,
+                     ValidationError)
 from .green_kernels import solution_pair
 from .model import Potential, ProblemSpec, require_valid
 
@@ -330,16 +330,32 @@ def classify_limit(samples) -> Classification:
                           growth_per_decade=float(growth))
 
 
+def _observed_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,
+                    m: int = DEFAULT_M):
+    """(``mu_curve``, its ``classify_limit``) in the problem's sector.  The
+    tail observes the verdict ``ProblemSpec.limit_diverges`` decides: with
+    V != 0 a determinate tail that reads the other one is a discretization
+    fault, and raises ``UnconvergedError``."""
+    report = mu_curve(problem, potential, lambda_grid=lambda_grid, m=m)
+    cls = classify_limit(report)
+    if (not potential.is_zero() and cls.verdict != "indeterminate"
+            and (cls.verdict == "divergent") != problem.limit_diverges()):
+        raise UnconvergedError(f"the mu0 tail of sector {problem.sector} reads {cls.verdict}"
+                               f" against the boundary-condition rule: discretization failure",
+                               details={"growth_per_decade": cls.growth_per_decade})
+    return report, cls
+
+
 def norm_limit(problem: ProblemSpec, potential: Potential, sectors,
                lambda_grid=None, m: int = DEFAULT_M) -> dict:
-    """Classify mu0 as lambda -> 0- in every sector and combine the verdicts.
+    """Observe mu0 as lambda -> 0- in every sector and combine the verdicts.
 
-    The norm diverges as soon as one sector's does; otherwise one
-    indeterminate sector makes the whole verdict indeterminate; otherwise it
-    is bounded with mu* the largest sector limit.
+    Each sector's tail is checked against its verdict by the rule
+    (``_observed_limit``).  The norm diverges as soon as one sector's does;
+    otherwise one indeterminate sector makes the whole verdict
+    indeterminate; otherwise it is bounded with mu* the largest sector limit.
     """
-    per_sector = {l: classify_limit(mu_curve(problem.with_sector(l), potential,
-                                             lambda_grid=lambda_grid, m=m))
+    per_sector = {l: _observed_limit(problem.with_sector(l), potential, lambda_grid, m)[1]
                   for l in sectors}
     verdicts = {cls.verdict for cls in per_sector.values()}
     verdict = next((v for v in ("divergent", "indeterminate") if v in verdicts),
@@ -349,70 +365,43 @@ def norm_limit(problem: ProblemSpec, potential: Potential, sectors,
     return {"verdict": verdict, "mu_star": mu_star, "sectors": per_sector}
 
 
-def beta_from_verdict(verdict: str, mu_star: float | None):
-    """The coupling threshold a norm verdict implies.
-
-    1/mu* when the norm stays bounded, None when mu* <= 0 (no coupling
-    creates a bound state), 0.0 when it diverges; an indeterminate verdict
-    raises ``IndeterminateError``.
-    """
-    if verdict == "divergent":
-        return 0.0
-    if verdict == "indeterminate":
-        raise IndeterminateError("the lambda -> 0- growth of mu0 is between the "
-                                 "bounded and divergent thresholds; refine the grid")
-    return None if mu_star <= 0 else 1.0 / mu_star
-
-
 def beta_critical(problem: ProblemSpec, potential: Potential,
                   method: str = "auto", m: int = DEFAULT_M, lambda_grid=None,
                   sector_max: int | None = None):
     """Coupling threshold 1/mu* from the sandwiched-resolvent route.
 
-    method 'limit-kernel' evaluates the zero-energy kernel directly;
-    'extrapolation' classifies the mu0(lambda) tail; 'auto' takes the limit
-    kernel, or 0.0 where it diverges (a Neumann sector without zero-energy
-    flux, where every coupling binds); 'both' runs the two and cross-checks.
-    Sectors 0..sector_max are swept when ``sector_max`` is given.  Returns
-    0.0 for divergent limits and None when there are no bound states (V == 0).
+    0.0 where a swept sector's limit kernel diverges by the rule
+    (``ProblemSpec.limit_diverges``), where every coupling binds; there
+    'limit-kernel' raises ``KernelLimitError``.  mu* comes from the
+    zero-energy kernel ('limit-kernel', 'auto') or from the mu0(lambda)
+    tails of ``norm_limit`` ('extrapolation'); 'both' takes the two and
+    cross-checks them.  The tails are taken under 'extrapolation' and
+    'both' also where the rule gives 0.0, and an indeterminate one raises
+    ``IndeterminateError``.  Sectors 0..sector_max are swept when
+    ``sector_max`` is given.  None when no coupling binds (V == 0, mu* <= 0).
     """
     if method not in ("auto", "limit-kernel", "extrapolation", "both"):
         raise ValidationError(f"unknown method {method!r}")
     if potential.is_zero():
         return None
+    require_valid(problem, potential)
     sectors = [problem.sector] if sector_max is None else range(sector_max + 1)
-
-    def _limit_kernel_value():
-        mats = (assemble(problem.with_sector(l), potential, 0.0, m=m) for l in sectors)
-        return beta_from_verdict("bounded", max(principal_eigenvalue(mat)[0]
-                                                for mat in mats))
-
-    def _extrapolation_value():
+    diverges = any(problem.with_sector(l).limit_diverges() for l in sectors)
+    mus = {}
+    if method == "limit-kernel" or method != "extrapolation" and not diverges:
+        mus["limit-kernel"] = max(principal_eigenvalue(assemble(
+            problem.with_sector(l), potential, 0.0, m=m))[0] for l in sectors)
+    if method in ("extrapolation", "both"):
         limit = norm_limit(problem, potential, sectors, lambda_grid, m)
-        return beta_from_verdict(limit["verdict"], limit["mu_star"])
-
-    if method == "limit-kernel":
-        return _limit_kernel_value()
-    if method == "extrapolation":
-        return _extrapolation_value()
-    try:
-        lk = _limit_kernel_value()
-    except KernelLimitError:
-        return 0.0 if method == "auto" else _extrapolation_value()
-    if method == "auto":
-        return lk
-
-    # both: cross-validate
-    ex = _extrapolation_value()
-    if lk is None or ex is None:
-        return None
-    scale = max(abs(lk), abs(ex), 1e-300)
-    if ex == 0.0 and lk > 0.0:
-        raise MethodDisagreement(
-            "limit kernel exists but the extrapolation classified the norm as divergent",
-            values={"limit-kernel": lk, "extrapolation": ex})
-    if abs(lk - ex) > 5e-2 * scale:
-        raise MethodDisagreement(
-            f"threshold methods disagree: {lk:.6g} vs {ex:.6g}",
-            values={"limit-kernel": lk, "extrapolation": ex})
-    return lk
+        if limit["verdict"] == "indeterminate":
+            raise IndeterminateError("the lambda -> 0- growth of mu0 is between the "
+                                     "bounded and divergent thresholds; refine the grid")
+        mus["extrapolation"] = limit["mu_star"]
+    if diverges:
+        return 0.0
+    values = {name: 1.0 / mu if mu > 0 else None for name, mu in mus.items()}
+    lk, ex = values.get("limit-kernel"), values.get("extrapolation")
+    if lk and ex and abs(lk - ex) > 5e-2 * max(lk, ex):
+        raise MethodDisagreement(f"threshold methods disagree: {lk:.6g} vs {ex:.6g}",
+                                 values=values)
+    return None if None in values.values() else lk or ex

@@ -171,13 +171,15 @@ def _atomic_write(path: str, text: str):
 
 def _run_mu_curve(cfg, problem, potential, num):
     grid = _lambda_grid(cfg, num)
-    report = bs.mu_curve(problem, potential, lambda_grid=grid, m=num["m"])
-    cls = bs.classify_limit(report)
+    report, cls = bs._observed_limit(problem, potential, lambda_grid=grid, m=num["m"])
     payload = {**report.to_json_dict(), "classification": asdict(cls),
                "beta_cr": None}
     if cls.verdict != "indeterminate":  # an indeterminate tail leaves beta_cr null
-        payload["beta_cr"] = bs.beta_from_verdict(cls.verdict, cls.mu_star)
-        if payload["beta_cr"] is None:
+        if cls.verdict == "divergent":  # the rule's verdict: every coupling binds
+            payload["beta_cr"] = 0.0
+        elif cls.mu_star > 0:
+            payload["beta_cr"] = 1.0 / cls.mu_star
+        else:
             payload["beta_cr_verdict"] = "no-bound-states"  # V == 0: mu0 vanishes
     if not report.metadata.get("monotone", True):
         raise UnconvergedError("mu0 samples not monotone: discretization failure",
@@ -242,8 +244,9 @@ def _run_fkw(cfg, problem, potential, num):
               for lam in grid]
     limit = fkw.fkw_norm_limit(problem, potential, lambda_grid=grid,
                                m=num["m"], sector_max=sector_max)
-    value = fkw.beta_critical_fkw(problem, potential, m=num["m"],
-                                  sector_max=sector_max, limit=limit)
+    if limit["verdict"] == "indeterminate":
+        raise IndeterminateError("an indeterminate mu0 tail in the fkw sectors; refine the grid")
+    value = fkw.beta_critical_fkw(problem, potential, m=num["m"], sector_max=sector_max)
     payload = {"gamma1": g_rows,
                "norm_limit": {"verdict": limit["verdict"],
                               "mu_star": limit["mu_star"],

@@ -55,12 +55,13 @@ def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
     theta is the Pruefer angle of (u, p u') along the regular solution, the
     target that of the decaying free solution at R*.  As lam rises theta
     rises and the target falls, so the mismatch increases with lam.  At
-    lam = 0 it is the ``ZeroEnergyAngle`` that counts read, refined in
-    sector 0, where its root is the threshold.
+    lam = 0 it is the ``ZeroEnergyAngle`` that counts read, on the refined
+    mesh that every lam < 0 shot steps on too; in sector 0 its root is the
+    threshold.
     """
     if lam == 0.0:
         return float(ZeroEnergyAngle(problem, potential, beta).mismatch(
-            [problem.sector], refined=problem.sector == 0)[0])
+            [problem.sector], refined=True)[0])
     ode = SectorODE(problem, potential, beta)
     r_star = closure_radius(problem, potential)
     theta = ode.integrate(lam, ode.regular_state(), problem.inner_radius, r_star).angle
@@ -176,8 +177,7 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential):
     if potential.is_zero():
         return None
     ground = problem.with_sector(0)
-    ode = SectorODE(ground)
-    if ode.bc == "neumann" and ode.decay_state(0.0, closure_radius(problem, potential))[1] == 0.0:
+    if ground.limit_diverges():
         return 0.0
 
     @functools.cache  # brentq evaluates the bracket's ends again

@@ -391,8 +391,11 @@ def dichotomy_suite(m: int = 300, decades=DICHOTOMY_DECADES) -> ScalingStudy:
 
     Low-dimensional exterior problems split by the boundary condition:
     Dirichlet stays bounded, Neumann diverges (a power law on the half-line,
-    logarithmically for the planar exterior ball).  Indeterminate verdicts
-    are listed as such, never coerced.
+    logarithmically for the planar exterior ball), as
+    ``ProblemSpec.limit_diverges`` decides; each row is the tail's
+    observation of it, and a tail that contradicts it raises
+    ``UnconvergedError``.  Indeterminate verdicts are listed as such, never
+    coerced.
     """
     grid = bs.default_lambda_grid(decades)
     rows = []
@@ -403,8 +406,7 @@ def dichotomy_suite(m: int = 300, decades=DICHOTOMY_DECADES) -> ScalingStudy:
                     prob = ProblemSpec(1, "half_line", bc)
                 else:
                     prob = ProblemSpec(2, "exterior_ball", bc)  # unit obstacle
-                rep = bs.mu_curve(prob, pot, lambda_grid=grid, m=m)
-                cls = bs.classify_limit(rep)
+                _, cls = bs._observed_limit(prob, pot, lambda_grid=grid, m=m)
                 rows.append({"d": d, "bc": bc, "potential": name,
                              "verdict": cls.verdict,
                              "rate_exponent": cls.rate_exponent,

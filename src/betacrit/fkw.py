@@ -68,10 +68,10 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
     require_valid(problem, potential)
     if lam > 0:
         raise ValidationError("the exterior solve needs lambda <= 0")
+    if lam == 0 and problem.with_sector(0).limit_diverges():
+        raise KernelLimitError("no decaying zero-energy solution in this sector")
     r_star = closure_radius(problem, potential)
     ode = SectorODE(problem.with_sector(0), potential, beta)
-    if lam == 0 and ode.decay_state(0.0, r_star)[1] == 0.0:
-        raise KernelLimitError("no decaying zero-energy solution in this sector")
     v = ode.integrate(lam, ode.decay_state(lam, r_star), r_star, problem.inner_radius,
                       decays=True)
     v.normalize(problem.inner_radius)  # only the ratio to the trace matters
@@ -184,7 +184,8 @@ def fkw_norm_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,
     """Classify the sandwiched-resolvent norm per sector as lambda -> 0-.
 
     Sector 0 carries the Neumann-type reduction of the nonlocal condition,
-    higher sectors are Dirichlet; ``bs.norm_limit`` combines the verdicts.
+    higher sectors are Dirichlet; ``bs.norm_limit`` checks each sector's tail
+    against its verdict by the rule and combines the verdicts.
     """
     _require_fkw(problem)
     if lambda_grid is None:
@@ -195,27 +196,21 @@ def fkw_norm_limit(problem: ProblemSpec, potential: Potential, lambda_grid=None,
 
 
 def beta_critical_fkw(problem: ProblemSpec, potential: Potential,
-                      m: int = bs.DEFAULT_M, sector_max: int = DEFAULT_SECTOR_MAX,
-                      limit: dict | None = None):
+                      m: int = bs.DEFAULT_M, sector_max: int = DEFAULT_SECTOR_MAX):
     """Coupling threshold for the nonlocal condition (uniform measure).
 
-    1/mu* over the sector family when the norms stay bounded, 0 when they
-    diverge, None without bound states.  A positive threshold must agree
-    with the direct eigenvalue sweep to 1%, or ``MethodDisagreement`` is
-    raised.  ``limit`` is a ``fkw_norm_limit`` result to reuse; without it
-    the limit is taken on the default grid.
+    ``bs.beta_critical`` ('auto') over the sector family, with no energy
+    sweep: 0.0 where the symmetric sector's limit kernel diverges (d <= 2),
+    1/mu* of the zero-energy kernels otherwise, None without bound states.
+    A positive threshold must agree with the direct eigenvalue sweep to 1%,
+    or ``MethodDisagreement`` is raised.
     """
     _require_fkw(problem)
     require_valid(problem, potential)
-    if potential.is_zero():
-        return None
-    if limit is None:
-        limit = fkw_norm_limit(problem, potential, m=m, sector_max=sector_max)
-    beta = bs.beta_from_verdict(limit["verdict"], limit["mu_star"])
-    if not beta:  # a divergent norm (0.0) or no bound state (None)
-        return beta
-    value = bs.beta_critical(problem, potential, method="limit-kernel", m=m,
+    value = bs.beta_critical(problem, potential, m=m,
                              sector_max=_top_sector(problem, sector_max))
+    if not value:  # every coupling binds (0.0), or none does (None)
+        return value
     direct = beta_critical_direct(problem, potential)
     if isinstance(direct, float) and abs(direct - value) > 1e-2 * max(value, direct):
         raise MethodDisagreement(

@@ -35,21 +35,19 @@ def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None 
     sector ODE below r_f (R* = ``closure_radius`` with a potential), the
     free solutions with s = +-k (r - r_f) beyond.
     For r <= rho, s_reg(r) + s_dec(rho) is at most about 0.  lam = 0 gives
-    the zero-energy limit and raises ``KernelLimitError`` where it diverges:
-    Neumann when the zero-energy decaying solution is constant.
+    the zero-energy limit and raises ``KernelLimitError`` where it diverges
+    (``ProblemSpec.limit_diverges``: Neumann, and the bounded zero-energy
+    solution constant).
     """
-    if problem.geometry not in ("half_line", "exterior_ball"):
-        raise ValidationError("sector Green functions cover the half-line and the "
-                              "exterior ball; half-space studies assemble image "
-                              "kernels on point clouds")
+    if problem.limit_diverges() and lam == 0:  # a half-space problem raises here
+        raise KernelLimitError(f"limit kernel divergent for the Neumann condition on the "
+                               f"{problem.geometry} (d={problem.dimension}, "
+                               f"sector {problem.sector})")
     if lam > 0:
         raise ValidationError("Green functions need lambda <= 0")
     r0 = problem.inner_radius
     rf = problem.flat_radius() if potential is None else closure_radius(problem, potential)
     ode = SectorODE(problem, potential, beta)
-    if lam == 0 and ode.bc == "neumann" and ode.decay_state(0.0, rf)[1] == 0.0:
-        raise KernelLimitError(f"limit kernel divergent for the Neumann condition on the "
-                               f"{problem.geometry} (d={ode.dimension}, sector {ode.sector})")
     k, p_rf = math.sqrt(-lam), ode.coefficients(rf)[0]
     g, f, dg, df = (float(v) for v in ode.free_pair(lam, rf, derivatives=True))
     inward = outward = None  # the span [r0, r_f] is empty where a == 1

@@ -182,6 +182,16 @@ class ProblemSpec:
             return self.boundary_condition
         return "neumann" if self.sector == 0 else "dirichlet"
 
+    def limit_diverges(self) -> bool:
+        """Whether the sector's zero-energy limit kernel diverges, so that
+        every coupling binds (beta_cr = 0): exactly where the sector is
+        Neumann and its bounded zero-energy free solution r^{-(l+d-2)} is a
+        constant, l + d <= 2.  The one place this rule is written; a
+        half-space problem, which has no sectors, raises ``ValidationError``."""
+        if self.geometry == "half_space":  # studied on point clouds with image kernels
+            raise ValidationError("sectors cover the half-line and the exterior ball only")
+        return self.effective_bc() == "neumann" and self.sector + self.dimension <= 2
+
     def with_sector(self, sector: int) -> "ProblemSpec":
         return ProblemSpec(self.dimension, self.geometry, self.boundary_condition,
                            self.radius, self.coefficient, sector)

@@ -404,9 +404,12 @@ class ZeroEnergyAngle:
     ``free_step`` from r_flat (the obstacle without a coefficient) to the
     well, and elsewhere steps that turn sector 0, where the well turns
     fastest, by at most ``MAX_TURN`` and grow a sector that can bind by at
-    most ``MAX_TURN`` e-folds.  With ``refined`` sector 0, whose sign change
-    is the threshold, steps on that mesh with the floor: its angle holds to
-    about 1e-13, and a dilated well takes the same steps.
+    most ``MAX_TURN`` e-folds.  With ``refined`` the sectors step on that
+    mesh with the floor, as every lambda < 0 shot does: the angle holds to
+    about 1e-13, and a dilated well takes the same steps.  Counts read the
+    turn mesh (sector 0 the refined one next to a crossing);
+    ``phase_mismatch`` reads the refined one in every sector, and so does
+    the threshold, sector 0's sign change.
     """
 
     def __init__(self, problem: ProblemSpec, potential: Potential, beta: float):
@@ -429,7 +432,7 @@ class ZeroEnergyAngle:
                                  for l in range(min(self.limit, 2))])  # sector 0 may differ
 
     def mesh(self, refined: bool) -> np.ndarray:
-        """Nodes of the turn mesh, or of sector 0's refined one."""
+        """Nodes of the turn mesh, or of the refined one."""
         if refined not in self._meshes:
             self._meshes[refined] = self.ode.mesh(0.0, self._r_in, self.r_star,
                                                   floor=refined, rise=self._rise)
@@ -437,7 +440,7 @@ class ZeroEnergyAngle:
 
     def mismatch(self, sectors, refined: bool = False) -> np.ndarray:
         """theta(R*) - theta_target of each of ``sectors``, stepped together
-        on the turn mesh, or on sector 0's refined one."""
+        on the turn mesh, or on the refined one."""
         r, ls = self.mesh(refined), np.asarray(sectors).ravel()
         batch = self.ode._in_sectors(ls)
         m, _ = batch.propagators(0.0, r[:-1], np.diff(r))

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betacrit import birman_schwinger as bs
-from betacrit.errors import KernelLimitError, ValidationError
+from betacrit.errors import KernelLimitError, UnconvergedError, ValidationError
 from betacrit.green_kernels import green_kernel
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
 
@@ -119,6 +119,12 @@ class TestAssemble:
     def test_neumann_limit_propagates(self):
         with pytest.raises(KernelLimitError):
             bs.assemble(HALF_LINE_N, WELL, 0.0, m=32)
+
+    def test_half_space_has_no_sector_threshold(self):
+        # d = 2 Neumann would give 0.0 by the sector rule, which has no sectors here
+        prob = ProblemSpec(2, "half_space", "neumann")
+        with pytest.raises(ValidationError):
+            bs.beta_critical(prob, Potential(Profile.indicator(0.0, 0.5), center=2.0))
 
     def test_support_outside_domain_rejected(self):
         prob = ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0)
@@ -379,15 +385,26 @@ class TestBetaCritical:
             bs.beta_critical(HALF_LINE_N, WELL, method="limit-kernel", m=64)
 
     def test_method_disagreement_carries_both_values(self):
-        # a short, coarse energy grid misreads the slow planar tail as
-        # divergent, contradicting the existing limit kernel
+        # the slow planar Dirichlet tail, cut at -1e-7, extrapolates to a mu*
+        # 6% short: threshold 0.837832 against the limit kernel's 0.789578
         prob = ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0)
         pot = Potential(Profile.indicator(1.5, 2.5))
         from betacrit.errors import MethodDisagreement
         with pytest.raises(MethodDisagreement) as err:
-            bs.beta_critical(prob, pot, method="both", m=200,
-                             lambda_grid=bs.default_lambda_grid((0, 3)))
+            bs.beta_critical(prob, pot, method="both", m=200)
         assert set(err.value.values) == {"limit-kernel", "extrapolation"}
+        assert err.value.values["limit-kernel"] == pytest.approx(0.789578, rel=1e-5)
+        assert err.value.values["extrapolation"] == pytest.approx(0.837832, rel=1e-5)
+
+    def test_a_tail_against_the_rule_is_a_discretization_failure(self):
+        # a short, coarse energy grid misreads the same tail as divergent,
+        # where the rule says bounded: no threshold comes out of it
+        prob = ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0)
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        for method in ("extrapolation", "both"):
+            with pytest.raises(UnconvergedError, match="against the boundary-condition rule"):
+                bs.beta_critical(prob, pot, method=method, m=200,
+                                 lambda_grid=bs.default_lambda_grid((0, 3)))
 
     def test_grid_convergence_is_cauchy(self):
         values = [bs.beta_critical(HALF_LINE_D, WELL, method="limit-kernel", m=m)

@@ -116,6 +116,23 @@ class TestConfigHandling:
         assert payload["beta_cr"] is None
         assert "beta_cr_verdict" not in payload
 
+    @pytest.mark.parametrize("potential", [
+        {"kind": "indicator", "support": [-3.0, -2.0]},
+        {"kind": "samples", "samples": [[1.0, 0.0], [1.5, 1.0], [2.0, -1.0], [2.5, 0.0]]}])
+    def test_invalid_potential_on_a_divergent_sector_is_a_config_error(
+            self, tmp_path, capsys, potential):
+        # the rule gives beta_cr = 0 here, but only for a potential in the domain
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "neumann"},
+               "potential": potential}
+        path = tmp_path / "neu.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("beta-cr", str(path), str(tmp_path)) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config-error"
+        assert not (tmp_path / "beta-cr.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = {"problem": {"geometry": "half_line", "dimension": 1,
                            "boundary_condition": "neumann"},
@@ -195,23 +212,60 @@ class TestConfigHandling:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config-error"
 
-    def test_deep_energy_below_unit_coefficient_prints_nothing(self, tmp_path):
+    def test_deep_energy_below_unit_coefficient_is_one_numerical_failure(self, tmp_path):
         # a = 0.3 -> 1 at lambda = -1e7: the kernel matrix was all NaN and
-        # the eigensolve ended in a traceback
-        cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
-                           "boundary_condition": "dirichlet", "radius": 1.0,
-                           "coefficient": {"samples": [[1, 0.3], [2, 1.0]],
-                                           "flat_radius": 2}},
+        # the eigensolve ended in a traceback.  The samples are finite now,
+        # but a grid that stops at -1 reads the d = 3 Dirichlet tail as
+        # divergent, against the rule, so no threshold is reported
+        problem = {"geometry": "exterior_ball", "dimension": 3,
+                   "boundary_condition": "dirichlet", "radius": 1.0,
+                   "coefficient": {"samples": [[1, 0.3], [2, 1.0]], "flat_radius": 2}}
+        grid = [-1e7, -1e5, -1e3, -10, -1]
+        cfg = {"problem": problem,
                "potential": {"kind": "indicator", "support": [1, 2]},
-               "numerics": {"m": 100},
-               "study": {"lambda_grid": [-1e7, -1e5, -1e3, -10, -1]},
+               "numerics": {"m": 100}, "study": {"lambda_grid": grid},
                "output": {"json": "deep.json"}}
         path = tmp_path / "deep_config.json"
         path.write_text(json.dumps(cfg))
         code, lines = betacrit("mu-curve", "--config", str(path), "--out", str(tmp_path))
-        assert (code, lines) == (0, [])
-        mus = [row["mu0"] for row in read_json(tmp_path, cfg)["samples"]]
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numerical-failure"
+        assert not (tmp_path / "deep.json").exists()
+        report = bs.mu_curve(cli.build_problem(cfg), cli.build_potential(cfg),
+                             lambda_grid=grid, m=100)
+        mus = [row[1] for row in report.samples]
         assert len(mus) == 5 and np.all(np.isfinite(mus))
+
+    def test_mu_curve_neumann_half_line_without_a_well_has_no_bound_states(self, tmp_path):
+        # the rule says every coupling binds there, but with V = 0 none does
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "neumann"},
+               "potential": {"kind": "zero", "support": [1.0, 2.0]},
+               "numerics": {"m": 32}}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("mu-curve", str(path), str(tmp_path)) == 0
+        with open(tmp_path / "mu-curve.json") as fh:
+            payload = json.load(fh)
+        assert payload["beta_cr"] is None
+        assert payload["beta_cr_verdict"] == "no-bound-states"
+
+    def test_mu_curve_with_mu_star_zero_has_no_threshold(self, tmp_path):
+        # one kernel node at the zero between the tent's humps: V != 0, yet
+        # every sample of mu0 is 0, so mu* = 0 and beta_cr stays null
+        cfg = {"problem": {"geometry": "half_line", "dimension": 1,
+                           "boundary_condition": "dirichlet"},
+               "potential": {"kind": "samples",
+                             "samples": [[1.0, 0.0], [1.25, 1.0], [1.5, 0.0],
+                                         [1.75, 1.0], [2.0, 0.0]]},
+               "numerics": {"m": 1}}
+        path = tmp_path / "node.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.run("mu-curve", str(path), str(tmp_path)) == 0
+        with open(tmp_path / "mu-curve.json") as fh:
+            payload = json.load(fh)
+        assert payload["classification"]["mu_star"] == 0.0
+        assert payload["beta_cr"] is None
 
     def test_subnormal_energy_classifies_without_warning(self, tmp_path):
         # the decade span of a grid reaching -2.2e-311 is a difference of

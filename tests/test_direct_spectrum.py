@@ -160,6 +160,17 @@ class TestGroundState:
     def test_none_just_below_threshold(self):
         assert ds.ground_state(HALF_LINE_D, WELL, BETA_CR_WELL * (1.0 - 1e-6)) is None
 
+    def test_zero_energy_mismatch_is_the_limit_of_the_shots_in_every_sector(self):
+        # just past sector 2's threshold on the turn mesh: read on that mesh
+        # the lambda = 0 mismatch was 3.8e-11 while the shots below 0, on the
+        # floored mesh, tend to 6.5e-7
+        prob = BALL_D3.with_sector(2)
+        pot = Potential(Profile.indicator(1.5, 2.5))
+        beta = 3.758776079629624 * (1.0 + 1e-10)
+        at_zero = ds.phase_mismatch(prob, pot, beta, 0.0)
+        assert at_zero == pytest.approx(ds.phase_mismatch(prob, pot, beta, -1e-14), abs=1e-12)
+        assert at_zero == pytest.approx(6.523018e-7, rel=1e-6)
+
     @pytest.mark.parametrize("support,beta", [((1.0, 2.0), 0.814), ((1.0, 2.0), 4.0),
                                               ((0.5, 1.3), 12.0), ((1.0, 2.0), 100.0)])
     def test_exact_on_piecewise_constant_wells(self, support, beta):

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,10 +7,10 @@ import pytest
 from scipy.optimize import brentq
 
 from betacrit import birman_schwinger as bs
+from betacrit import cli
 from betacrit import direct_spectrum as ds
 from betacrit import fkw
-from betacrit.errors import (IndeterminateError, NearSingularError, UnconvergedError,
-                             ValidationError)
+from betacrit.errors import NearSingularError, UnconvergedError, ValidationError
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
 from betacrit.green_kernels import solution_pair
 from betacrit.sector_ode import MAX_TURN, SectorODE
@@ -350,16 +351,27 @@ class TestNormLimit:
         assert out["mu_star"] == 0.0
 
     def test_divergent_sector_outranks_an_indeterminate_one(self, monkeypatch):
+        # in d = 2 the symmetric sector diverges by the rule, the others not
         def verdict(report):
             sector = report.metadata["sector"]
-            return bs.Classification("indeterminate" if sector == 0 else "divergent",
+            return bs.Classification("divergent" if sector == 0 else "indeterminate",
                                      growth_per_decade=0.03)
 
         monkeypatch.setattr(bs, "classify_limit", verdict)
-        plain = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
-        assert bs.beta_critical(plain, POT, method="extrapolation", m=32,
+        assert bs.beta_critical(BALL2, POT, method="extrapolation", m=32,
                                 sector_max=1) == 0.0
-        assert fkw.fkw_norm_limit(BALL3, POT, m=32, sector_max=1)["verdict"] == "divergent"
+        assert fkw.fkw_norm_limit(BALL2, POT, m=32, sector_max=1)["verdict"] == "divergent"
+
+    def test_a_tail_against_the_rule_is_a_discretization_failure(self, monkeypatch):
+        # the d = 3 sectors are bounded by the rule, d = 2's symmetric one not
+        monkeypatch.setattr(bs, "classify_limit", lambda report: bs.Classification(
+            "divergent", growth_per_decade=0.2))
+        with pytest.raises(UnconvergedError, match="against the boundary-condition rule"):
+            fkw.fkw_norm_limit(BALL3, POT, m=32, sector_max=1)
+        monkeypatch.setattr(bs, "classify_limit", lambda report: bs.Classification(
+            "bounded", mu_star=1.0, growth_per_decade=0.0))
+        with pytest.raises(UnconvergedError, match="sector 0 reads bounded"):
+            fkw.fkw_norm_limit(BALL2, POT, m=32, sector_max=1)
 
 
 class TestBetaCriticalFkw:
@@ -381,14 +393,27 @@ class TestBetaCriticalFkw:
         out = fkw.beta_critical_fkw(BALL3, Potential(Profile.indicator(1.5, 2.5), 0.0))
         assert out is None
 
-    def test_given_limit_is_not_recomputed(self, monkeypatch):
-        limit = fkw.fkw_norm_limit(BALL2, POT, m=120, sector_max=1)
-        monkeypatch.setattr(fkw, "fkw_norm_limit", None)  # any call would fail
-        assert fkw.beta_critical_fkw(BALL2, POT, m=120, sector_max=1,
-                                     limit=limit) == 0.0
+    def test_sweeps_no_energy_grid(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("beta_critical_fkw swept the energy grid")
 
-    def test_indeterminate_sector_verdict_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(bs, "mu_curve", no_sweep)
+        assert fkw.beta_critical_fkw(BALL2, POT, m=120, sector_max=1) == 0.0
+        assert fkw.beta_critical_fkw(BALL3, POT, m=120, sector_max=1) > 0.0
+
+    def test_indeterminate_sector_verdict_is_a_numerical_failure(self, monkeypatch, tmp_path,
+                                                               capsys):
         monkeypatch.setattr(fkw, "fkw_norm_limit", lambda *args, **kwargs: {
             "verdict": "indeterminate", "mu_star": None, "sectors": {}})
-        with pytest.raises(IndeterminateError):
-            fkw.beta_critical_fkw(BALL3, POT)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": {"geometry": "exterior_ball", "dimension": 3,
+                        "boundary_condition": "fkw", "radius": 1.0},
+            "potential": {"kind": "indicator", "support": [1.5, 2.5]},
+            "numerics": {"m": 32, "lambda_decades": [2, 5]}}))
+        assert cli.run("fkw", str(path), str(tmp_path)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert (diag["error"], diag["type"]) == ("numerical-failure", "IndeterminateError")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -56,6 +56,26 @@ def test_one_rule_decides_where_the_sector_ode_steps():
             if "STEPS_PER_UNIT" in path.read_text()] == []
 
 
+def test_one_rule_decides_every_verdict():
+    """``ProblemSpec.limit_diverges`` is the only code that says where a
+    sector's limit kernel diverges: no module reads it off the zero-energy
+    closure flux, and no verdict of a tail is turned into a threshold."""
+    flux_reads = [f"{path.name}:{number}"
+                  for path in sorted(SRC.glob("*.py")) if path.name != "sector_ode.py"
+                  for number, line in enumerate(path.read_text().splitlines(), 1)
+                  if "decay_state(0.0" in line]
+    assert flux_reads == []
+    demos = SRC.parent.parent / "demos"
+    assert [path.name for path in sorted(SRC.glob("*.py")) + sorted(demos.glob("*.py"))
+            if "beta_from_verdict" in path.read_text()] == []
+    rule = [f"{path.name}:{fn.name}" for path in sorted(SRC.glob("*.py"))
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+            and re.search(r"sector \+ \S*dimension <= 2", ast.unparse(fn))]
+    assert rule == ["model.py:limit_diverges"]
+    assert "_observed_limit" not in betacrit.__all__
+
+
 def test_no_module_names_the_fd_pencil():
     """Counts come from the zero-energy angle: no module names the
     finite-difference pencil, its mesh, its counter or LAPACK's ``stebz``,
@@ -182,7 +202,7 @@ def test_option_inventory():
         "assemble.m",
         "beta_critical.lambda_grid", "beta_critical.m", "beta_critical.method",
         "beta_critical.sector_max",
-        "beta_critical_fkw.limit", "beta_critical_fkw.m", "beta_critical_fkw.sector_max",
+        "beta_critical_fkw.m", "beta_critical_fkw.sector_max",
         "crosscheck_birman_schwinger.m",
         "default_lambda_grid.decades",
         "dichotomy_suite.decades", "dichotomy_suite.m",

@@ -6,9 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betacrit
+from betacrit.direct_spectrum import beta_critical_direct
+from betacrit.errors import KernelLimitError
+from betacrit.green_kernels import solution_pair
 from betacrit.model import (CenterPath, CoefficientProfile, Potential,
                             ProblemSpec, Profile, ScaledPotentialFamily,
                             ValidationError, h_factor, validate)
+from betacrit.sector_ode import SectorODE
 
 import oracles as oc
 
@@ -169,6 +173,54 @@ class TestProblemSpec:
         pot = Potential(Profile.indicator(1.0, 2.0))
         with pytest.raises(ValueError):
             pot.profile.ys[0] = -1.0
+
+
+def _sector_problems():
+    """Every valid (d, geometry, bc, sector) with d 1-3 and sectors 0-3."""
+    for d in (1, 2, 3):
+        for geometry in ("half_line", "exterior_ball"):
+            for bc in ("dirichlet", "neumann", "fkw"):
+                for sector in range(4):
+                    try:
+                        yield ProblemSpec(d, geometry, bc, sector=sector)
+                    except ValidationError:
+                        continue
+
+
+class TestLimitDiverges:
+    """``limit_diverges`` is the dichotomy: the limit kernel diverges exactly
+    in a Neumann sector whose bounded zero-energy solution is constant."""
+
+    def test_the_rule_over_every_sector(self):
+        problems = list(_sector_problems())
+        assert len(problems) == 32
+        diverging = [(p.dimension, p.geometry, p.boundary_condition, p.sector)
+                     for p in problems if p.limit_diverges()]
+        assert diverging == [(1, "half_line", "neumann", 0),
+                             (1, "exterior_ball", "neumann", 0),
+                             (1, "exterior_ball", "neumann", 1),
+                             (1, "exterior_ball", "fkw", 0),
+                             (2, "exterior_ball", "neumann", 0),
+                             (2, "exterior_ball", "fkw", 0)]
+
+    def test_it_is_where_the_limit_kernel_raises(self):
+        for problem in _sector_problems():
+            try:
+                solution_pair(problem, 0.0)
+                raised = False
+            except KernelLimitError:
+                raised = True
+            ode = SectorODE(problem)
+            no_flux = ode.bc == "neumann" and ode.decay_state(0.0, 2.0)[1] == 0.0
+            assert problem.limit_diverges() == raised == no_flux, problem
+
+    def test_it_is_where_the_direct_threshold_is_zero(self):
+        for problem in _sector_problems():
+            if problem.sector == 0:
+                pot = Potential(Profile.indicator(problem.inner_radius + 0.5,
+                                                  problem.inner_radius + 1.5))
+                zero = beta_critical_direct(problem, pot) == 0.0
+                assert problem.limit_diverges() == zero, problem
 
 
 class TestAdmissibility:
