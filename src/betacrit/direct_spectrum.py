@@ -5,9 +5,10 @@ one, so decay at infinity enters through an exact boundary relation there:
 the zero-energy closure for counting and for the threshold, and the
 energy-dependent closure inside the shooting solver for eigenvalues, which
 roots the phase mismatch in k = sqrt(-lambda).  Counts and thresholds are
-read off the Pruefer angle at lambda = 0 (Sturm oscillation): a sector's
-count from ``sector_ode.zero_energy_count``, the threshold as the coupling
-where sector 0's zero-energy mismatch changes sign.
+read off the Pruefer angle at lambda = 0 (Sturm oscillation): a count off
+every sector's ``ZeroEnergyAngle``, the threshold as the coupling where
+sector 0's ``phase_mismatch`` at lambda = 0 changes sign, and a count next
+to that crossing off the same ``phase_mismatch``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ import numpy as np
 from . import birman_schwinger as bs
 from .errors import UnconvergedError, ValidationError
 from .model import Potential, ProblemSpec, require_valid
-from .sector_ode import SectorODE, ZeroEnergyAngle, closure_radius, zero_energy_count
+from .sector_ode import SectorODE, ZeroEnergyAngle, closure_radius
 
+MAX_WORK = 2 ** 22     # most steps x sectors of one count
+CHUNK = 2 ** 18        # most steps x sectors stepped at once
+GUARD = 0.05           # radians from a crossing where a count reads phase_mismatch
+GROUND_TOL = 1e-10     # |d lambda| the ground state's root search allows
 PROFILE_NODES = 4000  # eigenfunction samples up to R*, and a quarter as many past it
 RESIDUAL_H = 1e-2  # spacing of the residual check's sub-grids
 
@@ -29,23 +34,43 @@ RESIDUAL_H = 1e-2  # spacing of the residual check's sub-grids
 def count_negative(problem: ProblemSpec, potential: Potential, beta: float) -> int:
     """Number of negative eigenvalues of the full operator at coupling beta.
 
-    Sector l holds floor(m_l / pi) + 1 eigenvalues below 0 when its
-    zero-energy ``phase_mismatch`` m_l is positive, and none otherwise
-    (``sector_ode.zero_energy_count``).  At a coupling exactly at a
-    crossing, where a state sits at zero energy, the count takes the side
-    its mismatch rounds to: at the first crossing m = 0 and the state is
-    not counted; at the j-th, j >= 2, m = (j - 1) pi up to rounding, and
-    the state is counted when m rounds up to it.  The half-line well
-    [0, 0.5] at beta = 49 pi^2 (k = 7 pi, the fourth crossing) has
-    m / pi = 2.999999999999994 and counts 3, the side below.  A coupling
-    past the count's work budget raises ``UnconvergedError``.
+    By Sturm oscillation sector l holds floor(m_l / pi) + 1 of them when its
+    zero-energy mismatch m_l (``ZeroEnergyAngle.mismatch``) is positive, and
+    none otherwise.  Sectors are summed with their multiplicities up to the
+    first empty one: only those with l(l+d-2) < beta V r^2 / a somewhere can
+    bind.  Within ``GUARD`` of a crossing sector 0 reads ``phase_mismatch``
+    at lambda = 0 instead, the function ``beta_critical_direct`` roots, so a
+    coupling next to the threshold counts on the side the threshold puts it.
+    Exactly at a crossing the count takes the side its mismatch rounds to:
+    at the first m = 0 and the state is not counted; at the j-th, j >= 2,
+    m = (j - 1) pi up to rounding, and the state is counted when m rounds up
+    to it.  The half-line well [0, 0.5] at beta = 49 pi^2 (k = 7 pi, the
+    fourth crossing) has m / pi = 2.999999999999994 and counts 3, the side
+    below.  Past ``MAX_WORK`` steps times the sectors that can bind it
+    raises ``UnconvergedError``.
     """
     if beta < 0:
         raise ValidationError("coupling must be nonnegative")
     require_valid(problem, potential)
     if potential.is_zero() or beta == 0.0:
         return 0
-    return zero_energy_count(problem, potential, beta)
+    angle = ZeroEnergyAngle(problem, potential, beta)
+    steps, sectors = angle.mesh.size - 1, angle.sectors
+    if not steps * sectors <= MAX_WORK:
+        raise UnconvergedError("zero-energy count needs more steps than one count takes",
+                               details={"beta": beta, "steps": steps, "sectors": sectors})
+    total, first = 0, 0
+    while first < angle.limit:
+        ls = np.arange(first, first + max(1, min(CHUNK // max(steps, 1), sectors - first)))
+        mismatch = angle.mismatch(ls)
+        if first == 0 and abs(mismatch[0] - math.pi * round(mismatch[0] / math.pi)) < GUARD:
+            mismatch[0] = phase_mismatch(problem.with_sector(0), potential, beta, 0.0)
+        for l, m_l in zip(ls.tolist(), mismatch.tolist()):
+            if not m_l > 0.0:
+                return total
+            total += problem.sector_multiplicity(l) * (math.floor(m_l / math.pi) + 1)
+        first = int(ls[-1]) + 1
+    return total
 
 
 def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
@@ -53,23 +78,19 @@ def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
     """theta(R*) - theta_target; zero exactly at sector eigenvalues.
 
     theta is the Pruefer angle of (u, p u') along the regular solution, the
-    target that of the decaying free solution at R*.  As lam rises theta
-    rises and the target falls, so the mismatch increases with lam.  At
-    lam = 0 it is the ``ZeroEnergyAngle`` that counts read, on the refined
-    mesh that every lam < 0 shot steps on too; in sector 0 its root is the
-    threshold.
+    target that of the decaying free solution at R* (the bounded one at
+    lam = 0).  As lam rises theta rises and the target falls, so the
+    mismatch increases with lam.  Every lam <= 0 steps the floored
+    ``SectorODE.mesh``; at lam = 0 sector 0's root in beta is the threshold,
+    and a count reads it next to a crossing.
     """
-    if lam == 0.0:
-        return float(ZeroEnergyAngle(problem, potential, beta).mismatch(
-            [problem.sector], refined=True)[0])
     ode = SectorODE(problem, potential, beta)
     r_star = closure_radius(problem, potential)
     theta = ode.integrate(lam, ode.regular_state(), problem.inner_radius, r_star).angle
     return theta - math.atan2(*ode.decay_state(lam, r_star))
 
 
-def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
-                 tol: float = 1e-10) -> float | None:
+def ground_state(problem: ProblemSpec, potential: Potential, beta: float) -> float | None:
     """Lowest eigenvalue of the problem's sector, or None without bound
     states there.
 
@@ -77,8 +98,8 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
     rooted in k = sqrt(-lambda) on (sqrt(1e-12 max(1, beta max V)),
     sqrt(beta max V + 1e-6)): the closure is smooth in k where it has a
     square-root branch in lambda, so a shallow state comes out accurate
-    relative to its size.  The k-tolerance keeps |d lambda| <= tol on the
-    whole bracket.  A state shallower than the bracket, just above
+    relative to its size.  The k-tolerance keeps |d lambda| <= ``GROUND_TOL``
+    on the whole bracket.  A state shallower than the bracket, just above
     threshold, exists where the zero-energy closure (k = 0) still leaves a
     positive mismatch; it is rooted in ln k to 1e-12 relative, and comes
     out as -0.0 where its energy underflows.  ``eigenfunction`` gives the
@@ -112,7 +133,7 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float,
         raise UnconvergedError(
             "shooting bracket failure: mismatch positive at the lower bound",
             details={"lambda_lo": lam_lo, "mismatch": mismatch(k_hi)})
-    k = brentq(mismatch, k_lo, k_hi, xtol=0.5 * tol / k_hi)
+    k = brentq(mismatch, k_lo, k_hi, xtol=0.5 * GROUND_TOL / k_hi)
     return -k * k
 
 

@@ -105,29 +105,30 @@ def _segment(d: int, x1_min: float, radius: float, c1: float):
 # near-boundary kernel studies
 
 
-def _distances(y: np.ndarray, s: np.ndarray, shift: float | None = None) -> np.ndarray:
-    """|y - s| for y in ``y``, s in ``s``, from outer differences; with a
-    ``shift``, |y - s*| for s* the mirror of s across x1 = 0 moved by
-    ``shift`` along e1, from outer sums."""
+def _distances(y: np.ndarray, s: np.ndarray, shift: float | None = None):
+    """(|y - s|, |y - s'|) for 2-column points y in ``y``, s in ``s`` and s'
+    the mirror of s across x2 = 0; with a ``shift``, s and s' are first
+    mirrored across x1 = 0 and moved by ``shift`` along e1."""
     if shift is None:
         x1 = np.subtract.outer(y[:, 0], s[:, 0])
     else:
         x1 = np.add.outer(y[:, 0], s[:, 0]) + shift
-    sq = x1 * x1
-    for k in range(1, s.shape[1]):
-        t = np.subtract.outer(y[:, k], s[:, k])
-        sq += t * t
-    return np.sqrt(sq)
+    x1 *= x1  # the square both distances share
+    pair = np.subtract.outer(y[:, 1], s[:, 1]), np.add.outer(y[:, 1], s[:, 1])
+    for x2 in pair:  # in place: sqrt(x1^2 + x2^2)
+        x2 *= x2
+        x2 += x1
+        np.sqrt(x2, out=x2)
+    return pair
 
 
 def _ring_mean(y: np.ndarray, s: np.ndarray, shift: float | None = None) -> np.ndarray:
     """Mean of 1/|y - R s| over the rotations R about x1, for meridian
-    points y and s (or the images s* of ``_distances``):
+    points y and s (or the shifted images of ``_distances``):
     (2/pi) K(1 - near^2/far^2) / far, with near and far the distances from
     y to the nearest and farthest points of the ring."""
     from scipy.special import ellipkm1
-    near = _distances(y, s, shift)
-    far = _distances(y, s * np.array([1.0, -1.0]), shift)
+    near, far = _distances(y, s, shift)
     return (2.0 / math.pi) * ellipkm1((near / far) ** 2) / far
 
 
@@ -172,9 +173,9 @@ class _Cloud:
         """g from every node to the points ``s``, or to their images."""
         if self.d == 3:
             return _ring_mean(self.pts, s, shift)
-        with np.errstate(divide="ignore"):  # the mean over the mirror pair {s, s*}
-            return -0.5 * np.log(_distances(self.pts, s, shift)
-                                 * _distances(self.pts, s * np.array([1.0, -1.0]), shift))
+        near, mirrored = _distances(self.pts, s, shift)
+        with np.errstate(divide="ignore"):  # the mean over the mirror pair {s, s'}
+            return -0.5 * np.log(near * mirrored)
 
     @functools.cached_property
     def g(self) -> np.ndarray:

@@ -21,9 +21,10 @@ for D = t^2 (a growing step, kept divided by e^t).  Where p, q and w are
 constant the step is exact, and so is ``free_step`` where V = 0 and a == 1.
 ``SectorODE.mesh``, scaled to the well, is the one rule for where a solve steps.
 
-``zero_energy_count`` reads the number of negative eigenvalues off the
-Pruefer angle at lambda = 0 (Sturm oscillation; Pryce 1993, as in SLEDGE and
-MATSLISE), stepping all sectors of a chunk together on one mesh.
+``ZeroEnergyAngle`` steps all sectors of a chunk together on one mesh at
+lambda = 0, for ``direct_spectrum.count_negative`` to read the number of
+negative eigenvalues off (Sturm oscillation; Pryce 1993, as in SLEDGE and
+MATSLISE).
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ from .model import Potential, ProblemSpec
 MAX_TURN = 0.25        # most an oscillating step may turn the state, in radians,
                        # and a count's step may grow a sector that can bind, in e-folds
 MAX_STEPS = 2 ** 18    # most steps of one integration
-MAX_WORK = 2 ** 22     # most steps x sectors of one count
-CHUNK = 2 ** 18        # most steps x sectors stepped at once
 WELL_STEPS = 1000      # fewest steps across the stepped span where p, q or w varies
-GUARD = 0.05           # radians from a crossing where a count reads the refined angle
 GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
@@ -397,51 +395,42 @@ class SectorODE:
 
 class ZeroEnergyAngle:
     """The zero-energy Pruefer angle of every sector of ``problem`` at
-    coupling beta.
+    coupling beta, as a count reads it.
 
-    ``mismatch`` steps sectors together on the turn mesh, ``SectorODE.mesh``
+    ``mismatch`` steps sectors together on one ``mesh``, ``SectorODE.mesh``
     of sector 0 from the obstacle to R* without the floor: one exact
     ``free_step`` from r_flat (the obstacle without a coefficient) to the
     well, and elsewhere steps that turn sector 0, where the well turns
     fastest, by at most ``MAX_TURN`` and grow a sector that can bind by at
-    most ``MAX_TURN`` e-folds.  With ``refined`` the sectors step on that
-    mesh with the floor, as every lambda < 0 shot does: the angle holds to
-    about 1e-13, and a dilated well takes the same steps.  Counts read the
-    turn mesh (sector 0 the refined one next to a crossing);
-    ``phase_mismatch`` reads the refined one in every sector, and so does
-    the threshold, sector 0's sign change.
+    most ``MAX_TURN`` e-folds.  Next to a crossing a count reads sector 0
+    through ``direct_spectrum.phase_mismatch`` instead, which steps the same
+    rule with the floor, as every shot does.
     """
 
     def __init__(self, problem: ProblemSpec, potential: Potential, beta: float):
         self.beta = beta
         ode = self.ode = SectorODE(problem.with_sector(0), potential, beta)
-        d, self._r_in = problem.dimension, problem.inner_radius
-        self.r_star, self._meshes = closure_radius(problem, potential), {}
+        d, r_in = problem.dimension, problem.inner_radius
+        self.r_star = closure_radius(problem, potential)
         reach = 0.0  # l(l+d-2) below it can bind; on the line every sector can
         if d > 1:
-            kinks = np.array(ode.segment_points(self._r_in, self.r_star))
+            kinks = np.array(ode.segment_points(r_in, self.r_star))
             probe = fill(kinks, np.full(kinks.size - 1, 8.0))
             p, q, _ = ode.coefficients(probe)
             reach = max(reach, float(np.max(-q * probe * probe / p)))
         # such a sector grows by up to sqrt(reach) / r per unit length where V is small
-        self._rise = math.sqrt(reach) / MAX_TURN
+        self.mesh = ode.mesh(0.0, r_in, self.r_star, floor=False,
+                             rise=math.sqrt(reach) / MAX_TURN)
         self.limit = 1 if problem.geometry == "half_line" else 2 if d == 1 else math.inf
         self.sectors = min(self.limit, 1 + math.ceil(
             0.5 * (math.sqrt((d - 2) ** 2 + 4 * reach) - d + 2)))  # that can bind
         self._starts = np.array([SectorODE(problem.with_sector(l)).regular_state()
                                  for l in range(min(self.limit, 2))])  # sector 0 may differ
 
-    def mesh(self, refined: bool) -> np.ndarray:
-        """Nodes of the turn mesh, or of the refined one."""
-        if refined not in self._meshes:
-            self._meshes[refined] = self.ode.mesh(0.0, self._r_in, self.r_star,
-                                                  floor=refined, rise=self._rise)
-        return self._meshes[refined]
-
-    def mismatch(self, sectors, refined: bool = False) -> np.ndarray:
+    def mismatch(self, sectors) -> np.ndarray:
         """theta(R*) - theta_target of each of ``sectors``, stepped together
-        on the turn mesh, or on the refined one."""
-        r, ls = self.mesh(refined), np.asarray(sectors).ravel()
+        on the ``mesh``."""
+        r, ls = self.mesh, np.asarray(sectors).ravel()
         batch = self.ode._in_sectors(ls)
         m, _ = batch.propagators(0.0, r[:-1], np.diff(r))
         u, v = self._starts[np.minimum(ls, 1)].T
@@ -454,35 +443,3 @@ class ZeroEnergyAngle:
         if not np.isfinite(mismatch).all():
             raise UnconvergedError("zero-energy angle failed", details={"beta": self.beta})
         return mismatch
-
-
-def zero_energy_count(problem: ProblemSpec, potential: Potential, beta: float) -> int:
-    """Negative eigenvalues of the whole operator at coupling beta > 0.
-
-    By the Sturm oscillation theorem sector l holds floor(m_l / pi) + 1 of
-    them when its zero-energy mismatch m_l (``ZeroEnergyAngle.mismatch``)
-    is positive, and none otherwise.  Within ``GUARD`` of a crossing sector
-    0 reads its refined angle, so a coupling next to the threshold counts on
-    the side ``beta_critical_direct`` puts it.  Sectors are summed with
-    their multiplicities up to the first empty one: the centrifugal term
-    only raises q, so only sectors with l(l+d-2) < beta V r^2 / a somewhere
-    can bind.  Past ``MAX_WORK`` steps times the sectors that can bind it
-    raises ``UnconvergedError``.
-    """
-    angle = ZeroEnergyAngle(problem, potential, beta)
-    steps, sectors = angle.mesh(False).size - 1, angle.sectors
-    if not steps * sectors <= MAX_WORK:
-        raise UnconvergedError("zero-energy count needs more steps than one count takes",
-                               details={"beta": beta, "steps": steps, "sectors": sectors})
-    total, first = 0, 0
-    while first < angle.limit:
-        ls = np.arange(first, first + max(1, min(CHUNK // max(steps, 1), sectors - first)))
-        mismatch = angle.mismatch(ls)
-        if first == 0 and abs(mismatch[0] - math.pi * round(mismatch[0] / math.pi)) < GUARD:
-            mismatch[:1] = angle.mismatch([0], refined=True)  # the side the threshold reads
-        for l, m_l in zip(ls.tolist(), mismatch.tolist()):
-            if not m_l > 0.0:
-                return total
-            total += problem.sector_multiplicity(l) * (math.floor(m_l / math.pi) + 1)
-        first = int(ls[-1]) + 1
-    return total

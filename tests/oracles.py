@@ -411,6 +411,20 @@ def broadcast_distances(pts: np.ndarray, shift: float | None = None):
     return direct, np.sqrt(np.sum(diff_im ** 2, axis=-1))
 
 
+def broadcast_distance_pair(pts: np.ndarray, shift: float | None = None):
+    """(near, mirrored) distances between 2-column points from m x m x 2
+    difference arrays: to s and to its mirror across x2 = 0; with a
+    ``shift``, both first mirrored across x1 = 0 and moved by it along e1."""
+    pair = []
+    for sign in (1.0, -1.0):
+        s = pts * np.array([1.0 if shift is None else -1.0, sign])
+        diff = pts[:, None, :] - s[None, :, :]
+        if shift is not None:
+            diff[..., 0] += shift
+        pair.append(np.sqrt(np.sum(diff ** 2, axis=-1)))
+    return tuple(pair)
+
+
 def ray_cell_integrals(points: np.ndarray, radius: float, x1_min: float,
                        n_dir: int, center: float = 0.0) -> np.ndarray:
     """Integrals of ln(1/|y - s|) (2-d points) or 1/|y - s| (3-d points)

@@ -173,11 +173,12 @@ class TestGroundState:
 
     @pytest.mark.parametrize("support,beta", [((1.0, 2.0), 0.814), ((1.0, 2.0), 4.0),
                                               ((0.5, 1.3), 12.0), ((1.0, 2.0), 100.0)])
-    def test_exact_on_piecewise_constant_wells(self, support, beta):
+    def test_exact_on_piecewise_constant_wells(self, monkeypatch, support, beta):
         # the Magnus step is exact where the coefficients are constant, so on
         # a half-line indicator well only the root search is left
+        monkeypatch.setattr(ds, "GROUND_TOL", 1e-15)
         pot = Potential(Profile.indicator(*support))
-        lam0 = ds.ground_state(HALF_LINE_D, pot, beta, tol=1e-15)
+        lam0 = ds.ground_state(HALF_LINE_D, pot, beta)
         exact = oc.square_well_ground_energy(beta, *support)
         assert lam0 == pytest.approx(exact, rel=1e-13)
 
@@ -227,7 +228,7 @@ class TestGroundState:
     def test_d3_sector1_matches_fd_eigenvalue(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
         pot = Potential(Profile.indicator(1.5, 2.5))
-        lam0 = ds.ground_state(prob.with_sector(1), pot, 8.0, tol=1e-9)
+        lam0 = ds.ground_state(prob.with_sector(1), pot, 8.0)
         ref = oc.fd_ground_energy(3, 1, 1.0, (1.5, 2.5), 8.0)
         assert lam0 == pytest.approx(ref, rel=1e-6)
         assert ds.eigenvalue_residual(prob.with_sector(1), pot, 8.0, lam0) < 1e-6
@@ -238,7 +239,7 @@ class TestGroundState:
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0,
                            coefficient=a)
         pot = Potential(Profile.indicator(1.5, 2.5))
-        lam0 = ds.ground_state(prob, pot, 5.0, tol=1e-9)
+        lam0 = ds.ground_state(prob, pot, 5.0)
         ref = oc.fd_ground_energy(3, 0, 1.0, (1.5, 2.5), 5.0, coefficient=a)
         assert lam0 == pytest.approx(ref, rel=1e-6)
         assert ds.eigenvalue_residual(prob, pot, 5.0, lam0) < 1e-6
@@ -266,7 +267,7 @@ class TestGroundState:
     def test_eigenfunction_reads_the_problem_sector(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)
         pot = Potential(Profile.indicator(1.5, 2.5))
-        lam0 = ds.ground_state(prob, pot, 8.0, tol=1e-9)
+        lam0 = ds.ground_state(prob, pot, 8.0)
         mesh, u = ds.eigenfunction(prob, pot, 8.0, lam0)
         assert np.trapezoid(u ** 2 * mesh ** 2, mesh) == pytest.approx(1.0, rel=1e-3)
         # the sector-1 profile decays like r^{-1} K_{3/2}(k r) past R*
@@ -326,7 +327,7 @@ class TestPiecewiseConstantWells:
            st.floats(1.05, 50.0))
     def test_ground_state_solves_the_matching_equation(self, lo, width, amp, factor):
         pot, beta = self._well(lo, width, amp, factor)
-        lam0 = ds.ground_state(HALF_LINE_D, pot, beta)  # tol = 1e-10
+        lam0 = ds.ground_state(HALF_LINE_D, pot, beta)  # GROUND_TOL = 1e-10
         assert abs(lam0 - oc.square_well_ground_energy(beta * amp, lo, lo + width)) <= 1e-10
 
     @settings(max_examples=200, deadline=None)
@@ -638,7 +639,7 @@ class TestCountMatchesTheFdOracle:
 
 
 class TestCountAndThresholdReadOneAngle:
-    @pytest.mark.parametrize("prob, pot", [
+    WELLS = [
         (HALF_LINE_D, Potential(Profile.tent(0.3, 1.1, 2.0))),
         (BALL_D3, Potential(Profile.tent(1.2, 1.9, 1.5))),
         (ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0),
@@ -646,7 +647,9 @@ class TestCountAndThresholdReadOneAngle:
         (ProblemSpec(3, "exterior_ball", "fkw", radius=1.0),
          Potential(Profile.indicator(1.5, 2.5))),
         (ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=STIFF),
-         Potential(Profile.tent(1.5, 2.5)))])
+         Potential(Profile.tent(1.5, 2.5)))]
+
+    @pytest.mark.parametrize("prob, pot", WELLS)
     def test_first_state_appears_at_the_threshold(self, prob, pot):
         # the count, the threshold and the ground state agree on each side
         # (the planar state this shallow underflows to -0.0)
@@ -656,6 +659,15 @@ class TestCountAndThresholdReadOneAngle:
         assert ds.count_negative(prob, pot, above) == 1
         assert ds.ground_state(prob, pot, below) is None
         assert ds.ground_state(prob, pot, above) is not None
+
+    @pytest.mark.parametrize("prob, pot", WELLS)
+    def test_count_reads_the_threshold_mismatch_at_its_root(self, prob, pot):
+        # at the root and its two neighbouring floats the count holds the one
+        # state exactly where the mismatch the threshold roots is positive
+        beta_cr = ds.beta_critical_direct(prob, pot)
+        for beta in (np.nextafter(beta_cr, 0.0), beta_cr, np.nextafter(beta_cr, np.inf)):
+            bound = ds.phase_mismatch(prob.with_sector(0), pot, float(beta), 0.0) > 0.0
+            assert ds.count_negative(prob, pot, float(beta)) == int(bound)
 
 
 class TestGroundStateMonotone:

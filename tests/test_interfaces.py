@@ -76,6 +76,23 @@ def test_one_rule_decides_every_verdict():
     assert "_observed_limit" not in betacrit.__all__
 
 
+def test_one_path_reads_a_sector_angle():
+    """A single sector's zero-energy angle is read only by ``phase_mismatch``,
+    the function the threshold roots: no refined mode, no count wrapper,
+    ``ZeroEnergyAngle`` built only by ``count_negative`` for the count's
+    batched turn mesh."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, text in sources.items() if "refined" in text] == []
+    assert [name for name, text in sources.items() if "zero_energy_count" in text] == []
+    builders = [f"{name}:{fn.name}" for name, text in sources.items()
+                for fn in ast.walk(ast.parse(text)) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "ZeroEnergyAngle"]
+    assert builders == ["direct_spectrum.py:count_negative"]
+    assert sum(text.count("ZeroEnergyAngle(") for text in sources.values()) == 1
+    assert "ZeroEnergyAngle" not in inspect.getsource(ds.phase_mismatch)
+
+
 def test_no_module_names_the_fd_pencil():
     """Counts come from the zero-energy angle: no module names the
     finite-difference pencil, its mesh, its counter or LAPACK's ``stebz``,
@@ -207,7 +224,6 @@ def test_option_inventory():
         "default_lambda_grid.decades",
         "dichotomy_suite.decades", "dichotomy_suite.m",
         "fkw_norm_limit.lambda_grid", "fkw_norm_limit.m", "fkw_norm_limit.sector_max",
-        "ground_state.tol",
         "halfspace_norm_study.m",
         "minorant_eigenvalue.profile",
         "mu_curve.lambda_grid", "mu_curve.m",

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betacrit import direct_spectrum as ds
 from betacrit.errors import UnconvergedError
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
-from betacrit.sector_ode import (GUARD, MAX_STEPS, MAX_TURN, WELL_STEPS, SectorODE,
+from betacrit.sector_ode import (MAX_STEPS, MAX_TURN, WELL_STEPS, SectorODE,
                                  ZeroEnergyAngle, closure_radius)
 
 BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
@@ -339,20 +340,21 @@ class TestZeroEnergyAngle:
     def test_turn_mesh_angle_stays_well_inside_the_guard(self, prob, shape, offset,
                                                          width, height, log_beta):
         # a count reads sector 0 off the turn mesh farther than GUARD from a
-        # crossing, so it must count as the refined angle there
+        # crossing, so it must count as phase_mismatch there
         lo = prob.inner_radius + offset
-        angle = ZeroEnergyAngle(prob, Potential(getattr(Profile, shape)(lo, lo + width, height)),
-                                math.exp(log_beta))
+        pot, beta = Potential(getattr(Profile, shape)(lo, lo + width, height)), math.exp(log_beta)
+        angle = ZeroEnergyAngle(prob, pot, beta)
         # (they differed by 3.3e-4 at most on 400 random wells)
-        turn, refined = angle.mismatch([0])[0], angle.mismatch([0], refined=True)[0]
-        assert abs(turn - refined) < 0.1 * GUARD
+        turn, shot = angle.mismatch([0])[0], ds.phase_mismatch(prob.with_sector(0), pot, beta, 0.0)
+        assert abs(turn - shot) < 0.1 * ds.GUARD
 
-    def test_only_sector_0_takes_the_refined_mesh(self):
-        # the d = 3 tent: the turn mesh takes few steps, the refined one at
-        # least 1,000 on the well, and every other sector the turn mesh
-        angle = ZeroEnergyAngle(BALL3, Potential(Profile.tent(1.2, 1.9, 1.5)), 2.0)
-        assert angle.mesh(False).size < 20
-        assert angle.mesh(True).size > WELL_STEPS
+    def test_only_sector_0_is_read_again_on_the_floored_mesh(self):
+        # the d = 3 tent: the turn mesh takes few steps, phase_mismatch's at
+        # least 1,000 on the well, and every sector of a count the turn mesh
+        pot = Potential(Profile.tent(1.2, 1.9, 1.5))
+        angle = ZeroEnergyAngle(BALL3, pot, 2.0)
+        assert angle.mesh.size < 20
+        assert SectorODE(BALL3, pot, 2.0).mesh(0.0, 1.0, angle.r_star).size > WELL_STEPS
         pair = angle.mismatch([0, 1])
         assert pair[1] == angle.mismatch([1])[0]
-        assert pair[0] == pytest.approx(angle.mismatch([0], refined=True)[0], abs=1e-3)
+        assert pair[0] == pytest.approx(ds.phase_mismatch(BALL3, pot, 2.0, 0.0), abs=1e-3)
