@@ -24,6 +24,7 @@ DEFAULT_M = 400
 DEFAULT_DECADES = (2, 7)
 PANEL_ORDER = 8  # Gauss-Legendre points per panel
 EIG_TOL = 1e-8  # relative residual of the principal eigenpair
+STALL = 50  # power steps in which the residual must halve, or eigh takes over
 # growth of mu0 per decade below which the tail reads as bounded, and above
 # which it reads as divergent
 BOUNDED_TOL, DIVERGENT_TOL = 0.02, 0.05
@@ -160,7 +161,7 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
 def _power_iteration(a):
     """(eigenvalue, residual, steps) of a symmetric matrix's largest
     eigenvalue from the all-ones start vector; steps is -1 when 20,000 did
-    not reach ``EIG_TOL``.
+    not reach ``EIG_TOL`` or ``STALL`` did not halve the residual.
 
     Each iterate is divided by the power of two at the largest entry (on the
     diagonal of a ``SectorKernel``): exact, and keeps squared norms in range.
@@ -171,7 +172,7 @@ def _power_iteration(a):
     top = a._sums[-1].max() if isinstance(a, SectorKernel) else max(a.max(), -a.min())
     scale = 2.0 ** math.frexp(float(top))[1]
     v = np.full(n, 1.0 / math.sqrt(n))
-    theta = 0.0
+    theta, history = 0.0, []
     for it in range(1, 20001):
         u = (a @ v) / scale
         norm_u = float(np.linalg.norm(u))
@@ -181,6 +182,9 @@ def _power_iteration(a):
         res = float(np.linalg.norm(u - theta * v))
         if res <= EIG_TOL * max(abs(theta), 1e-300):
             return theta * scale, res * scale, it
+        history.append(res)
+        if it > STALL and res > 0.5 * history[-1 - STALL]:
+            break
         v = u / norm_u
     return theta * scale, res * scale, -1
 

@@ -6,9 +6,9 @@ the zero-energy closure for counting and for the threshold, and the
 energy-dependent closure inside the shooting solver for eigenvalues, which
 roots the phase mismatch in k = sqrt(-lambda).  Counts and thresholds are
 read off the Pruefer angle at lambda = 0 (Sturm oscillation): a count off
-every sector's ``ZeroEnergyAngle``, the threshold as the coupling where
-sector 0's ``phase_mismatch`` at lambda = 0 changes sign, and a count next
-to that crossing off the same ``phase_mismatch``.
+every sector's ``ZeroEnergyAngle``, the threshold as the Newton root in beta
+of sector 0's ``phase_mismatch`` there, on the slope its walk sums, and a
+count next to that crossing off the same ``phase_mismatch``.
 """
 
 from __future__ import annotations
@@ -84,10 +84,15 @@ def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
     ``SectorODE.mesh``; at lam = 0 sector 0's root in beta is the threshold,
     and a count reads it next to a crossing.
     """
+    return _shoot(problem, potential, beta, lam)[0]
+
+
+def _shoot(problem, potential, beta, lam, slope=False):
+    """(``phase_mismatch``, with ``slope`` its beta-derivative, the angle's)."""
     ode = SectorODE(problem, potential, beta)
     r_star = closure_radius(problem, potential)
-    theta = ode.integrate(lam, ode.regular_state(), problem.inner_radius, r_star).angle
-    return theta - math.atan2(*ode.decay_state(lam, r_star))
+    end = ode.integrate(lam, ode.regular_state(), problem.inner_radius, r_star, slope=slope)
+    return end.angle - math.atan2(*ode.decay_state(lam, r_star)), end.slope
 
 
 def ground_state(problem: ProblemSpec, potential: Potential, beta: float) -> float | None:
@@ -187,8 +192,13 @@ def crosscheck_birman_schwinger(problem: ProblemSpec, potential: Potential,
 
 def beta_critical_direct(problem: ProblemSpec, potential: Potential):
     """Coupling threshold: the root in beta of sector 0's zero-energy
-    ``phase_mismatch``, which rises with beta, bracketed by doubling beta.
+    ``phase_mismatch``, which rises with beta.
 
+    Newton from the well's own scale (pi/2)^2 / (max V width^2) on the slope
+    d theta / d beta of each shot's walk, inside the bracket the shots' signs
+    narrow from (0, inf): a step leaving it doubles beta while none binds,
+    and bisects after.  A step inside of at most 1e-9 beta ends it (the next
+    would be about its square), as does a bracket under 1e-15 of its top.
     None when no coupling up to 2^60 creates a bound state (as for V == 0),
     and exactly 0.0 where sector 0 is Neumann without a zero-energy closure
     flux (d = 1 and 2, the sectors whose limit kernel diverges): there the
@@ -200,18 +210,16 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential):
     ground = problem.with_sector(0)
     if ground.limit_diverges():
         return 0.0
-
-    @functools.cache  # brentq evaluates the bracket's ends again
-    def mismatch(beta):
-        return phase_mismatch(ground, potential, beta, 0.0)
-
-    lo, hi = 0.0, 1.0
-    while not mismatch(hi) > 0.0:  # no bound state yet
-        lo, hi = hi, 2.0 * hi
-        if hi > 2.0 ** 60:
-            return None
-    from scipy.optimize import brentq
-    return brentq(mismatch, lo, hi, xtol=1e-15 * hi)
+    lo, hi = potential.support
+    beta, bracket = (0.5 * math.pi / (hi - lo)) ** 2 / potential.max_value(), [0.0, math.inf]
+    while True:
+        mismatch, slope = _shoot(ground, potential, beta, 0.0, slope=True)
+        bracket[mismatch > 0.0] = beta
+        (lo, hi), step = bracket, -mismatch / slope if slope > 0.0 else math.nan
+        inside = lo <= beta + step < hi
+        beta = beta + step if inside else 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        if inside and abs(step) <= 1e-9 * beta or hi - lo <= 1e-15 * hi < math.inf:
+            return beta if beta <= 2.0 ** 60 else None
 
 
 def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,

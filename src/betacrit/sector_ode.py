@@ -105,7 +105,7 @@ class SectorSolution:
     """
 
     def __init__(self, ode: "SectorODE", lam: float, cuts, r, y, log, decays: bool):
-        self.ode, self.lam, self.decays = ode, lam, decays
+        self.ode, self.lam, self.decays, self.slope = ode, lam, decays, None
         self.cuts, self.r, self.y, self.log = cuts, r, y, log
         self.span = (min(r[0], r[-1]), max(r[0], r[-1]))
         self._sign = 1.0 if r[-1] >= r[0] else -1.0  # self._sign * r ascends
@@ -350,13 +350,14 @@ class SectorODE:
         mid, (r_flat, lo, r_star) = r + 0.5 * h, self._free
         return ((mid > r_flat) & (mid < lo)) | (mid > r_star)
 
-    def propagators(self, lam: float, r, h):
+    def propagators(self, lam: float, r, h, slope: bool = False):
         """Steps from the radii r over the lengths h: (m, g), with the
         entries m00, m01, m10, m11 of the step's matrix e^{-g} along the first
         axis and the growth g taken out: Magnus steps, and ``free_step``
-        where the equation is free."""
+        where the equation is free.  With ``slope`` also dm, the entries'
+        derivatives in beta with g held (a growth only rescales the state)."""
         n = np.shape(r)[-1]  # the second Gauss points start at n
-        p, q, w = self.coefficients(np.concatenate([r + GAUSS[0] * h, r + GAUSS[1] * h]))
+        p, q, w = self.coefficients(x := np.concatenate([r + GAUSS[0] * h, r + GAUSS[1] * h]))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             a, b = 1.0 / p, q - lam * w  # integrate() checks what overflows
             a1, a2, b1, b2 = a[..., :n], a[..., n:], b[..., :n], b[..., n:]
@@ -367,30 +368,47 @@ class SectorODE:
             c = np.where(grows, 0.5 + 0.5 * np.exp(-2.0 * t), np.cos(t))
             s = np.where(grows, -0.5 * np.expm1(-2.0 * t) / t, np.sinc(t / math.pi))
             m, g = np.array([c + s * diag, s * up, s * low, c - s * diag]), np.where(grows, t, 0.0)
-        if (free := self._is_free(lam, r, h)).any():
+            if slope:  # d b / d beta = -V w; d c = s d disc / 2, d s = (c - s) / disc d disc / 2
+                db = -self.potential(x) * w
+                d_diag = math.sqrt(3.0) / 12.0 * h * h * (a2 * db[:n] - a1 * db[n:])
+                d_low = 0.5 * h * (db[:n] + db[n:])
+                half = diag * d_diag + 0.5 * up * d_low  # d disc / 2
+                # (c - s) / disc = sum over j >= 1 of 2j disc^(j-1) / (2j+1)!
+                ds = half * np.where(np.abs(disc) < 1e-2, np.exp(-g) * (
+                    1 / 3 + disc * (1 / 30 + disc * (1 / 840 + disc / 45360))), (c - s) / disc)
+                dm = np.array([s * (half + d_diag) + ds * diag, ds * up, ds * low + s * d_low,
+                               s * (half - d_diag) - ds * diag])
+        if (free := self._is_free(lam, r, h)).any():  # V = 0 there, and so is dm
             m[..., free], g[..., free] = self.free_step(lam, r[free], (r + h)[free])
-        return m, g
+        return (m, g, dm) if slope else (m, g)
 
     def integrate(self, lam: float, y, start: float, end: float, *,
-                  decays: bool = False) -> SectorSolution:
+                  decays: bool = False, slope: bool = False) -> SectorSolution:
         """Step from state ``y`` at ``start`` to ``end``, either way, on the
         ``mesh`` of the span, scaling the state to unit 1-norm after every
         step and keeping the logarithm of the scale apart.  With ``decays``
         the solution continues past its outer end as the decaying free
-        solution.  A state that is not finite raises ``UnconvergedError``.
+        solution, and with ``slope`` its ``slope`` is d ``angle`` / d beta.  A
+        state that is not finite raises ``UnconvergedError``.
         """
         r = self.mesh(lam, min(start, end), max(start, end))
         cuts = self.segment_points(min(start, end), max(start, end))
         if start > end:
             r, cuts = r[::-1], cuts[::-1]
-        m, growth = self.propagators(lam, r[:-1], np.diff(r))
+        m, growth, *dm = self.propagators(lam, r[:-1], np.diff(r), slope)
         states = walk(zip(*m.tolist()), float(y[0]), float(y[1])).T
         with np.errstate(divide="ignore", invalid="ignore"):
             states, log = states[:2], np.cumsum(np.log(states[2]) + np.append(0.0, growth))
         if not (np.isfinite(states).all() and np.isfinite(log[-1])):
             raise UnconvergedError("sector ODE integration failed",
                                    details={"segment": [start, end], "lambda": lam})
-        return SectorSolution(self, lam, cuts, r, states, log, decays)
+        solution = SectorSolution(self, lam, cuts, r, states, log, decays)
+        if slope:  # step i adds dM_i y_i at node i + 1, which turns the end by
+            # det[y, dM_i y_i] / |y|^2 there: every step keeps the determinant
+            (u, v), (du, dv) = states, (dm[0].reshape(2, 2, -1) * states[:, :-1]).sum(axis=1)
+            scale = np.exp(log[:-1] + log[1:] + growth - 2.0 * log[-1])
+            solution.slope = float((v[1:] * du - u[1:] * dv) @ scale / (u[-1] ** 2 + v[-1] ** 2))
+        return solution
 
 
 class ZeroEnergyAngle:

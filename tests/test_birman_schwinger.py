@@ -58,6 +58,20 @@ class TestPrincipalEigenvalue:
         assert val == pytest.approx(1.0, rel=1e-12)
         assert res <= bs.EIG_TOL * val
 
+    def test_stalled_iteration_hands_over_early(self, monkeypatch):
+        # a deep energy makes the kernel nearly local: its top four eigenvalues
+        # lie within 1e-6 of each other, and the residual stops falling
+        kernel = bs.assemble(HALF_LINE_D, Potential(Profile.indicator(1.5, 2.5)), -1e6, m=400)
+        products = []
+        matmul = bs.SectorKernel.__matmul__
+        monkeypatch.setattr(bs.SectorKernel, "__matmul__",
+                            lambda k, x: products.append(1) or matmul(k, x))
+        val, res = bs.principal_eigenvalue(kernel)
+        assert len(products) <= 300
+        top = np.linalg.eigvalsh(kernel.dense())[-1]
+        assert val == pytest.approx(top, rel=bs.EIG_TOL)
+        assert res <= bs.EIG_TOL * val
+
     def test_deep_energy_exterior_well(self):
         # the top two eigenvalues agree to 9e-10 relative at lambda = -1e4, so
         # the converged iterate may mix them, but not leave the pair

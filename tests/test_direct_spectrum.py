@@ -421,7 +421,7 @@ class TestBetaCriticalDirect:
     def test_d3_neumann_threshold_stays_positive(self):
         prob = ProblemSpec(3, "exterior_ball", "neumann", radius=1.0)
         value = ds.beta_critical_direct(prob, Potential(Profile.indicator(1.5, 2.5)))
-        assert value == 0.5417036441766392
+        assert value == 0.5417036441766391
 
     def test_d3_agrees_with_kernel_route(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
@@ -736,3 +736,63 @@ class TestDilation:
         assert kernel[1] == pytest.approx(kernel[0], rel=1e-12)
         direct = [ds.beta_critical_direct(HALF_LINE_D, p) for p in (pot, dilated)]
         assert direct[1] == pytest.approx(direct[0], rel=1e-9)
+
+
+class TestNewtonThreshold:
+    """The threshold is a safeguarded Newton root on the slope each shot's
+    walk sums.  The shot counts and roots listed are those of the bracketed
+    ``brentq`` root it replaced."""
+
+    WELLS = [
+        (HALF_LINE_D, Potential(Profile.indicator(1.0, 2.0)), 9, 0.7401738843949671),
+        (BALL_D3, Potential(Profile.indicator(1.5, 2.5)), 10, 1.1596575823951059),
+        (BALL_D3, Potential(Profile.tent(1.2, 1.9, 1.5)), 9, 3.9569809245470537),
+        (ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0),
+         Potential(Profile.bump(1.2, 1.9, 1.5)), 10, 3.066715736185131),
+        (ProblemSpec(3, "exterior_ball", "neumann", radius=1.0),
+         Potential(Profile.indicator(1.5, 2.5)), 13, 0.5417036441766392),
+        (ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0),
+         Potential(Profile.indicator(1.5, 2.5)), 9, 0.789579586681801)]
+
+    @pytest.fixture
+    def shots(self, monkeypatch):
+        calls = []
+        integrate = SectorODE.integrate
+        monkeypatch.setattr(SectorODE, "integrate",
+                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("prob, pot, before, root", WELLS)
+    def test_fewer_shots_to_the_same_root(self, shots, prob, pot, before, root):
+        value = ds.beta_critical_direct(prob, pot)
+        assert type(value) is float
+        assert value == pytest.approx(root, rel=1e-14)
+        assert len(shots) < before
+
+    @pytest.mark.parametrize("prob", [
+        HALF_LINE_D, ProblemSpec(2, "exterior_ball", "dirichlet", radius=1.0), BALL_D3,
+        ProblemSpec(3, "exterior_ball", "neumann", radius=1.0),
+        ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=STIFF)])
+    @pytest.mark.parametrize("shape", ["indicator", "tent", "bump"])
+    @pytest.mark.parametrize("beta", [0.3, 2.0, 17.0])
+    def test_walk_slope_is_the_mismatch_derivative(self, prob, shape, beta):
+        pot = Potential(getattr(Profile, shape)(1.5, 2.5, 1.5))
+        ode = SectorODE(prob, pot, beta)
+        slope = ode.integrate(0.0, ode.regular_state(), prob.inner_radius,
+                              closure_radius(prob, pot), slope=True).slope
+        h = 1e-5 * beta
+        central = (ds.phase_mismatch(prob, pot, beta + h, 0.0)
+                   - ds.phase_mismatch(prob, pot, beta - h, 0.0)) / (2.0 * h)
+        assert slope == pytest.approx(central, rel=1e-6)
+
+    def test_wells_at_the_dirichlet_end_take_one_shot(self, shots):
+        # there the start (pi/2)^2 / (max V width^2) is the closed form
+        for n in (4, 8, 16, 32):
+            well = Potential(Profile.indicator(0.0, 2.0 / n), n)
+            assert ds.beta_critical_direct(HALF_LINE_D, well) == pytest.approx(
+                math.pi ** 2 * n / 16, rel=1e-15)
+        assert len(shots) == 4
+
+    def test_threshold_past_two_to_the_sixty_is_none(self):
+        faint = Potential(Profile.indicator(1.0, 2.0), 1e-20)
+        assert ds.beta_critical_direct(HALF_LINE_D, faint) is None

@@ -161,11 +161,14 @@ def test_the_cli_imports_no_ode_integrator(tmp_path):
 
 
 def test_half_line_planar_half_space_and_count_runs_load_no_scipy(tmp_path):
-    """A half-line kernel run, the d = 2 half-space study and the d = 3
+    """A half-line kernel run, the half-line scaling study (whose direct
+    thresholds are Newton roots), the d = 2 half-space study and the d = 3
     counting audit need no Bessel function, dense solver or root finder, so
-    they load no scipy module."""
+    they load no scipy module.  The ``direct`` and ``crosscheck`` runs still
+    load ``scipy.optimize``, for ``ground_state``'s ``brentq``."""
     runs = [("beta-cr", "beta_cr_square_well.json"),
             ("mu-curve", "mu_curve_neumann_1d.json"),
+            ("scaling", "scaling_1d.json"),
             ("halfspace", "halfspace_d2.json"),
             ("clr", "clr_d3.json")]
     code = "\n".join([
