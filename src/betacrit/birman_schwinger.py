@@ -161,7 +161,7 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
 def _power_iteration(a):
     """(eigenvalue, residual, steps) of a symmetric matrix's largest
     eigenvalue from the all-ones start vector; steps is -1 when 20,000 did
-    not reach ``EIG_TOL`` or ``STALL`` did not halve the residual.
+    not reach ``EIG_TOL`` or the last ``STALL`` did not halve the residual.
 
     Each iterate is divided by the power of two at the largest entry (on the
     diagonal of a ``SectorKernel``): exact, and keeps squared norms in range.
