@@ -1,14 +1,15 @@
 """Direct negative-spectrum computations, closed at the support edge R*.
 
-Past R* = max(support hi of V, r_flat, r_in) the sector equation is the free
-one, so decay at infinity enters through an exact boundary relation there:
+Past R* (``SectorODE.r_star``) the sector equation is the free one, so decay
+at infinity enters through an exact boundary relation there:
 the zero-energy closure for counting and for the threshold, and the
 energy-dependent closure inside the shooting solver for eigenvalues, which
 roots the phase mismatch in k = sqrt(-lambda).  Counts and thresholds are
 read off the Pruefer angle at lambda = 0 (Sturm oscillation): a count off
 every sector's ``ZeroEnergyAngle``, the threshold as the Newton root in beta
 of sector 0's ``phase_mismatch`` there, on the slope its walk sums, and a
-count next to that crossing off the same ``phase_mismatch``.
+count next to that crossing off the same ``phase_mismatch``.  Every shot of
+one threshold, ground state or count steps one ``SectorODE``, built once.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ import numpy as np
 from . import birman_schwinger as bs
 from .errors import UnconvergedError, ValidationError
 from .model import Potential, ProblemSpec, require_valid
-from .sector_ode import SectorODE, ZeroEnergyAngle, closure_radius
+from .sector_ode import GUARD, SectorODE, ZeroEnergyAngle
 
 MAX_WORK = 2 ** 22     # most steps x sectors of one count
 CHUNK = 2 ** 18        # most steps x sectors stepped at once
-GUARD = 0.05           # radians from a crossing where a count reads phase_mismatch
 GROUND_TOL = 1e-10     # |d lambda| the ground state's root search allows
 PROFILE_NODES = 4000  # eigenfunction samples up to R*, and a quarter as many past it
 RESIDUAL_H = 1e-2  # spacing of the residual check's sub-grids
@@ -40,7 +40,8 @@ def count_negative(problem: ProblemSpec, potential: Potential, beta: float) -> i
     first empty one: only those with l(l+d-2) < beta V r^2 / a somewhere can
     bind.  Within ``GUARD`` of a crossing sector 0 reads ``phase_mismatch``
     at lambda = 0 instead, the function ``beta_critical_direct`` roots, so a
-    coupling next to the threshold counts on the side the threshold puts it.
+    coupling next to the threshold counts on the side the threshold puts it,
+    and every other sector checks its read next to its own threshold.
     Exactly at a crossing the count takes the side its mismatch rounds to:
     at the first m = 0 and the state is not counted; at the j-th, j >= 2,
     m = (j - 1) pi up to rounding, and the state is counted when m rounds up
@@ -64,7 +65,7 @@ def count_negative(problem: ProblemSpec, potential: Potential, beta: float) -> i
         ls = np.arange(first, first + max(1, min(CHUNK // max(steps, 1), sectors - first)))
         mismatch = angle.mismatch(ls)
         if first == 0 and abs(mismatch[0] - math.pi * round(mismatch[0] / math.pi)) < GUARD:
-            mismatch[0] = phase_mismatch(problem.with_sector(0), potential, beta, 0.0)
+            mismatch[0] = _shoot(angle.ode, 0.0)[0]
         for l, m_l in zip(ls.tolist(), mismatch.tolist()):
             if not m_l > 0.0:
                 return total
@@ -84,15 +85,13 @@ def phase_mismatch(problem: ProblemSpec, potential: Potential, beta: float,
     ``SectorODE.mesh``; at lam = 0 sector 0's root in beta is the threshold,
     and a count reads it next to a crossing.
     """
-    return _shoot(problem, potential, beta, lam)[0]
+    return _shoot(SectorODE(problem, potential, beta), lam)[0]
 
 
-def _shoot(problem, potential, beta, lam, slope=False):
-    """(``phase_mismatch``, with ``slope`` its beta-derivative, the angle's)."""
-    ode = SectorODE(problem, potential, beta)
-    r_star = closure_radius(problem, potential)
-    end = ode.integrate(lam, ode.regular_state(), problem.inner_radius, r_star, slope=slope)
-    return end.angle - math.atan2(*ode.decay_state(lam, r_star)), end.slope
+def _shoot(ode: SectorODE, lam: float, slope: bool = False):
+    """(``phase_mismatch`` of ``ode`` at ``lam``, with ``slope`` its beta-derivative)."""
+    end = ode.integrate(lam, ode.regular_state(), slope=slope)
+    return end.angle - math.atan2(*ode.decay_state(lam, ode.r_star)), end.slope
 
 
 def ground_state(problem: ProblemSpec, potential: Potential, beta: float) -> float | None:
@@ -118,10 +117,11 @@ def ground_state(problem: ProblemSpec, potential: Potential, beta: float) -> flo
     vmax = beta * potential.max_value()
     lam_lo = -vmax - 1e-6
     k_lo, k_hi = math.sqrt(1e-12 * max(1.0, vmax)), math.sqrt(-lam_lo)
+    ode = SectorODE(problem, potential, beta)  # every shot steps this one well
 
     @functools.cache
     def mismatch(k):  # falls as k rises
-        return phase_mismatch(problem, potential, beta, -k * k)
+        return _shoot(ode, -k * k)[0]
 
     from scipy.optimize import brentq
     if mismatch(k_lo) <= 0.0:
@@ -155,12 +155,10 @@ def eigenfunction(problem: ProblemSpec, potential: Potential, beta: float,
     if not lam < 0.0:
         raise ValidationError(f"the profile needs an energy below zero, got {lam!r}")
     ode = SectorODE(problem, potential, beta)
-    r_in = problem.inner_radius
-    r_star = closure_radius(problem, potential)
-    solution = ode.integrate(lam, ode.regular_state(), r_in, r_star, decays=True)
+    solution = ode.integrate(lam, ode.regular_state(), decays=True)
     pieces = solution.sample(lambda a0, b0: np.linspace(
-        a0, b0, max(8, int(PROFILE_NODES * (b0 - a0) / (r_star - r_in)))))
-    tail = r_star + np.linspace(0.0, 40.0 / math.sqrt(-lam), PROFILE_NODES // 4 + 1)[1:]
+        a0, b0, max(8, int(PROFILE_NODES * (b0 - a0) / (ode.r_star - problem.inner_radius)))))
+    tail = ode.r_star + np.linspace(0.0, 40.0 / math.sqrt(-lam), PROFILE_NODES // 4 + 1)[1:]
     mesh = np.concatenate([r for r, _, _ in pieces] + [tail])
     u = np.concatenate([u for _, u, _ in pieces] + [solution(tail)])
     norm = math.sqrt(np.trapezoid(u ** 2 * mesh ** (problem.dimension - 1), mesh))
@@ -212,8 +210,9 @@ def beta_critical_direct(problem: ProblemSpec, potential: Potential):
         return 0.0
     lo, hi = potential.support
     beta, bracket = (0.5 * math.pi / (hi - lo)) ** 2 / potential.max_value(), [0.0, math.inf]
+    ode = SectorODE(ground, potential)
     while True:
-        mismatch, slope = _shoot(ground, potential, beta, 0.0, slope=True)
+        mismatch, slope = _shoot(ode._with(beta=beta), 0.0, slope=True)
         bracket[mismatch > 0.0] = beta
         (lo, hi), step = bracket, -mismatch / slope if slope > 0.0 else math.nan
         inside = lo <= beta + step < hi
@@ -233,9 +232,7 @@ def eigenvalue_residual(problem: ProblemSpec, potential: Potential, beta: float,
     scale.
     """
     ode = SectorODE(problem, potential, beta)
-    pieces = ode.integrate(
-        lam, ode.regular_state(), problem.inner_radius, closure_radius(problem, potential),
-    ).sample(lambda a0, b0: np.linspace(
+    pieces = ode.integrate(lam, ode.regular_state()).sample(lambda a0, b0: np.linspace(
         a0, b0, max(9, int(round((b0 - a0) / RESIDUAL_H)) + 1)))
     scale_u = max(float(np.max(np.abs(uu))) for _, uu, _ in pieces)
     scale_v = max(float(np.max(np.abs(vv))) for _, _, vv in pieces)

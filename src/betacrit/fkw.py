@@ -24,7 +24,7 @@ from .errors import (KernelLimitError, MethodDisagreement, NearSingularError,
                      UnconvergedError, ValidationError)
 from .green_kernels import solution_pair
 from .model import Potential, ProblemSpec, require_valid
-from .sector_ode import MAX_STEPS, MAX_TURN, SectorODE, SectorSolution, closure_radius, fill
+from .sector_ode import MAX_STEPS, MAX_TURN, SectorODE, SectorSolution, fill
 
 DEFAULT_SECTOR_MAX = 3
 GAMMA1_TOL = 1e-9  # |gamma1| below this, relative to max(1, |gamma|), is degenerate
@@ -70,10 +70,8 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
         raise ValidationError("the exterior solve needs lambda <= 0")
     if lam == 0 and problem.with_sector(0).limit_diverges():
         raise KernelLimitError("no decaying zero-energy solution in this sector")
-    r_star = closure_radius(problem, potential)
     ode = SectorODE(problem.with_sector(0), potential, beta)
-    v = ode.integrate(lam, ode.decay_state(lam, r_star), r_star, problem.inner_radius,
-                      decays=True)
+    v = ode.integrate(lam, ode.decay_state(lam, ode.r_star), inward=True, decays=True)
     v.normalize(problem.inner_radius)  # only the ratio to the trace matters
     if not v.peak < 1e6:
         raise NearSingularError("energy sits at a Dirichlet eigenvalue; "
@@ -84,7 +82,7 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
 def _boundary_flux(problem: ProblemSpec, v: SectorSolution) -> float:
     """Mean boundary flux -v'(r0) of the unit-trace solution."""
     r0 = problem.inner_radius
-    return -float(v.state(r0)[1]) / SectorODE(problem).coefficients(r0)[0]
+    return -float(v.state(r0)[1]) / v.ode.coefficients(r0)[0]
 
 
 def gamma1(problem: ProblemSpec, beta: float, potential: Potential,
@@ -101,8 +99,8 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     w(r) = [u_dec(r) int_{r0}^r u_reg f dm + u_reg(r) int_r^inf u_dec f dm] / C,
     as one product of a ``SectorKernel`` with generators y_reg / C and y_dec
     (the Green matrix itself) and the source times its composite Simpson
-    weights.  That Simpson grid is a quadrature rule, not an ODE mesh: on
-    [r0, R* + 1] each of the sector ODE's ``pieces`` takes
+    weights.  That Simpson grid is a quadrature rule, not an ODE mesh: each
+    of the sector ODE's ``pieces`` and the free piece [R*, R* + 1] takes
     ``SIMPSON_PER_UNIT`` steps per unit length or as many more as the turn
     bound needs, each step split until k h <= ``MAX_TURN``; then come 1000
     quadratically growing steps until u_dec has fallen by e^-40.  No
@@ -112,9 +110,9 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     forced = replace(problem, boundary_condition="dirichlet")
     reg, dec, c = solution_pair(forced, lam, potential, beta)
     r0, k = problem.inner_radius, math.sqrt(-lam)
-    r_out = closure_radius(problem, potential) + 1.0
     ode = SectorODE(forced, potential, beta)
-    cuts, turn, _ = ode.pieces(lam, r0, r_out)
+    r_out = ode.r_star + 1.0
+    cuts, turn = np.append(ode.cuts, r_out), np.append(ode.pieces(lam)[0], 0.0)  # free: no turn
     mesh = fill(cuts, np.maximum(turn, np.ceil(np.diff(cuts) * SIMPSON_PER_UNIT)))
     parts = math.ceil(k * float(np.max(np.diff(mesh))) / MAX_TURN)  # Simpson steps per step
     if 2 * parts * mesh.size > MAX_STEPS:
@@ -170,7 +168,7 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
             gamma, alpha = flux, -flux / g1
             w = alpha * v(mesh) + w
         sector_profiles[l] = (mesh, w)
-    r_out = closure_radius(problem, potential) + 1.0
+    r_out = v.ode.r_star + 1.0
     if not sector_profiles:
         sector_profiles[0] = (np.array([problem.inner_radius, r_out]), np.zeros(2))
     return FkwSolution(alpha=float(alpha), gamma=float(gamma), gamma1=float(g1),

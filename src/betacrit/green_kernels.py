@@ -8,9 +8,9 @@ element reproduces the sector operator exactly.
 On the half-line and in every exterior-ball sector the kernel is
 G(r, rho) = u_reg(min) u_dec(max) / C, where u_reg meets the boundary
 condition and u_dec decays at infinity.  ``solution_pair`` builds these
-solutions: the sector ODE up to r_f (where a flattens to 1, or R* with a
-potential; empty where a == 1), matched there to the free solutions of
-``SectorODE.free_pair``, which is the one place that writes those down.  Each
+solutions: the sector ODE on its span [r0, r_f], r_f = ``SectorODE.r_star``
+(empty where a == 1 without a potential), matched at r_f to the free
+solutions of ``SectorODE.free_pair``, the one place that writes those down.  Each
 comes apart from its log-scale, u = y e^s, and the scales are added before
 anything is exponentiated, so kernels stay finite for any k = sqrt(-lambda).
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import KernelLimitError
 from .model import Potential, ProblemSpec, ValidationError
-from .sector_ode import SectorODE, closure_radius
+from .sector_ode import SectorODE
 
 
 def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None = None,
@@ -32,8 +32,8 @@ def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None 
     ``problem.measure`` in the problem's sector of H0, or of H0 - beta V.
 
     ``reg`` and ``dec`` map radii to (y, s), the solution being y e^s: the
-    sector ODE below r_f (R* = ``closure_radius`` with a potential), the
-    free solutions with s = +-k (r - r_f) beyond.
+    sector ODE below r_f = ``SectorODE.r_star``, the free solutions with
+    s = +-k (r - r_f) beyond.
     For r <= rho, s_reg(r) + s_dec(rho) is at most about 0.  lam = 0 gives
     the zero-energy limit and raises ``KernelLimitError`` where it diverges
     (``ProblemSpec.limit_diverges``: Neumann, and the bounded zero-energy
@@ -46,15 +46,15 @@ def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None 
     if lam > 0:
         raise ValidationError("Green functions need lambda <= 0")
     r0 = problem.inner_radius
-    rf = problem.flat_radius() if potential is None else closure_radius(problem, potential)
     ode = SectorODE(problem, potential, beta)
+    rf = ode.r_star
     k, p_rf = math.sqrt(-lam), ode.coefficients(rf)[0]
     g, f, dg, df = (float(v) for v in ode.free_pair(lam, rf, derivatives=True))
     inward = outward = None  # the span [r0, r_f] is empty where a == 1
     y_rf, s_rf = np.array(ode.regular_state()), 0.0
     if rf > r0:
-        inward = ode.integrate(lam, [f, p_rf * df], rf, r0)
-        outward = ode.integrate(lam, ode.regular_state(), r0, rf)
+        inward = ode.integrate(lam, [f, p_rf * df], inward=True)
+        outward = ode.integrate(lam, ode.regular_state())
         y_rf, s_rf = outward.log_state(rf)
     # past r_f u_reg = alpha g e^{k(r - r_f)} + beta f e^{-k(r - r_f)}
     u_rf, du_rf = y_rf / [1.0, p_rf]

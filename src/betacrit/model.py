@@ -165,12 +165,6 @@ class ProblemSpec:
             return SPHERE_AREA[self.dimension] * r ** (self.dimension - 1)
         return np.ones_like(r)
 
-    def flat_radius(self) -> float:
-        """Radius beyond which a(r) = 1."""
-        if self.coefficient is None:
-            return self.inner_radius
-        return max(self.inner_radius, self.coefficient.r_flat)
-
     def effective_bc(self) -> str:
         """Boundary condition seen by the problem's angular sector.
 

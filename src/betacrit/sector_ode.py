@@ -9,7 +9,10 @@ with the diffusion coefficient a(r) and the potential V.  ``SectorODE`` is
 the only code that knows p, q and w, the first-order form y' = A y of the
 equation for y = (u, p u'), how to step across the kinks of V and a, and the
 free solutions past the closure radius R* (``free_pair``, which the Green
-functions read).  ``SectorSolution`` is the only reader of what it integrates.
+functions read).  It reads the span [r_in, R*] and the well on it once; a
+shot at another coupling, or a count's batch of sectors, steps a copy of the
+same well (``SectorODE._with``).  ``SectorSolution`` is the only reader of
+what it integrates.
 
 A step of length h is the fourth-order Magnus propagator on two Gauss points
 (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), y -> exp(Omega) y
@@ -41,21 +44,18 @@ MAX_TURN = 0.25        # most an oscillating step may turn the state, in radians
                        # and a count's step may grow a sector that can bind, in e-folds
 MAX_STEPS = 2 ** 18    # most steps of one integration
 WELL_STEPS = 1000      # fewest steps across the stepped span where p, q or w varies
+GUARD = 0.05           # radians from a crossing where a count checks a sector's read
 GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-
-
-def closure_radius(problem: ProblemSpec, potential: Potential) -> float:
-    """R* = max(support hi of V, r_flat, r_in).
-
-    Past R* the potential vanishes and a == 1, so the sector equation is the
-    free one and ``SectorODE.decay_state`` closes it exactly.
-    """
-    return max(potential.support[1], problem.flat_radius())
 
 
 def _gap(r: float) -> float:
     """Shortest piece of the mesh: closer samples are one cut."""
     return 1e-12 * max(1.0, abs(r))
+
+
+def _regular(bc: str) -> tuple[float, float]:
+    """(u, p u') meeting the boundary condition ``bc`` on the obstacle."""
+    return (0.0, 1.0) if bc == "dirichlet" else (1.0, 0.0)
 
 
 def fill(cuts: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -104,10 +104,9 @@ class SectorSolution:
     decaying free solution in closed form; any other raises ``ValueError``.
     """
 
-    def __init__(self, ode: "SectorODE", lam: float, cuts, r, y, log, decays: bool):
+    def __init__(self, ode: "SectorODE", lam: float, r, y, log, decays: bool):
         self.ode, self.lam, self.decays, self.slope = ode, lam, decays, None
-        self.cuts, self.r, self.y, self.log = cuts, r, y, log
-        self.span = (min(r[0], r[-1]), max(r[0], r[-1]))
+        self.r, self.y, self.log, self.span = r, y, log, (ode.cuts[0], ode.r_star)
         self._sign = 1.0 if r[-1] >= r[0] else -1.0  # self._sign * r ascends
 
     def normalize(self, r: float) -> None:
@@ -164,7 +163,8 @@ class SectorSolution:
     def sample(self, points):
         """(r, u, p u') on each piece between cuts, in the order integrated,
         at the radii ``points(start, end)`` of that piece."""
-        rs = [points(a, b) for a, b in zip(self.cuts[:-1], self.cuts[1:])]
+        cuts = self.ode.cuts[::int(self._sign)]
+        rs = [points(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
         u, v = self.state(np.concatenate(rs))
         bounds = np.cumsum([r.size for r in rs])[:-1]
         return list(zip(rs, np.split(u, bounds), np.split(v, bounds)))
@@ -172,45 +172,72 @@ class SectorSolution:
 
 class SectorODE:
     """Sector equation of ``problem`` at coupling ``beta`` to ``potential``,
-    in the problem's own sector.
+    in the problem's own sector, on its span [r_in, R*].
 
-    Without a coefficient (a == 1) or without a potential that term is never
-    evaluated.
+    Past ``r_star`` = R* = max(support hi of V, r_flat, r_in) V = 0 and
+    a == 1, so ``decay_state`` closes the equation exactly.  ``cuts`` cut the
+    span at every sample of V and of a and at r_flat; samples within ``_gap``
+    of each other or of an end make one cut.  A missing coefficient (a == 1)
+    or potential is never evaluated.
     """
 
     def __init__(self, problem: ProblemSpec, potential: Potential | None = None,
                  beta: float = 0.0):
         self.problem, self.potential, self.beta = problem, potential, beta
-        self.sector, self.dimension = problem.sector, problem.dimension
-        self.bc = problem.effective_bc()
-        self._cent = self.sector * (self.sector + self.dimension - 2)
-        self._nu = self.sector + 0.5 * self.dimension - 1.0
-        kinks = {problem.flat_radius()}  # a and V are smooth between samples
-        if problem.coefficient is not None:  # sampled up to r_flat at most
-            kinks.update(problem.coefficient.profile.xs.tolist())
-        if potential is not None:
-            kinks.update(potential.profile.xs.tolist())
-        kinks = sorted(kinks)  # near-repeated samples make one cut
-        self._kinks = [c for b, c in zip([-math.inf] + kinks, kinks) if c - b > _gap(c)]
-        r_flat = problem.flat_radius()  # V = 0 and a == 1 on [r_flat, lo] and past R*
-        lo, r_star = (r_flat, r_flat) if potential is None else (
-            max(potential.support[0], r_flat), closure_radius(problem, potential))
-        self._free, stepped = (r_flat, lo, r_star), (r_flat - problem.inner_radius) + (r_star - lo)
-        self._density = WELL_STEPS / (stepped or 1.0)  # the floor per unit length
+        self.dimension, self.bc = problem.dimension, problem.effective_bc()
+        self._set_sector(problem.sector)
+        r_in, a = problem.inner_radius, problem.coefficient  # a == 1 past r_flat
+        r_flat = r_in if a is None else max(r_in, a.r_flat)
+        lo, r_star = (r_flat, r_flat) if potential is None else (  # V = 0, a == 1 on [r_flat, lo]
+            max(potential.support[0], r_flat), max(potential.support[1], r_flat))
+        self.r_star, self._free = r_star, (r_flat, lo, r_star)
+        self._density = WELL_STEPS / ((r_flat - r_in) + (r_star - lo) or 1.0)  # the floor
+        self.cuts = np.array([r_in, r_star])  # an empty span (a == 1, no V) reads nothing
+        if r_star > r_in:  # cut it, and read the well just inside both ends of each piece
+            samples = (f.profile.xs.tolist() for f in (a, potential) if f is not None)
+            kinks = sorted({r_flat}.union(*samples))  # a and V are smooth between samples
+            inside = [c for b, c in zip([-math.inf] + kinks, kinks)  # near repeats make one cut
+                      if r_in + _gap(c) < c < r_star - _gap(c) and c - b > _gap(c)]
+            self.cuts = cuts = np.array([r_in] + inside + [r_star])
+            self._width = width = cuts[1:] - cuts[:-1]
+            ends = np.array([cuts[:-1] + 1e-9 * width, cuts[1:] - 1e-9 * width])
+            self._ends = self._read(ends, self.dimension > 1)
+
+    def _set_sector(self, sector) -> None:
+        self.sector, self._cent = sector, sector * (sector + self.dimension - 2)
+        self._nu, self._spins = sector + self.dimension / 2 - 1, np.count_nonzero(self._cent) > 0
+
+    def _with(self, beta: float | None = None, sectors=None) -> "SectorODE":
+        """This equation on the same well and its reads, at coupling ``beta`` or
+        in every one of ``sectors`` at once, as a column: coefficients, propagators,
+        ``free_step`` and the zero-energy ``decay_state`` carry a row per sector."""
+        other = copy.copy(self)
+        if beta is not None:
+            other.beta = beta
+        if sectors is not None:
+            other._set_sector(np.asarray(sectors)[:, None])
+        return other
 
     def coefficients(self, r):
         """(p, q, w) at r, a float or an array."""
-        d = self.dimension
-        w = r ** (d - 1)
-        a = 1.0 if self.problem.coefficient is None else self.problem.coefficient(r)
-        q = a * self._cent * r ** (d - 3) if np.any(self._cent) else 0.0 * self._cent
-        if self.potential is not None:
-            q = q - self.beta * self.potential(r) * w
+        return self._equation(*self._read(r, self._spins))
+
+    def _read(self, r, cent: bool):
+        """(a, V, w, r^{d-3}) at r, what the equation reads of the well: V is
+        None without a potential, r^{d-3} read only with ``cent`` (l(l+d-2) > 0)."""
+        d, a = self.dimension, self.problem.coefficient
+        return (1.0 if a is None else a(r), None if self.potential is None else self.potential(r),
+                r ** (d - 1), r ** (d - 3) if cent else 0.0)
+
+    def _equation(self, a, v, w, r3):
+        q = a * self._cent * r3 if self._spins else 0.0 * self._cent
+        if v is not None:
+            q = q - self.beta * v * w
         return a * w, q, w
 
     def regular_state(self) -> tuple[float, float]:
         """(u, p u') meeting the sector's boundary condition on the obstacle."""
-        return (0.0, 1.0) if self.bc == "dirichlet" else (1.0, 0.0)
+        return _regular(self.bc)
 
     def free_pair(self, lam: float, r, derivatives: bool = False, growing: bool = True):
         """Free solutions (V = 0, a = 1) at the radii r, growing g(r) e^{kr} and
@@ -286,59 +313,38 @@ class SectorODE:
         return np.array([1.0 - l * e, start * e / p0, p1 * self._cent * e / end,
                          p1 * start * (np.exp(-s * log_rho) + l * e) / (end * p0)]), l * log_rho
 
-    def _in_sectors(self, sectors: np.ndarray) -> "SectorODE":
-        """This equation in every one of ``sectors`` at once, as a column:
-        coefficients, propagators, ``free_step`` and the zero-energy
-        ``decay_state`` then carry one row per sector."""
-        batch = copy.copy(self)
-        batch.sector = np.asarray(sectors)[:, None]
-        batch._cent = batch.sector * (batch.sector + self.dimension - 2)
-        batch._nu = batch.sector + 0.5 * self.dimension - 1.0
-        return batch
-
-    def segment_points(self, r_in: float, r_out: float) -> list[float]:
-        """[r_in, r_out] cut at every sample of V and of a, and at r_flat,
-        ascending; samples within ``_gap`` of r_in or r_out are dropped."""
-        return [r_in] + [c for c in self._kinks
-                         if r_in + _gap(c) < c < r_out - _gap(c)] + [r_out]
-
-    def pieces(self, lam: float, r_in: float, r_out: float):
-        """(cuts, turn, exact): the ``segment_points`` of [r_in, r_out], and
-        for each piece between them the fewest uniform steps that keep every
-        turn at or below ``MAX_TURN`` at the local wavenumber
-        sqrt((lambda w - q) / p), and whether one step is exact: p, q and w
-        constant, or a ``free_step``.  Both are read just inside the two ends
-        of the piece, where V and a are linear."""
-        cuts = np.array(self.segment_points(r_in, r_out))
-        width = np.diff(cuts)
-        p, q, w = (c.reshape(2, -1) for c in np.broadcast_arrays(*self.coefficients(
-            np.concatenate([cuts[:-1] + 1e-9 * width, cuts[1:] - 1e-9 * width]))))
+    def pieces(self, lam: float):
+        """(turn, exact): for each piece between the ``cuts`` the fewest
+        uniform steps that keep every turn at or below ``MAX_TURN`` at the
+        local wavenumber sqrt((lambda w - q) / p), and whether one step is
+        exact: p, q and w constant, or a ``free_step``.  Both are read just
+        inside the two ends of the piece, where V and a are linear."""
+        p, q, w = np.broadcast_arrays(*self._equation(*self._ends))
         wave = np.sqrt(np.maximum(lam * w - q, 0.0) / p).max(axis=0)
         exact = ((p[0] == p[1]) & (q[0] == q[1]) & (w[0] == w[1])
-                 | self._is_free(lam, cuts[:-1], width))
-        return cuts, np.ceil(width * (wave / MAX_TURN)), exact
+                 | self._is_free(lam, self.cuts[:-1], self._width))
+        return np.ceil(self._width * (wave / MAX_TURN)), exact
 
-    def mesh(self, lam: float, r_in: float, r_out: float, floor: bool = True,
-             rise: float = 0.0) -> np.ndarray:
-        """Ascending nodes, the one rule for where the sector ODE steps: each
-        of the ``pieces`` in uniform steps, as many as its turn needs and at
-        least one.  Where one step is not exact (p, q or w varies) there are,
-        with ``floor``, at least ``WELL_STEPS`` per length of the problem's
-        stepped span [r_in, r_flat] and [lo, R*], so a dilated well takes the
-        same steps, and with ``rise`` enough that none grows a solution by
-        more than ``rise`` / r per unit length.  A step that does not oscillate
-        turns the state by less than pi however long it is (the Pruefer angle
-        cannot cross k pi downward or k pi + pi/2 upward).  Past ``MAX_STEPS``
-        steps the mesh raises ``UnconvergedError``."""
-        cuts, turn, exact = self.pieces(lam, r_in, r_out)
-        width = np.diff(cuts)
-        least = np.ceil(width * self._density) if floor else 1.0
+    def mesh(self, lam: float, floor: bool = True, rise: float = 0.0) -> np.ndarray:
+        """Ascending nodes on the span, the one rule for where the sector ODE
+        steps: each of the ``pieces`` in uniform steps, as many as its turn
+        needs and at least one.  Where one step is not exact (p, q or w
+        varies) there are at least two, with ``floor`` at least
+        ``WELL_STEPS`` per length of the stepped span [r_in, r_flat] and
+        [lo, R*], so a dilated well takes the same steps, and with ``rise``
+        enough that none grows a solution by more than ``rise`` / r per unit
+        length.  A step that does not oscillate turns the state by less than
+        pi however long (the Pruefer angle cannot cross k pi downward or
+        k pi + pi/2 upward).  Past ``MAX_STEPS`` steps it raises
+        ``UnconvergedError``."""
+        (turn, exact), cuts, width = self.pieces(lam), self.cuts, self._width
+        least = np.ceil(width * self._density) if floor else 2.0
         if rise:
             least = np.maximum(least, np.ceil(width * rise / cuts[:-1]))
         steps = np.maximum(turn, np.where(exact, 1.0, least))
         if not steps.sum() <= MAX_STEPS:
             raise UnconvergedError("sector ODE needs more steps than one integration takes",
-                                   details={"segment": [r_in, r_out], "lambda": lam,
+                                   details={"segment": cuts[[0, -1]].tolist(), "lambda": lam,
                                             "steps": float(steps.sum())})
         return fill(cuts, steps)
 
@@ -382,27 +388,24 @@ class SectorODE:
             m[..., free], g[..., free] = self.free_step(lam, r[free], (r + h)[free])
         return (m, g, dm) if slope else (m, g)
 
-    def integrate(self, lam: float, y, start: float, end: float, *,
+    def integrate(self, lam: float, y, inward: bool = False, *,
                   decays: bool = False, slope: bool = False) -> SectorSolution:
-        """Step from state ``y`` at ``start`` to ``end``, either way, on the
-        ``mesh`` of the span, scaling the state to unit 1-norm after every
-        step and keeping the logarithm of the scale apart.  With ``decays``
-        the solution continues past its outer end as the decaying free
-        solution, and with ``slope`` its ``slope`` is d ``angle`` / d beta.  A
-        state that is not finite raises ``UnconvergedError``.
+        """Step from state ``y`` at r_in to R*, or ``inward`` from R* to r_in,
+        on the ``mesh``, scaling the state to unit 1-norm after every step
+        and keeping the logarithm of the scale apart.  With ``decays`` the
+        solution continues past its outer end as the decaying free solution,
+        and with ``slope`` its ``slope`` is d ``angle`` / d beta.  A state
+        that is not finite raises ``UnconvergedError``.
         """
-        r = self.mesh(lam, min(start, end), max(start, end))
-        cuts = self.segment_points(min(start, end), max(start, end))
-        if start > end:
-            r, cuts = r[::-1], cuts[::-1]
+        r = self.mesh(lam)[::-1 if inward else 1]
         m, growth, *dm = self.propagators(lam, r[:-1], np.diff(r), slope)
         states = walk(zip(*m.tolist()), float(y[0]), float(y[1])).T
         with np.errstate(divide="ignore", invalid="ignore"):
             states, log = states[:2], np.cumsum(np.log(states[2]) + np.append(0.0, growth))
         if not (np.isfinite(states).all() and np.isfinite(log[-1])):
             raise UnconvergedError("sector ODE integration failed",
-                                   details={"segment": [start, end], "lambda": lam})
-        solution = SectorSolution(self, lam, cuts, r, states, log, decays)
+                                   details={"segment": r[[0, -1]].tolist(), "lambda": lam})
+        solution = SectorSolution(self, lam, r, states, log, decays)
         if slope:  # step i adds dM_i y_i at node i + 1, which turns the end by
             # det[y, dM_i y_i] / |y|^2 there: every step keeps the determinant
             (u, v), (du, dv) = states, (dm[0].reshape(2, 2, -1) * states[:, :-1]).sum(axis=1)
@@ -416,48 +419,55 @@ class ZeroEnergyAngle:
     coupling beta, as a count reads it.
 
     ``mismatch`` steps sectors together on one ``mesh``, ``SectorODE.mesh``
-    of sector 0 from the obstacle to R* without the floor: one exact
-    ``free_step`` from r_flat (the obstacle without a coefficient) to the
-    well, and elsewhere steps that turn sector 0, where the well turns
-    fastest, by at most ``MAX_TURN`` and grow a sector that can bind by at
-    most ``MAX_TURN`` e-folds.  Next to a crossing a count reads sector 0
-    through ``direct_spectrum.phase_mismatch`` instead, which steps the same
-    rule with the floor, as every shot does.
+    of sector 0 on its span without the floor: one exact ``free_step`` from
+    r_flat (the obstacle without a coefficient) to the well, and elsewhere
+    steps that turn sector 0, where the well turns fastest, by at most
+    ``MAX_TURN`` and grow a sector that can bind by at most ``MAX_TURN``
+    e-folds.  Next to a crossing a count reads sector 0 as a shot of ``ode``
+    instead, the ``direct_spectrum.phase_mismatch`` the threshold roots.
     """
 
     def __init__(self, problem: ProblemSpec, potential: Potential, beta: float):
-        self.beta = beta
         ode = self.ode = SectorODE(problem.with_sector(0), potential, beta)
-        d, r_in = problem.dimension, problem.inner_radius
-        self.r_star = closure_radius(problem, potential)
-        reach = 0.0  # l(l+d-2) below it can bind; on the line every sector can
-        if d > 1:
-            kinks = np.array(ode.segment_points(r_in, self.r_star))
-            probe = fill(kinks, np.full(kinks.size - 1, 8.0))
-            p, q, _ = ode.coefficients(probe)
-            reach = max(reach, float(np.max(-q * probe * probe / p)))
+        d, probe = problem.dimension, fill(ode.cuts, np.full(ode.cuts.size - 1, 8.0))
+        p, q, _ = ode.coefficients(probe)  # l(l+d-2) below reach can bind; on the line every l
+        reach = 0.0 if d == 1 else max(0.0, float(np.max(-q * probe * probe / p)))
         # such a sector grows by up to sqrt(reach) / r per unit length where V is small
-        self.mesh = ode.mesh(0.0, r_in, self.r_star, floor=False,
-                             rise=math.sqrt(reach) / MAX_TURN)
+        self.mesh = ode.mesh(0.0, floor=False, rise=math.sqrt(reach) / MAX_TURN)
         self.limit = 1 if problem.geometry == "half_line" else 2 if d == 1 else math.inf
         self.sectors = min(self.limit, 1 + math.ceil(
             0.5 * (math.sqrt((d - 2) ** 2 + 4 * reach) - d + 2)))  # that can bind
-        self._starts = np.array([SectorODE(problem.with_sector(l)).regular_state()
+        self._starts = np.array([_regular(problem.with_sector(l).effective_bc())
                                  for l in range(min(self.limit, 2))])  # sector 0 may differ
 
     def mismatch(self, sectors) -> np.ndarray:
         """theta(R*) - theta_target of each of ``sectors``, stepped together
-        on the ``mesh``."""
-        r, ls = self.mesh, np.asarray(sectors).ravel()
-        batch = self.ode._in_sectors(ls)
+        on the ``mesh``.  Those l >= 1 within ``GUARD`` of 0 are stepped again
+        on half its steps, which moves each by about 15 times its error (the
+        mesh is fourth order); those it moves by more than their distance to 0
+        are read together on sector 0's floored mesh, as fine as any shot's."""
+        ls = np.asarray(sectors).ravel()
+        mismatch = self._walk(ls, self.mesh)
+        near = np.flatnonzero((ls > 0) & (np.abs(mismatch) < GUARD))
+        if near.size:
+            steps = np.diff(np.searchsorted(self.mesh, self.ode.cuts))
+            coarse = self._walk(ls[near], fill(self.ode.cuts, np.ceil(steps / 2)))
+            near = near[np.abs(mismatch[near]) < np.abs(coarse - mismatch[near])]
+            if near.size:
+                mismatch[near] = self._walk(ls[near], self.ode.mesh(0.0))
+        return mismatch
+
+    def _walk(self, ls: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The mismatch of each of the sectors ``ls``, stepped together on ``r``."""
+        batch = self.ode._with(sectors=ls)
         m, _ = batch.propagators(0.0, r[:-1], np.diff(r))
         u, v = self._starts[np.minimum(ls, 1)].T
         if ls.size == 1:  # floats step faster than arrays of one
             y = walk(zip(*m[:, 0].tolist()), float(u[0]), float(v[0]))[..., None]
         else:
             y = walk(np.ascontiguousarray(np.moveaxis(m, -1, 0)), u, v)
-        target = np.arctan2(*batch.decay_state(0.0, self.r_star)).ravel()
+        target = np.arctan2(*batch.decay_state(0.0, self.ode.r_star)).ravel()
         mismatch = pruefer_angle(y[:, 0], y[:, 1], axis=0) - target
         if not np.isfinite(mismatch).all():
-            raise UnconvergedError("zero-energy angle failed", details={"beta": self.beta})
+            raise UnconvergedError("zero-energy angle failed", details={"beta": self.ode.beta})
         return mismatch

@@ -21,7 +21,7 @@ from scipy.special import iv, ive, kv, kve, spherical_jn, spherical_yn, jv, yv
 
 from betacrit.errors import UnconvergedError, ValidationError
 from betacrit.model import Potential, ProblemSpec, Profile, require_valid
-from betacrit.sector_ode import SectorODE, closure_radius
+from betacrit.sector_ode import SectorODE
 
 DEFAULT_H = 1e-3
 DEFAULT_BISECT_TOL = 1e-6
@@ -609,9 +609,9 @@ class _Mesh(NamedTuple):
 
 def _mesh(problem: ProblemSpec, potential: Potential, h: float) -> _Mesh:
     """Nodes of spacing h on [r_in, R* + 1], where every closure is exact."""
-    ode = SectorODE(problem)
+    ode = SectorODE(problem, potential)
     r_in = problem.inner_radius
-    r_out = closure_radius(problem, potential) + 1.0
+    r_out = ode.r_star + 1.0
     n = max(8, int(round((r_out - r_in) / h)))
     r = r_in + h * np.arange(n + 1)
     weight = ode.coefficients(r)[2]

@@ -10,7 +10,7 @@ from betacrit import direct_spectrum as ds
 from betacrit.errors import UnconvergedError, ValidationError
 from betacrit.model import (CoefficientProfile, Potential, ProblemSpec,
                             Profile)
-from betacrit.sector_ode import SectorODE, closure_radius
+from betacrit.sector_ode import SectorODE
 
 import oracles as oc
 
@@ -544,7 +544,7 @@ def _one_shot_operator(problem, potential, beta, h, sector):
     factored out."""
     ode = SectorODE(problem.with_sector(sector))
     r_in = problem.inner_radius
-    r_out = closure_radius(problem, potential) + 1.0
+    r_out = SectorODE(problem, potential).r_star + 1.0
     n = max(8, int(round((r_out - r_in) / h)))
     r = r_in + h * np.arange(n + 1)
     _, q, weight = ode.coefficients(r)
@@ -778,8 +778,7 @@ class TestNewtonThreshold:
     def test_walk_slope_is_the_mismatch_derivative(self, prob, shape, beta):
         pot = Potential(getattr(Profile, shape)(1.5, 2.5, 1.5))
         ode = SectorODE(prob, pot, beta)
-        slope = ode.integrate(0.0, ode.regular_state(), prob.inner_radius,
-                              closure_radius(prob, pot), slope=True).slope
+        slope = ode.integrate(0.0, ode.regular_state(), slope=True).slope
         h = 1e-5 * beta
         central = (ds.phase_mismatch(prob, pot, beta + h, 0.0)
                    - ds.phase_mismatch(prob, pot, beta - h, 0.0)) / (2.0 * h)

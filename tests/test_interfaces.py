@@ -1,5 +1,5 @@
-"""The sector interface stays narrow: one propagator, one mesh rule and one
-reader of what it integrates, all in ``sector_ode``, no finite-difference
+"""The sector interface stays narrow: one propagator, one mesh rule, one span
+and one reader of what it integrates, all in ``sector_ode``, no finite-difference
 pencil (it is a test oracle), and sectors named only by ``ProblemSpec``.
 Start-up stays light: scipy is imported in the functions that call it, so a
 run loads only the scipy modules it uses.  The config schema offers no field
@@ -9,6 +9,7 @@ and the schema's fields are pinned by name."""
 import ast
 import inspect
 import json
+import math
 import os
 import pathlib
 import re
@@ -20,13 +21,14 @@ import pytest
 import betacrit
 from betacrit import direct_spectrum as ds
 from betacrit import fkw
-from betacrit.model import ProblemSpec
+from betacrit.model import Potential, ProblemSpec, Profile
 from betacrit.sector_ode import SectorODE
 
 SRC = pathlib.Path(ds.__file__).resolve().parent
 CONFIGS = SRC.parent.parent / "configs"
 INTEGRATOR = re.compile(r"\.propagators\(|\bGAUSS\b|solve_ivp|odeint|scipy\.integrate")
 SCIPY_IMPORT = re.compile(r"^(from|import) scipy")
+BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
 
 
 def test_only_sector_ode_integrates_or_reads_integrator_output():
@@ -54,6 +56,41 @@ def test_one_rule_decides_where_the_sector_ode_steps():
     assert sum(path.read_text().count(".pieces(") for path in SRC.glob("*.py")) == 2
     assert [path.name for path in sorted(SRC.glob("*.py"))
             if "STEPS_PER_UNIT" in path.read_text()] == []
+
+
+def test_only_sector_ode_knows_the_span():
+    """R* and the span [r_in, R*] belong to ``SectorODE``: no module names
+    ``closure_radius``, ``segment_points`` or ``flat_radius``, and no
+    call passes radii to ``integrate``, ``mesh`` or ``pieces``, which take
+    the energy (and the start) alone."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, text in sources.items()
+            if re.search(r"\b(closure_radius|segment_points)\b", text)] == []
+    assert [name for name, text in sources.items() if "flat_radius(" in text] == []
+    most = {"integrate": 2, "mesh": 1, "pieces": 1}  # positional arguments
+    calls = [f"{name}:{node.lineno}" for name, text in sources.items()
+             for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and len(node.args) > most.get(node.func.attr, math.inf)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda well: ds.beta_critical_direct(BALL3, well),
+    lambda well: ds.ground_state(BALL3, well, 4.0),
+], ids=["beta_critical_direct", "ground_state"])
+def test_every_shot_of_one_root_steps_one_well(monkeypatch, run):
+    """A threshold or a ground state builds its ``SectorODE`` once and
+    re-couples it for each of its shots."""
+    builds, shots = [], []
+    init, integrate = SectorODE.__init__, SectorODE.integrate
+    monkeypatch.setattr(SectorODE, "__init__",
+                        lambda *a, **k: builds.append(1) or init(*a, **k))
+    monkeypatch.setattr(SectorODE, "integrate",
+                        lambda *a, **k: shots.append(1) or integrate(*a, **k))
+    run(Potential(Profile.indicator(1.5, 2.5)))
+    assert len(shots) > 3
+    assert len(builds) == 1
 
 
 def test_one_rule_decides_every_verdict():

@@ -8,22 +8,23 @@ from hypothesis import strategies as st
 from betacrit import direct_spectrum as ds
 from betacrit.errors import UnconvergedError
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
-from betacrit.sector_ode import (MAX_STEPS, MAX_TURN, WELL_STEPS, SectorODE,
-                                 ZeroEnergyAngle, closure_radius)
+from betacrit.sector_ode import MAX_STEPS, MAX_TURN, WELL_STEPS, SectorODE, ZeroEnergyAngle
 
 BALL3 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0)
 POT = Potential(Profile.indicator(1.5, 2.5), 2.0)
 A = CoefficientProfile(Profile(np.array([1.0, 2.0]), np.array([2.0, 1.0])), 2.0)
 LINE = ProblemSpec(1, "half_line", "dirichlet")
 WELL = Potential(Profile.indicator(1.0, 2.0))
+# a == 1 up to its flattening radius 6: the span [1, 6] of BALL3 with POT
+FLAT6 = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=CoefficientProfile(
+    Profile(np.array([1.0, 6.0]), np.array([1.0, 1.0])), 6.0))
 
 
-def _steps_per_piece(ode, lam, r_in, r_out):
+def _steps_per_piece(ode, lam):
     """Steps of ``mesh`` between consecutive cuts: every cut is a node."""
-    r = ode.mesh(lam, r_in, r_out)
-    cuts = ode.segment_points(r_in, r_out)
-    assert np.isin(cuts, r).all()
-    return np.diff(np.searchsorted(r, cuts)).tolist()
+    r = ode.mesh(lam)
+    assert np.isin(ode.cuts, r).all()
+    return np.diff(np.searchsorted(r, ode.cuts)).tolist()
 
 
 def _tail_ratio(ode, lam, r, r0):
@@ -112,11 +113,13 @@ class TestClosureAndSegments:
         wronskian = ode.coefficients(r)[0] * (g * df - dg * f)
         assert wronskian == pytest.approx(np.full(r.size, wronskian[0]), rel=1e-12)
 
-    def test_closure_radius_is_where_v_and_a_stop_varying(self):
-        assert closure_radius(BALL3, POT) == 2.5
+    def test_r_star_is_where_v_and_a_stop_varying(self):
+        assert SectorODE(BALL3, POT).r_star == 2.5
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0,
                            coefficient=CoefficientProfile(A.profile, 3.0))
-        assert closure_radius(prob, POT) == 3.0
+        assert SectorODE(prob, POT).r_star == 3.0
+        assert SectorODE(prob).r_star == 3.0
+        assert SectorODE(BALL3).r_star == 1.0  # a == 1 without a potential: no span
 
     def test_constant_tail_at_zero_energy(self):
         ode = SectorODE(ProblemSpec(2, "exterior_ball", "neumann", radius=1.0))
@@ -130,26 +133,24 @@ class TestClosureAndSegments:
 
     def test_cuts_at_support_edges_and_flat_radius(self):
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
-        assert SectorODE(prob, POT).segment_points(1.0, 10.0) == [1.0, 1.5, 2.0, 2.5, 10.0]
-        assert SectorODE(prob).segment_points(1.0, 10.0) == [1.0, 2.0, 10.0]
+        assert SectorODE(prob, POT).cuts.tolist() == [1.0, 1.5, 2.0, 2.5]
+        assert SectorODE(prob).cuts.tolist() == [1.0, 2.0]
 
     def test_cuts_at_every_sample_of_v_and_a(self):
         a = CoefficientProfile(Profile(np.array([1.0, 1.4, 1.8]),
                                        np.array([2.0, 1.2, 1.5])), 2.0)
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=a)
         tent = Potential(Profile.tent(1.5, 2.5))
-        assert SectorODE(prob, tent).segment_points(1.0, 10.0) == \
-            [1.0, 1.4, 1.5, 1.8, 2.0, 2.5, 10.0]
+        assert SectorODE(prob, tent).cuts.tolist() == [1.0, 1.4, 1.5, 1.8, 2.0, 2.5]
         bump = Potential(Profile.bump(1.2, 1.9))
-        assert SectorODE(BALL3, bump).segment_points(1.0, 3.0) == \
-            [1.0, *bump.profile.xs.tolist(), 3.0]
+        assert SectorODE(BALL3, bump).cuts.tolist() == [1.0, *bump.profile.xs.tolist()]
 
     def test_integrates_backwards_through_the_pieces(self):
         # free d = 3 sector 0: the decaying solution e^{-kr}/r, integrated inward
         k = 1.0
-        ode = SectorODE(BALL3, POT, beta=0.0)
-        sol = ode.integrate(-k * k, ode.decay_state(-1.0, 6.0), 6.0, 1.0)
-        assert ode.segment_points(1.0, 6.0) == [1.0, 1.5, 2.5, 6.0]
+        ode = SectorODE(FLAT6, POT, beta=0.0)
+        sol = ode.integrate(-k * k, ode.decay_state(-1.0, 6.0), inward=True)
+        assert ode.cuts.tolist() == [1.0, 1.5, 2.5, 6.0]
         assert sol.span == (1.0, 6.0)
         assert sol(1.0) == pytest.approx(math.exp(5.0 * k) * 6.0, rel=1e-8)
         r = np.array([1.0, 1.5, 2.0, 2.5, 4.0, 6.0])
@@ -158,8 +159,8 @@ class TestClosureAndSegments:
     def test_rescaled_state_keeps_the_ratio(self):
         # every node keeps its state at unit 1-norm and the logarithm of the
         # scale apart; reads multiply the two back into the true solution
-        ode = SectorODE(BALL3, POT, beta=0.0)
-        sol = ode.integrate(-1.0, ode.decay_state(-1.0, 6.0), 6.0, 1.0)
+        ode = SectorODE(FLAT6, POT, beta=0.0)
+        sol = ode.integrate(-1.0, ode.decay_state(-1.0, 6.0), inward=True)
         assert np.abs(sol.y).sum(axis=0) == pytest.approx(1.0, rel=1e-15)
         u = np.exp(6.0 - sol.r) * 6.0 / sol.r
         assert sol.y[0] * np.exp(sol.log) == pytest.approx(u, rel=1e-8)
@@ -173,52 +174,55 @@ class TestClosureAndSegments:
     def test_rescaling_carries_an_inward_solve_past_float_overflow(self):
         # at k = 150 the state grows by e^{k (6 - 1)} = e^750, past the float
         # range; the nodes stay at unit norm and the log-scale carries the
-        # growth, so the solution read as a ratio to u(1) stays finite
+        # growth, so the solution read as a ratio to u(1) stays finite.  On
+        # the line with a == 1 up to R* = 6, p, q and w are constant on every
+        # piece, so every step is exact: u = e^{k (6 - r)}
         lam = -150.0 ** 2
-        ode = SectorODE(BALL3, POT, beta=0.0)
-        sol = ode.integrate(lam, ode.decay_state(lam, 6.0), 6.0, 1.0)
+        line = ProblemSpec(1, "exterior_ball", "dirichlet", radius=1.0,
+                           coefficient=FLAT6.coefficient)
+        ode = SectorODE(line, POT, beta=0.0)
+        sol = ode.integrate(lam, ode.decay_state(lam, 6.0), inward=True)
+        assert ode.cuts.tolist() == [1.0, 1.5, 2.5, 6.0]
         assert np.abs(sol.y).sum(axis=0) == pytest.approx(1.0, rel=1e-15)
-        # |u| + |p u'| = u (1 + r (k r + 1)) with u = e^{k (6 - r)} 6 / r
-        assert sol.log[-1] - sol.log[0] == pytest.approx(
-            750.0 + math.log(6.0 * 152.0 / 5407.0), rel=1e-9)
+        # |u| + |p u'| = u (1 + k)
+        assert sol.log[-1] - sol.log[0] == pytest.approx(750.0, rel=1e-9)
         with np.errstate(over="ignore"):
             assert np.isinf(sol(1.0))
         sol.normalize(1.0)
-        # p u' / u = -r (k r + 1) at r = 1, and |u| peaks there
-        assert sol.state(1.0) == pytest.approx([1.0, -151.0], rel=1e-7)
+        # p u' / u = -k, and |u| peaks at r = 1
+        assert sol.state(1.0) == pytest.approx([1.0, -150.0], rel=1e-7)
         assert sol.peak == pytest.approx(1.0, rel=1e-12)
         # the ratio of the state across the last piece is the free one
-        assert sol(np.array([1.5])) == pytest.approx(math.exp(-75.0) / 1.5, rel=1e-7)
+        assert sol(np.array([1.5])) == pytest.approx(math.exp(-75.0), rel=1e-7)
 
     def test_variable_coefficient_deep_in_energy_stays_finite(self):
         # a = 2 -> 1 on [1, 2] at lambda = -1e6: u grows by about e^820, which
         # overflowed the unscaled integration
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
         ode = SectorODE(prob)
-        sol = ode.integrate(-1e6, ode.regular_state(), 1.0, 2.0)
+        sol = ode.integrate(-1e6, ode.regular_state())
         assert np.isfinite(sol.y).all() and np.isfinite(sol.log).all()
         assert math.log(sol.y[0, -1]) + sol.log[-1] == pytest.approx(819.96, abs=0.01)
 
     def test_pruefer_angle_counts_the_half_turns(self):
-        # u = sin(pi r) / pi on the free half-line at lambda = pi^2: the
-        # angle of (u, u') reaches 3 pi at r = 3, through 38 exact steps of
-        # at most MAX_TURN each
-        line = SectorODE(LINE)
-        sol = line.integrate(math.pi ** 2, line.regular_state(), 0.0, 3.0)
+        # u = sin(pi r) / pi on the half-line, free at beta = 0, at lambda =
+        # pi^2: the angle of (u, u') reaches 3 pi at R* = 3, through 38 exact
+        # steps of at most MAX_TURN each
+        line = SectorODE(LINE, Potential(Profile.indicator(0.0, 3.0)))
+        sol = line.integrate(math.pi ** 2, line.regular_state())
         assert sol.r.size == 38 + 1
         assert sol.angle == pytest.approx(3.0 * math.pi, rel=1e-12)
-        assert line.integrate(-1.0, line.regular_state(), 0.0, 3.0).angle == \
+        assert line.integrate(-1.0, line.regular_state()).angle == \
             pytest.approx(math.atan(math.tanh(3.0)), rel=1e-12)
 
     def test_mesh_fills_each_piece_uniformly(self):
-        # d = 3: the gap [1, 1.5] and the tail past R* = 2.5 are free, one
-        # exact step each; the well takes WELL_STEPS per length of the
-        # stepped span [1.5, 2.5]
+        # d = 3: the gap [1, 1.5] is free, one exact step; the well takes
+        # WELL_STEPS per length of the stepped span [1.5, 2.5]
         ode = SectorODE(BALL3, POT, beta=2.0)
-        r = ode.mesh(-1.0, 1.0, 3.0)
-        assert set(ode.segment_points(1.0, 3.0)) <= set(r.tolist())
+        r = ode.mesh(-1.0)
+        assert set(ode.cuts.tolist()) <= set(r.tolist())
         h = np.diff(r)
-        for lo, hi, steps in [(1.0, 1.5, 1), (1.5, 2.5, WELL_STEPS), (2.5, 3.0, 1)]:
+        for lo, hi, steps in [(1.0, 1.5, 1), (1.5, 2.5, WELL_STEPS)]:
             inside = h[(r[:-1] >= lo) & (r[1:] <= hi)]
             assert inside.size == steps
             assert inside == pytest.approx(inside[0], rel=1e-9)
@@ -227,7 +231,7 @@ class TestClosureAndSegments:
         # beta V = 2e6 on [1.5, 2.5]: a wavenumber near 1400, far past the
         # floor there; the free gap below it stays one step
         ode = SectorODE(BALL3, POT, beta=1e6)
-        r = ode.mesh(-1.0, 1.0, 3.0)
+        r = ode.mesh(-1.0)
         p, q, w = ode.coefficients(r[:-1] + 0.5 * np.diff(r))
         wave = np.sqrt(np.maximum(-w - q, 0.0) / p)
         assert np.max(wave * np.diff(r)) <= MAX_TURN
@@ -241,11 +245,11 @@ class TestClosureAndSegments:
         for prob in (LINE, ProblemSpec(1, "exterior_ball", "neumann", radius=0.5,
                                        sector=1)):
             ode = SectorODE(prob, WELL, beta=4.0)
-            assert ode.pieces(-1.0, 0.5, 3.0)[2].tolist() == [True] * 3
-            assert _steps_per_piece(ode, -1.0, 0.5, 3.0) == \
-                [1, math.ceil(math.sqrt(3.0) / MAX_TURN), 1]
-            assert _steps_per_piece(ode, -5.0, 0.5, 3.0) == [1, 1, 1]  # nothing turns
-        assert _steps_per_piece(SectorODE(LINE), -1.0, 0.0, 50.0) == [1]
+            assert ode.pieces(-1.0)[1].tolist() == [True] * 2
+            assert _steps_per_piece(ode, -1.0) == [1, math.ceil(math.sqrt(3.0) / MAX_TURN)]
+            assert _steps_per_piece(ode, -5.0) == [1, 1]  # nothing turns
+        flat = SectorODE(LINE, Potential(Profile.indicator(0.0, 50.0)), beta=0.0)
+        assert _steps_per_piece(flat, -1.0) == [1]
 
     def test_the_floor_stays_where_a_coefficient_varies(self):
         # r^{d-1} in d >= 2, a linear V, a sampled a: the step is exact only
@@ -255,20 +259,18 @@ class TestClosureAndSegments:
         for d in (2, 3):
             ode = SectorODE(ProblemSpec(d, "exterior_ball", "dirichlet", radius=1.0),
                             POT, beta=2.0)
-            assert _steps_per_piece(ode, -1.0, 1.0, 3.0) == [1, WELL_STEPS, 1]
+            assert _steps_per_piece(ode, -1.0) == [1, WELL_STEPS]
         for profile in (Profile.tent(1.2, 1.9, 1.5), Profile.bump(1.2, 1.9, n=8)):
             ode = SectorODE(LINE, Potential(profile), beta=6.0)
             density = WELL_STEPS / (profile.hi - profile.lo)
             floor = np.ceil(np.diff(profile.xs) * density).astype(int).tolist()
-            assert _steps_per_piece(ode, -1.0, 0.0, 3.0) == [1] + floor + [1]
+            assert _steps_per_piece(ode, -1.0) == [1] + floor
             narrow = Profile(1e-3 * profile.xs, profile.ys)
-            steps = _steps_per_piece(SectorODE(LINE, Potential(narrow), beta=6e6),
-                                     -1e6, 0.0, 3e-3)
-            assert abs(sum(steps[1:-1]) - sum(floor)) <= len(floor)
+            steps = _steps_per_piece(SectorODE(LINE, Potential(narrow), beta=6e6), -1e6)
+            assert abs(sum(steps[1:]) - sum(floor)) <= len(floor)
         line_a = ProblemSpec(1, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
-        assert _steps_per_piece(SectorODE(line_a), -1.0, 1.0, 3.0) == [WELL_STEPS, 1]
-        assert _steps_per_piece(SectorODE(line_a, WELL, beta=4.0), -1.0, 1.0, 3.0) == \
-            [WELL_STEPS, 1]
+        assert _steps_per_piece(SectorODE(line_a), -1.0) == [WELL_STEPS]
+        assert _steps_per_piece(SectorODE(line_a, WELL, beta=4.0), -1.0) == [WELL_STEPS]
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(("indicator", "tent", "bump")), st.floats(0.0, 2.0),
@@ -277,8 +279,8 @@ class TestClosureAndSegments:
                                                                  beta, lam):
         pot = Potential(getattr(Profile, shape)(lo, lo + width))
         ode = SectorODE(LINE, pot, beta)
-        r = ode.mesh(lam, 0.0, lo + width + 1.0)
-        assert min(_steps_per_piece(ode, lam, 0.0, lo + width + 1.0)) >= 1
+        r = ode.mesh(lam)
+        assert min(_steps_per_piece(ode, lam)) >= 1
         # between cuts (lambda w - q) / p is linear on the line: the largest
         # wavenumber of a step is at one of its ends
         h = np.diff(r)
@@ -288,22 +290,25 @@ class TestClosureAndSegments:
             assert np.max(wave * h) <= MAX_TURN * (1.0 + 1e-9)
 
     def test_samples_ulps_apart_make_one_cut(self):
+        # a sample ulps from another, or from an end of the span, makes no cut
         jump = math.nextafter(1.5, 2.0)
         pot = Potential(Profile(np.array([1.2, 1.5, jump, 1.9]), np.array([0.5, 0.5, 1.0, 1.0])))
-        ode = SectorODE(BALL3, pot, beta=4.0)
-        assert ode.segment_points(1.0, 3.0) == [1.0, 1.2, 1.5, 1.9, 3.0]
-        below = math.nextafter(1.9, 0.0)
-        assert ode.segment_points(1.0, below) == [1.0, 1.2, 1.5, below]
-        above = math.nextafter(1.2, 2.0)
-        assert ode.segment_points(above, 3.0) == [above, 1.5, 1.9, 3.0]
+        assert SectorODE(BALL3, pot, beta=4.0).cuts.tolist() == [1.0, 1.2, 1.5, 1.9]
+        above = math.nextafter(1.9, 2.0)  # a flattening just past V's last sample
+        flat = CoefficientProfile(Profile(np.array([1.0, above]), np.array([1.0, 1.0])), above)
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=flat)
+        assert SectorODE(prob, pot, beta=4.0).cuts.tolist() == [1.0, 1.2, 1.5, above]
+        below = math.nextafter(1.2, 0.0)  # an obstacle just inside V's first sample
+        assert SectorODE(ProblemSpec(3, "exterior_ball", "dirichlet", radius=below),
+                         pot, beta=4.0).cuts.tolist() == [below, 1.5, 1.9]
 
     def test_only_a_decaying_solution_reads_past_its_end(self):
         ode = SectorODE(BALL3, POT, beta=2.0)
-        reg = ode.integrate(-1.0, ode.regular_state(), 1.0, 2.5)
+        reg = ode.integrate(-1.0, ode.regular_state())
         assert np.isfinite(reg(np.array([1.0, 2.0, 2.5]))).all()
         with pytest.raises(ValueError):
             reg(3.0)
-        dec = ode.integrate(-1.0, ode.decay_state(-1.0, 2.5), 2.5, 1.0, decays=True)
+        dec = ode.integrate(-1.0, ode.decay_state(-1.0, 2.5), inward=True, decays=True)
         r = np.array([3.0, 4.0])
         assert dec(r) == pytest.approx(np.exp(2.5 - r) * 2.5 / r, rel=1e-12)
 
@@ -312,14 +317,14 @@ class TestClosureAndSegments:
         prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, coefficient=A)
         ode = SectorODE(prob)
         with pytest.raises(UnconvergedError) as err:
-            ode.integrate(-1e300, ode.regular_state(), 1.0, 2.0)
+            ode.integrate(-1e300, ode.regular_state())
         assert err.value.details == {"segment": [1.0, 2.0], "lambda": -1e300}
 
     def test_a_mesh_past_the_step_budget_is_unconverged(self):
         # beta V = 2e12: a wavenumber of 1.4e6 needs millions of steps
         ode = SectorODE(BALL3, POT, beta=1e12)
         with pytest.raises(UnconvergedError) as err:
-            ode.integrate(0.0, ode.regular_state(), 1.0, 2.5)
+            ode.integrate(0.0, ode.regular_state())
         assert err.value.details["segment"] == [1.0, 2.5]
         assert err.value.details["steps"] > MAX_STEPS
 
@@ -348,13 +353,55 @@ class TestZeroEnergyAngle:
         turn, shot = angle.mismatch([0])[0], ds.phase_mismatch(prob.with_sector(0), pot, beta, 0.0)
         assert abs(turn - shot) < 0.1 * ds.GUARD
 
-    def test_only_sector_0_is_read_again_on_the_floored_mesh(self):
-        # the d = 3 tent: the turn mesh takes few steps, phase_mismatch's at
-        # least 1,000 on the well, and every sector of a count the turn mesh
+    def test_turn_mesh_takes_two_steps_where_one_is_not_exact(self):
+        # a count checks a sector next to its threshold against half the
+        # turn mesh's steps, which sees a piece's error only where there are
+        # two steps to halve; the half-line tent at a small coupling turns by
+        # less than MAX_TURN on each piece
         pot = Potential(Profile.tent(1.2, 1.9, 1.5))
-        angle = ZeroEnergyAngle(BALL3, pot, 2.0)
-        assert angle.mesh.size < 20
-        assert SectorODE(BALL3, pot, 2.0).mesh(0.0, 1.0, angle.r_star).size > WELL_STEPS
-        pair = angle.mismatch([0, 1])
-        assert pair[1] == angle.mismatch([1])[0]
-        assert pair[0] == pytest.approx(ds.phase_mismatch(BALL3, pot, 2.0, 0.0), abs=1e-3)
+        angle = ZeroEnergyAngle(LINE, pot, 0.5)
+        assert np.diff(np.searchsorted(angle.mesh, angle.ode.cuts)).tolist() == [1, 2, 2]
+
+    def test_sector_2_next_to_its_threshold_counts_on_the_side_of_its_root(self):
+        # the d = 3 indicator on [1.5, 2.5]: sector 2's floored zero-energy
+        # root is beta_2; the turn mesh alone puts it 1.7e-6 higher, so a
+        # count that read sector 2 there missed its 5 states just above
+        pot, beta2 = Potential(Profile.indicator(1.5, 2.5)), 3.7587696619121465
+        sector2 = BALL3.with_sector(2)
+        assert ds.phase_mismatch(sector2, pot, beta2 * (1 - 1e-7), 0.0) < 0.0
+        assert ds.phase_mismatch(sector2, pot, beta2 * (1 + 1e-7), 0.0) > 0.0
+        assert ds.ground_state(sector2, pot, beta2 * (1 + 1e-7)) == pytest.approx(
+            -1.94e-7, rel=1e-2)
+        assert ds.count_negative(BALL3, pot, beta2 * (1 - 1e-7)) == 4
+        assert ds.count_negative(BALL3, pot, beta2 * (1 + 1e-7)) == 9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("shape", ["indicator", "tent", "bump"])
+    def test_every_sector_counts_on_the_side_of_its_own_threshold(self, d, shape):
+        # sector l's threshold beta_l is the root of its own zero-energy
+        # phase_mismatch: just above it ground_state finds a state in sector l
+        # and the count rises by the sector's multiplicity, just below neither
+        prob = ProblemSpec(d, "exterior_ball", "dirichlet", radius=1.0)
+        pot = Potential(getattr(Profile, shape)(1.5, 2.5))
+        for l in range(3):
+            sector = prob.with_sector(l)
+            beta = _threshold(sector, pot)
+            below, above = beta * (1 - 1e-7), beta * (1 + 1e-7)
+            assert ds.ground_state(sector, pot, below) is None
+            assert ds.ground_state(sector, pot, above) is not None
+            assert ds.count_negative(prob, pot, above) == \
+                ds.count_negative(prob, pot, below) + prob.sector_multiplicity(l)
+
+
+def _threshold(problem, potential):
+    """Root in beta of the zero-energy ``phase_mismatch`` of the problem's
+    sector, which rises with beta."""
+    from scipy.optimize import brentq
+
+    def mismatch(beta):
+        return ds.phase_mismatch(problem, potential, beta, 0.0)
+
+    lo, hi = 0.0, 1.0
+    while mismatch(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    return brentq(mismatch, lo, hi, xtol=1e-14)
