@@ -4,6 +4,8 @@ The operator sqrt(V) (H0 - lambda)^{-1} sqrt(V) is discretized by a Nystrom
 method on Gauss-Legendre panels over the support of V, in a sector as the
 generators of its semiseparable kernel.  Its largest eigenvalue mu0(lambda)
 grows to mu* as lambda -> 0-: the threshold is 1/mu*, or 0 where mu0 diverges.
+A sweep (``mu_curve``) reads the quadrature and V on it once, and starts
+each power iteration from the eigenvector of the energy before.
 """
 
 from __future__ import annotations
@@ -112,6 +114,20 @@ class SectorKernel:
         return db * y[:x.size] + da * y[:x.size - 1:-1] - diag * x
 
 
+def _kernels(problem: ProblemSpec, potential: Potential, lams, m: int):
+    """The kernel at each energy of ``lams`` on one quadrature, read once with V
+    on it: each energy pays only for its Green pair on the nodes."""
+    require_valid(problem, potential)
+    lo, hi = potential.support
+    nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m)
+    vol = w * problem.measure(nodes)
+    half_weight = np.sqrt(vol) * np.sqrt(potential(nodes))
+    for lam in lams:
+        pair, c = solution_pair(problem, float(lam))
+        (y_reg, s_reg), (y_dec, s_dec) = pair(nodes)
+        yield SectorKernel(nodes, vol, half_weight * y_reg / c, half_weight * y_dec, s_reg, s_dec)
+
+
 def assemble(problem: ProblemSpec, potential: Potential, lam: float,
              m: int = DEFAULT_M) -> SectorKernel:
     """Semiseparable Nystrom kernel of the sandwiched resolvent at lambda <= 0.
@@ -119,15 +135,7 @@ def assemble(problem: ProblemSpec, potential: Potential, lam: float,
     lam = 0 requests the limit kernel and raises ``KernelLimitError`` where
     that limit diverges (e.g. Neumann in low dimension).
     """
-    require_valid(problem, potential)
-    reg, dec, c = solution_pair(problem, lam)
-    lo, hi = potential.support
-    nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m)
-    vol = w * problem.measure(nodes)
-    (y_reg, s_reg), (y_dec, s_dec) = reg(nodes), dec(nodes)
-    half_weight = np.sqrt(vol) * np.sqrt(potential(nodes))
-    return SectorKernel(nodes, vol, half_weight * y_reg / c, half_weight * y_dec,
-                        s_reg, s_dec)
+    return next(_kernels(problem, potential, [lam], m))
 
 
 def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray,
@@ -158,35 +166,53 @@ def assemble_points(points: np.ndarray, weights: np.ndarray, density: np.ndarray
     return KernelMatrix(np.asarray(points, dtype=float), v, entries)
 
 
-def _power_iteration(a):
-    """(eigenvalue, residual, steps) of a symmetric matrix's largest
-    eigenvalue from the all-ones start vector; steps is -1 when 20,000 did
-    not reach ``EIG_TOL`` or the last ``STALL`` did not halve the residual.
+def _power_iteration(a, start=None):
+    """(eigenvalue, residual, steps, unit vector) of a symmetric matrix's largest
+    eigenvalue from the unit vector ``start``, all ones by default; steps is -1
+    when 20,000 did not reach ``EIG_TOL`` or the last ``STALL`` did not halve it.
 
     Each iterate is divided by the power of two at the largest entry (on the
     diagonal of a ``SectorKernel``): exact, and keeps squared norms in range.
     """
     n = a.size if isinstance(a, SectorKernel) else a.shape[0]
     if n == 0:
-        return 0.0, 0.0, 0
+        return 0.0, 0.0, 0, np.empty(0)
     top = a._sums[-1].max() if isinstance(a, SectorKernel) else max(a.max(), -a.min())
     scale = 2.0 ** math.frexp(float(top))[1]
-    v = np.full(n, 1.0 / math.sqrt(n))
+    v = np.full(n, 1.0 / math.sqrt(n)) if start is None else start
     theta, history = 0.0, []
     for it in range(1, 20001):
         u = (a @ v) / scale
-        norm_u = float(np.linalg.norm(u))
+        norm_u = math.sqrt(float(u @ u))
         if norm_u == 0.0:
-            return 0.0, 0.0, it
+            return 0.0, 0.0, it, v
         theta = float(v @ u)
-        res = float(np.linalg.norm(u - theta * v))
+        res = math.sqrt(float((r := u - theta * v) @ r))
         if res <= EIG_TOL * max(abs(theta), 1e-300):
-            return theta * scale, res * scale, it
+            return theta * scale, res * scale, it, u / norm_u
         history.append(res)
         if it > STALL and res > 0.5 * history[-1 - STALL]:
             break
         v = u / norm_u
-    return theta * scale, res * scale, -1
+    return theta * scale, res * scale, -1, v
+
+
+def _principal(matrix, start=None):
+    """``principal_eigenvalue`` and its unit eigenvector, iterated from ``start``."""
+    a = matrix.entries if isinstance(matrix, KernelMatrix) else matrix
+    a = a if isinstance(a, SectorKernel) else np.asarray(a, dtype=float)
+    theta, res, iters, vector = _power_iteration(a, start)
+    if iters < 0:
+        a = a.dense() if isinstance(a, SectorKernel) else a
+        evals, evecs = np.linalg.eigh(a)
+        theta, w = float(evals[-1]), evecs[:, -1]
+        res = float(np.linalg.norm(a @ w - theta * w))
+        if res > EIG_TOL * max(abs(theta), 1e-300):
+            raise UnconvergedError(
+                f"principal eigenvalue solve missed the tolerance (residual {res:.3e})",
+                details={"residual": res, "value": theta})
+        vector = np.abs(w)  # a kernel >= 0 entrywise has a top eigenvector >= 0
+    return theta, res, vector
 
 
 def principal_eigenvalue(matrix):
@@ -197,19 +223,7 @@ def principal_eigenvalue(matrix):
     operator; where it stalls (a nearly degenerate top), a dense symmetric
     solve for the top pair.  The residual lands in reports.
     """
-    a = matrix.entries if isinstance(matrix, KernelMatrix) else matrix
-    a = a if isinstance(a, SectorKernel) else np.asarray(a, dtype=float)
-    theta, res, iters = _power_iteration(a)
-    if iters < 0:
-        a = a.dense() if isinstance(a, SectorKernel) else a
-        evals, evecs = np.linalg.eigh(a)
-        theta, w = float(evals[-1]), evecs[:, -1]
-        res = float(np.linalg.norm(a @ w - theta * w))
-        if res > EIG_TOL * max(abs(theta), 1e-300):
-            raise UnconvergedError(
-                f"principal eigenvalue solve missed the tolerance (residual {res:.3e})",
-                details={"residual": res, "value": theta})
-    return theta, res
+    return _principal(matrix)[:2]
 
 
 @dataclass(frozen=True)
@@ -244,19 +258,19 @@ def mu_curve(problem: ProblemSpec, potential: Potential, lambda_grid=None,
              m: int = DEFAULT_M) -> SpectralReport:
     """Principal eigenvalue along an energy grid increasing toward 0-.
 
-    The samples must come out monotone (the operator grows with lambda); a
-    violation beyond the eigenvalue tolerance is flagged as a discretization
-    failure in the metadata.
+    Each energy's power iteration starts from the last one's eigenvector.  The
+    samples must come out monotone (the operator grows with lambda); a violation
+    beyond the eigenvalue tolerance is flagged as a discretization failure in
+    the metadata.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lams = np.sort(np.asarray(lambda_grid, dtype=float))
     if lams.size and lams[-1] >= 0:
         raise ValidationError("energy grid must be strictly negative")
-    rows = []
-    for lam in lams:
-        mat = assemble(problem, potential, float(lam), m=m)
-        mu, res = principal_eigenvalue(mat)
+    rows, vector = [], None
+    for lam, mat in zip(lams, _kernels(problem, potential, lams, m)):
+        mu, res, vector = _principal(mat, vector)
         rows.append((float(lam), mu, mat.size, res))
     mus = np.array([r[1] for r in rows])
     scale = float(np.max(np.abs(mus))) if mus.size else 1.0

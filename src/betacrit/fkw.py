@@ -60,9 +60,9 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
     the symmetric sector.
 
     Integrated inward (the stable direction for the decaying branch) from
-    R*, where the decaying free solution is exact; raises
-    ``NearSingularError`` when the energy sits at a Dirichlet eigenvalue,
-    where no unit-trace solution exists.
+    R*, where the decaying free solution is exact, or at beta = 0 from r_flat
+    (r0 without a coefficient); raises ``NearSingularError`` when the energy
+    sits at a Dirichlet eigenvalue, where no unit-trace solution exists.
     """
     _require_fkw(problem)
     require_valid(problem, potential)
@@ -70,7 +70,7 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
         raise ValidationError("the exterior solve needs lambda <= 0")
     if lam == 0 and problem.with_sector(0).limit_diverges():
         raise KernelLimitError("no decaying zero-energy solution in this sector")
-    ode = SectorODE(problem.with_sector(0), potential, beta)
+    ode = SectorODE(problem.with_sector(0), potential if beta else None, beta)
     v = ode.integrate(lam, ode.decay_state(lam, ode.r_star), inward=True, decays=True)
     v.normalize(problem.inner_radius)  # only the ratio to the trace matters
     if not v.peak < 1e6:
@@ -108,7 +108,7 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     k = sqrt(-lambda).  Returns the mesh, w on it and gamma = -w'(r0).
     """
     forced = replace(problem, boundary_condition="dirichlet")
-    reg, dec, c = solution_pair(forced, lam, potential, beta)
+    pair, c = solution_pair(forced, lam, potential, beta)
     r0, k = problem.inner_radius, math.sqrt(-lam)
     ode = SectorODE(forced, potential, beta)
     r_out = ode.r_star + 1.0
@@ -125,7 +125,7 @@ def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential
     sixth = np.diff(ends) / 6.0  # Simpson step i: h/6 at x_2i and x_2i+2, 4h/6 at x_2i+1
     q = np.empty_like(x)
     q[::2], q[1::2] = np.append(sixth, 0.0) + np.append(0.0, sixth), 4.0 * sixth
-    (y_reg, s_reg), (y_dec, s_dec) = reg(x), dec(x)
+    (y_reg, s_reg), (y_dec, s_dec) = pair(x)
     green = bs.SectorKernel(x, q * forced.measure(x), y_reg / c, y_dec, s_reg, s_dec)
     fx = np.asarray(f(x), dtype=float)
     source = green.weights * fx
@@ -168,7 +168,7 @@ def solve_fkw(problem: ProblemSpec, beta: float, potential: Potential, lam: floa
             gamma, alpha = flux, -flux / g1
             w = alpha * v(mesh) + w
         sector_profiles[l] = (mesh, w)
-    r_out = v.ode.r_star + 1.0
+    r_out = SectorODE(problem, potential).r_star + 1.0  # the well's, whatever v stepped
     if not sector_profiles:
         sector_profiles[0] = (np.array([problem.inner_radius, r_out]), np.zeros(2))
     return FkwSolution(alpha=float(alpha), gamma=float(gamma), gamma1=float(g1),

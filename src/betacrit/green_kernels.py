@@ -10,7 +10,8 @@ G(r, rho) = u_reg(min) u_dec(max) / C, where u_reg meets the boundary
 condition and u_dec decays at infinity.  ``solution_pair`` builds these
 solutions: the sector ODE on its span [r0, r_f], r_f = ``SectorODE.r_star``
 (empty where a == 1 without a potential), matched at r_f to the free
-solutions of ``SectorODE.free_pair``, the one place that writes those down.  Each
+solutions of ``SectorODE.free_pair``, the one place that writes those down.  Both
+are read together at the same radii, past r_f from one ``free_pair`` call.  Each
 comes apart from its log-scale, u = y e^s, and the scales are added before
 anything is exponentiated, so kernels stay finite for any k = sqrt(-lambda).
 """
@@ -28,12 +29,12 @@ from .sector_ode import SectorODE
 
 def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None = None,
                   beta: float = 0.0):
-    """(reg, dec, C) with G(r, rho) = u_reg(min) u_dec(max) / C against
+    """(pair, C) with G(r, rho) = u_reg(min) u_dec(max) / C against
     ``problem.measure`` in the problem's sector of H0, or of H0 - beta V.
 
-    ``reg`` and ``dec`` map radii to (y, s), the solution being y e^s: the
-    sector ODE below r_f = ``SectorODE.r_star``, the free solutions with
-    s = +-k (r - r_f) beyond.
+    ``pair`` maps radii to ((y_reg, s_reg), (y_dec, s_dec)), each solution
+    being y e^s: the sector ODE below r_f = ``SectorODE.r_star``, the free
+    solutions with s = +-k (r - r_f) beyond, both from one Bessel read.
     For r <= rho, s_reg(r) + s_dec(rho) is at most about 0.  lam = 0 gives
     the zero-energy limit and raises ``KernelLimitError`` where it diverges
     (``ProblemSpec.limit_diverges``: Neumann, and the bounded zero-energy
@@ -62,29 +63,25 @@ def solution_pair(problem: ProblemSpec, lam: float, potential: Potential | None 
     alpha = (u_rf * df - du_rf * f) / wr
     beta = (du_rf * g - u_rf * dg) / wr
 
-    def joined(solution, shift, outside):
-        """(y, s): ``solution``'s below r_f, less ``shift``; ``outside``'s beyond."""
-        def read(r):
-            r = np.asarray(r, dtype=float)
-            y, s = np.empty_like(r), np.empty_like(r)
-            inner = r < rf  # empty where a == 1
-            if inner.any():
-                (y[inner], _), s[inner] = solution.log_state(r[inner])
-                s[inner] -= shift
-            y[~inner], s[~inner] = outside(r[~inner])
-            return y, s
-        return read
+    def pair(r):
+        """((y_reg, s_reg), (y_dec, s_dec)) at the radii r: the integrations below
+        r_f, the regular one less its scale at r_f (the decaying one starts from
+        the true size of (f, p f') there); beyond, both from one ``free_pair`` read."""
+        r = np.asarray(r, dtype=float)
+        y, s = np.empty((2,) + r.shape), np.empty((2,) + r.shape)
+        inner = r < rf  # empty where a == 1
+        if inner.any():
+            for j, (solution, shift) in enumerate(((outward, s_rf), (inward, 0.0))):
+                (y[j, inner], _), s[j, inner] = solution.log_state(r[inner])
+                s[j, inner] -= shift
+        x = r[~inner] - rf
+        g_o, f_o = ode.free_pair(lam, r[~inner])
+        y[0, ~inner], s[0, ~inner] = alpha * g_o + beta * f_o * np.exp(-2.0 * k * x), k * x
+        y[1, ~inner], s[1, ~inner] = f_o, -k * x
+        return (y[0], s[0]), (y[1], s[1])
 
-    def reg_outside(r):
-        g_o, f_o = ode.free_pair(lam, r)
-        return alpha * g_o + beta * f_o * np.exp(-2.0 * k * (r - rf)), k * (r - rf)
-
-    # the decaying solution starts from the true size of (f, p f') at r_f,
-    # so it keeps its own log-scale; the regular one is taken relative to r_f
-    reg = joined(outward, s_rf, reg_outside)
-    dec = joined(inward, 0.0, lambda r: (ode.free_pair(lam, r, growing=False)[1], -k * (r - rf)))
     # p (u_dec u_reg' - u_dec' u_reg) is constant; the coefficient is 1 at r_f
-    return reg, dec, float(problem.measure(rf) * (f * du_rf - df * u_rf))
+    return pair, float(problem.measure(rf) * (f * du_rf - df * u_rf))
 
 
 def green_kernel(problem: ProblemSpec, lam: float, x, xi):
@@ -94,9 +91,9 @@ def green_kernel(problem: ProblemSpec, lam: float, x, xi):
     lam = 0 gives the zero-energy limit kernel where it exists.  Radii
     inside the obstacle raise ``ValidationError``.
     """
-    reg, dec, c = solution_pair(problem, lam)
+    pair, c = solution_pair(problem, lam)
     lo = np.minimum(x, xi)
     if np.any(lo < problem.inner_radius):
         raise ValidationError("kernel radii must lie outside the obstacle")
-    (y_reg, s_reg), (y_dec, s_dec) = reg(lo), dec(np.maximum(x, xi))
+    ((y_reg, s_reg), _), (_, (y_dec, s_dec)) = pair(lo), pair(np.maximum(x, xi))
     return y_reg * y_dec * np.exp(s_reg + s_dec) / c

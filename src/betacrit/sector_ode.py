@@ -192,16 +192,17 @@ class SectorODE:
             max(potential.support[0], r_flat), max(potential.support[1], r_flat))
         self.r_star, self._free = r_star, (r_flat, lo, r_star)
         self._density = WELL_STEPS / ((r_flat - r_in) + (r_star - lo) or 1.0)  # the floor
-        self.cuts = np.array([r_in, r_star])  # an empty span (a == 1, no V) reads nothing
+        cuts, width = np.array([r_in, r_star]), np.empty(0)  # an empty span has no piece
         if r_star > r_in:  # cut it, and read the well just inside both ends of each piece
             samples = (f.profile.xs.tolist() for f in (a, potential) if f is not None)
             kinks = sorted({r_flat}.union(*samples))  # a and V are smooth between samples
             inside = [c for b, c in zip([-math.inf] + kinks, kinks)  # near repeats make one cut
                       if r_in + _gap(c) < c < r_star - _gap(c) and c - b > _gap(c)]
-            self.cuts = cuts = np.array([r_in] + inside + [r_star])
-            self._width = width = cuts[1:] - cuts[:-1]
-            ends = np.array([cuts[:-1] + 1e-9 * width, cuts[1:] - 1e-9 * width])
-            self._ends = self._read(ends, self.dimension > 1)
+            cuts = np.array([r_in] + inside + [r_star])
+            width = cuts[1:] - cuts[:-1]
+        self.cuts, self._width = cuts, width  # so an empty span's mesh is its one node
+        ends = np.array([cuts[:-1] + 1e-9 * width, cuts[1:] - 1e-9 * width])
+        self._ends = self._read(ends, self.dimension > 1)
 
     def _set_sector(self, sector) -> None:
         self.sector, self._cent = sector, sector * (sector + self.dimension - 2)

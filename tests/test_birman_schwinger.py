@@ -10,6 +10,7 @@ from betacrit import birman_schwinger as bs
 from betacrit.errors import KernelLimitError, UnconvergedError, ValidationError
 from betacrit.green_kernels import green_kernel
 from betacrit.model import CoefficientProfile, Potential, ProblemSpec, Profile
+from betacrit.sector_ode import SectorODE
 
 import oracles as oc
 
@@ -245,7 +246,7 @@ class TestSemiseparableApply:
     @example(_DEEP_WELL, -1e8, 64)
     def test_principal_eigenvalue_matches_dense_power_iteration(self, case, lam, m):
         mat = _assemble_or_reject(*case, lam, m)
-        value, _, steps = bs._power_iteration(mat.dense())
+        value, _, steps, _ = bs._power_iteration(mat.dense())
         assume(steps > 0)
         assert bs.principal_eigenvalue(mat)[0] == pytest.approx(value, rel=1e-12, abs=0.0)
 
@@ -509,6 +510,72 @@ class TestSeparableAssembly:
         r = np.array([1.2, 1.5, 1.9])
         wkb = 1.0 / (2.0 * math.sqrt(-lam) * np.sqrt(a(r)) * prob.measure(r))
         assert green_kernel(prob, lam, r, r) == pytest.approx(wkb, rel=1e-3)
+
+
+class TestEnergySweep:
+    """A curve reads its quadrature once, and each energy's power iteration
+    starts from the eigenvector of the energy before."""
+
+    TENT = Potential(Profile.tent(1.5, 2.5), 1.7)
+
+    def test_a_curve_reads_its_quadrature_and_well_once(self, monkeypatch):
+        panels, reads = [], []
+        gauss_panels, potential = bs.gauss_panels, Potential.__call__
+        monkeypatch.setattr(bs, "gauss_panels",
+                            lambda *a: panels.append(1) or gauss_panels(*a))
+        monkeypatch.setattr(Potential, "__call__",
+                            lambda pot, r: reads.append(1) or potential(pot, r))
+        grid = bs.default_lambda_grid((2, 8))
+        assert grid.size == 7
+        prob = dict(_separable_cases())["variable a, d=3"]
+        rep = bs.mu_curve(prob, self.TENT, lambda_grid=grid, m=64)
+        assert len(rep.samples) == 7
+        assert (len(panels), len(reads)) == (1, 1)
+
+    def test_an_empty_span_reads_the_free_pair_once_on_the_nodes(self, monkeypatch):
+        # a == 1 and no potential: r_f = r0, where the pair is matched, and
+        # both solutions come from one read on the nodes
+        reads = []
+        free_pair = SectorODE.free_pair
+        monkeypatch.setattr(SectorODE, "free_pair", lambda ode, lam, r, *a, **k: (
+            reads.append(np.size(r)) or free_pair(ode, lam, r, *a, **k)))
+        prob = ProblemSpec(3, "exterior_ball", "neumann", sector=2)
+        assert SectorODE(prob).r_star == prob.inner_radius
+        mat = bs.assemble(prob, self.TENT, -0.5, m=64)
+        assert reads == [1, mat.size]
+
+    def test_warm_started_curve_matches_cold_solves(self, monkeypatch):
+        # lambda = -1e6 stalls into the eigh fallback, whose |vector| starts the
+        # next energy; a start that far off may cost a product, but the curves
+        # take fewer than the cold solves
+        products = []
+        matmul = bs.SectorKernel.__matmul__
+        monkeypatch.setattr(bs.SectorKernel, "__matmul__",
+                            lambda k, x: products.append(1) or matmul(k, x))
+        grid = np.append([-1e6, -4.0, -0.5], bs.default_lambda_grid((2, 7)))
+        sectors = [(f"d={d} sector {l} {bc}", ProblemSpec(d, "exterior_ball", bc, sector=l))
+                   for d in (1, 2, 3) for l in range(2 if d == 1 else 3)
+                   for bc in ("dirichlet", "neumann")]
+        warm = cold = 0
+        for name, prob in list(_separable_cases()) + sectors:
+            products.clear()
+            rep = bs.mu_curve(prob, self.TENT, lambda_grid=grid, m=64)
+            warm += len(products)
+            products.clear()
+            for lam, mu, _, res in rep.samples:
+                value = bs.principal_eigenvalue(bs.assemble(prob, self.TENT, lam, m=64))[0]
+                assert mu == pytest.approx(value, rel=1e-13, abs=0.0), (name, lam)
+                assert res <= bs.EIG_TOL * mu, (name, lam)
+            cold += len(products)
+        assert warm < cold
+
+    def test_the_stall_fallback_hands_on_a_nonnegative_vector(self):
+        mat = bs.assemble(HALF_LINE_D, Potential(Profile.indicator(1.5, 2.5)), -1e6, m=400)
+        assert bs._power_iteration(mat)[2] == -1
+        value, res, vector = bs._principal(mat)
+        assert np.all(vector >= 0.0)
+        assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(mat @ vector - value * vector) == pytest.approx(res, rel=1e-6)
 
 
 class TestEigenpairCorrespondence:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -112,6 +113,39 @@ class TestGamma1:
             assert fkw.gamma1(BALL2, 0.0, POT, lam) == pytest.approx(
                 k * kve(1, k) / kve(0, k), rel=1e-13)
 
+    @pytest.mark.parametrize("problem", [BALL2, BALL3], ids=["d2", "d3"])
+    def test_uncoupled_well_is_not_stepped(self, monkeypatch, problem):
+        # beta = 0: the unit-trace solution is the free decaying one, f / f(r0),
+        # so gamma1 = -f'(r0) / f(r0) and no propagator takes a step; stepping
+        # the well at beta = 0 gives the same flux
+        steps = []
+        propagators = SectorODE.propagators
+        monkeypatch.setattr(SectorODE, "propagators", lambda ode, lam, r, h, *a, **k: (
+            steps.append(np.count_nonzero(h)) or propagators(ode, lam, r, h, *a, **k)))
+        for lam in (-1e-2, -1e-5, -1e-8, -1.0) + ((0.0,) if problem.dimension == 3 else ()):
+            value = fkw.gamma1(problem, 0.0, POT, lam)
+            assert sum(steps) == 0
+            free = SectorODE(problem.with_sector(0))
+            if lam < 0.0:
+                _, f, _, df = free.free_pair(lam, 1.0, derivatives=True, growing=False)
+                assert value == pytest.approx(-df / f, rel=1e-15)
+            well = SectorODE(problem.with_sector(0), POT, 0.0)
+            v = well.integrate(lam, well.decay_state(lam, well.r_star), inward=True,
+                               decays=True)
+            v.normalize(1.0)
+            stepped = -float(v.state(1.0)[1]) / well.coefficients(1.0)[0]
+            assert sum(steps) > 1000
+            steps.clear()
+            assert value == pytest.approx(stepped, rel=1e-12)
+
+    def test_uncoupled_coefficient_is_stepped_to_its_flat_radius(self):
+        a = CoefficientProfile(Profile(np.array([1.0, 2.0]), np.array([2.0, 1.0])), 2.0)
+        ball = replace(BALL3, coefficient=a)
+        v = fkw.solve_v(ball, 0.0, POT, -1.0)
+        assert v.r[[0, -1]].tolist() == [2.0, 1.0]
+        sol = fkw.solve_fkw(ball, 0.0, POT, -1.0, {})
+        assert sol.meta["r_out"] == 3.5
+
     def test_d2_vanishes_at_threshold(self):
         vals = [fkw.gamma1(BALL2, 0.0, POT, lam) for lam in (-1e-2, -1e-4, -1e-6, -1e-8)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -147,8 +181,8 @@ class TestSolveFkw:
 
     def test_profiles_end_one_past_the_support_edge(self):
         f = lambda r: np.exp(-((r - 2.0) / 0.5) ** 2)
-        for sources in ({}, {0: f}, {1: f}, {0: f, 2: f}):
-            sol = fkw.solve_fkw(BALL3, 0.5, POT, -1.0, sources)
+        for sources, beta in itertools.product(({}, {0: f}, {1: f}, {0: f, 2: f}), (0.0, 0.5)):
+            sol = fkw.solve_fkw(BALL3, beta, POT, -1.0, sources)
             assert sol.meta["r_out"] == 3.5
             for mesh, _ in sol.sector_profiles.values():
                 assert mesh[0] == 1.0
@@ -243,8 +277,8 @@ class TestSolveFkw:
             q[2::2] += h / 6.0
             q[1::2] += 4.0 * h / 6.0
             source = q * f(x) * problem.measure(x)
-            reg, dec, c = solution_pair(problem, lam, POT, 0.5)
-            (y_reg, s_reg), (y_dec, s_dec) = reg(x), dec(x)
+            pair, c = solution_pair(problem, lam, POT, 0.5)
+            (y_reg, s_reg), (y_dec, s_dec) = pair(x)
             picks = np.linspace(0, mesh.size - 1, 40).astype(int)
             direct = np.array([
                 (y_dec[i] * np.sum(y_reg[:i + 1] * np.exp(s_reg[:i + 1] + s_dec[i])
