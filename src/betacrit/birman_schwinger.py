@@ -4,8 +4,9 @@ The operator sqrt(V) (H0 - lambda)^{-1} sqrt(V) is discretized by a Nystrom
 method on Gauss-Legendre panels over the support of V, in a sector as the
 generators of its semiseparable kernel.  Its largest eigenvalue mu0(lambda)
 grows to mu* as lambda -> 0-: the threshold is 1/mu*, or 0 where mu0 diverges.
-A sweep (``mu_curve``) reads the quadrature and V on it once, and starts
-each power iteration from the eigenvector of the energy before.
+A sweep (``mu_curve``) reads the quadrature and V on it once, builds every
+energy's kernel in one block (``_kernels``), and starts each power
+iteration from the eigenvector of the energy before.
 """
 
 from __future__ import annotations
@@ -96,15 +97,7 @@ class SectorKernel:
 
     @functools.cached_property
     def _sums(self):
-        # (K x)_i = e^{s_reg_i + s_dec_i} [b_i sum_{j<=i} a_j x_j e^{s_reg_j - s_reg_i}
-        # + a_i sum_{j>=i} b_j x_j e^{s_dec_j - s_dec_i} - a_i b_i x_i], both sums by
-        # recursive doubling in one array (the second reversed): step h adds term i - h
-        # times e^{s_{i-h} - s_i} (0 across the seam), as exact as the entries at any k
-        a, b, r, q = self.a, self.b, self.s_reg, self.s_dec[::-1]
-        steps = [(h, np.exp(np.concatenate([r[:-h] - r[h:], np.full(h, -np.inf), q[:-h] - q[h:]])))
-                 for h in (2 ** j for j in range((a.size - 1).bit_length()))]
-        d = np.exp(self.s_reg + self.s_dec)
-        return np.concatenate([a, b[::-1]]), steps, d * b, d * a, d * a * b
+        return next(_doubling(self.a[None], self.b[None], self.s_reg[None], self.s_dec[None]))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         coef, steps, db, da, diag = self._sums
@@ -114,18 +107,42 @@ class SectorKernel:
         return db * y[:x.size] + da * y[:x.size - 1:-1] - diag * x
 
 
+def _doubling(a, b, s_reg, s_dec):
+    """Each row's ``SectorKernel._sums`` from (E, m) blocks of generators, one
+    ``np.exp`` per doubling level for all E rows.  (K x)_i = e^{s_reg_i + s_dec_i}
+    [b_i sum_{j<=i} a_j x_j e^{s_reg_j - s_reg_i} + a_i sum_{j>=i} b_j x_j
+    e^{s_dec_j - s_dec_i} - a_i b_i x_i], both sums by recursive doubling in one
+    array (the second reversed): step h adds term i - h times e^{s_{i-h} - s_i}
+    (0 across the seam), as exact as the entries at any k."""
+    (n, m), r, q, levels = a.shape, s_reg, s_dec[:, ::-1], []
+    for h in (2 ** j for j in range((m - 1).bit_length())):
+        factor = np.empty((n, 2 * m - h))
+        np.subtract(r[:, :-h], r[:, h:], out=factor[:, :m - h])
+        factor[:, m - h:m] = -np.inf
+        np.subtract(q[:, :-h], q[:, h:], out=factor[:, m:])
+        levels.append((h, np.exp(factor, out=factor)))
+    d = np.exp(s_reg + s_dec)
+    coef, db, da = np.concatenate([a, b[:, ::-1]], axis=1), d * b, d * a
+    for i, diag in enumerate(da * b):
+        yield coef[i], [(h, factor[i]) for h, factor in levels], db[i], da[i], diag
+
+
 def _kernels(problem: ProblemSpec, potential: Potential, lams, m: int):
     """The kernel at each energy of ``lams`` on one quadrature, read once with V
-    on it: each energy pays only for its Green pair on the nodes."""
+    on it: the Green pair of every energy comes from one ``solution_pair``, and
+    the generators and doubling factors of all of them as (E, m) blocks."""
     require_valid(problem, potential)
     lo, hi = potential.support
     nodes, w = gauss_panels(max(lo, problem.inner_radius), hi, m)
     vol = w * problem.measure(nodes)
     half_weight = np.sqrt(vol) * np.sqrt(potential(nodes))
-    for lam in lams:
-        pair, c = solution_pair(problem, float(lam))
-        (y_reg, s_reg), (y_dec, s_dec) = pair(nodes)
-        yield SectorKernel(nodes, vol, half_weight * y_reg / c, half_weight * y_dec, s_reg, s_dec)
+    pair, c = solution_pair(problem, np.asarray(lams, dtype=float))
+    (y_reg, s_reg), (y_dec, s_dec) = pair(nodes)
+    a, b = half_weight * y_reg / c[:, None], half_weight * y_dec
+    for *row, sums in zip(a, b, s_reg, s_dec, _doubling(a, b, s_reg, s_dec)):
+        kernel = SectorKernel(nodes, vol, *row)
+        kernel.__dict__["_sums"] = sums  # its row of the block, where the cache would hold it
+        yield kernel
 
 
 def assemble(problem: ProblemSpec, potential: Potential, lam: float,
@@ -198,7 +215,8 @@ def _power_iteration(a, start=None):
 
 
 def _principal(matrix, start=None):
-    """``principal_eigenvalue`` and its unit eigenvector, iterated from ``start``."""
+    """``principal_eigenvalue`` and its unit eigenvector, iterated from ``start``;
+    None after a stall, whose localized ``eigh`` vector would slow the next solve."""
     a = matrix.entries if isinstance(matrix, KernelMatrix) else matrix
     a = a if isinstance(a, SectorKernel) else np.asarray(a, dtype=float)
     theta, res, iters, vector = _power_iteration(a, start)
@@ -211,7 +229,7 @@ def _principal(matrix, start=None):
             raise UnconvergedError(
                 f"principal eigenvalue solve missed the tolerance (residual {res:.3e})",
                 details={"residual": res, "value": theta})
-        vector = np.abs(w)  # a kernel >= 0 entrywise has a top eigenvector >= 0
+        vector = None
     return theta, res, vector
 
 
@@ -258,10 +276,10 @@ def mu_curve(problem: ProblemSpec, potential: Potential, lambda_grid=None,
              m: int = DEFAULT_M) -> SpectralReport:
     """Principal eigenvalue along an energy grid increasing toward 0-.
 
-    Each energy's power iteration starts from the last one's eigenvector.  The
-    samples must come out monotone (the operator grows with lambda); a violation
-    beyond the eigenvalue tolerance is flagged as a discretization failure in
-    the metadata.
+    Each energy's power iteration starts from the last one's eigenvector, or
+    cold after a stall.  The samples must come out monotone (the operator grows
+    with lambda); a violation beyond the eigenvalue tolerance is flagged as a
+    discretization failure in the metadata.
     """
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()

@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 from importlib import resources
 
@@ -147,17 +146,19 @@ def write_json(path: str, payload: dict):
 
 def _atomic_write(path: str, text: str):
     """Rename a unique sibling onto ``path``: a reader never sees a partial artifact,
-    and runs into one directory cannot collide.  No fsync: a rerun of the config
-    rebuilds a lost artifact byte for byte."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
+    and runs into one directory cannot collide.  The sibling is created exclusively
+    with mode 0o666, so the umask applies as it would to open().  No fsync: a rerun
+    of the config rebuilds a lost artifact byte for byte."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    while True:
+        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)  # the mode open() would give
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -239,9 +240,8 @@ def _run_fkw(cfg, problem, potential, num):
     grid = _lambda_grid(cfg, num)
     sector_max = num["sector_max"]
 
-    g_rows = [{"lambda": float(lam),
-               "gamma1": fkw.gamma1(problem, beta, potential, float(lam))}
-              for lam in grid]
+    g_rows = [{"lambda": float(lam), "gamma1": float(g)}
+              for lam, g in zip(grid, fkw.gamma1(problem, beta, potential, grid))]
     limit = fkw.fkw_norm_limit(problem, potential, lambda_grid=grid,
                                m=num["m"], sector_max=sector_max)
     if limit["verdict"] == "indeterminate":

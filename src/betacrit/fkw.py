@@ -54,6 +54,16 @@ class FkwSolution:
     meta: dict = field(default_factory=dict)
 
 
+def _require_energies(problem: ProblemSpec, potential: Potential, lam) -> None:
+    """What ``solve_v`` needs of the problem and of every energy in ``lam``."""
+    _require_fkw(problem)
+    require_valid(problem, potential)
+    if np.any(lam > 0):
+        raise ValidationError("the exterior solve needs lambda <= 0")
+    if not np.all(lam) and problem.with_sector(0).limit_diverges():
+        raise KernelLimitError("no decaying zero-energy solution in this sector")
+
+
 def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
             lam: float) -> SectorSolution:
     """Decaying radial solution with unit trace on the obstacle sphere, in
@@ -64,12 +74,7 @@ def solve_v(problem: ProblemSpec, beta: float, potential: Potential,
     (r0 without a coefficient); raises ``NearSingularError`` when the energy
     sits at a Dirichlet eigenvalue, where no unit-trace solution exists.
     """
-    _require_fkw(problem)
-    require_valid(problem, potential)
-    if lam > 0:
-        raise ValidationError("the exterior solve needs lambda <= 0")
-    if lam == 0 and problem.with_sector(0).limit_diverges():
-        raise KernelLimitError("no decaying zero-energy solution in this sector")
+    _require_energies(problem, potential, lam)
     ode = SectorODE(problem.with_sector(0), potential if beta else None, beta)
     v = ode.integrate(lam, ode.decay_state(lam, ode.r_star), inward=True, decays=True)
     v.normalize(problem.inner_radius)  # only the ratio to the trace matters
@@ -85,11 +90,23 @@ def _boundary_flux(problem: ProblemSpec, v: SectorSolution) -> float:
     return -float(v.state(r0)[1]) / v.ode.coefficients(r0)[0]
 
 
-def gamma1(problem: ProblemSpec, beta: float, potential: Potential,
-           lam: float) -> float:
+def gamma1(problem: ProblemSpec, beta: float, potential: Potential, lam):
     """Mean boundary flux of the unit-trace solution, oriented to be positive
-    for energies below the potential well."""
-    return _boundary_flux(problem, solve_v(problem, beta, potential, lam))
+    for energies below the potential well; an array of them for a grid of
+    energies.  Where ``solve_v`` steps an empty span (beta = 0 without a
+    coefficient) the unit-trace solution is the decaying free one, f / f(r0),
+    and a grid below 0 reads every -f'(r0) / f(r0) from one ``free_pair`` call."""
+    _require_fkw(problem)
+    lams, r0 = np.asarray(lam, dtype=float), problem.inner_radius
+    free = SectorODE(problem.with_sector(0))  # what solve_v steps at beta = 0
+    if beta or free.r_star > r0 or not lams.all():
+        values = np.reshape([_boundary_flux(problem, solve_v(problem, beta, potential, float(l)))
+                             for l in lams.flat], lams.shape)
+    else:
+        _require_energies(problem, potential, lams)
+        _, f, _, df = free.free_pair(lams, r0, derivatives=True, growing=False)
+        values = -df / f
+    return values if lams.ndim else float(values)
 
 
 def _dirichlet_resolvent(problem: ProblemSpec, beta: float, potential: Potential,

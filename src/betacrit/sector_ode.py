@@ -240,23 +240,27 @@ class SectorODE:
         """(u, p u') meeting the sector's boundary condition on the obstacle."""
         return _regular(self.bc)
 
-    def free_pair(self, lam: float, r, derivatives: bool = False, growing: bool = True):
+    def free_pair(self, lam, r, derivatives: bool = False, growing: bool = True):
         """Free solutions (V = 0, a = 1) at the radii r, growing g(r) e^{kr} and
         decaying f(r) e^{-kr}, k = sqrt(-lambda), as (g, f); with ``derivatives``
         also their r-derivatives, scaled alike.  sinh(kr)/k and e^{-kr} on the
         line, r^{1-d/2} I_nu(kr) and r^{1-d/2} K_nu(kr) otherwise (DLMF 10.29);
         at lambda = 0 r and 1 on the line, ln r and 1 in the planar sector 0,
-        r^l and r^{-(l+d-2)} otherwise.  Without ``growing`` g is NaN.  A Bessel
-        value that is not finite raises ``UnconvergedError``."""
-        d, l, k = self.dimension, self.sector, math.sqrt(-lam)
+        r^l and r^{-(l+d-2)} otherwise.  Without ``growing`` g is NaN.  An
+        array of energies, all below 0 or all 0, puts an energy axis before
+        r's (the values at 0 broadcast along it).  A Bessel value that is not
+        finite raises ``UnconvergedError`` naming the first such energy."""
+        d, l, lam = self.dimension, self.sector, np.asarray(lam, dtype=float)
         r = np.asarray(r, dtype=float)
+        k = np.sqrt(-lam)[(...,) + (None,) * r.ndim] if lam.ndim else math.sqrt(-lam)
+        zero = not k.any() if lam.ndim else k == 0
         if d == 1:
-            g = r if k == 0 else -np.expm1(-2.0 * k * r) / (2.0 * k)
+            g = r if zero else -np.expm1(-2.0 * k * r) / (2.0 * k)
             dg = 0.5 * (1.0 + np.exp(-2.0 * k * r))
-            f, df = np.ones_like(r), np.full_like(r, -k)
-        elif k == 0 and l + d == 2:  # the planar sector 0
+            df = -k * (f := np.ones_like(r))
+        elif zero and l + d == 2:  # the planar sector 0
             g, dg, f, df = np.log(r), 1.0 / r, np.ones_like(r), np.zeros_like(r)
-        elif k == 0:
+        elif zero:
             q = l + d - 2
             g, dg, f, df = r ** l, l * r ** (l - 1.0), r ** (-q), -q * r ** (-q - 1.0)
         else:  # the Bessels scaled by e^{-z} and e^{z}
@@ -264,9 +268,11 @@ class SectorODE:
             nu, z, amp = self._nu, k * r, r ** (1.0 - 0.5 * d)
             k_n = [kve(nu + j, z) for j in range(1 + derivatives)]
             i_n = [ive(nu + j, z) if growing else np.nan for j in range(1 + derivatives)]
-            if not np.isfinite(k_n + i_n if growing else k_n).all():
+            if not (finite := np.isfinite(k_n + i_n if growing else k_n)).all():
+                first = ~finite.reshape(len(finite), lam.size, -1).all(axis=(0, 2))
                 raise UnconvergedError("Bessel functions of the free pair out of range",
-                                       details={"lambda": lam, "sector": l})
+                                       details={"lambda": float(lam.flat[first.argmax()]),
+                                                "sector": l})
             g, f = amp * i_n[0], amp * k_n[0]
             if derivatives:
                 s = (1.0 - 0.5 * d) / r

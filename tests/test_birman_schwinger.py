@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,20 @@ class TestSemiseparableApply:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_peak_memory_of_a_curve_stays_linear_in_m(self):
+        # the doubling factors of all 7 energies at once, 7 ceil(log2 m) rows of
+        # about 2m (2.4 MB at m = 2000); the 7 m x m matrices would take 224 MB
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", radius=1.0, sector=1)
+        pot, grid, m = Potential(Profile.tent(1.5, 2.5)), bs.default_lambda_grid((2, 8)), 2000
+        bs.mu_curve(prob, pot, grid, m=100)  # warm caches
+        tracemalloc.start()
+        try:
+            bs.mu_curve(prob, pot, grid, m=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size * m * 8 * (2 * math.ceil(math.log2(m)) + 20)
+
 
 class TestMuCurve:
     def test_dirichlet_monotone_toward_threshold(self):
@@ -512,11 +527,69 @@ class TestSeparableAssembly:
         assert green_kernel(prob, lam, r, r) == pytest.approx(wkb, rel=1e-3)
 
 
+def _sector_cases():
+    return [(f"d={d} sector {l} {bc}", ProblemSpec(d, "exterior_ball", bc, sector=l))
+            for d in (1, 2, 3) for l in range(2 if d == 1 else 3)
+            for bc in ("dirichlet", "neumann")]
+
+
+def _sums_arrays(kernel):
+    """The arrays of a kernel's ``_sums`` in order, and its doubling steps."""
+    coef, steps, *rest = kernel._sums
+    return [coef, *(factor for _, factor in steps), *rest], [h for h, _ in steps]
+
+
 class TestEnergySweep:
-    """A curve reads its quadrature once, and each energy's power iteration
-    starts from the eigenvector of the energy before."""
+    """A curve reads its quadrature once and builds every energy's kernel in
+    one block, and each energy's power iteration starts from the eigenvector
+    of the energy before."""
 
     TENT = Potential(Profile.tent(1.5, 2.5), 1.7)
+    GRID = np.append([-1e6, -4.0, -0.5], bs.default_lambda_grid((2, 7)))
+
+    @pytest.mark.parametrize("name,prob", list(_separable_cases()) + _sector_cases())
+    def test_each_row_of_the_block_is_its_one_energy_kernel(self, name, prob):
+        rows = list(bs._kernels(prob, self.TENT, self.GRID, 64))
+        assert len(rows) == self.GRID.size
+        for lam, row in zip(self.GRID, rows):
+            one = bs.assemble(prob, self.TENT, lam, m=64)
+            for field in ("nodes", "weights", "a", "b", "s_reg", "s_dec"):
+                assert np.array_equal(getattr(row, field), getattr(one, field)), (lam, field)
+            # the cached build of a kernel on its own, and the doubling written out
+            alone = bs.SectorKernel(row.nodes, row.weights, row.a, row.b, row.s_reg, row.s_dec)
+            r, q = row.s_reg, row.s_dec[::-1]
+            steps = [2 ** j for j in range((row.size - 1).bit_length())]
+            factors = [np.exp(np.concatenate([r[:-h] - r[h:], np.full(h, -np.inf), q[:-h] - q[h:]]))
+                       for h in steps]
+            arrays, hs = _sums_arrays(row)
+            assert hs == steps
+            for other in (_sums_arrays(one)[0], _sums_arrays(alone)[0], arrays[:1] + factors
+                          + arrays[1 + len(steps):]):
+                assert len(other) == len(arrays)
+                assert all(np.array_equal(x, y) for x, y in zip(arrays, other)), lam
+
+    def test_an_empty_span_curve_reads_the_free_pair_twice(self, monkeypatch):
+        # one read at r_f = r0 and one on the nodes, for all 7 energies
+        reads = []
+        free_pair = SectorODE.free_pair
+        monkeypatch.setattr(SectorODE, "free_pair", lambda ode, lam, r, *a, **k: (
+            reads.append(np.size(r)) or free_pair(ode, lam, r, *a, **k)))
+        prob = ProblemSpec(3, "exterior_ball", "neumann", sector=2)
+        rep = bs.mu_curve(prob, self.TENT, lambda_grid=bs.default_lambda_grid((2, 8)), m=64)
+        assert len(rep.samples) == 7
+        assert reads == [1, 64]
+
+    def test_a_grid_past_the_float_range_names_its_first_failing_energy(self):
+        # the scaled K_{nu+1} of sector 3 overflows for k r below about 1e-69:
+        # -1e-140 is the first energy of the sweep that fails, and it fails
+        # before any arithmetic reads what overflowed
+        prob = ProblemSpec(3, "exterior_ball", "dirichlet", sector=3)
+        grid = [-1e-2, -1e-120, -1e-140, -1e-160, -1e-180]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnconvergedError) as err:
+                bs.mu_curve(prob, Potential(Profile.indicator(1.5, 2.5)), grid, m=50)
+        assert err.value.details == {"lambda": -1e-140, "sector": 3}
 
     def test_a_curve_reads_its_quadrature_and_well_once(self, monkeypatch):
         panels, reads = [], []
@@ -545,21 +618,16 @@ class TestEnergySweep:
         assert reads == [1, mat.size]
 
     def test_warm_started_curve_matches_cold_solves(self, monkeypatch):
-        # lambda = -1e6 stalls into the eigh fallback, whose |vector| starts the
-        # next energy; a start that far off may cost a product, but the curves
-        # take fewer than the cold solves
+        # lambda = -1e6 stalls into the eigh fallback, after which the next
+        # energy starts cold; the curves take fewer products than the cold solves
         products = []
         matmul = bs.SectorKernel.__matmul__
         monkeypatch.setattr(bs.SectorKernel, "__matmul__",
                             lambda k, x: products.append(1) or matmul(k, x))
-        grid = np.append([-1e6, -4.0, -0.5], bs.default_lambda_grid((2, 7)))
-        sectors = [(f"d={d} sector {l} {bc}", ProblemSpec(d, "exterior_ball", bc, sector=l))
-                   for d in (1, 2, 3) for l in range(2 if d == 1 else 3)
-                   for bc in ("dirichlet", "neumann")]
         warm = cold = 0
-        for name, prob in list(_separable_cases()) + sectors:
+        for name, prob in list(_separable_cases()) + _sector_cases():
             products.clear()
-            rep = bs.mu_curve(prob, self.TENT, lambda_grid=grid, m=64)
+            rep = bs.mu_curve(prob, self.TENT, lambda_grid=self.GRID, m=64)
             warm += len(products)
             products.clear()
             for lam, mu, _, res in rep.samples:
@@ -569,13 +637,39 @@ class TestEnergySweep:
             cold += len(products)
         assert warm < cold
 
-    def test_the_stall_fallback_hands_on_a_nonnegative_vector(self):
+    def test_the_stall_fallback_hands_on_no_vector(self):
         mat = bs.assemble(HALF_LINE_D, Potential(Profile.indicator(1.5, 2.5)), -1e6, m=400)
         assert bs._power_iteration(mat)[2] == -1
         value, res, vector = bs._principal(mat)
-        assert np.all(vector >= 0.0)
-        assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-14)
-        assert np.linalg.norm(mat @ vector - value * vector) == pytest.approx(res, rel=1e-6)
+        assert vector is None
+        assert value == pytest.approx(np.linalg.eigvalsh(mat.dense())[-1], rel=1e-12)
+        assert res <= bs.EIG_TOL * value
+
+    def test_the_energy_after_a_stall_starts_cold(self, monkeypatch):
+        # the eigh vector at -1e6 is localized: started from it, -4 took 12
+        # products where a cold start takes 10
+        prob = dict(_separable_cases())["variable a, d=2"]
+        assert bs._power_iteration(bs.assemble(prob, self.TENT, -1e6, m=40))[2] == -1
+        products, per_solve = [], []
+        principal, matmul = bs._principal, bs.SectorKernel.__matmul__
+        monkeypatch.setattr(bs.SectorKernel, "__matmul__",
+                            lambda k, x: products.append(1) or matmul(k, x))
+
+        def counted(mat, start=None):
+            before = len(products)
+            solved = principal(mat, start)
+            per_solve.append(len(products) - before)
+            return solved
+
+        monkeypatch.setattr(bs, "_principal", counted)
+        bs.mu_curve(prob, self.TENT, lambda_grid=self.GRID, m=40)
+        warm = per_solve.copy()
+        per_solve.clear()
+        for lam in self.GRID:
+            bs.principal_eigenvalue(bs.assemble(prob, self.TENT, lam, m=40))
+        assert self.GRID[:2].tolist() == [-1e6, -4.0]
+        assert warm[0] == per_solve[0]
+        assert warm[1] <= per_solve[1] == 10
 
 
 class TestEigenpairCorrespondence:

@@ -472,6 +472,18 @@ class TestReportWriting:
         os.umask(umask)
         assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_report_mode_follows_the_umask_it_never_sets(self, tmp_path, monkeypatch):
+        umask = os.umask(0)
+        os.umask(umask)
+
+        def refuse(mask):
+            raise AssertionError("the process umask was changed")
+
+        monkeypatch.setattr(cli.os, "umask", refuse)
+        cli.write_json(str(tmp_path / "report.json"), {"a": 1})
+        monkeypatch.undo()
+        assert (tmp_path / "report.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
 
 class TestSubcommands:
     def test_beta_cr_square_well(self, tmp_path):

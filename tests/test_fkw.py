@@ -138,6 +138,33 @@ class TestGamma1:
             steps.clear()
             assert value == pytest.approx(stepped, rel=1e-12)
 
+    def test_a_grid_is_one_free_pair_read_where_the_span_is_empty(self, monkeypatch, tmp_path):
+        grid = bs.default_lambda_grid((2, 8))
+        one_by_one = {(ball.dimension, beta): [fkw.gamma1(ball, beta, POT, float(lam))
+                                               for lam in grid]
+                      for ball in (BALL2, BALL3) for beta in (0.0, 0.5)}
+        reads, calls = [], []
+        free_pair, gamma1 = SectorODE.free_pair, fkw.gamma1
+        monkeypatch.setattr(SectorODE, "free_pair", lambda ode, *a, **k: (
+            reads.append(1) or free_pair(ode, *a, **k)))
+        for (d, beta), values in one_by_one.items():
+            reads.clear()
+            rows = fkw.gamma1(BALL2 if d == 2 else BALL3, beta, POT, grid)
+            assert rows.tolist() == values
+            assert len(reads) == 1 if beta == 0.0 else len(reads) > grid.size
+        # the fkw subcommand takes its gamma1 rows in one call
+        monkeypatch.setattr(fkw, "gamma1", lambda *a: calls.append(a) or gamma1(*a))
+        cfg = {"problem": {"geometry": "exterior_ball", "dimension": 3,
+                           "boundary_condition": "fkw"},
+               "potential": {"kind": "indicator", "support": [1.5, 2.5]},
+               "numerics": {"m": 32, "sector_max": 1},
+               "study": {"lambda_grid": grid.tolist()}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.run("fkw", str(tmp_path / "cfg.json"), str(tmp_path)) == 0
+        assert len(calls) == 1
+        rows = json.loads((tmp_path / "fkw.json").read_text())["gamma1"]
+        assert [row["gamma1"] for row in rows] == one_by_one[3, 0.0]
+
     def test_uncoupled_coefficient_is_stepped_to_its_flat_radius(self):
         a = CoefficientProfile(Profile(np.array([1.0, 2.0]), np.array([2.0, 1.0])), 2.0)
         ball = replace(BALL3, coefficient=a)

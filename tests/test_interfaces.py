@@ -164,10 +164,10 @@ def test_no_module_sums_in_one_shared_log_scale():
     assert hits == []
 
 
-@pytest.mark.parametrize("name", ["green_kernels.py", "birman_schwinger.py"])
+@pytest.mark.parametrize("name", ["green_kernels.py", "birman_schwinger.py", "fkw.py"])
 def test_kernel_and_eigensolve_modules_name_no_scipy(name):
-    """The Green pair comes from ``free_pair`` and the stalled-top fallback
-    from ``numpy.linalg.eigh``: neither module names scipy."""
+    """The Green pair and gamma1 come from ``free_pair`` and the stalled-top
+    fallback from ``numpy.linalg.eigh``: none of these modules names scipy."""
     hits = [f"{name}:{number}: {line.strip()}"
             for number, line in enumerate((SRC / name).read_text().splitlines(), 1)
             if "scipy" in line]
